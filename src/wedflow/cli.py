@@ -17,7 +17,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .runner import SUITES, ScenarioError, run, verify
+from .runner import SUITES, Scenario, ScenarioError, run, verify
 
 
 def bundled_scenarios() -> dict:
@@ -30,17 +30,13 @@ def bundled_scenarios() -> dict:
     return out
 
 
-def _resolve(arg: str) -> str:
+def _resolve(arg: str) -> str | Scenario:
+    """A scenario file path as given, or the parsed bundled scenario."""
     if Path(arg).exists():
         return arg
     bundled = bundled_scenarios()
     if arg in bundled:
-        import tempfile
-        tmp = tempfile.NamedTemporaryFile(
-            "w", suffix=".json", delete=False, prefix=f"wedflow_{arg}_")
-        tmp.write(bundled[arg])
-        tmp.close()
-        return tmp.name
+        return Scenario.from_text(bundled[arg])
     raise ScenarioError(f"no such file or bundled scenario: {arg}")
 
 
@@ -64,11 +60,11 @@ def main(argv=None) -> int:
 
     if args.verb == "run":
         try:
-            path = _resolve(args.scenario)
+            scenario = _resolve(args.scenario)
         except ScenarioError as exc:
             print(f"configuration error: {exc}")
             return 2
-        return run(path)
+        return run(scenario)
 
     if args.verb == "verify":
         report = verify(args.suite, seed=args.seed)

@@ -20,7 +20,8 @@ import numpy as np
 from .grids import ConfigurationError, Field, Trajectory
 from .energies import A_eval, energy1_value_grad, energy2_value_grad, \
     reaction_eval
-from .wed import WedProblem, _weights, fixed_point_solve
+from .wed import (PairReport, WedProblem, _weights, continuation,
+                  fixed_point_solve)
 
 AUDIT_TOL = 1e-9
 
@@ -109,6 +110,7 @@ class OrderedPairResult:
     audits: list          # one dict per weight level
     ordering_margin: float
     submodularity_ok: bool
+    converged: bool = True   # every member solve of every level converged
 
     def to_json(self) -> str:
         def scalar(val):
@@ -147,34 +149,24 @@ def ordered_minimizers(problem: WedProblem, u0: Field, v0: Field,
     _check_ordered_initials(u0v, v0v)
     if schedule is None:
         schedule = (problem.epsilon,)
-    schedule = list(schedule)
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise ConfigurationError("schedule must be strictly decreasing")
 
-    warm_u: Optional[Trajectory] = None
-    warm_v: Optional[Trajectory] = None
-    audits = []
-    ok = True
-    tu = tv = None
-    for eps in schedule:
-        prob_u = replace(problem, epsilon=eps, initial=u0v)
-        prob_v = replace(problem, epsilon=eps, initial=v0v)
-        if warm_u is not None:
-            warm_u = Trajectory(problem.grid, problem.T, warm_u.values,
-                                pinned_initial=u0v, ncomp=warm_u.ncomp)
-            warm_v = Trajectory(problem.grid, problem.T, warm_v.values,
-                                pinned_initial=v0v, ncomp=warm_v.ncomp)
-        tu, _ = fixed_point_solve(prob_u, steps, init=warm_u, gtol=gtol,
-                                  tol=tol)
-        tv, _ = fixed_point_solve(prob_v, steps, init=warm_v, gtol=gtol,
-                                  tol=tol)
+    def level(eps, warm):
+        warm_u, warm_v = warm or (None, None)
+        tu, rep_u = fixed_point_solve(replace(problem, epsilon=eps,
+                                              initial=u0v), steps,
+                                      init=warm_u, gtol=gtol, tol=tol)
+        tv, rep_v = fixed_point_solve(replace(problem, epsilon=eps,
+                                              initial=v0v), steps,
+                                      init=warm_v, gtol=gtol, tol=tol)
         audit = lattice_value_audit(replace(problem, epsilon=eps), tu, tv)
         audit["epsilon"] = eps
-        audits.append(audit)
-        ok = ok and audit["meet_ok"] and audit["join_ok"]
-        tu, tv = lattice_pair(tu, tv)
-        warm_u, warm_v = tu, tv
-    margin = ordering_margin(tu, tv)
-    return OrderedPairResult(u=tu, v=tv, audits=audits,
-                             ordering_margin=margin,
-                             submodularity_ok=ok)
+        return lattice_pair(tu, tv), PairReport(
+            audit, rep_u.converged and rep_v.converged)
+
+    levels = continuation(level, schedule, problem.T)
+    audits = [rep.audit for *_, rep in levels]
+    tu, tv = levels[-1][1]
+    return OrderedPairResult(
+        u=tu, v=tv, audits=audits, ordering_margin=ordering_margin(tu, tv),
+        submodularity_ok=all(a["meet_ok"] and a["join_ok"] for a in audits),
+        converged=levels[-1][2].converged)

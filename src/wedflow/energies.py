@@ -17,7 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,7 +44,6 @@ class DissipationSpec:
     # piecewise-linear alpha for alpha_kind="table"
     table_s: Optional[np.ndarray] = None
     table_alpha: Optional[np.ndarray] = None
-    growth_C: float = 1.0
 
     def __post_init__(self):
         if self.p <= 1.0:
@@ -201,7 +200,7 @@ def graph_laplacian(grid: Grid, coeff: float = 1.0) -> Optional[sp.spmatrix]:
 @dataclass(frozen=True, eq=False)
 class EnergySpec:
     """Parameters for the convex state energy (selected by `kind`) and the
-    concave perturbation / forcing consumed by energy2_eval.
+    concave perturbation / forcing consumed by energy2_value_grad.
 
     kinds: quadratic(gamma), m_laplace(m, B, C, robin via grid), fractional
     (s, gamma), lv_quadratic(D1, D2, F1, F2) acting on stacked (u, v) pairs.
@@ -426,11 +425,6 @@ def _mlaplace_hessian(grid: Grid, x: np.ndarray, B: np.ndarray,
     return H
 
 
-def energy1_eval(spec: EnergySpec, u: Field) -> tuple[float, Field]:
-    val, grad = energy1_value_grad(spec, u.grid, u.values)
-    return val, Field(u.grid, grad)
-
-
 def energy2_value_grad(spec: EnergySpec, grid: Grid, x: np.ndarray,
                        n_slice: int = 0) -> tuple[float, np.ndarray]:
     """Vector-level phi2 = concave power part + forcing pairing."""
@@ -453,11 +447,6 @@ def energy2_value_grad(spec: EnergySpec, grid: Grid, x: np.ndarray,
     val += hd * float(f @ x)
     grad += hd * f
     return val, grad
-
-
-def energy2_eval(spec: EnergySpec, u: Field, n_slice: int = 0) -> tuple[float, Field]:
-    val, grad = energy2_value_grad(spec, u.grid, u.values, n_slice)
-    return val, Field(u.grid, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +515,6 @@ class GrowthCertificate:
     C1: float = 1.0
     C2: float = 10.0
     samples: int = 100
-    ell_table: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not 0.0 <= self.k < 1.0:

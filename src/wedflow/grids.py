@@ -8,7 +8,7 @@ immutable numpy arrays; maps return new Fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,7 +41,6 @@ class Grid:
     boundary: str
     domain_kind: str
     robin_b: float = 0.0
-    radial: bool = False
 
     @property
     def n_nodes(self) -> int:
@@ -88,8 +87,7 @@ def build_grid(dim: int = 1,
                spacing: Sequence[float] | float = 1.0,
                boundary: str = "neumann",
                domain_kind: str = "interval",
-               robin_b: float = 0.0,
-               radial: bool = False) -> Grid:
+               robin_b: float = 0.0) -> Grid:
     """Validate parameters and construct a Grid.
 
     Raises ConfigurationError for non-positive spacing/node counts, fewer
@@ -127,7 +125,7 @@ def build_grid(dim: int = 1,
         raise ConfigurationError("periodic boundary requires a torus domain")
     if domain_kind == "rectangle" and dim != 2:
         raise ConfigurationError("rectangle domain_kind requires dim 2")
-    return Grid(dim, shape, spacing, boundary, domain_kind, robin_b, radial)
+    return Grid(dim, shape, spacing, boundary, domain_kind, robin_b)
 
 
 # ---------------------------------------------------------------------------

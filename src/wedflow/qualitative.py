@@ -21,15 +21,15 @@ everything else is projected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .grids import (ConfigurationError, Field, Grid, Trajectory,
-                    field_to_csv, rearrange, rigid_transform, sign_part,
-                    truncate)
-from .energies import A_eval, energy1_value_grad, reaction_eval
+                    constant_trajectory, field_to_csv, rearrange,
+                    rigid_transform, sign_part, truncate)
+from .energies import A_eval, energy1_value_grad
 from .wed import WedProblem, _weights, dual_field, eps_continuation
 
 MARGIN_TOL = 1e-10
@@ -428,6 +428,13 @@ def _traj_dissipation(problem: WedProblem, vals: np.ndarray,
                  * problem.grid.cell_measure)
 
 
+def _source_slices(problem: WedProblem) -> int:
+    """Time slices of the problem's time-indexed sources (1 if none)."""
+    tables = (problem.energy2.forcing, problem.reaction.g)
+    return max((np.shape(t)[0] for t in tables if np.ndim(t) == 2),
+               default=1)
+
+
 def check_r2(R: RMap, problem: WedProblem, samples: int = 16,
              seed: int = 0) -> PropertyReport:
     """The three inequalities that transfer minimality into the solution
@@ -444,6 +451,8 @@ def check_r2(R: RMap, problem: WedProblem, samples: int = 16,
     notes = [f"compat:{m}" for m in compatibility_issues(R, problem, seed)]
     steps = 6
     hd = grid.cell_measure
+    # a trajectory has at least two slices, so an untimed source gets two
+    source_steps = max(_source_slices(problem) - 1, 1)
 
     def e1_of(vec: np.ndarray) -> float:
         v, _ = energy1_value_grad(problem.energy1, grid, vec)
@@ -474,30 +483,17 @@ def check_r2(R: RMap, problem: WedProblem, samples: int = 16,
                 continue
         else:
             src = u
-        w = _dual_at(problem, src)
-        margin = hd * float(w @ ru - w @ u)
-        _worsen(conds, "pairing_monotone",
-                margin / (1.0 + abs(hd * float(w @ u))) + MARGIN_TOL,
-                state, u)
+        duals = dual_field(problem, constant_trajectory(
+            grid, src, problem.T, source_steps, pin=False))
+        for w in duals:
+            margin = hd * float(w @ ru - w @ u)
+            _worsen(conds, "pairing_monotone",
+                    margin / (1.0 + abs(hd * float(w @ u))) + MARGIN_TOL,
+                    state, u)
     return PropertyReport(name=f"r2:{R.kind}", conditions=conds,
                           samples=samples, seed=seed, notes=tuple(notes),
                           counterexample=state.get("worst"),
                           counterexample_grid=grid)
-
-
-def _dual_at(problem: WedProblem, vec: np.ndarray) -> np.ndarray:
-    """Dual field of a single state, in nodal-density units."""
-    from .energies import energy2_value_grad
-    hd = problem.grid.cell_measure
-    _, g2 = energy2_value_grad(problem.energy2, problem.grid, vec, 0)
-    w = g2 / hd
-    if problem.reaction.kind == "lotka_volterra":
-        nn = problem.grid.n_nodes
-        fu, fv = reaction_eval(problem.reaction, (vec[:nn], vec[nn:]))
-        w = w + np.concatenate([fu, fv])
-    elif problem.reaction.kind == "constant_g":
-        w = w + reaction_eval(problem.reaction, vec)
-    return w
 
 
 # ---------------------------------------------------------------------------

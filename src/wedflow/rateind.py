@@ -30,7 +30,7 @@ import scipy.sparse as sp
 from .grids import ConfigurationError, Grid
 from .energies import graph_laplacian
 from ._newton import newton_solve
-from .wed import MinimizeReport
+from .wed import MinimizeReport, PairReport, continuation
 
 DELTA_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
@@ -316,8 +316,7 @@ def minimize_wed_ri(problem: RIProblem,
                         pinned_initial=u0)
     value = wed_ri_value(problem, traj)
     report = MinimizeReport(iterations=total_iters, value=value,
-                            gradient_norm=res, converged=converged,
-                            wall_time=0.0)
+                            gradient_norm=res, converged=converged)
     return traj, report
 
 
@@ -440,6 +439,7 @@ class OrderedRIPair:
     v: RITrajectory
     audits: list
     ordering_margin: float
+    converged: bool = True   # every member solve of every level converged
 
 
 def ordered_ri_minimizers(problem: RIProblem, u0: np.ndarray,
@@ -454,42 +454,42 @@ def ordered_ri_minimizers(problem: RIProblem, u0: np.ndarray,
         raise ConfigurationError("initial states are not ordered (u0 <= v0)")
     if schedule is None:
         schedule = (problem.epsilon,)
-    warm_u = warm_v = None
-    audits = []
-    tu = tv = None
-    for eps in schedule:
+
+    def level(eps, warm):
+        warm_u, warm_v = warm or (None, None)
         pu = replace(problem, epsilon=eps, initial=u0)
         pv = replace(problem, epsilon=eps, initial=v0)
-        tu, _ = minimize_wed_ri(pu, init=warm_u)
-        tv, _ = minimize_wed_ri(pv, init=warm_v)
-        iu = wed_ri_value(pu, tu)
-        iv = wed_ri_value(pv, tv)
-        mn = np.minimum(tu.values, tv.values)
-        mx = np.maximum(tu.values, tv.values)
-        tu = RITrajectory(problem.grid, problem.T, mn, pinned_initial=u0)
-        tv = RITrajectory(problem.grid, problem.T, mx, pinned_initial=v0)
-        im = wed_ri_value(pu, tu)
-        ij = wed_ri_value(pv, tv)
-        audits.append({"epsilon": eps, "value_u": iu, "value_v": iv,
-                       "value_meet": im, "value_join": ij,
-                       "meet_excess": im - iu, "join_excess": ij - iv})
-        warm_u, warm_v = tu, tv
-    margin = float(np.min(tv.values - tu.values))
-    return OrderedRIPair(u=tu, v=tv, audits=audits, ordering_margin=margin)
+        tu, rep_u = minimize_wed_ri(pu, init=warm_u)
+        tv, rep_v = minimize_wed_ri(pv, init=warm_v)
+        meet = RITrajectory(problem.grid, problem.T,
+                            np.minimum(tu.values, tv.values),
+                            pinned_initial=u0)
+        join = RITrajectory(problem.grid, problem.T,
+                            np.maximum(tu.values, tv.values),
+                            pinned_initial=v0)
+        iu, iv = rep_u.value, rep_v.value
+        im = wed_ri_value(pu, meet)
+        ij = wed_ri_value(pv, join)
+        audit = {"epsilon": eps, "value_u": iu, "value_v": iv,
+                 "value_meet": im, "value_join": ij,
+                 "meet_excess": im - iu, "join_excess": ij - iv}
+        return (meet, join), PairReport(
+            audit, rep_u.converged and rep_v.converged)
+
+    levels = continuation(level, schedule, problem.T)
+    tu, tv = levels[-1][1]
+    return OrderedRIPair(u=tu, v=tv,
+                         audits=[rep.audit for *_, rep in levels],
+                         ordering_margin=float(np.min(tv.values - tu.values)),
+                         converged=levels[-1][2].converged)
 
 
 def ri_continuation(problem: RIProblem,
                     schedule: Sequence[float]) -> list:
     """Warm-started solves along a decreasing weight schedule; returns
-    [(eps, trajectory, report)] in schedule order."""
-    schedule = list(schedule)
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise ConfigurationError("schedule must be strictly decreasing")
-    warm = None
-    out = []
-    for eps in schedule:
-        prob = replace(problem, epsilon=eps)
-        traj, rep = minimize_wed_ri(prob, init=warm)
-        out.append((eps, traj, rep))
-        warm = traj
-    return out
+    [(eps, trajectory, report)] in schedule order, ending at the first
+    level that did not converge."""
+    return continuation(
+        lambda eps, warm: minimize_wed_ri(replace(problem, epsilon=eps),
+                                          init=warm),
+        schedule, problem.T)

@@ -97,14 +97,17 @@ class Scenario:
         return Scenario(name=str(raw["name"]), family=family, config=cfg)
 
     @staticmethod
-    def from_file(path) -> "Scenario":
-        text = Path(path).read_text()
+    def from_text(text: str) -> "Scenario":
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ScenarioError(
                 f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
         return Scenario.from_dict(raw)
+
+    @staticmethod
+    def from_file(path) -> "Scenario":
+        return Scenario.from_text(Path(path).read_text())
 
 
 def _build_grid_cfg(cfg: dict) -> Grid:
@@ -187,18 +190,21 @@ def _forcing_values(spec, grid: Grid, T: float, steps: int,
     raise ScenarioError(f"field 'forcing': unknown kind {kind!r}")
 
 
-def _rmap_from_cfg(m: dict) -> RMap:
+def _map_from_cfg(m: dict, cls=RMap):
+    """An RMap (or, for the inertial families, a WideMap) from one entry
+    of the scenario's 'rmaps' list."""
     m = dict(m)
     kind = m.pop("kind", None)
     if kind is None:
         raise ScenarioError("field 'rmaps': each map needs a 'kind'")
     try:
-        if kind == "compose":
-            parts = tuple(_rmap_from_cfg(p) for p in m.pop("parts", []))
-            return RMap(kind="compose", parts=parts, **m)
-        if "permutation" in m:
-            m["permutation"] = np.asarray(m["permutation"], dtype=int)
-        return RMap(kind=kind, **m)
+        if "parts" in m:
+            m["parts"] = tuple(_map_from_cfg(p, cls) for p in m["parts"])
+        for key, dtype in (("permutation", int), ("r", float),
+                           ("shift", float)):
+            if key in m:
+                m[key] = np.asarray(m[key], dtype=dtype)
+        return cls(kind=kind, **m)
     except (TypeError, ConfigurationError) as exc:
         raise ScenarioError(f"field 'rmaps': {exc}")
 
@@ -318,6 +324,8 @@ def _schedule(sc: Scenario) -> list:
     sched = [float(x) for x in raw]
     if any(b >= a for a, b in zip(sched, sched[1:])):
         raise ScenarioError("field 'schedule': must decrease strictly")
+    if any(not 0.0 < e < float(cfg["T"]) for e in sched):
+        raise ScenarioError("field 'schedule': entries must lie in (0, T)")
     return sched
 
 
@@ -382,29 +390,37 @@ def run(path_or_scenario) -> int:
 
 
 def _run_checked(sc: Scenario) -> int:
-    out = output_dir_for(sc)
+    """Parse the whole scenario, solve, then write every artifact at once,
+    so a rejected scenario leaves no output behind."""
     effective = {"name": sc.name, "family": sc.family}
     effective.update(sc.config)
     effective.pop("output_dir", None)
-    _write(out / "effective_config.json",
-           json.dumps(_json_ready(effective), indent=2, sort_keys=True)
-           + "\n")
+    files = {"effective_config.json":
+             json.dumps(_json_ready(effective), indent=2, sort_keys=True)
+             + "\n"}
 
     summary = []
     reports = {}
     failed = False
     unconverged = False
+    schedule = _schedule(sc)
+    steps = sc.config["steps"]
+    compare_v0 = sc.config["compare_v0"]
 
     if sc.family in ("doubly_nonlinear", "fractional_heat",
                      "lotka_volterra"):
         problem = build_wed_problem(sc)
-        schedule = _schedule(sc)
-        maps = [_rmap_from_cfg(m) for m in sc.config["rmaps"]]
+        maps = [_map_from_cfg(m) for m in sc.config["rmaps"]]
         rmap = maps[0] if len(maps) == 1 else (
             RMap(kind="compose", parts=tuple(maps)) if maps else None)
+        if compare_v0 is not None:
+            if sc.family == "lotka_volterra":
+                raise ScenarioError("field 'compare_v0': comparison needs "
+                                    "a potential-form scenario")
+            v0 = _initial_values(compare_v0, problem.grid, problem.n_dof)
         if rmap is not None:
             try:
-                res = invariant_solve(problem, rmap, sc.config["steps"],
+                res = invariant_solve(problem, rmap, steps,
                                       schedule=schedule,
                                       seed=sc.config["seed"])
             except ConfigurationError as exc:
@@ -416,9 +432,9 @@ def _run_checked(sc: Scenario) -> int:
             reports["invariance_history"] = list(res.residual_history)
             summary.append(("invariance_residual", res.residual,
                             not res.flagged))
-            _write(out / "map_report.json", res.report.to_json() + "\n")
+            files["map_report.json"] = res.report.to_json() + "\n"
         else:
-            cont = eps_continuation(problem, schedule, sc.config["steps"])
+            cont = eps_continuation(problem, schedule, steps)
             traj = cont.final
             unconverged = unconverged or cont.aborted
         el = euler_lagrange_residual(problem, traj)
@@ -427,28 +443,26 @@ def _run_checked(sc: Scenario) -> int:
             "max": el["max"]}
         reports["strong_residual"] = strong_solution_residual(traj, problem)
         summary.append(("strong_residual", reports["strong_residual"], True))
-        _write(out / "trajectory.csv", trajectory_to_csv(traj))
+        files["trajectory.csv"] = trajectory_to_csv(traj)
 
-        if sc.config["compare_v0"] is not None:
-            if sc.family == "lotka_volterra":
-                raise ScenarioError("field 'compare_v0': comparison needs "
-                                    "a potential-form scenario")
-            v0 = _initial_values(sc.config["compare_v0"], problem.grid,
-                                 problem.n_dof)
+        if compare_v0 is not None:
             pair = ordered_minimizers(problem,
                                       Field(problem.grid, problem.initial),
                                       Field(problem.grid, v0),
-                                      schedule, sc.config["steps"])
+                                      schedule, steps)
+            unconverged = unconverged or not pair.converged
             reports["comparison"] = json.loads(pair.to_json())
             ok = pair.ordering_margin >= -1e-10 and pair.submodularity_ok
             failed = failed or not ok
             summary.append(("ordering_margin", pair.ordering_margin, ok))
-            _write(out / "pair_u.csv", trajectory_to_csv(pair.u))
-            _write(out / "pair_v.csv", trajectory_to_csv(pair.v))
+            files["pair_u.csv"] = trajectory_to_csv(pair.u)
+            files["pair_v.csv"] = trajectory_to_csv(pair.v)
 
     elif sc.family == "rate_independent":
         problem = build_ri_problem(sc)
-        schedule = _schedule(sc)
+        if compare_v0 is not None:
+            v0 = _initial_values(compare_v0, problem.grid,
+                                 problem.grid.n_nodes)
         fam = ri_continuation(problem, schedule)
         eps_last, traj, rep = fam[-1]
         unconverged = unconverged or not rep.converged
@@ -467,24 +481,23 @@ def _run_checked(sc: Scenario) -> int:
             ok = val <= bound
             failed = failed or not ok
             summary.append((name, val, ok))
-        _write(out / "trajectory.csv", traj.to_csv())
-        if sc.config["compare_v0"] is not None:
-            v0 = _initial_values(sc.config["compare_v0"], problem.grid,
-                                 problem.grid.n_nodes)
+        files["trajectory.csv"] = traj.to_csv()
+        if compare_v0 is not None:
             pair = ordered_ri_minimizers(problem, problem.initial, v0,
                                          schedule=schedule)
+            unconverged = unconverged or not pair.converged
             ok = pair.ordering_margin >= -1e-10
             failed = failed or not ok
             reports["comparison"] = {"ordering_margin": pair.ordering_margin,
                                      "audits": pair.audits}
             summary.append(("ordering_margin", pair.ordering_margin, ok))
-            _write(out / "pair_u.csv", pair.u.to_csv())
-            _write(out / "pair_v.csv", pair.v.to_csv())
+            files["pair_u.csv"] = pair.u.to_csv()
+            files["pair_v.csv"] = pair.v.to_csv()
 
     else:
         problem = build_wide_problem(sc)
-        schedule = _schedule(sc)
-        fam = wide_continuation(problem, schedule, sc.config["steps"])
+        wmaps = [_map_from_cfg(m, WideMap) for m in sc.config["rmaps"]]
+        fam = wide_continuation(problem, schedule, steps)
         _, traj, rep = fam[-1]
         unconverged = unconverged or not rep.converged
         drift = hamiltonian_drift(problem, traj)
@@ -492,34 +505,27 @@ def _run_checked(sc: Scenario) -> int:
         summary.append(("hamiltonian_drift", drift, True))
         header = "component_index" if sc.family == "lagrangian" \
             else "node_index"
-        _write(out / "trajectory.csv", trajectory_to_csv(traj, header))
-        for raw in sc.config["rmaps"]:
-            m = dict(raw)
-            kind = m.pop("kind", None)
-            if "permutation" in m:
-                m["permutation"] = np.asarray(m["permutation"], dtype=int)
-            for key in ("r", "shift"):
-                if key in m:
-                    m[key] = np.asarray(m[key], dtype=float)
-            try:
-                wmap = WideMap(kind=kind, **m)
-            except (TypeError, ConfigurationError) as exc:
-                raise ScenarioError(f"field 'rmaps': {exc}")
+        files["trajectory.csv"] = trajectory_to_csv(traj, header)
+        for wmap in wmaps:
             resid = wide_invariance_residual(wmap, traj)
-            reports[f"invariance_{kind}"] = resid
+            reports[f"invariance_{wmap.kind}"] = resid
             ok = resid <= 1e-7
             failed = failed or not ok
-            summary.append((f"invariance_{kind}", resid, ok))
+            summary.append((f"invariance_{wmap.kind}", resid, ok))
 
     reports["converged"] = not unconverged
-    _write(out / "reports.json",
-           json.dumps(_json_ready(reports), indent=2, sort_keys=True) + "\n")
+    files["reports.json"] = json.dumps(_json_ready(reports), indent=2,
+                                       sort_keys=True) + "\n"
     lines = [f"{name:<24} {repr(float(val)):<26} "
              f"{'pass' if ok else 'FAIL'}"
              for name, val, ok in summary]
     lines.append(f"{'converged':<24} {str(not unconverged):<26} "
                  f"{'pass' if not unconverged else 'FAIL'}")
-    _write(out / "summary.txt", "\n".join(lines) + "\n")
+    files["summary.txt"] = "\n".join(lines) + "\n"
+
+    out = output_dir_for(sc)
+    for name, text in files.items():
+        _write(out / name, text)
 
     if unconverged:
         return 3

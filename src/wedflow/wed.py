@@ -20,7 +20,6 @@ ratio removes it (effective rate factor [sinh(x)/x]^2, x = dt/2eps).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -29,10 +28,10 @@ import scipy.sparse as sp
 from scipy.optimize import minimize as scipy_minimize
 
 from ._newton import newton_solve
-from .energies import (DissipationSpec, EnergySpec, GrowthCertificate,
-                       ReactionSpec, A_eval, alpha_eval, alpha_prime,
-                       energy1_hessian, energy1_value_grad,
-                       energy2_value_grad, p_conjugate, reaction_eval)
+from .energies import (DissipationSpec, EnergySpec, ReactionSpec, A_eval,
+                       alpha_eval, alpha_prime, energy1_hessian,
+                       energy1_value_grad, energy2_value_grad, p_conjugate,
+                       reaction_eval)
 from .grids import ConfigurationError, Grid, Trajectory
 
 
@@ -53,7 +52,6 @@ class WedProblem:
     T: float
     epsilon: float
     initial: np.ndarray
-    certificate: Optional[GrowthCertificate] = None
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < self.T:
@@ -79,7 +77,6 @@ class MinimizeReport:
     value: float
     gradient_norm: float
     converged: bool
-    wall_time: float
     notes: tuple = ()
 
 
@@ -223,7 +220,6 @@ def minimize_wed(problem: WedProblem, w, init: Trajectory,
     pinned at problem.initial. Newton with exact sparse Hessian, globalized
     by scaled-residual backtracking; termination on the row-scaled gradient
     max-norm (rows weighted by b_n so the tolerance is uniform in time)."""
-    t0 = time.perf_counter()
     if init.pinned_initial is None or not np.array_equal(
             init.values[0], problem.initial):
         raise ConfigurationError("init must be pinned at the problem initial")
@@ -237,9 +233,7 @@ def minimize_wed(problem: WedProblem, w, init: Trajectory,
                      pinned_initial=problem.initial,
                      ncomp=problem.n_dof // problem.grid.n_nodes)
     value, _ = wed_value_grad(problem, w, out)
-    report = MinimizeReport(iters, value, res, conv,
-                            time.perf_counter() - t0)
-    return out, report
+    return out, MinimizeReport(iters, value, res, conv)
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +283,11 @@ def fixed_point_solve(problem: WedProblem, steps: int,
     after every monotone residual decrease. `project` (when given) maps
     each outer iterate before the dual field is evaluated; it is how
     solution classes closed under a map are enforced."""
-    from .grids import Trajectory as _T
     ncomp = problem.n_dof // problem.grid.n_nodes
     if init is None:
         vals = np.tile(problem.initial, (steps + 1, 1))
-        init = _T(problem.grid, problem.T, vals,
-                  pinned_initial=problem.initial, ncomp=ncomp)
+        init = Trajectory(problem.grid, problem.T, vals,
+                          pinned_initial=problem.initial, ncomp=ncomp)
     u = init
     dt = problem.T / steps
     inner_reports = []
@@ -314,8 +307,8 @@ def fixed_point_solve(problem: WedProblem, steps: int,
         new_vals = (1.0 - theta) * u_eval.values + theta * s.values
         res = _traj_norm(problem, new_vals - u.values, dt)
         history.append(res)
-        u = _T(problem.grid, problem.T, new_vals,
-               pinned_initial=problem.initial, ncomp=ncomp)
+        u = Trajectory(problem.grid, problem.T, new_vals,
+                       pinned_initial=problem.initial, ncomp=ncomp)
         if res <= tol:
             converged = True
             break
@@ -323,18 +316,51 @@ def fixed_point_solve(problem: WedProblem, steps: int,
             theta = min(1.0, 2.0 * theta)
     if project is not None:
         u_final = project(u)
-        u = _T(problem.grid, problem.T, u_final.values,
-               pinned_initial=problem.initial, ncomp=ncomp)
+        u = Trajectory(problem.grid, problem.T, u_final.values,
+                       pinned_initial=problem.initial, ncomp=ncomp)
     return u, FixedPointReport(len(history) if history else 1, history,
                                theta, converged, inner_reports)
 
 
 @dataclass
 class ContinuationResult:
-    family: list           # (eps, Trajectory) per schedule entry
+    family: list           # (eps, Trajectory) per converged schedule entry
     final: Trajectory
     reports: list
     aborted: bool = False
+
+
+@dataclass
+class PairReport:
+    """One weight level of an ordered pair: the lattice value audit, and
+    whether both member solves converged."""
+    audit: dict
+    converged: bool
+
+
+def continuation(level_solve: Callable, schedule, T: float) -> list:
+    """The weight continuation shared by every solver family.
+
+    level_solve(eps, warm) returns (state, report), where warm is the state
+    of the previous level (None at the first). The schedule must be
+    nonempty, strictly decreasing and inside (0, T). Returns
+    [(eps, state, report)] in schedule order, ending at the first level
+    whose report has not converged."""
+    schedule = list(schedule)
+    if not schedule:
+        raise ConfigurationError("empty continuation schedule")
+    if any(e2 >= e1 for e1, e2 in zip(schedule, schedule[1:])):
+        raise ConfigurationError("schedule must be strictly decreasing")
+    if any(not 0.0 < e < T for e in schedule):
+        raise ConfigurationError("schedule entries must lie in (0, T)")
+    levels = []
+    warm = None
+    for eps in schedule:
+        warm, report = level_solve(eps, warm)
+        levels.append((eps, warm, report))
+        if not report.converged:
+            break
+    return levels
 
 
 def eps_continuation(problem: WedProblem, schedule, steps: int,
@@ -342,28 +368,16 @@ def eps_continuation(problem: WedProblem, schedule, steps: int,
                      tol: float = 1e-10, gtol: float = 1e-10
                      ) -> ContinuationResult:
     """Solve along a strictly decreasing weight schedule with warm starts;
-    the last trajectory is the causal-limit candidate."""
-    schedule = list(schedule)
-    if not schedule:
-        raise ConfigurationError("empty continuation schedule")
-    if any(e2 >= e1 for e1, e2 in zip(schedule, schedule[1:])):
-        raise ConfigurationError("schedule must be strictly decreasing")
-    if any(not 0.0 < e < problem.T for e in schedule):
-        raise ConfigurationError("schedule entries must lie in (0, T)")
-    family = []
-    reports = []
-    warm = None
-    for eps in schedule:
-        prob = replace(problem, epsilon=eps)
-        traj, rep = fixed_point_solve(prob, steps, init=warm, tol=tol,
-                                      project=project, gtol=gtol)
-        reports.append(rep)
-        if not rep.converged:
-            return ContinuationResult(family, warm if warm is not None
-                                      else traj, reports, aborted=True)
-        family.append((eps, traj))
-        warm = traj
-    return ContinuationResult(family, family[-1][1], reports)
+    the last converged trajectory is the causal-limit candidate."""
+    levels = continuation(
+        lambda eps, warm: fixed_point_solve(
+            replace(problem, epsilon=eps), steps, init=warm, tol=tol,
+            project=project, gtol=gtol),
+        schedule, problem.T)
+    family = [(eps, traj) for eps, traj, rep in levels if rep.converged]
+    final = family[-1][1] if family else levels[-1][1]
+    return ContinuationResult(family, final, [rep for *_, rep in levels],
+                              aborted=len(family) < len(levels))
 
 
 # ---------------------------------------------------------------------------

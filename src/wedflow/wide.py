@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from .grids import ConfigurationError, Grid, Trajectory, build_grid
 from .energies import graph_laplacian
 from ._newton import newton_solve
-from .wed import MinimizeReport
+from .wed import MinimizeReport, continuation
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +386,7 @@ def minimize_wide(problem: WideProblem, steps: int,
     traj = wide_trajectory(problem, full(X))
     value, _ = wide_value_grad(problem, traj)
     rep = MinimizeReport(iterations=iters, value=value, gradient_norm=res,
-                         converged=conv, wall_time=0.0,
+                         converged=conv,
                          notes=(f"curvature_bound={repr(parts.lam)}",))
     return traj, rep
 
@@ -399,18 +399,13 @@ def _traj_nocheck(parts: _Parts, problem: WideProblem,
 
 def wide_continuation(problem: WideProblem, schedule: Sequence[float],
                       steps: int) -> list:
-    """Warm-started solves along a decreasing eps schedule."""
-    schedule = list(schedule)
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise ConfigurationError("schedule must be strictly decreasing")
-    warm = None
-    out = []
-    for eps in schedule:
-        prob = replace(problem, epsilon=eps)
-        traj, rep = minimize_wide(prob, steps, init=warm)
-        out.append((eps, traj, rep))
-        warm = traj
-    return out
+    """Warm-started solves along a decreasing eps schedule; returns
+    [(eps, trajectory, report)], ending at the first level that did not
+    converge."""
+    return continuation(
+        lambda eps, warm: minimize_wide(replace(problem, epsilon=eps), steps,
+                                        init=warm),
+        schedule, problem.T)
 
 
 # ---------------------------------------------------------------------------

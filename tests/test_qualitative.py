@@ -218,3 +218,29 @@ def test_invariant_solve_flags_incompatible_data():
     refl = RMap(kind="rigid", permutation=reflection_permutation(g))
     res = invariant_solve(problem, refl, steps=8, schedule=(0.2,))
     assert res.flagged
+
+
+def test_check_r2_pairing_covers_every_source_slice():
+    from wedflow import DissipationSpec, ReactionSpec, WedProblem
+    from wedflow.qualitative import MARGIN_TOL
+    g = line_grid(5)
+    steps = 4
+    table = -np.ones((steps + 1, 5))
+    table[0] = 1.0
+
+    def problem(source):
+        return WedProblem(grid=g, dissipation=DissipationSpec(p=2.0),
+                          energy1=EnergySpec(kind="m_laplace", m=2.0),
+                          energy2=EnergySpec(kind="none"),
+                          reaction=ReactionSpec(kind="constant_g", g=source),
+                          T=1.0, epsilon=0.2, initial=np.zeros(5))
+
+    R = RMap(kind="truncate_lower", level=0.0)
+    indexed = check_r2(R, problem(table))
+    constant = check_r2(R, problem(-np.ones(5)))
+    # only slice 0 points up; the later slices see the same losing pairing
+    # as a source that points down at every time
+    assert constant.conditions["pairing_monotone"] < -MARGIN_TOL
+    assert indexed.conditions["pairing_monotone"] \
+        == constant.conditions["pairing_monotone"]
+    assert not indexed.passed

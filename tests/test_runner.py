@@ -333,3 +333,62 @@ def test_cli_run_bundled_scenario(tmp_path, monkeypatch):
     monkeypatch.setenv("WEDFLOW_OUT", str(tmp_path))
     assert main(["run", "scalar_decay"]) == 0
     assert (tmp_path / "scalar_decay" / "summary.txt").exists()
+
+
+def test_cli_run_bundled_scenario_leaves_no_temp_file(tmp_path,
+                                                      monkeypatch):
+    import tempfile
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setenv("TMPDIR", str(tmp))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    monkeypatch.setenv("WEDFLOW_OUT", str(tmp_path / "out"))
+    assert main(["run", "scalar_decay"]) == 0
+    assert list(tmp.iterdir()) == []
+
+
+def _bundled(name: str, out_dir, **over) -> Scenario:
+    raw = json.loads(bundled_scenarios()[name])
+    raw.update(over, output_dir=str(out_dir))
+    return Scenario.from_dict(raw)
+
+
+@pytest.mark.parametrize("name, over", [
+    ("wide_oscillator", {"rmaps": [{"kind": "bogus"}]}),
+    ("lv_patch", {"compare_v0": 1.0}),
+    ("heat_relaxation", {"grid": {"dim": 1, "shape": [2]}}),
+    ("heat_relaxation", {"schedule": [0.2, 0.0]}),
+])
+def test_rejected_scenario_writes_no_artifact(tmp_path, name, over):
+    out = tmp_path / "out"
+    assert run(_bundled(name, out, **over)) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("name, module, function, which", [
+    ("ri_ramp", "rateind", "minimize_wed_ri", 2),
+    ("wide_oscillator", "wide", "minimize_wide", 2),
+    # calls 1 and 2 solve the pair's first level; 3 is its second level
+    ("heat_relaxation", "comparison", "fixed_point_solve", 3),
+])
+def test_run_exit_three_when_any_level_fails(tmp_path, monkeypatch, name,
+                                             module, function, which):
+    import importlib
+    from dataclasses import replace
+    mod = importlib.import_module(f"wedflow.{module}")
+    real = getattr(mod, function)
+    calls = []
+
+    def patched(*args, **kwargs):
+        state, report = real(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == which:
+            report = replace(report, converged=False)
+        return state, report
+
+    monkeypatch.setattr(mod, function, patched)
+    out = tmp_path / "out"
+    assert run(_bundled(name, out)) == 3
+    assert json.loads((out / "reports.json").read_text())["converged"] \
+        is False
+    assert (out / "summary.txt").read_text().splitlines()[-1].endswith("FAIL")
