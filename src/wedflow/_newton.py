@@ -25,11 +25,11 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
     scale -> positive per-row weights for the residual norm.
     """
     x = x0.copy()
-    res = float(np.max(np.abs(grad_fn(x) / scale)))
+    g = grad_fn(x)
+    res = float(np.max(np.abs(g / scale)))
     it = 0
     mu = 0.0  # Levenberg shift, raised only on factorization trouble
     while it < max_iter and res > tol:
-        g = grad_fn(x)
         H = hess_fn(x)
         step = None
         for _ in range(8):
@@ -49,7 +49,8 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
         a = 1.0
         accepted = False
         while a >= min_step:
-            rnew = float(np.max(np.abs(grad_fn(x + a * step) / scale)))
+            gnew = grad_fn(x + a * step)
+            rnew = float(np.max(np.abs(gnew / scale)))
             if rnew <= (1.0 - 1e-4 * a) * res:
                 accepted = True
                 break
@@ -58,10 +59,12 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
             # take the smallest damped step anyway; progress may be below
             # the acceptance threshold but the iteration must not cycle
             a = min_step
-            rnew = float(np.max(np.abs(grad_fn(x + a * step) / scale)))
+            gnew = grad_fn(x + a * step)
+            rnew = float(np.max(np.abs(gnew / scale)))
             if rnew >= res:
                 break
         x = x + a * step
+        g = gnew
         res = rnew
         it += 1
         if accepted and a == 1.0 and mu > 0.0:

@@ -18,10 +18,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grids import ConfigurationError, Field, Trajectory
-from .energies import A_eval, energy1_value_grad, energy2_value_grad, \
-    reaction_eval
-from .wed import (PairReport, WedProblem, _weights, continuation,
-                  fixed_point_solve)
+from .energies import (_rowdot, _sequential_sum, energy1_value_grad,
+                       energy2_value_grad, reaction_eval)
+from .wed import (PairReport, WedProblem, _dissipation_value, _weights,
+                  continuation, fixed_point_solve)
 
 AUDIT_TOL = 1e-9
 
@@ -39,21 +39,17 @@ def wed_potential_value(problem: WedProblem, traj: Trajectory) -> float:
     _require_potential(problem)
     N = traj.steps
     dt = problem.T / N
-    a, b = _weights(problem.epsilon, problem.T, N)
+    _, b = _weights(problem.epsilon, problem.T, N)
     hd = problem.grid.cell_measure
     U = traj.values
-    rates = np.diff(U, axis=0) / dt
-    value = float(np.sum(a[:, None] * A_eval(problem.dissipation, rates))
-                  * hd)
-    for n in range(1, N + 1):
-        v1, _ = energy1_value_grad(problem.energy1, problem.grid, U[n])
-        v2, _ = energy2_value_grad(problem.energy2, problem.grid, U[n], n)
-        knot = v1 - v2
-        if problem.reaction.kind == "constant_g":
-            g = reaction_eval(problem.reaction, U[n], n)
-            knot -= hd * float(np.dot(g, U[n]))
-        value += b[n - 1] * knot
-    return value
+    slices = np.arange(1, N + 1)
+    v1, _ = energy1_value_grad(problem.energy1, problem.grid, U[1:])
+    v2, _ = energy2_value_grad(problem.energy2, problem.grid, U[1:], slices)
+    knot = v1 - v2
+    if problem.reaction.kind == "constant_g":
+        g = reaction_eval(problem.reaction, U[1:], slices)
+        knot -= hd * _rowdot(g, U[1:])
+    return _sequential_sum(_dissipation_value(problem, U, dt), b * knot)
 
 
 def _check_ordered_initials(u0: np.ndarray, v0: np.ndarray) -> None:

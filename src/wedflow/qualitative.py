@@ -29,8 +29,9 @@ import numpy as np
 from .grids import (ConfigurationError, Field, Grid, Trajectory,
                     constant_trajectory, field_to_csv, rearrange,
                     rigid_transform, sign_part, truncate)
-from .energies import A_eval, energy1_value_grad
-from .wed import WedProblem, _weights, dual_field, eps_continuation
+from .energies import energy1_value_grad
+from .wed import (WedProblem, _dissipation_value, dual_field,
+                  eps_continuation)
 
 MARGIN_TOL = 1e-10
 
@@ -419,15 +420,6 @@ def check_r1(R: RMap, grid: Grid, samples: int = 32,
     return rep
 
 
-def _traj_dissipation(problem: WedProblem, vals: np.ndarray,
-                      steps: int) -> float:
-    dt = problem.T / steps
-    a, _ = _weights(problem.epsilon, problem.T, steps)
-    rates = np.diff(vals, axis=0) / dt
-    return float(np.sum(a[:, None] * A_eval(problem.dissipation, rates))
-                 * problem.grid.cell_measure)
-
-
 def _source_slices(problem: WedProblem) -> int:
     """Time slices of the problem's time-indexed sources (1 if none)."""
     tables = (problem.energy2.forcing, problem.reaction.g)
@@ -454,24 +446,21 @@ def check_r2(R: RMap, problem: WedProblem, samples: int = 16,
     # a trajectory has at least two slices, so an untimed source gets two
     source_steps = max(_source_slices(problem) - 1, 1)
 
-    def e1_of(vec: np.ndarray) -> float:
-        v, _ = energy1_value_grad(problem.energy1, grid, vec)
-        return v
-
     for k in range(samples):
         u = rng.standard_normal(n) * 2.0
         if k % 2 == 1:
             # adversarial: start from a mapped state and kick it
             u = _apply_vec(R, grid, u) + 0.1 * rng.standard_normal(n)
         ru = _apply_vec(R, grid, u)
-        scale = 1.0 + abs(e1_of(u))
+        (eu, eru), _ = energy1_value_grad(problem.energy1, grid,
+                                          np.stack([u, ru]))
         _worsen(conds, "energy_monotone",
-                (e1_of(u) - e1_of(ru)) / scale + MARGIN_TOL, state, u)
+                (eu - eru) / (1.0 + abs(eu)) + MARGIN_TOL, state, u)
 
         traj = np.cumsum(rng.standard_normal((steps + 1, n)) * 0.5, axis=0)
         rt = np.stack([_apply_vec(R, grid, row) for row in traj])
-        dba = _traj_dissipation(problem, traj, steps)
-        dbr = _traj_dissipation(problem, rt, steps)
+        dba = _dissipation_value(problem, traj, problem.T / steps)
+        dbr = _dissipation_value(problem, rt, problem.T / steps)
         _worsen(conds, "dissipation_monotone",
                 (dba - dbr) / (1.0 + abs(dba)) + MARGIN_TOL, state,
                 traj.ravel())

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grids import ConfigurationError, Grid
-from .energies import graph_laplacian
+from .energies import _rowdot, _sequential_sum, graph_laplacian
 from ._newton import newton_solve
 from .wed import MinimizeReport, PairReport, continuation
 
@@ -167,14 +167,15 @@ def _laplacian(problem: RIProblem) -> Optional[sp.spmatrix]:
 
 def ri_energy(problem: RIProblem, u: np.ndarray, n_slice: int,
               lap: Optional[sp.spmatrix] = None) -> float:
-    """phi(t_n, u) = Sum phi~(u_i) h^d + (a/2)|grad u|^2 - <h_n, u> h^d."""
+    """phi(t_n, u) = Sum phi~(u_i) h^d + (a/2)|grad u|^2 - <h_n, u> h^d;
+    u may be a stack of states (rows) with n_slice their knots."""
     hd = problem.grid.cell_measure
-    val = float(np.sum(problem.phi_tilde(u))) * hd
+    val = np.sum(problem.phi_tilde(u), axis=-1) * hd
     if lap is None:
         lap = _laplacian(problem)
     if lap is not None:
-        val += 0.5 * float(u @ (lap @ u))
-    val -= hd * float(problem.forcing[n_slice] @ u)
+        val += 0.5 * _rowdot(u, (lap @ u.T).T)
+    val -= hd * _rowdot(problem.forcing[n_slice], u)
     return val
 
 
@@ -188,7 +189,7 @@ def ri_energy_grad(problem: RIProblem, u: np.ndarray, n_slice: int,
     if lap is _UNSET:
         lap = _laplacian(problem)
     if lap is not None:
-        g = g + lap @ u
+        g = g + (lap @ u.T).T
     return g - hd * problem.forcing[n_slice]
 
 
@@ -221,11 +222,12 @@ def wed_ri_value(problem: RIProblem, traj: RITrajectory,
     jw, pw, tw = _ri_weights(problem.epsilon, problem.T, N, convention)
     lap = _laplacian(problem)
     U = traj.values
-    value = tw * ri_energy(problem, U[N], N, lap)
-    for n in range(1, N + 1):
-        value += jw[n - 1] * psi_value(problem.grid, U[n] - U[n - 1])
-        value += pw[n - 1] * ri_energy(problem, U[n], n, lap)
-    return value
+    # added knot by knot, jump before energy, as a running sum would
+    terms = np.column_stack([
+        jw * traj.jump_magnitudes()[1:],
+        pw * ri_energy(problem, U[1:], np.arange(1, N + 1), lap)])
+    return _sequential_sum(tw * ri_energy(problem, U[N], N, lap),
+                           terms.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +271,12 @@ def minimize_wed_ri(problem: RIProblem,
     pwt = pw.copy()
     pwt[-1] += tw
 
-    def _energy_grads(U: np.ndarray) -> np.ndarray:
-        """Rows n=1..N of the state-energy gradient, all knots at once."""
-        tail = U[1:]
-        g = problem.phi_tilde_d1(tail) * hd - hd * problem.forcing[1:]
-        if lap is not None:
-            g = g + (lap @ tail.T).T
-        return g
-
     def grad_fn(x: np.ndarray, delta: float) -> np.ndarray:
         U = unknowns_to_full(x)
         jumps = np.diff(U, axis=0)
         sig = _sigma(jumps, delta)
-        g = pwt[:, None] * _energy_grads(U)
+        g = pwt[:, None] * ri_energy_grad(problem, U[1:], np.arange(1, N + 1),
+                                          lap)
         g += jw[:, None] * sig * hd
         g[:-1] -= jw[1:, None] * sig[1:] * hd
         return g.ravel()
@@ -336,13 +331,14 @@ def sign_condition(problem: RIProblem, traj: RITrajectory) -> dict:
     lap = _laplacian(problem)
     U = traj.values
     jumps = np.diff(U, axis=0)
+    grads = ri_energy_grad(problem, U[1:], np.arange(1, N + 1), lap)
     sigma = np.zeros((N, nn))
     rest = 0.0
     comp = 0.0
     for n in range(N, 0, -1):
-        rhs = pw[n - 1] * ri_energy_grad(problem, U[n], n, lap)
+        rhs = pw[n - 1] * grads[n - 1]
         if n == N:
-            rhs = rhs + tw * ri_energy_grad(problem, U[N], N, lap)
+            rhs = rhs + tw * grads[N - 1]
         else:
             rhs = rhs - jw[n] * sigma[n] * hd
         sigma[n - 1] = -rhs / (jw[n - 1] * hd)

@@ -86,6 +86,9 @@ class Scenario:
             raise ScenarioError(
                 f"field 'family': unknown value {family!r}; "
                 f"expected one of {', '.join(FAMILIES)}")
+        T = raw["T"]
+        if type(T) not in (int, float) or not (np.isfinite(T) and T > 0):
+            raise ScenarioError("field 'T': must be a finite positive number")
         cfg = dict(_DEFAULTS)
         cfg.update(raw)
         if not isinstance(cfg["seed"], int):
@@ -459,6 +462,9 @@ def _run_checked(sc: Scenario) -> int:
             files["pair_v.csv"] = trajectory_to_csv(pair.v)
 
     elif sc.family == "rate_independent":
+        if sc.config["rmaps"]:
+            raise ScenarioError("field 'rmaps': the rate_independent family "
+                                "takes no maps")
         problem = build_ri_problem(sc)
         if compare_v0 is not None:
             v0 = _initial_values(compare_v0, problem.grid,

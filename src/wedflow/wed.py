@@ -29,9 +29,9 @@ from scipy.optimize import minimize as scipy_minimize
 
 from ._newton import newton_solve
 from .energies import (DissipationSpec, EnergySpec, ReactionSpec, A_eval,
-                       alpha_eval, alpha_prime, energy1_hessian,
-                       energy1_value_grad, energy2_value_grad, p_conjugate,
-                       reaction_eval)
+                       _rowdot, _sequential_sum, alpha_eval, alpha_prime,
+                       energy1_hessian, energy1_value_grad,
+                       energy2_value_grad, p_conjugate, reaction_eval)
 from .grids import ConfigurationError, Grid, Trajectory
 
 
@@ -132,6 +132,35 @@ def _check_w(w: np.ndarray, N: int, n_dof: int) -> np.ndarray:
     return w
 
 
+def _dissipation_value(problem: WedProblem, U: np.ndarray,
+                       dt: float) -> float:
+    """The weighted rate term of the functional on the trajectory U."""
+    a, _ = _weights(problem.epsilon, problem.T, U.shape[0] - 1)
+    rates = np.diff(U, axis=0) / dt
+    return float(np.sum(a[:, None] * A_eval(problem.dissipation, rates))
+                 * problem.grid.cell_measure)
+
+
+def _wed_kernel(problem: WedProblem, w: np.ndarray, U: np.ndarray,
+               dt: float) -> tuple[float, np.ndarray]:
+    """Value and gradient (zero in the pinned row 0) of the functional on
+    the whole trajectory U ((N+1, n_dof)) for the dual table w. The value
+    adds the slice terms in time order, as a running sum would."""
+    N = U.shape[0] - 1
+    hd = problem.grid.cell_measure
+    a, b = _weights(problem.epsilon, problem.T, N)
+    rates = np.diff(U, axis=0) / dt
+    alph = alpha_eval(problem.dissipation, rates)
+    v1, g1 = energy1_value_grad(problem.energy1, problem.grid, U[1:])
+    value = _sequential_sum(_dissipation_value(problem, U, dt),
+                            b * (v1 - hd * _rowdot(w[1:], U[1:])))
+    flux = (a / dt)[:, None] * alph * hd
+    grad = np.zeros_like(U)
+    grad[1:] = b[:, None] * (g1 - hd * w[1:]) + flux
+    grad[1:-1] -= flux[1:]
+    return value, grad
+
+
 def wed_value_grad(problem: WedProblem, w: np.ndarray,
                    traj: Trajectory) -> tuple[float, np.ndarray]:
     """Value and euclidean gradient (trajectory-shaped, zero in the pinned
@@ -140,26 +169,8 @@ def wed_value_grad(problem: WedProblem, w: np.ndarray,
     U = traj.values
     if traj.pinned_initial is None:
         raise ConfigurationError("trajectory must be pinned at the start")
-    N = traj.steps
-    n_dof = U.shape[1]
-    w = _check_w(w, N, n_dof)
-    dt = traj.dt
-    hd = problem.grid.cell_measure
-    a, b = _weights(problem.epsilon, problem.T, N)
-    rates = np.diff(U, axis=0) / dt
-    alph = alpha_eval(problem.dissipation, rates)
-    value = 0.0
-    grad = np.zeros_like(U)
-    value += float(np.sum(a[:, None] * A_eval(problem.dissipation, rates)) * hd)
-    for n in range(1, N + 1):
-        v1, g1 = energy1_value_grad(problem.energy1, problem.grid, U[n])
-        value += b[n - 1] * (v1 - hd * float(w[n] @ U[n]))
-        grad[n] += b[n - 1] * (g1 - hd * w[n])
-        grad[n] += (a[n - 1] / dt) * alph[n - 1] * hd
-        if n < N:
-            grad[n] -= (a[n] / dt) * alph[n] * hd
-    grad[0] = 0.0
-    return value, grad
+    return _wed_kernel(problem, _check_w(w, traj.steps, U.shape[1]), U,
+                       traj.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -173,41 +184,27 @@ def _assemble(problem: WedProblem, w, N: int):
     hd = problem.grid.cell_measure
     a, b = _weights(problem.epsilon, problem.T, N)
     u0 = problem.initial
-    spec_d = problem.dissipation
-    spec_e = problem.energy1
-    grid = problem.grid
+    row_b = sp.diags(np.repeat(b, n_dof))
 
     def full(X):
         return np.vstack([u0[None, :], X.reshape(N, n_dof)])
 
     def grad_fn(X):
-        U = full(X)
-        rates = np.diff(U, axis=0) / dt
-        alph = alpha_eval(spec_d, rates)
-        g = np.empty((N, n_dof))
-        for n in range(1, N + 1):
-            _, g1 = energy1_value_grad(spec_e, grid, U[n])
-            g[n - 1] = b[n - 1] * (g1 - hd * w[n]) \
-                + (a[n - 1] / dt) * alph[n - 1] * hd
-            if n < N:
-                g[n - 1] -= (a[n] / dt) * alph[n] * hd
-        return g.ravel()
+        return _wed_kernel(problem, w, full(X), dt)[1][1:].ravel()
 
     def hess_fn(X):
         U = full(X)
         rates = np.diff(U, axis=0) / dt
-        ap = alpha_prime(spec_d, rates) * hd / dt ** 2
-        blocks = [[None] * N for _ in range(N)]
-        for n in range(1, N + 1):
-            Hphi = energy1_hessian(spec_e, grid, U[n]) * b[n - 1]
-            diag = a[n - 1] * ap[n - 1]
-            if n < N:
-                diag = diag + a[n] * ap[n]
-                off = sp.diags(-a[n] * ap[n])
-                blocks[n - 1][n] = off
-                blocks[n][n - 1] = off
-            blocks[n - 1][n - 1] = Hphi + sp.diags(diag)
-        return sp.bmat(blocks, format="csc")
+        # dissipation couples consecutive slices: one tri-band in time
+        ap = alpha_prime(problem.dissipation, rates) * hd / dt ** 2
+        r = a[:, None] * ap
+        main = r.copy()
+        main[:-1] += r[1:]
+        off = -r[1:].ravel()
+        bands = sp.diags([main.ravel(), off, off], [0, -n_dof, n_dof],
+                         shape=(N * n_dof, N * n_dof))
+        Hphi = energy1_hessian(problem.energy1, problem.grid, U[1:])
+        return (row_b @ Hphi + bands).tocsc()
 
     scale = np.repeat(b * max(hd, 1e-300), n_dof)
     return grad_fn, hess_fn, scale, full
@@ -241,22 +238,20 @@ def minimize_wed(problem: WedProblem, w, init: Trajectory,
 # ---------------------------------------------------------------------------
 
 def dual_field(problem: WedProblem, traj: Trajectory) -> np.ndarray:
-    """w = (gradient of the concave part)/h^d + reaction, evaluated slice
-    by slice: the nodal-density dual closing the nonpotential terms."""
-    N = traj.steps
-    n_dof = problem.n_dof
+    """w = (gradient of the concave part)/h^d + reaction at every slice:
+    the nodal-density dual closing the nonpotential terms."""
+    U = traj.values
     hd = problem.grid.cell_measure
     n_nodes = problem.grid.n_nodes
-    w = np.zeros((N + 1, n_dof))
-    for n in range(N + 1):
-        x = traj.values[n]
-        _, g2 = energy2_value_grad(problem.energy2, problem.grid, x, n)
-        w[n] = g2 / hd
-        if problem.reaction.kind == "lotka_volterra":
-            fu, fv = reaction_eval(problem.reaction, (x[:n_nodes], x[n_nodes:]))
-            w[n] += np.concatenate([fu, fv])
-        elif problem.reaction.kind != "none":
-            w[n] += reaction_eval(problem.reaction, x, n)
+    _, g2 = energy2_value_grad(problem.energy2, problem.grid, U,
+                               np.arange(U.shape[0]))
+    w = g2 / hd
+    if problem.reaction.kind == "lotka_volterra":
+        fu, fv = reaction_eval(problem.reaction,
+                               (U[:, :n_nodes], U[:, n_nodes:]))
+        w += np.hstack([fu, fv])
+    elif problem.reaction.kind != "none":
+        w += reaction_eval(problem.reaction, U, np.arange(U.shape[0]))
     return w
 
 
@@ -384,6 +379,16 @@ def eps_continuation(problem: WedProblem, schedule, steps: int,
 # Residual diagnostics
 # ---------------------------------------------------------------------------
 
+def _stationarity_terms(problem: WedProblem, traj: Trajectory) -> tuple:
+    """(xi, dphi1/h^d - w) at slices 1..N, the rate-potential gradient
+    alpha(rate) and the potential part of every stationarity residual."""
+    xi = alpha_eval(problem.dissipation, np.diff(traj.values, axis=0)
+                    / traj.dt)
+    _, g1 = energy1_value_grad(problem.energy1, problem.grid,
+                               traj.values[1:])
+    return xi, g1 / problem.grid.cell_measure - dual_field(problem, traj)[1:]
+
+
 def euler_lagrange_residual(problem: WedProblem, traj: Trajectory) -> dict:
     """Weight-eliminated stationarity residual per slice.
 
@@ -391,26 +396,17 @@ def euler_lagrange_residual(problem: WedProblem, traj: Trajectory) -> dict:
     terminal row: c0 (eps/dt) xi_N + dphi1(u_N)/h^d - w_N, where xi is
     the rate-potential gradient alpha(rate) and w the self-consistent dual
     field. All rows are nodal densities, so the norms are O(1) numbers."""
-    N = traj.steps
     dt = traj.dt
     eps = problem.epsilon
-    hd = problem.grid.cell_measure
     q = np.exp(-dt / eps)
     c0 = eps * np.expm1(dt / eps) / dt
-    w = dual_field(problem, traj)
-    rates = np.diff(traj.values, axis=0) / dt
-    xi = alpha_eval(problem.dissipation, rates)
-    rows = np.empty((N, problem.n_dof))
-    for n in range(1, N + 1):
-        _, g1 = energy1_value_grad(problem.energy1, problem.grid,
-                                   traj.values[n])
-        r = c0 * (eps / dt) * xi[n - 1] + g1 / hd - w[n]
-        if n < N:
-            r -= c0 * (eps / dt) * q * xi[n]
-        rows[n - 1] = r
+    xi, potential = _stationarity_terms(problem, traj)
+    rows = c0 * (eps / dt) * xi + potential
+    rows[:-1] -= c0 * (eps / dt) * q * xi[1:]
     per_time = np.max(np.abs(rows), axis=1)
     return {"per_time": per_time,
-            "interior_max": float(per_time[:-1].max()) if N > 1 else 0.0,
+            "interior_max": float(per_time[:-1].max()) if traj.steps > 1
+            else 0.0,
             "terminal": float(np.max(np.abs(xi[-1]))),
             "max": float(per_time.max())}
 
@@ -418,19 +414,10 @@ def euler_lagrange_residual(problem: WedProblem, traj: Trajectory) -> dict:
 def strong_solution_residual(traj: Trajectory, problem: WedProblem) -> float:
     """Residual of the unweighted evolution system, alpha(rate) + dphi1/h^d
     - w, in the dual-exponent space-time norm. The causal-limit metric."""
-    N = traj.steps
-    dt = traj.dt
-    hd = problem.grid.cell_measure
     pc = p_conjugate(problem.dissipation.p)
-    w = dual_field(problem, traj)
-    rates = np.diff(traj.values, axis=0) / dt
-    xi = alpha_eval(problem.dissipation, rates)
-    total = 0.0
-    for n in range(1, N + 1):
-        _, g1 = energy1_value_grad(problem.energy1, problem.grid,
-                                   traj.values[n])
-        r = xi[n - 1] + g1 / hd - w[n]
-        total += dt * hd * float(np.sum(np.abs(r) ** pc))
+    xi, potential = _stationarity_terms(problem, traj)
+    total = traj.dt * problem.grid.cell_measure \
+        * np.sum(np.abs(xi + potential) ** pc)
     return float(total ** (1.0 / pc))
 
 

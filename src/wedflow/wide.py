@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grids import ConfigurationError, Grid, Trajectory, build_grid
-from .energies import graph_laplacian
+from .energies import _rowdot, _sequential_sum, graph_laplacian
 from ._newton import newton_solve
 from .wed import MinimizeReport, continuation
 
@@ -41,6 +41,13 @@ def _poly_val(coeffs, s):
 def _poly_der(coeffs, order):
     c = np.polynomial.polynomial.polyder(coeffs, order)
     return c if np.ndim(c) else np.array([float(c)])
+
+
+def _poly_curv(coeffs, s):
+    """Second derivative of the polynomial at s (zero for affine ones)."""
+    if len(coeffs) <= 2:
+        return np.zeros_like(s)
+    return _poly_val(_poly_der(coeffs, 2), s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +112,7 @@ class WideWaveProblem:
         return self.grid.n_nodes
 
     def force_value(self, u: np.ndarray) -> float:
-        return float(np.sum(_poly_val(self.f_coeffs, u))) \
+        return np.sum(_poly_val(self.f_coeffs, u), axis=-1) \
             * self.grid.cell_measure
 
     def force_grad(self, u: np.ndarray) -> np.ndarray:
@@ -113,10 +120,7 @@ class WideWaveProblem:
             * self.grid.cell_measure
 
     def force_hess_diag(self, u: np.ndarray) -> np.ndarray:
-        if len(self.f_coeffs) <= 2:
-            return np.zeros_like(u)
-        return _poly_val(_poly_der(self.f_coeffs, 2), u) \
-            * self.grid.cell_measure
+        return _poly_curv(self.f_coeffs, u) * self.grid.cell_measure
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,20 +188,18 @@ class LagrangianProblem:
 
     def pot_value(self, u: np.ndarray) -> float:
         if self.u_kind == "quadratic":
-            return 0.5 * float(u @ (self.Q @ u))
-        return float(np.sum(_poly_val(self.u_coeffs, u)))
+            return 0.5 * _rowdot(u, self.pot_grad(u))
+        return np.sum(_poly_val(self.u_coeffs, u), axis=-1)
 
     def pot_grad(self, u: np.ndarray) -> np.ndarray:
         if self.u_kind == "quadratic":
-            return self.Q @ u
+            return np.matmul(self.Q, u[..., None])[..., 0]
         return _poly_val(_poly_der(self.u_coeffs, 1), u)
 
     def pot_hess(self, u: np.ndarray) -> np.ndarray:
         if self.u_kind == "quadratic":
             return self.Q
-        if len(self.u_coeffs) <= 2:
-            return np.zeros((self.d, self.d))
-        return np.diag(_poly_val(_poly_der(self.u_coeffs, 2), u))
+        return np.diag(_poly_curv(self.u_coeffs, u))
 
 
 WideProblem = Union[WideWaveProblem, LagrangianProblem]
@@ -209,7 +211,9 @@ WideProblem = Union[WideWaveProblem, LagrangianProblem]
 
 class _Parts:
     """Mass/damping/stiffness matrices and the nonlinear term, reduced to
-    one interface so the functional and solver are written once."""
+    one interface so the functional and solver are written once. g_val,
+    g_grad and g_hess act on a stack of states, one per row; g_hess is
+    the block diagonal of the row Hessians."""
 
     def __init__(self, problem: WideProblem):
         self.problem = problem
@@ -223,7 +227,8 @@ class _Parts:
                 else sp.csr_matrix((n, n))
             self.g_val = problem.force_value
             self.g_grad = problem.force_grad
-            self.g_hess = lambda u: sp.diags(problem.force_hess_diag(u))
+            self.g_hess = lambda U: sp.diags(
+                problem.force_hess_diag(U).ravel())
             self.lam = problem.lam
             self.grid = problem.grid
             self.ncomp = 1
@@ -234,7 +239,12 @@ class _Parts:
             self.S = sp.csr_matrix((d, d))
             self.g_val = problem.pot_value
             self.g_grad = problem.pot_grad
-            self.g_hess = lambda u: sp.csr_matrix(problem.pot_hess(u))
+            if problem.u_kind == "quadratic":
+                self.g_hess = lambda U: sp.kron(
+                    sp.identity(U.shape[0]), sp.csr_matrix(problem.Q))
+            else:
+                self.g_hess = lambda U: sp.diags(
+                    _poly_curv(problem.u_coeffs, U).ravel())
             self.lam = 0.0
             self.grid = build_grid(dim=1, shape=(1,), spacing=(1.0,),
                                    boundary="neumann", domain_kind="point")
@@ -245,6 +255,57 @@ def _pinned_rows(problem: WideProblem, dt: float) -> tuple:
     u0 = problem.initial
     u1 = u0 + dt * problem.velocity
     return u0, u1
+
+
+def _knot_weights(problem: WideProblem, N: int) -> tuple:
+    """(beta at every knot, acceleration, velocity and potential weights)."""
+    dt = problem.T / N
+    eps = problem.epsilon
+    beta = np.exp(-np.linspace(0.0, problem.T, N + 1) / eps)
+    return (beta, beta[1:N] * dt * 0.5 * eps ** 2, beta[1:] * dt * 0.5 * eps,
+            beta[1:] * dt)
+
+
+def _unknown_band(*diagonals) -> sp.spmatrix:
+    """Symmetric band over all knots 0..N, from its main and upper
+    diagonals, cut to the unknown knots 2..N."""
+    offsets = range(len(diagonals))
+    return sp.diags([*diagonals, *diagonals[1:]],
+                    [*offsets, *(-o for o in offsets[1:])],
+                    format="csr")[2:, 2:]
+
+
+def _wide_kernel(parts: _Parts, U: np.ndarray) -> tuple[float, np.ndarray]:
+    """Value and gradient (zero in both pinned slots) of the functional on
+    the whole knot array U. The value adds every acceleration term, then
+    the velocity and potential terms knot by knot, as a running sum would."""
+    problem = parts.problem
+    N = U.shape[0] - 1
+    dt = problem.T / N
+    _, w_acc, w_vel, w_pot = _knot_weights(problem, N)
+    acc = (U[2:] - 2.0 * U[1:-1] + U[:-2]) / dt ** 2   # knot n = 1..N-1
+    vel = np.diff(U, axis=0) / dt                      # knot n = 1..N
+    Ma = (parts.M @ acc.T).T        # rows round as single products
+    Dv = (parts.D @ vel.T).T
+    Su = (parts.S @ U[1:].T).T
+    vel_pot = np.column_stack([
+        w_vel * _rowdot(vel, Dv),
+        w_pot * (0.5 * _rowdot(U[1:], Su) + parts.g_val(U[1:]))])
+    value = _sequential_sum(0.0, np.concatenate(
+        [w_acc * _rowdot(acc, Ma), vel_pot.ravel()]))
+    ga = (2.0 * w_acc / dt ** 2)[:, None] * Ma
+    gv = (2.0 * w_vel / dt)[:, None] * Dv
+    # each knot's row collects its terms in the order of the knot-by-knot
+    # accumulation this replaces
+    grad = np.zeros_like(U)
+    grad[2:] += ga
+    grad[1:-1] -= 2.0 * ga
+    grad[:-2] += ga
+    grad[1:] += gv
+    grad[1:] += w_pot[:, None] * (Su + parts.g_grad(U[1:]))
+    grad[:-1] -= gv
+    grad[:2] = 0.0
+    return value, grad
 
 
 def wide_trajectory(problem: WideProblem, values: np.ndarray) -> Trajectory:
@@ -264,45 +325,10 @@ def wide_value_grad(problem: WideProblem,
                     traj: Trajectory) -> tuple[float, np.ndarray]:
     """Weighted inertia + damping + potential along the trajectory, and
     the euclidean gradient (zero in both pinned slots)."""
-    N = traj.steps
-    if N < 2:
+    if traj.steps < 2:
         raise ConfigurationError("need at least 3 time knots")
-    dt = problem.T / N
-    parts = _Parts(problem)
-    u0, u1 = _pinned_rows(problem, dt)
-    U = traj.values
-    if not (np.array_equal(U[0], u0) and np.array_equal(U[1], u1)):
-        raise ConfigurationError("trajectory does not pin u0, v0")
-    eps = problem.epsilon
-    beta = np.exp(-np.linspace(0.0, problem.T, N + 1) / eps)
-    acc = (U[2:] - 2.0 * U[1:-1] + U[:-2]) / dt ** 2   # knot n = 1..N-1
-    vel = np.diff(U, axis=0) / dt                      # knot n = 1..N
-    w_acc = beta[1:N] * dt * 0.5 * eps ** 2
-    w_vel = beta[1:] * dt * 0.5 * eps
-    w_pot = beta[1:] * dt
-
-    value = 0.0
-    grad = np.zeros_like(U)
-    for k in range(N - 1):                             # knot k+1
-        Ma = parts.M @ acc[k]
-        value += w_acc[k] * float(acc[k] @ Ma)
-        c = 2.0 * w_acc[k] / dt ** 2
-        grad[k] += c * Ma
-        grad[k + 1] -= 2.0 * c * Ma
-        grad[k + 2] += c * Ma
-    for k in range(N):                                 # knot k+1
-        Dv = parts.D @ vel[k]
-        value += w_vel[k] * float(vel[k] @ Dv)
-        c = 2.0 * w_vel[k] / dt
-        grad[k + 1] += c * Dv
-        grad[k] -= c * Dv
-        un = U[k + 1]
-        Su = parts.S @ un
-        value += w_pot[k] * (0.5 * float(un @ Su) + parts.g_val(un))
-        grad[k + 1] += w_pot[k] * (Su + parts.g_grad(un))
-    grad[0] = 0.0
-    grad[1] = 0.0
-    return value, grad
+    wide_trajectory(problem, traj.values)  # checks the pinned rows
+    return _wide_kernel(_Parts(problem), traj.values)
 
 
 def minimize_wide(problem: WideProblem, steps: int,
@@ -320,51 +346,36 @@ def minimize_wide(problem: WideProblem, steps: int,
     nd = problem.n_dof
     u0, u1 = _pinned_rows(problem, dt)
     eps = problem.epsilon
-    beta = np.exp(-np.linspace(0.0, problem.T, N + 1) / eps)
-    w_acc = beta[1:N] * dt * 0.5 * eps ** 2
-    w_vel = beta[1:] * dt * 0.5 * eps
-    w_pot = beta[1:] * dt
+    beta, w_acc, w_vel, w_pot = _knot_weights(problem, N)
 
     def full(x: np.ndarray) -> np.ndarray:
         return np.vstack([u0[None, :], u1[None, :], x.reshape(N - 1, nd)])
 
     def grad_fn(x: np.ndarray) -> np.ndarray:
-        _, g = wide_value_grad(problem, _traj_nocheck(parts, problem,
-                                                      full(x)))
-        return g[2:].ravel()
+        return _wide_kernel(parts, full(x))[1][2:].ravel()
+
+    # Knot n's acceleration and velocity weights c_n, v_n (zero outside
+    # 1..N-1 and 1..N) couple knots through the stencils (1, -2, 1) and
+    # (-1, 1). Each entry adds its terms in the order of the knot-by-knot
+    # assembly this replaces: wave Hessians are ill-conditioned enough for
+    # the solution to show any other rounding.
+    c = np.zeros(N + 2)
+    c[1:N] = 2.0 * w_acc / dt ** 4
+    v = np.zeros(N + 2)
+    v[1:N + 1] = 2.0 * w_vel / dt ** 2
+    k = np.arange(N + 1)
+    linear = (sp.kron(_unknown_band(c[k - 1] + 4.0 * c[k] + c[k + 1],
+                                    -2.0 * c[:N] - 2.0 * c[1:N + 1],
+                                    c[1:N]), parts.M, format="csr")
+              + sp.kron(_unknown_band(v[k], -v[1:N + 1]), parts.D,
+                        format="csr")
+              + sp.kron(_unknown_band(v[k + 1]), parts.D, format="csr"))
+    pot_rows = sp.diags(np.repeat(w_pot[1:], nd))
+    stiffness = sp.kron(sp.identity(N - 1), parts.S, format="csr")
 
     def hess_fn(x: np.ndarray) -> sp.spmatrix:
-        U = full(x)
-        blocks = [[None] * (N - 1) for _ in range(N - 1)]
-        # acceleration stencils couple knots (n-1, n, n+1), n = 1..N-1
-        stencil = {}
-        for n in range(1, N):
-            c = 2.0 * w_acc[n - 1] / dt ** 4
-            for (i, si) in ((n - 1, 1.0), (n, -2.0), (n + 1, 1.0)):
-                for (j, sj) in ((n - 1, 1.0), (n, -2.0), (n + 1, 1.0)):
-                    if i >= 2 and j >= 2:
-                        key = (i - 2, j - 2)
-                        stencil[key] = stencil.get(key, 0.0) + c * si * sj
-        for (i, j), c in stencil.items():
-            blk = c * parts.M
-            blocks[i][j] = blk if blocks[i][j] is None else blocks[i][j] + blk
-        # velocity differences couple (n-1, n), n = 1..N
-        for n in range(1, N + 1):
-            c = 2.0 * w_vel[n - 1] / dt ** 2
-            for i, si in ((n - 1, -1.0), (n, 1.0)):
-                for j, sj in ((n - 1, -1.0), (n, 1.0)):
-                    if i >= 2 and j >= 2:
-                        blk = c * si * sj * parts.D
-                        blocks[i - 2][j - 2] = blk \
-                            if blocks[i - 2][j - 2] is None \
-                            else blocks[i - 2][j - 2] + blk
-        # potential terms are knot-local
-        for n in range(2, N + 1):
-            blk = w_pot[n - 1] * (parts.S + parts.g_hess(U[n]))
-            k = n - 2
-            blocks[k][k] = blk if blocks[k][k] is None \
-                else blocks[k][k] + blk
-        return sp.bmat(blocks, format="csc")
+        pot = pot_rows @ (stiffness + parts.g_hess(full(x)[2:]))
+        return (linear + pot).tocsc()
 
     if init is None:
         X = np.tile(u1, (N - 1, 1)).ravel()
@@ -374,9 +385,8 @@ def minimize_wide(problem: WideProblem, steps: int,
         X = init.values[2:].ravel()
     # row scale tracks the dominant stiffness of each knot's gradient row
     # (inertia grows like eps^2/dt^3), so the scaled residual is relative
-    minf = float(np.max(np.abs(parts.M.toarray())))
-    dinf = float(np.max(np.abs(parts.D.toarray()))) if parts.D.nnz else 0.0
-    sinf = float(np.max(np.abs(parts.S.toarray()))) if parts.S.nnz else 0.0
+    minf, dinf, sinf = (float(abs(A).max()) if A.nnz else 0.0
+                        for A in (parts.M, parts.D, parts.S))
     hd = parts.grid.cell_measure
     knot_mag = (dt * (sinf + hd) + 8.0 * eps ** 2 * minf / dt ** 3
                 + 4.0 * eps * dinf / dt)
@@ -389,12 +399,6 @@ def minimize_wide(problem: WideProblem, steps: int,
                          converged=conv,
                          notes=(f"curvature_bound={repr(parts.lam)}",))
     return traj, rep
-
-
-def _traj_nocheck(parts: _Parts, problem: WideProblem,
-                  values: np.ndarray) -> Trajectory:
-    return Trajectory(parts.grid, problem.T, values,
-                      pinned_initial=values[0], ncomp=parts.ncomp)
 
 
 def wide_continuation(problem: WideProblem, schedule: Sequence[float],

@@ -336,3 +336,76 @@ def test_validate_growth_passes_and_fails():
                                          concave_D=50.0),
                           ReactionSpec(), DissipationSpec(p=2.0))
     assert not bad["passed"]
+
+
+# ---------------------------------------------------------------------------
+# stacked states and per-grid caches
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec,ndof", [
+    (EnergySpec(kind="quadratic", gamma=0.7), 6),
+    (EnergySpec(kind="m_laplace", m=3.0, B=0.8, C=0.5), 6),
+    (EnergySpec(kind="fractional", s=0.5, gamma=0.4), 6),
+    (EnergySpec(kind="lv_quadratic", D1=0.2, D2=0.1, F1=0.3, F2=0.05), 12),
+])
+def test_energy1_stack_is_the_rows_of_single_states(spec, ndof):
+    g = line_grid(6, boundary="dirichlet", spacing=0.3)
+    X = np.random.default_rng(6).normal(size=(4, ndof))
+    vals, grads = energy1_value_grad(spec, g, X)
+    H = energy1_hessian(spec, g, X).toarray()
+    assert H.shape == (4 * ndof, 4 * ndof)
+    for i, x in enumerate(X):
+        v, grad = energy1_value_grad(spec, g, x)
+        assert vals[i] == v  # values keep the rounding of one state
+        assert np.allclose(grads[i], grad, rtol=1e-14, atol=1e-14)
+        block = slice(i * ndof, (i + 1) * ndof)
+        assert np.allclose(H[block, block],
+                           energy1_hessian(spec, g, x).toarray(),
+                           rtol=1e-14, atol=1e-14)
+        H[block, block] = 0.0
+    assert not H.any()  # no coupling between rows
+
+
+def test_energy2_stack_reads_each_rows_slice():
+    g = line_grid(5)
+    forcing = np.random.default_rng(7).normal(size=(3, 5))
+    spec = EnergySpec(kind="quadratic", gamma=0.0, concave_q=3.0,
+                      concave_D=0.4, forcing=forcing)
+    X = np.random.default_rng(8).normal(size=(3, 5))
+    vals, grads = energy2_value_grad(spec, g, X, np.arange(3))
+    for n, x in enumerate(X):
+        v, grad = energy2_value_grad(spec, g, x, n)
+        assert vals[n] == v and np.array_equal(grads[n], grad)
+
+
+def test_grid_caches_are_keyed_by_grid_values(monkeypatch):
+    from wedflow import energies
+    calls = []
+    real = energies.grid_edges
+    monkeypatch.setattr(energies, "grid_edges",
+                        lambda grid: calls.append(grid) or real(grid))
+    a = build_grid(dim=1, shape=(9,), spacing=(0.1875,),
+                   boundary="dirichlet")
+    b = build_grid(dim=1, shape=(9,), spacing=(0.1875,),
+                   boundary="dirichlet")
+    assert a is not b
+    for grid in (a, b, a):
+        energy1_value_grad(EnergySpec(kind="m_laplace", m=3.0), grid,
+                           np.ones(9))
+    assert len(calls) <= 1
+    assert energies._fractional_matrix(a, 0.3, True) \
+        is energies._fractional_matrix(b, 0.3, True)
+
+
+def test_edge_operator_differences_match_the_gather():
+    g = build_grid(dim=2, shape=(4, 5), spacing=(0.3, 0.2),
+                   boundary="dirichlet", domain_kind="rectangle")
+    from wedflow.energies import _edge_operator
+    _, D = _edge_operator(g)
+    u = np.random.default_rng(9).normal(size=g.n_nodes)
+    diffs, emeas = edge_differences(g, u)
+    assert np.allclose(D @ u, diffs, rtol=1e-14, atol=1e-14)
+    L = graph_laplacian(g, 1.7)
+    assert np.allclose(L.toarray(),
+                       1.7 * g.cell_measure * (D.T @ D).toarray(),
+                       rtol=1e-14, atol=1e-14)

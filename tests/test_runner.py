@@ -392,3 +392,25 @@ def test_run_exit_three_when_any_level_fails(tmp_path, monkeypatch, name,
     assert json.loads((out / "reports.json").read_text())["converged"] \
         is False
     assert (out / "summary.txt").read_text().splitlines()[-1].endswith("FAIL")
+
+
+@pytest.mark.parametrize("T", ["abc", None, True, 0.0, -1.0, float("inf"),
+                               float("nan")])
+def test_non_numeric_or_non_positive_T_is_a_configuration_error(
+        tmp_path, capsys, T):
+    raw = json.loads(bundled_scenarios()["scalar_decay"])
+    raw.update(T=T, output_dir=str(tmp_path / "out"))
+    with pytest.raises(ScenarioError, match="'T'"):
+        Scenario.from_dict(raw)
+    path = tmp_path / "scalar_decay.json"
+    path.write_text(json.dumps(raw))
+    assert run(path) == 2
+    assert capsys.readouterr().out.startswith("configuration error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_rate_independent_rejects_maps(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(_bundled("ri_ramp", out, rmaps=[{"kind": "bogus"}])) == 2
+    assert "configuration error: field 'rmaps'" in capsys.readouterr().out
+    assert not out.exists()

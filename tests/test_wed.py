@@ -203,3 +203,33 @@ def test_scalar_wed_tracks_decay_at_moderate_eps():
     t = np.linspace(0.0, 1.0, 101)
     err = np.max(np.abs(traj.values[:, 0] - np.exp(-t)))
     assert err <= 5e-2
+
+
+def test_functional_value_is_the_running_sum_over_slices():
+    """The whole-trajectory kernel adds the slice terms in time order, so
+    the value keeps the rounding of a slice-by-slice running sum (the
+    finite-difference checks of the verify suites amplify any change)."""
+    from dataclasses import replace
+    from wedflow.energies import A_eval, energy1_value_grad
+    problem = replace(heat_problem(n=7, eps=0.15, spacing=0.3),
+                      dissipation=DissipationSpec(p=3.0),
+                      energy1=EnergySpec(kind="m_laplace", m=3.0, B=0.8,
+                                         C=0.4))
+    rng = np.random.default_rng(11)
+    N = 9
+    vals = problem.initial + np.cumsum(
+        np.vstack([np.zeros(7), 0.2 * rng.normal(size=(N, 7))]), axis=0)
+    traj = Trajectory(problem.grid, problem.T, vals,
+                      pinned_initial=problem.initial)
+    w = rng.normal(size=(N + 1, 7))
+    value, _ = wed_value_grad(problem, w, traj)
+    a, b = _weights(problem.epsilon, problem.T, N)
+    hd = problem.grid.cell_measure
+    rates = np.diff(vals, axis=0) / traj.dt
+    expect = 0.0
+    expect += float(np.sum(a[:, None] * A_eval(problem.dissipation, rates))
+                    * hd)
+    for n in range(1, N + 1):
+        v1, _ = energy1_value_grad(problem.energy1, problem.grid, vals[n])
+        expect += b[n - 1] * (v1 - hd * float(w[n] @ vals[n]))
+    assert value == expect

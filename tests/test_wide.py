@@ -333,3 +333,96 @@ def test_hamiltonian_drift_zero_base():
     vals = np.zeros((9, 1))
     traj = Trajectory(point_grid(), 1.0, vals, pinned_initial=vals[0])
     assert hamiltonian_drift(problem, traj) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# whole-trajectory kernel against the knot-by-knot assembly
+# ---------------------------------------------------------------------------
+
+def _knot_loop_reference(problem, vals):
+    """Value, gradient and Hessian assembled knot by knot, with every sum in
+    the order the array kernel has to reproduce bit for bit (the wave
+    solutions are ill-conditioned enough to show any other rounding)."""
+    import scipy.sparse as sp
+    from wedflow.energies import graph_laplacian
+    N = vals.shape[0] - 1
+    nd = vals.shape[1]
+    dt = problem.T / N
+    eps = problem.epsilon
+    hd = problem.grid.cell_measure
+    M = sp.identity(nd, format="csr") * (problem.rho * hd)
+    D = sp.identity(nd, format="csr") * (problem.nu * hd)
+    S = graph_laplacian(problem.grid, 1.0)
+    beta = np.exp(-np.linspace(0.0, problem.T, N + 1) / eps)
+    w_acc = beta[1:N] * dt * 0.5 * eps ** 2
+    w_vel = beta[1:] * dt * 0.5 * eps
+    w_pot = beta[1:] * dt
+    acc = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / dt ** 2
+    vel = np.diff(vals, axis=0) / dt
+    value = 0.0
+    grad = np.zeros_like(vals)
+    for k in range(N - 1):
+        Ma = M @ acc[k]
+        value += w_acc[k] * float(acc[k] @ Ma)
+        c = 2.0 * w_acc[k] / dt ** 2
+        grad[k] += c * Ma
+        grad[k + 1] -= 2.0 * c * Ma
+        grad[k + 2] += c * Ma
+    for k in range(N):
+        Dv = D @ vel[k]
+        value += w_vel[k] * float(vel[k] @ Dv)
+        c = 2.0 * w_vel[k] / dt
+        grad[k + 1] += c * Dv
+        grad[k] -= c * Dv
+        un = vals[k + 1]
+        Su = S @ un
+        value += w_pot[k] * (0.5 * float(un @ Su) + problem.force_value(un))
+        grad[k + 1] += w_pot[k] * (Su + problem.force_grad(un))
+    grad[:2] = 0.0
+    blocks = [[None] * (N - 1) for _ in range(N - 1)]
+    stencil = {}
+    for n in range(1, N):
+        c = 2.0 * w_acc[n - 1] / dt ** 4
+        for i, si in ((n - 1, 1.0), (n, -2.0), (n + 1, 1.0)):
+            for j, sj in ((n - 1, 1.0), (n, -2.0), (n + 1, 1.0)):
+                if i >= 2 and j >= 2:
+                    key = (i - 2, j - 2)
+                    stencil[key] = stencil.get(key, 0.0) + c * si * sj
+    for (i, j), c in stencil.items():
+        blocks[i][j] = c * M
+    for n in range(1, N + 1):
+        c = 2.0 * w_vel[n - 1] / dt ** 2
+        for i, si in ((n - 1, -1.0), (n, 1.0)):
+            for j, sj in ((n - 1, -1.0), (n, 1.0)):
+                if i >= 2 and j >= 2:
+                    blocks[i - 2][j - 2] = blocks[i - 2][j - 2] \
+                        + c * si * sj * D
+    for n in range(2, N + 1):
+        blocks[n - 2][n - 2] = blocks[n - 2][n - 2] + w_pot[n - 1] * (
+            S + sp.diags(problem.force_hess_diag(vals[n])))
+    return value, grad, sp.bmat(blocks, format="csc")
+
+
+@pytest.mark.parametrize("N", [2, 3, 9])
+def test_kernel_reproduces_the_knot_loop_bit_for_bit(monkeypatch, N):
+    from wedflow import wide
+    problem = wave_problem(n=6, nu=0.3, f_coeffs=(0.0, 0.1, 0.5, 0.0, 0.25))
+    rng = np.random.default_rng(12)
+    vals = random_wide_values(problem, N, rng)
+    value, grad = wide_value_grad(problem, wide_trajectory(problem, vals))
+    ref_value, ref_grad, ref_hess = _knot_loop_reference(problem, vals)
+    assert value == ref_value and np.array_equal(grad, ref_grad)
+
+    captured = {}
+
+    def capture(x0, grad_fn, hess_fn, scale, **kwargs):
+        captured["H"] = hess_fn(vals[2:].ravel())
+        return x0, 0.0, 0, True
+
+    monkeypatch.setattr(wide, "newton_solve", capture)
+    minimize_wide(problem, N)
+    H, R = captured["H"], ref_hess
+    H.sort_indices()
+    R.sort_indices()
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(H, attr), getattr(R, attr))
