@@ -244,6 +244,9 @@ def _sequential_sum(first: float, terms: np.ndarray) -> float:
 # Energies
 # ---------------------------------------------------------------------------
 
+_NONNEGATIVE = ("gamma", "B", "C", "D1", "D2", "F1", "F2", "concave_D")
+
+
 @dataclass(frozen=True, eq=False)
 class EnergySpec:
     """Parameters for the convex state energy (selected by `kind`) and the
@@ -280,6 +283,19 @@ class EnergySpec:
             raise ConfigurationError("fractional order s must lie in (0,1)")
         if self.concave_q is not None and self.concave_q <= 1.0:
             raise ConfigurationError("concave exponent q must exceed 1")
+        # phi1 must be convex (2D solves factor its Hessian as SPD) and
+        # the power term of phi2 convex, so that -phi2 stays concave
+        for name in _NONNEGATIVE:
+            c = getattr(self, name)
+            try:
+                values = c.values if isinstance(c, Field) \
+                    else np.asarray(c, dtype=float)
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"coefficient {name} must be numeric") from None
+            if not np.all(values >= 0.0):
+                raise ConfigurationError(
+                    f"coefficient {name} must be nonnegative")
 
     def forcing_at(self, n: int, n_dof: int) -> np.ndarray:
         if self.forcing is None:

@@ -21,7 +21,7 @@ damped Newton engine, warm-starting the next stage.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,6 +52,12 @@ class RIProblem:
     T: float
     epsilon: float
     initial: np.ndarray
+    # coefficients of phi's first and second derivatives, computed once;
+    # None where the derivative vanishes identically
+    _d1_coeffs: Optional[np.ndarray] = field(init=False, repr=False,
+                                             default=None)
+    _d2_coeffs: Optional[np.ndarray] = field(init=False, repr=False,
+                                             default=None)
 
     def __post_init__(self):
         f = np.asarray(self.forcing, dtype=float)
@@ -74,6 +80,11 @@ class RIProblem:
         if c.ndim != 1 or c.size < 1:
             raise ConfigurationError("phi_coeffs must be a 1D coefficient list")
         object.__setattr__(self, "phi_coeffs", tuple(float(x) for x in c))
+        P = np.polynomial.polynomial
+        if c.size > 1:
+            object.__setattr__(self, "_d1_coeffs", P.polyder(c, 1))
+        if c.size > 2:
+            object.__setattr__(self, "_d2_coeffs", P.polyder(c, 2))
         # convexity probe on a generous sample range
         r = 10.0 * (1.0 + np.max(np.abs(u0)) + np.max(np.abs(f)))
         s = np.linspace(-r, r, 257)
@@ -89,18 +100,17 @@ class RIProblem:
         return self.T / self.steps
 
     def _phi_d2(self, s: np.ndarray) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(
-            s, np.polynomial.polynomial.polyder(self.phi_coeffs, 2)) \
-            if len(self.phi_coeffs) > 2 else np.zeros_like(s)
+        if self._d2_coeffs is None:
+            return np.zeros_like(s)
+        return np.polynomial.polynomial.polyval(s, self._d2_coeffs)
 
     def phi_tilde(self, s: np.ndarray) -> np.ndarray:
         return np.polynomial.polynomial.polyval(s, self.phi_coeffs)
 
     def phi_tilde_d1(self, s: np.ndarray) -> np.ndarray:
-        if len(self.phi_coeffs) < 2:
+        if self._d1_coeffs is None:
             return np.zeros_like(s)
-        return np.polynomial.polynomial.polyval(
-            s, np.polynomial.polynomial.polyder(self.phi_coeffs, 1))
+        return np.polynomial.polynomial.polyval(s, self._d1_coeffs)
 
 
 @dataclass(frozen=True)

@@ -225,7 +225,8 @@ def minimize_wed(problem: WedProblem, w, init: Trajectory,
     grad_fn, hess_fn, scale, full = _assemble(problem, w, N)
     X0 = init.values[1:].ravel()
     X, res, iters, conv = newton_solve(X0, grad_fn, hess_fn, scale,
-                                       tol=gtol, max_iter=max_iter)
+                                       tol=gtol, max_iter=max_iter,
+                                       symmetric=problem.grid.dim > 1)
     out = Trajectory(problem.grid, problem.T, full(X),
                      pinned_initial=problem.initial,
                      ncomp=problem.n_dof // problem.grid.n_nodes)

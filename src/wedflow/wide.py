@@ -18,7 +18,7 @@ affine state maps r u + v with orthogonal r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -43,11 +43,18 @@ def _poly_der(coeffs, order):
     return c if np.ndim(c) else np.array([float(c)])
 
 
-def _poly_curv(coeffs, s):
-    """Second derivative of the polynomial at s (zero for affine ones)."""
-    if len(coeffs) <= 2:
+def _derivatives(coeffs) -> tuple:
+    """Coefficients of the polynomial's first and second derivatives; the
+    second is None for an affine polynomial, whose curvature is zero."""
+    return (_poly_der(coeffs, 1),
+            _poly_der(coeffs, 2) if len(coeffs) > 2 else None)
+
+
+def _poly_curv(d2, s):
+    """Second derivative at s, from the second entry of _derivatives."""
+    if d2 is None:
         return np.zeros_like(s)
-    return _poly_val(_poly_der(coeffs, 2), s)
+    return _poly_val(d2, s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +76,7 @@ class WideWaveProblem:
     epsilon: float
     initial: np.ndarray
     velocity: np.ndarray
+    _f_der: tuple = field(init=False, repr=False)  # _derivatives(f_coeffs)
 
     def __post_init__(self):
         if self.grid.dim != 1:
@@ -83,6 +91,7 @@ class WideWaveProblem:
             raise ConfigurationError("eps must lie in (0, T)")
         object.__setattr__(self, "f_coeffs",
                            tuple(float(c) for c in self.f_coeffs))
+        object.__setattr__(self, "_f_der", _derivatives(self.f_coeffs))
         for name in ("initial", "velocity"):
             v = np.asarray(getattr(self, name), dtype=float).ravel()
             if v.size != self.grid.n_nodes or not np.all(np.isfinite(v)):
@@ -92,14 +101,14 @@ class WideWaveProblem:
         r = 10.0 * (1.0 + float(np.max(np.abs(self.initial))))
         s = np.linspace(-r, r, 257)
         if len(self.f_coeffs) > 2:
-            d2 = _poly_val(_poly_der(self.f_coeffs, 2), s)
+            d2 = _poly_val(self._f_der[1], s)
             if np.min(d2) < self.lam - 1e-9:
                 raise ConfigurationError(
                     "declared curvature bound fails on samples")
         elif self.lam > 1e-12:
             raise ConfigurationError("affine F cannot have positive curvature")
         fs = _poly_val(self.f_coeffs, s)
-        dfs = _poly_val(_poly_der(self.f_coeffs, 1), s)
+        dfs = _poly_val(self._f_der[0], s)
         pc = self.p_growth / (self.p_growth - 1.0)
         big = np.abs(s) ** self.p_growth
         c1 = np.max((big - fs) / (1.0 + big))
@@ -116,11 +125,11 @@ class WideWaveProblem:
             * self.grid.cell_measure
 
     def force_grad(self, u: np.ndarray) -> np.ndarray:
-        return _poly_val(_poly_der(self.f_coeffs, 1), u) \
+        return _poly_val(self._f_der[0], u) \
             * self.grid.cell_measure
 
     def force_hess_diag(self, u: np.ndarray) -> np.ndarray:
-        return _poly_curv(self.f_coeffs, u) * self.grid.cell_measure
+        return _poly_curv(self._f_der[1], u) * self.grid.cell_measure
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +151,8 @@ class LagrangianProblem:
     velocity: np.ndarray
     Q: Optional[np.ndarray] = None
     u_coeffs: tuple = ()
+    _u_der: tuple = field(init=False, repr=False,
+                          default=None)  # _derivatives(u_coeffs)
 
     def __post_init__(self):
         if self.d < 1:
@@ -173,8 +184,9 @@ class LagrangianProblem:
             if len(c) < 1:
                 raise ConfigurationError("component_poly needs coefficients")
             object.__setattr__(self, "u_coeffs", c)
+            object.__setattr__(self, "_u_der", _derivatives(c))
             s = np.linspace(-20, 20, 257)
-            if len(c) > 2 and np.min(_poly_val(_poly_der(c, 2), s)) < -1e-12:
+            if len(c) > 2 and np.min(_poly_val(self._u_der[1], s)) < -1e-12:
                 raise ConfigurationError("potential is not convex on samples")
         for name in ("initial", "velocity"):
             v = np.asarray(getattr(self, name), dtype=float).ravel()
@@ -194,12 +206,12 @@ class LagrangianProblem:
     def pot_grad(self, u: np.ndarray) -> np.ndarray:
         if self.u_kind == "quadratic":
             return np.matmul(self.Q, u[..., None])[..., 0]
-        return _poly_val(_poly_der(self.u_coeffs, 1), u)
+        return _poly_val(self._u_der[0], u)
 
     def pot_hess(self, u: np.ndarray) -> np.ndarray:
         if self.u_kind == "quadratic":
             return self.Q
-        return np.diag(_poly_curv(self.u_coeffs, u))
+        return np.diag(_poly_curv(self._u_der[1], u))
 
 
 WideProblem = Union[WideWaveProblem, LagrangianProblem]
@@ -244,7 +256,7 @@ class _Parts:
                     sp.identity(U.shape[0]), sp.csr_matrix(problem.Q))
             else:
                 self.g_hess = lambda U: sp.diags(
-                    _poly_curv(problem.u_coeffs, U).ravel())
+                    _poly_curv(problem._u_der[1], U).ravel())
             self.lam = 0.0
             self.grid = build_grid(dim=1, shape=(1,), spacing=(1.0,),
                                    boundary="neumann", domain_kind="point")

@@ -228,6 +228,22 @@ def test_energy_spec_validation():
         EnergySpec(concave_q=1.0)
 
 
+@pytest.mark.parametrize("name", ["gamma", "B", "C", "D1", "D2", "F1", "F2",
+                                  "concave_D"])
+def test_energy_spec_rejects_negative_coefficients(name):
+    g = line_grid(4)
+    with pytest.raises(ConfigurationError, match=name):
+        EnergySpec(**{name: -1.0})
+    with pytest.raises(ConfigurationError, match=name):
+        EnergySpec(**{name: Field(g, np.array([1.0, 0.5, -1e-3, 2.0]))})
+    with pytest.raises(ConfigurationError, match=name):
+        EnergySpec(**{name: float("nan")})
+    with pytest.raises(ConfigurationError, match=name):
+        EnergySpec(**{name: "abc"})
+    EnergySpec(**{name: 0.0})
+    EnergySpec(**{name: Field(g, np.array([1.0, 0.5, 0.0, 2.0]))})
+
+
 # ---------------------------------------------------------------------------
 # concave part and forcing
 # ---------------------------------------------------------------------------

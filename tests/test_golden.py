@@ -1,13 +1,14 @@
-"""Refactor oracle: the bundled scenarios and the `gradients` and
-`submodularity` verify suites against the golden records that the
-benchmark checks (perfbench/golden), through the comparison of
-perfbench/checks.py: every number within 1e-12 of its record, relative
-above magnitude one and absolute below."""
+"""Refactor oracle: the bundled scenarios, the two 2D heat problems of the
+size ladder, and the `gradients` and `submodularity` verify suites against
+the golden records that the benchmark checks (perfbench/golden), through
+the comparison of perfbench/checks.py: every number within 1e-12 of its
+record, relative above magnitude one and absolute below."""
 
 import contextlib
 import importlib.util
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,15 +18,17 @@ from wedflow.cli import bundled_scenarios, main
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_checks():
-    spec = importlib.util.spec_from_file_location("perfbench_checks",
-                                                  BENCH / "checks.py")
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
-checks = _load_checks()
+checks = _load("checks")
+workloads = _load("workloads")
 
 
 def golden(workload: str, variant: int, op: str) -> dict:
@@ -51,6 +54,17 @@ def test_bundled_scenario_matches_golden_record(tmp_path, monkeypatch, name):
     rc, _ = cli(["run", name])
     assert_matches(checks.run_record(rc, tmp_path / name),
                    golden("scenarios", 0, name))
+
+
+@pytest.mark.parametrize("name", ["heat2d_32x32_m2_N16",
+                                  "heat2d_16x16_m3_N64"])
+def test_2d_ladder_problem_matches_golden_record(tmp_path, monkeypatch,
+                                                 name):
+    monkeypatch.setenv("WEDFLOW_OUT", str(tmp_path))
+    op, = [op for op in workloads.ladder_ops(0, tmp_path) if op.name == name]
+    rc, _ = cli(list(op.argv))
+    assert_matches(checks.run_record(rc, tmp_path / name),
+                   golden("large_grid", 0, name))
 
 
 @pytest.mark.parametrize("suite, seed", [("gradients", seed)

@@ -1,9 +1,17 @@
 """The damped Newton engine shared by the trajectory solvers."""
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
+from wedflow import (DissipationSpec, EnergySpec, LagrangianProblem,
+                     ReactionSpec, RIProblem, WedProblem, _newton,
+                     build_grid, constant_trajectory, minimize_wed,
+                     minimize_wed_ri, minimize_wide)
 from wedflow._newton import newton_solve
+
+from conftest import heat_problem, line_grid
 
 
 def test_full_step_solve_reuses_the_line_search_gradient():
@@ -21,3 +29,103 @@ def test_full_step_solve_reuses_the_line_search_gradient():
     assert np.allclose(A @ x, b, atol=1e-14)
     # the start point and the accepted full step, nothing recomputed
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# the factorization each solver asks for
+# ---------------------------------------------------------------------------
+
+SYMMETRIC = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                 options=dict(SymmetricMode=True))
+
+
+def _record_splu(monkeypatch, default_only: bool = False) -> list:
+    """Route `_newton.splu` through a recorder of its keyword arguments;
+    with default_only, factor with SuperLU's defaults whatever is asked."""
+    calls = []
+
+    def recorder(A, **kwargs):
+        calls.append(kwargs)
+        return splu(A) if default_only else splu(A, **kwargs)
+
+    monkeypatch.setattr(_newton, "splu", recorder)
+    return calls
+
+
+def rect_problem(boundary: str = "neumann", p: float = 2.0,
+                 shape: tuple = (8, 6)) -> WedProblem:
+    """m-Laplace (m=3, C=0.5) on a rectangle. The p=4 problem starts from
+    a bump that vanishes on part of the domain, so the Hessian at the rest
+    trajectory has zero rows there and the Levenberg shift must run."""
+    g = build_grid(dim=2, shape=shape,
+                   spacing=tuple(1.0 / (k - 1) for k in shape),
+                   boundary=boundary, domain_kind="rectangle",
+                   robin_b=1.0 if boundary == "robin" else 0.0)
+    x, y = g.coords().T
+    if p == 4.0:
+        u0 = np.maximum(np.cos(np.pi * x), 0.0) * (1.0 + 0.2 * y)
+    else:
+        u0 = 1.0 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y) + 0.1 * x
+    return WedProblem(grid=g, dissipation=DissipationSpec(p=p),
+                      energy1=EnergySpec(kind="m_laplace", m=3.0, B=1.0,
+                                         C=0.5),
+                      energy2=EnergySpec(kind="none"),
+                      reaction=ReactionSpec(), T=1.0, epsilon=0.2,
+                      initial=u0)
+
+
+def rect_solve(problem: WedProblem, N: int = 8):
+    rng = np.random.default_rng(1)
+    w = rng.standard_normal(problem.n_dof)
+    if problem.dissipation.p == 4.0:
+        w = w * (problem.initial != 0.0)
+    return minimize_wed(problem, np.tile(w, (N + 1, 1)),
+                        constant_trajectory(problem.grid, problem.initial,
+                                            problem.T, N))
+
+
+def test_2d_wed_solves_factor_symmetrically(monkeypatch):
+    calls = _record_splu(monkeypatch)
+    _, report = rect_solve(rect_problem(shape=(4, 3)), N=3)
+    assert report.converged
+    assert calls and all(kw == SYMMETRIC for kw in calls)
+
+
+def test_other_solves_keep_superlu_defaults(monkeypatch):
+    # the 1D golden outputs depend on the default factorization's rounding
+    calls = _record_splu(monkeypatch)
+    problem = heat_problem(n=6)
+    minimize_wed(problem, np.zeros((5, 6)),
+                 constant_trajectory(problem.grid, problem.initial,
+                                     problem.T, 4))
+    t = np.linspace(0.0, 1.0, 5)
+    minimize_wed_ri(RIProblem(grid=line_grid(3), phi_coeffs=(0.0, 0.0, 0.5),
+                              a=0.5, forcing=np.outer(t, [1.0, 0.5, 0.0]),
+                              T=1.0, epsilon=0.3, initial=np.zeros(3)))
+    minimize_wide(LagrangianProblem(d=1, M=np.eye(1), nu=0.0,
+                                    u_kind="quadratic", T=1.0, epsilon=0.1,
+                                    initial=np.ones(1),
+                                    velocity=np.zeros(1)), 8)
+    assert len(calls) >= 3
+    assert all(kw == {} for kw in calls)
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+@pytest.mark.parametrize("boundary", ["neumann", "dirichlet", "robin"])
+def test_symmetric_and_default_factorizations_agree_in_2d(monkeypatch,
+                                                          boundary, p):
+    problem = rect_problem(boundary, p)
+    calls = _record_splu(monkeypatch)
+    traj, report = rect_solve(problem)
+    assert report.converged
+    if p == 4.0:
+        # a retry with a Levenberg shift, on the symmetric path
+        assert len(calls) > report.iterations
+        assert all(kw == SYMMETRIC for kw in calls)
+    _record_splu(monkeypatch, default_only=True)
+    ref, ref_report = rect_solve(problem)
+    assert report.iterations == ref_report.iterations
+    scale = np.max(np.abs(ref.values))
+    assert np.max(np.abs(traj.values - ref.values)) <= 1e-12 * scale
+    assert abs(report.value - ref_report.value) \
+        <= 1e-12 * abs(ref_report.value)

@@ -186,6 +186,20 @@ def test_ri_energy_is_polyval_plus_coupling():
     assert got == pytest.approx(want, rel=1e-13)
 
 
+def test_solve_computes_no_polynomial_derivative(monkeypatch):
+    problem = coupled_problem()
+    P = np.polynomial.polynomial
+    real, calls = P.polyder, []
+    monkeypatch.setattr(P, "polyder",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    _, report = minimize_wed_ri(problem)
+    assert report.converged
+    assert calls == []
+    u = np.linspace(-1.0, 1.0, 5)
+    assert np.array_equal(problem.phi_tilde_d1(u),
+                          P.polyval(u, real(problem.phi_coeffs, 1)))
+
+
 # ---------------------------------------------------------------------------
 # minimization and certificates
 # ---------------------------------------------------------------------------

@@ -414,3 +414,17 @@ def test_rate_independent_rejects_maps(tmp_path, capsys):
     assert run(_bundled("ri_ramp", out, rmaps=[{"kind": "bogus"}])) == 2
     assert "configuration error: field 'rmaps'" in capsys.readouterr().out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("energy", [{"B": -1.0}, {"C": -3.0},
+                                    {"B": [1.0, 1.0, -0.5, 1.0, 1.0]}])
+def test_non_convex_energy_is_a_configuration_error(tmp_path, capsys,
+                                                    energy):
+    raw = heat_scenario(tmp_path / "out")
+    raw["energy"] = dict(raw["energy"], **energy)
+    path = tmp_path / "tiny_heat.json"
+    path.write_text(json.dumps(raw))
+    assert run(path) == 2
+    assert capsys.readouterr().out.startswith(
+        "configuration error: field 'energy'")
+    assert not (tmp_path / "out").exists()

@@ -233,6 +233,25 @@ def test_minimize_wide_pins_rows_bitwise():
                for note in rep.notes)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: wave_problem(n=5, f_coeffs=(0.0, 0.0, 0.5, 0.0, 0.1)),
+    lambda: LagrangianProblem(d=2, M=np.eye(2), nu=0.1,
+                              u_kind="component_poly",
+                              u_coeffs=(0.0, 0.0, 0.5, 0.0, 0.25), T=1.0,
+                              epsilon=0.1, initial=np.array([1.0, -0.5]),
+                              velocity=np.zeros(2))],
+    ids=["wave", "lagrangian"])
+def test_solve_computes_no_polynomial_derivative(monkeypatch, make):
+    problem = make()
+    P = np.polynomial.polynomial
+    real, calls = P.polyder, []
+    monkeypatch.setattr(P, "polyder",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    _, rep = minimize_wide(problem, steps=12)
+    assert rep.converged
+    assert calls == []
+
+
 def test_minimize_wide_rejects_bad_init_and_steps():
     problem = oscillator()
     with pytest.raises(ConfigurationError):
