@@ -72,11 +72,12 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
             a *= 0.5
         if not accepted:
             # take the smallest damped step anyway; progress may be below
-            # the acceptance threshold but the iteration must not cycle
+            # the acceptance threshold but the iteration must not cycle.
+            # A NaN residual is no progress either.
             a = min_step
             gnew = grad_fn(x + a * step)
             rnew = float(np.max(np.abs(gnew / scale)))
-            if rnew >= res:
+            if not rnew < res:
                 break
         x = x + a * step
         g = gnew

@@ -60,13 +60,13 @@ def _check_ordered_initials(u0: np.ndarray, v0: np.ndarray) -> None:
 
 
 def lattice_pair(u: Trajectory, v: Trajectory) -> tuple:
-    """Row-wise (min, max) of two trajectories. Selection only, so the
-    identity meet + join = u + v holds bitwise."""
+    """Row-wise (min, max) of two trajectories, of u's type and pinned at
+    their first rows. Selection only, so the identity meet + join = u + v
+    holds bitwise."""
     mn = np.minimum(u.values, v.values)
     mx = np.maximum(u.values, v.values)
-    meet = Trajectory(u.grid, u.T, mn, pinned_initial=mn[0], ncomp=u.ncomp)
-    join = Trajectory(u.grid, u.T, mx, pinned_initial=mx[0], ncomp=u.ncomp)
-    return meet, join
+    return (replace(u, values=mn, pinned_initial=mn[0], pinned_velocity=None),
+            replace(u, values=mx, pinned_initial=mx[0], pinned_velocity=None))
 
 
 def submodularity_check(problem: WedProblem, u: Trajectory,
@@ -81,22 +81,34 @@ def submodularity_check(problem: WedProblem, u: Trajectory,
             - wed_potential_value(problem, join))
 
 
+def _lattice_values(value, pu, pv, u: Trajectory, v: Trajectory,
+                    meet: Trajectory, join: Trajectory) -> dict:
+    """The four functional values and the two excesses of the meet over u
+    and of the join over v; value(problem, traj) prices a trajectory, pu
+    the members pinned like u and pv those pinned like v."""
+    iu, iv = value(pu, u), value(pv, v)
+    im, ij = value(pu, meet), value(pv, join)
+    return {"value_u": iu, "value_v": iv, "value_meet": im, "value_join": ij,
+            "meet_excess": im - iu, "join_excess": ij - iv}
+
+
+def _with_verdicts(audit: dict) -> dict:
+    """The audit with its two one-sided verdicts: the meet must not beat
+    u's value by more than roundoff, the join must not beat v's."""
+    iu, iv = audit["value_u"], audit["value_v"]
+    return {**audit,
+            "meet_ok": audit["value_meet"] <= iu + AUDIT_TOL * (1.0 + abs(iu)),
+            "join_ok": audit["value_join"] <= iv + AUDIT_TOL * (1.0 + abs(iv))}
+
+
 def lattice_value_audit(problem: WedProblem, u: Trajectory,
                         v: Trajectory) -> dict:
-    """The four functional values and the two one-sided margins: the meet
-    must not beat u's value by more than roundoff, the join must not beat
-    v's. Inputs are expected to be minimizers of their pinned classes."""
+    """The four functional values and the two one-sided margins of the
+    lattice pair of u and v. Inputs are expected to be minimizers of their
+    pinned classes."""
     meet, join = lattice_pair(u, v)
-    iu = wed_potential_value(problem, u)
-    iv = wed_potential_value(problem, v)
-    im = wed_potential_value(problem, meet)
-    ij = wed_potential_value(problem, join)
-    return {
-        "value_u": iu, "value_v": iv, "value_meet": im, "value_join": ij,
-        "meet_excess": im - iu, "join_excess": ij - iv,
-        "meet_ok": im <= iu + AUDIT_TOL * (1.0 + abs(iu)),
-        "join_ok": ij <= iv + AUDIT_TOL * (1.0 + abs(iv)),
-    }
+    return _with_verdicts(_lattice_values(wed_potential_value, problem,
+                                          problem, u, v, meet, join))
 
 
 @dataclass
@@ -130,6 +142,36 @@ def ordering_margin(u: Trajectory, v: Trajectory) -> float:
     return float(np.min(v.values - u.values))
 
 
+def ordered_pair_levels(problem, u0: np.ndarray, v0: np.ndarray,
+                        schedule: Optional[Sequence[float]], solve,
+                        value) -> list:
+    """The weight continuation of an ordered pair, shared by the
+    gradient-flow and rate-independent families.
+
+    At each level solve(problem, warm) -> (trajectory, report) minimizes
+    from u0 and from v0, the pair is swapped for its lattice pair, which
+    warm-starts the next level, and value(problem, trajectory) prices the
+    four trajectories of the level's audit. The schedule defaults to the
+    problem's own weight. Returns [(eps, (meet, join), PairReport)] as
+    `continuation` does."""
+    _check_ordered_initials(u0, v0)
+
+    def level(eps, warm):
+        warm_u, warm_v = warm or (None, None)
+        pu = replace(problem, epsilon=eps, initial=u0)
+        pv = replace(problem, epsilon=eps, initial=v0)
+        tu, rep_u = solve(pu, warm_u)
+        tv, rep_v = solve(pv, warm_v)
+        meet, join = lattice_pair(tu, tv)
+        audit = {"epsilon": eps,
+                 **_lattice_values(value, pu, pv, tu, tv, meet, join)}
+        return (meet, join), PairReport(
+            audit, rep_u.converged and rep_v.converged)
+
+    return continuation(level, (problem.epsilon,) if schedule is None
+                        else schedule, problem.T)
+
+
 def ordered_minimizers(problem: WedProblem, u0: Field, v0: Field,
                        schedule: Optional[Sequence[float]] = None,
                        steps: int = 32, gtol: float = 1e-10,
@@ -140,27 +182,13 @@ def ordered_minimizers(problem: WedProblem, u0: Field, v0: Field,
     level from the swapped pair. The final pair is ordered at every node
     and time."""
     _require_potential(problem)
-    u0v = np.asarray(u0.values, dtype=float)
-    v0v = np.asarray(v0.values, dtype=float)
-    _check_ordered_initials(u0v, v0v)
-    if schedule is None:
-        schedule = (problem.epsilon,)
-
-    def level(eps, warm):
-        warm_u, warm_v = warm or (None, None)
-        tu, rep_u = fixed_point_solve(replace(problem, epsilon=eps,
-                                              initial=u0v), steps,
-                                      init=warm_u, gtol=gtol, tol=tol)
-        tv, rep_v = fixed_point_solve(replace(problem, epsilon=eps,
-                                              initial=v0v), steps,
-                                      init=warm_v, gtol=gtol, tol=tol)
-        audit = lattice_value_audit(replace(problem, epsilon=eps), tu, tv)
-        audit["epsilon"] = eps
-        return lattice_pair(tu, tv), PairReport(
-            audit, rep_u.converged and rep_v.converged)
-
-    levels = continuation(level, schedule, problem.T)
-    audits = [rep.audit for *_, rep in levels]
+    levels = ordered_pair_levels(
+        problem, np.asarray(u0.values, dtype=float),
+        np.asarray(v0.values, dtype=float), schedule,
+        lambda p, warm: fixed_point_solve(p, steps, init=warm, gtol=gtol,
+                                          tol=tol),
+        wed_potential_value)
+    audits = [_with_verdicts(rep.audit) for *_, rep in levels]
     tu, tv = levels[-1][1]
     return OrderedPairResult(
         u=tu, v=tv, audits=audits, ordering_margin=ordering_margin(tu, tv),

@@ -10,8 +10,7 @@ functional are then exact integrals of the step interpolant, and the
 stationarity system reproduces the unit activation threshold of the
 continuous problem at every step size. (Weighting jumps at the right
 knot instead shifts the threshold by the factor (eps/dt)(1-exp(-dt/eps)),
-which wrecks the small-eps limit on coarse grids; `_ri_weights` keeps the
-alternative around for refinement studies.)
+which wrecks the small-eps limit on coarse grids.)
 
 The nonsmooth |.| is handled by a vanishing smoothing parameter: each
 stage replaces |v| by sqrt(v^2 + delta^2) - delta and polishes with the
@@ -27,10 +26,11 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .grids import ConfigurationError, Grid
+from .grids import ConfigurationError, Grid, Trajectory
 from .energies import _rowdot, _sequential_sum, graph_laplacian
 from ._newton import newton_solve
-from .wed import MinimizeReport, PairReport, continuation
+from .wed import MinimizeReport, continuation
+from .comparison import ordered_pair_levels, ordering_margin
 
 DELTA_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
@@ -52,12 +52,13 @@ class RIProblem:
     T: float
     epsilon: float
     initial: np.ndarray
-    # coefficients of phi's first and second derivatives, computed once;
-    # None where the derivative vanishes identically
+    # coefficients of phi's first and second derivatives and the coupling
+    # Laplacian, computed once; None where the term vanishes identically
     _d1_coeffs: Optional[np.ndarray] = field(init=False, repr=False,
                                              default=None)
     _d2_coeffs: Optional[np.ndarray] = field(init=False, repr=False,
                                              default=None)
+    _lap: Optional[sp.spmatrix] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         f = np.asarray(self.forcing, dtype=float)
@@ -72,6 +73,7 @@ class RIProblem:
         object.__setattr__(self, "initial", u0)
         if self.a < 0:
             raise ConfigurationError("coupling a must be nonnegative")
+        object.__setattr__(self, "_lap", graph_laplacian(self.grid, self.a))
         if not (np.isfinite(self.T) and self.T > 0):
             raise ConfigurationError("horizon T must be positive")
         if not (0 < self.epsilon < self.T):
@@ -113,33 +115,17 @@ class RIProblem:
         return np.polynomial.polynomial.polyval(s, self._d1_coeffs)
 
 
-@dataclass(frozen=True)
-class RITrajectory:
-    grid: Grid
-    T: float
-    values: np.ndarray      # (N+1, n_nodes)
-    pinned_initial: np.ndarray
+@dataclass(frozen=True, eq=False)
+class RITrajectory(Trajectory):
+    """A step trajectory of the rate-independent lane: its values must be
+    finite and knot 0 must be pinned."""
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[1] != self.grid.n_nodes:
-            raise ConfigurationError("trajectory shape must be (N+1, n_nodes)")
-        if not np.all(np.isfinite(vals)):
+        if self.pinned_initial is None:
+            raise ConfigurationError("knot 0 must be pinned")
+        super().__post_init__()
+        if not np.all(np.isfinite(self.values)):
             raise ConfigurationError("trajectory values must be finite")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        pin = np.asarray(self.pinned_initial, dtype=float).ravel()
-        if not np.array_equal(vals[0], pin):
-            raise ConfigurationError("knot 0 must equal the pinned state")
-        object.__setattr__(self, "pinned_initial", pin)
-
-    @property
-    def steps(self) -> int:
-        return self.values.shape[0] - 1
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.steps + 1)
 
     def jump_magnitudes(self) -> np.ndarray:
         """psi(u_n - u_{n-1}) per knot; knot 0 carries no jump."""
@@ -162,82 +148,51 @@ class RITrajectory:
         return "\n".join(lines) + "\n"
 
 
-def psi_value(grid: Grid, v: np.ndarray) -> float:
-    """The 1-homogeneous dissipation Sum |v_i| h^d."""
-    return float(np.sum(np.abs(v)) * grid.cell_measure)
-
-
 # ---------------------------------------------------------------------------
 # Energy phi(t, u) and the weighted functional
 # ---------------------------------------------------------------------------
 
-def _laplacian(problem: RIProblem) -> Optional[sp.spmatrix]:
-    return graph_laplacian(problem.grid, problem.a)
-
-
-def ri_energy(problem: RIProblem, u: np.ndarray, n_slice: int,
-              lap: Optional[sp.spmatrix] = None) -> float:
+def ri_energy(problem: RIProblem, u: np.ndarray, n_slice: int) -> float:
     """phi(t_n, u) = Sum phi~(u_i) h^d + (a/2)|grad u|^2 - <h_n, u> h^d;
     u may be a stack of states (rows) with n_slice their knots."""
     hd = problem.grid.cell_measure
     val = np.sum(problem.phi_tilde(u), axis=-1) * hd
-    if lap is None:
-        lap = _laplacian(problem)
-    if lap is not None:
-        val += 0.5 * _rowdot(u, (lap @ u.T).T)
+    if problem._lap is not None:
+        val += 0.5 * _rowdot(u, (problem._lap @ u.T).T)
     val -= hd * _rowdot(problem.forcing[n_slice], u)
     return val
 
 
-_UNSET = object()
-
-
-def ri_energy_grad(problem: RIProblem, u: np.ndarray, n_slice: int,
-                   lap=_UNSET) -> np.ndarray:
+def ri_energy_grad(problem: RIProblem, u: np.ndarray,
+                   n_slice: int) -> np.ndarray:
     hd = problem.grid.cell_measure
     g = problem.phi_tilde_d1(u) * hd
-    if lap is _UNSET:
-        lap = _laplacian(problem)
-    if lap is not None:
-        g = g + (lap @ u.T).T
+    if problem._lap is not None:
+        g = g + (problem._lap @ u.T).T
     return g - hd * problem.forcing[n_slice]
 
 
-def _ri_weights(eps: float, T: float, N: int,
-                convention: str = "cadlag"):
-    """(jump weights, potential weights, terminal weight) per step.
-
-    cadlag: the jump into u_n pays at t_{n-1}; the potential integral over
-    the following interval is exact. right_knot: both pay at t_n with a
-    flat dt quadrature (kept for step-refinement comparisons only)."""
+def _ri_weights(eps: float, T: float, N: int):
+    """(jump weights, potential weights, terminal weight) per step: the
+    jump into u_n pays at t_{n-1}, and the potential integral over the
+    following interval is exact."""
     t = np.linspace(0.0, T, N + 1)
     beta = np.exp(-t / eps)
-    if convention == "cadlag":
-        jw = eps * beta[:-1]
-        pw = eps * (beta[:-1] - beta[1:])
-    elif convention == "right_knot":
-        jw = eps * beta[1:]
-        pw = beta[1:] * (T / N)
-    else:
-        raise ConfigurationError(f"unknown weight convention {convention!r}")
-    return jw, pw, beta[-1]
+    return eps * beta[:-1], eps * (beta[:-1] - beta[1:]), beta[-1]
 
 
-def wed_ri_value(problem: RIProblem, traj: RITrajectory,
-                 convention: str = "cadlag") -> float:
+def wed_ri_value(problem: RIProblem, traj: RITrajectory) -> float:
     """Terminal energy + weighted variation + weighted energy integral."""
     N = traj.steps
     if N != problem.steps:
         raise ConfigurationError("trajectory and forcing disagree on N")
-    jw, pw, tw = _ri_weights(problem.epsilon, problem.T, N, convention)
-    lap = _laplacian(problem)
+    jw, pw, tw = _ri_weights(problem.epsilon, problem.T, N)
     U = traj.values
     # added knot by knot, jump before energy, as a running sum would
     terms = np.column_stack([
         jw * traj.jump_magnitudes()[1:],
-        pw * ri_energy(problem, U[1:], np.arange(1, N + 1), lap)])
-    return _sequential_sum(tw * ri_energy(problem, U[N], N, lap),
-                           terms.ravel())
+        pw * ri_energy(problem, U[1:], np.arange(1, N + 1))])
+    return _sequential_sum(tw * ri_energy(problem, U[N], N), terms.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +226,6 @@ def minimize_wed_ri(problem: RIProblem,
             raise ConfigurationError("init has the wrong number of knots")
         X = init.values[1:].ravel()
     jw, pw, tw = _ri_weights(problem.epsilon, problem.T, N)
-    lap = _laplacian(problem)
     scale = np.repeat(jw * max(hd, 1e-300), nn)
 
     def unknowns_to_full(x: np.ndarray) -> np.ndarray:
@@ -285,8 +239,7 @@ def minimize_wed_ri(problem: RIProblem,
         U = unknowns_to_full(x)
         jumps = np.diff(U, axis=0)
         sig = _sigma(jumps, delta)
-        g = pwt[:, None] * ri_energy_grad(problem, U[1:], np.arange(1, N + 1),
-                                          lap)
+        g = pwt[:, None] * ri_energy_grad(problem, U[1:], np.arange(1, N + 1))
         g += jw[:, None] * sig * hd
         g[:-1] -= jw[1:, None] * sig[1:] * hd
         return g.ravel()
@@ -304,8 +257,8 @@ def minimize_wed_ri(problem: RIProblem,
             bands += [off, off]
             offsets += [-nn, nn]
         H = sp.diags(bands, offsets, shape=(N * nn, N * nn), format="csc")
-        if lap is not None:
-            H = H + sp.kron(sp.diags(pwt), lap, format="csc")
+        if problem._lap is not None:
+            H = H + sp.kron(sp.diags(pwt), problem._lap, format="csc")
         return H
 
     total_iters = 0
@@ -338,10 +291,9 @@ def sign_condition(problem: RIProblem, traj: RITrajectory) -> dict:
     nn = problem.grid.n_nodes
     hd = problem.grid.cell_measure
     jw, pw, tw = _ri_weights(problem.epsilon, problem.T, N)
-    lap = _laplacian(problem)
     U = traj.values
     jumps = np.diff(U, axis=0)
-    grads = ri_energy_grad(problem, U[1:], np.arange(1, N + 1), lap)
+    grads = ri_energy_grad(problem, U[1:], np.arange(1, N + 1))
     sigma = np.zeros((N, nn))
     rest = 0.0
     comp = 0.0
@@ -397,7 +349,6 @@ def energetic_residuals(traj: RITrajectory, problem: RIProblem,
     N = traj.steps
     nn = problem.grid.n_nodes
     hd = problem.grid.cell_measure
-    lap = _laplacian(problem)
     U = traj.values
     svals = np.concatenate([-np.logspace(-3, 1, probe_count),
                             np.logspace(-3, 1, probe_count)])
@@ -406,12 +357,12 @@ def energetic_residuals(traj: RITrajectory, problem: RIProblem,
         worst = 0.0
         for n in range(N + 1):
             m = max(n - 1, 0) if shift_left else n
-            base = ri_energy(problem, U[n], m, lap)
+            base = ri_energy(problem, U[n], m)
             for i in range(nn):
                 for s in svals:
                     w = U[n].copy()
                     w[i] += s
-                    viol = base - ri_energy(problem, w, m, lap) \
+                    viol = base - ri_energy(problem, w, m) \
                         - abs(s) * hd
                     worst = max(worst, viol)
         return worst
@@ -420,13 +371,13 @@ def energetic_residuals(traj: RITrajectory, problem: RIProblem,
     balance = np.zeros(N + 1)
     acc_var = 0.0
     acc_work = 0.0
-    e0 = ri_energy(problem, U[0], 0, lap)
+    e0 = ri_energy(problem, U[0], 0)
     for n in range(N + 1):
         if n > 0:
             acc_var += jm[n]
             dh = problem.forcing[n] - problem.forcing[n - 1]
             acc_work += hd * float(dh @ (0.5 * (U[n] + U[n - 1])))
-        balance[n] = ri_energy(problem, U[n], n, lap) + acc_var \
+        balance[n] = ri_energy(problem, U[n], n) + acc_var \
             - e0 + acc_work
     return EnergeticReport(stability=float(stab(False)),
                            balance=float(np.max(np.abs(balance))),
@@ -454,39 +405,14 @@ def ordered_ri_minimizers(problem: RIProblem, u0: np.ndarray,
                           ) -> OrderedRIPair:
     """Minimize from both ordered states, swap for the componentwise
     lattice pair at each weight level, warm-start the next level."""
-    u0 = np.asarray(u0, dtype=float).ravel()
-    v0 = np.asarray(v0, dtype=float).ravel()
-    if np.any(u0 > v0):
-        raise ConfigurationError("initial states are not ordered (u0 <= v0)")
-    if schedule is None:
-        schedule = (problem.epsilon,)
-
-    def level(eps, warm):
-        warm_u, warm_v = warm or (None, None)
-        pu = replace(problem, epsilon=eps, initial=u0)
-        pv = replace(problem, epsilon=eps, initial=v0)
-        tu, rep_u = minimize_wed_ri(pu, init=warm_u)
-        tv, rep_v = minimize_wed_ri(pv, init=warm_v)
-        meet = RITrajectory(problem.grid, problem.T,
-                            np.minimum(tu.values, tv.values),
-                            pinned_initial=u0)
-        join = RITrajectory(problem.grid, problem.T,
-                            np.maximum(tu.values, tv.values),
-                            pinned_initial=v0)
-        iu, iv = rep_u.value, rep_v.value
-        im = wed_ri_value(pu, meet)
-        ij = wed_ri_value(pv, join)
-        audit = {"epsilon": eps, "value_u": iu, "value_v": iv,
-                 "value_meet": im, "value_join": ij,
-                 "meet_excess": im - iu, "join_excess": ij - iv}
-        return (meet, join), PairReport(
-            audit, rep_u.converged and rep_v.converged)
-
-    levels = continuation(level, schedule, problem.T)
+    levels = ordered_pair_levels(
+        problem, np.asarray(u0, dtype=float).ravel(),
+        np.asarray(v0, dtype=float).ravel(), schedule,
+        lambda p, warm: minimize_wed_ri(p, init=warm), wed_ri_value)
     tu, tv = levels[-1][1]
     return OrderedRIPair(u=tu, v=tv,
                          audits=[rep.audit for *_, rep in levels],
-                         ordering_margin=float(np.min(tv.values - tu.values)),
+                         ordering_margin=ordering_margin(tu, tv),
                          converged=levels[-1][2].converged)
 
 

@@ -517,15 +517,12 @@ def hamiltonian(problem: WideProblem, traj: Trajectory) -> np.ndarray:
     """0.5 u' M u' + potential per interior knot (centered velocity).
     A diagnostic for the conservative small-eps limit, not a guarantee."""
     parts = _Parts(problem)
-    N = traj.steps
-    dt = problem.T / N
+    dt = problem.T / traj.steps
     U = traj.values
-    H = np.empty(N - 1)
-    for n in range(1, N):
-        v = (U[n + 1] - U[n - 1]) / (2.0 * dt)
-        pot = 0.5 * float(U[n] @ (parts.S @ U[n])) + parts.g_val(U[n])
-        H[n - 1] = 0.5 * float(v @ (parts.M @ v)) + pot
-    return H
+    v = (U[2:] - U[:-2]) / (2.0 * dt)
+    Ui = U[1:-1]
+    pot = 0.5 * _rowdot(Ui, (parts.S @ Ui.T).T) + parts.g_val(Ui)
+    return 0.5 * _rowdot(v, (parts.M @ v.T).T) + pot
 
 
 def hamiltonian_drift(problem: WideProblem, traj: Trajectory) -> float:

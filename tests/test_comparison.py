@@ -166,7 +166,9 @@ def test_ordered_minimizers_tiny_heat():
     assert len(res.audits) == 2
     for audit in res.audits:
         assert audit["meet_ok"] and audit["join_ok"]
-        assert "epsilon" in audit
+        assert set(audit) == {"epsilon", "value_u", "value_v", "value_meet",
+                              "value_join", "meet_excess", "join_excess",
+                              "meet_ok", "join_ok"}
     # pins survive the lattice swap
     assert np.array_equal(res.u.values[0], u0.values)
     assert np.array_equal(res.v.values[0], v0.values)

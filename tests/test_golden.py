@@ -2,7 +2,9 @@
 size ladder, and the `gradients` and `submodularity` verify suites against
 the golden records that the benchmark checks (perfbench/golden), through
 the comparison of perfbench/checks.py: every number within 1e-12 of its
-record, relative above magnitude one and absolute below."""
+record, relative above magnitude one and absolute below. Also checks that
+the benchmark's tracer (perfbench/tracer.py) finds every name it rebinds
+in the package and restores each binding."""
 
 import contextlib
 import importlib.util
@@ -11,9 +13,14 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import wedflow
+from wedflow import RIProblem, RITrajectory
 from wedflow.cli import bundled_scenarios, main
+
+from conftest import point_grid
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -74,3 +81,30 @@ def test_verify_suite_matches_golden_record(suite, seed):
     rc, out = cli(["verify", suite, "--seed", str(seed)])
     assert_matches(checks.verify_record(rc, out),
                    golden("verify", seed, suite))
+
+
+def test_tracer_rebinds_every_name_and_restores_it(capsys):
+    tracer = _load("tracer")
+    owners = [module for name, module in sorted(sys.modules.items())
+              if name.startswith("wedflow")] + [RITrajectory]
+    before = [dict(vars(owner)) for owner in owners]
+    expected = len(tracer.NEWTON_CALLERS) + 1 \
+        + sum(len(where) for *_, where in tracer.SPANS)
+    t = tracer.Tracer()
+    with t.installed():
+        rebound = sum(vars(owner)[k] is not v
+                      for owner, names in zip(owners, before)
+                      for k, v in names.items())
+        problem = RIProblem(grid=point_grid(), phi_coeffs=(0.0, 0.0, 0.5),
+                            a=0.0, forcing=np.linspace(0.0, 1.5, 9)[:, None],
+                            T=1.0, epsilon=0.2, initial=np.zeros(1))
+        wedflow.runner.ordered_ri_minimizers(problem, np.zeros(1),
+                                             0.5 * np.ones(1))
+    assert "not found" not in capsys.readouterr().err
+    assert rebound == expected
+    calls = {name: n for name, (n, _, _) in t.totals().items()}
+    assert calls["rateind.ordered"] == 1
+    assert calls["newton.rateind"] > 0 and calls["rateind.value"] > 0
+    for owner, names in zip(owners, before):
+        assert all(vars(owner)[k] is v for k, v in names.items())
+        assert set(vars(owner)) == set(names)

@@ -1,5 +1,7 @@
 """The damped Newton engine shared by the trajectory solvers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -129,3 +131,20 @@ def test_symmetric_and_default_factorizations_agree_in_2d(monkeypatch,
     assert np.max(np.abs(traj.values - ref.values)) <= 1e-12 * scale
     assert abs(report.value - ref_report.value) \
         <= 1e-12 * abs(ref_report.value)
+
+
+def test_nan_trial_residual_is_never_accepted():
+    # from rest with a unit dual field the p=4 Hessian vanishes, the
+    # Levenberg shift starts at 1e-300, and every trial point overflows
+    problem = rect_problem("neumann", 4.0)
+    problem = replace(problem, initial=np.zeros(problem.n_dof))
+    w = np.ones((9, problem.n_dof))
+    init = constant_trajectory(problem.grid, problem.initial, problem.T, 8)
+    _, start = minimize_wed(problem, w, init, max_iter=0)
+    with np.errstate(all="ignore"):
+        traj, report = minimize_wed(problem, w, init)
+    assert report.iterations == 0
+    assert np.isfinite(report.gradient_norm)
+    assert report.gradient_norm == start.gradient_norm
+    assert not report.converged
+    assert np.array_equal(traj.values, init.values)

@@ -1,4 +1,4 @@
-"""Rate-independent lane: weight conventions, the functional value, the
+"""Rate-independent lane: the step weights, the functional value, the
 subgradient certificate, energetic residuals, and ordered pairs."""
 
 from dataclasses import replace
@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wedflow import (ConfigurationError, RIProblem, RITrajectory, build_grid,
-                     energetic_residuals, minimize_wed_ri,
-                     ordered_ri_minimizers, ri_continuation, sign_condition,
-                     wed_ri_value)
-from wedflow.rateind import _ri_weights, psi_value, ri_energy
+from wedflow import (ConfigurationError, RIProblem, RITrajectory, Trajectory,
+                     build_grid, energetic_residuals, lattice_pair,
+                     minimize_wed_ri, ordered_ri_minimizers, ri_continuation,
+                     sign_condition, wed_ri_value)
+from wedflow.energies import graph_laplacian
+from wedflow.rateind import _ri_weights, ri_energy, ri_energy_grad
 
 from conftest import line_grid, point_grid
 
@@ -47,17 +48,6 @@ def test_step_weights_telescope():
     t = np.linspace(0.0, T, N + 1)
     exact = eps * (np.exp(-t[:-1] / eps) - np.exp(-t[1:] / eps))
     assert np.allclose(pw, exact, rtol=1e-13)
-
-
-def test_step_weights_right_knot_convention():
-    eps, T, N = 0.1, 1.0, 4
-    jw, pw, tw = _ri_weights(eps, T, N, convention="right_knot")
-    t = np.linspace(0.0, T, N + 1)
-    assert np.allclose(jw, eps * np.exp(-t[1:] / eps), rtol=1e-14)
-    assert np.allclose(pw, np.exp(-t[1:] / eps) * (T / N), rtol=1e-14)
-    assert tw == pytest.approx(np.exp(-T / eps))
-    with pytest.raises(ConfigurationError):
-        _ri_weights(eps, T, N, convention="midpoint")
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +92,23 @@ def test_trajectory_container():
     csv = traj.to_csv()
     assert csv.splitlines()[0] == "t,node_index,value,jump_magnitude"
     assert len(csv.splitlines()) == 1 + 4
+    assert isinstance(traj, Trajectory)
     with pytest.raises(ConfigurationError):
         RITrajectory(g, 1.0, vals, pinned_initial=np.full(1, 0.1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trajectory_rejects_non_finite_values(bad):
+    vals = np.array([[0.0], [0.4], [0.4], [1.0]])
+    vals[2, 0] = bad
+    with pytest.raises(ConfigurationError, match="finite"):
+        RITrajectory(point_grid(), 1.0, vals, pinned_initial=np.zeros(1))
+
+
+def test_trajectory_requires_a_pin():
+    vals = np.array([[0.0], [0.4]])
+    with pytest.raises(ConfigurationError, match="pinned"):
+        RITrajectory(point_grid(), 1.0, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +172,6 @@ def test_ri_value_checks_knot_count():
         wed_ri_value(problem, traj)
 
 
-def test_psi_value_scales_with_cell_measure():
-    g = line_grid(4, spacing=0.5)
-    assert psi_value(g, np.array([1.0, -2.0, 0.0, 3.0])) \
-        == pytest.approx(6.0 * 0.5)
-
-
 def test_ri_energy_is_polyval_plus_coupling():
     problem = coupled_problem()
     u = np.array([0.3, -0.2, 0.5])
@@ -184,6 +183,25 @@ def test_ri_energy_is_polyval_plus_coupling():
         + 0.5 * problem.a * float(np.sum(np.diff(u) ** 2)) * hd / h ** 2 \
         - hd * float(problem.forcing[2] @ u)
     assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_ri_energy_and_gradient_match_laplacian_form():
+    # a stack of states on a coupled 1D grid, against u.L.u / 2 and L u
+    problem = coupled_problem()
+    L = graph_laplacian(problem.grid, problem.a).toarray()
+    U = np.random.default_rng(3).standard_normal((4, 3))
+    knots = np.array([1, 2, 4, 5])
+    P = np.polynomial.polynomial
+    c = problem.phi_coeffs
+    hd = problem.grid.cell_measure
+    h = problem.forcing[knots]
+    want = hd * np.sum(P.polyval(U, c), axis=1) \
+        + 0.5 * np.einsum("ki,ij,kj->k", U, L, U) - hd * np.sum(h * U, axis=1)
+    want_grad = hd * P.polyval(U, P.polyder(c)) + U @ L - hd * h
+    assert np.allclose(ri_energy(problem, U, knots), want, rtol=1e-13,
+                       atol=0.0)
+    assert np.allclose(ri_energy_grad(problem, U, knots), want_grad,
+                       rtol=1e-13, atol=1e-15)
 
 
 def test_solve_computes_no_polynomial_derivative(monkeypatch):
@@ -321,10 +339,27 @@ def test_ordered_ri_minimizers_ramp():
     assert pair.ordering_margin >= -1e-10
     assert len(pair.audits) == 2
     for audit in pair.audits:
+        assert set(audit) == {"epsilon", "value_u", "value_v", "value_meet",
+                              "value_join", "meet_excess", "join_excess"}
         assert audit["meet_excess"] <= 1e-9 * (1 + abs(audit["value_u"]))
         assert audit["join_excess"] <= 1e-9 * (1 + abs(audit["value_v"]))
     assert np.array_equal(pair.u.values[0], [0.0])
     assert np.array_equal(pair.v.values[0], [0.5])
+    for traj, pin in ((pair.u, [0.0]), (pair.v, [0.5])):
+        assert type(traj) is RITrajectory
+        assert np.array_equal(traj.pinned_initial, pin)
+
+
+def test_lattice_pair_of_ri_trajectories():
+    g = point_grid()
+    u = RITrajectory(g, 1.0, [[0.0], [0.7], [0.2]], pinned_initial=[0.0])
+    v = RITrajectory(g, 1.0, [[0.5], [0.5], [0.5]], pinned_initial=[0.5])
+    meet, join = lattice_pair(u, v)
+    assert type(meet) is RITrajectory and type(join) is RITrajectory
+    assert np.array_equal(meet.pinned_initial, [0.0])
+    assert np.array_equal(join.pinned_initial, [0.5])
+    assert np.array_equal(meet.values, [[0.0], [0.5], [0.2]])
+    assert meet.variation() == pytest.approx(0.8)
 
 
 def test_ordered_ri_minimizers_rejects_unordered():

@@ -354,6 +354,36 @@ def test_hamiltonian_drift_zero_base():
     assert hamiltonian_drift(problem, traj) == 0.0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: wave_problem(n=6, nu=0.3, f_coeffs=(0.0, 0.1, 0.5, 0.0, 0.25)),
+    lambda: LagrangianProblem(d=2, M=np.array([[2.0, 0.3], [0.3, 1.0]]),
+                              nu=0.1, u_kind="quadratic",
+                              Q=np.array([[1.0, 0.2], [0.2, 3.0]]), T=1.0,
+                              epsilon=0.1, initial=np.array([1.0, 0.25]),
+                              velocity=np.array([0.0, -0.5])),
+    lambda: LagrangianProblem(d=2, M=np.eye(2), nu=0.1,
+                              u_kind="component_poly",
+                              u_coeffs=(0.0, 0.0, 0.5, 0.0, 0.25), T=1.0,
+                              epsilon=0.1, initial=np.array([1.0, -0.5]),
+                              velocity=np.zeros(2))],
+    ids=["wave", "quadratic", "component_poly"])
+def test_hamiltonian_reproduces_the_knot_loop_bit_for_bit(make):
+    from wedflow.wide import _Parts
+    problem = make()
+    N = 9
+    vals = random_wide_values(problem, N, np.random.default_rng(4))
+    parts = _Parts(problem)
+    dt = problem.T / N
+    ref = np.empty(N - 1)
+    for n in range(1, N):
+        v = (vals[n + 1] - vals[n - 1]) / (2.0 * dt)
+        pot = 0.5 * float(vals[n] @ (parts.S @ vals[n])) \
+            + parts.g_val(vals[n])
+        ref[n - 1] = 0.5 * float(v @ (parts.M @ v)) + pot
+    traj = Trajectory(parts.grid, problem.T, vals, ncomp=parts.ncomp)
+    assert np.array_equal(hamiltonian(problem, traj), ref)
+
+
 # ---------------------------------------------------------------------------
 # whole-trajectory kernel against the knot-by-knot assembly
 # ---------------------------------------------------------------------------
