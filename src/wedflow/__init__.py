@@ -6,7 +6,7 @@ preserves (comparison, symmetry classes, energetic certificates)."""
 from .grids import (ConfigurationError, Field, Grid, Trajectory, build_grid,
                     constant_trajectory, lattice_min_max, rearrange,
                     rearrangement_order, reflection_permutation,
-                    rigid_transform, sign_part, truncate, zero_field)
+                    zero_field)
 from .energies import (DissipationSpec, EnergySpec, ReactionSpec,
                        dissipation_eval, energy1_value_grad,
                        energy2_value_grad, reaction_eval, validate_growth)
@@ -26,7 +26,7 @@ from .rateind import (EnergeticReport, OrderedRIPair, RIProblem,
                       RITrajectory, energetic_residuals, minimize_wed_ri,
                       ordered_ri_minimizers, ri_continuation,
                       sign_condition, wed_ri_value)
-from .wide import (LagrangianProblem, WideMap, WideWaveProblem,
+from .wide import (LagrangianProblem, WideWaveProblem,
                    equivariance_residual, hamiltonian, hamiltonian_drift,
                    minimize_wide, wide_continuation,
                    wide_invariance_residual, wide_invariant_solve,
@@ -38,8 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigurationError", "Field", "Grid", "Trajectory", "build_grid",
     "constant_trajectory", "lattice_min_max", "rearrange",
-    "rearrangement_order", "reflection_permutation", "rigid_transform",
-    "sign_part", "truncate", "zero_field",
+    "rearrangement_order", "reflection_permutation", "zero_field",
     "DissipationSpec", "EnergySpec", "ReactionSpec", "dissipation_eval",
     "energy1_value_grad", "energy2_value_grad", "reaction_eval",
     "validate_growth",
@@ -56,7 +55,7 @@ __all__ = [
     "EnergeticReport", "OrderedRIPair", "RIProblem", "RITrajectory",
     "energetic_residuals", "minimize_wed_ri", "ordered_ri_minimizers",
     "ri_continuation", "sign_condition", "wed_ri_value",
-    "LagrangianProblem", "WideMap", "WideWaveProblem",
+    "LagrangianProblem", "WideWaveProblem",
     "equivariance_residual", "hamiltonian", "hamiltonian_drift",
     "minimize_wide", "wide_continuation", "wide_invariance_residual",
     "wide_invariant_solve", "wide_trajectory", "wide_value_grad",

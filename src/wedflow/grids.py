@@ -3,7 +3,8 @@ value-reordering maps (lattice min/max, truncations, sign parts,
 rearrangements, rigid transforms).
 
 Everything here is a pure function of its inputs. Field values are
-immutable numpy arrays; maps return new Fields.
+immutable numpy arrays; the Field maps return new Fields, and
+`rearrange` maps a whole stack of node-value rows at once.
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ def constant_trajectory(grid: Grid, u0: np.ndarray, T: float, steps: int,
 
 
 # ---------------------------------------------------------------------------
-# Lattice operations, truncations, sign parts
+# Lattice operations
 # ---------------------------------------------------------------------------
 
 def lattice_min_max(u: Field, v: Field) -> tuple[Field, Field]:
@@ -240,28 +241,6 @@ def lattice_min_max(u: Field, v: Field) -> tuple[Field, Field]:
     lo = np.minimum(u.values, v.values)
     hi = np.maximum(u.values, v.values)
     return Field(u.grid, lo), Field(u.grid, hi)
-
-
-def truncate(u: Field, mode: str, M: float = 0.0) -> Field:
-    """Clip from below at M <= 0 (mode "lower") or above at M >= 0 ("upper")."""
-    if mode == "lower":
-        if M > 0:
-            raise ConfigurationError("lower truncation needs M <= 0")
-        return Field(u.grid, np.maximum(u.values, M))
-    if mode == "upper":
-        if M < 0:
-            raise ConfigurationError("upper truncation needs M >= 0")
-        return Field(u.grid, np.minimum(u.values, M))
-    raise ConfigurationError(f"unknown truncation mode {mode!r}")
-
-
-def sign_part(u: Field, mode: str = "positive") -> Field:
-    if mode == "positive":
-        return Field(u.grid, np.maximum(u.values, 0.0))
-    if mode == "negative":
-        # the non-positive remainder, so positive + negative == u
-        return Field(u.grid, np.minimum(u.values, 0.0))
-    raise ConfigurationError(f"unknown sign mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -313,44 +292,37 @@ def rearrangement_order(grid: Grid, kind: str, axis: int = 0,
     raise ConfigurationError(f"unknown rearrangement kind {kind!r}")
 
 
-def rearrange(u: Field, kind: str, axis: int = 0,
-              direction: int = +1) -> Field:
-    """Value-preserving reordering of the positive part of u.
+def _check_axis_direction(axis: int, direction: int) -> None:
+    if axis not in (0, 1) or direction not in (1, -1):
+        raise ConfigurationError(f"need axis 0 or 1 and direction +1 or -1, "
+                                 f"got {axis!r} and {direction!r}")
 
-    The negative part is discarded first (the map acts on u+), then the
-    sorted-descending values are assigned along the kind's node order.
-    steiner(axis) applies the 1D symmetric-decreasing reorder line by line
-    along the given axis of a 2D grid.
-    """
-    vals = np.maximum(u.values, 0.0)
+
+def rearrange(grid: Grid, rows: np.ndarray, kind: str, axis: int = 0,
+              direction: int = +1) -> np.ndarray:
+    """Value-preserving reordering of the positive part u+ of each row of
+    a (k, n_nodes) stack: its sorted-descending values go along the kind's
+    node order. steiner(axis) applies the 1D symmetric-decreasing reorder
+    line by line along the given axis of a 2D grid."""
+    _check_axis_direction(axis, direction)
+    rows = np.maximum(rows, 0.0)
+    if rows.ndim != 2 or rows.shape[1] != grid.n_nodes:
+        raise ConfigurationError(f"rows of shape {rows.shape} on a grid of "
+                                 f"{grid.n_nodes} nodes")
     if kind == "steiner":
-        if u.grid.dim != 2:
+        if grid.dim != 2:
             raise ConfigurationError("steiner rearrangement needs dim 2")
-        arr = vals.reshape(u.grid.shape)
-        out = np.empty_like(arr)
-        nline = u.grid.shape[1 - axis]
-        order = _symdec_order_1d(nline)
-        if axis == 0:
-            for i in range(u.grid.shape[0]):
-                line = np.sort(arr[i, :])[::-1]
-                out[i, order] = line
-        else:
-            for j in range(u.grid.shape[1]):
-                line = np.sort(arr[:, j])[::-1]
-                out[order, j] = line
-        return Field(u.grid, out.ravel())
-    order = rearrangement_order(u.grid, kind, axis, direction)
-    out = np.empty_like(vals)
-    out[order] = np.sort(vals)[::-1]
-    return Field(u.grid, out)
-
-
-def rigid_transform(u: Field, perm: np.ndarray) -> Field:
-    """Apply a node permutation induced by a grid isometry: (Ru)_i = u_{perm(i)}."""
-    perm = np.asarray(perm, dtype=int)
-    if sorted(perm.tolist()) != list(range(u.grid.n_nodes)):
-        raise ConfigurationError("not a permutation of the node set")
-    return Field(u.grid, u.values[perm])
+        # axis 0 reorders each line arr[i, :], axis 1 each arr[:, j]
+        line, lines = 2 - axis, rows.reshape(len(rows), *grid.shape)
+        order = _symdec_order_1d(grid.shape[1 - axis])
+    else:
+        line, lines = 1, rows
+        order = rearrangement_order(grid, kind, axis, direction)
+    # node order[k] receives the k-th largest value, which an ascending
+    # sort puts at position n - 1 - k
+    src = order.size - 1 - np.argsort(order)
+    return np.take(np.sort(lines, axis=line), src,
+                   axis=line).reshape(rows.shape)
 
 
 def reflection_permutation(grid: Grid, axis: int = 0) -> np.ndarray:

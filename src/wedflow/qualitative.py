@@ -3,9 +3,11 @@ minimizers inside them.
 
 An RMap bundles a nodal transformation R with the structural conditions
 the surrounding problem must satisfy for R-invariance of minimizers to be
-provable. Three layers:
+provable; it is the map type of both lanes (see INERTIAL_KINDS). Three
+layers:
 
-  * apply_rmap        apply R to a Field or (slice-wise) to a Trajectory
+  * RMap.apply        apply R to a (k, n_dof) stack of states at once
+                      (apply_rmap: to a Field or a Trajectory)
   * check_r1/check_r2 sampled verification of the structural conditions
   * invariant_solve   run the damped fixed-point loop so that the output
                       trajectory satisfies Ru = u up to a reported residual
@@ -27,8 +29,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .grids import (ConfigurationError, Field, Grid, Trajectory,
-                    constant_trajectory, field_to_csv, rearrange,
-                    rigid_transform, sign_part, truncate)
+                    _check_axis_direction, constant_trajectory,
+                    field_to_csv, rearrange)
 from .energies import energy1_value_grad
 from .wed import (WedProblem, _dissipation_value, dual_field,
                   eps_continuation)
@@ -40,9 +42,12 @@ MARGIN_TOL = 1e-10
 # RMap
 # ---------------------------------------------------------------------------
 
-_KINDS = ("rigid", "symmetric_decreasing", "steiner", "monotone",
-          "truncate_lower", "truncate_upper", "positive_part",
-          "negative_part", "lv_clamp", "averaging", "compose")
+# the kinds each lane takes: waves have no comparison principle, so no
+# reordering or truncation for inertial states; no affine map of WED ones
+WED_KINDS = ("rigid", "symmetric_decreasing", "steiner", "monotone",
+             "truncate_lower", "truncate_upper", "positive_part",
+             "negative_part", "lv_clamp", "averaging", "compose")
+INERTIAL_KINDS = ("rigid", "translation", "averaging", "lagrangian_affine")
 
 
 @dataclass(frozen=True)
@@ -53,26 +58,52 @@ class RMap:
     `enforcement` declares how invariant_solve treats the map: "projected"
     maps are applied to every outer iterate, "posthoc" maps are not
     enforced during iteration (the problem data must do the work) and the
-    residual is only measured on the final trajectory.
+    residual is only measured on the final trajectory. The parameters are
+    validated once, here; `apply` maps whole row stacks.
     """
 
     kind: str
-    permutation: Optional[np.ndarray] = None   # rigid
+    permutation: Optional[np.ndarray] = None   # rigid / translation
     level: float = 0.0                         # truncations
     K: float = 1.0                             # lv_clamp
     axis: int = 0                              # steiner / averaging
     direction: int = +1                        # monotone
     parts: tuple = ()                          # compose
     enforcement: str = ""                      # "" = kind default
+    r: Optional[np.ndarray] = None             # lagrangian_affine:
+    shift: Optional[np.ndarray] = None         #   u -> r u + shift
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConfigurationError(f"unknown map kind {self.kind!r}")
-        if self.kind == "rigid" and self.permutation is None:
-            raise ConfigurationError("rigid map needs a permutation")
-        if self.kind == "compose" and not self.parts:
+        kind = self.kind
+        if kind not in WED_KINDS + INERTIAL_KINDS:
+            raise ConfigurationError(f"unknown map kind {kind!r}")
+        _check_axis_direction(self.axis, self.direction)
+        if kind in ("rigid", "translation"):
+            perm = np.asarray(() if self.permutation is None
+                              else self.permutation, dtype=int)
+            if perm.ndim != 1 or perm.size == 0 or not np.array_equal(
+                    np.sort(perm), np.arange(perm.size)):
+                raise ConfigurationError(f"{kind} map needs a permutation "
+                                         "of the node set")
+            object.__setattr__(self, "permutation", perm)
+        if (kind == "truncate_lower" and self.level > 0) \
+                or (kind == "truncate_upper" and self.level < 0):
+            raise ConfigurationError("lower truncation needs M <= 0, "
+                                     "upper truncation M >= 0")
+        if kind == "lagrangian_affine":
+            r = None if self.r is None else np.asarray(self.r, dtype=float)
+            shift = None if self.shift is None \
+                else np.asarray(self.shift, dtype=float).ravel()
+            if r is None or r.ndim != 2 or r.shape[0] != r.shape[1] \
+                    or not np.allclose(r.T @ r, np.eye(len(r)), atol=1e-12) \
+                    or (shift is not None and shift.size != len(r)):
+                raise ConfigurationError("affine map needs an orthogonal "
+                                         "matrix r and a shift of its size")
+            object.__setattr__(self, "r", r)
+            object.__setattr__(self, "shift", shift)
+        if kind == "compose" and not self.parts:
             raise ConfigurationError("compose needs at least one part")
-        if self.kind == "lv_clamp" and not self.K > 0:
+        if kind == "lv_clamp" and not self.K > 0:
             raise ConfigurationError("clamp level K must be positive")
         if self.enforcement == "":
             object.__setattr__(self, "enforcement", _default_enforcement(self))
@@ -81,10 +112,10 @@ class RMap:
 
     @property
     def algebra(self) -> str:
-        """"idempotent" (R after R is R) or "automorphism" (invertible,
-        norm-conserving). Compositions report the weaker "mixed" unless
+        """"idempotent" (R after R is R) or "automorphism" (an invertible
+        isometry). Compositions report the weaker "mixed" unless
         every part is idempotent."""
-        if self.kind == "rigid":
+        if self.kind in ("rigid", "translation", "lagrangian_affine"):
             return "automorphism"
         if self.kind == "compose":
             kinds = {p.algebra for p in self.parts}
@@ -93,6 +124,52 @@ class RMap:
 
     def n_components(self) -> int:
         return 2 if self.kind == "lv_clamp" else 1
+
+    def apply(self, rows: np.ndarray, grid: Grid,
+              velocity: bool = False) -> np.ndarray:
+        """The map on each row of a (k, n_dof) stack, as a new array.
+        velocity=True maps velocities: shifts move positions only. On a
+        point grid the state's components take the nodes' place."""
+        kind = self.kind
+        if kind == "compose":
+            for part in self.parts:
+                rows = part.apply(rows, grid, velocity)
+            return rows
+        need = (2 * grid.n_nodes if kind == "lv_clamp"
+                else self.r.shape[0] if kind == "lagrangian_affine"
+                else rows.shape[-1] if grid.domain_kind == "point"
+                else grid.n_nodes)
+        perm = self.permutation if kind in ("rigid", "translation") else None
+        if rows.ndim != 2 or rows.shape[1] != need \
+                or (perm is not None and perm.size != need):
+            raise ConfigurationError(f"{kind} map does not fit rows of "
+                                     f"shape {rows.shape}")
+        if perm is not None:
+            return rows[:, perm]
+        if kind in ("symmetric_decreasing", "monotone", "steiner"):
+            return rearrange(grid, rows, kind, axis=self.axis,
+                             direction=self.direction)
+        if kind == "truncate_lower":
+            return np.maximum(rows, self.level)
+        if kind == "truncate_upper":
+            return np.minimum(rows, self.level)
+        if kind == "positive_part":
+            return np.maximum(rows, 0.0)
+        if kind == "negative_part":
+            return np.minimum(rows, 0.0)
+        if kind == "lv_clamp":
+            n = grid.n_nodes
+            return np.concatenate([np.maximum(np.minimum(rows[:, :n], self.K),
+                                              0.0),
+                                   np.maximum(rows[:, n:], 0.0)], axis=1)
+        if kind == "lagrangian_affine":
+            out = np.matmul(self.r, rows[..., None])[..., 0]
+            return out if velocity or self.shift is None else out + self.shift
+        # averaging: the whole state in 1D, along the axis in 2D
+        arr = rows.reshape(len(rows), *grid.shape) if grid.dim == 2 else rows
+        a = 1 + self.axis if grid.dim == 2 else 1
+        return np.repeat(arr.mean(axis=a, keepdims=True), arr.shape[a],
+                         axis=a).reshape(rows.shape)
 
 
 def _default_enforcement(R: RMap) -> str:
@@ -106,49 +183,12 @@ def _default_enforcement(R: RMap) -> str:
     return "projected"
 
 
-def _apply_vec(R: RMap, grid: Grid, vec: np.ndarray) -> np.ndarray:
-    """Apply the map to one flat state vector (stacked for two species)."""
-    if R.kind == "compose":
-        out = vec
-        for part in R.parts:
-            out = _apply_vec(part, grid, out)
-        return out
-    if R.kind == "lv_clamp":
-        n = grid.n_nodes
-        if vec.size != 2 * n:
-            raise ConfigurationError("clamp expects a stacked species pair")
-        u = np.maximum(np.minimum(vec[:n], R.K), 0.0)
-        v = np.maximum(vec[n:], 0.0)
-        return np.concatenate([u, v])
-    f = Field(grid, vec)
-    if R.kind == "rigid":
-        return rigid_transform(f, R.permutation).values
-    if R.kind in ("symmetric_decreasing", "monotone", "steiner"):
-        return rearrange(f, R.kind, axis=R.axis, direction=R.direction).values
-    if R.kind == "truncate_lower":
-        return truncate(f, "lower", R.level).values
-    if R.kind == "truncate_upper":
-        return truncate(f, "upper", R.level).values
-    if R.kind == "positive_part":
-        return sign_part(f, "positive").values
-    if R.kind == "negative_part":
-        return sign_part(f, "negative").values
-    if R.kind == "averaging":
-        if grid.dim == 1:
-            return np.full_like(vec, vec.mean())
-        arr = vec.reshape(grid.shape)
-        out = np.broadcast_to(arr.mean(axis=R.axis, keepdims=True),
-                              grid.shape)
-        return np.ascontiguousarray(out).ravel()
-    raise ConfigurationError(f"unknown map kind {R.kind!r}")
-
-
 def apply_rmap(R: RMap, x: Union[Field, Trajectory]):
     """Apply R to a field, or slice-wise in time to a trajectory."""
     if isinstance(x, Field):
-        return Field(x.grid, _apply_vec(R, x.grid, x.values))
+        return Field(x.grid, R.apply(x.values[None], x.grid)[0])
     if isinstance(x, Trajectory):
-        rows = np.stack([_apply_vec(R, x.grid, row) for row in x.values])
+        rows = R.apply(x.values, x.grid)
         pin = x.pinned_initial
         if pin is not None and not np.array_equal(rows[0], pin):
             pin = None
@@ -162,23 +202,22 @@ def _fixed_point_of(R: RMap, grid: Grid, vec: np.ndarray,
     """A fixed point of R seeded from vec, or None if iteration does not
     settle. For permutations the orbit average is used (they are linear,
     so the average is exactly invariant up to roundoff)."""
-    if R.kind == "rigid":
-        orbit = [vec]
-        cur = vec
+    cur = vec[None]
+    if R.kind in ("rigid", "translation"):
+        orbit = [cur]
         for _ in range(iters):
-            cur = _apply_vec(R, grid, cur)
-            if np.array_equal(cur, vec):
+            cur = R.apply(cur, grid)
+            if np.array_equal(cur, orbit[0]):
                 break
             orbit.append(cur)
-        avg = np.mean(orbit, axis=0)
+        avg = np.mean(np.concatenate(orbit), axis=0)[None]
         # one more pass kills the roundoff asymmetry of the mean
-        return 0.5 * (avg + _apply_vec(R, grid, avg))
-    cur = vec
+        return (0.5 * (avg + R.apply(avg, grid)))[0]
     for _ in range(iters):
-        nxt = _apply_vec(R, grid, cur)
+        nxt = R.apply(cur, grid)
         # selection maps settle exactly; averaging can dither by an ulp
         if np.max(np.abs(nxt - cur)) <= 1e-13 * (1.0 + np.max(np.abs(cur))):
-            return nxt
+            return nxt[0]
         cur = nxt
     return None
 
@@ -274,17 +313,13 @@ def compatibility_issues(R: RMap, problem: WedProblem,
         return issues
 
     def forcing_fixed(tol: float = 1e-12) -> bool:
-        if e1.forcing is None and problem.energy2.forcing is None:
-            return True
         for holder in (e1, problem.energy2):
             if holder.forcing is None:
                 continue
             arr = np.asarray(holder.forcing, dtype=float)
-            arr = arr.reshape(-1, grid.n_nodes) if arr.ndim > 1 \
-                else arr.reshape(1, -1)
-            for row in arr:
-                if np.max(np.abs(_apply_vec(R, grid, row) - row)) > tol:
-                    return False
+            arr = arr.reshape(-1, grid.n_nodes) if arr.ndim > 1 else arr[None]
+            if np.max(np.abs(R.apply(arr, grid) - arr)) > tol:
+                return False
         return True
 
     def forcing_sign_ok(want_nonneg: bool) -> bool:
@@ -299,14 +334,11 @@ def compatibility_issues(R: RMap, problem: WedProblem,
 
     if R.kind == "rigid":
         # the permutation must leave the energy literally unchanged
-        rng = np.random.default_rng(seed)
-        for _ in range(3):
-            u = rng.standard_normal(grid.n_nodes)
-            a, _ = energy1_value_grad(e1, grid, u)
-            b, _ = energy1_value_grad(e1, grid, _apply_vec(R, grid, u))
-            if abs(a - b) > 1e-9 * (1.0 + abs(a)):
-                issues.append("energy not invariant under the permutation")
-                break
+        U = np.random.default_rng(seed).standard_normal((3, grid.n_nodes))
+        a, _ = energy1_value_grad(e1, grid, U)
+        b, _ = energy1_value_grad(e1, grid, R.apply(U, grid))
+        if np.any(np.abs(a - b) > 1e-9 * (1.0 + np.abs(a))):
+            issues.append("energy not invariant under the permutation")
         if not forcing_fixed():
             issues.append("forcing not invariant under the permutation")
         return issues
@@ -376,40 +408,38 @@ def check_r1(R: RMap, grid: Grid, samples: int = 32,
         if a is None or b is None:
             continue
         made += 1
-        mid = 0.5 * (a + b)
-        err = float(np.max(np.abs(_apply_vec(R, grid, mid) - mid)))
-        _worsen(conds, "midpoint_invariance", -err, state, mid)
-        if R.enforcement == "projected":
-            for delta in (0.25, 0.5, 0.75):
-                d = delta * a
-                derr = float(np.max(np.abs(_apply_vec(R, grid, d) - d)))
-                _worsen(conds, "dilation_stability", -derr, state, d)
+        # the midpoint, then (projected maps) the dilations of a
+        states = np.stack([0.5 * (a + b)] + [
+            delta * a for delta in (0.25, 0.5, 0.75)
+            if R.enforcement == "projected"])
+        errs = np.max(np.abs(R.apply(states, grid) - states), axis=1)
+        for key, x, err in zip(["midpoint_invariance"]
+                               + 3 * ["dilation_stability"], states, errs):
+            _worsen(conds, key, -float(err), state, x)
     if R.enforcement == "posthoc":
         notes.append("dilation stability not required for posthoc maps")
     # seminorm control: R applied slice-wise never increases sum |du|^p
     for _ in range(samples):
         steps = 4
         traj = rng.standard_normal((steps + 1, n)) * 1.5
-        rt = np.stack([_apply_vec(R, grid, row) for row in traj])
+        rt = R.apply(traj, grid)
         before = float(np.sum(np.abs(np.diff(traj, axis=0)) ** p))
         after = float(np.sum(np.abs(np.diff(rt, axis=0)) ** p))
         _worsen(conds, "seminorm_nonexpansive",
                 before - after + MARGIN_TOL * (1 + before), state,
                 traj.ravel())
+    V = rng.standard_normal((8, n))
+    once = R.apply(V, grid)
     if R.algebra == "idempotent":
-        for _ in range(8):
-            v = rng.standard_normal(n)
-            once = _apply_vec(R, grid, v)
-            twice = _apply_vec(R, grid, once)
-            err = float(np.max(np.abs(twice - once)))
-            _worsen(conds, "idempotence", -err, state, v)
+        errs = np.max(np.abs(R.apply(once, grid) - once), axis=1)
+        key = "idempotence"
     else:
         # automorphisms conserve every p-norm exactly
-        for _ in range(8):
-            v = rng.standard_normal(n)
-            rv = _apply_vec(R, grid, v)
-            err = abs(float(np.sum(np.abs(rv) ** p) - np.sum(np.abs(v) ** p)))
-            _worsen(conds, "norm_conservation", -err, state, v)
+        errs = np.abs(np.sum(np.abs(once) ** p, axis=1)
+                      - np.sum(np.abs(V) ** p, axis=1))
+        key = "norm_conservation"
+    for v, err in zip(V, errs):
+        _worsen(conds, key, -float(err), state, v)
     if made == 0:
         notes.append("no invariant states could be generated")
         conds.setdefault("midpoint_invariance", -np.inf)
@@ -450,15 +480,15 @@ def check_r2(R: RMap, problem: WedProblem, samples: int = 16,
         u = rng.standard_normal(n) * 2.0
         if k % 2 == 1:
             # adversarial: start from a mapped state and kick it
-            u = _apply_vec(R, grid, u) + 0.1 * rng.standard_normal(n)
-        ru = _apply_vec(R, grid, u)
+            u = R.apply(u[None], grid)[0] + 0.1 * rng.standard_normal(n)
+        ru = R.apply(u[None], grid)[0]
         (eu, eru), _ = energy1_value_grad(problem.energy1, grid,
                                           np.stack([u, ru]))
         _worsen(conds, "energy_monotone",
                 (eu - eru) / (1.0 + abs(eu)) + MARGIN_TOL, state, u)
 
         traj = np.cumsum(rng.standard_normal((steps + 1, n)) * 0.5, axis=0)
-        rt = np.stack([_apply_vec(R, grid, row) for row in traj])
+        rt = R.apply(traj, grid)
         dba = _dissipation_value(problem, traj, problem.T / steps)
         dbr = _dissipation_value(problem, rt, problem.T / steps)
         _worsen(conds, "dissipation_monotone",
@@ -501,11 +531,8 @@ class InvariantSolveResult:
 
 def invariance_residual(R: RMap, traj: Trajectory) -> float:
     """sup over time slices of the max-norm distance between Ru and u."""
-    worst = 0.0
-    for row in traj.values:
-        worst = max(worst, float(np.max(np.abs(
-            _apply_vec(R, traj.grid, row) - row))))
-    return worst
+    return float(np.max(np.abs(R.apply(traj.values, traj.grid)
+                               - traj.values)))
 
 
 def invariant_solve(problem: WedProblem, R: RMap, steps: int,
@@ -517,15 +544,14 @@ def invariant_solve(problem: WedProblem, R: RMap, steps: int,
     projected maps every outer iterate passes through R; posthoc maps run
     the plain loop and only the final residual certifies invariance."""
     u0 = problem.initial
-    if not np.array_equal(_apply_vec(R, problem.grid, u0), u0):
+    if not np.array_equal(R.apply(u0[None], problem.grid)[0], u0):
         raise ConfigurationError("initial state is not invariant under R")
     report = check_r2(R, problem, samples=samples, seed=seed)
 
     project = None
     if R.enforcement == "projected":
         def project(traj: Trajectory) -> Trajectory:
-            rows = np.stack([_apply_vec(R, traj.grid, row)
-                             for row in traj.values])
+            rows = R.apply(traj.values, traj.grid)
             rows[0] = u0
             return Trajectory(traj.grid, traj.T, rows, pinned_initial=u0,
                               ncomp=traj.ncomp)

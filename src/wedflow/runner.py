@@ -32,14 +32,15 @@ from .energies import (DissipationSpec, EnergySpec, ReactionSpec,
 from .wed import (WedProblem, default_eps_schedule, eps_continuation,
                   euler_lagrange_residual, strong_solution_residual,
                   wed_value_grad)
-from .qualitative import RMap, invariant_solve
+from .qualitative import INERTIAL_KINDS, WED_KINDS, RMap, invariant_solve
 from .comparison import ordered_minimizers, submodularity_check
 from .rateind import (RIProblem, energetic_residuals, ordered_ri_minimizers,
                       ri_continuation, sign_condition)
-from .wide import (LagrangianProblem, WideMap, WideWaveProblem,
+from .wide import (LagrangianProblem, WideWaveProblem,
                    equivariance_residual, hamiltonian_drift,
-                   wide_continuation, wide_invariance_residual,
-                   wide_trajectory, wide_value_grad)
+                   require_invariant_data, wide_continuation,
+                   wide_invariance_residual, wide_trajectory,
+                   wide_value_grad)
 
 OUTPUT_ROOT_ENV = "WEDFLOW_OUT"
 
@@ -193,22 +194,39 @@ def _forcing_values(spec, grid: Grid, T: float, steps: int,
     raise ScenarioError(f"field 'forcing': unknown kind {kind!r}")
 
 
-def _map_from_cfg(m: dict, cls=RMap):
-    """An RMap (or, for the inertial families, a WideMap) from one entry
-    of the scenario's 'rmaps' list."""
+# the fields a map entry may carry besides its kind, per lane; r and
+# shift belong to lagrangian_affine alone
+_WED_MAP_KEYS = {"permutation", "level", "K", "axis", "direction", "parts",
+                 "enforcement"}
+_INERTIAL_MAP_KEYS = {"permutation", "r", "shift"}
+
+
+def _map_from_cfg(m: dict, inertial: bool) -> RMap:
+    """An RMap of one of the lane's kinds from one entry of the
+    scenario's 'rmaps' list."""
     m = dict(m)
     kind = m.pop("kind", None)
-    if kind is None:
-        raise ScenarioError("field 'rmaps': each map needs a 'kind'")
+    kinds, keys = ((INERTIAL_KINDS, _INERTIAL_MAP_KEYS) if inertial
+                   else (WED_KINDS, _WED_MAP_KEYS))
+    if kind != "lagrangian_affine":
+        keys = keys - {"r", "shift"}
     try:
+        if kind not in kinds:
+            raise ConfigurationError(f"unknown map kind {kind!r}; expected "
+                                     f"one of {', '.join(kinds)}")
+        if set(m) - keys:
+            raise ConfigurationError(f"{kind} map takes no "
+                                     f"{', '.join(sorted(set(m) - keys))}")
         if "parts" in m:
-            m["parts"] = tuple(_map_from_cfg(p, cls) for p in m["parts"])
+            m["parts"] = tuple(_map_from_cfg(p, inertial) for p in m["parts"])
         for key, dtype in (("permutation", int), ("r", float),
                            ("shift", float)):
             if key in m:
                 m[key] = np.asarray(m[key], dtype=dtype)
-        return cls(kind=kind, **m)
-    except (TypeError, ConfigurationError) as exc:
+        return RMap(kind=kind, **m)
+    except ScenarioError:  # a bad part, already named
+        raise
+    except (TypeError, ValueError) as exc:  # ConfigurationError included
         raise ScenarioError(f"field 'rmaps': {exc}")
 
 
@@ -413,7 +431,7 @@ def _run_checked(sc: Scenario) -> int:
     if sc.family in ("doubly_nonlinear", "fractional_heat",
                      "lotka_volterra"):
         problem = build_wed_problem(sc)
-        maps = [_map_from_cfg(m) for m in sc.config["rmaps"]]
+        maps = [_map_from_cfg(m, inertial=False) for m in sc.config["rmaps"]]
         rmap = maps[0] if len(maps) == 1 else (
             RMap(kind="compose", parts=tuple(maps)) if maps else None)
         if compare_v0 is not None:
@@ -502,7 +520,12 @@ def _run_checked(sc: Scenario) -> int:
 
     else:
         problem = build_wide_problem(sc)
-        wmaps = [_map_from_cfg(m, WideMap) for m in sc.config["rmaps"]]
+        maps = [_map_from_cfg(m, inertial=True) for m in sc.config["rmaps"]]
+        for rmap in maps:
+            try:
+                require_invariant_data(problem, rmap)
+            except ConfigurationError as exc:
+                raise ScenarioError(f"field 'rmaps': {exc}")
         fam = wide_continuation(problem, schedule, steps)
         _, traj, rep = fam[-1]
         unconverged = unconverged or not rep.converged
@@ -512,12 +535,12 @@ def _run_checked(sc: Scenario) -> int:
         header = "component_index" if sc.family == "lagrangian" \
             else "node_index"
         files["trajectory.csv"] = trajectory_to_csv(traj, header)
-        for wmap in wmaps:
-            resid = wide_invariance_residual(wmap, traj)
-            reports[f"invariance_{wmap.kind}"] = resid
+        for rmap in maps:
+            resid = wide_invariance_residual(rmap, traj)
+            reports[f"invariance_{rmap.kind}"] = resid
             ok = resid <= 1e-7
             failed = failed or not ok
-            summary.append((f"invariance_{wmap.kind}", resid, ok))
+            summary.append((f"invariance_{rmap.kind}", resid, ok))
 
     reports["converged"] = not unconverged
     files["reports.json"] = json.dumps(_json_ready(reports), indent=2,
@@ -573,8 +596,7 @@ def _verify_rearrangement(seed: int = 0) -> dict:
         u = rng.random(n) * 2.0
         v = rng.random(n) * 2.0
         for kind in kinds:
-            ru = rearrange(Field(grid, u), kind).values
-            rv = rearrange(Field(grid, v), kind).values
+            ru, rv = rearrange(grid, np.stack([u, v]), kind)
             worst["norm"] = min(worst["norm"], -float(np.max(np.abs(
                 np.sort(ru) - np.sort(np.maximum(u, 0.0))))))
             worst["hardy_littlewood"] = min(
@@ -601,8 +623,7 @@ def _verify_rearrangement(seed: int = 0) -> dict:
                           boundary="neumann")
         U = np.array(list(_iproduct((0.0, 1.0, 2.0), repeat=n)))
         for kind in kinds:
-            RU = np.stack([rearrange(Field(grid, row), kind).values
-                           for row in U])
+            RU = rearrange(grid, U, kind)
             for lo in range(0, U.shape[0], 256):
                 block = slice(lo, lo + 256)
                 hl_worst = min(hl_worst, float(np.min(
@@ -841,7 +862,7 @@ def _verify_wide(seed: int = 0) -> dict:
                               initial=np.array([1.0, 0.25]),
                               velocity=np.array([0.0, -0.5]))
     resid = equivariance_residual(
-        prob2, WideMap(kind="lagrangian_affine", r=rot), steps=64)
+        prob2, RMap(kind="lagrangian_affine", r=rot), steps=64)
     checks["rotation_equivariance"] = _check(1e-7 - resid, 0.0)
     checks["converged"] = _check(0.0 if rep.converged else -1.0, 1e-12)
     return _suite_report("wide", checks)

@@ -11,9 +11,9 @@ the same knot weight.
 
 No rearrangement or truncation maps appear here on purpose: comparison
 principles fail for the wave equation, and the admissible class is too
-smooth for nonsmooth reordering anyway. The symmetry maps are node
+smooth for nonsmooth reordering anyway. The symmetry maps are RMaps: node
 permutations, directional averaging (convex nonlinearity only), and
-affine state maps r u + v with orthogonal r.
+affine state maps r u + shift with orthogonal r.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import scipy.sparse as sp
 from .grids import ConfigurationError, Grid, Trajectory, build_grid
 from .energies import _rowdot, _sequential_sum, graph_laplacian
 from ._newton import newton_solve
+from .qualitative import RMap, invariance_residual
 from .wed import MinimizeReport, continuation
 
 
@@ -242,7 +243,6 @@ class _Parts:
             self.g_hess = lambda U: sp.diags(
                 problem.force_hess_diag(U).ravel())
             self.lam = problem.lam
-            self.grid = problem.grid
             self.ncomp = 1
         else:
             d = problem.d
@@ -258,9 +258,18 @@ class _Parts:
                 self.g_hess = lambda U: sp.diags(
                     _poly_curv(problem._u_der[1], U).ravel())
             self.lam = 0.0
-            self.grid = build_grid(dim=1, shape=(1,), spacing=(1.0,),
-                                   boundary="neumann", domain_kind="point")
             self.ncomp = d
+        self.grid = _state_grid(problem)
+
+
+# the grid of every Lagrangian state: the components take the nodes' place
+_POINT_GRID = build_grid(dim=1, shape=(1,), spacing=(1.0,),
+                         boundary="neumann", domain_kind="point")
+
+
+def _state_grid(problem: WideProblem) -> Grid:
+    return problem.grid if isinstance(problem, WideWaveProblem) \
+        else _POINT_GRID
 
 
 def _pinned_rows(problem: WideProblem, dt: float) -> tuple:
@@ -428,67 +437,31 @@ def wide_continuation(problem: WideProblem, schedule: Sequence[float],
 # Symmetry maps and invariance
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WideMap:
-    """kind "rigid" or "translation" (node permutations of the wave grid),
-    "averaging" (spatial mean; convex nonlinearity required), or
-    "lagrangian_affine" (u -> r u + shift, r orthogonal)."""
-
-    kind: str
-    permutation: Optional[np.ndarray] = None
-    r: Optional[np.ndarray] = None
-    shift: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.kind not in ("rigid", "translation", "averaging",
-                             "lagrangian_affine"):
-            raise ConfigurationError(f"unknown wide map kind {self.kind!r}")
-        if self.kind in ("rigid", "translation") and self.permutation is None:
-            raise ConfigurationError("permutation map needs a permutation")
-        if self.kind == "lagrangian_affine":
-            r = np.asarray(self.r, dtype=float)
-            if not np.allclose(r.T @ r, np.eye(r.shape[0]), atol=1e-12):
-                raise ConfigurationError("affine map needs orthogonal r")
-            object.__setattr__(self, "r", r)
-
-    def apply_state(self, vec: np.ndarray) -> np.ndarray:
-        if self.kind in ("rigid", "translation"):
-            return vec[np.asarray(self.permutation, dtype=int)]
-        if self.kind == "averaging":
-            return np.full_like(vec, vec.mean())
-        out = self.r @ vec
-        if self.shift is not None:
-            out = out + np.asarray(self.shift, dtype=float)
-        return out
-
-    def apply_velocity(self, vec: np.ndarray) -> np.ndarray:
-        # shifts act on positions only; velocities see the linear part
-        if self.kind == "lagrangian_affine":
-            return self.r @ vec
-        return self.apply_state(vec)
+# bound again so that perfbench's tracer times inertial residuals apart
+wide_invariance_residual = invariance_residual
 
 
-def wide_invariance_residual(R: WideMap, traj: Trajectory) -> float:
-    worst = 0.0
-    for row in traj.values:
-        worst = max(worst, float(np.max(np.abs(R.apply_state(row) - row))))
-    return worst
-
-
-def wide_invariant_solve(problem: WideProblem, R: WideMap, steps: int,
-                         schedule: Optional[Sequence[float]] = None
-                         ) -> tuple[Trajectory, float]:
-    """Solve and report sup_t |Ru(t) - u(t)|. Requires exactly invariant
-    initial state and velocity; averaging additionally requires a convex
-    nonlinearity."""
+def require_invariant_data(problem: WideProblem, R: RMap) -> None:
+    """Raise ConfigurationError unless R fits the problem's state and
+    leaves its initial state and velocity exactly invariant; averaging
+    additionally requires a convex nonlinearity."""
+    grid = _state_grid(problem)
     u0, v0 = problem.initial, problem.velocity
-    if not np.array_equal(R.apply_state(u0), u0):
+    if not np.array_equal(R.apply(u0[None], grid)[0], u0):
         raise ConfigurationError("initial state is not invariant under R")
-    if not np.array_equal(R.apply_velocity(v0), v0):
+    if not np.array_equal(R.apply(v0[None], grid, velocity=True)[0], v0):
         raise ConfigurationError("initial velocity is not invariant under R")
     if R.kind == "averaging" and isinstance(problem, WideWaveProblem) \
             and problem.lam < 0:
         raise ConfigurationError("averaging requires a convex nonlinearity")
+
+
+def wide_invariant_solve(problem: WideProblem, R: RMap, steps: int,
+                         schedule: Optional[Sequence[float]] = None
+                         ) -> tuple[Trajectory, float]:
+    """Solve and report sup_t |Ru(t) - u(t)|, for data that passes
+    require_invariant_data."""
+    require_invariant_data(problem, R)
     if schedule is None:
         schedule = (problem.epsilon,)
     fam = wide_continuation(problem, schedule, steps)
@@ -496,17 +469,16 @@ def wide_invariant_solve(problem: WideProblem, R: WideMap, steps: int,
     return traj, wide_invariance_residual(R, traj)
 
 
-def equivariance_residual(problem: WideProblem, R: WideMap,
+def equivariance_residual(problem: WideProblem, R: RMap,
                           steps: int) -> float:
     """max over knots of |R(solve(u0, v0)) - solve(Ru0, Rv0)|; zero when
     the map commutes with the discrete system."""
     t1, _ = minimize_wide(problem, steps)
-    mapped = replace(problem,
-                     initial=R.apply_state(problem.initial),
-                     velocity=R.apply_velocity(problem.velocity))
+    mapped = replace(
+        problem, initial=R.apply(problem.initial[None], t1.grid)[0],
+        velocity=R.apply(problem.velocity[None], t1.grid, velocity=True)[0])
     t2, _ = minimize_wide(mapped, steps)
-    moved = np.stack([R.apply_state(row) for row in t1.values])
-    return float(np.max(np.abs(moved - t2.values)))
+    return float(np.max(np.abs(R.apply(t1.values, t1.grid) - t2.values)))
 
 
 # ---------------------------------------------------------------------------

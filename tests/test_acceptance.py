@@ -20,7 +20,7 @@ from wedflow.rateind import (energetic_residuals, ordered_ri_minimizers,
                              ri_continuation, sign_condition)
 from wedflow.runner import ri_eps_schedule
 from wedflow.wed import eps_continuation, fixed_point_solve, reference_solve
-from wedflow.wide import (LagrangianProblem, WideMap, equivariance_residual,
+from wedflow.wide import (LagrangianProblem, equivariance_residual,
                           wide_continuation)
 
 from conftest import (acceptance_line, heat_problem, point_grid,
@@ -263,8 +263,8 @@ def test_wide_oscillator_tracks_cosine_and_rotations():
                                u_kind="quadratic", T=1.0, epsilon=0.05,
                                initial=np.array([1.0, 0.25]),
                                velocity=np.array([0.0, -0.5]))
-    rot = WideMap(kind="lagrangian_affine",
-                  r=np.array([[0.0, -1.0], [1.0, 0.0]]))
+    rot = RMap(kind="lagrangian_affine",
+               r=np.array([[0.0, -1.0], [1.0, 0.0]]))
     eq = equivariance_residual(planar, rot, 64)
     ok = err <= 5e-2 and eq <= 1e-7
     assert gate("A11", f"oscillator sup {err:.4e} <= 5.0e-02, rotation "

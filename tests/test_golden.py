@@ -1,7 +1,8 @@
 """Refactor oracle: the bundled scenarios, the two 2D heat problems of the
-size ladder, and the `gradients` and `submodularity` verify suites against
-the golden records that the benchmark checks (perfbench/golden), through
-the comparison of perfbench/checks.py: every number within 1e-12 of its
+size ladder, and the `gradients`, `submodularity`, `rearrangement`,
+`invariance` and `wide` verify suites against the golden records that the
+benchmark checks (perfbench/golden), through the comparison of
+perfbench/checks.py: every number within 1e-12 of its
 record, relative above magnitude one and absolute below. Also checks that
 the benchmark's tracer (perfbench/tracer.py) finds every name it rebinds
 in the package and restores each binding."""
@@ -76,7 +77,8 @@ def test_2d_ladder_problem_matches_golden_record(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("suite, seed", [("gradients", seed)
                                          for seed in range(8)]
-                         + [("submodularity", 0)])
+                         + [("submodularity", 0), ("rearrangement", 0),
+                            ("invariance", 0), ("wide", 0)])
 def test_verify_suite_matches_golden_record(suite, seed):
     rc, out = cli(["verify", suite, "--seed", str(seed)])
     assert_matches(checks.verify_record(rc, out),

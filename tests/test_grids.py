@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wedflow import (ConfigurationError, Field, Trajectory, build_grid,
-                     constant_trajectory, lattice_min_max, rearrange,
-                     rearrangement_order, reflection_permutation,
-                     rigid_transform, sign_part, truncate, zero_field)
+from wedflow import (ConfigurationError, Field, RMap, Trajectory, apply_rmap,
+                     build_grid, constant_trajectory, lattice_min_max,
+                     rearrange, rearrangement_order, reflection_permutation,
+                     zero_field)
 from wedflow.grids import (field_from_csv, field_to_csv,
                            rotation_permutation_90,
                            torus_translation_permutation)
@@ -106,24 +106,24 @@ def test_lattice_pair_sums_exactly(a, b):
 def test_truncate_modes_and_sign_conventions():
     g = line_grid(5)
     u = Field(g, np.array([-2.0, -0.5, 0.0, 0.5, 2.0]))
-    lo = truncate(u, "lower", -1.0)
+    lo = apply_rmap(RMap("truncate_lower", level=-1.0), u)
     assert np.array_equal(lo.values, [-1.0, -0.5, 0.0, 0.5, 2.0])
-    hi = truncate(u, "upper", 1.0)
+    hi = apply_rmap(RMap("truncate_upper", level=1.0), u)
     assert np.array_equal(hi.values, [-2.0, -0.5, 0.0, 0.5, 1.0])
     with pytest.raises(ConfigurationError):
-        truncate(u, "lower", 0.5)
+        RMap("truncate_lower", level=0.5)
     with pytest.raises(ConfigurationError):
-        truncate(u, "upper", -0.5)
+        RMap("truncate_upper", level=-0.5)
     with pytest.raises(ConfigurationError):
-        truncate(u, "sideways")
+        RMap("truncate_sideways")
 
 
 @given(st.lists(st.floats(-10, 10), min_size=4, max_size=4))
 def test_sign_parts_decompose(a):
     g = build_grid(dim=1, shape=(4,), spacing=(1.0,))
     u = Field(g, np.array(a))
-    pos = sign_part(u, "positive")
-    neg = sign_part(u, "negative")
+    pos = apply_rmap(RMap("positive_part"), u)
+    neg = apply_rmap(RMap("negative_part"), u)
     assert np.array_equal(pos.values + neg.values, u.values)
     assert np.all(pos.values >= 0.0) and np.all(neg.values <= 0.0)
 
@@ -150,16 +150,17 @@ def test_symdec_order_frozen_examples():
 def test_rearrange_symdec_example():
     g = line_grid(5)
     u = Field(g, np.array([0.0, 4.0, 1.0, 2.0, 0.0]))
-    r = rearrange(u, "symmetric_decreasing")
+    r = Field(g, rearrange(g, u.values[None], "symmetric_decreasing")[0])
     assert np.array_equal(r.values, [0.0, 1.0, 4.0, 2.0, 0.0])
 
 
 def test_rearrange_monotone_directions():
     g = line_grid(4)
     u = Field(g, np.array([1.0, 3.0, -2.0, 2.0]))
-    assert np.array_equal(rearrange(u, "monotone").values,
+    assert np.array_equal(rearrange(g, u.values[None], "monotone")[0],
                           [3.0, 2.0, 1.0, 0.0])
-    assert np.array_equal(rearrange(u, "monotone", direction=-1).values,
+    assert np.array_equal(rearrange(g, u.values[None], "monotone",
+                                    direction=-1)[0],
                           [0.0, 1.0, 2.0, 3.0])
 
 
@@ -170,17 +171,17 @@ def test_rearrange_permutes_positive_part(vals, kind):
     n = len(vals)
     g = build_grid(dim=1, shape=(n,), spacing=(1.0,))
     u = Field(g, np.array(vals))
-    r = rearrange(u, kind)
+    r = Field(g, rearrange(g, u.values[None], kind)[0])
     assert np.array_equal(np.sort(r.values),
                           np.sort(np.maximum(u.values, 0.0)))
     # idempotent: rearranging the rearranged field changes nothing
-    assert np.array_equal(rearrange(r, kind).values, r.values)
+    assert np.array_equal(rearrange(g, r.values[None], kind)[0], r.values)
 
 
 def test_steiner_rearranges_lines():
     g = build_grid(dim=2, shape=(3, 4), spacing=(1.0, 1.0))
     vals = np.arange(12.0)
-    r = rearrange(Field(g, vals), "steiner", axis=0)
+    r = Field(g, rearrange(g, vals[None], "steiner", axis=0)[0])
     arr = r.values.reshape(3, 4)
     order = rearrangement_order(line_grid(4), "symmetric_decreasing")
     for i in range(3):
@@ -190,13 +191,38 @@ def test_steiner_rearranges_lines():
         assert np.array_equal(arr[i], expect)
 
 
+def test_steiner_axis_one_rearranges_columns():
+    g = build_grid(dim=2, shape=(3, 4), spacing=(1.0, 1.0))
+    vals = np.random.default_rng(2).standard_normal(12)
+    arr = rearrange(g, vals[None], "steiner", axis=1)[0].reshape(3, 4)
+    order = rearrangement_order(line_grid(3), "symmetric_decreasing")
+    for j in range(4):
+        expect = np.empty(3)
+        expect[order] = np.sort(np.maximum(vals.reshape(3, 4)[:, j],
+                                           0.0))[::-1]
+        assert np.array_equal(arr[:, j], expect)
+
+
+def test_rearrange_rejects_bad_axis_direction_and_row_size():
+    g = build_grid(dim=2, shape=(3, 4), spacing=(1.0, 1.0))
+    for axis in (2, -1):
+        with pytest.raises(ConfigurationError):
+            rearrange(g, np.ones((2, 12)), "steiner", axis=axis)
+    with pytest.raises(ConfigurationError):
+        rearrange(line_grid(4), np.ones((1, 4)), "monotone", direction=0)
+    with pytest.raises(ConfigurationError):
+        rearrange(line_grid(4), np.ones((1, 5)), "monotone")
+    with pytest.raises(ConfigurationError):
+        rearrange(line_grid(4), np.ones(4), "monotone")  # not a stack
+
+
 def test_hardy_littlewood_exhaustive_small():
     # brute force over the full 3-value alphabet at n = 4
     g = build_grid(dim=1, shape=(4,), spacing=(1.0,))
     vecs = [np.array(v, dtype=float)
             for v in itertools.product((0.0, 1.0, 2.0), repeat=4)]
     for kind in ("monotone", "symmetric_decreasing"):
-        rear = [rearrange(Field(g, v), kind).values for v in vecs]
+        rear = [rearrange(g, v[None], kind)[0] for v in vecs]
         worst = 0.0
         for (u, ru), (v, rv) in itertools.product(zip(vecs, rear), repeat=2):
             worst = min(worst, float(ru @ rv - u @ v))
@@ -215,13 +241,13 @@ def test_polya_szego_convention_counterexamples():
         return unpadded(np.concatenate([[0.0], v, [0.0]]), m)
 
     u = np.array([0.0, 1.0, 4.0])
-    r = rearrange(Field(g3, u), "symmetric_decreasing").values
+    r = rearrange(g3, u[None], "symmetric_decreasing")[0]
     assert np.array_equal(r, [0.0, 4.0, 1.0])
     assert unpadded(r, 2) > unpadded(u, 2)       # wrong pairing inflates
     assert padded(r, 2) <= padded(u, 2)
 
     w = np.array([3.0, 4.0, 3.0])
-    rm = rearrange(Field(g3, w), "monotone").values
+    rm = rearrange(g3, w[None], "monotone")[0]
     assert np.array_equal(rm, [4.0, 3.0, 3.0])
     assert padded(rm, 2) > padded(w, 2)
     assert unpadded(rm, 2) <= unpadded(w, 2)
@@ -233,10 +259,10 @@ def test_polya_szego_exhaustive_small(m):
         g = build_grid(dim=1, shape=(n,), spacing=(1.0,))
         for v in itertools.product((0.0, 1.0, 2.0), repeat=n):
             u = np.array(v)
-            rmono = rearrange(Field(g, u), "monotone").values
+            rmono = rearrange(g, u[None], "monotone")[0]
             assert (np.sum(np.abs(np.diff(rmono)) ** m)
                     <= np.sum(np.abs(np.diff(u)) ** m) + 1e-12)
-            rsym = rearrange(Field(g, u), "symmetric_decreasing").values
+            rsym = rearrange(g, u[None], "symmetric_decreasing")[0]
             up = np.concatenate([[0.0], u, [0.0]])
             rp = np.concatenate([[0.0], rsym, [0.0]])
             assert (np.sum(np.abs(np.diff(rp)) ** m)
@@ -252,7 +278,8 @@ def test_reflection_is_an_involution():
     perm = reflection_permutation(g)
     assert np.array_equal(perm[perm], np.arange(7))
     u = Field(g, np.arange(7.0))
-    v = rigid_transform(rigid_transform(u, perm), perm)
+    reflect = RMap("rigid", permutation=perm)
+    v = apply_rmap(reflect, apply_rmap(reflect, u))
     assert np.array_equal(v.values, u.values)
 
 
@@ -278,7 +305,7 @@ def test_rigid_transform_preserves_values():
     rng = np.random.default_rng(3)
     u = Field(g, rng.normal(size=5))
     perm = rng.permutation(5)
-    v = rigid_transform(u, perm)
+    v = apply_rmap(RMap("rigid", permutation=perm), u)
     assert np.array_equal(np.sort(v.values), np.sort(u.values))
 
 

@@ -12,7 +12,7 @@ from wedflow import (ConfigurationError, EnergySpec, Field, RMap, Trajectory,
                      reflection_permutation)
 from dataclasses import replace
 
-from conftest import heat_problem, line_grid
+from conftest import heat_problem, line_grid, point_grid
 
 
 def symmetric_u0(n):
@@ -122,6 +122,85 @@ def test_rmap_validation():
         RMap(kind="lv_clamp", K=0.0)
     with pytest.raises(ConfigurationError):
         RMap(kind="positive_part", enforcement="maybe")
+
+
+def test_rmap_rejects_axis_direction_and_level_at_construction():
+    for bad in (dict(kind="steiner", axis=2), dict(kind="steiner", axis=-1),
+                dict(kind="averaging", axis=2),
+                dict(kind="monotone", direction=0),
+                dict(kind="truncate_lower", level=0.5),
+                dict(kind="truncate_upper", level=-0.5),
+                dict(kind="translation", permutation=np.zeros(4, int)),
+                dict(kind="lagrangian_affine"),
+                dict(kind="lagrangian_affine", r=np.eye(2),
+                     shift=np.ones(3))):
+        with pytest.raises(ConfigurationError):
+            RMap(**bad)
+
+
+def test_rmap_apply_checks_the_state_size():
+    g = line_grid(4)
+    with pytest.raises(ConfigurationError):
+        RMap(kind="rigid", permutation=[1, 0]).apply(np.ones((3, 4)), g)
+    with pytest.raises(ConfigurationError):
+        RMap(kind="lagrangian_affine", r=np.eye(2)).apply(np.ones((3, 4)), g)
+    with pytest.raises(ConfigurationError):
+        RMap(kind="positive_part").apply(np.ones((3, 5)), g)
+    with pytest.raises(ConfigurationError):
+        RMap(kind="steiner").apply(np.ones((3, 4)), g)  # 1D grid
+
+
+def _grid2(shape=(3, 5)):
+    from wedflow import build_grid
+    return build_grid(dim=2, shape=shape, spacing=(0.5, 0.25))
+
+
+_refl = reflection_permutation(line_grid(6))
+_rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+
+
+@pytest.mark.parametrize("R, grid", [
+    (RMap(kind="rigid", permutation=_refl), line_grid(6)),
+    (RMap(kind="translation", permutation=np.roll(np.arange(6), 1)),
+     line_grid(6)),
+    (RMap(kind="monotone"), line_grid(6)),
+    (RMap(kind="monotone", direction=-1), line_grid(6)),
+    (RMap(kind="symmetric_decreasing"), line_grid(6)),
+    (RMap(kind="symmetric_decreasing"), _grid2()),
+    (RMap(kind="steiner", axis=0), _grid2()),
+    (RMap(kind="steiner", axis=1), _grid2()),
+    (RMap(kind="truncate_lower", level=-0.3), line_grid(6)),
+    (RMap(kind="truncate_upper", level=0.4), line_grid(6)),
+    (RMap(kind="positive_part"), line_grid(6)),
+    (RMap(kind="negative_part"), line_grid(6)),
+    (RMap(kind="lv_clamp", K=0.8), line_grid(6)),
+    (RMap(kind="averaging"), line_grid(6)),
+    (RMap(kind="averaging", axis=0), _grid2()),
+    (RMap(kind="averaging", axis=1), _grid2()),
+    (RMap(kind="averaging"), point_grid()),
+    (RMap(kind="lagrangian_affine", r=_rot, shift=np.array([0.3, -1.1])),
+     point_grid()),
+    (RMap(kind="compose", parts=(RMap(kind="truncate_lower", level=0.0),
+                                 RMap(kind="rigid", permutation=_refl),
+                                 RMap(kind="monotone"))), line_grid(6)),
+])
+def test_apply_on_a_stack_matches_single_rows_bit_for_bit(R, grid):
+    n = 2 if R.kind in ("averaging", "lagrangian_affine") \
+        and grid.domain_kind == "point" else grid.n_nodes * R.n_components()
+    rows = np.random.default_rng(5).standard_normal((9, n)) * 1.7
+    rows[3] = rows[2]  # ties across rows
+    for velocity in (False, True):
+        stacked = R.apply(rows, grid, velocity=velocity)
+        single = np.stack([R.apply(row[None], grid, velocity=velocity)[0]
+                           for row in rows])
+        assert stacked.shape == rows.shape
+        assert np.array_equal(stacked, single)
+    if R.kind == "lagrangian_affine":
+        # velocities see the map without its shift
+        linear = RMap(kind="lagrangian_affine", r=R.r)
+        assert np.array_equal(R.apply(rows, grid, velocity=True),
+                              linear.apply(rows, grid))
+        assert np.allclose(R.apply(rows, grid), rows @ R.r.T + R.shift)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 from wedflow import Scenario, ScenarioError, Trajectory, run, verify
 from wedflow.cli import bundled_scenarios, main
 from wedflow.runner import (_forcing_values, _initial_values, _json_ready,
-                            _schedule, output_dir_for, trajectory_to_csv)
+                            _map_from_cfg, _schedule, output_dir_for,
+                            trajectory_to_csv)
 from wedflow.wed import default_eps_schedule
 
 from conftest import line_grid
@@ -358,11 +359,55 @@ def _bundled(name: str, out_dir, **over) -> Scenario:
     ("lv_patch", {"compare_v0": 1.0}),
     ("heat_relaxation", {"grid": {"dim": 1, "shape": [2]}}),
     ("heat_relaxation", {"schedule": [0.2, 0.0]}),
+    # maps that do not fit the lane, the state or the initial data
+    ("wave_pulse", {"rmaps": [{"kind": "rigid", "permutation": [0, 1]}]}),
+    ("wave_pulse", {"rmaps": [{"kind": "translation",
+                               "permutation": [0] * 12}]}),
+    ("wave_pulse", {"rmaps": [{"kind": "translation",
+                               "permutation": list(range(1, 12)) + [0]}]}),
+    ("wave_pulse", {"rmaps": [{"kind": "truncate_lower"}]}),
+    ("wave_pulse", {"rmaps": [{"kind": "averaging"}], "initial": 0.5,
+                    "f_coeffs": [0.0, 0.0, -0.05], "lam": -0.1}),
+    ("wide_oscillator", {"rmaps": [{"kind": "lagrangian_affine"}]}),
+    ("wide_oscillator", {"rmaps": [{"kind": "rigid", "permutation": [3]}]}),
+    ("heat_relaxation", {"rmaps": [{"kind": "lagrangian_affine",
+                                    "r": [[1.0]]}]}),
+    ("heat_relaxation", {"rmaps": [{"kind": "compose", "parts": [
+        {"kind": "translation", "permutation": [0]}]}]}),
+    ("heat_relaxation", {"rmaps": [{"kind": "averaging", "axis": 2}]}),
+    ("heat_relaxation", {"rmaps": [{"kind": "steiner", "axis": -1}]}),
+    ("heat_relaxation", {"rmaps": [{"kind": "monotone", "direction": 0}]}),
+    ("wide_oscillator", {"rmaps": [{"kind": "lagrangian_affine",
+                                    "r": [[1.0, 0.0], [0.0]]}]}),
+    # fields the lane or the kind does not use
+    ("wave_pulse", {"rmaps": [{"kind": "averaging", "axis": 1}],
+                    "initial": 0.5}),
+    ("wave_pulse", {"rmaps": [{"kind": "rigid",
+                               "permutation": list(range(11, -1, -1)),
+                               "enforcement": "posthoc"}], "initial": 0.5}),
+    ("wave_pulse", {"rmaps": [{"kind": "rigid",
+                               "permutation": list(range(11, -1, -1)),
+                               "shift": [0.0] * 12}], "initial": 0.5}),
+    ("wide_oscillator", {"rmaps": [{"kind": "rigid", "permutation": [0],
+                                    "r": [[1.0]]}]}),
+    ("heat_relaxation", {"rmaps": [{"kind": "rigid",
+                                    "permutation": list(range(15, -1, -1)),
+                                    "r": [[1.0]]}], "initial": 1.0}),
+    ("heat_relaxation", {"rmaps": [{"kind": "compose", "parts": [
+        {"kind": "positive_part", "shift": [0.0]}]}]}),
 ])
 def test_rejected_scenario_writes_no_artifact(tmp_path, name, over):
     out = tmp_path / "out"
     assert run(_bundled(name, out, **over)) == 2
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_bad_compose_part_is_named_once():
+    with pytest.raises(ScenarioError) as info:
+        _map_from_cfg({"kind": "compose", "parts": [{"kind": "bogus"}]},
+                      inertial=False)
+    assert str(info.value).count("field 'rmaps'") == 1
+    assert "bogus" in str(info.value)
 
 
 @pytest.mark.parametrize("name, module, function, which", [
@@ -414,6 +459,14 @@ def test_rate_independent_rejects_maps(tmp_path, capsys):
     assert run(_bundled("ri_ramp", out, rmaps=[{"kind": "bogus"}])) == 2
     assert "configuration error: field 'rmaps'" in capsys.readouterr().out
     assert not out.exists()
+
+
+def test_inertial_map_residual_is_reported(tmp_path):
+    out = tmp_path / "out"
+    assert run(_bundled("wide_oscillator", out,
+                        rmaps=[{"kind": "averaging"}])) == 0
+    reports = json.loads((out / "reports.json").read_text())
+    assert float(reports["invariance_averaging"]) == 0.0
 
 
 @pytest.mark.parametrize("energy", [{"B": -1.0}, {"C": -3.0},

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wedflow import (ConfigurationError, LagrangianProblem, Trajectory,
-                     WideMap, WideWaveProblem, build_grid,
+                     RMap, WideWaveProblem, build_grid,
                      equivariance_residual, hamiltonian, hamiltonian_drift,
                      minimize_wide, reflection_permutation,
                      wide_continuation, wide_invariance_residual,
@@ -272,28 +272,31 @@ def test_wide_continuation_requires_decreasing_schedule():
 
 def test_wide_map_validation():
     with pytest.raises(ConfigurationError):
-        WideMap(kind="spiral")
+        RMap(kind="spiral")
     with pytest.raises(ConfigurationError):
-        WideMap(kind="rigid")
+        RMap(kind="rigid")
     with pytest.raises(ConfigurationError):
-        WideMap(kind="lagrangian_affine",
-                r=np.array([[1.0, 0.0], [0.0, 2.0]]))
+        RMap(kind="lagrangian_affine",
+             r=np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
 def test_affine_map_moves_states_not_velocities():
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    R = WideMap(kind="lagrangian_affine", r=rot, shift=np.array([1.0, 0.0]))
+    R = RMap(kind="lagrangian_affine", r=rot, shift=np.array([1.0, 0.0]))
     u = np.array([0.5, 0.25])
-    assert np.allclose(R.apply_state(u), rot @ u + [1.0, 0.0])
-    assert np.allclose(R.apply_velocity(u), rot @ u)
-    perm = WideMap(kind="rigid", permutation=np.array([2, 1, 0]))
-    assert np.array_equal(perm.apply_velocity(np.arange(3.0)),
+    assert np.allclose(R.apply(u[None], point_grid())[0],
+                       rot @ u + [1.0, 0.0])
+    assert np.allclose(R.apply(u[None], point_grid(), velocity=True)[0],
+                       rot @ u)
+    perm = RMap(kind="rigid", permutation=np.array([2, 1, 0]))
+    assert np.array_equal(perm.apply(np.arange(3.0)[None], point_grid(),
+                                     velocity=True)[0],
                           [2.0, 1.0, 0.0])
 
 
 def test_rotation_equivariance_planar():
-    R = WideMap(kind="lagrangian_affine",
-                r=np.array([[0.0, -1.0], [1.0, 0.0]]))
+    R = RMap(kind="lagrangian_affine",
+             r=np.array([[0.0, -1.0], [1.0, 0.0]]))
     assert equivariance_residual(planar(), R, steps=32) <= 1e-7
 
 
@@ -304,7 +307,7 @@ def test_wide_invariant_solve_reflection_wave():
     raw = 0.5 + 0.3 * np.cos(2.0 * np.pi * x / x.max())
     u0 = 0.5 * (raw + raw[::-1])
     problem = wave_problem(n=n, u0=u0)
-    R = WideMap(kind="rigid", permutation=reflection_permutation(g))
+    R = RMap(kind="rigid", permutation=reflection_permutation(g))
     traj, res = wide_invariant_solve(problem, R, steps=32,
                                      schedule=(0.1, 0.05))
     assert res <= 1e-8  # measured 1.6e-12
@@ -314,7 +317,7 @@ def test_wide_invariant_solve_reflection_wave():
 def test_wide_invariant_solve_requires_invariant_data():
     n = 9
     g = line_grid(n, spacing=1.0 / (n - 1))
-    R = WideMap(kind="rigid", permutation=reflection_permutation(g))
+    R = RMap(kind="rigid", permutation=reflection_permutation(g))
     asym = np.linspace(0.0, 1.0, n)
     with pytest.raises(ConfigurationError):
         wide_invariant_solve(wave_problem(n=n, u0=asym), R, steps=8)
@@ -326,7 +329,7 @@ def test_wide_invariant_solve_requires_invariant_data():
 def test_averaging_needs_convex_nonlinearity():
     problem = wave_problem(n=5, f_coeffs=(0.0, 0.0, -0.05), lam=-0.1,
                            u0=np.ones(5))
-    R = WideMap(kind="averaging")
+    R = RMap(kind="averaging")
     with pytest.raises(ConfigurationError):
         wide_invariant_solve(problem, R, steps=8)
 
