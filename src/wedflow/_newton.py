@@ -1,4 +1,4 @@
-"""Damped Newton iteration shared by the trajectory solvers.
+"""Damped Newton iteration and the front end the trajectory solvers share.
 
 The objective values here span many orders of magnitude across the time
 horizon (the weight decays like e^{-t/eps}), so line searches on the raw
@@ -6,6 +6,14 @@ objective are numerically blind to improvements in the tail. The
 globalization below backtracks on the ROW-SCALED residual max-norm
 instead: each gradient row is divided by its weight scale, making the
 acceptance test scale-free. Termination uses the same scaled norm.
+
+Front end. Every lane minimizes over whole trajectories U ((N+1, n_dof))
+whose first k rows are pinned (k = 2 in the inertial lane, else 1).
+`pinned_solve` holds the shared plumbing (unknown knots, start, row scale,
+`with_pins`) and takes the solver as an argument, so each lane's calls go
+through its own module binding of `newton_solve`. `time_divergence` and
+`time_band` are the backward-difference time coupling of the first-order
+lanes.
 """
 
 from __future__ import annotations
@@ -13,6 +21,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
+
+from .grids import ConfigurationError
 
 
 def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
@@ -86,3 +96,48 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
         if accepted and a == 1.0 and mu > 0.0:
             mu = 0.0
     return x, res, it, res <= tol
+
+
+def pinned_solve(solver, pinned: np.ndarray, N: int, start, grad, hess,
+                 knot_scale: np.ndarray, **options):
+    """Minimize over the trajectories U ((N+1, n_dof)) whose first rows
+    are `pinned` ((k, n_dof)); options go to `solver`. start is None (each
+    unknown knot starts at the last pinned row) or an (N+1, n_dof) array.
+    grad(U) is the whole-trajectory gradient, hess(U) the Hessian over the
+    knots k..N. Returns (U, scaled_residual, iterations, converged)."""
+    k, n_dof = pinned.shape
+    if start is None:
+        x0 = np.tile(pinned[-1], (N + 1 - k, 1)).ravel()
+    elif start.shape[0] != N + 1:
+        raise ConfigurationError("init has the wrong number of knots")
+    else:
+        x0 = start[k:].ravel()
+
+    x, res, iters, conv = solver(
+        x0, lambda x: grad(with_pins(pinned, x))[k:].ravel(),
+        lambda x: hess(with_pins(pinned, x)), np.repeat(knot_scale, n_dof),
+        **options)
+    return with_pins(pinned, x), res, iters, conv
+
+
+def with_pins(pinned: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The trajectory whose rows are `pinned`, then the flat unknowns x."""
+    return np.vstack([pinned, x.reshape(-1, pinned.shape[1])])
+
+
+def time_divergence(g: np.ndarray, flux: np.ndarray) -> None:
+    """Knot n of g ((N, n_dof), knots 1..N) gains flux_n - flux_{n+1},
+    flux_n being the rate term's derivative in u_n - u_{n-1}."""
+    g += flux
+    g[:-1] -= flux[1:]
+
+
+def time_band(r: np.ndarray, main=0.0) -> sp.dia_matrix:
+    """DIA Hessian over knots 1..N of a rate term with curvature r
+    ((N, n_dof)) in u_n - u_{n-1}, added to the diagonal `main`."""
+    n_dof = r.shape[1]
+    diag = main + r
+    diag[:-1] += r[1:]
+    off = -r[1:].ravel()
+    return sp.diags([diag.ravel(), off, off], [0, -n_dof, n_dof],
+                    shape=(r.size, r.size))

@@ -1,6 +1,6 @@
 """Spatial grids, nodal fields, time-indexed trajectories, and the
-value-reordering maps (lattice min/max, truncations, sign parts,
-rearrangements, rigid transforms).
+value-reordering maps (lattice min/max, rearrangements and the node
+permutations of reflections, torus translations and rotations).
 
 Everything here is a pure function of its inputs. Field values are
 immutable numpy arrays; the Field maps return new Fields, and

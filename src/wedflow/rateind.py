@@ -28,7 +28,8 @@ import scipy.sparse as sp
 
 from .grids import ConfigurationError, Grid, Trajectory
 from .energies import _rowdot, _sequential_sum, graph_laplacian
-from ._newton import newton_solve
+from ._newton import (newton_solve, pinned_solve, time_band,
+                      time_divergence)
 from .wed import MinimizeReport, continuation
 from .comparison import ordered_pair_levels, ordering_margin
 
@@ -216,62 +217,40 @@ def minimize_wed_ri(problem: RIProblem,
     trajectory and a MinimizeReport whose gradient norm is the row-scaled
     stationarity residual at the final smoothing stage."""
     N = problem.steps
-    nn = problem.grid.n_nodes
     hd = problem.grid.cell_measure
-    u0 = problem.initial
-    if init is None:
-        X = np.tile(u0, (N, 1)).ravel()
-    else:
-        if init.steps != N:
-            raise ConfigurationError("init has the wrong number of knots")
-        X = init.values[1:].ravel()
     jw, pw, tw = _ri_weights(problem.epsilon, problem.T, N)
-    scale = np.repeat(jw * max(hd, 1e-300), nn)
-
-    def unknowns_to_full(x: np.ndarray) -> np.ndarray:
-        return np.vstack([u0[None, :], x.reshape(N, nn)])
-
     # pw with the terminal weight folded into the last knot
     pwt = pw.copy()
     pwt[-1] += tw
+    lap = None if problem._lap is None \
+        else sp.kron(sp.diags(pwt), problem._lap, format="csc")
 
-    def grad_fn(x: np.ndarray, delta: float) -> np.ndarray:
-        U = unknowns_to_full(x)
-        jumps = np.diff(U, axis=0)
-        sig = _sigma(jumps, delta)
-        g = pwt[:, None] * ri_energy_grad(problem, U[1:], np.arange(1, N + 1))
-        g += jw[:, None] * sig * hd
-        g[:-1] -= jw[1:, None] * sig[1:] * hd
-        return g.ravel()
+    def grad(U: np.ndarray, delta: float) -> np.ndarray:
+        g = np.zeros_like(U)
+        g[1:] = pwt[:, None] * ri_energy_grad(problem, U[1:],
+                                              np.arange(1, N + 1))
+        time_divergence(g[1:], jw[:, None] * _sigma(np.diff(U, axis=0),
+                                                    delta) * hd)
+        return g
 
-    def hess_fn(x: np.ndarray, delta: float) -> sp.spmatrix:
-        U = unknowns_to_full(x)
-        jumps = np.diff(U, axis=0)
-        r = jw[:, None] * _rho(jumps, delta) * hd
-        main = pwt[:, None] * problem._phi_d2(U[1:]) * hd + r
-        main[:-1] += r[1:]
-        bands = [main.ravel()]
-        offsets = [0]
-        if N > 1:
-            off = -r[1:].ravel()
-            bands += [off, off]
-            offsets += [-nn, nn]
-        H = sp.diags(bands, offsets, shape=(N * nn, N * nn), format="csc")
-        if problem._lap is not None:
-            H = H + sp.kron(sp.diags(pwt), problem._lap, format="csc")
-        return H
+    def hess(U: np.ndarray, delta: float) -> sp.spmatrix:
+        H = time_band(jw[:, None] * _rho(np.diff(U, axis=0), delta) * hd,
+                      pwt[:, None] * problem._phi_d2(U[1:]) * hd)
+        return (H if lap is None else H + lap).tocsc()
 
+    U = None if init is None else init.values
     total_iters = 0
     res = np.inf
     converged = True
     for delta in deltas:
-        X, res, iters, ok = newton_solve(
-            X, lambda x: grad_fn(x, delta), lambda x: hess_fn(x, delta),
-            scale, tol=tol, max_iter=max_iter)
+        U, res, iters, ok = pinned_solve(
+            newton_solve, problem.initial[None], N, U,
+            lambda U: grad(U, delta), lambda U: hess(U, delta), jw * hd,
+            tol=tol, max_iter=max_iter)
         total_iters += iters
         converged = converged and ok
-    traj = RITrajectory(problem.grid, problem.T, unknowns_to_full(X),
-                        pinned_initial=u0)
+    traj = RITrajectory(problem.grid, problem.T, U,
+                        pinned_initial=problem.initial)
     value = wed_ri_value(problem, traj)
     report = MinimizeReport(iterations=total_iters, value=value,
                             gradient_norm=res, converged=converged)

@@ -29,9 +29,10 @@ from .grids import (ConfigurationError, Field, Grid, Trajectory, build_grid,
                     rearrange, reflection_permutation)
 from .energies import (DissipationSpec, EnergySpec, ReactionSpec,
                        energy1_value_grad)
-from .wed import (WedProblem, default_eps_schedule, eps_continuation,
-                  euler_lagrange_residual, strong_solution_residual,
-                  wed_value_grad)
+from ._newton import with_pins
+from .wed import (WedProblem, check_schedule, default_eps_schedule,
+                  eps_continuation, euler_lagrange_residual,
+                  strong_solution_residual, wed_value_grad)
 from .qualitative import INERTIAL_KINDS, WED_KINDS, RMap, invariant_solve
 from .comparison import ordered_minimizers, submodularity_check
 from .rateind import (RIProblem, energetic_residuals, ordered_ri_minimizers,
@@ -339,15 +340,12 @@ def _schedule(sc: Scenario) -> list:
     raw = cfg.get("schedule", "auto")
     if raw == "auto":
         return default_eps_schedule(float(cfg["T"]), cfg["steps"])
-    if not isinstance(raw, list) or not raw:
-        raise ScenarioError("field 'schedule': must be 'auto' or a "
-                            "non-empty list")
-    sched = [float(x) for x in raw]
-    if any(b >= a for a, b in zip(sched, sched[1:])):
-        raise ScenarioError("field 'schedule': must decrease strictly")
-    if any(not 0.0 < e < float(cfg["T"]) for e in sched):
-        raise ScenarioError("field 'schedule': entries must lie in (0, T)")
-    return sched
+    if not isinstance(raw, list):
+        raise ScenarioError("field 'schedule': must be 'auto' or a list")
+    try:
+        return check_schedule(raw, float(cfg["T"]))
+    except (TypeError, ValueError) as exc:  # ConfigurationError included
+        raise ScenarioError(f"field 'schedule': {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -717,9 +715,8 @@ def _verify_gradients(seed: int = 0) -> dict:
     _, g = wed_value_grad(problem, w, traj)
 
     def value_of(flat):
-        vals = np.vstack([problem.initial[None, :],
-                          flat.reshape(steps, 7)])
-        t = Trajectory(grid, 1.0, vals, pinned_initial=problem.initial)
+        t = Trajectory(grid, 1.0, with_pins(problem.initial[None], flat),
+                       pinned_initial=problem.initial)
         return wed_value_grad(problem, w, t)[0]
 
     err = _fd_error(value_of, traj.values[1:].ravel(), g[1:].ravel(), rng)
@@ -736,7 +733,7 @@ def _verify_gradients(seed: int = 0) -> dict:
     _, gw = wide_value_grad(osc, wide_trajectory(osc, base))
 
     def wide_value_of(flat):
-        vals = np.vstack([base[:2], flat.reshape(N - 1, 2)])
+        vals = with_pins(base[:2], flat)
         return wide_value_grad(osc, wide_trajectory(osc, vals))[0]
 
     err = _fd_error(wide_value_of, base[2:].ravel(), gw[2:].ravel(), rng)

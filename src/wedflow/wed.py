@@ -27,12 +27,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize as scipy_minimize
 
-from ._newton import newton_solve
+from ._newton import (newton_solve, pinned_solve, time_band,
+                      time_divergence)
 from .energies import (DissipationSpec, EnergySpec, ReactionSpec, A_eval,
                        _rowdot, _sequential_sum, alpha_eval, alpha_prime,
                        energy1_hessian, energy1_value_grad,
                        energy2_value_grad, p_conjugate, reaction_eval)
-from .grids import ConfigurationError, Grid, Trajectory
+from .grids import (ConfigurationError, Grid, Trajectory,
+                    constant_trajectory)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,10 +156,9 @@ def _wed_kernel(problem: WedProblem, w: np.ndarray, U: np.ndarray,
     v1, g1 = energy1_value_grad(problem.energy1, problem.grid, U[1:])
     value = _sequential_sum(_dissipation_value(problem, U, dt),
                             b * (v1 - hd * _rowdot(w[1:], U[1:])))
-    flux = (a / dt)[:, None] * alph * hd
     grad = np.zeros_like(U)
-    grad[1:] = b[:, None] * (g1 - hd * w[1:]) + flux
-    grad[1:-1] -= flux[1:]
+    grad[1:] = b[:, None] * (g1 - hd * w[1:])
+    time_divergence(grad[1:], (a / dt)[:, None] * alph * hd)
     return value, grad
 
 
@@ -177,39 +178,6 @@ def wed_value_grad(problem: WedProblem, w: np.ndarray,
 # Inner minimization
 # ---------------------------------------------------------------------------
 
-def _assemble(problem: WedProblem, w, N: int):
-    """Closures (grad, hess, scale, unpack) over the unknown X = slices 1..N."""
-    n_dof = problem.n_dof
-    dt = problem.T / N
-    hd = problem.grid.cell_measure
-    a, b = _weights(problem.epsilon, problem.T, N)
-    u0 = problem.initial
-    row_b = sp.diags(np.repeat(b, n_dof))
-
-    def full(X):
-        return np.vstack([u0[None, :], X.reshape(N, n_dof)])
-
-    def grad_fn(X):
-        return _wed_kernel(problem, w, full(X), dt)[1][1:].ravel()
-
-    def hess_fn(X):
-        U = full(X)
-        rates = np.diff(U, axis=0) / dt
-        # dissipation couples consecutive slices: one tri-band in time
-        ap = alpha_prime(problem.dissipation, rates) * hd / dt ** 2
-        r = a[:, None] * ap
-        main = r.copy()
-        main[:-1] += r[1:]
-        off = -r[1:].ravel()
-        bands = sp.diags([main.ravel(), off, off], [0, -n_dof, n_dof],
-                         shape=(N * n_dof, N * n_dof))
-        Hphi = energy1_hessian(problem.energy1, problem.grid, U[1:])
-        return (row_b @ Hphi + bands).tocsc()
-
-    scale = np.repeat(b * max(hd, 1e-300), n_dof)
-    return grad_fn, hess_fn, scale, full
-
-
 def minimize_wed(problem: WedProblem, w, init: Trajectory,
                  gtol: float = 1e-10, max_iter: int = 120
                  ) -> tuple[Trajectory, MinimizeReport]:
@@ -222,12 +190,22 @@ def minimize_wed(problem: WedProblem, w, init: Trajectory,
         raise ConfigurationError("init must be pinned at the problem initial")
     N = init.steps
     w = _check_w(w, N, problem.n_dof)
-    grad_fn, hess_fn, scale, full = _assemble(problem, w, N)
-    X0 = init.values[1:].ravel()
-    X, res, iters, conv = newton_solve(X0, grad_fn, hess_fn, scale,
-                                       tol=gtol, max_iter=max_iter,
-                                       symmetric=problem.grid.dim > 1)
-    out = Trajectory(problem.grid, problem.T, full(X),
+    dt = problem.T / N
+    hd = problem.grid.cell_measure
+    a, b = _weights(problem.epsilon, problem.T, N)
+    row_b = sp.diags(np.repeat(b, problem.n_dof))
+
+    def hess(U):  # grouped as the recorded artifacts were computed
+        r = a[:, None] * (alpha_prime(problem.dissipation,
+                                      np.diff(U, axis=0) / dt) * hd / dt ** 2)
+        Hphi = energy1_hessian(problem.energy1, problem.grid, U[1:])
+        return (row_b @ Hphi + time_band(r)).tocsc()
+
+    U, res, iters, conv = pinned_solve(
+        newton_solve, problem.initial[None], N, init.values,
+        lambda U: _wed_kernel(problem, w, U, dt)[1], hess, b * hd,
+        tol=gtol, max_iter=max_iter, symmetric=problem.grid.dim > 1)
+    out = Trajectory(problem.grid, problem.T, U,
                      pinned_initial=problem.initial,
                      ncomp=problem.n_dof // problem.grid.n_nodes)
     value, _ = wed_value_grad(problem, w, out)
@@ -280,11 +258,8 @@ def fixed_point_solve(problem: WedProblem, steps: int,
     each outer iterate before the dual field is evaluated; it is how
     solution classes closed under a map are enforced."""
     ncomp = problem.n_dof // problem.grid.n_nodes
-    if init is None:
-        vals = np.tile(problem.initial, (steps + 1, 1))
-        init = Trajectory(problem.grid, problem.T, vals,
-                          pinned_initial=problem.initial, ncomp=ncomp)
-    u = init
+    u = init if init is not None else constant_trajectory(
+        problem.grid, problem.initial, problem.T, steps)
     dt = problem.T / steps
     inner_reports = []
     history = []
@@ -334,24 +309,29 @@ class PairReport:
     converged: bool
 
 
+def check_schedule(schedule, T: float) -> list:
+    """The weight schedule as a list of floats; ConfigurationError unless
+    it is nonempty, strictly decreasing and inside (0, T)."""
+    schedule = [float(e) for e in schedule]
+    if not schedule:
+        raise ConfigurationError("empty continuation schedule")
+    if any(e2 >= e1 for e1, e2 in zip(schedule, schedule[1:])):
+        raise ConfigurationError("schedule must decrease strictly")
+    if any(not 0.0 < e < T for e in schedule):
+        raise ConfigurationError("schedule entries must lie in (0, T)")
+    return schedule
+
+
 def continuation(level_solve: Callable, schedule, T: float) -> list:
     """The weight continuation shared by every solver family.
 
     level_solve(eps, warm) returns (state, report), where warm is the state
-    of the previous level (None at the first). The schedule must be
-    nonempty, strictly decreasing and inside (0, T). Returns
-    [(eps, state, report)] in schedule order, ending at the first level
-    whose report has not converged."""
-    schedule = list(schedule)
-    if not schedule:
-        raise ConfigurationError("empty continuation schedule")
-    if any(e2 >= e1 for e1, e2 in zip(schedule, schedule[1:])):
-        raise ConfigurationError("schedule must be strictly decreasing")
-    if any(not 0.0 < e < T for e in schedule):
-        raise ConfigurationError("schedule entries must lie in (0, T)")
+    of the previous level (None at the first). The schedule must pass
+    check_schedule. Returns [(eps, state, report)] in schedule order,
+    ending at the first level whose report has not converged."""
     levels = []
     warm = None
-    for eps in schedule:
+    for eps in check_schedule(schedule, T):
         warm, report = level_solve(eps, warm)
         levels.append((eps, warm, report))
         if not report.converged:

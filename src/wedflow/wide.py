@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .grids import ConfigurationError, Grid, Trajectory, build_grid
 from .energies import _rowdot, _sequential_sum, graph_laplacian
-from ._newton import newton_solve
+from ._newton import newton_solve, pinned_solve
 from .qualitative import RMap, invariance_residual
 from .wed import MinimizeReport, continuation
 
@@ -272,10 +272,8 @@ def _state_grid(problem: WideProblem) -> Grid:
         else _POINT_GRID
 
 
-def _pinned_rows(problem: WideProblem, dt: float) -> tuple:
-    u0 = problem.initial
-    u1 = u0 + dt * problem.velocity
-    return u0, u1
+def _pinned_rows(problem: WideProblem, dt: float) -> np.ndarray:
+    return np.stack([problem.initial, problem.initial + dt * problem.velocity])
 
 
 def _knot_weights(problem: WideProblem, N: int) -> tuple:
@@ -330,16 +328,14 @@ def _wide_kernel(parts: _Parts, U: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def wide_trajectory(problem: WideProblem, values: np.ndarray) -> Trajectory:
-    parts = _Parts(problem)
-    N = values.shape[0] - 1
-    dt = problem.T / N
-    u0, u1 = _pinned_rows(problem, dt)
+    grid = _state_grid(problem)
+    u0, u1 = _pinned_rows(problem, problem.T / (values.shape[0] - 1))
     if not (np.array_equal(values[0], u0) and np.array_equal(values[1], u1)):
         raise ConfigurationError(
             "rows 0 and 1 must pin the state and velocity")
-    return Trajectory(parts.grid, problem.T, values, pinned_initial=u0,
+    return Trajectory(grid, problem.T, values, pinned_initial=u0,
                       pinned_velocity=problem.velocity.copy(),
-                      ncomp=parts.ncomp)
+                      ncomp=problem.n_dof // grid.n_nodes)
 
 
 def wide_value_grad(problem: WideProblem,
@@ -365,15 +361,8 @@ def minimize_wide(problem: WideProblem, steps: int,
     dt = problem.T / N
     parts = _Parts(problem)
     nd = problem.n_dof
-    u0, u1 = _pinned_rows(problem, dt)
     eps = problem.epsilon
     beta, w_acc, w_vel, w_pot = _knot_weights(problem, N)
-
-    def full(x: np.ndarray) -> np.ndarray:
-        return np.vstack([u0[None, :], u1[None, :], x.reshape(N - 1, nd)])
-
-    def grad_fn(x: np.ndarray) -> np.ndarray:
-        return _wide_kernel(parts, full(x))[1][2:].ravel()
 
     # Knot n's acceleration and velocity weights c_n, v_n (zero outside
     # 1..N-1 and 1..N) couple knots through the stencils (1, -2, 1) and
@@ -394,16 +383,10 @@ def minimize_wide(problem: WideProblem, steps: int,
     pot_rows = sp.diags(np.repeat(w_pot[1:], nd))
     stiffness = sp.kron(sp.identity(N - 1), parts.S, format="csr")
 
-    def hess_fn(x: np.ndarray) -> sp.spmatrix:
-        pot = pot_rows @ (stiffness + parts.g_hess(full(x)[2:]))
+    def hess(U: np.ndarray) -> sp.spmatrix:
+        pot = pot_rows @ (stiffness + parts.g_hess(U[2:]))
         return (linear + pot).tocsc()
 
-    if init is None:
-        X = np.tile(u1, (N - 1, 1)).ravel()
-    else:
-        if init.steps != N:
-            raise ConfigurationError("init has the wrong number of knots")
-        X = init.values[2:].ravel()
     # row scale tracks the dominant stiffness of each knot's gradient row
     # (inertia grows like eps^2/dt^3), so the scaled residual is relative
     minf, dinf, sinf = (float(abs(A).max()) if A.nnz else 0.0
@@ -411,11 +394,14 @@ def minimize_wide(problem: WideProblem, steps: int,
     hd = parts.grid.cell_measure
     knot_mag = (dt * (sinf + hd) + 8.0 * eps ** 2 * minf / dt ** 3
                 + 4.0 * eps * dinf / dt)
-    scale = np.repeat(np.maximum(beta[2:] * knot_mag, 1e-300), nd)
-    X, res, iters, conv = newton_solve(X, grad_fn, hess_fn, scale,
-                                       tol=gtol, max_iter=max_iter)
-    traj = wide_trajectory(problem, full(X))
-    value, _ = wide_value_grad(problem, traj)
+    U, res, iters, conv = pinned_solve(
+        newton_solve, _pinned_rows(problem, dt), N,
+        None if init is None else init.values,
+        lambda U: _wide_kernel(parts, U)[1], hess,
+        np.maximum(beta[2:] * knot_mag, 1e-300), tol=gtol,
+        max_iter=max_iter)
+    traj = wide_trajectory(problem, U)
+    value, _ = _wide_kernel(parts, U)
     rep = MinimizeReport(iterations=iters, value=value, gradient_norm=res,
                          converged=conv,
                          notes=(f"curvature_bound={repr(parts.lam)}",))

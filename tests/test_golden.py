@@ -1,8 +1,8 @@
 """Refactor oracle: the bundled scenarios, the two 2D heat problems of the
-size ladder, and the `gradients`, `submodularity`, `rearrangement`,
-`invariance` and `wide` verify suites against the golden records that the
-benchmark checks (perfbench/golden), through the comparison of
-perfbench/checks.py: every number within 1e-12 of its
+size ladder, and all six verify suites (`gradients`, `submodularity`,
+`rearrangement`, `invariance`, `energetic` and `wide`) against the golden
+records that the benchmark checks (perfbench/golden), through the
+comparison of perfbench/checks.py: every number within 1e-12 of its
 record, relative above magnitude one and absolute below. Also checks that
 the benchmark's tracer (perfbench/tracer.py) finds every name it rebinds
 in the package and restores each binding."""
@@ -18,10 +18,11 @@ import numpy as np
 import pytest
 
 import wedflow
-from wedflow import RIProblem, RITrajectory
+from wedflow import (LagrangianProblem, RIProblem, RITrajectory,
+                     constant_trajectory)
 from wedflow.cli import bundled_scenarios, main
 
-from conftest import point_grid
+from conftest import point_grid, scalar_decay_problem
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -78,7 +79,8 @@ def test_2d_ladder_problem_matches_golden_record(tmp_path, monkeypatch,
 @pytest.mark.parametrize("suite, seed", [("gradients", seed)
                                          for seed in range(8)]
                          + [("submodularity", 0), ("rearrangement", 0),
-                            ("invariance", 0), ("wide", 0)])
+                            ("invariance", 0), ("energetic", 0),
+                            ("wide", 0)])
 def test_verify_suite_matches_golden_record(suite, seed):
     rc, out = cli(["verify", suite, "--seed", str(seed)])
     assert_matches(checks.verify_record(rc, out),
@@ -102,11 +104,19 @@ def test_tracer_rebinds_every_name_and_restores_it(capsys):
                             T=1.0, epsilon=0.2, initial=np.zeros(1))
         wedflow.runner.ordered_ri_minimizers(problem, np.zeros(1),
                                              0.5 * np.ones(1))
+        # every lane must reach Newton through its own module binding
+        heat = scalar_decay_problem()
+        wedflow.wed.minimize_wed(heat, np.zeros(1), constant_trajectory(
+            heat.grid, heat.initial, heat.T, 8))
+        wedflow.wide.minimize_wide(LagrangianProblem(
+            d=1, M=np.eye(1), nu=0.0, u_kind="quadratic", T=1.0,
+            epsilon=0.1, initial=np.ones(1), velocity=np.zeros(1)), 8)
     assert "not found" not in capsys.readouterr().err
     assert rebound == expected
     calls = {name: n for name, (n, _, _) in t.totals().items()}
     assert calls["rateind.ordered"] == 1
     assert calls["newton.rateind"] > 0 and calls["rateind.value"] > 0
+    assert calls["newton.wed"] > 0 and calls["newton.wide"] > 0
     for owner, names in zip(owners, before):
         assert all(vars(owner)[k] is v for k, v in names.items())
         assert set(vars(owner)) == set(names)

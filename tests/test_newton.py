@@ -7,9 +7,9 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from wedflow import (DissipationSpec, EnergySpec, LagrangianProblem,
-                     ReactionSpec, RIProblem, WedProblem, _newton,
-                     build_grid, constant_trajectory, minimize_wed,
+from wedflow import (ConfigurationError, DissipationSpec, EnergySpec,
+                     LagrangianProblem, ReactionSpec, RIProblem, WedProblem,
+                     _newton, build_grid, constant_trajectory, minimize_wed,
                      minimize_wed_ri, minimize_wide)
 from wedflow._newton import newton_solve
 
@@ -31,6 +31,84 @@ def test_full_step_solve_reuses_the_line_search_gradient():
     assert np.allclose(A @ x, b, atol=1e-14)
     # the start point and the accepted full step, nothing recomputed
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# the pinned-trajectory front end and the backward-difference time coupling
+# ---------------------------------------------------------------------------
+
+def _chain(N: int, n_dof: int, seed: int):
+    """Curvatures r, m and targets c of the quadratic trajectory objective
+    sum_n r_n |u_n - u_{n-1}|^2 / 2 + m_n |u_n - c_n|^2 / 2, n = 1..N."""
+    rng = np.random.default_rng(seed)
+    r, m = rng.uniform(0.5, 2.0, (2, N, n_dof))
+    return r, m, rng.standard_normal((N, n_dof))
+
+
+def test_time_band_and_divergence_match_a_dense_assembly():
+    N, n_dof = 4, 3
+    r, m, c = _chain(N, n_dof, 1)
+    U = np.random.default_rng(2).standard_normal((N + 1, n_dof))
+    H = np.zeros((N * n_dof, N * n_dof))
+    g = m * (U[1:] - c)
+    for n in range(N):      # the difference into knot n+1
+        for i in range(n_dof):
+            a = n * n_dof + i
+            H[a, a] += m[n, i] + r[n, i]
+            g[n, i] += r[n, i] * (U[n + 1, i] - U[n, i])
+            if n > 0:
+                H[a - n_dof, a - n_dof] += r[n, i]
+                H[a, a - n_dof] -= r[n, i]
+                H[a - n_dof, a] -= r[n, i]
+                g[n - 1, i] -= r[n, i] * (U[n + 1, i] - U[n, i])
+    band = _newton.time_band(r, m)
+    assert sp.isspmatrix_dia(band)
+    assert np.array_equal(band.toarray(), H)
+    got = m * (U[1:] - c)
+    _newton.time_divergence(got, r * np.diff(U, axis=0))
+    assert np.allclose(got, g, rtol=1e-15, atol=1e-15)
+    assert np.array_equal(_newton.time_band(r[:1], m[:1]).toarray(),
+                          np.diag(m[0] + r[0]))
+
+
+def test_pinned_solve_keeps_the_pins_and_solves_the_rest():
+    N, n_dof = 5, 2
+    r, m, c = _chain(N, n_dof, 3)
+    pin = np.array([[1.0, -1.0]])
+
+    def grad(U):
+        g = np.zeros_like(U)
+        g[1:] = m * (U[1:] - c)
+        _newton.time_divergence(g[1:], r * np.diff(U, axis=0))
+        return g
+
+    starts = []
+
+    def solver(x0, grad_fn, hess_fn, scale, **options):
+        starts.append(x0.copy())
+        assert np.array_equal(scale, np.repeat(np.arange(1.0, N + 1), n_dof))
+        return newton_solve(x0, grad_fn, hess_fn, scale, **options)
+
+    U, res, iters, converged = _newton.pinned_solve(
+        solver, pin, N, None, grad, lambda U: _newton.time_band(r, m),
+        np.arange(1.0, N + 1), tol=1e-12)
+    assert converged and res <= 1e-12 and U.shape == (N + 1, n_dof)
+    assert np.array_equal(U[:1], pin)
+    assert np.array_equal(starts[0], np.tile(pin[0], N))
+    rhs = (m * c).ravel()
+    rhs[:n_dof] += r[0] * pin[0]
+    want = np.linalg.solve(_newton.time_band(r, m).toarray(), rhs)
+    assert np.allclose(U[1:].ravel(), want, rtol=1e-12, atol=1e-12)
+    # a start array gives its rows after the pins; its pinned rows are unused
+    start = np.full((N + 1, n_dof), 7.0)
+    _newton.pinned_solve(solver, pin, N, start, grad,
+                         lambda U: _newton.time_band(r, m),
+                         np.arange(1.0, N + 1))
+    assert np.array_equal(starts[1], np.full(N * n_dof, 7.0))
+    with pytest.raises(ConfigurationError, match="wrong number of knots"):
+        _newton.pinned_solve(solver, pin, N, start[1:], grad,
+                             lambda U: _newton.time_band(r, m),
+                             np.arange(1.0, N + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,13 @@ def test_minimizer_never_leaves_load_corridor():
     assert np.all(np.diff(traj.values[:, 0]) >= -0.35)
 
 
+def test_minimize_wed_ri_rejects_init_with_wrong_knot_count():
+    init = RITrajectory(point_grid(), 1.0, np.zeros((7, 1)),
+                        pinned_initial=np.zeros(1))
+    with pytest.raises(ConfigurationError, match="wrong number of knots"):
+        minimize_wed_ri(ramp_problem(8), init=init)
+
+
 def test_sign_condition_certificate_small():
     problem = ramp_problem(60, eps=0.05)
     traj, _ = minimize_wed_ri(problem)

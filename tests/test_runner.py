@@ -134,9 +134,13 @@ def test_schedule_resolution():
     sc.config["schedule"] = []
     with pytest.raises(ScenarioError, match="schedule"):
         _schedule(sc)
-    sc.config["schedule"] = [0.05, 0.2]
-    with pytest.raises(ScenarioError, match="decrease"):
-        _schedule(sc)
+    for bad, match in [([0.05, 0.2], "decrease"), ([0.2, 0.2], "decrease"),
+                       ([1.5, 0.1], r"\(0, T\)"), ([0.2, 0.0], r"\(0, T\)"),
+                       (["fast"], "float"), (0.2, "'auto' or a list")]:
+        sc.config["schedule"] = bad
+        with pytest.raises(ScenarioError, match=match) as info:
+            _schedule(sc)
+        assert str(info.value).startswith("field 'schedule': ")
 
 
 # ---------------------------------------------------------------------------

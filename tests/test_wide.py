@@ -261,6 +261,15 @@ def test_minimize_wide_rejects_bad_init_and_steps():
         minimize_wide(problem, steps=16, init=other)
 
 
+def test_minimize_wide_builds_its_parts_once_per_solve(monkeypatch):
+    from wedflow import wide
+    real, calls = wide._Parts.__init__, []
+    monkeypatch.setattr(wide._Parts, "__init__",
+                        lambda self, p: calls.append(p) or real(self, p))
+    fam = wide_continuation(oscillator(), [0.1, 0.05, 0.025], steps=16)
+    assert len(fam) == 3 and len(calls) == 3
+
+
 def test_wide_continuation_requires_decreasing_schedule():
     with pytest.raises(ConfigurationError):
         wide_continuation(oscillator(), [0.02, 0.04], steps=16)
