@@ -33,23 +33,26 @@ def _require_potential(problem: WedProblem) -> None:
             "source is not a fixed field")
 
 
-def wed_potential_value(problem: WedProblem, traj: Trajectory) -> float:
+def wed_potential_value(problem: WedProblem, traj):
     """Value of the weighted functional with every non-dissipative term
-    inside the integrand: rate term + phi1 - phi2 - <g, u> per knot."""
+    inside the integrand: rate term + phi1 - phi2 - <g, u> per knot. traj
+    is a Trajectory, or a (k, N+1, n_dof) stack priced one value per
+    trajectory."""
     _require_potential(problem)
-    N = traj.steps
-    dt = problem.T / N
+    U = traj.values if isinstance(traj, Trajectory) else traj
+    N = U.shape[-2] - 1
     _, b = _weights(problem.epsilon, problem.T, N)
-    hd = problem.grid.cell_measure
-    U = traj.values
-    slices = np.arange(1, N + 1)
-    v1, _ = energy1_value_grad(problem.energy1, problem.grid, U[1:])
-    v2, _ = energy2_value_grad(problem.energy2, problem.grid, U[1:], slices)
+    # every knot after the first as one row, with its own time slice
+    X = U[..., 1:, :].reshape(-1, U.shape[-1])
+    slices = np.tile(np.arange(1, N + 1), X.shape[0] // N)
+    v1, _ = energy1_value_grad(problem.energy1, problem.grid, X)
+    v2, _ = energy2_value_grad(problem.energy2, problem.grid, X, slices)
     knot = v1 - v2
     if problem.reaction.kind == "constant_g":
-        g = reaction_eval(problem.reaction, U[1:], slices)
-        knot -= hd * _rowdot(g, U[1:])
-    return _sequential_sum(_dissipation_value(problem, U, dt), b * knot)
+        g = reaction_eval(problem.reaction, X, slices)
+        knot -= problem.grid.cell_measure * _rowdot(g, X)
+    return _sequential_sum(_dissipation_value(problem, U, problem.T / N),
+                           b * knot.reshape(U.shape[:-2] + (N,)))
 
 
 def _check_ordered_initials(u0: np.ndarray, v0: np.ndarray) -> None:
@@ -69,16 +72,17 @@ def lattice_pair(u: Trajectory, v: Trajectory) -> tuple:
             replace(u, values=mx, pinned_initial=mx[0], pinned_velocity=None))
 
 
-def submodularity_check(problem: WedProblem, u: Trajectory,
-                        v: Trajectory) -> float:
+def submodularity_check(problem: WedProblem, u, v):
     """I(u) + I(v) - I(min) - I(max); nonnegative (to roundoff) whenever
-    the problem is potential."""
-    _check_ordered_initials(u.values[0], v.values[0])
-    meet, join = lattice_pair(u, v)
-    return (wed_potential_value(problem, u)
-            + wed_potential_value(problem, v)
-            - wed_potential_value(problem, meet)
-            - wed_potential_value(problem, join))
+    the problem is potential. u and v are Trajectories, or (k, N+1, n_dof)
+    stacks of pairs with one margin per pair; the four members of every
+    pair are priced as one stack."""
+    U = u.values if isinstance(u, Trajectory) else u
+    V = v.values if isinstance(v, Trajectory) else v
+    _check_ordered_initials(U[..., 0, :], V[..., 0, :])
+    iu, iv, im, ij = wed_potential_value(
+        problem, np.stack([U, V, np.minimum(U, V), np.maximum(U, V)]))
+    return iu + iv - im - ij
 
 
 def _lattice_values(value, pu, pv, u: Trajectory, v: Trajectory,

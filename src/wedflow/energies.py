@@ -234,10 +234,14 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                      np.ascontiguousarray(y)[..., :, None])[..., 0, 0]
 
 
-def _sequential_sum(first: float, terms: np.ndarray) -> float:
-    """first + terms[0] + terms[1] + ..., added left to right as a running
-    scalar would be (np.sum's pairwise order rounds differently)."""
-    return float(np.cumsum(np.concatenate(([first], terms)))[-1])
+def _sequential_sum(first, terms: np.ndarray):
+    """first + terms[..., 0] + terms[..., 1] + ..., per row (first holds
+    one entry per row), added left to right as a running scalar would be
+    (np.sum's pairwise order rounds differently)."""
+    total = np.cumsum(np.concatenate(
+        (np.asarray(first, dtype=float)[..., None], terms), axis=-1),
+        axis=-1)[..., -1]
+    return float(total) if total.ndim == 0 else total
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,22 @@ def field_to_csv(u: Field) -> str:
     return "\n".join(lines) + "\n"
 
 
+def trajectory_to_csv(traj: Trajectory, header: str = "node_index",
+                      column: Optional[tuple] = None) -> str:
+    """One row per knot and component: t, index, value, and, when column
+    is (name, one value per knot), that knot's value. Floats use repr."""
+    lines = [f"t,{header},value"]
+    tails = [""] * (traj.steps + 1)
+    if column is not None:
+        lines[0] += f",{column[0]}"
+        tails = [f",{repr(float(c))}" for c in column[1]]
+    for n, t in enumerate(traj.times):
+        for i in range(traj.values.shape[1]):
+            lines.append(f"{repr(float(t))},{i},"
+                         f"{repr(float(traj.values[n, i]))}{tails[n]}")
+    return "\n".join(lines) + "\n"
+
+
 def field_from_csv(grid: Grid, text: str) -> Field:
     rows = [r for r in text.strip().splitlines()[1:] if r]
     if len(rows) != grid.n_nodes:

@@ -489,8 +489,8 @@ def check_r2(R: RMap, problem: WedProblem, samples: int = 16,
 
         traj = np.cumsum(rng.standard_normal((steps + 1, n)) * 0.5, axis=0)
         rt = R.apply(traj, grid)
-        dba = _dissipation_value(problem, traj, problem.T / steps)
-        dbr = _dissipation_value(problem, rt, problem.T / steps)
+        dba, dbr = _dissipation_value(problem, np.stack([traj, rt]),
+                                      problem.T / steps)
         _worsen(conds, "dissipation_monotone",
                 (dba - dbr) / (1.0 + abs(dba)) + MARGIN_TOL, state,
                 traj.ravel())

@@ -26,7 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .grids import ConfigurationError, Grid, Trajectory
+from .grids import (ConfigurationError, Grid, Trajectory,
+                    trajectory_to_csv)
 from .energies import _rowdot, _sequential_sum, graph_laplacian
 from ._newton import (newton_solve, pinned_solve, time_band,
                       time_divergence)
@@ -139,14 +140,8 @@ class RITrajectory(Trajectory):
         return float(np.sum(self.jump_magnitudes()))
 
     def to_csv(self) -> str:
-        jm = self.jump_magnitudes()
-        lines = ["t,node_index,value,jump_magnitude"]
-        for n, t in enumerate(self.times):
-            for i in range(self.grid.n_nodes):
-                lines.append(f"{repr(float(t))},{i},"
-                             f"{repr(float(self.values[n, i]))},"
-                             f"{repr(float(jm[n]))}")
-        return "\n".join(lines) + "\n"
+        return trajectory_to_csv(
+            self, column=("jump_magnitude", self.jump_magnitudes()))
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +177,16 @@ def _ri_weights(eps: float, T: float, N: int):
     return eps * beta[:-1], eps * (beta[:-1] - beta[1:]), beta[-1]
 
 
+def _knot_count(problem: RIProblem, traj: RITrajectory) -> int:
+    """The trajectory's N, which must be the forcing's."""
+    if traj.steps != problem.steps:
+        raise ConfigurationError("trajectory and forcing disagree on N")
+    return traj.steps
+
+
 def wed_ri_value(problem: RIProblem, traj: RITrajectory) -> float:
     """Terminal energy + weighted variation + weighted energy integral."""
-    N = traj.steps
-    if N != problem.steps:
-        raise ConfigurationError("trajectory and forcing disagree on N")
+    N = _knot_count(problem, traj)
     jw, pw, tw = _ri_weights(problem.epsilon, problem.T, N)
     U = traj.values
     # added knot by knot, jump before energy, as a running sum would
@@ -266,29 +266,19 @@ def sign_condition(problem: RIProblem, traj: RITrajectory) -> dict:
     complementarity |jump| (1 - sigma sign(jump)) = 0 (sigma must sit at
     the matching endpoint wherever the node actually moves). The second
     quantity is jump-weighted, so vanishing jumps cannot trip it."""
-    N = traj.steps
-    nn = problem.grid.n_nodes
+    N = _knot_count(problem, traj)
     hd = problem.grid.cell_measure
     jw, pw, tw = _ri_weights(problem.epsilon, problem.T, N)
     U = traj.values
-    jumps = np.diff(U, axis=0)
     grads = ri_energy_grad(problem, U[1:], np.arange(1, N + 1))
-    sigma = np.zeros((N, nn))
-    rest = 0.0
-    comp = 0.0
-    for n in range(N, 0, -1):
-        rhs = pw[n - 1] * grads[n - 1]
-        if n == N:
-            rhs = rhs + tw * grads[N - 1]
-        else:
-            rhs = rhs - jw[n] * sigma[n] * hd
-        sigma[n - 1] = -rhs / (jw[n - 1] * hd)
-        j = jumps[n - 1]
-        rest = max(rest, float(np.max(np.abs(sigma[n - 1])) - 1.0))
-        comp = max(comp, float(np.max(
-            np.abs(j) * (1.0 - sigma[n - 1] * np.sign(j)))))
-    worst = max(max(rest, 0.0), comp)
-    return {"worst_violation": worst, "rest_excess": max(rest, 0.0),
+    # jw_n sigma_n h^d balances the potential pull of every later knot
+    pull = pw[:, None] * grads
+    pull[-1] += tw * grads[-1]
+    sigma = -np.cumsum(pull[::-1], axis=0)[::-1] / (jw[:, None] * hd)
+    j = np.diff(U, axis=0)
+    rest = max(float(np.max(np.abs(sigma))) - 1.0, 0.0)
+    comp = max(float(np.max(np.abs(j) * (1.0 - sigma * np.sign(j)))), 0.0)
+    return {"worst_violation": max(rest, comp), "rest_excess": rest,
             "complementarity": comp, "sigma": sigma}
 
 
@@ -319,48 +309,40 @@ def energetic_residuals(traj: RITrajectory, problem: RIProblem,
     with the time-dependent work term.
 
     Stability probes each knot state against w = u + s e_i over a log
-    range of both signs: violation (phi(u) - phi(w) - psi(w-u))^+. The
-    knot energy uses the forcing at the knot's own time (the state right
-    after the jump); the variant pairing the pre-jump forcing is reported
-    alongside. The balance accumulates the variation plus the trapezoid
-    work increment <h_n - h_{n-1}, (u_n + u_{n-1})/2> h^d, which is exact
-    for step interpolants resting or sliding at unit rate."""
-    N = traj.steps
-    nn = problem.grid.n_nodes
+    range of both signs: violation (phi(u) - phi(w) - psi(w-u))^+, with
+    phi(w) - phi(u) = h^d[phi~(u_i+s) - phi~(u_i)] + s(Lu)_i + s^2 L_ii/2
+    - s h^d h_i. The knot energy uses the forcing at the knot's own time
+    (the state right after the jump); the variant pairing the pre-jump
+    forcing is reported alongside. The balance accumulates the variation
+    plus the trapezoid work increment <h_n - h_{n-1}, (u_n + u_{n-1})/2>
+    h^d, exact for step interpolants resting or sliding at unit rate."""
+    N = _knot_count(problem, traj)
+    if probe_count < 1:
+        raise ConfigurationError("probe_count must be at least 1")
     hd = problem.grid.cell_measure
     U = traj.values
-    svals = np.concatenate([-np.logspace(-3, 1, probe_count),
-                            np.logspace(-3, 1, probe_count)])
+    logs = np.logspace(-3, 1, probe_count)
+    s = np.concatenate([-logs, logs])[:, None, None]
+    # phi(w) - phi(u) + psi(w - u) per probe, knot and node, less the
+    # forcing term, which each variant pairs with its own knots
+    rise = hd * (problem.phi_tilde(U + s) - problem.phi_tilde(U) + np.abs(s))
+    if problem._lap is not None:
+        rise += s * (problem._lap @ U.T).T \
+            + 0.5 * s * s * problem._lap.diagonal()
 
-    def stab(shift_left: bool) -> float:
-        worst = 0.0
-        for n in range(N + 1):
-            m = max(n - 1, 0) if shift_left else n
-            base = ri_energy(problem, U[n], m)
-            for i in range(nn):
-                for s in svals:
-                    w = U[n].copy()
-                    w[i] += s
-                    viol = base - ri_energy(problem, w, m) \
-                        - abs(s) * hd
-                    worst = max(worst, viol)
-        return worst
+    def stab(m: np.ndarray) -> float:
+        # m[n] is the knot whose forcing knot n's energy pairs with
+        return max(float(np.max(s * hd * problem.forcing[m] - rise)), 0.0)
 
-    jm = traj.jump_magnitudes()
-    balance = np.zeros(N + 1)
-    acc_var = 0.0
-    acc_work = 0.0
-    e0 = ri_energy(problem, U[0], 0)
-    for n in range(N + 1):
-        if n > 0:
-            acc_var += jm[n]
-            dh = problem.forcing[n] - problem.forcing[n - 1]
-            acc_work += hd * float(dh @ (0.5 * (U[n] + U[n - 1])))
-        balance[n] = ri_energy(problem, U[n], n) + acc_var \
-            - e0 + acc_work
-    return EnergeticReport(stability=float(stab(False)),
+    knots = np.arange(N + 1)
+    energy = ri_energy(problem, U, knots)
+    work = hd * _rowdot(np.diff(problem.forcing, axis=0),
+                        0.5 * (U[1:] + U[:-1]))
+    balance = energy + np.cumsum(traj.jump_magnitudes()) - energy[0] \
+        + np.cumsum(np.concatenate(([0.0], work)))
+    return EnergeticReport(stability=stab(knots),
                            balance=float(np.max(np.abs(balance))),
-                           stability_left=float(stab(True)),
+                           stability_left=stab(np.maximum(knots - 1, 0)),
                            per_knot_balance=balance,
                            probes=2 * probe_count)
 

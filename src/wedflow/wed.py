@@ -134,13 +134,13 @@ def _check_w(w: np.ndarray, N: int, n_dof: int) -> np.ndarray:
     return w
 
 
-def _dissipation_value(problem: WedProblem, U: np.ndarray,
-                       dt: float) -> float:
-    """The weighted rate term of the functional on the trajectory U."""
-    a, _ = _weights(problem.epsilon, problem.T, U.shape[0] - 1)
-    rates = np.diff(U, axis=0) / dt
-    return float(np.sum(a[:, None] * A_eval(problem.dissipation, rates))
-                 * problem.grid.cell_measure)
+def _dissipation_value(problem: WedProblem, U: np.ndarray, dt: float):
+    """The weighted rate term of the functional on the trajectory U, or
+    one per trajectory of a (k, N+1, n_dof) stack."""
+    a, _ = _weights(problem.epsilon, problem.T, U.shape[-2] - 1)
+    rates = np.diff(U, axis=-2) / dt
+    return np.sum(a[:, None] * A_eval(problem.dissipation, rates),
+                  axis=(-2, -1)) * problem.grid.cell_measure
 
 
 def _wed_kernel(problem: WedProblem, w: np.ndarray, U: np.ndarray,

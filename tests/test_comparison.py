@@ -141,6 +141,44 @@ def test_submodularity_requires_ordered_initials():
         submodularity_check(problem, u, v)  # v starts strictly below u
 
 
+def knot_indexed_problem(N, kind, rng):
+    # phi2 forcing and the fixed source g are both tables over the knots
+    base = heat_problem(n=5, eps=0.25)
+    energy1 = base.energy1 if kind == "m_laplace" \
+        else EnergySpec(kind="fractional", s=0.5, gamma=0.5)
+    return replace(
+        base, energy1=energy1,
+        energy2=EnergySpec(kind="none", concave_q=3.0, concave_D=0.2,
+                           forcing=rng.standard_normal((N + 1, 5))),
+        reaction=ReactionSpec(kind="constant_g",
+                              g=rng.standard_normal((N + 1, 5))))
+
+
+@pytest.mark.parametrize("kind", ["m_laplace", "fractional"])
+def test_stacked_pricing_equals_one_call_per_trajectory(kind):
+    rng = np.random.default_rng(12)
+    N = 6
+    problem = knot_indexed_problem(N, kind, rng)
+    us = [random_trajectory(problem, N, rng) for _ in range(4)]
+    vs = [Trajectory(problem.grid, problem.T, w, pinned_initial=w[0])
+          for w in (u.values + rng.random(u.values.shape) for u in us)]
+    U = np.stack([u.values for u in us])
+    V = np.stack([v.values for v in vs])
+    values = wed_potential_value(problem, U)
+    assert values.shape == (4,)
+    assert np.array_equal(values, [wed_potential_value(problem, u)
+                                   for u in us])
+    for value, u in zip(values, us):
+        ref = direct_potential_value(problem, u)
+        assert abs(value - ref) <= 1e-12 * (1.0 + abs(ref))
+    margins = submodularity_check(problem, U, V)
+    assert margins.shape == (4,)
+    assert np.array_equal(margins, [submodularity_check(problem, u, v)
+                                    for u, v in zip(us, vs)])
+    with pytest.raises(ConfigurationError):
+        submodularity_check(problem, V, U)
+
+
 def test_ordering_margin_sign():
     problem = heat_problem(n=4)
     rng = np.random.default_rng(2)

@@ -164,12 +164,17 @@ def test_ri_value_uncoupled_case():
 
 
 def test_ri_value_checks_knot_count():
+    # the value and both certificates, on a shorter and a longer trajectory
     problem = coupled_problem(steps=5)
-    vals = np.tile(problem.initial, (4, 1))
-    traj = RITrajectory(problem.grid, problem.T, vals,
-                        pinned_initial=problem.initial)
-    with pytest.raises(ConfigurationError):
-        wed_ri_value(problem, traj)
+    for knots in (4, 8):
+        traj = RITrajectory(problem.grid, problem.T,
+                            np.tile(problem.initial, (knots, 1)),
+                            pinned_initial=problem.initial)
+        for check in (wed_ri_value, sign_condition,
+                      lambda p, t: energetic_residuals(t, p)):
+            with pytest.raises(ConfigurationError,
+                               match="trajectory and forcing disagree on N"):
+                check(problem, traj)
 
 
 def test_ri_energy_is_polyval_plus_coupling():
@@ -286,6 +291,96 @@ def test_ri_continuation_requires_decreasing_schedule():
 # ---------------------------------------------------------------------------
 # energetic residuals
 # ---------------------------------------------------------------------------
+
+def loop_sign_condition(problem, traj):
+    # knot-by-knot back substitution of the stationarity system
+    N = traj.steps
+    hd = problem.grid.cell_measure
+    jw, pw, tw = _ri_weights(problem.epsilon, problem.T, N)
+    U = traj.values
+    jumps = np.diff(U, axis=0)
+    grads = ri_energy_grad(problem, U[1:], np.arange(1, N + 1))
+    sigma = np.zeros((N, problem.grid.n_nodes))
+    rest = comp = 0.0
+    for n in range(N, 0, -1):
+        rhs = pw[n - 1] * grads[n - 1]
+        if n == N:
+            rhs = rhs + tw * grads[N - 1]
+        else:
+            rhs = rhs - jw[n] * sigma[n] * hd
+        sigma[n - 1] = -rhs / (jw[n - 1] * hd)
+        j = jumps[n - 1]
+        rest = max(rest, float(np.max(np.abs(sigma[n - 1])) - 1.0))
+        comp = max(comp, float(np.max(
+            np.abs(j) * (1.0 - sigma[n - 1] * np.sign(j)))))
+    return {"worst_violation": max(max(rest, 0.0), comp),
+            "rest_excess": max(rest, 0.0), "complementarity": comp,
+            "sigma": sigma}
+
+
+def loop_energetic_residuals(traj, problem, probe_count):
+    # one scalar energy per probe, and the balance as a running sum
+    N = traj.steps
+    hd = problem.grid.cell_measure
+    U = traj.values
+    svals = np.concatenate([-np.logspace(-3, 1, probe_count),
+                            np.logspace(-3, 1, probe_count)])
+
+    def stab(shift_left):
+        worst = 0.0
+        for n in range(N + 1):
+            m = max(n - 1, 0) if shift_left else n
+            base = ri_energy(problem, U[n], m)
+            for i in range(problem.grid.n_nodes):
+                for s in svals:
+                    w = U[n].copy()
+                    w[i] += s
+                    worst = max(worst, base - ri_energy(problem, w, m)
+                                - abs(s) * hd)
+        return worst
+
+    jm = traj.jump_magnitudes()
+    balance = np.zeros(N + 1)
+    acc_var = acc_work = 0.0
+    e0 = ri_energy(problem, U[0], 0)
+    for n in range(N + 1):
+        if n > 0:
+            acc_var += jm[n]
+            dh = problem.forcing[n] - problem.forcing[n - 1]
+            acc_work += hd * float(dh @ (0.5 * (U[n] + U[n - 1])))
+        balance[n] = ri_energy(problem, U[n], n) + acc_var - e0 + acc_work
+    return stab(False), stab(True), balance
+
+
+# the quadratic ramp and a quartic potential on six coupled nodes
+@pytest.mark.parametrize("problem", [ramp_problem(60, eps=0.05),
+                                     coupled_problem(n=6, steps=40, a=0.7)],
+                         ids=["ramp", "coupled"])
+def test_certificates_match_their_knot_and_probe_loops(problem):
+    traj, _ = minimize_wed_ri(problem)
+    cert = sign_condition(problem, traj)
+    ref = loop_sign_condition(problem, traj)
+    assert np.allclose(cert["sigma"], ref["sigma"], rtol=1e-12, atol=1e-12)
+    for key in ("worst_violation", "rest_excess", "complementarity"):
+        assert cert[key] == pytest.approx(ref[key], rel=1e-12, abs=1e-12)
+    rep = energetic_residuals(traj, problem, probe_count=7)
+    stab, stab_left, balance = loop_energetic_residuals(traj, problem, 7)
+    assert rep.stability == pytest.approx(stab, rel=1e-12, abs=1e-12)
+    assert rep.stability_left == pytest.approx(stab_left, rel=1e-12,
+                                               abs=1e-12)
+    assert np.array_equal(rep.per_knot_balance, balance)
+    assert rep.balance == float(np.max(np.abs(balance)))
+    assert rep.probes == 14
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_energetic_residuals_need_a_probe(count):
+    problem = ramp_problem(10)
+    traj = RITrajectory(problem.grid, problem.T, np.zeros((11, 1)),
+                        pinned_initial=np.zeros(1))
+    with pytest.raises(ConfigurationError, match="probe_count"):
+        energetic_residuals(traj, problem, probe_count=count)
+
 
 def test_energetic_residuals_shrink_with_eps():
     steps = 100
