@@ -368,6 +368,50 @@ def fractional_seminorm(u: Field, s: float,
     return float(v @ Q @ v), Field(u.grid, 2.0 * (Q @ v))
 
 
+@_per_grid
+def _kron_modes(grid: Grid, B: float, C: float) -> tuple:
+    """The Hessian K = h^d (B D^T D + C I) of a quadratic edge energy on a
+    tensor grid in fast-diagonalization form (Lynch, Rice & Thomas 1964):
+    K = Q diag(lam) Q^T with Q the Kronecker product of the per-axis
+    eigenvector matrices. D^T D is the Kronecker sum of the per-axis
+    difference Laplacians, whose boundary rows follow grid_edges (neumann
+    one edge, dirichlet a phantom edge too, periodic a wrap). Returns
+    (per-axis Q, lam and diag(K) shaped like the grid)."""
+    hd = grid.cell_measure
+    mats, lam, diag = [], 0.0, 0.0
+    for a, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
+        L = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        if grid.boundary == "periodic":
+            L[0, -1] = L[-1, 0] = -1.0
+        elif grid.boundary == "neumann":
+            L[0, 0] = L[-1, -1] = 1.0
+        L /= h * h
+        evals, Q = np.linalg.eigh(L)
+        mats.append(Q)
+        axis = [None] * grid.dim
+        axis[a] = slice(None)
+        lam = lam + evals[tuple(axis)]
+        diag = diag + np.diag(L)[tuple(axis)]
+    return mats, hd * (B * lam + C), hd * (B * diag + C)
+
+
+def energy1_modes(spec: EnergySpec, grid: Grid) -> Optional[tuple]:
+    """The state-independent Hessian of phi1 in fast-diagonalization form
+    (see _kron_modes), or None unless it is one: the quadratic kind, or
+    m_laplace with m = 2 and scalar B and C, on a tensor grid whose
+    boundary is not robin (the robin term counts corner nodes once, so
+    it is no Kronecker sum)."""
+    if grid.domain_kind == "point" or grid.boundary == "robin":
+        return None
+    if spec.kind == "quadratic":
+        return _kron_modes(grid, 0.0, float(spec.gamma))
+    if spec.kind == "m_laplace" and spec.m == 2.0 and not any(
+            isinstance(c, Field) or np.ndim(c) != 0
+            for c in (spec.B, spec.C)):
+        return _kron_modes(grid, float(spec.B), float(spec.C))
+    return None
+
+
 def _robin_diag(grid: Grid) -> np.ndarray:
     diag = np.zeros(grid.n_nodes)
     if grid.boundary == "robin":

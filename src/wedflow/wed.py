@@ -16,6 +16,16 @@ c0 is the entire scheme: with c0 = 1 (pure knot weight everywhere) the
 discrete minimizer carries a first-order defect O(dt/eps)(w - dphi1) that a
 sup-norm comparison with the limiting evolution can see; the exact-integral
 ratio removes it (effective rate factor [sinh(x)/x]^2, x = dt/2eps).
+
+Newton steps. With p = 2 the rate term's curvature is a_n h^d/dt^2 at
+every node, so the space-time Hessian over knots 1..N is
+kron(diag(b), K) + kron(T_a, I), T_a the tridiagonal of that curvature
+and K the energy Hessian. Where K is constant and a Kronecker sum over
+the axes of a 2D grid (energies.energy1_modes), minimize_wed never
+assembles it: every step is a space-time fast diagonalization
+(_newton.FastDiagonalization). Every other problem assembles the sparse
+Hessian and factors it (see _newton.newton_solve for which factorization
+and why 1D grids keep SuperLU's defaults).
 """
 
 from __future__ import annotations
@@ -27,11 +37,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize as scipy_minimize
 
-from ._newton import (newton_solve, pinned_solve, time_band,
-                      time_divergence)
+from ._newton import (FastDiagonalization, newton_solve, pinned_solve,
+                      time_band, time_divergence)
 from .energies import (DissipationSpec, EnergySpec, ReactionSpec, A_eval,
                        _rowdot, _sequential_sum, alpha_eval, alpha_prime,
-                       energy1_hessian, energy1_value_grad,
+                       energy1_hessian, energy1_modes, energy1_value_grad,
                        energy2_value_grad, p_conjugate, reaction_eval)
 from .grids import (ConfigurationError, Grid, Trajectory,
                     constant_trajectory)
@@ -178,13 +188,28 @@ def wed_value_grad(problem: WedProblem, w: np.ndarray,
 # Inner minimization
 # ---------------------------------------------------------------------------
 
+def _fast_modes(problem: WedProblem) -> Optional[tuple]:
+    """The energy Hessian's fast-diagonalization form when the space-time
+    Hessian of minimize_wed is kron(diag(b), K) + kron(T_a, I) with a
+    constant K and T_a, on a 2D grid (power dissipation with p = 2 and an
+    energy1_modes energy); None otherwise. 1D grids keep the sparse LU,
+    whose rounding their golden records carry (see newton_solve)."""
+    if problem.grid.dim != 2 or problem.dissipation.alpha_kind != "power" \
+            or problem.dissipation.p != 2.0:
+        return None
+    return energy1_modes(problem.energy1, problem.grid)
+
+
 def minimize_wed(problem: WedProblem, w, init: Trajectory,
                  gtol: float = 1e-10, max_iter: int = 120
                  ) -> tuple[Trajectory, MinimizeReport]:
     """Minimize the functional at fixed dual field w over trajectories
-    pinned at problem.initial. Newton with exact sparse Hessian, globalized
+    pinned at problem.initial. Newton with the exact Hessian, globalized
     by scaled-residual backtracking; termination on the row-scaled gradient
-    max-norm (rows weighted by b_n so the tolerance is uniform in time)."""
+    max-norm (rows weighted by b_n so the tolerance is uniform in time).
+    The Hessian is assembled and factored by a sparse LU, except where
+    _fast_modes applies: then each Newton step is a space-time fast
+    diagonalization and no Hessian is assembled."""
     if init.pinned_initial is None or not np.array_equal(
             init.values[0], problem.initial):
         raise ConfigurationError("init must be pinned at the problem initial")
@@ -194,8 +219,13 @@ def minimize_wed(problem: WedProblem, w, init: Trajectory,
     hd = problem.grid.cell_measure
     a, b = _weights(problem.epsilon, problem.T, N)
     row_b = sp.diags(np.repeat(b, problem.n_dof))
+    modes = _fast_modes(problem)
+    fast = None if modes is None else FastDiagonalization(
+        b, a * (hd / dt ** 2), modes)
 
     def hess(U):  # grouped as the recorded artifacts were computed
+        if fast is not None:
+            return fast
         r = a[:, None] * (alpha_prime(problem.dissipation,
                                       np.diff(U, axis=0) / dt) * hd / dt ** 2)
         Hphi = energy1_hessian(problem.energy1, problem.grid, U[1:])

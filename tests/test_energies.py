@@ -10,6 +10,7 @@ from wedflow import (ConfigurationError, DissipationSpec, EnergySpec, Field,
                      validate_growth)
 from wedflow.energies import (A_eval, GrowthCertificate, alpha_eval,
                               alpha_prime, edge_differences, energy1_hessian,
+                              energy1_modes,
                               fractional_seminorm, graph_laplacian,
                               grid_edges, lv_clamp, p_conjugate)
 
@@ -425,3 +426,48 @@ def test_edge_operator_differences_match_the_gather():
     assert np.allclose(L.toarray(),
                        1.7 * g.cell_measure * (D.T @ D).toarray(),
                        rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("grid, spec", [
+    (build_grid(dim=2, shape=(4, 5), spacing=(0.3, 0.2),
+                boundary="neumann", domain_kind="rectangle"),
+     EnergySpec(kind="m_laplace", m=2.0, B=1.3, C=0.0)),
+    (build_grid(dim=2, shape=(5, 3), spacing=(0.25, 0.5),
+                boundary="dirichlet", domain_kind="rectangle"),
+     EnergySpec(kind="m_laplace", m=2.0, B=0.6, C=0.8)),
+    (build_grid(dim=2, shape=(4, 6), spacing=(0.2, 0.1),
+                boundary="periodic", domain_kind="torus"),
+     EnergySpec(kind="m_laplace", m=2.0, B=1.0, C=0.2)),
+    (build_grid(dim=2, shape=(3, 4), spacing=(0.5, 0.5),
+                boundary="dirichlet", domain_kind="rectangle"),
+     EnergySpec(kind="quadratic", gamma=1.7)),
+    (line_grid(7, "dirichlet"), EnergySpec(kind="m_laplace", m=2.0)),
+])
+def test_energy1_modes_diagonalize_the_assembled_hessian(grid, spec):
+    axes, lam, kdiag = energy1_modes(spec, grid)
+    assert lam.shape == kdiag.shape == grid.shape
+    Q = axes[0]
+    for q in axes[1:]:
+        Q = np.kron(Q, q)
+    assert np.allclose(Q.T @ Q, np.eye(grid.n_nodes), atol=1e-14)
+    K = energy1_hessian(spec, grid, np.zeros(grid.n_nodes)).toarray()
+    scale = np.max(np.abs(K))
+    assert np.allclose(Q @ np.diag(lam.ravel()) @ Q.T, K, rtol=0.0,
+                       atol=1e-13 * scale)
+    assert np.allclose(kdiag.ravel(), np.diag(K), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("grid, spec", [
+    (build_grid(dim=2, shape=(4, 4), spacing=(0.3, 0.3), boundary="robin",
+                domain_kind="rectangle", robin_b=1.0),
+     EnergySpec(kind="m_laplace", m=2.0)),
+    (line_grid(5), EnergySpec(kind="m_laplace", m=3.0)),
+    (line_grid(5), EnergySpec(kind="m_laplace", m=2.0, B=np.ones(5))),
+    (line_grid(5), EnergySpec(kind="m_laplace", m=2.0,
+                              C=Field(line_grid(5), np.ones(5)))),
+    (line_grid(5), EnergySpec(kind="fractional", s=0.5)),
+    (build_grid(dim=1, shape=(1,), spacing=(1.0,), domain_kind="point"),
+     EnergySpec(kind="quadratic")),
+])
+def test_energy1_modes_only_for_kronecker_sums(grid, spec):
+    assert energy1_modes(spec, grid) is None
