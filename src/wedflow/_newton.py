@@ -12,15 +12,20 @@ whose first k rows are pinned (k = 2 in the inertial lane, else 1).
 `pinned_solve` holds the shared plumbing (unknown knots, start, row scale,
 `with_pins`) and takes the solver as an argument, so each lane's calls go
 through its own module binding of `newton_solve`. `time_divergence` and
-`time_band` are the backward-difference time coupling of the first-order
-lanes, and `FastDiagonalization` is the Hessian of that coupling plus a
-constant Kronecker-sum energy Hessian, solved without a factorization.
+`band_diagonals` are the backward-difference time coupling of the
+first-order lanes. Its Hessian comes in three forms: `time_band`, one
+sparse matrix, for lanes that couple dofs in space as well;
+`KnotTridiagonal`, one tridiagonal per dof column solved by LAPACK, for
+lanes that do not (the uncoupled rate-independent lane); and
+`FastDiagonalization`, the coupling plus a constant Kronecker-sum energy
+Hessian, whose per-mode tridiagonals are one `KnotTridiagonal`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import splu
 
 from .grids import ConfigurationError
@@ -32,31 +37,41 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
     """Minimize a smooth convex objective given by its gradient and Hessian
     callbacks. Returns (x, scaled_residual, iterations, converged).
 
-    grad_fn(x) -> flat gradient; hess_fn(x) -> sparse SPD(ish) Hessian
-    or a FastDiagonalization; scale -> positive per-row weights for the
-    residual norm. A Levenberg shift mu, raised only when a solve fails
-    or is not finite, is added to the Hessian's diagonal.
+    grad_fn(x) -> flat gradient; hess_fn(x) -> sparse SPD(ish) Hessian,
+    a KnotTridiagonal or a FastDiagonalization; scale -> positive per-row
+    weights for the residual norm. A Levenberg shift mu, raised only when a
+    solve fails or is not finite, is added to the Hessian's diagonal.
 
-    The linear solver follows from the Hessian. A FastDiagonalization
-    (what `minimize_wed` passes on 2D grids with p = 2 and a
-    state-independent, Kronecker-sum energy Hessian) solves without
-    assembling or factoring anything. Every other Hessian is factored by
-    `splu`. symmetric=True factors it as a symmetric matrix: a minimum
-    degree ordering of A^T + A, diagonal pivots only, SuperLU's symmetric
-    mode. `minimize_wed` asks for it on grids of dimension >= 2, whose
-    space-time Hessians are SPD and whose factorization dominates the
-    solve: on a 32x32 grid with N=16 the fill drops from 94x to 41x and
-    the factor time by about 3.6x. The other solves (1D and point grids,
-    `rateind`, `wide`) keep SuperLU's defaults (COLAMD, partial
-    pivoting): their outputs sit at the round-off floor, where another
-    solver moves them by more than the 1e-12 refactor oracle. The `wide`
-    Hessians are badly conditioned (5e15 at the first level of
-    `wide_oscillator`), and the `wave_pulse` trajectory moved by 2.8e-10;
-    in 1D and `rateind` solves a point-grid Euler-Lagrange residual moved
-    by 3.6e-12 under the symmetric factorization. 1D grids stay off the
-    fast diagonalization for the same reason: on one input variant of the
-    benchmark ladder's 512-node heat problem it moved the Euler-Lagrange
-    interior residual from 1.1225e-10 to 1.1372e-10.
+    The linear solver follows from the Hessian; a Hessian that is not a
+    sparse matrix solves itself (`H.solve(rhs, mu)`) and raises
+    RuntimeError where splu would, on an exactly singular system.
+    - A FastDiagonalization (what `minimize_wed` passes on 2D grids with
+      p = 2 and a state-independent, Kronecker-sum energy Hessian) solves
+      without assembling or factoring anything.
+    - A KnotTridiagonal (what `minimize_wed_ri` passes when a = 0 or the
+      grid is a point, so that every node is its own chain in time) is
+      one LAPACK tridiagonal solve, with no sparse matrix per iteration.
+    - Every other Hessian is factored by `splu`. symmetric=True factors it
+      as a symmetric matrix: a minimum degree ordering of A^T + A,
+      diagonal pivots only, SuperLU's symmetric mode. `minimize_wed` asks
+      for it on grids of dimension >= 2, whose space-time Hessians are SPD
+      and whose factorization dominates the solve: on a 32x32 grid with
+      N=16 the fill drops from 94x to 41x and the factor time by about
+      3.6x. The other sparse solves (1D grids, coupled `rateind` with
+      a > 0, `wide`) keep SuperLU's defaults (COLAMD, partial pivoting):
+      their outputs sit at the round-off floor, where another solver moves
+      them by more than the 1e-12 refactor oracle. The `wide` Hessians are
+      badly conditioned (5e15 at the first level of `wide_oscillator`),
+      and the `wave_pulse` trajectory moved by 2.8e-10; in 1D and
+      `rateind` solves a point-grid Euler-Lagrange residual moved by
+      3.6e-12 under the symmetric factorization. A coupled `rateind`
+      Hessian is block tridiagonal (the coupling Laplacian sits in every
+      diagonal block), which a KnotTridiagonal cannot hold. 1D grids stay
+      off the fast diagonalization for the round-off reason: on one input
+      variant of the benchmark ladder's 512-node heat problem it moved the
+      Euler-Lagrange interior residual from 1.1225e-10 to 1.1372e-10.
+      `ri_ramp`, whose solves are all uncoupled, moved by at most 4.5e-16
+      when they left splu for dgtsv.
     """
     lu_options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options=dict(SymmetricMode=True)) if symmetric else {}
@@ -108,32 +123,66 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
 
 
 def _shifted_solve(H, mu: float, rhs: np.ndarray, lu_options: dict):
-    """(H + mu I)^{-1} rhs: fast diagonalization for a FastDiagonalization,
-    else a sparse LU with the given SuperLU options."""
-    if isinstance(H, FastDiagonalization):
+    """(H + mu I)^{-1} rhs: a sparse LU with the given SuperLU options for
+    a sparse H, else H's own solve."""
+    if not sp.issparse(H):
         return H.solve(rhs, mu)
     Hmu = H if mu == 0.0 else H + mu * sp.identity(H.shape[0], format="csr")
     return splu(Hmu.tocsc(), **lu_options).solve(rhs)
+
+
+class KnotTridiagonal:
+    """A Hessian over knots 1..N whose dof columns couple only in time:
+    one tridiagonal per column, with main diagonal diag ((N, n)) and off
+    diagonal off ((N-1, n)), as band_diagonals gives them. A solve is one
+    LAPACK dgtsv (Gaussian elimination with partial pivoting) on the
+    node-major flattening, the columns joined by zero couplings; an exactly
+    singular system raises RuntimeError, as splu does."""
+
+    def __init__(self, diag: np.ndarray, off: np.ndarray):
+        self.diag = diag
+        self.off = off
+
+    def diagonal(self) -> np.ndarray:
+        return self.diag.ravel()
+
+    def solve(self, rhs: np.ndarray, mu: float = 0.0) -> np.ndarray:
+        """(H + mu I)^{-1} rhs for the flat knot-major rhs."""
+        N, n = self.diag.shape
+        # column j's knots are rows j N .. j N + N - 1, and the coupling
+        # after each column's last knot is zero; a last, uncoupled unknown
+        # with unit diagonal keeps a one-unknown system solvable, since
+        # the wrapper rejects an empty off diagonal
+        off = np.zeros((n, N))
+        off[:, :-1] = self.off.T
+        off = off.ravel()
+        *_, x, info = dgtsv(off, np.append((self.diag + mu).T, 1.0), off,
+                            np.append(rhs.reshape(N, n).T, 0.0)[:, None])
+        if info != 0:
+            raise RuntimeError(f"tridiagonal solve failed (dgtsv info {info})")
+        return x[:-1].reshape(n, N).T.ravel()
 
 
 class FastDiagonalization:
     """The SPD space-time Hessian kron(diag(b), K) + kron(T, I) over knots
     1..N of a first-order lane with a state-independent energy Hessian K
     and rate curvature r (one per knot, the same at every node); T is the
-    tridiagonal of time_band(r). With K = Q diag(lam) Q^T and Q the
+    tridiagonal of band_diagonals(r). With K = Q diag(lam) Q^T and Q the
     Kronecker product of per-axis orthogonal matrices (energies.
     energy1_modes), a solve is a transform of the right-hand side into
-    the eigenbasis, one N x N tridiagonal solve b lam_j + T per mode j,
-    and the transform back: the space-time fast diagonalization of Lynch,
-    Rice & Thomas 1964 in the form of Maday & Ronquist 2008. Nothing of
-    size (N n)^2 is ever formed."""
+    the eigenbasis, one N x N tridiagonal solve b lam_j + T per mode j
+    (all modes in one KnotTridiagonal), and the transform back: the
+    space-time fast diagonalization of Lynch, Rice & Thomas 1964 in the
+    form of Maday & Ronquist 2008. Nothing of size (N n)^2 is ever
+    formed."""
 
     def __init__(self, b: np.ndarray, r: np.ndarray, modes: tuple):
         self.b = b
         self.axes, self.lam, self.kdiag = modes
-        self.tdiag = r.copy()
-        self.tdiag[:-1] += r[1:]
-        self.toff = -r[1:]
+        self.tdiag, toff = band_diagonals(r)
+        self.mode_band = KnotTridiagonal(
+            b[:, None] * self.lam.ravel() + self.tdiag[:, None],
+            np.broadcast_to(toff[:, None], (toff.size, self.lam.size)))
 
     def diagonal(self) -> np.ndarray:
         return (self.b[:, None] * self.kdiag.ravel()
@@ -148,23 +197,10 @@ class FastDiagonalization:
         return X
 
     def solve(self, rhs: np.ndarray, mu: float = 0.0) -> np.ndarray:
-        """(H + mu I)^{-1} rhs for the flat knot-major rhs: a batched
-        Thomas sweep over the modes, stable without pivoting because each
-        mode's matrix is diagonally dominant."""
+        """(H + mu I)^{-1} rhs for the flat knot-major rhs."""
         N = self.b.size
         Y = self._transform(rhs.reshape(N, *self.lam.shape), False)
-        Y = Y.reshape(N, -1).copy()
-        diag = self.b[:, None] * self.lam.ravel() + self.tdiag[:, None] + mu
-        upper = np.empty_like(Y)  # the eliminated superdiagonal / pivot
-        pivot = diag[0]
-        for n in range(1, N):
-            upper[n - 1] = self.toff[n - 1] / pivot
-            Y[n - 1] /= pivot
-            pivot = diag[n] - self.toff[n - 1] * upper[n - 1]
-            Y[n] -= self.toff[n - 1] * Y[n - 1]
-        Y[N - 1] /= pivot
-        for n in range(N - 2, -1, -1):
-            Y[n] -= upper[n] * Y[n + 1]
+        Y = self.mode_band.solve(Y.ravel(), mu)
         return self._transform(Y.reshape(N, *self.lam.shape), True).ravel()
 
 
@@ -202,12 +238,21 @@ def time_divergence(g: np.ndarray, flux: np.ndarray) -> None:
     g[:-1] -= flux[1:]
 
 
-def time_band(r: np.ndarray, main=0.0) -> sp.dia_matrix:
-    """DIA Hessian over knots 1..N of a rate term with curvature r
-    ((N, n_dof)) in u_n - u_{n-1}, added to the diagonal `main`."""
-    n_dof = r.shape[1]
+def band_diagonals(r: np.ndarray, main=0.0) -> tuple:
+    """(main diagonal, off diagonal) of the Hessian over knots 1..N of a
+    rate term with curvature r ((N, n_dof), or (N,) for one column) in
+    u_n - u_{n-1}, added to the diagonal `main`; each column of dofs is
+    its own tridiagonal."""
     diag = main + r
     diag[:-1] += r[1:]
-    off = -r[1:].ravel()
+    return diag, -r[1:]
+
+
+def time_band(r: np.ndarray, main=0.0) -> sp.dia_matrix:
+    """The band_diagonals(r, main) as one DIA matrix over the flat
+    knot-major unknowns."""
+    n_dof = r.shape[1]
+    diag, off = band_diagonals(r, main)
+    off = off.ravel()
     return sp.diags([diag.ravel(), off, off], [0, -n_dof, n_dof],
                     shape=(r.size, r.size))

@@ -29,8 +29,8 @@ import scipy.sparse as sp
 from .grids import (ConfigurationError, Grid, Trajectory,
                     trajectory_to_csv)
 from .energies import _rowdot, _sequential_sum, graph_laplacian
-from ._newton import (newton_solve, pinned_solve, time_band,
-                      time_divergence)
+from ._newton import (KnotTridiagonal, band_diagonals, newton_solve,
+                      pinned_solve, time_band, time_divergence)
 from .wed import MinimizeReport, continuation
 from .comparison import ordered_pair_levels, ordering_margin
 
@@ -72,17 +72,32 @@ class RIProblem:
         u0 = np.asarray(self.initial, dtype=float).ravel()
         if u0.size != self.grid.n_nodes:
             raise ConfigurationError("initial state size mismatch")
+        if not np.all(np.isfinite(u0)):
+            raise ConfigurationError("initial state must be finite")
         object.__setattr__(self, "initial", u0)
-        if self.a < 0:
-            raise ConfigurationError("coupling a must be nonnegative")
-        object.__setattr__(self, "_lap", graph_laplacian(self.grid, self.a))
+        try:
+            a = float(self.a)
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"coupling a must be a number, "
+                                     f"not {self.a!r}")
+        if not (np.isfinite(a) and a >= 0):
+            raise ConfigurationError("coupling a must be finite and "
+                                     "nonnegative")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "_lap", graph_laplacian(self.grid, a))
         if not (np.isfinite(self.T) and self.T > 0):
             raise ConfigurationError("horizon T must be positive")
         if not (0 < self.epsilon < self.T):
             raise ConfigurationError("eps must lie in (0, T)")
-        c = np.asarray(self.phi_coeffs, dtype=float)
+        try:
+            c = np.asarray(self.phi_coeffs, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"phi_coeffs must be numbers, "
+                                     f"not {self.phi_coeffs!r}")
         if c.ndim != 1 or c.size < 1:
             raise ConfigurationError("phi_coeffs must be a 1D coefficient list")
+        if not np.all(np.isfinite(c)):
+            raise ConfigurationError("phi_coeffs must be finite")
         object.__setattr__(self, "phi_coeffs", tuple(float(x) for x in c))
         P = np.polynomial.polynomial
         if c.size > 1:
@@ -106,15 +121,25 @@ class RIProblem:
     def _phi_d2(self, s: np.ndarray) -> np.ndarray:
         if self._d2_coeffs is None:
             return np.zeros_like(s)
-        return np.polynomial.polynomial.polyval(s, self._d2_coeffs)
+        return _polyval(s, self._d2_coeffs)
 
     def phi_tilde(self, s: np.ndarray) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(s, self.phi_coeffs)
+        return _polyval(s, self.phi_coeffs)
 
     def phi_tilde_d1(self, s: np.ndarray) -> np.ndarray:
         if self._d1_coeffs is None:
             return np.zeros_like(s)
-        return np.polynomial.polynomial.polyval(s, self._d1_coeffs)
+        return _polyval(s, self._d1_coeffs)
+
+
+def _polyval(x: np.ndarray, c) -> np.ndarray:
+    """np.polynomial.polynomial.polyval(x, c) for ascending coefficients
+    c, by Horner's rule in polyval's own operation order (so with the
+    same bits), without its per-call overhead."""
+    v = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        v = ci + v * x
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +240,10 @@ def minimize_wed_ri(problem: RIProblem,
                     max_iter: int = 200) -> tuple:
     """Smoothing continuation over the variation term. Returns the
     trajectory and a MinimizeReport whose gradient norm is the row-scaled
-    stationarity residual at the final smoothing stage."""
+    stationarity residual at the final smoothing stage. Without coupling
+    (a = 0 or a point grid) every node is its own chain in time and each
+    Newton step is one LAPACK tridiagonal solve (_newton.KnotTridiagonal);
+    with a > 0 the Hessian is block tridiagonal and is factored by splu."""
     N = problem.steps
     hd = problem.grid.cell_measure
     jw, pw, tw = _ri_weights(problem.epsilon, problem.T, N)
@@ -233,10 +261,12 @@ def minimize_wed_ri(problem: RIProblem,
                                                     delta) * hd)
         return g
 
-    def hess(U: np.ndarray, delta: float) -> sp.spmatrix:
-        H = time_band(jw[:, None] * _rho(np.diff(U, axis=0), delta) * hd,
-                      pwt[:, None] * problem._phi_d2(U[1:]) * hd)
-        return (H if lap is None else H + lap).tocsc()
+    def hess(U: np.ndarray, delta: float) -> KnotTridiagonal | sp.spmatrix:
+        r = jw[:, None] * _rho(np.diff(U, axis=0), delta) * hd
+        main = pwt[:, None] * problem._phi_d2(U[1:]) * hd
+        if lap is None:
+            return KnotTridiagonal(*band_diagonals(r, main))
+        return (time_band(r, main) + lap).tocsc()
 
     U = None if init is None else init.values
     total_iters = 0

@@ -131,23 +131,40 @@ def _build_grid_cfg(cfg: dict) -> Grid:
         raise ScenarioError(f"field 'grid': {exc}")
 
 
-def _initial_values(spec, grid: Grid, n_dof: int) -> np.ndarray:
+def _initial_values(spec, grid: Grid, n_dof: int,
+                    field: str = "initial") -> np.ndarray:
+    """The n_dof state values the scenario field `field` describes."""
     if spec is None:
-        raise ScenarioError("missing required field 'initial'")
+        raise ScenarioError(f"missing required field '{field}'")
+    try:
+        v = _state_values(spec, grid, n_dof)
+    except KeyError as exc:
+        raise ScenarioError(f"field '{field}': missing key {exc}")
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"field '{field}': {exc}")
+    if not np.all(np.isfinite(v)):
+        raise ScenarioError(f"field '{field}': values must be finite")
+    return v
+
+
+def _state_values(spec, grid: Grid, n_dof: int) -> np.ndarray:
     if isinstance(spec, (int, float)):
         return np.full(n_dof, float(spec))
     if isinstance(spec, list):
         v = np.asarray(spec, dtype=float).ravel()
         if v.size != n_dof:
-            raise ScenarioError("field 'initial': wrong number of values")
+            raise ValueError("wrong number of values")
         return v
+    if not isinstance(spec, dict):
+        raise ValueError(f"expected a number, a list of numbers or an "
+                         f"object with a 'kind', not {spec!r}")
     kind = spec.get("kind")
     if kind == "constant":
         return np.full(n_dof, float(spec["value"]))
     if kind == "values":
         v = np.asarray(spec["values"], dtype=float).ravel()
         if v.size != n_dof:
-            raise ScenarioError("field 'initial': wrong number of values")
+            raise ValueError("wrong number of values")
         return v
     if kind == "cosine":
         x = grid.coords()[:, 0]
@@ -163,10 +180,10 @@ def _initial_values(spec, grid: Grid, n_dof: int) -> np.ndarray:
         return float(spec.get("amplitude", 1.0)) \
             * np.sin(2.0 * np.pi * mode * x / L)
     if kind == "pair":
-        u = _initial_values(spec["u"], grid, grid.n_nodes)
-        v = _initial_values(spec["v"], grid, grid.n_nodes)
+        u = _state_values(spec["u"], grid, grid.n_nodes)
+        v = _state_values(spec["v"], grid, grid.n_nodes)
         return np.concatenate([u, v])
-    raise ScenarioError(f"field 'initial': unknown kind {kind!r}")
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 def _forcing_values(spec, grid: Grid, T: float, steps: int,
@@ -291,9 +308,8 @@ def build_ri_problem(sc: Scenario) -> RIProblem:
     eps = _schedule(sc)[0]
     try:
         return RIProblem(grid=grid,
-                         phi_coeffs=tuple(cfg.get("phi_coeffs",
-                                                  (0.0, 0.0, 0.5))),
-                         a=float(cfg.get("a", 0.0)), forcing=forcing,
+                         phi_coeffs=cfg.get("phi_coeffs", (0.0, 0.0, 0.5)),
+                         a=cfg.get("a", 0.0), forcing=forcing,
                          T=T, epsilon=eps, initial=init)
     except ConfigurationError as exc:
         raise ScenarioError(str(exc))
@@ -316,7 +332,7 @@ def build_wide_problem(sc: Scenario):
                 initial=_initial_values(cfg.get("initial"), grid,
                                         grid.n_nodes),
                 velocity=_initial_values(cfg.get("velocity", 0.0), grid,
-                                         grid.n_nodes))
+                                         grid.n_nodes, "velocity"))
         d = int(cfg.get("d", 1))
         if "initial" not in cfg:
             raise ScenarioError("missing required field 'initial'")
@@ -427,7 +443,8 @@ def _run_checked(sc: Scenario) -> int:
             if sc.family == "lotka_volterra":
                 raise ScenarioError("field 'compare_v0': comparison needs "
                                     "a potential-form scenario")
-            v0 = _initial_values(compare_v0, problem.grid, problem.n_dof)
+            v0 = _initial_values(compare_v0, problem.grid, problem.n_dof,
+                                 "compare_v0")
         if rmap is not None:
             try:
                 res = invariant_solve(problem, rmap, steps,
@@ -475,7 +492,7 @@ def _run_checked(sc: Scenario) -> int:
         problem = build_ri_problem(sc)
         if compare_v0 is not None:
             v0 = _initial_values(compare_v0, problem.grid,
-                                 problem.grid.n_nodes)
+                                 problem.grid.n_nodes, "compare_v0")
         fam = ri_continuation(problem, schedule)
         eps_last, traj, rep = fam[-1]
         unconverged = unconverged or not rep.converged

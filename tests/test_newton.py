@@ -13,7 +13,7 @@ from wedflow import (ConfigurationError, DissipationSpec, EnergySpec,
                      minimize_wed, minimize_wed_ri, minimize_wide, wed)
 from wedflow._newton import newton_solve
 
-from conftest import heat_problem, line_grid
+from conftest import heat_problem, line_grid, point_grid
 
 
 def test_full_step_solve_reuses_the_line_search_gradient():
@@ -112,6 +112,64 @@ def test_pinned_solve_keeps_the_pins_and_solves_the_rest():
 
 
 # ---------------------------------------------------------------------------
+# independent tridiagonals over knots: one LAPACK solve, no sparse matrix
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mu", [0.0, 0.37])
+@pytest.mark.parametrize("n_dof", [1, 3])
+def test_knot_tridiagonal_solve_matches_the_lu_of_the_band(n_dof, mu):
+    N = 7
+    r, m, _ = _chain(N, n_dof, 6)
+    band = _newton.time_band(r, m)
+    H = _newton.KnotTridiagonal(*_newton.band_diagonals(r, m))
+    assert np.array_equal(H.diagonal(), band.diagonal())
+    rhs = np.random.default_rng(8).standard_normal(N * n_dof)
+    step = _newton._shifted_solve(H, mu, rhs, {})
+    ref = splu((band + mu * sp.identity(N * n_dof)).tocsc()).solve(rhs)
+    assert np.max(np.abs(step - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # one knot: no off diagonal at all
+    one = _newton.KnotTridiagonal(*_newton.band_diagonals(r[:1], m[:1]))
+    assert np.allclose(one.solve(rhs[:n_dof], mu),
+                       rhs[:n_dof] / (m[0] + r[0] + mu), rtol=1e-15)
+
+
+def test_singular_band_raises_and_newton_shifts_past_it(monkeypatch):
+    # column 0 is a quadratic chain; column 1 is sum x^4 / 4 from its
+    # minimizer 0, where its curvature, and so its tridiagonal, vanish
+    N = 5
+    r, m, c = _chain(N, 2, 7)
+    r[:, 1] = 0.0
+
+    def grad(U):
+        g = np.zeros_like(U)
+        g[1:, 0] = m[:, 0] * (U[1:, 0] - c[:, 0])
+        g[1:, 1] = U[1:, 1] ** 3
+        _newton.time_divergence(g[1:], r * np.diff(U, axis=0))
+        return g
+
+    def hess(U):
+        main = np.column_stack([m[:, 0], 3.0 * U[1:, 1] ** 2])
+        return _newton.KnotTridiagonal(*_newton.band_diagonals(r, main))
+
+    pin = np.zeros((1, 2))
+    with pytest.raises(RuntimeError, match="dgtsv"):
+        hess(np.zeros((N + 1, 2))).solve(np.ones(2 * N))
+    shifts = []
+    real = _newton.KnotTridiagonal.solve
+    monkeypatch.setattr(_newton.KnotTridiagonal, "solve",
+                        lambda H, rhs, mu=0.0: shifts.append(mu)
+                        or real(H, rhs, mu))
+    U, res, iters, converged = _newton.pinned_solve(
+        newton_solve, pin, N, None, grad, hess, np.ones(N), tol=1e-12)
+    assert converged and iters >= 1
+    assert shifts[0] == 0.0 and any(mu > 0.0 for mu in shifts)
+    assert np.array_equal(U[:, 1], np.zeros(N + 1))
+    want = np.linalg.solve(_newton.time_band(r[:, :1], m[:, :1]).toarray(),
+                           m[:, 0] * c[:, 0])
+    assert np.allclose(U[1:, 0], want, rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # the factorization each solver asks for
 # ---------------------------------------------------------------------------
 
@@ -188,6 +246,21 @@ def test_other_solves_keep_superlu_defaults(monkeypatch):
                                     velocity=np.zeros(1)), 8)
     assert len(calls) >= 3
     assert all(kw == {} for kw in calls)
+
+
+@pytest.mark.parametrize("grid", [line_grid(3), point_grid()],
+                         ids=["a=0", "point"])
+def test_uncoupled_rateind_solves_make_no_lu(monkeypatch, grid):
+    # with a = 0, or on a point grid, every dof is its own chain in time
+    calls = _record_splu(monkeypatch)
+    t = np.linspace(0.0, 1.0, 5)
+    profile = np.linspace(1.0, 0.0, grid.n_nodes)
+    _, report = minimize_wed_ri(RIProblem(
+        grid=grid, phi_coeffs=(0.0, 0.0, 0.5), a=0.0,
+        forcing=np.outer(t, profile), T=1.0, epsilon=0.3,
+        initial=np.zeros(grid.n_nodes)))
+    assert report.converged and report.iterations >= 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("p", [2.0, 4.0])

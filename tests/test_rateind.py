@@ -1,15 +1,19 @@
 """Rate-independent lane: the step weights, the functional value, the
 subgradient certificate, energetic residuals, and ordered pairs."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from wedflow import (ConfigurationError, RIProblem, RITrajectory, Trajectory,
-                     build_grid, energetic_residuals, lattice_pair,
-                     minimize_wed_ri, ordered_ri_minimizers, ri_continuation,
-                     sign_condition, wed_ri_value)
+from wedflow import (ConfigurationError, RIProblem, RITrajectory, Scenario,
+                     Trajectory, build_grid, energetic_residuals,
+                     lattice_pair, minimize_wed_ri, ordered_ri_minimizers,
+                     rateind, ri_continuation, run, sign_condition,
+                     wed_ri_value)
+from wedflow.cli import bundled_scenarios
 from wedflow.energies import graph_laplacian
 from wedflow.rateind import _ri_weights, ri_energy, ri_energy_grad
 
@@ -79,6 +83,23 @@ def test_problem_validation():
         RIProblem(**{**ok, "initial": np.zeros(2)})
     with pytest.raises(ConfigurationError):
         RIProblem(**{**ok, "T": 0.0})
+
+
+@pytest.mark.parametrize("bad", [
+    {"a": np.nan}, {"a": np.inf}, {"a": "x"}, {"a": None},
+    {"phi_coeffs": (0.0, 0.0, np.nan)}, {"phi_coeffs": (np.inf, 0.0, 0.5)},
+    {"phi_coeffs": ("a",)}, {"phi_coeffs": 5.0},
+    {"initial": np.full(1, np.nan)},
+], ids=["a nan", "a inf", "a str", "a None", "phi nan", "phi inf",
+        "phi str", "phi scalar", "initial nan"])
+def test_problem_rejects_non_finite_or_non_numeric_data(bad):
+    # a NaN coefficient used to pass the convexity probe, min(NaN) < 0
+    # being false
+    ok = dict(grid=point_grid(), phi_coeffs=(0.0, 0.0, 0.5), a=0.0,
+              forcing=np.zeros((3, 1)), T=1.0, epsilon=0.2,
+              initial=np.zeros(1))
+    with pytest.raises(ConfigurationError):
+        RIProblem(**{**ok, **bad})
 
 
 def test_trajectory_container():
@@ -209,6 +230,22 @@ def test_ri_energy_and_gradient_match_laplacian_form():
                        rtol=1e-13, atol=1e-15)
 
 
+@pytest.mark.parametrize("coeffs", [(2.5,), (0.3, -1.2), (0.0, 0.0, 0.5),
+                                    (0.0, 0.1, 0.5, 0.0, 0.25)],
+                         ids=["constant", "linear", "quadratic", "quartic"])
+def test_potential_and_derivatives_are_polyval_bit_for_bit(coeffs):
+    problem = RIProblem(grid=point_grid(), phi_coeffs=coeffs, a=0.0,
+                        forcing=np.zeros((3, 1)), T=1.0, epsilon=0.2,
+                        initial=np.zeros(1))
+    P = np.polynomial.polynomial
+    u = 3.0 * np.random.default_rng(9).standard_normal((4, 6, 2))
+    assert np.array_equal(problem.phi_tilde(u), P.polyval(u, coeffs))
+    assert np.array_equal(problem.phi_tilde_d1(u),
+                          P.polyval(u, P.polyder(coeffs, 1)))
+    assert np.array_equal(problem._phi_d2(u),
+                          P.polyval(u, P.polyder(coeffs, 2)))
+
+
 def test_solve_computes_no_polynomial_derivative(monkeypatch):
     problem = coupled_problem()
     P = np.polynomial.polynomial
@@ -235,6 +272,48 @@ def test_minimizer_never_leaves_load_corridor():
     h = problem.forcing[:, 0]
     assert np.all(traj.values[:, 0] <= np.maximum.accumulate(h) + 1e-6)
     assert np.all(np.diff(traj.values[:, 0]) >= -0.35)
+
+
+def test_uncoupled_solve_matches_the_sparse_band_solve(monkeypatch):
+    # a = 0 on three nodes: the tridiagonal solve against the sparse band
+    # of the same diagonals, factored by splu
+    problem = coupled_problem(a=0.0, steps=12)
+    traj, report = minimize_wed_ri(problem)
+
+    def sparse_band(diag, off):
+        n = diag.shape[1]
+        return sp.diags([diag.ravel(), off.ravel(), off.ravel()],
+                        [0, -n, n]).tocsc()
+
+    monkeypatch.setattr(rateind, "KnotTridiagonal", sparse_band)
+    ref, ref_report = minimize_wed_ri(problem)
+    assert report.converged and ref_report.converged
+    assert report.iterations == ref_report.iterations
+    scale = np.max(np.abs(ref.values))
+    assert np.max(np.abs(traj.values - ref.values)) <= 1e-12 * scale
+    assert abs(report.value - ref_report.value) \
+        <= 1e-12 * abs(ref_report.value)
+
+
+def test_ramp_scenario_newton_work_is_unchanged(tmp_path, monkeypatch):
+    # the solves, iterations and gradient calls of `wedflow run ri_ramp`
+    counts = dict(solves=0, iterations=0, grads=0)
+    real = rateind.newton_solve
+
+    def counted(x0, grad_fn, hess_fn, scale, **options):
+        def grad(x):
+            counts["grads"] += 1
+            return grad_fn(x)
+        out = real(x0, grad, hess_fn, scale, **options)
+        counts["solves"] += 1
+        counts["iterations"] += out[2]
+        return out
+
+    monkeypatch.setattr(rateind, "newton_solve", counted)
+    raw = json.loads(bundled_scenarios()["ri_ramp"])
+    raw["output_dir"] = str(tmp_path / "out")
+    assert run(Scenario.from_dict(raw)) == 0
+    assert counts == dict(solves=90, iterations=1547, grads=6950)
 
 
 def test_minimize_wed_ri_rejects_init_with_wrong_knot_count():

@@ -399,11 +399,39 @@ def _bundled(name: str, out_dir, **over) -> Scenario:
                                     "r": [[1.0]]}], "initial": 1.0}),
     ("heat_relaxation", {"rmaps": [{"kind": "compose", "parts": [
         {"kind": "positive_part", "shift": [0.0]}]}]}),
+    # malformed states
+    ("heat_relaxation", {"initial": "abc"}),
+    ("heat_relaxation", {"initial": {"kind": "constant"}}),
+    ("heat_relaxation", {"initial": {"kind": "values", "values": ["a"]}}),
+    ("ri_ramp", {"compare_v0": "abc"}),
+    # rate-independent coefficients that are not finite numbers
+    ("ri_ramp", {"a": "x"}),
+    ("ri_ramp", {"phi_coeffs": ["a"]}),
+    ("ri_ramp", {"phi_coeffs": [0.0, 0.0, float("nan")]}),
 ])
 def test_rejected_scenario_writes_no_artifact(tmp_path, name, over):
     out = tmp_path / "out"
     assert run(_bundled(name, out, **over)) == 2
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("name, field, value", [
+    ("heat_relaxation", "initial", "abc"),
+    ("scalar_decay", "initial", {"kind": "constant"}),
+    ("lv_patch", "initial", {"kind": "values", "values": ["a"]}),
+    ("wave_pulse", "initial", {"kind": "pair", "u": 0.5}),
+    ("heat_relaxation", "compare_v0", {"kind": "cosine", "mode": "x"}),
+    ("ri_ramp", "compare_v0", "abc"),
+    ("ri_ramp", "initial", [None]),
+    ("wave_pulse", "velocity", "abc"),
+])
+def test_malformed_state_names_its_field(tmp_path, capsys, name, field,
+                                         value):
+    out = tmp_path / "out"
+    assert run(_bundled(name, out, **{field: value})) == 2
+    assert capsys.readouterr().out.startswith(
+        f"configuration error: field '{field}'")
+    assert not out.exists()
 
 
 def test_bad_compose_part_is_named_once():
