@@ -227,8 +227,14 @@ def pinned_solve(solver, pinned: np.ndarray, N: int, start, grad, hess,
 
 
 def with_pins(pinned: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The trajectory whose rows are `pinned`, then the flat unknowns x."""
-    return np.vstack([pinned, x.reshape(-1, pinned.shape[1])])
+    """The trajectory whose rows are `pinned`, then the flat unknowns x:
+    a fresh array, as np.vstack would return, filled by two copies."""
+    k, n_dof = pinned.shape
+    rows = x.reshape(-1, n_dof)
+    U = np.empty((k + rows.shape[0], n_dof), np.result_type(pinned, rows))
+    U[:k] = pinned
+    U[k:] = rows
+    return U
 
 
 def time_divergence(g: np.ndarray, flux: np.ndarray) -> None:

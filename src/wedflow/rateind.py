@@ -175,7 +175,8 @@ class RITrajectory(Trajectory):
 
 def ri_energy(problem: RIProblem, u: np.ndarray, n_slice: int) -> float:
     """phi(t_n, u) = Sum phi~(u_i) h^d + (a/2)|grad u|^2 - <h_n, u> h^d;
-    u may be a stack of states (rows) with n_slice their knots."""
+    u may be a stack of states (rows) with n_slice their knots, an index
+    array or a slice of the forcing's rows."""
     hd = problem.grid.cell_measure
     val = np.sum(problem.phi_tilde(u), axis=-1) * hd
     if problem._lap is not None:
@@ -217,7 +218,7 @@ def wed_ri_value(problem: RIProblem, traj: RITrajectory) -> float:
     # added knot by knot, jump before energy, as a running sum would
     terms = np.column_stack([
         jw * traj.jump_magnitudes()[1:],
-        pw * ri_energy(problem, U[1:], np.arange(1, N + 1))])
+        pw * ri_energy(problem, U[1:], slice(1, None))])
     return _sequential_sum(tw * ri_energy(problem, U[N], N), terms.ravel())
 
 
@@ -252,18 +253,19 @@ def minimize_wed_ri(problem: RIProblem,
     pwt[-1] += tw
     lap = None if problem._lap is None \
         else sp.kron(sp.diags(pwt), problem._lap, format="csc")
+    # bound once per solve: the closures run thousands of times, and
+    # U[1:] - U[:-1] is np.diff(U, axis=0) without its call overhead
+    pwt_col, jw_col = pwt[:, None], jw[:, None]
 
     def grad(U: np.ndarray, delta: float) -> np.ndarray:
         g = np.zeros_like(U)
-        g[1:] = pwt[:, None] * ri_energy_grad(problem, U[1:],
-                                              np.arange(1, N + 1))
-        time_divergence(g[1:], jw[:, None] * _sigma(np.diff(U, axis=0),
-                                                    delta) * hd)
+        g[1:] = pwt_col * ri_energy_grad(problem, U[1:], slice(1, None))
+        time_divergence(g[1:], jw_col * _sigma(U[1:] - U[:-1], delta) * hd)
         return g
 
     def hess(U: np.ndarray, delta: float) -> KnotTridiagonal | sp.spmatrix:
-        r = jw[:, None] * _rho(np.diff(U, axis=0), delta) * hd
-        main = pwt[:, None] * problem._phi_d2(U[1:]) * hd
+        r = jw_col * _rho(U[1:] - U[:-1], delta) * hd
+        main = pwt_col * problem._phi_d2(U[1:]) * hd
         if lap is None:
             return KnotTridiagonal(*band_diagonals(r, main))
         return (time_band(r, main) + lap).tocsc()
@@ -300,7 +302,7 @@ def sign_condition(problem: RIProblem, traj: RITrajectory) -> dict:
     hd = problem.grid.cell_measure
     jw, pw, tw = _ri_weights(problem.epsilon, problem.T, N)
     U = traj.values
-    grads = ri_energy_grad(problem, U[1:], np.arange(1, N + 1))
+    grads = ri_energy_grad(problem, U[1:], slice(1, None))
     # jw_n sigma_n h^d balances the potential pull of every later knot
     pull = pw[:, None] * grads
     pull[-1] += tw * grads[-1]

@@ -28,7 +28,7 @@ import numpy as np
 from .grids import (ConfigurationError, Field, Grid, Trajectory, build_grid,
                     rearrange, reflection_permutation, trajectory_to_csv)
 from .energies import (DissipationSpec, EnergySpec, ReactionSpec,
-                       energy1_value_grad)
+                       _rowdot, energy1_value_grad)
 from ._newton import with_pins
 from .wed import (WedProblem, check_schedule, default_eps_schedule,
                   eps_continuation, euler_lagrange_residual,
@@ -191,15 +191,30 @@ def _forcing_values(spec, grid: Grid, T: float, steps: int,
     """None, one nodal density row, or an (N+1, n_dof) table."""
     if spec is None:
         return None
+    try:
+        f = _forcing_table(spec, T, steps, n_dof)
+    except KeyError as exc:
+        raise ScenarioError(f"field 'forcing': missing key {exc}")
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ScenarioError(f"field 'forcing': {exc}")
+    if not np.all(np.isfinite(f)):
+        raise ScenarioError("field 'forcing': values must be finite")
+    return f
+
+
+def _forcing_table(spec, T: float, steps: int, n_dof: int) -> np.ndarray:
     if isinstance(spec, (int, float)):
         return np.full(n_dof, float(spec))
     if isinstance(spec, list):
         return np.asarray(spec, dtype=float)
+    if not isinstance(spec, dict):
+        raise ValueError(f"expected a number, a list of numbers or an "
+                         f"object with a 'kind', not {spec!r}")
     kind = spec.get("kind")
     if kind == "nodal":
         v = np.asarray(spec["values"], dtype=float).ravel()
         if v.size != n_dof:
-            raise ScenarioError("field 'forcing': wrong number of values")
+            raise ValueError("wrong number of values")
         return v
     if kind == "piecewise_linear_time":
         pts = np.asarray(spec["points"], dtype=float)
@@ -209,7 +224,7 @@ def _forcing_values(spec, grid: Grid, T: float, steps: int,
         prof = np.ones(n_dof) if profile is None else \
             np.asarray(profile, dtype=float).ravel()
         return scalar[:, None] * prof[None, :]
-    raise ScenarioError(f"field 'forcing': unknown kind {kind!r}")
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 # the fields a map entry may carry besides its kind, per lane; r and
@@ -590,50 +605,61 @@ def _ps_energy(U: np.ndarray, boundary: str, m: float) -> np.ndarray:
 
 
 def _verify_rearrangement(seed: int = 0) -> dict:
+    """Rearrangement inequalities on 1000 random pairs (u, v) and on every
+    word of a three-letter alphabet up to length 7. The random samples are
+    drawn one at a time in the order (n, u, v) and only then grouped by n,
+    so the rng stream is that of a per-sample loop while each length is
+    rearranged and checked as one (k, n) stack."""
     rng = np.random.default_rng(seed)
     checks = {}
     kinds = ("monotone", "symmetric_decreasing")
-    worst = {k: np.inf for k in
-             ("norm", "hardy_littlewood", "nonexpansive", "polya_szego")}
+    samples = {}
     for _ in range(1000):
         n = int(rng.integers(3, 65))
-        grid = build_grid(dim=1, shape=(n,), spacing=(1.0,),
-                          boundary="neumann")
         u = rng.random(n) * 2.0
         v = rng.random(n) * 2.0
+        samples.setdefault(n, []).append((u, v))
+    worst = {k: np.inf for k in
+             ("norm", "hardy_littlewood", "nonexpansive", "polya_szego")}
+    for n, pairs in samples.items():
+        grid = build_grid(dim=1, shape=(n,), spacing=(1.0,),
+                          boundary="neumann")
+        U, V = (np.array(rows) for rows in zip(*pairs))
         for kind in kinds:
-            ru, rv = rearrange(grid, np.stack([u, v]), kind)
-            worst["norm"] = min(worst["norm"], -float(np.max(np.abs(
-                np.sort(ru) - np.sort(np.maximum(u, 0.0))))))
-            worst["hardy_littlewood"] = min(
-                worst["hardy_littlewood"], float(ru @ rv - u @ v))
-            for J in (np.abs, np.square):
-                worst["nonexpansive"] = min(
-                    worst["nonexpansive"],
-                    float(np.sum(J(u - v)) - np.sum(J(ru - rv))))
+            RU, RV = np.split(rearrange(grid, np.vstack([U, V]), kind), 2)
             bnd = "dirichlet" if kind == "symmetric_decreasing" \
                 else "neumann"
-            for m in (2.0, 3.0):
-                worst["polya_szego"] = min(
-                    worst["polya_szego"],
-                    float(_ps_energy(u[None, :], bnd, m)[0]
-                          - _ps_energy(ru[None, :], bnd, m)[0]))
+            margins = {
+                "norm": -np.max(np.abs(np.sort(RU, axis=1) - np.sort(
+                    np.maximum(U, 0.0), axis=1)), axis=1),
+                "hardy_littlewood": _rowdot(RU, RV) - _rowdot(U, V),
+                "nonexpansive": [np.sum(J(U - V), axis=1)
+                                 - np.sum(J(RU - RV), axis=1)
+                                 for J in (np.abs, np.square)],
+                "polya_szego": [_ps_energy(U, bnd, m) - _ps_energy(RU, bnd, m)
+                                for m in (2.0, 3.0)],
+            }
+            for key, val in margins.items():
+                worst[key] = min(worst[key], float(np.min(val)))
     for key, val in worst.items():
         checks[key] = _check(val, 1e-12)
 
-    # exhaustive three-letter-alphabet oracles, all lengths up to 7
+    # exhaustive three-letter-alphabet oracles, all lengths up to 7; the
+    # Gram matrix goes in blocks of 256 rows to bound the memory
     hl_worst = np.inf
     ps_worst = np.inf
     for n in range(3, 8):
         grid = build_grid(dim=1, shape=(n,), spacing=(1.0,),
                           boundary="neumann")
         U = np.array(list(_iproduct((0.0, 1.0, 2.0), repeat=n)))
-        for kind in kinds:
-            RU = rearrange(grid, U, kind)
-            for lo in range(0, U.shape[0], 256):
-                block = slice(lo, lo + 256)
+        RUs = {kind: rearrange(grid, U, kind) for kind in kinds}
+        for lo in range(0, U.shape[0], 256):
+            block = slice(lo, lo + 256)
+            gram = U[block] @ U.T
+            for RU in RUs.values():
                 hl_worst = min(hl_worst, float(np.min(
-                    RU[block] @ RU.T - U[block] @ U.T)))
+                    RU[block] @ RU.T - gram)))
+        for kind, RU in RUs.items():
             bnd = "dirichlet" if kind == "symmetric_decreasing" \
                 else "neumann"
             for m in (2.0, 3.0):

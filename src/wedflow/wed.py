@@ -35,7 +35,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import minimize as scipy_minimize
 
 from ._newton import (FastDiagonalization, newton_solve, pinned_solve,
                       time_band, time_divergence)
@@ -435,7 +434,11 @@ def strong_solution_residual(traj: Trajectory, problem: WedProblem) -> float:
 def reference_solve(problem: WedProblem, steps: int) -> Trajectory:
     """Independent implicit-Euler oracle: each step minimizes
     dt psi((v-u)/dt) + phi1(v) - phi2(v) - h^d <f(u), v> with a
-    quasi-Newton library call, sharing no code path with minimize_wed."""
+    quasi-Newton library call, sharing no code path with minimize_wed.
+    scipy.optimize is imported here, by its only user, so that importing
+    the package (and every `wedflow` command) does not pay for it."""
+    from scipy.optimize import minimize as scipy_minimize
+
     N = steps
     dt = problem.T / N
     hd = problem.grid.cell_measure

@@ -111,6 +111,18 @@ def test_pinned_solve_keeps_the_pins_and_solves_the_rest():
                              np.arange(1.0, N + 1))
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_with_pins_is_vstack_in_a_fresh_array(k):
+    rng = np.random.default_rng(k)
+    pinned = rng.standard_normal((k, 3))
+    x = rng.standard_normal(12)
+    U = _newton.with_pins(pinned, x)
+    assert np.array_equal(U, np.vstack([pinned, x.reshape(-1, 3)]))
+    again = _newton.with_pins(pinned, x)
+    assert again is not U and not np.shares_memory(again, U)
+    assert not np.shares_memory(U, x) and not np.shares_memory(U, pinned)
+
+
 # ---------------------------------------------------------------------------
 # independent tridiagonals over knots: one LAPACK solve, no sparse matrix
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ import scipy.sparse as sp
 
 from wedflow import (ConfigurationError, RIProblem, RITrajectory, Scenario,
                      Trajectory, build_grid, energetic_residuals,
-                     lattice_pair, minimize_wed_ri, ordered_ri_minimizers,
-                     rateind, ri_continuation, run, sign_condition,
-                     wed_ri_value)
+                     _newton, lattice_pair, minimize_wed_ri,
+                     ordered_ri_minimizers, rateind, ri_continuation, run,
+                     sign_condition, wed_ri_value)
 from wedflow.cli import bundled_scenarios
 from wedflow.energies import graph_laplacian
-from wedflow.rateind import _ri_weights, ri_energy, ri_energy_grad
+from wedflow.rateind import _ri_weights, _sigma, ri_energy, ri_energy_grad
 
 from conftest import line_grid, point_grid
 
@@ -293,6 +293,36 @@ def test_uncoupled_solve_matches_the_sparse_band_solve(monkeypatch):
     assert np.max(np.abs(traj.values - ref.values)) <= 1e-12 * scale
     assert abs(report.value - ref_report.value) \
         <= 1e-12 * abs(ref_report.value)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5])
+def test_solve_gradient_is_the_per_call_formula_bit_for_bit(monkeypatch, a):
+    # the gradient each smoothing stage hands to the Newton front end,
+    # against the formula that indexes the forcing by a knot array and
+    # builds the weight columns on every call
+    problem = coupled_problem(a=a)
+    N, hd = problem.steps, problem.grid.cell_measure
+    jw, pw, tw = _ri_weights(problem.epsilon, problem.T, N)
+    pwt = pw.copy()
+    pwt[-1] += tw
+    U = np.random.default_rng(1).standard_normal((N + 1, 3))
+    deltas = (1e-1, 1e-3)
+    got = []
+    real = rateind.pinned_solve
+
+    def capture(solver, pinned, N, start, grad, hess, knot_scale, **opts):
+        got.append(grad(U))
+        return real(solver, pinned, N, start, grad, hess, knot_scale, **opts)
+
+    monkeypatch.setattr(rateind, "pinned_solve", capture)
+    minimize_wed_ri(problem, deltas=deltas)
+    for g, delta in zip(got, deltas, strict=True):
+        want = np.zeros_like(U)
+        want[1:] = pwt[:, None] * ri_energy_grad(problem, U[1:],
+                                                 np.arange(1, N + 1))
+        _newton.time_divergence(want[1:], jw[:, None] * _sigma(
+            np.diff(U, axis=0), delta) * hd)
+        assert np.array_equal(g, want)
 
 
 def test_ramp_scenario_newton_work_is_unchanged(tmp_path, monkeypatch):

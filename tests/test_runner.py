@@ -3,12 +3,19 @@ the command line."""
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from functools import cache
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wedflow import Scenario, ScenarioError, Trajectory, run, verify
+import wedflow
+from wedflow import (Scenario, ScenarioError, Trajectory, build_grid,
+                     rearrange, run, runner, verify)
 from wedflow.cli import bundled_scenarios, main
 from wedflow.runner import (_forcing_values, _initial_values, _json_ready,
                             _map_from_cfg, _schedule, output_dir_for,
@@ -304,6 +311,121 @@ def test_verify_gradients_suite():
         assert isinstance(check["margin"], float)
 
 
+def _boundary_energy(U, boundary, m):
+    if boundary == "dirichlet":
+        zero = np.zeros((len(U), 1))
+        U = np.hstack([zero, U, zero])
+    return np.sum(np.abs(np.diff(U, axis=1)) ** m, axis=1)
+
+
+def _per_sample_rearrangement(seed):
+    """The rearrangement suite's random-sample margins, one sample and one
+    row at a time, as the suite computed them before it worked on
+    stacks."""
+    rng = np.random.default_rng(seed)
+    kinds = ("monotone", "symmetric_decreasing")
+    worst = {k: np.inf for k in
+             ("norm", "hardy_littlewood", "nonexpansive", "polya_szego")}
+    grids = {n: build_grid(dim=1, shape=(n,), spacing=(1.0,),
+                           boundary="neumann") for n in range(3, 65)}
+    for _ in range(1000):
+        n = int(rng.integers(3, 65))
+        grid = grids[n]
+        u = rng.random(n) * 2.0
+        v = rng.random(n) * 2.0
+        for kind in kinds:
+            ru, rv = rearrange(grid, np.stack([u, v]), kind)
+            worst["norm"] = min(worst["norm"], -float(np.max(np.abs(
+                np.sort(ru) - np.sort(np.maximum(u, 0.0))))))
+            worst["hardy_littlewood"] = min(
+                worst["hardy_littlewood"], float(ru @ rv - u @ v))
+            for J in (np.abs, np.square):
+                worst["nonexpansive"] = min(
+                    worst["nonexpansive"],
+                    float(np.sum(J(u - v)) - np.sum(J(ru - rv))))
+            bnd = "dirichlet" if kind == "symmetric_decreasing" \
+                else "neumann"
+            for m in (2.0, 3.0):
+                worst["polya_szego"] = min(
+                    worst["polya_szego"],
+                    float(_boundary_energy(u[None, :], bnd, m)[0]
+                          - _boundary_energy(ru[None, :], bnd, m)[0]))
+    return worst
+
+
+@cache
+def _exhaustive_rearrangement():
+    """The suite's exhaustive margins as it computed them before it shared
+    one Gram block between the two kinds; they depend on no seed."""
+    kinds = ("monotone", "symmetric_decreasing")
+    hl_worst = ps_worst = np.inf
+    for n in range(3, 8):
+        grid = build_grid(dim=1, shape=(n,), spacing=(1.0,),
+                          boundary="neumann")
+        U = np.array(list(product((0.0, 1.0, 2.0), repeat=n)))
+        for kind in kinds:
+            RU = rearrange(grid, U, kind)
+            for lo in range(0, U.shape[0], 256):
+                block = slice(lo, lo + 256)
+                hl_worst = min(hl_worst, float(np.min(
+                    RU[block] @ RU.T - U[block] @ U.T)))
+            bnd = "dirichlet" if kind == "symmetric_decreasing" \
+                else "neumann"
+            for m in (2.0, 3.0):
+                ps_worst = min(ps_worst, float(np.min(
+                    _boundary_energy(U, bnd, m)
+                    - _boundary_energy(RU, bnd, m))))
+    return {"hardy_littlewood_exhaustive": hl_worst,
+            "polya_szego_exhaustive": ps_worst}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stacked_rearrangement_suite_matches_the_per_sample_loop(seed):
+    ref = _per_sample_rearrangement(seed) | _exhaustive_rearrangement()
+    report = verify("rearrangement", seed)
+    assert list(report["checks"]) == list(ref)
+    for key, margin in ref.items():
+        got = report["checks"][key]
+        assert abs(got["margin"] - margin) <= 1e-12 * max(abs(margin), 1.0)
+        assert got["passed"] == (margin >= -1e-12)
+    assert report["passed"] == all(m >= -1e-12 for m in ref.values())
+
+
+def _scaled_up(grid, rows, kind, *args):
+    return rearrange(grid, rows, kind, *args) * (1.0 + 1e-9)
+
+
+def _largest_at_the_boundary(grid, rows, kind, *args):
+    out = rearrange(grid, rows, kind, *args)
+    if kind == "symmetric_decreasing":
+        r, top = np.arange(len(out)), np.argmax(out, axis=1)
+        out[r, 0], out[r, top] = out[r, top], out[r, 0]
+    return out
+
+
+@pytest.mark.parametrize("mutant, caught", [
+    (_scaled_up, "norm"),
+    (_largest_at_the_boundary, "polya_szego"),
+])
+def test_rearrangement_suite_catches_a_wrong_rearrangement(monkeypatch,
+                                                          mutant, caught):
+    monkeypatch.setattr(runner, "rearrange", mutant)
+    report = verify("rearrangement")
+    assert report["passed"] is False
+    assert report["checks"][caught]["passed"] is False
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # only the tests' oracle, wed.reference_solve, uses scipy.optimize
+    src = str(Path(wedflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, wedflow.cli; "
+         "print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_verify_unknown_suite():
     with pytest.raises(ScenarioError, match="unknown suite"):
         verify("everything")
@@ -408,6 +530,11 @@ def _bundled(name: str, out_dir, **over) -> Scenario:
     ("ri_ramp", {"a": "x"}),
     ("ri_ramp", {"phi_coeffs": ["a"]}),
     ("ri_ramp", {"phi_coeffs": [0.0, 0.0, float("nan")]}),
+    # malformed forcing
+    ("ri_ramp", {"forcing": "abc"}),
+    ("ri_ramp", {"forcing": {"kind": "nodal"}}),
+    ("ri_ramp", {"forcing": {"kind": "piecewise_linear_time",
+                             "points": "x"}}),
 ])
 def test_rejected_scenario_writes_no_artifact(tmp_path, name, over):
     out = tmp_path / "out"
@@ -424,6 +551,10 @@ def test_rejected_scenario_writes_no_artifact(tmp_path, name, over):
     ("ri_ramp", "compare_v0", "abc"),
     ("ri_ramp", "initial", [None]),
     ("wave_pulse", "velocity", "abc"),
+    ("ri_ramp", "forcing", "abc"),
+    ("ri_ramp", "forcing", {"kind": "nodal"}),
+    ("ri_ramp", "forcing", {"kind": "piecewise_linear_time", "points": "x"}),
+    ("ri_ramp", "forcing", [None]),
 ])
 def test_malformed_state_names_its_field(tmp_path, capsys, name, field,
                                          value):
