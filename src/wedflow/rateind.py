@@ -394,14 +394,17 @@ class OrderedRIPair:
 
 def ordered_ri_minimizers(problem: RIProblem, u0: np.ndarray,
                           v0: np.ndarray,
-                          schedule: Optional[Sequence[float]] = None
-                          ) -> OrderedRIPair:
+                          schedule: Optional[Sequence[float]] = None,
+                          u_levels: Sequence = ()) -> OrderedRIPair:
     """Minimize from both ordered states, swap for the componentwise
-    lattice pair at each weight level, warm-start the next level."""
+    lattice pair at each weight level, warm-start the next level.
+    u_levels are the `ri_continuation` levels of the problem itself, if
+    already solved (see `comparison.ordered_pair_levels`)."""
     levels = ordered_pair_levels(
         problem, np.asarray(u0, dtype=float).ravel(),
         np.asarray(v0, dtype=float).ravel(), schedule,
-        lambda p, warm: minimize_wed_ri(p, init=warm), wed_ri_value)
+        lambda p, warm: minimize_wed_ri(p, init=warm), wed_ri_value,
+        u_levels)
     tu, tv = levels[-1][1]
     return OrderedRIPair(u=tu, v=tv,
                          audits=[rep.audit for *_, rep in levels],

@@ -34,7 +34,8 @@ from .wed import (WedProblem, check_schedule, default_eps_schedule,
                   eps_continuation, euler_lagrange_residual,
                   strong_solution_residual, wed_value_grad)
 from .qualitative import INERTIAL_KINDS, WED_KINDS, RMap, invariant_solve
-from .comparison import ordered_minimizers, submodularity_check
+from .comparison import (_check_ordered_initials, ordered_minimizers,
+                         submodularity_check)
 from .rateind import (RIProblem, energetic_residuals, ordered_ri_minimizers,
                       ri_continuation, sign_condition)
 from .wide import (LagrangianProblem, WideWaveProblem,
@@ -93,9 +94,9 @@ class Scenario:
             raise ScenarioError("field 'T': must be a finite positive number")
         cfg = dict(_DEFAULTS)
         cfg.update(raw)
-        if not isinstance(cfg["seed"], int):
+        if not _is_int(cfg["seed"]):
             raise ScenarioError("field 'seed': must be an integer")
-        if not (isinstance(cfg["steps"], int) and cfg["steps"] >= 1):
+        if not (_is_int(cfg["steps"]) and cfg["steps"] >= 1):
             raise ScenarioError("field 'steps': must be a positive integer")
         if not isinstance(cfg["rmaps"], list):
             raise ScenarioError("field 'rmaps': must be a list of maps")
@@ -113,6 +114,21 @@ class Scenario:
     @staticmethod
     def from_file(path) -> "Scenario":
         return Scenario.from_text(Path(path).read_text())
+
+
+def _is_int(x) -> bool:
+    """True for an integer that is not a bool (JSON true is not 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _reject_bools(spec) -> None:
+    """Raise ValueError if a JSON true/false stands anywhere in spec
+    where the numeric readers below would take it for 1.0/0.0."""
+    if isinstance(spec, bool):
+        raise ValueError(f"expected a number, not {json.dumps(spec)}")
+    for item in (spec.values() if isinstance(spec, dict)
+                 else spec if isinstance(spec, list) else ()):
+        _reject_bools(item)
 
 
 def _build_grid_cfg(cfg: dict) -> Grid:
@@ -147,7 +163,19 @@ def _initial_values(spec, grid: Grid, n_dof: int,
     return v
 
 
+def _compare_values(spec, u0: np.ndarray, grid: Grid) -> np.ndarray:
+    """The comparison partner state, checked against u0 before any solve:
+    same size, and u0 <= v0 at every node."""
+    v0 = _initial_values(spec, grid, u0.size, "compare_v0")
+    try:
+        _check_ordered_initials(u0, v0)
+    except ConfigurationError as exc:
+        raise ScenarioError(f"field 'compare_v0': {exc}")
+    return v0
+
+
 def _state_values(spec, grid: Grid, n_dof: int) -> np.ndarray:
+    _reject_bools(spec)
     if isinstance(spec, (int, float)):
         return np.full(n_dof, float(spec))
     if isinstance(spec, list):
@@ -203,6 +231,7 @@ def _forcing_values(spec, grid: Grid, T: float, steps: int,
 
 
 def _forcing_table(spec, T: float, steps: int, n_dof: int) -> np.ndarray:
+    _reject_bools(spec)
     if isinstance(spec, (int, float)):
         return np.full(n_dof, float(spec))
     if isinstance(spec, list):
@@ -290,10 +319,13 @@ def build_wed_problem(sc: Scenario) -> WedProblem:
     e2raw.setdefault("gamma", 0.0)
     rx = cfg.get("reaction")
     if rx is not None:
-        rxd = dict(rx)
-        if "g" in rxd:
-            rxd["g"] = np.asarray(rxd["g"], dtype=float)
-        reaction = ReactionSpec(**rxd)
+        try:
+            rxd = dict(rx)
+            if "g" in rxd:
+                rxd["g"] = np.asarray(rxd["g"], dtype=float)
+            reaction = ReactionSpec(**rxd)
+        except (TypeError, ValueError) as exc:  # ConfigurationError included
+            raise ScenarioError(f"field 'reaction': {exc}")
     elif sc.family == "lotka_volterra":
         raise ScenarioError("missing required field 'reaction'")
     else:
@@ -458,8 +490,8 @@ def _run_checked(sc: Scenario) -> int:
             if sc.family == "lotka_volterra":
                 raise ScenarioError("field 'compare_v0': comparison needs "
                                     "a potential-form scenario")
-            v0 = _initial_values(compare_v0, problem.grid, problem.n_dof,
-                                 "compare_v0")
+            v0 = _compare_values(compare_v0, problem.initial, problem.grid)
+        u_levels = ()
         if rmap is not None:
             try:
                 res = invariant_solve(problem, rmap, steps,
@@ -479,6 +511,10 @@ def _run_checked(sc: Scenario) -> int:
             cont = eps_continuation(problem, schedule, steps)
             traj = cont.final
             unconverged = unconverged or cont.aborted
+            # the converged levels are a prefix of the schedule; the pair
+            # below solves with the same steps and tolerances
+            u_levels = [(eps, t, rep) for (eps, t), rep
+                        in zip(cont.family, cont.reports)]
         el = euler_lagrange_residual(problem, traj)
         reports["euler_lagrange"] = {
             "interior_max": el["interior_max"], "terminal": el["terminal"],
@@ -491,7 +527,7 @@ def _run_checked(sc: Scenario) -> int:
             pair = ordered_minimizers(problem,
                                       Field(problem.grid, problem.initial),
                                       Field(problem.grid, v0),
-                                      schedule, steps)
+                                      schedule, steps, u_levels=u_levels)
             unconverged = unconverged or not pair.converged
             reports["comparison"] = json.loads(pair.to_json())
             ok = pair.ordering_margin >= -1e-10 and pair.submodularity_ok
@@ -506,8 +542,7 @@ def _run_checked(sc: Scenario) -> int:
                                 "takes no maps")
         problem = build_ri_problem(sc)
         if compare_v0 is not None:
-            v0 = _initial_values(compare_v0, problem.grid,
-                                 problem.grid.n_nodes, "compare_v0")
+            v0 = _compare_values(compare_v0, problem.initial, problem.grid)
         fam = ri_continuation(problem, schedule)
         eps_last, traj, rep = fam[-1]
         unconverged = unconverged or not rep.converged
@@ -529,7 +564,7 @@ def _run_checked(sc: Scenario) -> int:
         files["trajectory.csv"] = traj.to_csv()
         if compare_v0 is not None:
             pair = ordered_ri_minimizers(problem, problem.initial, v0,
-                                         schedule=schedule)
+                                         schedule=schedule, u_levels=fam)
             unconverged = unconverged or not pair.converged
             ok = pair.ordering_margin >= -1e-10
             failed = failed or not ok
@@ -867,7 +902,7 @@ def _verify_energetic(seed: int = 0) -> dict:
     checks["stability"] = _check(1e-2 - en.stability, 0.0)
     checks["balance"] = _check(1e-2 - en.balance, 0.0)
     pair = ordered_ri_minimizers(problem, np.zeros(1), 0.5 * np.ones(1),
-                                 schedule=sched)
+                                 schedule=sched, u_levels=fam)
     checks["ordering"] = _check(pair.ordering_margin, 1e-10)
     checks["converged"] = _check(0.0 if rep.converged else -1.0, 1e-12)
     return _suite_report("energetic", checks)

@@ -24,6 +24,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.line(line)
 
 
+def count_newton(monkeypatch, module) -> dict:
+    """Patch module.newton_solve to count its solves, Newton iterations
+    and gradient calls; returns the live counts."""
+    counts = dict(solves=0, iterations=0, grads=0)
+    real = module.newton_solve
+
+    def counted(x0, grad_fn, hess_fn, scale, **options):
+        def grad(x):
+            counts["grads"] += 1
+            return grad_fn(x)
+        out = real(x0, grad, hess_fn, scale, **options)
+        counts["solves"] += 1
+        counts["iterations"] += out[2]
+        return out
+
+    monkeypatch.setattr(module, "newton_solve", counted)
+    return counts
+
+
 def line_grid(n: int, boundary: str = "neumann", spacing: float = None):
     if spacing is None:
         spacing = 1.0 / (n - 1)

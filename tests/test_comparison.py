@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from wedflow import (ConfigurationError, DissipationSpec, EnergySpec, Field,
-                     ReactionSpec, Trajectory, WedProblem, lattice_pair,
-                     lattice_value_audit, ordered_minimizers,
-                     ordering_margin, submodularity_check,
-                     wed_potential_value)
+                     ReactionSpec, Trajectory, WedProblem, comparison,
+                     fixed_point_solve, lattice_pair, lattice_value_audit,
+                     ordered_minimizers, ordering_margin,
+                     submodularity_check, wed_potential_value)
 from wedflow.comparison import _check_ordered_initials
 from wedflow.energies import energy1_value_grad, energy2_value_grad
+from wedflow.wed import continuation
 
 from conftest import heat_problem, line_grid
 
@@ -246,3 +247,31 @@ def test_lattice_value_audit_keys():
     audit = lattice_value_audit(replace(problem, epsilon=0.2), res.u, res.v)
     assert set(audit) == {"value_u", "value_v", "value_meet", "value_join",
                           "meet_excess", "join_excess", "meet_ok", "join_ok"}
+
+
+def test_ordered_minimizers_reuse_the_main_continuation(monkeypatch):
+    problem = heat_problem(n=6)
+    u0 = Field(problem.grid, problem.initial)
+    v0 = Field(problem.grid, problem.initial + 0.2)
+    sched = (0.2, 0.1, 0.05)
+    levels = continuation(
+        lambda eps, warm: fixed_point_solve(replace(problem, epsilon=eps),
+                                            12, init=warm), sched, problem.T)
+    fresh = ordered_minimizers(problem, u0, v0, schedule=sched, steps=12)
+    solved = []
+    real = comparison.fixed_point_solve
+
+    def counted(p, steps, **options):
+        solved.append(p.epsilon)
+        return real(p, steps, **options)
+
+    monkeypatch.setattr(comparison, "fixed_point_solve", counted)
+    reused = ordered_minimizers(problem, u0, v0, schedule=sched, steps=12,
+                                u_levels=levels)
+    assert solved == list(sched)  # the v member only
+    assert np.array_equal(reused.u.values, fresh.u.values)
+    assert np.array_equal(reused.v.values, fresh.v.values)
+    assert reused.audits == fresh.audits
+    assert reused.ordering_margin == fresh.ordering_margin
+    assert reused.submodularity_ok == fresh.submodularity_ok
+    assert reused.converged == fresh.converged

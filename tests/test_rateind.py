@@ -12,12 +12,12 @@ from wedflow import (ConfigurationError, RIProblem, RITrajectory, Scenario,
                      Trajectory, build_grid, energetic_residuals,
                      _newton, lattice_pair, minimize_wed_ri,
                      ordered_ri_minimizers, rateind, ri_continuation, run,
-                     sign_condition, wed_ri_value)
+                     sign_condition, verify, wed_ri_value)
 from wedflow.cli import bundled_scenarios
 from wedflow.energies import graph_laplacian
 from wedflow.rateind import _ri_weights, _sigma, ri_energy, ri_energy_grad
 
-from conftest import line_grid, point_grid
+from conftest import count_newton, line_grid, point_grid
 
 
 def ramp_problem(steps, eps=0.2):
@@ -326,24 +326,21 @@ def test_solve_gradient_is_the_per_call_formula_bit_for_bit(monkeypatch, a):
 
 
 def test_ramp_scenario_newton_work_is_unchanged(tmp_path, monkeypatch):
-    # the solves, iterations and gradient calls of `wedflow run ri_ramp`
-    counts = dict(solves=0, iterations=0, grads=0)
-    real = rateind.newton_solve
-
-    def counted(x0, grad_fn, hess_fn, scale, **options):
-        def grad(x):
-            counts["grads"] += 1
-            return grad_fn(x)
-        out = real(x0, grad, hess_fn, scale, **options)
-        counts["solves"] += 1
-        counts["iterations"] += out[2]
-        return out
-
-    monkeypatch.setattr(rateind, "newton_solve", counted)
+    # the solves, iterations and gradient calls of `wedflow run ri_ramp`:
+    # 30 Newton solves for the main continuation and 30 for the pair's v
+    # member; the pair's u member reuses the main continuation
+    counts = count_newton(monkeypatch, rateind)
     raw = json.loads(bundled_scenarios()["ri_ramp"])
     raw["output_dir"] = str(tmp_path / "out")
     assert run(Scenario.from_dict(raw)) == 0
-    assert counts == dict(solves=90, iterations=1547, grads=6950)
+    assert counts == dict(solves=60, iterations=1047, grads=5026)
+
+
+def test_energetic_suite_newton_work(monkeypatch):
+    # `wedflow verify energetic` solves the same ramp as ri_ramp
+    counts = count_newton(monkeypatch, rateind)
+    assert verify("energetic")["passed"]
+    assert counts == dict(solves=60, iterations=1047, grads=5026)
 
 
 def test_minimize_wed_ri_rejects_init_with_wrong_knot_count():
@@ -577,3 +574,71 @@ def test_ordered_ri_minimizers_rejects_unordered():
     problem = ramp_problem(20)
     with pytest.raises(ConfigurationError):
         ordered_ri_minimizers(problem, np.full(1, 0.5), np.zeros(1))
+
+
+def assert_same_pair(a, b):
+    assert np.array_equal(a.u.values, b.u.values)
+    assert np.array_equal(a.v.values, b.v.values)
+    assert a.audits == b.audits
+    assert a.ordering_margin == b.ordering_margin
+    assert a.converged == b.converged
+
+
+def count_member_solves(monkeypatch) -> list:
+    # one entry per minimize_wed_ri call: the weight it solved at
+    calls = []
+    real = rateind.minimize_wed_ri
+
+    def counted(problem, **options):
+        calls.append(problem.epsilon)
+        return real(problem, **options)
+
+    monkeypatch.setattr(rateind, "minimize_wed_ri", counted)
+    return calls
+
+
+def test_ordered_ri_pair_reuses_the_main_continuation(monkeypatch):
+    problem = ramp_problem(60)
+    sched = (0.2, 0.1, 0.05)
+    levels = ri_continuation(problem, sched)
+    u0, v0 = np.zeros(1), np.full(1, 0.5)
+    fresh = ordered_ri_minimizers(problem, u0, v0, schedule=sched)
+    solved = count_member_solves(monkeypatch)
+    reused = ordered_ri_minimizers(problem, u0, v0, schedule=sched,
+                                   u_levels=levels)
+    assert solved == list(sched)  # the v member only
+    assert_same_pair(reused, fresh)
+
+
+@pytest.mark.parametrize("case, solved", [
+    ("epsilon", [0.2, 0.2, 0.1, 0.1]), ("u0", [0.2, 0.2, 0.1, 0.1]),
+    ("signed_zero_u0", [0.2, 0.2, 0.1, 0.1]),
+    ("fewer_levels", [0.2, 0.1, 0.1]), ("perturbed_level", [0.2, 0.1, 0.1])])
+def test_ordered_ri_pair_solves_the_levels_that_do_not_fit(monkeypatch, case,
+                                                          solved):
+    problem = ramp_problem(60)
+    sched = (0.2, 0.1)
+    levels = ri_continuation(problem, sched)
+    u0, v0 = np.zeros(1), np.full(1, 0.5)
+    if case == "epsilon":
+        levels = [(1.5 * eps, t, rep) for eps, t, rep in levels]
+    elif case == "u0":
+        u0 = np.full(1, 0.1)
+    elif case == "signed_zero_u0":  # equal to the initial state, not bitwise
+        u0 = np.full(1, -0.0)
+    elif case == "fewer_levels":
+        levels = levels[:1]
+    else:
+        # level 0 lifted above v at one knot: the meet that warm-starts
+        # level 1 is no longer level 0's trajectory
+        eps, t, rep = levels[0]
+        vals = t.values.copy()
+        vals[30] += 1.0
+        levels = [(eps, replace(t, values=vals), rep), levels[1]]
+    fresh = ordered_ri_minimizers(problem, u0, v0, schedule=sched)
+    calls = count_member_solves(monkeypatch)
+    pair = ordered_ri_minimizers(problem, u0, v0, schedule=sched,
+                                 u_levels=levels)
+    assert calls == solved
+    if case != "perturbed_level":
+        assert_same_pair(pair, fresh)

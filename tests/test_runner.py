@@ -22,7 +22,7 @@ from wedflow.runner import (_forcing_values, _initial_values, _json_ready,
                             trajectory_to_csv)
 from wedflow.wed import default_eps_schedule
 
-from conftest import line_grid
+from conftest import count_newton, line_grid
 
 
 def heat_scenario(out_dir, **over):
@@ -563,6 +563,58 @@ def test_malformed_state_names_its_field(tmp_path, capsys, name, field,
     assert capsys.readouterr().out.startswith(
         f"configuration error: field '{field}'")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, field, value", [
+    # a JSON bool is not a number, though Python reads true as 1
+    ("ri_ramp", "steps", True),
+    ("heat_relaxation", "steps", True),
+    ("ri_ramp", "seed", True),
+    ("ri_ramp", "forcing", True),
+    ("ri_ramp", "forcing", [True]),
+    ("heat_relaxation", "initial", True),
+    ("heat_relaxation", "initial", {"kind": "constant", "value": True}),
+    ("ri_ramp", "initial", True),
+    ("heat_relaxation", "compare_v0", True),
+    ("ri_ramp", "compare_v0", False),
+    # an unordered pair, in both lanes
+    ("heat_relaxation", "compare_v0", 0.0),
+    ("ri_ramp", "compare_v0", -1.0),
+    # an unknown reaction kind
+    ("lv_patch", "reaction", {"kind": "bogus", "A": 1.0, "K": 1.0}),
+])
+def test_bad_field_is_named_before_any_solve(tmp_path, capsys, monkeypatch,
+                                             name, field, value):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the scenario was checked")
+
+    for module in (wedflow.wed, wedflow.rateind):
+        monkeypatch.setattr(module, "newton_solve", no_solve)
+    out = tmp_path / "out"
+    raw = json.loads(bundled_scenarios()[name])
+    raw.update({field: value}, output_dir=str(out))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert run(str(path)) == 2
+    assert capsys.readouterr().out.startswith(
+        f"configuration error: field '{field}'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["heat_relaxation", "ri_ramp"])
+def test_bundled_pair_u_is_the_main_trajectory(tmp_path, name):
+    out = tmp_path / "out"
+    assert run(_bundled(name, out)) == 0
+    assert (out / "pair_u.csv").read_bytes() == \
+        (out / "trajectory.csv").read_bytes()
+
+
+def test_heat_relaxation_newton_work(tmp_path, monkeypatch):
+    # four levels of the main continuation and four of the pair's v
+    # member; the pair's u member reuses the main continuation
+    counts = count_newton(monkeypatch, wedflow.wed)
+    assert run(_bundled("heat_relaxation", tmp_path / "out")) == 0
+    assert counts == dict(solves=8, iterations=8, grads=16)
 
 
 def test_bad_compose_part_is_named_once():
