@@ -57,7 +57,14 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
       for it on grids of dimension >= 2, whose space-time Hessians are SPD
       and whose factorization dominates the solve: on a 32x32 grid with
       N=16 the fill drops from 94x to 41x and the factor time by about
-      3.6x. The other sparse solves (1D grids, coupled `rateind` with
+      3.6x. On this path each connected component of H + mu I is factored
+      on its own (see _shifted_solve). A degenerate m-Laplacian (m > 2)
+      drops every edge where the gradient vanishes, so data constant along
+      one axis splits the Hessian into identical chains; factored apart
+      they give bitwise identical steps, and every iterate keeps the
+      invariance. One ordering over the whole matrix broke it at round-off
+      level, and the ~1e-16 couplings that followed grew the fill from 4
+      to 11-23. The other sparse solves (1D grids, coupled `rateind` with
       a > 0, `wide`) keep SuperLU's defaults (COLAMD, partial pivoting):
       their outputs sit at the round-off floor, where another solver moves
       them by more than the 1e-12 refactor oracle. The `wide` Hessians are
@@ -124,11 +131,53 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
 
 def _shifted_solve(H, mu: float, rhs: np.ndarray, lu_options: dict):
     """(H + mu I)^{-1} rhs: a sparse LU with the given SuperLU options for
-    a sparse H, else H's own solve."""
+    a sparse H, else H's own solve.
+
+    With options (the symmetric path), H + mu I is factored one connected
+    component at a time: each component's principal submatrix gets its own
+    splu with the same options, and a connected matrix makes the one splu
+    call it always made. A Hessian splits where its couplings vanish, as
+    the degenerate m-Laplacian's edges with zero gradient do, and a single
+    minimum degree ordering over all components would give identical
+    components different eliminations. Apart, identical components (same
+    values in the same local order) give bitwise identical pieces of the
+    step, so data invariant along an axis keeps every Newton iterate
+    invariant; the factorizations are also smaller. The default-option
+    solves are not split: their small 1D Hessians would break into many
+    tiny pieces, and their outputs sit at the round-off floor (see
+    newton_solve)."""
     if not sp.issparse(H):
         return H.solve(rhs, mu)
     Hmu = H if mu == 0.0 else H + mu * sp.identity(H.shape[0], format="csr")
-    return splu(Hmu.tocsc(), **lu_options).solve(rhs)
+    Hmu = Hmu.tocsc()
+    count = 1
+    if lu_options:
+        # imported here, so that importing the package does not load it
+        from scipy.sparse.csgraph import connected_components
+        # components are those of the undirected graph, so the CSR view
+        # of the transpose serves without a conversion
+        count, labels = connected_components(Hmu.T, directed=False)
+    if count == 1:
+        return splu(Hmu, **lu_options).solve(rhs)
+    # renumber the unknowns once so that each component is a contiguous
+    # range, keeping the original order inside it; the matrix is then
+    # block diagonal, and each block is a slice of its columns
+    order = np.argsort(labels, kind="stable")
+    new = np.empty(order.size, Hmu.indices.dtype)
+    new[order] = np.arange(order.size)
+    P = Hmu[:, order]
+    rows = new[P.indices]
+    bounds = [0] + np.cumsum(np.bincount(labels)).tolist()
+    y = rhs[order]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        ptr = P.indptr[lo:hi + 1]
+        block = sp.csc_matrix((P.data[ptr[0]:ptr[-1]],
+                               rows[ptr[0]:ptr[-1]] - lo, ptr - ptr[0]),
+                              shape=(hi - lo, hi - lo))
+        y[lo:hi] = splu(block, **lu_options).solve(y[lo:hi])
+    x = np.empty_like(y)
+    x[order] = y
+    return x
 
 
 class KnotTridiagonal:

@@ -370,15 +370,16 @@ def trajectory_to_csv(traj: Trajectory, header: str = "node_index",
                       column: Optional[tuple] = None) -> str:
     """One row per knot and component: t, index, value, and, when column
     is (name, one value per knot), that knot's value. Floats use repr."""
+    # one tolist() per array: its Python floats repr as float() of each
+    # element would, without a numpy scalar per value
     lines = [f"t,{header},value"]
     tails = [""] * (traj.steps + 1)
     if column is not None:
         lines[0] += f",{column[0]}"
-        tails = [f",{repr(float(c))}" for c in column[1]]
-    for n, t in enumerate(traj.times):
-        for i in range(traj.values.shape[1]):
-            lines.append(f"{repr(float(t))},{i},"
-                         f"{repr(float(traj.values[n, i]))}{tails[n]}")
+        tails = [f",{c!r}" for c in np.asarray(column[1], float).tolist()]
+    for t, row, tail in zip(traj.times.tolist(), traj.values.tolist(), tails):
+        head = f"{t!r},"
+        lines.extend([f"{head}{i},{v!r}{tail}" for i, v in enumerate(row)])
     return "\n".join(lines) + "\n"
 
 

@@ -131,6 +131,18 @@ def _reject_bools(spec) -> None:
         _reject_bools(item)
 
 
+def _numeric_field(cfg: dict, field: str, default, convert=float):
+    """The scenario field `field` (default when absent) through convert;
+    a JSON bool anywhere in it, or a value convert rejects, is a
+    configuration error naming the field."""
+    value = cfg.get(field, default)
+    try:
+        _reject_bools(value)
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"field '{field}': {exc}")
+
+
 def _build_grid_cfg(cfg: dict) -> Grid:
     g = cfg.get("grid")
     if g is None:
@@ -147,9 +159,10 @@ def _build_grid_cfg(cfg: dict) -> Grid:
         raise ScenarioError(f"field 'grid': {exc}")
 
 
-def _initial_values(spec, grid: Grid, n_dof: int,
+def _initial_values(spec, grid: Optional[Grid], n_dof: int,
                     field: str = "initial") -> np.ndarray:
-    """The n_dof state values the scenario field `field` describes."""
+    """The n_dof state values the scenario field `field` describes; grid
+    is None for a state that lives on no grid (the Lagrangian family)."""
     if spec is None:
         raise ScenarioError(f"missing required field '{field}'")
     try:
@@ -174,7 +187,7 @@ def _compare_values(spec, u0: np.ndarray, grid: Grid) -> np.ndarray:
     return v0
 
 
-def _state_values(spec, grid: Grid, n_dof: int) -> np.ndarray:
+def _state_values(spec, grid: Optional[Grid], n_dof: int) -> np.ndarray:
     _reject_bools(spec)
     if isinstance(spec, (int, float)):
         return np.full(n_dof, float(spec))
@@ -194,6 +207,8 @@ def _state_values(spec, grid: Grid, n_dof: int) -> np.ndarray:
         if v.size != n_dof:
             raise ValueError("wrong number of values")
         return v
+    if kind in ("cosine", "sine_mode", "pair") and grid is None:
+        raise ValueError(f"kind {kind!r} needs a grid")
     if kind == "cosine":
         x = grid.coords()[:, 0]
         L = max(float(np.max(x)), 1e-300)
@@ -370,27 +385,28 @@ def build_wide_problem(sc: Scenario):
         if sc.family == "wide_wave":
             grid = _build_grid_cfg(cfg)
             return WideWaveProblem(
-                grid=grid, rho=float(cfg.get("rho", 1.0)),
-                nu=float(cfg.get("nu", 0.0)),
-                f_coeffs=tuple(cfg.get("f_coeffs", (0.0,))),
-                lam=float(cfg.get("lam", 0.0)),
-                p_growth=float(cfg.get("p_growth", 2.0)),
+                grid=grid, rho=_numeric_field(cfg, "rho", 1.0),
+                nu=_numeric_field(cfg, "nu", 0.0),
+                f_coeffs=_numeric_field(cfg, "f_coeffs", (0.0,), tuple),
+                lam=_numeric_field(cfg, "lam", 0.0),
+                p_growth=_numeric_field(cfg, "p_growth", 2.0),
                 T=T, epsilon=eps,
                 initial=_initial_values(cfg.get("initial"), grid,
                                         grid.n_nodes),
                 velocity=_initial_values(cfg.get("velocity", 0.0), grid,
                                          grid.n_nodes, "velocity"))
-        d = int(cfg.get("d", 1))
-        if "initial" not in cfg:
-            raise ScenarioError("missing required field 'initial'")
-        M = np.asarray(cfg.get("M", np.eye(d).tolist()), dtype=float)
-        pot = dict(cfg.get("potential", {"kind": "quadratic"}))
+        d = _numeric_field(cfg, "d", 1, int)
+        if d < 1:  # before np.eye(d) builds the default mass matrix
+            raise ScenarioError("field 'd': must be a positive integer")
+        M = _numeric_field(cfg, "M", np.eye(d).tolist(),
+                           lambda v: np.asarray(v, dtype=float))
+        pot = _numeric_field(cfg, "potential", {"kind": "quadratic"}, dict)
         return LagrangianProblem(
-            d=d, M=M, nu=float(cfg.get("nu", 0.0)),
+            d=d, M=M, nu=_numeric_field(cfg, "nu", 0.0),
             u_kind=pot.get("kind", "quadratic"), T=T, epsilon=eps,
-            initial=np.asarray(cfg["initial"], dtype=float).ravel(),
-            velocity=np.asarray(cfg.get("velocity", [0.0] * d),
-                                dtype=float).ravel(),
+            initial=_initial_values(cfg.get("initial"), None, d),
+            velocity=_initial_values(cfg.get("velocity", 0.0), None, d,
+                                     "velocity"),
             Q=None if pot.get("Q") is None
             else np.asarray(pot["Q"], dtype=float),
             u_coeffs=tuple(pot.get("coeffs", ())))

@@ -410,14 +410,15 @@ def test_fast_and_lu_minimizers_agree(monkeypatch):
         <= 1e-12 * abs(ref_report.value)
 
 
-def ladder_problem(nodes: int = 32, eps: float = 0.2) -> WedProblem:
-    """The 2D heat problem of the benchmark ladder: m=2 on the unit
-    square, Neumann, a cosine along axis 0 only."""
+def ladder_problem(nodes: int = 32, eps: float = 0.2,
+                   m: float = 2.0) -> WedProblem:
+    """The 2D heat problem of the benchmark ladder: m-Laplace (m=2 unless
+    given) on the unit square, Neumann, a cosine along axis 0 only."""
     g = build_grid(dim=2, shape=(nodes, nodes), spacing=(1.0 / nodes,) * 2,
                    boundary="neumann", domain_kind="rectangle")
     x = g.coords()[:, 0]
     return WedProblem(grid=g, dissipation=DissipationSpec(p=2.0),
-                      energy1=EnergySpec(kind="m_laplace", m=2.0, B=1.0,
+                      energy1=EnergySpec(kind="m_laplace", m=m, B=1.0,
                                          C=0.0),
                       energy2=EnergySpec(kind="none"),
                       reaction=ReactionSpec(), T=1.0, epsilon=eps,
@@ -498,3 +499,147 @@ def test_2d_solve_of_1d_data_is_the_1d_solve_broadcast():
     assert err <= 1e-13 * np.max(np.abs(ref.values))
     assert abs(report.value - ref_report.value) \
         <= 1e-12 * abs(ref_report.value)
+
+
+# ---------------------------------------------------------------------------
+# the symmetric path factors one connected component at a time
+# ---------------------------------------------------------------------------
+
+def _record_sizes(monkeypatch) -> list:
+    """Route `_newton.splu` through a recorder of (order of the matrix,
+    keyword arguments)."""
+    calls = []
+
+    def recorder(A, **kwargs):
+        calls.append((A.shape[0], kwargs))
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(_newton, "splu", recorder)
+    return calls
+
+
+def _record_shifts(monkeypatch) -> list:
+    """Route `_newton._shifted_solve` through a recorder of its shifts."""
+    shifts = []
+    real = _newton._shifted_solve
+
+    def recorder(H, mu, rhs, lu_options):
+        shifts.append(mu)
+        return real(H, mu, rhs, lu_options)
+
+    monkeypatch.setattr(_newton, "_shifted_solve", recorder)
+    return shifts
+
+
+def _whole_matrix_solve(H, mu, rhs, lu_options):
+    """The symmetric path before the split: one splu of all of H + mu I."""
+    Hmu = H + mu * sp.identity(H.shape[0], format="csr")
+    return splu(Hmu.tocsc(), **lu_options).solve(rhs)
+
+
+def band_problem(shape: tuple = (7, 5), p: float = 2.0) -> WedProblem:
+    """m-Laplace (m=3, C=0.5) on a rectangle with data along axis 0 only,
+    so the Hessian drops every axis-1 edge and splits into shape[1]
+    identical chains. The p=4 problem starts from a bump that vanishes on
+    part of the domain, where the rest Hessian has zero rows."""
+    problem = rect_problem(p=p, shape=shape)
+    x = problem.grid.coords()[:, 0]
+    u0 = np.maximum(np.cos(np.pi * x), 0.0) if p == 4.0 \
+        else 1.0 + 0.3 * np.cos(np.pi * x) + 0.1 * x
+    return replace(problem, initial=u0)
+
+
+def _along_axis0(problem: WedProblem, rows: np.ndarray) -> np.ndarray:
+    """rows ((k, shape[0])) repeated along axis 1: (k, n_dof)."""
+    return np.repeat(rows, problem.grid.shape[1], axis=1)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.37])
+def test_split_step_matches_the_whole_symmetric_lu_step(monkeypatch, mu):
+    problem = band_problem()
+    nx, ny = problem.grid.shape
+    N = 6
+    rng = np.random.default_rng(6)
+    w = _along_axis0(problem, rng.standard_normal((N + 1, nx)))
+    start = problem.initial + _along_axis0(
+        problem, 0.1 * rng.standard_normal((N + 1, nx)))
+    start[0] = problem.initial
+    seen = []
+
+    def capture(x0, grad_fn, hess_fn, scale, **options):
+        seen.append((hess_fn(x0), grad_fn(x0)))
+        return x0, 0.0, 0, True
+
+    monkeypatch.setattr(wed, "newton_solve", capture)
+    minimize_wed(problem, w, Trajectory(problem.grid, problem.T, start,
+                                        pinned_initial=problem.initial))
+    H, g = seen[0]
+    calls = _record_sizes(monkeypatch)
+    step = _newton._shifted_solve(H, mu, -g, SYMMETRIC)
+    assert calls == [(nx * N, SYMMETRIC)] * ny
+    ref = _whole_matrix_solve(H, mu, -g, SYMMETRIC)
+    assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # identical chains give identical pieces of the step
+    S = step.reshape(N, nx, ny)
+    assert np.array_equal(S, np.repeat(S[:, :, :1], ny, axis=2))
+
+
+def test_levenberg_retry_splits_the_shifted_hessian(monkeypatch):
+    problem = band_problem(p=4.0)
+    nx, ny = problem.grid.shape
+    N = 8
+    w = _along_axis0(problem, np.random.default_rng(1).standard_normal(
+        (1, nx)) * (problem.initial[::ny] != 0.0))
+    w = np.tile(w, (N + 1, 1))
+    init = constant_trajectory(problem.grid, problem.initial, problem.T, N)
+    shifts = _record_shifts(monkeypatch)
+    calls = _record_sizes(monkeypatch)
+    traj, report = minimize_wed(problem, w, init)
+    assert report.converged
+    assert any(mu > 0.0 for mu in shifts)
+    # every factorization, the shifted retries included, is of a piece
+    assert calls and all(kw == SYMMETRIC for _, kw in calls)
+    assert max(size for size, _ in calls) <= nx * N
+    monkeypatch.setattr(_newton, "_shifted_solve", _whole_matrix_solve)
+    ref, ref_report = minimize_wed(problem, w, init)
+    assert report.iterations == ref_report.iterations
+    scale = np.max(np.abs(ref.values))
+    assert np.max(np.abs(traj.values - ref.values)) <= 1e-12 * scale
+    assert abs(report.value - ref_report.value) \
+        <= 1e-12 * abs(ref_report.value)
+
+
+def test_axis_invariant_m3_solve_stays_invariant_at_every_iterate(
+        monkeypatch):
+    # the benchmark ladder's 16x16, N=64, m=3 problem: one ordering over
+    # the whole Hessian broke the axis-1 invariance at round-off level
+    nodes, N = 16, 64
+    problem = ladder_problem(nodes, m=3.0)
+    calls = _record_sizes(monkeypatch)
+    iterates = []
+    real = wed.newton_solve
+
+    def watched(x0, grad_fn, hess_fn, scale, **options):
+        def hess(x):
+            iterates.append(x.copy())
+            return hess_fn(x)
+        return real(x0, grad_fn, hess, scale, **options)
+
+    monkeypatch.setattr(wed, "newton_solve", watched)
+    result = wed.eps_continuation(problem, [0.2, 0.1, 0.05], N)
+    assert not result.aborted and len(iterates) >= 10
+    assert calls and all(c == (nodes * N, SYMMETRIC) for c in calls)
+    for X in iterates + [result.final.values]:
+        X = X.reshape(-1, nodes, nodes)
+        assert np.array_equal(X, np.repeat(X[:, :, :1], nodes, axis=2))
+
+
+def test_connected_2d_hessian_makes_one_splu_per_factorization(
+        monkeypatch):
+    problem = rect_problem()
+    shifts = _record_shifts(monkeypatch)
+    calls = _record_sizes(monkeypatch)
+    N = 8
+    _, report = rect_solve(problem, N)
+    assert report.converged and report.iterations >= 1
+    assert calls == [(problem.n_dof * N, SYMMETRIC)] * len(shifts)

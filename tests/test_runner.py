@@ -167,6 +167,23 @@ def test_trajectory_to_csv_layout():
     assert alt.splitlines()[0] == "t,component_index,value"
 
 
+@pytest.mark.parametrize("with_column", [False, True])
+def test_trajectory_to_csv_reprs_every_float(with_column):
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((6, 4)) * 10.0 ** rng.integers(-300, 300,
+                                                                (6, 4))
+    values[2, 1], values[3, 0] = -0.0, 5e-324
+    traj = Trajectory(line_grid(4), 0.7, values)
+    column = ("c", np.linspace(-1.0, 1.0, 6) / 3.0) if with_column else None
+    tails = [f",{repr(float(c))}" for c in column[1]] if with_column \
+        else [""] * 6
+    rows = [f"{repr(float(t))},{i},{repr(float(values[n, i]))}{tails[n]}"
+            for n, t in enumerate(traj.times) for i in range(4)]
+    head = "t,node_index,value" + (",c" if with_column else "")
+    assert trajectory_to_csv(traj, column=column) == \
+        "\n".join([head] + rows) + "\n"
+
+
 def test_json_ready_is_deterministic():
     payload = _json_ready({
         "b": 1.5,
@@ -415,15 +432,26 @@ def test_rearrangement_suite_catches_a_wrong_rearrangement(monkeypatch,
     assert report["checks"][caught]["passed"] is False
 
 
-def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    # only the tests' oracle, wed.reference_solve, uses scipy.optimize
+def _loaded_by_importing_the_cli(module: str) -> bool:
+    """Whether a fresh interpreter has `module` loaded after importing
+    wedflow.cli."""
     src = str(Path(wedflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", "import sys, wedflow.cli; "
-         "print('scipy.optimize' in sys.modules)"],
+         f"print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # only the tests' oracle, wed.reference_solve, uses scipy.optimize
+    assert not _loaded_by_importing_the_cli("scipy.optimize")
+
+
+def test_importing_the_cli_leaves_scipy_csgraph_unloaded():
+    # only the symmetric sparse solve of 2D grids finds components
+    assert not _loaded_by_importing_the_cli("scipy.sparse.csgraph")
 
 
 def test_verify_unknown_suite():
@@ -582,13 +610,28 @@ def test_malformed_state_names_its_field(tmp_path, capsys, name, field,
     ("ri_ramp", "compare_v0", -1.0),
     # an unknown reaction kind
     ("lv_patch", "reaction", {"kind": "bogus", "A": 1.0, "K": 1.0}),
+    # the inertial families' scalars and states
+    ("wide_oscillator", "initial", True),
+    ("wide_oscillator", "initial", {"kind": "cosine"}),
+    ("wide_oscillator", "velocity", [False]),
+    ("wide_oscillator", "d", True),
+    ("wide_oscillator", "d", -1),
+    ("wide_oscillator", "M", [[True]]),
+    ("wide_oscillator", "nu", "abc"),
+    ("wide_oscillator", "potential", {"kind": "quadratic", "Q": [[True]]}),
+    ("wide_oscillator", "potential", [1.0]),
+    ("wave_pulse", "rho", True),
+    ("wave_pulse", "lam", False),
+    ("wave_pulse", "nu", True),
+    ("wave_pulse", "p_growth", True),
+    ("wave_pulse", "f_coeffs", [0.0, 0.0, True]),
 ])
 def test_bad_field_is_named_before_any_solve(tmp_path, capsys, monkeypatch,
                                              name, field, value):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the scenario was checked")
 
-    for module in (wedflow.wed, wedflow.rateind):
+    for module in (wedflow.wed, wedflow.rateind, wedflow.wide):
         monkeypatch.setattr(module, "newton_solve", no_solve)
     out = tmp_path / "out"
     raw = json.loads(bundled_scenarios()[name])
