@@ -79,6 +79,20 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
       Euler-Lagrange interior residual from 1.1225e-10 to 1.1372e-10.
       `ri_ramp`, whose solves are all uncoupled, moved by at most 4.5e-16
       when they left splu for dgtsv.
+
+    Each distinct sparse factorization is made once per call. The call
+    holds its last factorization of H + mu I and solves with it again
+    while the next H + mu I is stored bitwise alike: the same shape,
+    column pointers, row indices and bytes of values, under the call's
+    one set of SuperLU options. A quadratic energy with p = 2, whose
+    Hessian does not change between iterations, is factored once; a
+    Levenberg retry, whose mu differs, is refactored. On a miss the held
+    factorization is dropped before the new one is made, so at most one
+    is alive, and none outlives the call. On the symmetric path identical
+    components share one LU (see _shifted_solve). A reused factorization
+    gives bitwise the step that refactoring would, since gstrf is
+    deterministic and a solve does not change the factor, so reuse is
+    safe on the solves at the round-off floor above and moves no output.
     """
     lu_options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options=dict(SymmetricMode=True)) if symmetric else {}
@@ -87,12 +101,13 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
     res = float(np.max(np.abs(g / scale)))
     it = 0
     mu = 0.0  # Levenberg shift, raised only on factorization trouble
+    held = _HeldFactor()
     while it < max_iter and res > tol:
         H = hess_fn(x)
         step = None
         for _ in range(8):
             try:
-                step = _shifted_solve(H, mu, -g, lu_options)
+                step = _shifted_solve(H, mu, -g, lu_options, held)
                 if np.all(np.isfinite(step)):
                     break
             except RuntimeError:
@@ -129,9 +144,11 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
     return x, res, it, res <= tol
 
 
-def _shifted_solve(H, mu: float, rhs: np.ndarray, lu_options: dict):
+def _shifted_solve(H, mu: float, rhs: np.ndarray, lu_options: dict,
+                   held: _HeldFactor | None = None):
     """(H + mu I)^{-1} rhs: a sparse LU with the given SuperLU options for
-    a sparse H, else H's own solve.
+    a sparse H, else H's own solve. held is the calling newton_solve's
+    _HeldFactor; without one, H + mu I is factored afresh.
 
     With options (the symmetric path), H + mu I is factored one connected
     component at a time: each component's principal submatrix gets its own
@@ -145,39 +162,111 @@ def _shifted_solve(H, mu: float, rhs: np.ndarray, lu_options: dict):
     invariant; the factorizations are also smaller. The default-option
     solves are not split: their small 1D Hessians would break into many
     tiny pieces, and their outputs sit at the round-off floor (see
-    newton_solve)."""
+    newton_solve).
+
+    Each distinct factorization is made once. A component block whose
+    column pointers, row indices and values are bitwise those of an
+    earlier block of the same matrix reuses that block's LU; only a block
+    not seen before is built as a CSC matrix and factored. Each block's
+    piece of the right-hand side still gets its own one-column solve; a
+    stacked multi-column solve could round differently. And held keeps
+    the last whole H + mu I with its solve, which serves the next call
+    while the new H + mu I is stored bitwise alike (see _HeldFactor).
+    Both reuses give bitwise the step that refactoring would: gstrf is
+    deterministic on equal input and the solve does not change the
+    factor. So they are safe on the 1D, coupled `rateind` and `wide`
+    solves at the round-off floor, too."""
     if not sp.issparse(H):
         return H.solve(rhs, mu)
     Hmu = H if mu == 0.0 else H + mu * sp.identity(H.shape[0], format="csr")
-    Hmu = Hmu.tocsc()
+    # a copy, even of a CSC H: held keeps it past the caller's next hess_fn
+    Hmu = Hmu.tocsc(copy=True)
+    if held is None:
+        held = _HeldFactor()
+    return held.solve(Hmu, rhs, lu_options)
+
+
+class _HeldFactor:
+    """The last factorization one newton_solve call made: the CSC matrix
+    it factored, the SuperLU options it used and the function that solves
+    with it. A quadratic energy with p = 2 gives the same Hessian at every
+    Newton iteration; it is factored once."""
+
+    def __init__(self):
+        self.matrix = self.options = self.solve_fn = None
+
+    def solve(self, A, rhs: np.ndarray, lu_options: dict) -> np.ndarray:
+        """A^{-1} rhs for the CSC matrix A, factored with lu_options
+        unless A is stored bitwise alike the held matrix and the options
+        are the held ones. A new factorization replaces the held one,
+        which is dropped first, so that at most one is ever alive and the
+        peak memory stays that of one factorization."""
+        if lu_options != self.options or not _same_csc(self.matrix, A):
+            self.matrix = self.options = self.solve_fn = None
+            self.solve_fn = _factor(A, lu_options)
+            self.matrix, self.options = A, lu_options
+        return self.solve_fn(rhs)
+
+
+def _same_csc(A, B) -> bool:
+    """Whether the CSC matrix A (or None) is stored as B is: the same
+    shape, column pointers and row indices, and the same bytes of values
+    (so 0.0 and -0.0 differ). Far cheaper than the factorization it saves."""
+    return (A is not None and A.shape == B.shape
+            and A.data.dtype == B.data.dtype
+            and np.array_equal(A.indptr, B.indptr)
+            and np.array_equal(A.indices, B.indices)
+            and np.array_equal(A.data.view(np.uint8), B.data.view(np.uint8)))
+
+
+def _factor(A, lu_options: dict):
+    """The solve (rhs -> A^{-1} rhs) of the CSC matrix A: one splu, or with
+    options, one splu per distinct connected component (see
+    _shifted_solve)."""
     count = 1
     if lu_options:
         # imported here, so that importing the package does not load it
         from scipy.sparse.csgraph import connected_components
         # components are those of the undirected graph, so the CSR view
         # of the transpose serves without a conversion
-        count, labels = connected_components(Hmu.T, directed=False)
+        count, labels = connected_components(A.T, directed=False)
     if count == 1:
-        return splu(Hmu, **lu_options).solve(rhs)
+        return splu(A, **lu_options).solve
     # renumber the unknowns once so that each component is a contiguous
     # range, keeping the original order inside it; the matrix is then
     # block diagonal, and each block is a slice of its columns
     order = np.argsort(labels, kind="stable")
-    new = np.empty(order.size, Hmu.indices.dtype)
+    new = np.empty(order.size, A.indices.dtype)
     new[order] = np.arange(order.size)
-    P = Hmu[:, order]
+    P = A[:, order]
     rows = new[P.indices]
     bounds = [0] + np.cumsum(np.bincount(labels)).tolist()
-    y = rhs[order]
+    # a dict keyed by a block's bytes finds a repeat in one lookup, where
+    # comparing each block with every distinct one before it would take
+    # time quadratic in the number of distinct components
+    lus = {}
+    pieces = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         ptr = P.indptr[lo:hi + 1]
-        block = sp.csc_matrix((P.data[ptr[0]:ptr[-1]],
-                               rows[ptr[0]:ptr[-1]] - lo, ptr - ptr[0]),
-                              shape=(hi - lo, hi - lo))
-        y[lo:hi] = splu(block, **lu_options).solve(y[lo:hi])
-    x = np.empty_like(y)
-    x[order] = y
-    return x
+        data = P.data[ptr[0]:ptr[-1]]
+        local = rows[ptr[0]:ptr[-1]] - lo
+        ptr = ptr - ptr[0]
+        key = (ptr.tobytes(), local.tobytes(), data.tobytes())
+        if key not in lus:
+            lus[key] = splu(sp.csc_matrix((data, local, ptr),
+                                          shape=(hi - lo, hi - lo)),
+                            **lu_options)
+        pieces.append((lo, hi, lus[key]))
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        y = rhs[order]
+        for lo, hi, lu in pieces:
+            y[lo:hi] = lu.solve(y[lo:hi])
+        x = np.empty_like(y)
+        x[order] = y
+        return x
+
+    return solve
 
 
 class KnotTridiagonal:

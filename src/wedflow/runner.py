@@ -147,7 +147,10 @@ def _build_grid_cfg(cfg: dict) -> Grid:
     g = cfg.get("grid")
     if g is None:
         raise ScenarioError("missing required field 'grid'")
+    if not isinstance(g, dict):
+        raise ScenarioError("field 'grid': must be an object")
     try:
+        _reject_bools(g)
         return build_grid(dim=g.get("dim", 1),
                           shape=tuple(np.atleast_1d(
                               g.get("shape", g.get("nodes", 3)))),
@@ -155,7 +158,7 @@ def _build_grid_cfg(cfg: dict) -> Grid:
                           boundary=g.get("boundary", "neumann"),
                           domain_kind=g.get("domain_kind", "interval"),
                           robin_b=g.get("robin_b", 0.0))
-    except ConfigurationError as exc:
+    except (TypeError, ValueError) as exc:  # ConfigurationError included
         raise ScenarioError(f"field 'grid': {exc}")
 
 

@@ -523,16 +523,17 @@ def _record_shifts(monkeypatch) -> list:
     shifts = []
     real = _newton._shifted_solve
 
-    def recorder(H, mu, rhs, lu_options):
+    def recorder(H, mu, rhs, lu_options, held=None):
         shifts.append(mu)
-        return real(H, mu, rhs, lu_options)
+        return real(H, mu, rhs, lu_options, held)
 
     monkeypatch.setattr(_newton, "_shifted_solve", recorder)
     return shifts
 
 
-def _whole_matrix_solve(H, mu, rhs, lu_options):
-    """The symmetric path before the split: one splu of all of H + mu I."""
+def _whole_matrix_solve(H, mu, rhs, lu_options, held=None):
+    """The symmetric path before the split: one splu of all of H + mu I,
+    made afresh at every call."""
     Hmu = H + mu * sp.identity(H.shape[0], format="csr")
     return splu(Hmu.tocsc(), **lu_options).solve(rhs)
 
@@ -576,7 +577,8 @@ def test_split_step_matches_the_whole_symmetric_lu_step(monkeypatch, mu):
     H, g = seen[0]
     calls = _record_sizes(monkeypatch)
     step = _newton._shifted_solve(H, mu, -g, SYMMETRIC)
-    assert calls == [(nx * N, SYMMETRIC)] * ny
+    # the ny chains are identical: one factorization serves them all
+    assert calls == [(nx * N, SYMMETRIC)]
     ref = _whole_matrix_solve(H, mu, -g, SYMMETRIC)
     assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
     # identical chains give identical pieces of the step
@@ -643,3 +645,123 @@ def test_connected_2d_hessian_makes_one_splu_per_factorization(
     _, report = rect_solve(problem, N)
     assert report.converged and report.iterations >= 1
     assert calls == [(problem.n_dof * N, SYMMETRIC)] * len(shifts)
+
+
+# ---------------------------------------------------------------------------
+# each distinct factorization is made once
+# ---------------------------------------------------------------------------
+
+_REAL_SHIFTED_SOLVE = _newton._shifted_solve
+
+
+def _fresh_solve(H, mu, rhs, lu_options, held=None):
+    """_shifted_solve with no held factorization: every call factors."""
+    return _REAL_SHIFTED_SOLVE(H, mu, rhs, lu_options)
+
+
+def _per_chain_solve(H, mu, rhs, lu_options, held=None):
+    """The split path without reuse: one splu of every connected
+    component of H + mu I, identical ones included, at every call."""
+    from scipy.sparse.csgraph import connected_components
+    Hmu = H if mu == 0.0 else H + mu * sp.identity(H.shape[0], format="csr")
+    Hmu = Hmu.tocsc()
+    count, labels = connected_components(Hmu, directed=False)
+    x = np.empty_like(rhs)
+    for c in range(count):
+        idx = np.flatnonzero(labels == c)
+        x[idx] = splu(Hmu[idx][:, idx].tocsc(),
+                      **lu_options).solve(rhs[idx])
+    return x
+
+
+@pytest.mark.parametrize("lu_options", [{}, SYMMETRIC],
+                         ids=["default", "symmetric"])
+def test_unchanged_hessian_is_factored_once(monkeypatch, lu_options):
+    # a fixed SPD matrix with a small cubic term in the gradient: the
+    # Hessian misses the term, so Newton converges linearly, over
+    # several iterations of one and the same matrix
+    n = 30
+    A = sp.diags([np.full(n - 1, -1.0), np.linspace(3.0, 4.0, n),
+                  np.full(n - 1, -1.0)], [-1, 0, 1], format="csr")
+    b = np.random.default_rng(3).standard_normal(n)
+
+    def grad_fn(x):
+        return A @ x - b + 0.05 * x ** 3
+
+    def solve():
+        return newton_solve(np.zeros(n), grad_fn, lambda x: A.copy(),
+                            np.ones(n), tol=1e-13,
+                            symmetric=bool(lu_options))
+
+    calls = _record_splu(monkeypatch)
+    x, res, iters, converged = solve()
+    assert converged and iters >= 3
+    assert calls == [lu_options]
+    monkeypatch.setattr(_newton, "_shifted_solve", _fresh_solve)
+    ref_x, ref_res, ref_iters, _ = solve()
+    assert len(calls) == 1 + ref_iters
+    assert np.array_equal(x, ref_x)
+    assert res == ref_res and iters == ref_iters
+
+
+def test_identical_chains_share_one_lu_in_every_newton_step(monkeypatch):
+    problem = band_problem()
+    nx, ny = problem.grid.shape
+    N = 6
+    w = _along_axis0(problem, np.random.default_rng(2).standard_normal(
+        (N + 1, nx)))
+    init = constant_trajectory(problem.grid, problem.initial, problem.T, N)
+    shifts = _record_shifts(monkeypatch)
+    calls = _record_sizes(monkeypatch)
+    traj, report = minimize_wed(problem, w, init)
+    assert report.converged and report.iterations >= 2
+    # one splu per Newton step, not one per each of the ny chains
+    assert calls == [(nx * N, SYMMETRIC)] * len(shifts)
+    monkeypatch.setattr(_newton, "_shifted_solve", _per_chain_solve)
+    ref, ref_report = minimize_wed(problem, w, init)
+    assert report.iterations == ref_report.iterations
+    assert np.array_equal(traj.values, ref.values)
+    assert report.value == ref_report.value
+
+
+@pytest.mark.parametrize("lu_options", [{}, SYMMETRIC],
+                         ids=["default", "symmetric"])
+def test_new_shift_refactors_and_a_repeated_one_does_not(monkeypatch,
+                                                         lu_options):
+    n = 12
+    H = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.5),
+                  np.full(n - 1, -1.0)], [-1, 0, 1], format="csr")
+    rhs = np.random.default_rng(4).standard_normal(n)
+    shifts = [0.0, 0.0, 1e-3, 1e-3, 1e-2, 0.0]
+    refs = [_fresh_solve(H, mu, rhs, lu_options) for mu in shifts]
+    calls = _record_splu(monkeypatch)
+    held = _newton._HeldFactor()
+    factored = []
+    for mu, ref in zip(shifts, refs):
+        step = _newton._shifted_solve(H, mu, rhs, lu_options, held)
+        factored.append(len(calls))
+        assert np.array_equal(step, ref)
+    # the Levenberg retries (a new mu) and the return to mu = 0 refactor
+    assert factored == [1, 1, 2, 2, 3, 4]
+
+
+def test_1d_ladder_heat_factors_once_per_newton_level(monkeypatch):
+    # the benchmark ladder's 1D problem: n = 512, N = 64, a quadratic
+    # energy with p = 2, so every Newton step of a level has the same
+    # Hessian
+    problem = heat_problem(n=512, spacing=1.0 / 512)
+    calls = _record_splu(monkeypatch)
+    levels = []
+    real = wed.newton_solve
+
+    def watched(x0, grad_fn, hess_fn, scale, **options):
+        def hess(x):
+            levels[-1] += 1
+            return hess_fn(x)
+        levels.append(0)
+        return real(x0, grad_fn, hess, scale, **options)
+
+    monkeypatch.setattr(wed, "newton_solve", watched)
+    wed.eps_continuation(problem, [0.2, 0.1, 0.05], 64)
+    assert max(levels) >= 2
+    assert calls == [{}] * sum(1 for hessians in levels if hessians)

@@ -24,6 +24,9 @@ from wedflow.wed import default_eps_schedule
 
 from conftest import count_newton, line_grid
 
+# the grid spec of the bundled heat_relaxation scenario
+HEAT_GRID = json.loads(bundled_scenarios()["heat_relaxation"])["grid"]
+
 
 def heat_scenario(out_dir, **over):
     sc = {
@@ -625,6 +628,12 @@ def test_malformed_state_names_its_field(tmp_path, capsys, name, field,
     ("wave_pulse", "nu", True),
     ("wave_pulse", "p_growth", True),
     ("wave_pulse", "f_coeffs", [0.0, 0.0, True]),
+    # grid shapes and spacings that are not numbers
+    *[("heat_relaxation", "grid", dict(HEAT_GRID, **{key: value}))
+      for key in ("shape", "spacing") for value in ("abc", None, [3, "x"])],
+    ("heat_relaxation", "grid", dict(HEAT_GRID, spacing=True)),
+    ("heat_relaxation", "grid", dict(HEAT_GRID, dim=True)),
+    ("heat_relaxation", "grid", 16),
 ])
 def test_bad_field_is_named_before_any_solve(tmp_path, capsys, monkeypatch,
                                              name, field, value):
