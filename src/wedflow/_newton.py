@@ -7,6 +7,14 @@ globalization below backtracks on the ROW-SCALED residual max-norm
 instead: each gradient row is divided by its weight scale, making the
 acceptance test scale-free. Termination uses the same scaled norm.
 
+Stacked sweeps. The gradient callback maps a stack of points ((k, m),
+one per row) to their gradients. A backtracking sweep evaluates the full
+step as one row and, after a rejection, its next trials a/2, a/4, ... a
+few rows to a call (see newton_solve). Every gradient kernel acts row for
+row and the max-norm is exact, so each row carries the bits a call of its
+own would, and the accepted step, residual and iterate are those of the
+one-trial-at-a-time sweep.
+
 Front end. Every lane minimizes over whole trajectories U ((N+1, n_dof))
 whose first k rows are pinned (k = 2 in the inertial lane, else 1).
 `pinned_solve` holds the shared plumbing (unknown knots, start, row scale,
@@ -37,10 +45,27 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
     """Minimize a smooth convex objective given by its gradient and Hessian
     callbacks. Returns (x, scaled_residual, iterations, converged).
 
-    grad_fn(x) -> flat gradient; hess_fn(x) -> sparse SPD(ish) Hessian,
-    a KnotTridiagonal or a FastDiagonalization; scale -> positive per-row
+    grad_fn(X) -> the gradient at each row of the stack X ((k, m)), as a
+    (k, m) stack; hess_fn(x) -> sparse SPD(ish) Hessian at the flat x, a
+    KnotTridiagonal or a FastDiagonalization; scale -> positive per-row
     weights for the residual norm. A Levenberg shift mu, raised only when a
     solve fails or is not finite, is added to the Hessian's diagonal.
+
+    The line search backtracks a = 1, 1/2, 1/4, ... down to min_step and
+    takes the first step whose scaled residual falls below
+    (1 - 1e-4 a) times the current one. The full step is one gradient
+    row, so an iteration that accepts it makes one one-row call. After a
+    rejection the next trials go max(1, B // m) rows to a call, for the
+    element budget B = _SWEEP_ELEMENTS: 10 rows at the 200 unknowns of
+    `ri_ramp`, which turns its 5,026 one-row calls into 1,857. The budget
+    bounds the extra memory of a call and the trials evaluated past the
+    accepted one; a problem of more than B / 2 unknowns keeps one row per
+    call, and so the gradient calls of the one-trial-at-a-time sweep. The
+    result is bitwise that sweep's: each trial point is x + a step, row
+    for row; every gradient kernel is elementwise along the trajectory or
+    sums each entry over the same terms in the same order whatever the
+    number of rows; the max-norm of a row is exact; and the rows are
+    tested in order, so the first to pass is the step the sweep accepts.
 
     The linear solver follows from the Hessian; a Hessian that is not a
     sparse matrix solves itself (`H.solve(rhs, mu)`) and raises
@@ -97,11 +122,20 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
     lu_options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options=dict(SymmetricMode=True)) if symmetric else {}
     x = x0.copy()
-    g = grad_fn(x)
+    g = grad_fn(x[None])[0]
     res = float(np.max(np.abs(g / scale)))
     it = 0
     mu = 0.0  # Levenberg shift, raised only on factorization trouble
     held = _HeldFactor()
+    # the sweep's steps 1, 1/2, 1/4, ... down to min_step, their sufficient
+    # decrease factors, and the trial rows per call after the full step
+    trials = []
+    a = 1.0
+    while a >= min_step:
+        trials.append(a)
+        a *= 0.5
+    trials = np.array(trials)
+    sweep = (trials, 1.0 - 1e-4 * trials, max(1, _SWEEP_ELEMENTS // x.size))
     while it < max_iter and res > tol:
         H = hess_fn(x)
         step = None
@@ -117,31 +151,56 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
             step = None
         if step is None:
             break
-        a = 1.0
-        accepted = False
-        while a >= min_step:
-            gnew = grad_fn(x + a * step)
-            rnew = float(np.max(np.abs(gnew / scale)))
-            if rnew <= (1.0 - 1e-4 * a) * res:
-                accepted = True
-                break
-            a *= 0.5
+        a, xnew, gnew, rnew = _backtrack(grad_fn, x, step, scale, res, sweep)
+        accepted = a is not None
         if not accepted:
             # take the smallest damped step anyway; progress may be below
             # the acceptance threshold but the iteration must not cycle.
             # A NaN residual is no progress either.
             a = min_step
-            gnew = grad_fn(x + a * step)
+            xnew = x + a * step
+            gnew = grad_fn(xnew[None])[0]
             rnew = float(np.max(np.abs(gnew / scale)))
             if not rnew < res:
                 break
-        x = x + a * step
+        x = xnew
         g = gnew
         res = rnew
         it += 1
         if accepted and a == 1.0 and mu > 0.0:
             mu = 0.0
     return x, res, it, res <= tol
+
+
+# The element budget of one stacked gradient call of a backtracking sweep:
+# rows of trial points times unknowns. It bounds the sweep's extra memory
+# and the trials evaluated past the accepted one; 2,000 elements give 10
+# rows at 200 unknowns, and a problem of more than 1,000 unknowns keeps
+# one row per call.
+_SWEEP_ELEMENTS = 2000
+
+
+def _backtrack(grad_fn, x: np.ndarray, step: np.ndarray, scale: np.ndarray,
+               res: float, sweep: tuple) -> tuple:
+    """The first of the sweep's steps a whose scaled residual at x + a step
+    passes the sufficient decrease test, as (a, x + a step, its gradient,
+    its scaled residual); (None, ...) if none does. sweep holds the steps
+    a, their factors 1 - 1e-4 a and the rows per call after the first:
+    the full step is one gradient row, and the later trials go that many
+    rows to a call."""
+    trials, factors, batch = sweep
+    lo, rows = 0, 1
+    while lo < trials.size:
+        A = trials[lo:lo + rows]
+        X = x + A[:, None] * step
+        G = grad_fn(X)
+        R = np.abs(G / scale).max(axis=1)
+        passed = R <= factors[lo:lo + rows] * res
+        j = passed.argmax()
+        if passed[j]:
+            return float(A[j]), X[j], G[j], float(R[j])
+        lo, rows = lo + rows, batch
+    return None, None, None, None
 
 
 def _shifted_solve(H, mu: float, rhs: np.ndarray, lu_options: dict,
@@ -347,8 +406,10 @@ def pinned_solve(solver, pinned: np.ndarray, N: int, start, grad, hess,
     """Minimize over the trajectories U ((N+1, n_dof)) whose first rows
     are `pinned` ((k, n_dof)); options go to `solver`. start is None (each
     unknown knot starts at the last pinned row) or an (N+1, n_dof) array.
-    grad(U) is the whole-trajectory gradient, hess(U) the Hessian over the
-    knots k..N. Returns (U, scaled_residual, iterations, converged)."""
+    grad(U) is the whole-trajectory gradient of each trajectory in the
+    stack U ((rows, N+1, n_dof)), hess(U) the Hessian over the knots k..N
+    of one trajectory. Returns (U, scaled_residual, iterations,
+    converged)."""
     k, n_dof = pinned.shape
     if start is None:
         x0 = np.tile(pinned[-1], (N + 1 - k, 1)).ravel()
@@ -358,7 +419,7 @@ def pinned_solve(solver, pinned: np.ndarray, N: int, start, grad, hess,
         x0 = start[k:].ravel()
 
     x, res, iters, conv = solver(
-        x0, lambda x: grad(with_pins(pinned, x))[k:].ravel(),
+        x0, lambda X: grad(with_pins(pinned, X))[:, k:].reshape(X.shape),
         lambda x: hess(with_pins(pinned, x)), np.repeat(knot_scale, n_dof),
         **options)
     return with_pins(pinned, x), res, iters, conv
@@ -366,20 +427,23 @@ def pinned_solve(solver, pinned: np.ndarray, N: int, start, grad, hess,
 
 def with_pins(pinned: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The trajectory whose rows are `pinned`, then the flat unknowns x:
-    a fresh array, as np.vstack would return, filled by two copies."""
+    a fresh array, as np.vstack would return, filled by two copies. For a
+    stack of unknowns x ((rows, m)), one such trajectory per row."""
     k, n_dof = pinned.shape
-    rows = x.reshape(-1, n_dof)
-    U = np.empty((k + rows.shape[0], n_dof), np.result_type(pinned, rows))
-    U[:k] = pinned
-    U[k:] = rows
+    rows = x.reshape(*x.shape[:-1], -1, n_dof)
+    U = np.empty((*rows.shape[:-2], k + rows.shape[-2], n_dof),
+                 np.result_type(pinned, rows))
+    U[..., :k, :] = pinned
+    U[..., k:, :] = rows
     return U
 
 
 def time_divergence(g: np.ndarray, flux: np.ndarray) -> None:
-    """Knot n of g ((N, n_dof), knots 1..N) gains flux_n - flux_{n+1},
-    flux_n being the rate term's derivative in u_n - u_{n-1}."""
+    """Knot n of g ((N, n_dof), knots 1..N, or a stack of them) gains
+    flux_n - flux_{n+1}, flux_n being the rate term's derivative in
+    u_n - u_{n-1}."""
     g += flux
-    g[:-1] -= flux[1:]
+    g[..., :-1, :] -= flux[..., 1:, :]
 
 
 def band_diagonals(r: np.ndarray, main=0.0) -> tuple:

@@ -234,6 +234,14 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                      np.ascontiguousarray(y)[..., :, None])[..., 0, 0]
 
 
+def _rowmul(A, X: np.ndarray) -> np.ndarray:
+    """A @ x for every row x of the stack X (any leading axes), each row
+    rounded as the single product: the sparse product's sum for one entry
+    runs over the same nonzeros in the same order, however many rows."""
+    return (A @ X.reshape(-1, X.shape[-1]).T).T.reshape(
+        *X.shape[:-1], A.shape[0])
+
+
 def _sequential_sum(first, terms: np.ndarray):
     """first + terms[..., 0] + terms[..., 1] + ..., per row (first holds
     one entry per row), added left to right as a running scalar would be

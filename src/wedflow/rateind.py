@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from .grids import (ConfigurationError, Grid, Trajectory,
                     trajectory_to_csv)
-from .energies import _rowdot, _sequential_sum, graph_laplacian
+from .energies import _rowdot, _rowmul, _sequential_sum, graph_laplacian
 from ._newton import (KnotTridiagonal, band_diagonals, newton_solve,
                       pinned_solve, time_band, time_divergence)
 from .wed import MinimizeReport, continuation
@@ -187,10 +187,12 @@ def ri_energy(problem: RIProblem, u: np.ndarray, n_slice: int) -> float:
 
 def ri_energy_grad(problem: RIProblem, u: np.ndarray,
                    n_slice: int) -> np.ndarray:
+    """The gradient of ri_energy in u (a state or a stack of states, with
+    any leading axes); row for row the bits of the single-state call."""
     hd = problem.grid.cell_measure
     g = problem.phi_tilde_d1(u) * hd
     if problem._lap is not None:
-        g = g + (problem._lap @ u.T).T
+        g = g + _rowmul(problem._lap, u)
     return g - hd * problem.forcing[n_slice]
 
 
@@ -258,9 +260,12 @@ def minimize_wed_ri(problem: RIProblem,
     pwt_col, jw_col = pwt[:, None], jw[:, None]
 
     def grad(U: np.ndarray, delta: float) -> np.ndarray:
+        # U is a trajectory or a stack of them; each acts on its own
         g = np.zeros_like(U)
-        g[1:] = pwt_col * ri_energy_grad(problem, U[1:], slice(1, None))
-        time_divergence(g[1:], jw_col * _sigma(U[1:] - U[:-1], delta) * hd)
+        V = U[..., 1:, :]
+        g[..., 1:, :] = pwt_col * ri_energy_grad(problem, V, slice(1, None))
+        time_divergence(g[..., 1:, :],
+                        jw_col * _sigma(V - U[..., :-1, :], delta) * hd)
         return g
 
     def hess(U: np.ndarray, delta: float) -> KnotTridiagonal | sp.spmatrix:

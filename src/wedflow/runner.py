@@ -121,26 +121,48 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _reject_bools(spec) -> None:
-    """Raise ValueError if a JSON true/false stands anywhere in spec
-    where the numeric readers below would take it for 1.0/0.0."""
-    if isinstance(spec, bool):
+# the object keys whose values are names, not numbers
+_NAME_KEYS = ("kind", "boundary", "domain_kind")
+
+
+def _reject_non_numbers(spec) -> None:
+    """Raise ValueError where the numeric readers below would take spec,
+    or a part of it, for a number it is not: a JSON true/false (Python
+    reads true as 1.0) or a string (float reads "0.5" as 0.5), anywhere
+    but as the value of a _NAME_KEYS key, which names a kind or a
+    boundary and is checked by its reader."""
+    if isinstance(spec, (bool, str)):
         raise ValueError(f"expected a number, not {json.dumps(spec)}")
-    for item in (spec.values() if isinstance(spec, dict)
-                 else spec if isinstance(spec, list) else ()):
-        _reject_bools(item)
+    if isinstance(spec, dict):
+        for key, value in spec.items():
+            if key not in _NAME_KEYS:
+                _reject_non_numbers(value)
+    elif isinstance(spec, list):
+        for item in spec:
+            _reject_non_numbers(item)
 
 
 def _numeric_field(cfg: dict, field: str, default, convert=float):
     """The scenario field `field` (default when absent) through convert;
-    a JSON bool anywhere in it, or a value convert rejects, is a
-    configuration error naming the field."""
+    a JSON bool or a string where a number is read (see
+    _reject_non_numbers), or a value convert rejects, is a configuration
+    error naming the field."""
     value = cfg.get(field, default)
     try:
-        _reject_bools(value)
+        _reject_non_numbers(value)
         return convert(value)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"field '{field}': {exc}")
+
+
+def _node_counts(shape) -> tuple:
+    """A grid's shape, one node count or a list of them, as a tuple; each
+    count must be a JSON integer (int() would take 16.7 for 16)."""
+    counts = shape if isinstance(shape, list) else [shape]
+    if not all(_is_int(n) for n in counts):
+        raise ValueError(f"node counts must be integers, not "
+                         f"{json.dumps(shape)}")
+    return tuple(counts)
 
 
 def _build_grid_cfg(cfg: dict) -> Grid:
@@ -150,10 +172,10 @@ def _build_grid_cfg(cfg: dict) -> Grid:
     if not isinstance(g, dict):
         raise ScenarioError("field 'grid': must be an object")
     try:
-        _reject_bools(g)
+        _reject_non_numbers(g)
         return build_grid(dim=g.get("dim", 1),
-                          shape=tuple(np.atleast_1d(
-                              g.get("shape", g.get("nodes", 3)))),
+                          shape=_node_counts(g.get("shape",
+                                                   g.get("nodes", 3))),
                           spacing=tuple(np.atleast_1d(g.get("spacing", 1.0))),
                           boundary=g.get("boundary", "neumann"),
                           domain_kind=g.get("domain_kind", "interval"),
@@ -191,7 +213,7 @@ def _compare_values(spec, u0: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _state_values(spec, grid: Optional[Grid], n_dof: int) -> np.ndarray:
-    _reject_bools(spec)
+    _reject_non_numbers(spec)
     if isinstance(spec, (int, float)):
         return np.full(n_dof, float(spec))
     if isinstance(spec, list):
@@ -249,7 +271,7 @@ def _forcing_values(spec, grid: Grid, T: float, steps: int,
 
 
 def _forcing_table(spec, T: float, steps: int, n_dof: int) -> np.ndarray:
-    _reject_bools(spec)
+    _reject_non_numbers(spec)
     if isinstance(spec, (int, float)):
         return np.full(n_dof, float(spec))
     if isinstance(spec, list):
@@ -373,8 +395,9 @@ def build_ri_problem(sc: Scenario) -> RIProblem:
     eps = _schedule(sc)[0]
     try:
         return RIProblem(grid=grid,
-                         phi_coeffs=cfg.get("phi_coeffs", (0.0, 0.0, 0.5)),
-                         a=cfg.get("a", 0.0), forcing=forcing,
+                         phi_coeffs=_numeric_field(
+                             cfg, "phi_coeffs", (0.0, 0.0, 0.5), tuple),
+                         a=_numeric_field(cfg, "a", 0.0), forcing=forcing,
                          T=T, epsilon=eps, initial=init)
     except ConfigurationError as exc:
         raise ScenarioError(str(exc))
@@ -425,6 +448,7 @@ def _schedule(sc: Scenario) -> list:
     if not isinstance(raw, list):
         raise ScenarioError("field 'schedule': must be 'auto' or a list")
     try:
+        _reject_non_numbers(raw)
         return check_schedule(raw, float(cfg["T"]))
     except (TypeError, ValueError) as exc:  # ConfigurationError included
         raise ScenarioError(f"field 'schedule': {exc}")

@@ -155,19 +155,24 @@ def _dissipation_value(problem: WedProblem, U: np.ndarray, dt: float):
 def _wed_kernel(problem: WedProblem, w: np.ndarray, U: np.ndarray,
                dt: float) -> tuple[float, np.ndarray]:
     """Value and gradient (zero in the pinned row 0) of the functional on
-    the whole trajectory U ((N+1, n_dof)) for the dual table w. The value
-    adds the slice terms in time order, as a running sum would."""
-    N = U.shape[0] - 1
+    the whole trajectory U ((N+1, n_dof)) for the dual table w, or one
+    value and gradient per trajectory of a (k, N+1, n_dof) stack, row for
+    row the bits of the single call. The value adds the slice terms in
+    time order, as a running sum would."""
+    N = U.shape[-2] - 1
     hd = problem.grid.cell_measure
     a, b = _weights(problem.epsilon, problem.T, N)
-    rates = np.diff(U, axis=0) / dt
+    rates = np.diff(U, axis=-2) / dt
     alph = alpha_eval(problem.dissipation, rates)
-    v1, g1 = energy1_value_grad(problem.energy1, problem.grid, U[1:])
+    V = U[..., 1:, :]
+    v1, g1 = energy1_value_grad(problem.energy1, problem.grid,
+                                V.reshape(-1, V.shape[-1]))
     value = _sequential_sum(_dissipation_value(problem, U, dt),
-                            b * (v1 - hd * _rowdot(w[1:], U[1:])))
+                            b * (v1.reshape(V.shape[:-1])
+                                 - hd * _rowdot(w[1:], V)))
     grad = np.zeros_like(U)
-    grad[1:] = b[:, None] * (g1 - hd * w[1:])
-    time_divergence(grad[1:], (a / dt)[:, None] * alph * hd)
+    grad[..., 1:, :] = b[:, None] * (g1.reshape(V.shape) - hd * w[1:])
+    time_divergence(grad[..., 1:, :], (a / dt)[:, None] * alph * hd)
     return value, grad
 
 

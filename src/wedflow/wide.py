@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grids import ConfigurationError, Grid, Trajectory, build_grid
-from .energies import _rowdot, _sequential_sum, graph_laplacian
+from .energies import _rowdot, _rowmul, _sequential_sum, graph_laplacian
 from ._newton import newton_solve, pinned_solve
 from .qualitative import RMap, invariance_residual
 from .wed import MinimizeReport, continuation
@@ -296,34 +296,39 @@ def _unknown_band(*diagonals) -> sp.spmatrix:
 
 def _wide_kernel(parts: _Parts, U: np.ndarray) -> tuple[float, np.ndarray]:
     """Value and gradient (zero in both pinned slots) of the functional on
-    the whole knot array U. The value adds every acceleration term, then
-    the velocity and potential terms knot by knot, as a running sum would."""
+    the whole knot array U, or one value and gradient per knot array of a
+    (k, N+1, n_dof) stack, row for row the bits of the single call. The
+    value adds every acceleration term, then the velocity and potential
+    terms knot by knot, as a running sum would."""
     problem = parts.problem
-    N = U.shape[0] - 1
+    N = U.shape[-2] - 1
     dt = problem.T / N
     _, w_acc, w_vel, w_pot = _knot_weights(problem, N)
-    acc = (U[2:] - 2.0 * U[1:-1] + U[:-2]) / dt ** 2   # knot n = 1..N-1
-    vel = np.diff(U, axis=0) / dt                      # knot n = 1..N
-    Ma = (parts.M @ acc.T).T        # rows round as single products
-    Dv = (parts.D @ vel.T).T
-    Su = (parts.S @ U[1:].T).T
-    vel_pot = np.column_stack([
+    # knot n = 1..N-1
+    acc = (U[..., 2:, :] - 2.0 * U[..., 1:-1, :] + U[..., :-2, :]) / dt ** 2
+    vel = np.diff(U, axis=-2) / dt                      # knot n = 1..N
+    V = U[..., 1:, :]
+    Ma = _rowmul(parts.M, acc)
+    Dv = _rowmul(parts.D, vel)
+    Su = _rowmul(parts.S, V)
+    vel_pot = np.stack([
         w_vel * _rowdot(vel, Dv),
-        w_pot * (0.5 * _rowdot(U[1:], Su) + parts.g_val(U[1:]))])
-    value = _sequential_sum(0.0, np.concatenate(
-        [w_acc * _rowdot(acc, Ma), vel_pot.ravel()]))
+        w_pot * (0.5 * _rowdot(V, Su) + parts.g_val(V))], axis=-1)
+    value = _sequential_sum(np.zeros(U.shape[:-2]), np.concatenate(
+        [w_acc * _rowdot(acc, Ma), vel_pot.reshape(*U.shape[:-2], -1)],
+        axis=-1))
     ga = (2.0 * w_acc / dt ** 2)[:, None] * Ma
     gv = (2.0 * w_vel / dt)[:, None] * Dv
     # each knot's row collects its terms in the order of the knot-by-knot
     # accumulation this replaces
     grad = np.zeros_like(U)
-    grad[2:] += ga
-    grad[1:-1] -= 2.0 * ga
-    grad[:-2] += ga
-    grad[1:] += gv
-    grad[1:] += w_pot[:, None] * (Su + parts.g_grad(U[1:]))
-    grad[:-1] -= gv
-    grad[:2] = 0.0
+    grad[..., 2:, :] += ga
+    grad[..., 1:-1, :] -= 2.0 * ga
+    grad[..., :-2, :] += ga
+    grad[..., 1:, :] += gv
+    grad[..., 1:, :] += w_pot[:, None] * (Su + parts.g_grad(V))
+    grad[..., :-1, :] -= gv
+    grad[..., :2, :] = 0.0
     return value, grad
 
 

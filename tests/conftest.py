@@ -25,15 +25,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def count_newton(monkeypatch, module) -> dict:
-    """Patch module.newton_solve to count its solves, Newton iterations
-    and gradient calls; returns the live counts."""
-    counts = dict(solves=0, iterations=0, grads=0)
+    """Patch module.newton_solve to count its solves, Newton iterations,
+    gradient calls (`grads`) and the trial rows those calls evaluate
+    (`rows`); returns the live counts."""
+    counts = dict(solves=0, iterations=0, grads=0, rows=0)
     real = module.newton_solve
 
     def counted(x0, grad_fn, hess_fn, scale, **options):
-        def grad(x):
+        def grad(X):
             counts["grads"] += 1
-            return grad_fn(x)
+            counts["rows"] += X.shape[0]
+            return grad_fn(X)
         out = real(x0, grad, hess_fn, scale, **options)
         counts["solves"] += 1
         counts["iterations"] += out[2]

@@ -9,9 +9,12 @@ from scipy.sparse.linalg import splu
 
 from wedflow import (ConfigurationError, DissipationSpec, EnergySpec,
                      LagrangianProblem, ReactionSpec, RIProblem, Trajectory,
-                     WedProblem, _newton, build_grid, constant_trajectory,
-                     minimize_wed, minimize_wed_ri, minimize_wide, wed)
+                     WedProblem, WideWaveProblem, _newton, build_grid,
+                     constant_trajectory, minimize_wed, minimize_wed_ri,
+                     minimize_wide, rateind, wed, wide)
 from wedflow._newton import newton_solve
+from wedflow.cli import bundled_scenarios
+from wedflow.runner import Scenario, build_ri_problem
 
 from conftest import heat_problem, line_grid, point_grid
 
@@ -21,9 +24,9 @@ def test_full_step_solve_reuses_the_line_search_gradient():
     b = np.array([1.0, 2.0])
     calls = []
 
-    def grad_fn(x):
-        calls.append(x.copy())
-        return A @ x - b
+    def grad_fn(X):  # one row per trial point
+        calls.append(X.copy())
+        return (A @ X.T).T - b
 
     x, res, iters, converged = newton_solve(np.zeros(2), grad_fn,
                                             lambda x: A, np.ones(2))
@@ -76,10 +79,10 @@ def test_pinned_solve_keeps_the_pins_and_solves_the_rest():
     r, m, c = _chain(N, n_dof, 3)
     pin = np.array([[1.0, -1.0]])
 
-    def grad(U):
+    def grad(U):  # a stack of trajectories
         g = np.zeros_like(U)
-        g[1:] = m * (U[1:] - c)
-        _newton.time_divergence(g[1:], r * np.diff(U, axis=0))
+        g[..., 1:, :] = m * (U[..., 1:, :] - c)
+        _newton.time_divergence(g[..., 1:, :], r * np.diff(U, axis=-2))
         return g
 
     starts = []
@@ -152,11 +155,11 @@ def test_singular_band_raises_and_newton_shifts_past_it(monkeypatch):
     r, m, c = _chain(N, 2, 7)
     r[:, 1] = 0.0
 
-    def grad(U):
+    def grad(U):  # a stack of trajectories
         g = np.zeros_like(U)
-        g[1:, 0] = m[:, 0] * (U[1:, 0] - c[:, 0])
-        g[1:, 1] = U[1:, 1] ** 3
-        _newton.time_divergence(g[1:], r * np.diff(U, axis=0))
+        g[..., 1:, 0] = m[:, 0] * (U[..., 1:, 0] - c[:, 0])
+        g[..., 1:, 1] = U[..., 1:, 1] ** 3
+        _newton.time_divergence(g[..., 1:, :], r * np.diff(U, axis=-2))
         return g
 
     def hess(U):
@@ -353,7 +356,7 @@ def _first_newton_inputs(monkeypatch, problem: WedProblem, N: int,
     seen = []
 
     def capture(x0, grad_fn, hess_fn, scale, **options):
-        seen.append((hess_fn(x0), grad_fn(x0)))
+        seen.append((hess_fn(x0), grad_fn(x0[None])[0]))
         return x0, 0.0, 0, True
 
     monkeypatch.setattr(wed, "newton_solve", capture)
@@ -568,7 +571,7 @@ def test_split_step_matches_the_whole_symmetric_lu_step(monkeypatch, mu):
     seen = []
 
     def capture(x0, grad_fn, hess_fn, scale, **options):
-        seen.append((hess_fn(x0), grad_fn(x0)))
+        seen.append((hess_fn(x0), grad_fn(x0[None])[0]))
         return x0, 0.0, 0, True
 
     monkeypatch.setattr(wed, "newton_solve", capture)
@@ -685,8 +688,8 @@ def test_unchanged_hessian_is_factored_once(monkeypatch, lu_options):
                   np.full(n - 1, -1.0)], [-1, 0, 1], format="csr")
     b = np.random.default_rng(3).standard_normal(n)
 
-    def grad_fn(x):
-        return A @ x - b + 0.05 * x ** 3
+    def grad_fn(X):  # one row per trial point
+        return (A @ X.T).T - b + 0.05 * X ** 3
 
     def solve():
         return newton_solve(np.zeros(n), grad_fn, lambda x: A.copy(),
@@ -765,3 +768,232 @@ def test_1d_ladder_heat_factors_once_per_newton_level(monkeypatch):
     wed.eps_continuation(problem, [0.2, 0.1, 0.05], 64)
     assert max(levels) >= 2
     assert calls == [{}] * sum(1 for hessians in levels if hessians)
+
+
+# ---------------------------------------------------------------------------
+# backtracking sweeps evaluated as stacks of trial points
+# ---------------------------------------------------------------------------
+
+def _sequential_newton(x0, grad_fn, hess_fn, scale, tol=1e-10, max_iter=100,
+                       min_step=1e-12, symmetric=False):
+    """newton_solve with one gradient row per trial step: each step
+    a = 1, 1/2, 1/4, ... is evaluated and tested on its own."""
+    lu_options = SYMMETRIC if symmetric else {}
+
+    def grad(x):
+        return grad_fn(x[None])[0]
+
+    x = x0.copy()
+    g = grad(x)
+    res = float(np.max(np.abs(g / scale)))
+    it = 0
+    mu = 0.0
+    held = _newton._HeldFactor()
+    while it < max_iter and res > tol:
+        H = hess_fn(x)
+        step = None
+        for _ in range(8):
+            try:
+                step = _newton._shifted_solve(H, mu, -g, lu_options, held)
+                if np.all(np.isfinite(step)):
+                    break
+            except RuntimeError:
+                pass
+            mu = max(mu * 10.0, 1e-14 * float(np.max(np.abs(H.diagonal()))),
+                     1e-300)
+            step = None
+        if step is None:
+            break
+        a = 1.0
+        accepted = False
+        while a >= min_step:
+            gnew = grad(x + a * step)
+            rnew = float(np.max(np.abs(gnew / scale)))
+            if rnew <= (1.0 - 1e-4 * a) * res:
+                accepted = True
+                break
+            a *= 0.5
+        if not accepted:
+            a = min_step
+            gnew = grad(x + a * step)
+            rnew = float(np.max(np.abs(gnew / scale)))
+            if not rnew < res:
+                break
+        x = x + a * step
+        g = gnew
+        res = rnew
+        it += 1
+        if accepted and a == 1.0 and mu > 0.0:
+            mu = 0.0
+    return x, res, it, res <= tol
+
+
+def _lane_gradient(monkeypatch, module, solve) -> tuple:
+    """(grad, pinned rows, N) that the lane's solver hands to pinned_solve
+    on its first call: grad is the lane's whole-trajectory gradient."""
+    seen = []
+    real = module.pinned_solve
+
+    def capture(solver, pinned, N, start, grad, hess, knot_scale, **opts):
+        seen.append((grad, pinned, N))
+        return real(solver, pinned, N, start, grad, hess, knot_scale, **opts)
+
+    monkeypatch.setattr(module, "pinned_solve", capture)
+    solve()
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _ri_lane(a: float):
+    """One smoothing stage of a quartic-potential rate-independent
+    problem, on a point (a = 0) or on a 3-node line with coupling a."""
+    n = 3 if a > 0.0 else 1
+    rng = np.random.default_rng(5)
+    problem = RIProblem(grid=line_grid(n) if a > 0.0 else point_grid(),
+                        phi_coeffs=(0.0, 0.1, 0.5, 0.0, 0.25), a=a,
+                        forcing=rng.standard_normal((7, n)), T=1.0,
+                        epsilon=0.3, initial=rng.standard_normal(n))
+    return lambda: minimize_wed_ri(problem, deltas=(1e-2,))
+
+
+def _wed_lane(energy: EnergySpec, p: float = 2.0, N: int = 5):
+    """A minimize_wed solve on a 6-node line with a random dual field."""
+    n = 6
+    n_dof = 2 * n if energy.kind == "lv_quadratic" else n
+    problem = WedProblem(grid=line_grid(n), dissipation=DissipationSpec(p=p),
+                         energy1=energy, energy2=EnergySpec(kind="none"),
+                         reaction=ReactionSpec(), T=1.0, epsilon=0.2,
+                         initial=1.0 + 0.3 * np.cos(np.linspace(0.0, 3.0,
+                                                                n_dof)))
+    w = np.random.default_rng(3).standard_normal((N + 1, n_dof))
+    return lambda: minimize_wed(problem, w, constant_trajectory(
+        problem.grid, problem.initial, problem.T, N))
+
+
+def _wide_lane(problem):
+    return lambda: minimize_wide(problem, 6)
+
+
+LANES = {
+    "rateind-a0": (rateind, _ri_lane(0.0)),
+    "rateind-a>0": (rateind, _ri_lane(0.7)),
+    "wed-m2": (wed, _wed_lane(EnergySpec(kind="m_laplace", m=2.0, B=1.0,
+                                         C=0.2))),
+    "wed-m3-p3": (wed, _wed_lane(EnergySpec(kind="m_laplace", m=3.0, B=1.0,
+                                            C=0.5), p=3.0)),
+    "wed-quadratic": (wed, _wed_lane(EnergySpec(kind="quadratic",
+                                                gamma=1.3))),
+    "wed-fractional": (wed, _wed_lane(EnergySpec(kind="fractional", s=0.4,
+                                                 gamma=0.5))),
+    "wed-lv_quadratic": (wed, _wed_lane(EnergySpec(
+        kind="lv_quadratic", D1=1.0, D2=0.5, F1=0.3, F2=0.2))),
+    "wide-wave": (wide, _wide_lane(WideWaveProblem(
+        grid=line_grid(5), rho=1.0, nu=0.2,
+        f_coeffs=(0.0, 0.1, 0.5, 0.0, 0.25), lam=0.0, p_growth=4.0, T=1.0,
+        epsilon=0.1, initial=np.cos(np.linspace(0.0, np.pi, 5)),
+        velocity=np.linspace(0.0, 0.3, 5)))),
+    "wide-lagrangian": (wide, _wide_lane(LagrangianProblem(
+        d=2, M=np.array([[2.0, 0.3], [0.3, 1.0]]), nu=0.4,
+        u_kind="quadratic", Q=np.array([[1.0, 0.2], [0.2, 0.5]]), T=1.0,
+        epsilon=0.1, initial=np.array([1.0, -0.5]),
+        velocity=np.array([0.2, 0.1])))),
+    "wide-lagrangian-poly": (wide, _wide_lane(LagrangianProblem(
+        d=2, M=np.eye(2), nu=0.1, u_kind="component_poly",
+        u_coeffs=(0.0, 0.0, 0.5, 0.0, 0.1), T=1.0, epsilon=0.1,
+        initial=np.array([1.0, -0.5]), velocity=np.array([0.2, 0.1])))),
+}
+
+
+@pytest.mark.parametrize("lane", sorted(LANES))
+def test_stacked_gradient_rows_are_the_single_trajectory_gradients(
+        monkeypatch, lane):
+    module, solve = LANES[lane]
+    grad, pinned, N = _lane_gradient(monkeypatch, module, solve)
+    k, n_dof = pinned.shape
+    rng = np.random.default_rng(7)
+    U = 1.0 + 0.5 * rng.standard_normal((7, N + 1, n_dof))
+    U[:, :k] = pinned
+    G = grad(U)
+    assert G.shape == U.shape
+    for row in range(U.shape[0]):
+        assert np.array_equal(G[row], grad(U[row].copy()))
+    # and through the front end: the flat unknowns of each trajectory
+    seen = []
+
+    def capture(x0, grad_fn, hess_fn, scale, **options):
+        seen.append(grad_fn)
+        return x0, 0.0, 0, True
+
+    monkeypatch.setattr(module, "newton_solve", capture)
+    _newton.pinned_solve(module.newton_solve, pinned, N, None, grad,
+                         lambda U: None, np.ones(N + 1 - k))
+    X = U[:, k:].reshape(U.shape[0], -1)
+    rows = seen[0](X)
+    for row in range(X.shape[0]):
+        assert np.array_equal(rows[row], seen[0](X[row:row + 1])[0])
+        assert np.array_equal(rows[row], G[row, k:].ravel())
+
+
+def _compare_with_sequential(monkeypatch, module, solve) -> list:
+    """Run solve with every newton_solve call also made by the
+    sequential-sweep reference; returns [(result, reference, rows,
+    calls)] per call."""
+    out = []
+    real = module.newton_solve
+
+    def both(x0, grad_fn, hess_fn, scale, **options):
+        rows = []
+
+        def counted(X):
+            rows.append(X.shape[0])
+            return grad_fn(X)
+
+        got = real(x0, counted, hess_fn, scale, **options)
+        ref = _sequential_newton(x0, grad_fn, hess_fn, scale, **options)
+        out.append((got, ref, sum(rows), len(rows)))
+        return got
+
+    monkeypatch.setattr(module, "newton_solve", both)
+    solve()
+    return out
+
+
+@pytest.mark.parametrize("case", ["ri_ramp-stage", "heat-p4"])
+def test_stacked_sweep_is_bitwise_the_sequential_sweep(monkeypatch, case):
+    if case == "ri_ramp-stage":
+        problem = build_ri_problem(Scenario.from_text(
+            bundled_scenarios()["ri_ramp"]))
+        module = rateind
+        # the second smoothing stage, warm-started by the first, backtracks
+        solve = lambda: minimize_wed_ri(problem, deltas=(1e-2, 1e-3))  # noqa
+    else:
+        problem = replace(heat_problem(n=16),
+                          dissipation=DissipationSpec(p=4.0))
+        module = wed
+        solve = lambda: wed.eps_continuation(problem, [0.2, 0.1], 16)  # noqa
+    results = _compare_with_sequential(monkeypatch, module, solve)
+    assert results
+    # some sweep went past the full step, in stacks of several rows
+    assert any(rows > calls for _, _, rows, calls in results)
+    for (x, res, iters, conv), (rx, rres, riters, rconv), _, _ in results:
+        assert np.array_equal(x, rx)
+        assert res == rres and iters == riters and conv == rconv
+
+
+def test_1d_ladder_heat_evaluates_one_row_per_gradient_call(monkeypatch):
+    # the benchmark ladder's 1D n = 512, N = 64 problem: 32,768 unknowns,
+    # past the sweep's element budget, so every call is a single row
+    problem = heat_problem(n=512, spacing=1.0 / 512)
+    rows = []
+    real = wed.newton_solve
+
+    def watched(x0, grad_fn, hess_fn, scale, **options):
+        def grad(X):
+            rows.append(X.shape)
+            return grad_fn(X)
+        return real(x0, grad, hess_fn, scale, **options)
+
+    monkeypatch.setattr(wed, "newton_solve", watched)
+    wed.eps_continuation(problem, [0.2, 0.1, 0.05], 64)
+    assert len(rows) > 3
+    assert all(shape == (1, 512 * 64) for shape in rows)

@@ -326,21 +326,26 @@ def test_solve_gradient_is_the_per_call_formula_bit_for_bit(monkeypatch, a):
 
 
 def test_ramp_scenario_newton_work_is_unchanged(tmp_path, monkeypatch):
-    # the solves, iterations and gradient calls of `wedflow run ri_ramp`:
-    # 30 Newton solves for the main continuation and 30 for the pair's v
-    # member; the pair's u member reuses the main continuation
+    # the solves, iterations, gradient calls and trial rows of `wedflow
+    # run ri_ramp`: 30 Newton solves for the main continuation and 30 for
+    # the pair's v member; the pair's u member reuses the main
+    # continuation. A backtracking sweep evaluates its trial steps ten rows
+    # to a call: 1,857 calls evaluate the 5,026 rows that one row per call
+    # would, and 3,581 trial rows past the accepted ones
     counts = count_newton(monkeypatch, rateind)
     raw = json.loads(bundled_scenarios()["ri_ramp"])
     raw["output_dir"] = str(tmp_path / "out")
     assert run(Scenario.from_dict(raw)) == 0
-    assert counts == dict(solves=60, iterations=1047, grads=5026)
+    assert counts == dict(solves=60, iterations=1047, grads=1857,
+                          rows=8607)
 
 
 def test_energetic_suite_newton_work(monkeypatch):
     # `wedflow verify energetic` solves the same ramp as ri_ramp
     counts = count_newton(monkeypatch, rateind)
     assert verify("energetic")["passed"]
-    assert counts == dict(solves=60, iterations=1047, grads=5026)
+    assert counts == dict(solves=60, iterations=1047, grads=1857,
+                          rows=8607)
 
 
 def test_minimize_wed_ri_rejects_init_with_wrong_knot_count():

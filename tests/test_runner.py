@@ -146,7 +146,8 @@ def test_schedule_resolution():
         _schedule(sc)
     for bad, match in [([0.05, 0.2], "decrease"), ([0.2, 0.2], "decrease"),
                        ([1.5, 0.1], r"\(0, T\)"), ([0.2, 0.0], r"\(0, T\)"),
-                       (["fast"], "float"), (0.2, "'auto' or a list")]:
+                       (["fast"], "expected a number"),
+                       (0.2, "'auto' or a list")]:
         sc.config["schedule"] = bad
         with pytest.raises(ScenarioError, match=match) as info:
             _schedule(sc)
@@ -634,6 +635,22 @@ def test_malformed_state_names_its_field(tmp_path, capsys, name, field,
     ("heat_relaxation", "grid", dict(HEAT_GRID, spacing=True)),
     ("heat_relaxation", "grid", dict(HEAT_GRID, dim=True)),
     ("heat_relaxation", "grid", 16),
+    # a node count that is a fraction or a string, a spacing that is a
+    # string: int() and float() would read each as a number
+    ("heat_relaxation", "grid", dict(HEAT_GRID, shape=16.7)),
+    ("heat_relaxation", "grid", dict(HEAT_GRID, shape=[16.9])),
+    ("heat_relaxation", "grid", dict(HEAT_GRID, shape=["16"])),
+    ("heat_relaxation", "grid", dict(HEAT_GRID, spacing=["0.0625"])),
+    # a JSON string is not a number, though float() reads "0.2" as 0.2
+    ("heat_relaxation", "schedule", ["0.2", "0.1"]),
+    ("ri_ramp", "a", "0"),
+    ("ri_ramp", "phi_coeffs", [0.0, 0.0, "0.5"]),
+    ("ri_ramp", "phi_coeffs", [0.0, 0.0, True]),
+    ("wide_oscillator", "nu", "0.5"),
+    ("scalar_decay", "initial", {"kind": "constant", "value": "1.0"}),
+    ("heat_relaxation", "initial", {"kind": "cosine", "base": "1.0"}),
+    ("ri_ramp", "forcing", {"kind": "piecewise_linear_time",
+                            "points": [[0.0, "0"], [1.0, 1.0]]}),
 ])
 def test_bad_field_is_named_before_any_solve(tmp_path, capsys, monkeypatch,
                                              name, field, value):
@@ -666,7 +683,7 @@ def test_heat_relaxation_newton_work(tmp_path, monkeypatch):
     # member; the pair's u member reuses the main continuation
     counts = count_newton(monkeypatch, wedflow.wed)
     assert run(_bundled("heat_relaxation", tmp_path / "out")) == 0
-    assert counts == dict(solves=8, iterations=8, grads=16)
+    assert counts == dict(solves=8, iterations=8, grads=16, rows=16)
 
 
 def test_bad_compose_part_is_named_once():
