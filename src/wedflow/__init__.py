@@ -4,12 +4,11 @@ with executable checks of the structural properties the construction
 preserves (comparison, symmetry classes, energetic certificates)."""
 
 from .grids import (ConfigurationError, Field, Grid, Trajectory, build_grid,
-                    constant_trajectory, lattice_min_max, rearrange,
-                    rearrangement_order, reflection_permutation,
-                    zero_field)
+                    constant_trajectory, rearrange, rearrangement_order,
+                    reflection_permutation)
 from .energies import (DissipationSpec, EnergySpec, ReactionSpec,
                        dissipation_eval, energy1_value_grad,
-                       energy2_value_grad, reaction_eval, validate_growth)
+                       energy2_value_grad, reaction_eval)
 from .wed import (ContinuationResult, MinimizeReport, WedProblem,
                   default_eps_schedule, dual_field, eps_continuation,
                   euler_lagrange_residual, fixed_point_solve, minimize_wed,
@@ -37,11 +36,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError", "Field", "Grid", "Trajectory", "build_grid",
-    "constant_trajectory", "lattice_min_max", "rearrange",
-    "rearrangement_order", "reflection_permutation", "zero_field",
+    "constant_trajectory", "rearrange", "rearrangement_order",
+    "reflection_permutation",
     "DissipationSpec", "EnergySpec", "ReactionSpec", "dissipation_eval",
     "energy1_value_grad", "energy2_value_grad", "reaction_eval",
-    "validate_growth",
     "ContinuationResult", "MinimizeReport", "WedProblem",
     "default_eps_schedule", "dual_field", "eps_continuation",
     "euler_lagrange_residual", "fixed_point_solve", "minimize_wed",

@@ -58,18 +58,16 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.verb == "run":
-        try:
-            scenario = _resolve(args.scenario)
-        except ScenarioError as exc:
-            print(f"configuration error: {exc}")
-            return 2
-        return run(scenario)
-
-    if args.verb == "verify":
-        report = verify(args.suite, seed=args.seed)
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0 if report["passed"] else 1
+    try:
+        if args.verb == "run":
+            return run(_resolve(args.scenario))
+        if args.verb == "verify":
+            report = verify(args.suite, seed=args.seed)
+            print(json.dumps(report, indent=2, sort_keys=True))
+            return 0 if report["passed"] else 1
+    except ScenarioError as exc:
+        print(f"configuration error: {exc}")
+        return 2
 
     for name in bundled_scenarios():
         print(name)

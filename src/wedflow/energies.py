@@ -591,52 +591,3 @@ def reaction_eval(spec: ReactionSpec, state, n_slice: int = 0):
 def lv_clamp(spec: ReactionSpec, u: np.ndarray, v: np.ndarray):
     """The clamp map R(u,v) = (min(u,K)^+, v^+)."""
     return (np.maximum(np.minimum(u, spec.K), 0.0), np.maximum(v, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# Growth certificates
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class GrowthCertificate:
-    """Sampled-validation constants: phi2 <= k phi1 + C1 and
-    |f|^{p'} <= C2 (|u|^p + 1). Never proved, only falsified."""
-
-    k: float = 0.5
-    C1: float = 1.0
-    C2: float = 10.0
-    samples: int = 100
-
-    def __post_init__(self):
-        if not 0.0 <= self.k < 1.0:
-            raise ConfigurationError("growth constant k must lie in [0,1)")
-        if self.C1 < 0 or self.C2 < 0:
-            raise ConfigurationError("growth constants must be nonnegative")
-
-
-def validate_growth(cert: GrowthCertificate, grid: Grid,
-                    energy1: EnergySpec, energy2: EnergySpec,
-                    reaction: ReactionSpec, dissipation: DissipationSpec,
-                    seed: int = 0) -> dict:
-    """Sample random states and report the worst margins of both growth
-    inequalities. Margins >= 0 mean the certificate holds on the sample."""
-    rng = np.random.default_rng(seed)
-    n = grid.n_nodes
-    hd = grid.cell_measure
-    p = dissipation.p
-    pc = p_conjugate(p)
-    X = rng.normal(scale=2.0, size=(cert.samples, n * (1 + (
-        energy1.kind == "lv_quadratic"))))
-    v1, _ = energy1_value_grad(energy1, grid, X)
-    v2, _ = energy2_value_grad(energy2, grid, X, 0)
-    m1 = np.min(cert.k * v1 + cert.C1 - v2, initial=np.inf)
-    if reaction.kind == "lotka_volterra":
-        f = np.hstack(reaction_eval(reaction, (X[:, :n], X[:, n:])))
-    else:
-        f = np.broadcast_to(reaction_eval(reaction, X), X.shape)
-    fnorm = hd * np.sum(np.abs(f) ** pc, axis=1)
-    unorm = hd * np.sum(np.abs(X) ** p, axis=1)
-    m2 = np.min(cert.C2 * (unorm + 1.0) - fnorm, initial=np.inf)
-    return {"phi2_margin": float(m1), "reaction_margin": float(m2),
-            "samples": cert.samples, "seed": seed,
-            "passed": bool(m1 >= 0.0 and m2 >= 0.0)}

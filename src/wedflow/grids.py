@@ -1,6 +1,6 @@
 """Spatial grids, nodal fields, time-indexed trajectories, and the
-value-reordering maps (lattice min/max, rearrangements and the node
-permutations of reflections, torus translations and rotations).
+value-reordering maps (rearrangements and the node permutation of a
+reflection).
 
 Everything here is a pure function of its inputs. Field values are
 immutable numpy arrays; the Field maps return new Fields, and
@@ -16,7 +16,12 @@ import numpy as np
 
 
 class ConfigurationError(ValueError):
-    """Raised when grid or map parameters violate a documented invariant."""
+    """Raised when grid or map parameters violate a documented invariant;
+    `field` names the constructor argument at fault, where there is one."""
+
+    def __init__(self, message: str, field: Optional[str] = None):
+        super().__init__(message)
+        self.field = field
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +160,6 @@ class Field:
         return Field(self.grid, values)
 
 
-def zero_field(grid: Grid) -> Field:
-    return Field(grid, np.zeros(grid.n_nodes))
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """N+1 time slices of nodal values on one grid, t_n = n*T/N.
@@ -227,20 +228,6 @@ def constant_trajectory(grid: Grid, u0: np.ndarray, T: float, steps: int,
         raise ConfigurationError("state size must be a multiple of n_nodes")
     return Trajectory(grid, T, vals, pinned_initial=u0 if pin else None,
                       ncomp=ncomp)
-
-
-# ---------------------------------------------------------------------------
-# Lattice operations
-# ---------------------------------------------------------------------------
-
-def lattice_min_max(u: Field, v: Field) -> tuple[Field, Field]:
-    """Componentwise (min, max). The pair sums exactly to u + v because
-    each component of the output is a selection, not an arithmetic blend."""
-    if u.grid is not v.grid and u.grid.shape != v.grid.shape:
-        raise ConfigurationError("lattice operands live on different grids")
-    lo = np.minimum(u.values, v.values)
-    hi = np.maximum(u.values, v.values)
-    return Field(u.grid, lo), Field(u.grid, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -331,22 +318,6 @@ def reflection_permutation(grid: Grid, axis: int = 0) -> np.ndarray:
         return np.array([0])
     idx = np.arange(grid.n_nodes).reshape(grid.shape)
     return np.flip(idx, axis=axis).ravel()
-
-
-def torus_translation_permutation(grid: Grid, shift: int, axis: int = 0) -> np.ndarray:
-    """Node permutation translating a torus grid by `shift` nodes."""
-    if grid.domain_kind != "torus":
-        raise ConfigurationError("translation permutation needs a torus")
-    idx = np.arange(grid.n_nodes).reshape(grid.shape)
-    return np.roll(idx, -shift, axis=axis).ravel()
-
-
-def rotation_permutation_90(grid: Grid) -> np.ndarray:
-    """Quarter-turn permutation of a square 2D grid."""
-    if grid.dim != 2 or grid.shape[0] != grid.shape[1]:
-        raise ConfigurationError("90 degree rotation needs a square grid")
-    idx = np.arange(grid.n_nodes).reshape(grid.shape)
-    return np.rot90(idx).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,8 @@ class RMap:
                                          "matrix r and a shift of its size")
             object.__setattr__(self, "r", r)
             object.__setattr__(self, "shift", shift)
+        elif self.r is not None or self.shift is not None:
+            raise ConfigurationError(f"{kind} map takes no r or shift")
         if kind == "compose" and not self.parts:
             raise ConfigurationError("compose needs at least one part")
         if kind == "lv_clamp" and not self.K > 0:
@@ -529,6 +531,15 @@ class InvariantSolveResult:
     continuation: object = None
 
 
+def require_invariant(R: RMap, grid: Grid, x: np.ndarray,
+                      what: str = "initial state",
+                      velocity: bool = False) -> None:
+    """Raise ConfigurationError unless R fits the state x and leaves it
+    exactly invariant."""
+    if not np.array_equal(R.apply(x[None], grid, velocity)[0], x):
+        raise ConfigurationError(f"{what} is not invariant under R")
+
+
 def invariance_residual(R: RMap, traj: Trajectory) -> float:
     """sup over time slices of the max-norm distance between Ru and u."""
     return float(np.max(np.abs(R.apply(traj.values, traj.grid)
@@ -544,8 +555,7 @@ def invariant_solve(problem: WedProblem, R: RMap, steps: int,
     projected maps every outer iterate passes through R; posthoc maps run
     the plain loop and only the final residual certifies invariance."""
     u0 = problem.initial
-    if not np.array_equal(R.apply(u0[None], problem.grid)[0], u0):
-        raise ConfigurationError("initial state is not invariant under R")
+    require_invariant(R, problem.grid, u0)
     report = check_r2(R, problem, samples=samples, seed=seed)
 
     project = None

@@ -65,39 +65,41 @@ class RIProblem:
     def __post_init__(self):
         f = np.asarray(self.forcing, dtype=float)
         if f.ndim != 2 or f.shape[1] != self.grid.n_nodes or f.shape[0] < 2:
-            raise ConfigurationError("forcing must be (N+1, n_nodes), N >= 1")
+            raise ConfigurationError("forcing must be (N+1, n_nodes), N >= 1",
+                                     "forcing")
         if not np.all(np.isfinite(f)):
-            raise ConfigurationError("forcing must be finite")
+            raise ConfigurationError("forcing must be finite", "forcing")
         object.__setattr__(self, "forcing", f)
         u0 = np.asarray(self.initial, dtype=float).ravel()
         if u0.size != self.grid.n_nodes:
-            raise ConfigurationError("initial state size mismatch")
+            raise ConfigurationError("initial state size mismatch", "initial")
         if not np.all(np.isfinite(u0)):
-            raise ConfigurationError("initial state must be finite")
+            raise ConfigurationError("initial state must be finite", "initial")
         object.__setattr__(self, "initial", u0)
         try:
             a = float(self.a)
         except (TypeError, ValueError):
             raise ConfigurationError(f"coupling a must be a number, "
-                                     f"not {self.a!r}")
+                                     f"not {self.a!r}", "a")
         if not (np.isfinite(a) and a >= 0):
             raise ConfigurationError("coupling a must be finite and "
-                                     "nonnegative")
+                                     "nonnegative", "a")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "_lap", graph_laplacian(self.grid, a))
         if not (np.isfinite(self.T) and self.T > 0):
-            raise ConfigurationError("horizon T must be positive")
+            raise ConfigurationError("horizon T must be positive", "T")
         if not (0 < self.epsilon < self.T):
-            raise ConfigurationError("eps must lie in (0, T)")
+            raise ConfigurationError("eps must lie in (0, T)", "epsilon")
         try:
             c = np.asarray(self.phi_coeffs, dtype=float)
         except (TypeError, ValueError):
             raise ConfigurationError(f"phi_coeffs must be numbers, "
-                                     f"not {self.phi_coeffs!r}")
+                                     f"not {self.phi_coeffs!r}", "phi_coeffs")
         if c.ndim != 1 or c.size < 1:
-            raise ConfigurationError("phi_coeffs must be a 1D coefficient list")
+            raise ConfigurationError("phi_coeffs must be a 1D list of "
+                                     "coefficients", "phi_coeffs")
         if not np.all(np.isfinite(c)):
-            raise ConfigurationError("phi_coeffs must be finite")
+            raise ConfigurationError("phi_coeffs must be finite", "phi_coeffs")
         object.__setattr__(self, "phi_coeffs", tuple(float(x) for x in c))
         P = np.polynomial.polynomial
         if c.size > 1:
@@ -108,7 +110,8 @@ class RIProblem:
         r = 10.0 * (1.0 + np.max(np.abs(u0)) + np.max(np.abs(f)))
         s = np.linspace(-r, r, 257)
         if np.min(self._phi_d2(s)) < -1e-12:
-            raise ConfigurationError("node potential is not convex on samples")
+            raise ConfigurationError("node potential is not convex on samples",
+                                     "phi_coeffs")
 
     @property
     def steps(self) -> int:

@@ -66,15 +66,16 @@ class WedProblem:
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < self.T:
-            raise ConfigurationError("need 0 < epsilon < T")
+            raise ConfigurationError("need 0 < epsilon < T", "epsilon")
         init = np.asarray(self.initial, dtype=float).ravel()
         if not np.all(np.isfinite(init)):
-            raise ConfigurationError("initial state must be finite")
+            raise ConfigurationError("initial state must be finite", "initial")
         n = self.grid.n_nodes
         expect = 2 * n if self.energy1.kind == "lv_quadratic" else n
         if init.size != expect:
             raise ConfigurationError(
-                f"initial state has {init.size} dofs, expected {expect}")
+                f"initial state has {init.size} dofs, expected {expect}",
+                "initial")
         object.__setattr__(self, "initial", init)
 
     @property

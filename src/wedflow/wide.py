@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from .grids import ConfigurationError, Grid, Trajectory, build_grid
 from .energies import _rowdot, _rowmul, _sequential_sum, graph_laplacian
 from ._newton import newton_solve, pinned_solve
-from .qualitative import RMap, invariance_residual
+from .qualitative import RMap, invariance_residual, require_invariant
 from .wed import MinimizeReport, continuation
 
 
@@ -81,22 +81,27 @@ class WideWaveProblem:
 
     def __post_init__(self):
         if self.grid.dim != 1:
-            raise ConfigurationError("wave problems are 1D here")
+            raise ConfigurationError("wave problems are 1D here", "grid")
         if not self.rho > 0:
-            raise ConfigurationError("density rho must be positive")
+            raise ConfigurationError("density rho must be positive", "rho")
         if self.nu < 0:
-            raise ConfigurationError("damping nu must be nonnegative")
+            raise ConfigurationError("damping nu must be nonnegative", "nu")
         if self.p_growth < 2:
-            raise ConfigurationError("growth exponent must be >= 2")
+            raise ConfigurationError("growth exponent must be >= 2",
+                                     "p_growth")
         if not (0 < self.epsilon < self.T):
-            raise ConfigurationError("eps must lie in (0, T)")
+            raise ConfigurationError("eps must lie in (0, T)", "epsilon")
         object.__setattr__(self, "f_coeffs",
                            tuple(float(c) for c in self.f_coeffs))
+        if not self.f_coeffs:
+            raise ConfigurationError("F needs at least one coefficient",
+                                     "f_coeffs")
         object.__setattr__(self, "_f_der", _derivatives(self.f_coeffs))
         for name in ("initial", "velocity"):
             v = np.asarray(getattr(self, name), dtype=float).ravel()
             if v.size != self.grid.n_nodes or not np.all(np.isfinite(v)):
-                raise ConfigurationError(f"{name} must be finite, one per node")
+                raise ConfigurationError(f"{name} must be finite, one per "
+                                         "node", name)
             object.__setattr__(self, name, v)
         # curvature and growth declarations, probed on a wide sample
         r = 10.0 * (1.0 + float(np.max(np.abs(self.initial))))
@@ -105,9 +110,11 @@ class WideWaveProblem:
             d2 = _poly_val(self._f_der[1], s)
             if np.min(d2) < self.lam - 1e-9:
                 raise ConfigurationError(
-                    "declared curvature bound fails on samples")
+                    "F'' falls below the declared bound lam on samples",
+                    "f_coeffs")
         elif self.lam > 1e-12:
-            raise ConfigurationError("affine F cannot have positive curvature")
+            raise ConfigurationError("an affine F has no curvature lam > 0",
+                                     "f_coeffs")
         fs = _poly_val(self.f_coeffs, s)
         dfs = _poly_val(self._f_der[0], s)
         pc = self.p_growth / (self.p_growth - 1.0)
@@ -115,7 +122,8 @@ class WideWaveProblem:
         c1 = np.max((big - fs) / (1.0 + big))
         c2 = np.max(np.abs(dfs) ** pc / (1.0 + big))
         if not (np.isfinite(c1) and np.isfinite(c2)):
-            raise ConfigurationError("growth constants are not finite")
+            raise ConfigurationError("growth constants are not finite",
+                                     "f_coeffs")
 
     @property
     def n_dof(self) -> int:
@@ -143,7 +151,7 @@ class LagrangianProblem:
     """
 
     d: int
-    M: np.ndarray
+    M: Optional[np.ndarray]  # None: the identity
     nu: float
     u_kind: str
     T: float
@@ -157,42 +165,50 @@ class LagrangianProblem:
 
     def __post_init__(self):
         if self.d < 1:
-            raise ConfigurationError("dimension must be positive")
-        M = np.asarray(self.M, dtype=float)
+            raise ConfigurationError("dimension must be positive", "d")
+        M = np.eye(self.d) if self.M is None \
+            else np.asarray(self.M, dtype=float)
         if M.shape != (self.d, self.d) or not np.allclose(M, M.T):
-            raise ConfigurationError("mass matrix must be symmetric d x d")
+            raise ConfigurationError("mass matrix must be symmetric d x d",
+                                     "M")
         try:
             np.linalg.cholesky(M)
         except np.linalg.LinAlgError:
-            raise ConfigurationError("mass matrix must be positive definite")
+            raise ConfigurationError("mass matrix must be positive definite",
+                                     "M")
         object.__setattr__(self, "M", M)
         if self.nu < 0:
-            raise ConfigurationError("damping nu must be nonnegative")
+            raise ConfigurationError("damping nu must be nonnegative", "nu")
         if not (0 < self.epsilon < self.T):
-            raise ConfigurationError("eps must lie in (0, T)")
+            raise ConfigurationError("eps must lie in (0, T)", "epsilon")
         if self.u_kind not in ("quadratic", "component_poly"):
-            raise ConfigurationError(f"unknown potential kind {self.u_kind!r}")
+            raise ConfigurationError(f"unknown potential kind {self.u_kind!r}",
+                                     "u_kind")
         if self.u_kind == "quadratic":
             Q = np.eye(self.d) if self.Q is None \
                 else np.asarray(self.Q, dtype=float)
             if Q.shape != (self.d, self.d) or not np.allclose(Q, Q.T):
-                raise ConfigurationError("Q must be symmetric d x d")
+                raise ConfigurationError("Q must be symmetric d x d", "Q")
             if np.min(np.linalg.eigvalsh(Q)) < -1e-12:
-                raise ConfigurationError("quadratic potential must be convex")
+                raise ConfigurationError("quadratic potential must be convex",
+                                         "Q")
             object.__setattr__(self, "Q", Q)
         else:
             c = tuple(float(x) for x in self.u_coeffs)
             if len(c) < 1:
-                raise ConfigurationError("component_poly needs coefficients")
+                raise ConfigurationError("component_poly needs coefficients",
+                                         "u_coeffs")
             object.__setattr__(self, "u_coeffs", c)
             object.__setattr__(self, "_u_der", _derivatives(c))
             s = np.linspace(-20, 20, 257)
             if len(c) > 2 and np.min(_poly_val(self._u_der[1], s)) < -1e-12:
-                raise ConfigurationError("potential is not convex on samples")
+                raise ConfigurationError("potential is not convex on samples",
+                                         "u_coeffs")
         for name in ("initial", "velocity"):
             v = np.asarray(getattr(self, name), dtype=float).ravel()
             if v.size != self.d or not np.all(np.isfinite(v)):
-                raise ConfigurationError(f"{name} must be a finite d-vector")
+                raise ConfigurationError(f"{name} must be a finite d-vector",
+                                         name)
             object.__setattr__(self, name, v)
 
     @property
@@ -437,11 +453,8 @@ def require_invariant_data(problem: WideProblem, R: RMap) -> None:
     leaves its initial state and velocity exactly invariant; averaging
     additionally requires a convex nonlinearity."""
     grid = _state_grid(problem)
-    u0, v0 = problem.initial, problem.velocity
-    if not np.array_equal(R.apply(u0[None], grid)[0], u0):
-        raise ConfigurationError("initial state is not invariant under R")
-    if not np.array_equal(R.apply(v0[None], grid, velocity=True)[0], v0):
-        raise ConfigurationError("initial velocity is not invariant under R")
+    require_invariant(R, grid, problem.initial)
+    require_invariant(R, grid, problem.velocity, "initial velocity", True)
     if R.kind == "averaging" and isinstance(problem, WideWaveProblem) \
             and problem.lam < 0:
         raise ConfigurationError("averaging requires a convex nonlinearity")

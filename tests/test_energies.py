@@ -6,9 +6,8 @@ import pytest
 
 from wedflow import (ConfigurationError, DissipationSpec, EnergySpec, Field,
                      ReactionSpec, build_grid, dissipation_eval,
-                     energy1_value_grad, energy2_value_grad, reaction_eval,
-                     validate_growth)
-from wedflow.energies import (A_eval, GrowthCertificate, alpha_eval,
+                     energy1_value_grad, energy2_value_grad, reaction_eval)
+from wedflow.energies import (A_eval, alpha_eval,
                               alpha_prime, edge_differences, energy1_hessian,
                               energy1_modes,
                               fractional_seminorm, graph_laplacian,
@@ -327,32 +326,6 @@ def test_reaction_validation():
         ReactionSpec(kind="lotka_volterra", B=-0.1)
     with pytest.raises(ConfigurationError):
         ReactionSpec(kind="predator")
-
-
-# ---------------------------------------------------------------------------
-# growth certificates
-# ---------------------------------------------------------------------------
-
-def test_growth_certificate_validation():
-    with pytest.raises(ConfigurationError):
-        GrowthCertificate(k=1.0)
-    with pytest.raises(ConfigurationError):
-        GrowthCertificate(C1=-1.0)
-
-
-def test_validate_growth_passes_and_fails():
-    g = line_grid(5)
-    e1 = EnergySpec(kind="quadratic", gamma=1.0)
-    ok = validate_growth(GrowthCertificate(k=0.5, C1=5.0, C2=10.0), g,
-                         e1, EnergySpec(kind="none"), ReactionSpec(),
-                         DissipationSpec(p=2.0))
-    assert ok["passed"] and ok["phi2_margin"] >= 0.0
-    # a concave part the certificate cannot dominate
-    bad = validate_growth(GrowthCertificate(k=0.0, C1=0.0, C2=10.0), g,
-                          e1, EnergySpec(kind="none", concave_q=2.0,
-                                         concave_D=50.0),
-                          ReactionSpec(), DissipationSpec(p=2.0))
-    assert not bad["passed"]
 
 
 # ---------------------------------------------------------------------------

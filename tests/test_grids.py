@@ -15,12 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wedflow import (ConfigurationError, Field, RMap, Trajectory, apply_rmap,
-                     build_grid, constant_trajectory, lattice_min_max,
-                     rearrange, rearrangement_order, reflection_permutation,
-                     zero_field)
-from wedflow.grids import (field_from_csv, field_to_csv,
-                           rotation_permutation_90,
-                           torus_translation_permutation)
+                     build_grid, constant_trajectory, lattice_pair, rearrange,
+                     rearrangement_order, reflection_permutation)
+from wedflow.grids import field_from_csv, field_to_csv
 
 from conftest import line_grid, point_grid
 
@@ -95,9 +92,9 @@ def test_constant_trajectory_two_components():
        st.lists(st.floats(-50, 50), min_size=3, max_size=3))
 def test_lattice_pair_sums_exactly(a, b):
     g = build_grid(dim=1, shape=(3,), spacing=(1.0,))
-    u = Field(g, np.array(a))
-    v = Field(g, np.array(b))
-    mn, mx = lattice_min_max(u, v)
+    u = Trajectory(g, 1.0, np.array([a, b]))
+    v = Trajectory(g, 1.0, np.array([b, a]))
+    mn, mx = lattice_pair(u, v)
     # selections, not blends: the identity holds bitwise
     assert np.array_equal(mn.values + mx.values, u.values + v.values)
     assert np.all(mn.values <= mx.values)
@@ -126,11 +123,6 @@ def test_sign_parts_decompose(a):
     neg = apply_rmap(RMap("negative_part"), u)
     assert np.array_equal(pos.values + neg.values, u.values)
     assert np.all(pos.values >= 0.0) and np.all(neg.values <= 0.0)
-
-
-def test_zero_field():
-    g = line_grid(6)
-    assert np.array_equal(zero_field(g).values, np.zeros(6))
 
 
 # ---------------------------------------------------------------------------
@@ -281,23 +273,6 @@ def test_reflection_is_an_involution():
     reflect = RMap("rigid", permutation=perm)
     v = apply_rmap(reflect, apply_rmap(reflect, u))
     assert np.array_equal(v.values, u.values)
-
-
-def test_torus_translation_composes():
-    g = build_grid(dim=1, shape=(6,), spacing=(1.0,), boundary="periodic",
-                   domain_kind="torus")
-    p2 = torus_translation_permutation(g, 2)
-    p4 = torus_translation_permutation(g, 4)
-    assert np.array_equal(p2[p4], np.arange(6))
-
-
-def test_rotation_90_has_order_four():
-    g = build_grid(dim=2, shape=(5, 5), spacing=(1.0, 1.0))
-    p = rotation_permutation_90(g)
-    q = np.arange(25)
-    for _ in range(4):
-        q = p[q]
-    assert np.array_equal(q, np.arange(25))
 
 
 def test_rigid_transform_preserves_values():

@@ -14,7 +14,7 @@ from wedflow import (ConfigurationError, DissipationSpec, EnergySpec,
                      minimize_wide, rateind, wed, wide)
 from wedflow._newton import newton_solve
 from wedflow.cli import bundled_scenarios
-from wedflow.runner import Scenario, build_ri_problem
+from wedflow.runner import Scenario
 
 from conftest import heat_problem, line_grid, point_grid
 
@@ -961,8 +961,7 @@ def _compare_with_sequential(monkeypatch, module, solve) -> list:
 @pytest.mark.parametrize("case", ["ri_ramp-stage", "heat-p4"])
 def test_stacked_sweep_is_bitwise_the_sequential_sweep(monkeypatch, case):
     if case == "ri_ramp-stage":
-        problem = build_ri_problem(Scenario.from_text(
-            bundled_scenarios()["ri_ramp"]))
+        problem = Scenario.from_text(bundled_scenarios()["ri_ramp"]).problem
         module = rateind
         # the second smoothing stage, warm-started by the first, backtracks
         solve = lambda: minimize_wed_ri(problem, deltas=(1e-2, 1e-3))  # noqa

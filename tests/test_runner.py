@@ -17,15 +17,24 @@ import wedflow
 from wedflow import (Scenario, ScenarioError, Trajectory, build_grid,
                      rearrange, run, runner, verify)
 from wedflow.cli import bundled_scenarios, main
-from wedflow.runner import (_forcing_values, _initial_values, _json_ready,
-                            _map_from_cfg, _schedule, output_dir_for,
-                            trajectory_to_csv)
+from wedflow.runner import _json_ready, output_dir_for, trajectory_to_csv
 from wedflow.wed import default_eps_schedule
 
 from conftest import count_newton, line_grid
 
 # the grid spec of the bundled heat_relaxation scenario
 HEAT_GRID = json.loads(bundled_scenarios()["heat_relaxation"])["grid"]
+
+# a complete scenario with the fewest fields: one node, default energy
+MINIMAL = {"name": "x", "family": "doubly_nonlinear", "T": 1.0,
+           "grid": {"shape": 1, "domain_kind": "point"}, "initial": 1.0}
+
+
+def line_scenario(n, family="doubly_nonlinear", **fields) -> Scenario:
+    """The scenario on line_grid(n) with the given fields, parsed."""
+    raw = {"name": "x", "family": family, "T": 1.0, "steps": 4,
+           "grid": {"shape": n, "spacing": 1.0 / (n - 1)}, "initial": 0.0}
+    return Scenario.from_dict({**raw, **fields})
 
 
 def heat_scenario(out_dir, **over):
@@ -35,7 +44,7 @@ def heat_scenario(out_dir, **over):
         "T": 1.0,
         "steps": 12,
         "schedule": [0.2, 0.1],
-        "grid": {"nodes": 5, "spacing": 0.25},
+        "grid": {"shape": 5, "spacing": 0.25},
         "energy": {"kind": "m_laplace", "m": 2.0, "B": 1.0, "C": 0.0},
         "initial": {"kind": "cosine", "base": 1.0, "amplitude": 0.3},
         "output_dir": str(out_dir),
@@ -59,18 +68,16 @@ def test_from_dict_requires_core_fields():
 def test_from_dict_names_offending_field():
     with pytest.raises(ScenarioError, match="family.*heat_pump"):
         Scenario.from_dict({"name": "x", "family": "heat_pump", "T": 1.0})
-    base = {"name": "x", "family": "doubly_nonlinear", "T": 1.0}
     with pytest.raises(ScenarioError, match="seed"):
-        Scenario.from_dict({**base, "seed": "0"})
+        Scenario.from_dict({**MINIMAL, "seed": "0"})
     with pytest.raises(ScenarioError, match="steps"):
-        Scenario.from_dict({**base, "steps": 0})
+        Scenario.from_dict({**MINIMAL, "steps": 0})
     with pytest.raises(ScenarioError, match="rmaps"):
-        Scenario.from_dict({**base, "rmaps": "reflect"})
+        Scenario.from_dict({**MINIMAL, "rmaps": "reflect"})
 
 
 def test_from_dict_fills_defaults():
-    sc = Scenario.from_dict({"name": "x", "family": "doubly_nonlinear",
-                             "T": 1.0})
+    sc = Scenario.from_dict(MINIMAL)
     assert sc.config["seed"] == 0
     assert sc.config["steps"] == 64
     assert sc.config["schedule"] == "auto"
@@ -92,65 +99,67 @@ def test_from_file_reports_json_position(tmp_path):
 def test_initial_values_kinds():
     g = line_grid(5)
     x = g.coords()[:, 0]
-    assert np.array_equal(_initial_values(2.0, g, 5), np.full(5, 2.0))
-    assert np.array_equal(_initial_values([1, 2, 3, 4, 5], g, 5),
-                          np.arange(1.0, 6.0))
-    assert np.array_equal(
-        _initial_values({"kind": "constant", "value": 0.5}, g, 5),
-        np.full(5, 0.5))
-    got = _initial_values({"kind": "cosine", "base": 1.0,
-                           "amplitude": 0.3}, g, 5)
+
+    def initial(spec, **fields):
+        return line_scenario(5, initial=spec, **fields).values["initial"]
+
+    assert np.array_equal(initial(2.0), np.full(5, 2.0))
+    assert np.array_equal(initial([1, 2, 3, 4, 5]), np.arange(1.0, 6.0))
+    assert np.array_equal(initial({"kind": "constant", "value": 0.5}),
+                          np.full(5, 0.5))
+    got = initial({"kind": "cosine", "base": 1.0, "amplitude": 0.3})
     assert np.allclose(got, 1.0 + 0.3 * np.cos(np.pi * x / x.max()))
-    pair = _initial_values({"kind": "pair", "u": 0.5, "v": 1.5}, g, 10)
+    # ten values: the two-species energy's state
+    pair = initial({"kind": "pair", "u": 0.5, "v": 1.5},
+                   family="lotka_volterra",
+                   reaction={"kind": "lotka_volterra"})
     assert np.array_equal(pair, np.concatenate([np.full(5, 0.5),
                                                 np.full(5, 1.5)]))
 
 
 def test_initial_values_errors():
-    g = line_grid(5)
     with pytest.raises(ScenarioError, match="initial"):
-        _initial_values(None, g, 5)
+        line_scenario(5, initial=None)
     with pytest.raises(ScenarioError, match="wrong number"):
-        _initial_values([1.0, 2.0], g, 5)
+        line_scenario(5, initial=[1.0, 2.0])
     with pytest.raises(ScenarioError, match="unknown kind"):
-        _initial_values({"kind": "chirp"}, g, 5)
+        line_scenario(5, initial={"kind": "chirp"})
 
 
 def test_forcing_values():
-    g = line_grid(3)
-    assert _forcing_values(None, g, 1.0, 4, 3) is None
-    assert np.array_equal(_forcing_values(0.3, g, 1.0, 4, 3),
-                          np.full(3, 0.3))
+    def forcing(spec, steps=4):
+        return line_scenario(3, steps=steps, forcing=spec).values["forcing"]
+
+    assert forcing(None) is None
+    assert np.array_equal(forcing(0.3), np.full(3, 0.3))
     spec = {"kind": "piecewise_linear_time",
             "points": [[0.0, 0.0], [0.5, 1.5], [0.75, 0.5], [1.0, 0.5]],
             "profile": [1.0, 2.0, 0.0]}
-    got = _forcing_values(spec, g, 1.0, 8, 3)
+    got = forcing(spec, steps=8)
     t = np.linspace(0.0, 1.0, 9)
     scal = np.interp(t, [0.0, 0.5, 0.75, 1.0], [0.0, 1.5, 0.5, 0.5])
     assert got.shape == (9, 3)
     assert np.allclose(got, scal[:, None] * np.array([1.0, 2.0, 0.0]))
     with pytest.raises(ScenarioError, match="wrong number"):
-        _forcing_values({"kind": "nodal", "values": [1.0]}, g, 1.0, 4, 3)
+        forcing({"kind": "nodal", "values": [1.0]})
     with pytest.raises(ScenarioError, match="unknown kind"):
-        _forcing_values({"kind": "bump"}, g, 1.0, 4, 3)
+        forcing({"kind": "bump"})
 
 
 def test_schedule_resolution():
-    sc = Scenario.from_dict({"name": "x", "family": "doubly_nonlinear",
-                             "T": 1.0, "steps": 50})
-    assert _schedule(sc) == default_eps_schedule(1.0, 50)
-    sc.config["schedule"] = [0.2, 0.05]
-    assert _schedule(sc) == [0.2, 0.05]
-    sc.config["schedule"] = []
+    def schedule(**fields):
+        return line_scenario(3, steps=50, **fields).values["schedule"]
+
+    assert schedule() == default_eps_schedule(1.0, 50)
+    assert schedule(schedule=[0.2, 0.05]) == [0.2, 0.05]
     with pytest.raises(ScenarioError, match="schedule"):
-        _schedule(sc)
+        schedule(schedule=[])
     for bad, match in [([0.05, 0.2], "decrease"), ([0.2, 0.2], "decrease"),
                        ([1.5, 0.1], r"\(0, T\)"), ([0.2, 0.0], r"\(0, T\)"),
                        (["fast"], "expected a number"),
                        (0.2, "'auto' or a list")]:
-        sc.config["schedule"] = bad
         with pytest.raises(ScenarioError, match=match) as info:
-            _schedule(sc)
+            schedule(schedule=bad)
         assert str(info.value).startswith("field 'schedule': ")
 
 
@@ -206,8 +215,7 @@ def test_json_ready_is_deterministic():
 
 
 def test_output_dir_resolution(tmp_path, monkeypatch):
-    sc = Scenario.from_dict({"name": "demo", "family": "doubly_nonlinear",
-                             "T": 1.0})
+    sc = Scenario.from_dict({**MINIMAL, "name": "demo"})
     monkeypatch.delenv("WEDFLOW_OUT", raising=False)
     assert output_dir_for(sc) == Path("wedflow_out") / "demo"
     monkeypatch.setenv("WEDFLOW_OUT", str(tmp_path / "moved"))
@@ -305,18 +313,19 @@ def test_run_exit_three_when_solver_aborts(tmp_path, monkeypatch):
 
 
 def test_run_lv_rejects_comparison(tmp_path):
-    sc = Scenario.from_dict({
+    path = tmp_path / "lv_bad.json"
+    path.write_text(json.dumps({
         "name": "lv_bad", "family": "lotka_volterra", "T": 1.0,
         "steps": 8, "schedule": [0.2],
-        "grid": {"nodes": 3, "spacing": 0.5},
+        "grid": {"shape": 3, "spacing": 0.5},
         "energy": {"kind": "lv_quadratic", "D1": 0.1, "D2": 0.1},
         "reaction": {"kind": "lotka_volterra", "A": 1.0, "K": 2.0,
                      "B": 0.5, "C": 0.5, "E": 0.1},
         "initial": {"kind": "pair", "u": 0.5, "v": 0.25},
         "compare_v0": 1.0,
         "output_dir": str(tmp_path / "out"),
-    })
-    assert run(sc) == 2
+    }))
+    assert run(path) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +492,12 @@ def test_cli_verify_prints_json(capsys):
     assert payload["passed"] is True
 
 
+def test_cli_verify_rejects_a_negative_seed(capsys):
+    assert main(["verify", "rearrangement", "--seed", "-1"]) == 2
+    assert capsys.readouterr().out.startswith(
+        "configuration error: field 'seed'")
+
+
 def test_cli_run_unknown_name(capsys):
     assert main(["run", "no_such_scenario"]) == 2
     assert "configuration error" in capsys.readouterr().out
@@ -506,10 +521,14 @@ def test_cli_run_bundled_scenario_leaves_no_temp_file(tmp_path,
     assert list(tmp.iterdir()) == []
 
 
-def _bundled(name: str, out_dir, **over) -> Scenario:
+def _bundled(name: str, out_dir, **over) -> Path:
+    """A file holding the bundled scenario name with the fields over,
+    writing its artifacts to out_dir."""
     raw = json.loads(bundled_scenarios()[name])
     raw.update(over, output_dir=str(out_dir))
-    return Scenario.from_dict(raw)
+    path = Path(out_dir).parent / f"{name}.json"
+    path.write_text(json.dumps(raw))
+    return path
 
 
 @pytest.mark.parametrize("name, over", [
@@ -651,6 +670,26 @@ def test_malformed_state_names_its_field(tmp_path, capsys, name, field,
     ("heat_relaxation", "initial", {"kind": "cosine", "base": "1.0"}),
     ("ri_ramp", "forcing", {"kind": "piecewise_linear_time",
                             "points": [[0.0, "0"], [1.0, 1.0]]}),
+    # values that ran to exit 0 although they are wrong: a bool or NaN
+    # coefficient, an energy that is not an object, a key no table has
+    ("heat_relaxation", "energy", {"kind": "m_laplace", "m": 2.0, "B": True,
+                                   "C": 0.0}),
+    ("lv_patch", "reaction", {"kind": "lotka_volterra", "A": True, "K": 2.0}),
+    ("lv_patch", "reaction", {"kind": "lotka_volterra", "A": float("nan"),
+                              "K": 2.0}),
+    ("wave_pulse", "lam", float("nan")),
+    ("heat_relaxation", "energy", []),
+    ("heat_relaxation", "grid", {"kind": "bogus"}),
+    ("heat_relaxation", "bogus", 1.0),
+    # values that ended in a traceback
+    ("heat_relaxation", "energy", "abc"),
+    ("heat_relaxation", "energy2", [None]),
+    ("heat_relaxation", "energy", {"kind": "m_laplace", "B": []}),
+    ("lv_patch", "seed", -1),
+    ("lv_patch", "rmaps", [None]),
+    ("lv_patch", "rmaps", ["x"]),
+    ("wave_pulse", "f_coeffs", {"kind": "bogus"}),
+    ("wave_pulse", "steps", 1),
 ])
 def test_bad_field_is_named_before_any_solve(tmp_path, capsys, monkeypatch,
                                              name, field, value):
@@ -668,6 +707,52 @@ def test_bad_field_is_named_before_any_solve(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().out.startswith(
         f"configuration error: field '{field}'")
     assert not out.exists()
+
+
+JUNK = ("abc", None, [], {}, -1, float("nan"), [None], {"kind": "bogus"},
+        True)
+
+
+def _key_paths(value, prefix=()):
+    """The path of every key of every object in a JSON value, and of the
+    first element of every list."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield prefix + (key,)
+            yield from _key_paths(item, prefix + (key,))
+    elif isinstance(value, list) and value:
+        yield prefix + (0,)
+        yield from _key_paths(value[0], prefix + (0,))
+
+
+def test_every_one_field_mutation_parses_or_names_its_field(monkeypatch):
+    # each bundled scenario with one key path set to one junk value; the
+    # parse may accept it (a null field is absent, -1 may be in range) or
+    # raise a ScenarioError naming the top-level field, nothing else
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the parse solved")
+
+    for module in (wedflow.wed, wedflow.rateind, wedflow.wide):
+        monkeypatch.setattr(module, "newton_solve", no_solve)
+    runs = 0
+    for name, text in bundled_scenarios().items():
+        raw = json.loads(text)
+        for path in _key_paths(raw):
+            for value in JUNK:
+                mutant = copy.deepcopy(raw)
+                node = mutant
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = copy.deepcopy(value)
+                try:
+                    Scenario.from_dict(mutant)
+                except ScenarioError as exc:
+                    message = str(exc)
+                    assert message.startswith("field '") \
+                        and f"field '{path[0]}'" in message, \
+                        (name, path, value, message)
+                runs += 1
+    assert runs == 1638
 
 
 @pytest.mark.parametrize("name", ["heat_relaxation", "ri_ramp"])
@@ -688,8 +773,8 @@ def test_heat_relaxation_newton_work(tmp_path, monkeypatch):
 
 def test_bad_compose_part_is_named_once():
     with pytest.raises(ScenarioError) as info:
-        _map_from_cfg({"kind": "compose", "parts": [{"kind": "bogus"}]},
-                      inertial=False)
+        line_scenario(5, rmaps=[{"kind": "compose",
+                                 "parts": [{"kind": "bogus"}]}])
     assert str(info.value).count("field 'rmaps'") == 1
     assert "bogus" in str(info.value)
 
