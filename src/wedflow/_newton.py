@@ -105,19 +105,21 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
       `ri_ramp`, whose solves are all uncoupled, moved by at most 4.5e-16
       when they left splu for dgtsv.
 
-    Each distinct sparse factorization is made once per call. The call
-    holds its last factorization of H + mu I and solves with it again
-    while the next H + mu I is stored bitwise alike: the same shape,
-    column pointers, row indices and bytes of values, under the call's
-    one set of SuperLU options. A quadratic energy with p = 2, whose
-    Hessian does not change between iterations, is factored once; a
-    Levenberg retry, whose mu differs, is refactored. On a miss the held
-    factorization is dropped before the new one is made, so at most one
-    is alive, and none outlives the call. On the symmetric path identical
-    components share one LU (see _shifted_solve). A reused factorization
-    gives bitwise the step that refactoring would, since gstrf is
-    deterministic and a solve does not change the factor, so reuse is
-    safe on the solves at the round-off floor above and moves no output.
+    Each distinct sparse block is factored once per call. The call keeps
+    one table of block LUs, keyed by each block's column pointers, row
+    indices and bytes of values, under the call's one set of SuperLU
+    options; a block is a connected component of H + mu I on the
+    symmetric path, else all of it (see _shifted_solve). A block stored
+    bitwise like one in the table, a repeat in the same matrix or a block
+    of the previous one, is solved with that LU. A quadratic energy with
+    p = 2, whose Hessian does not change between iterations, is factored
+    once; a Levenberg retry, whose mu differs, is refactored. The table
+    drops the blocks the new matrix does not use before anything is
+    factored, so it holds one matrix's LUs at most, and none outlives the
+    call. A reused factorization gives bitwise the step that refactoring
+    would, since gstrf is deterministic and a solve does not change the
+    factor, so reuse is safe on the solves at the round-off floor above
+    and moves no output.
     """
     lu_options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options=dict(SymmetricMode=True)) if symmetric else {}
@@ -126,7 +128,7 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
     res = float(np.max(np.abs(g / scale)))
     it = 0
     mu = 0.0  # Levenberg shift, raised only on factorization trouble
-    held = _HeldFactor()
+    lus = {}  # block bytes -> LU, see _shifted_solve
     # the sweep's steps 1, 1/2, 1/4, ... down to min_step, their sufficient
     # decrease factors, and the trial rows per call after the full step
     trials = []
@@ -141,7 +143,7 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
         step = None
         for _ in range(8):
             try:
-                step = _shifted_solve(H, mu, -g, lu_options, held)
+                step = _shifted_solve(H, mu, -g, lu_options, lus)
                 if np.all(np.isfinite(step)):
                     break
             except RuntimeError:
@@ -204,128 +206,88 @@ def _backtrack(grad_fn, x: np.ndarray, step: np.ndarray, scale: np.ndarray,
 
 
 def _shifted_solve(H, mu: float, rhs: np.ndarray, lu_options: dict,
-                   held: _HeldFactor | None = None):
-    """(H + mu I)^{-1} rhs: a sparse LU with the given SuperLU options for
-    a sparse H, else H's own solve. held is the calling newton_solve's
-    _HeldFactor; without one, H + mu I is factored afresh.
+                   lus: dict | None = None):
+    """(H + mu I)^{-1} rhs: sparse LUs with the given SuperLU options for
+    a sparse H, else H's own solve. lus is the calling newton_solve's
+    table of block LUs, keyed by each block's bytes; without one, the
+    call starts an empty table of its own.
 
-    With options (the symmetric path), H + mu I is factored one connected
-    component at a time: each component's principal submatrix gets its own
-    splu with the same options, and a connected matrix makes the one splu
-    call it always made. A Hessian splits where its couplings vanish, as
-    the degenerate m-Laplacian's edges with zero gradient do, and a single
-    minimum degree ordering over all components would give identical
-    components different eliminations. Apart, identical components (same
-    values in the same local order) give bitwise identical pieces of the
-    step, so data invariant along an axis keeps every Newton iterate
-    invariant; the factorizations are also smaller. The default-option
-    solves are not split: their small 1D Hessians would break into many
-    tiny pieces, and their outputs sit at the round-off floor (see
-    newton_solve).
+    A block is a connected component of H + mu I with options (the
+    symmetric path), else all of H + mu I. Each block's principal
+    submatrix gets its own splu with the same options, and a connected
+    matrix makes the one splu call it always made. A Hessian splits where
+    its couplings vanish, as the degenerate m-Laplacian's edges with zero
+    gradient do, and a single minimum degree ordering over all components
+    would give identical components different eliminations. Apart,
+    identical components (same values in the same local order) give
+    bitwise identical pieces of the step, so data invariant along an axis
+    keeps every Newton iterate invariant; the factorizations are also
+    smaller. The default-option solves are not split: their small 1D
+    Hessians would break into many tiny pieces, and their outputs sit at
+    the round-off floor (see newton_solve).
 
-    Each distinct factorization is made once. A component block whose
-    column pointers, row indices and values are bitwise those of an
-    earlier block of the same matrix reuses that block's LU; only a block
-    not seen before is built as a CSC matrix and factored. Each block's
-    piece of the right-hand side still gets its own one-column solve; a
-    stacked multi-column solve could round differently. And held keeps
-    the last whole H + mu I with its solve, which serves the next call
-    while the new H + mu I is stored bitwise alike (see _HeldFactor).
-    Both reuses give bitwise the step that refactoring would: gstrf is
-    deterministic on equal input and the solve does not change the
-    factor. So they are safe on the 1D, coupled `rateind` and `wide`
-    solves at the round-off floor, too."""
+    Each distinct block is factored once. A block whose column pointers,
+    row indices and bytes of values are those of a block in lus, of this
+    matrix or of the call's previous one, is solved with that LU; only a
+    block not in lus is factored, from the bytes of its key. Before
+    anything is factored, lus drops every block this matrix does not use,
+    so it holds the LUs of one matrix at most. Each block's piece of the
+    right-hand side still gets its own one-column solve; a stacked
+    multi-column solve could round differently. A reused LU gives bitwise
+    the step that refactoring would: gstrf is deterministic on equal
+    input and the solve does not change the factor. So reuse is safe on
+    the 1D, coupled `rateind` and `wide` solves at the round-off floor,
+    too."""
     if not sp.issparse(H):
         return H.solve(rhs, mu)
-    Hmu = H if mu == 0.0 else H + mu * sp.identity(H.shape[0], format="csr")
-    # a copy, even of a CSC H: held keeps it past the caller's next hess_fn
-    Hmu = Hmu.tocsc(copy=True)
-    if held is None:
-        held = _HeldFactor()
-    return held.solve(Hmu, rhs, lu_options)
-
-
-class _HeldFactor:
-    """The last factorization one newton_solve call made: the CSC matrix
-    it factored, the SuperLU options it used and the function that solves
-    with it. A quadratic energy with p = 2 gives the same Hessian at every
-    Newton iteration; it is factored once."""
-
-    def __init__(self):
-        self.matrix = self.options = self.solve_fn = None
-
-    def solve(self, A, rhs: np.ndarray, lu_options: dict) -> np.ndarray:
-        """A^{-1} rhs for the CSC matrix A, factored with lu_options
-        unless A is stored bitwise alike the held matrix and the options
-        are the held ones. A new factorization replaces the held one,
-        which is dropped first, so that at most one is ever alive and the
-        peak memory stays that of one factorization."""
-        if lu_options != self.options or not _same_csc(self.matrix, A):
-            self.matrix = self.options = self.solve_fn = None
-            self.solve_fn = _factor(A, lu_options)
-            self.matrix, self.options = A, lu_options
-        return self.solve_fn(rhs)
-
-
-def _same_csc(A, B) -> bool:
-    """Whether the CSC matrix A (or None) is stored as B is: the same
-    shape, column pointers and row indices, and the same bytes of values
-    (so 0.0 and -0.0 differ). Far cheaper than the factorization it saves."""
-    return (A is not None and A.shape == B.shape
-            and A.data.dtype == B.data.dtype
-            and np.array_equal(A.indptr, B.indptr)
-            and np.array_equal(A.indices, B.indices)
-            and np.array_equal(A.data.view(np.uint8), B.data.view(np.uint8)))
-
-
-def _factor(A, lu_options: dict):
-    """The solve (rhs -> A^{-1} rhs) of the CSC matrix A: one splu, or with
-    options, one splu per distinct connected component (see
-    _shifted_solve)."""
-    count = 1
+    if lus is None:
+        lus = {}
+    A = H if mu == 0.0 else H + mu * sp.identity(H.shape[0], format="csr")
+    A = A.tocsc()
+    n = A.shape[0]
+    order, rows, bounds = np.arange(n), A.indices, [0, n]
     if lu_options:
         # imported here, so that importing the package does not load it
         from scipy.sparse.csgraph import connected_components
         # components are those of the undirected graph, so the CSR view
         # of the transpose serves without a conversion
         count, labels = connected_components(A.T, directed=False)
-    if count == 1:
-        return splu(A, **lu_options).solve
-    # renumber the unknowns once so that each component is a contiguous
-    # range, keeping the original order inside it; the matrix is then
-    # block diagonal, and each block is a slice of its columns
-    order = np.argsort(labels, kind="stable")
-    new = np.empty(order.size, A.indices.dtype)
-    new[order] = np.arange(order.size)
-    P = A[:, order]
-    rows = new[P.indices]
-    bounds = [0] + np.cumsum(np.bincount(labels)).tolist()
-    # a dict keyed by a block's bytes finds a repeat in one lookup, where
-    # comparing each block with every distinct one before it would take
-    # time quadratic in the number of distinct components
-    lus = {}
-    pieces = []
+        if count > 1:
+            # renumber the unknowns once so that each component is a
+            # contiguous range, keeping the original order inside it; the
+            # matrix is then block diagonal, and each block is a slice of
+            # its columns
+            order = np.argsort(labels, kind="stable")
+            new = np.empty(n, A.indices.dtype)
+            new[order] = np.arange(n)
+            A = A[:, order]
+            rows = new[A.indices]
+            bounds = [0] + np.cumsum(np.bincount(labels)).tolist()
+    # a key holds the block's only copy of its CSC arrays, so A is dropped
+    # before anything is factored
+    dtypes = (A.indptr.dtype, rows.dtype, A.data.dtype)
+    blocks = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        ptr = P.indptr[lo:hi + 1]
-        data = P.data[ptr[0]:ptr[-1]]
-        local = rows[ptr[0]:ptr[-1]] - lo
-        ptr = ptr - ptr[0]
-        key = (ptr.tobytes(), local.tobytes(), data.tobytes())
+        ptr = A.indptr[lo:hi + 1]
+        blocks.append((lo, hi, ((ptr - ptr[0]).tobytes(),
+                                (rows[ptr[0]:ptr[-1]] - lo).tobytes(),
+                                A.data[ptr[0]:ptr[-1]].tobytes())))
+    del A, rows
+    for key in lus.keys() - {key for *_, key in blocks}:
+        del lus[key]
+    for lo, hi, key in blocks:
         if key not in lus:
+            ptr, local, data = (np.frombuffer(b, t)
+                                for b, t in zip(key, dtypes))
             lus[key] = splu(sp.csc_matrix((data, local, ptr),
                                           shape=(hi - lo, hi - lo)),
                             **lu_options)
-        pieces.append((lo, hi, lus[key]))
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        y = rhs[order]
-        for lo, hi, lu in pieces:
-            y[lo:hi] = lu.solve(y[lo:hi])
-        x = np.empty_like(y)
-        x[order] = y
-        return x
-
-    return solve
+    y = rhs[order]
+    for lo, hi, key in blocks:
+        y[lo:hi] = lus[key].solve(y[lo:hi])
+    x = np.empty_like(y)
+    x[order] = y
+    return x
 
 
 class KnotTridiagonal:

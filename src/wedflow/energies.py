@@ -234,6 +234,27 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                      np.ascontiguousarray(y)[..., :, None])[..., 0, 0]
 
 
+def polyval(x: np.ndarray, c) -> np.ndarray:
+    """np.polynomial.polynomial.polyval(x, c) for ascending coefficients
+    c, by Horner's rule in polyval's own operation order (so with the
+    same bits), without its per-call overhead. c = None, a derivative
+    that vanishes identically (see polyders), gives zeros like x."""
+    if c is None:
+        return np.zeros_like(x)
+    v = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        v = ci + v * x
+    return v
+
+
+def polyders(c) -> tuple:
+    """The ascending coefficients of the first and second derivatives of
+    the polynomial with ascending coefficients c, each None where it
+    vanishes identically (c of degree below 1, resp. 2)."""
+    return tuple(np.polynomial.polynomial.polyder(c, k) if len(c) > k
+                 else None for k in (1, 2))
+
+
 def _rowmul(A, X: np.ndarray) -> np.ndarray:
     """A @ x for every row x of the stack X (any leading axes), each row
     rounded as the single product: the sparse product's sum for one entry
@@ -560,6 +581,8 @@ class ReactionSpec:
     def __post_init__(self):
         if self.kind not in ("none", "constant_g", "lotka_volterra"):
             raise ConfigurationError(f"unknown reaction kind {self.kind!r}")
+        if self.kind == "constant_g" and self.g is None:
+            raise ConfigurationError("constant_g needs a density g")
         if self.kind == "lotka_volterra":
             if self.A <= 0 or self.K <= 0:
                 raise ConfigurationError("growth rate A and cap K must be positive")
@@ -579,9 +602,7 @@ def reaction_eval(spec: ReactionSpec, state, n_slice: int = 0):
         return g[n_slice] if g.ndim == 2 else g
     if not isinstance(state, tuple) or len(state) != 2:
         raise ConfigurationError("lotka_volterra reaction needs an (u, v) pair")
-    u, v = (np.asarray(s, dtype=float) for s in state)
-    U = np.maximum(np.minimum(u, spec.K), 0.0)
-    V = np.maximum(v, 0.0)
+    U, V = lv_clamp(spec, *(np.asarray(s, dtype=float) for s in state))
     inter = U * V / (1.0 + spec.E * V)
     fu = spec.A * U * (1.0 - U / spec.K) - spec.B * inter
     fv = spec.C * inter

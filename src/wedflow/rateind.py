@@ -28,7 +28,8 @@ import scipy.sparse as sp
 
 from .grids import (ConfigurationError, Grid, Trajectory,
                     trajectory_to_csv)
-from .energies import _rowdot, _rowmul, _sequential_sum, graph_laplacian
+from .energies import (_rowdot, _rowmul, _sequential_sum, graph_laplacian,
+                       polyders, polyval)
 from ._newton import (KnotTridiagonal, band_diagonals, newton_solve,
                       pinned_solve, time_band, time_divergence)
 from .wed import MinimizeReport, continuation
@@ -101,11 +102,9 @@ class RIProblem:
         if not np.all(np.isfinite(c)):
             raise ConfigurationError("phi_coeffs must be finite", "phi_coeffs")
         object.__setattr__(self, "phi_coeffs", tuple(float(x) for x in c))
-        P = np.polynomial.polynomial
-        if c.size > 1:
-            object.__setattr__(self, "_d1_coeffs", P.polyder(c, 1))
-        if c.size > 2:
-            object.__setattr__(self, "_d2_coeffs", P.polyder(c, 2))
+        d1, d2 = polyders(c)
+        object.__setattr__(self, "_d1_coeffs", d1)
+        object.__setattr__(self, "_d2_coeffs", d2)
         # convexity probe on a generous sample range
         r = 10.0 * (1.0 + np.max(np.abs(u0)) + np.max(np.abs(f)))
         s = np.linspace(-r, r, 257)
@@ -122,27 +121,13 @@ class RIProblem:
         return self.T / self.steps
 
     def _phi_d2(self, s: np.ndarray) -> np.ndarray:
-        if self._d2_coeffs is None:
-            return np.zeros_like(s)
-        return _polyval(s, self._d2_coeffs)
+        return polyval(s, self._d2_coeffs)
 
     def phi_tilde(self, s: np.ndarray) -> np.ndarray:
-        return _polyval(s, self.phi_coeffs)
+        return polyval(s, self.phi_coeffs)
 
     def phi_tilde_d1(self, s: np.ndarray) -> np.ndarray:
-        if self._d1_coeffs is None:
-            return np.zeros_like(s)
-        return _polyval(s, self._d1_coeffs)
-
-
-def _polyval(x: np.ndarray, c) -> np.ndarray:
-    """np.polynomial.polynomial.polyval(x, c) for ascending coefficients
-    c, by Horner's rule in polyval's own operation order (so with the
-    same bits), without its per-call overhead."""
-    v = c[-1] + x * 0
-    for ci in c[-2::-1]:
-        v = ci + v * x
-    return v
+        return polyval(s, self._d1_coeffs)
 
 
 @dataclass(frozen=True, eq=False)

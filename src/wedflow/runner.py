@@ -247,15 +247,25 @@ _FORCING_KINDS = {
 }
 
 
+def _nodal_rows(v, ctx) -> np.ndarray:
+    """A list of n values (the state size), or of one row of them per
+    time knot."""
+    n, knots = _n_dof(ctx), ctx["steps"] + 1
+    f = _numbers(v)
+    if f.shape not in ((n,), (knots, n)):
+        raise ConfigurationError(f"expected {n} values or {knots} rows of "
+                                 f"them")
+    return f
+
+
 def _forcing(v, ctx, every_knot=False) -> np.ndarray:
     """A nodal density: one row of n values, or a table of one row per
     time knot (always, if every_knot)."""
     n, knots = _n_dof(ctx), ctx["steps"] + 1
-    if not isinstance(v, dict):
-        f = _numbers(v) if isinstance(v, list) else np.full(n, _number(v))
-        if f.shape not in ((n,), (knots, n)):
-            raise ConfigurationError(f"expected {n} values or {knots} rows "
-                                     f"of them")
+    if isinstance(v, list):
+        f = _nodal_rows(v, ctx)
+    elif not isinstance(v, dict):
+        f = np.full(n, _number(v))
     else:
         kind, spec = _kind(v, _FORCING_KINDS, ctx)
         if kind == "nodal":
@@ -298,10 +308,12 @@ _BY_ANNOTATION = {
                                                           _n_dof(ctx)))}
 
 
-def _spec(cls, v, ctx, **defaults):
+def _spec(cls, v, ctx, nodal=None, **defaults):
     """A cls from a JSON object whose keys are the fields of the dataclass
-    cls, each read by its annotation; defaults replace the class's own."""
-    return cls(**_read({f.name: (_BY_ANNOTATION[f.type],
+    cls, each read by its annotation, but the field named nodal by
+    _nodal_rows; defaults replace the class's own."""
+    return cls(**_read({f.name: (_nodal_rows if f.name == nodal
+                                 else _BY_ANNOTATION[f.type],
                                  defaults.get(f.name, f.default))
                         for f in dc_fields(cls)}, v, ctx))
 
@@ -359,14 +371,14 @@ _WED = {**_HEAD,
         "energy": (lambda v, ctx: _spec(
             EnergySpec, v, ctx, kind=_ENERGY_KINDS[ctx["family"]]), {}),
         "forcing": (_forcing, None),
-        "energy2": (partial(_spec, EnergySpec, kind="quadratic", gamma=0.0),
-                    {}),
-        "reaction": (partial(_spec, ReactionSpec), {}),
+        "energy2": (partial(_spec, EnergySpec, nodal="forcing",
+                            kind="quadratic", gamma=0.0), {}),
+        "reaction": (partial(_spec, ReactionSpec, nodal="g"), {}),
         "initial": (_state, _REQUIRED),
         "compare_v0": (_compare, None),
         "rmaps": (partial(_maps, table=_WED_MAP), [])}
 
-_LV = {**_WED, "reaction": (partial(_spec, ReactionSpec), _REQUIRED)}
+_LV = {**_WED, "reaction": (_WED["reaction"][0], _REQUIRED)}
 
 _RI = {**_HEAD,
        "grid": (_grid, _REQUIRED),
@@ -544,7 +556,7 @@ def _run_checked(path_or_scenario) -> int:
              + "\n"}
 
     summary, reports = [], {}
-    failed = unconverged = False
+    unconverged = False
     problem = sc.problem
     schedule, steps = sc.values["schedule"], sc.values["steps"]
     maps, v0 = sc.values.get("rmaps", ()), sc.values.get("compare_v0")
@@ -558,7 +570,6 @@ def _run_checked(path_or_scenario) -> int:
                                   seed=sc.values["seed"])
             traj = res.trajectory
             unconverged = unconverged or res.continuation.aborted
-            failed = failed or res.flagged
             reports["invariance_residual"] = res.residual
             reports["invariance_history"] = list(res.residual_history)
             summary.append(("invariance_residual", res.residual,
@@ -588,7 +599,6 @@ def _run_checked(path_or_scenario) -> int:
             unconverged = unconverged or not pair.converged
             reports["comparison"] = json.loads(pair.to_json())
             ok = pair.ordering_margin >= -1e-10 and pair.submodularity_ok
-            failed = failed or not ok
             summary.append(("ordering_margin", pair.ordering_margin, ok))
             files["pair_u.csv"] = trajectory_to_csv(pair.u)
             files["pair_v.csv"] = trajectory_to_csv(pair.v)
@@ -607,7 +617,6 @@ def _run_checked(path_or_scenario) -> int:
         for name, bound in (("sign_condition", 1e-6), ("stability", 1e-2),
                             ("balance", 1e-2)):
             ok = reports[name] <= bound
-            failed = failed or not ok
             summary.append((name, reports[name], ok))
         files["trajectory.csv"] = traj.to_csv()
         if v0 is not None:
@@ -615,7 +624,6 @@ def _run_checked(path_or_scenario) -> int:
                                          schedule=schedule, u_levels=fam)
             unconverged = unconverged or not pair.converged
             ok = pair.ordering_margin >= -1e-10
-            failed = failed or not ok
             reports["comparison"] = {"ordering_margin": pair.ordering_margin,
                                      "audits": pair.audits}
             summary.append(("ordering_margin", pair.ordering_margin, ok))
@@ -636,7 +644,6 @@ def _run_checked(path_or_scenario) -> int:
             resid = wide_invariance_residual(rmap, traj)
             reports[f"invariance_{rmap.kind}"] = resid
             ok = resid <= 1e-7
-            failed = failed or not ok
             summary.append((f"invariance_{rmap.kind}", resid, ok))
 
     reports["converged"] = not unconverged
@@ -656,7 +663,7 @@ def _run_checked(path_or_scenario) -> int:
 
     if unconverged:
         return 3
-    return 1 if failed else 0
+    return 0 if all(ok for *_, ok in summary) else 1
 
 
 # ---------------------------------------------------------------------------

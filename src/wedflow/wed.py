@@ -70,8 +70,12 @@ class WedProblem:
         init = np.asarray(self.initial, dtype=float).ravel()
         if not np.all(np.isfinite(init)):
             raise ConfigurationError("initial state must be finite", "initial")
+        two = self.energy1.kind == "lv_quadratic"
+        if self.reaction.kind == "lotka_volterra" and not two:
+            raise ConfigurationError("a lotka_volterra reaction needs the "
+                                     "lv_quadratic energy", "reaction")
         n = self.grid.n_nodes
-        expect = 2 * n if self.energy1.kind == "lv_quadratic" else n
+        expect = 2 * n if two else n
         if init.size != expect:
             raise ConfigurationError(
                 f"initial state has {init.size} dofs, expected {expect}",

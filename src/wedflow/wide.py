@@ -25,7 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grids import ConfigurationError, Grid, Trajectory, build_grid
-from .energies import _rowdot, _rowmul, _sequential_sum, graph_laplacian
+from .energies import (_rowdot, _rowmul, _sequential_sum, graph_laplacian,
+                       polyders, polyval)
 from ._newton import newton_solve, pinned_solve
 from .qualitative import RMap, invariance_residual, require_invariant
 from .wed import MinimizeReport, continuation
@@ -34,29 +35,6 @@ from .wed import MinimizeReport, continuation
 # ---------------------------------------------------------------------------
 # Problems
 # ---------------------------------------------------------------------------
-
-def _poly_val(coeffs, s):
-    return np.polynomial.polynomial.polyval(s, coeffs)
-
-
-def _poly_der(coeffs, order):
-    c = np.polynomial.polynomial.polyder(coeffs, order)
-    return c if np.ndim(c) else np.array([float(c)])
-
-
-def _derivatives(coeffs) -> tuple:
-    """Coefficients of the polynomial's first and second derivatives; the
-    second is None for an affine polynomial, whose curvature is zero."""
-    return (_poly_der(coeffs, 1),
-            _poly_der(coeffs, 2) if len(coeffs) > 2 else None)
-
-
-def _poly_curv(d2, s):
-    """Second derivative at s, from the second entry of _derivatives."""
-    if d2 is None:
-        return np.zeros_like(s)
-    return _poly_val(d2, s)
-
 
 @dataclass(frozen=True, eq=False)
 class WideWaveProblem:
@@ -77,7 +55,7 @@ class WideWaveProblem:
     epsilon: float
     initial: np.ndarray
     velocity: np.ndarray
-    _f_der: tuple = field(init=False, repr=False)  # _derivatives(f_coeffs)
+    _f_der: tuple = field(init=False, repr=False)  # polyders(f_coeffs)
 
     def __post_init__(self):
         if self.grid.dim != 1:
@@ -96,7 +74,7 @@ class WideWaveProblem:
         if not self.f_coeffs:
             raise ConfigurationError("F needs at least one coefficient",
                                      "f_coeffs")
-        object.__setattr__(self, "_f_der", _derivatives(self.f_coeffs))
+        object.__setattr__(self, "_f_der", polyders(self.f_coeffs))
         for name in ("initial", "velocity"):
             v = np.asarray(getattr(self, name), dtype=float).ravel()
             if v.size != self.grid.n_nodes or not np.all(np.isfinite(v)):
@@ -107,7 +85,7 @@ class WideWaveProblem:
         r = 10.0 * (1.0 + float(np.max(np.abs(self.initial))))
         s = np.linspace(-r, r, 257)
         if len(self.f_coeffs) > 2:
-            d2 = _poly_val(self._f_der[1], s)
+            d2 = polyval(s, self._f_der[1])
             if np.min(d2) < self.lam - 1e-9:
                 raise ConfigurationError(
                     "F'' falls below the declared bound lam on samples",
@@ -115,8 +93,8 @@ class WideWaveProblem:
         elif self.lam > 1e-12:
             raise ConfigurationError("an affine F has no curvature lam > 0",
                                      "f_coeffs")
-        fs = _poly_val(self.f_coeffs, s)
-        dfs = _poly_val(self._f_der[0], s)
+        fs = polyval(s, self.f_coeffs)
+        dfs = polyval(s, self._f_der[0])
         pc = self.p_growth / (self.p_growth - 1.0)
         big = np.abs(s) ** self.p_growth
         c1 = np.max((big - fs) / (1.0 + big))
@@ -130,15 +108,15 @@ class WideWaveProblem:
         return self.grid.n_nodes
 
     def force_value(self, u: np.ndarray) -> float:
-        return np.sum(_poly_val(self.f_coeffs, u), axis=-1) \
+        return np.sum(polyval(u, self.f_coeffs), axis=-1) \
             * self.grid.cell_measure
 
     def force_grad(self, u: np.ndarray) -> np.ndarray:
-        return _poly_val(self._f_der[0], u) \
+        return polyval(u, self._f_der[0]) \
             * self.grid.cell_measure
 
     def force_hess_diag(self, u: np.ndarray) -> np.ndarray:
-        return _poly_curv(self._f_der[1], u) * self.grid.cell_measure
+        return polyval(u, self._f_der[1]) * self.grid.cell_measure
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +139,7 @@ class LagrangianProblem:
     Q: Optional[np.ndarray] = None
     u_coeffs: tuple = ()
     _u_der: tuple = field(init=False, repr=False,
-                          default=None)  # _derivatives(u_coeffs)
+                          default=None)  # polyders(u_coeffs)
 
     def __post_init__(self):
         if self.d < 1:
@@ -199,9 +177,9 @@ class LagrangianProblem:
                 raise ConfigurationError("component_poly needs coefficients",
                                          "u_coeffs")
             object.__setattr__(self, "u_coeffs", c)
-            object.__setattr__(self, "_u_der", _derivatives(c))
+            object.__setattr__(self, "_u_der", polyders(c))
             s = np.linspace(-20, 20, 257)
-            if len(c) > 2 and np.min(_poly_val(self._u_der[1], s)) < -1e-12:
+            if len(c) > 2 and np.min(polyval(s, self._u_der[1])) < -1e-12:
                 raise ConfigurationError("potential is not convex on samples",
                                          "u_coeffs")
         for name in ("initial", "velocity"):
@@ -218,17 +196,17 @@ class LagrangianProblem:
     def pot_value(self, u: np.ndarray) -> float:
         if self.u_kind == "quadratic":
             return 0.5 * _rowdot(u, self.pot_grad(u))
-        return np.sum(_poly_val(self.u_coeffs, u), axis=-1)
+        return np.sum(polyval(u, self.u_coeffs), axis=-1)
 
     def pot_grad(self, u: np.ndarray) -> np.ndarray:
         if self.u_kind == "quadratic":
             return np.matmul(self.Q, u[..., None])[..., 0]
-        return _poly_val(self._u_der[0], u)
+        return polyval(u, self._u_der[0])
 
     def pot_hess(self, u: np.ndarray) -> np.ndarray:
         if self.u_kind == "quadratic":
             return self.Q
-        return np.diag(_poly_curv(self._u_der[1], u))
+        return np.diag(polyval(u, self._u_der[1]))
 
 
 WideProblem = Union[WideWaveProblem, LagrangianProblem]
@@ -272,7 +250,7 @@ class _Parts:
                     sp.identity(U.shape[0]), sp.csr_matrix(problem.Q))
             else:
                 self.g_hess = lambda U: sp.diags(
-                    _poly_curv(problem._u_der[1], U).ravel())
+                    polyval(U, problem._u_der[1]).ravel())
             self.lam = 0.0
             self.ncomp = d
         self.grid = _state_grid(problem)

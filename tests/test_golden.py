@@ -1,5 +1,5 @@
-"""Refactor oracle: the bundled scenarios, the two 2D heat problems of the
-size ladder, and all six verify suites (`gradients`, `submodularity`,
+"""Refactor oracle: the bundled scenarios, the heat problems of the size
+ladder, and all six verify suites (`gradients`, `submodularity`,
 `rearrangement`, `invariance`, `energetic` and `wide`) against the golden
 records that the benchmark checks (perfbench/golden), through the
 comparison of perfbench/checks.py: every number within 1e-12 of its
@@ -65,15 +65,21 @@ def test_bundled_scenario_matches_golden_record(tmp_path, monkeypatch, name):
                    golden("scenarios", 0, name))
 
 
-@pytest.mark.parametrize("name", ["heat2d_32x32_m2_N16",
-                                  "heat2d_16x16_m3_N64"])
-def test_2d_ladder_problem_matches_golden_record(tmp_path, monkeypatch,
-                                                 name):
+# heat1d_512_m2_N64 is the one ladder problem whose Newton steps reuse a
+# factorization across iterations, and its variant 3 Euler-Lagrange
+# residual sits at the round-off floor of its factorization
+@pytest.mark.parametrize("name, variant", [("heat2d_32x32_m2_N16", 0),
+                                           ("heat2d_16x16_m3_N64", 0),
+                                           ("heat1d_512_m2_N64", 0),
+                                           ("heat1d_512_m2_N64", 3)])
+def test_ladder_problem_matches_golden_record(tmp_path, monkeypatch, name,
+                                              variant):
     monkeypatch.setenv("WEDFLOW_OUT", str(tmp_path))
-    op, = [op for op in workloads.ladder_ops(0, tmp_path) if op.name == name]
+    op, = [op for op in workloads.ladder_ops(variant, tmp_path)
+           if op.name == name]
     rc, _ = cli(list(op.argv))
     assert_matches(checks.run_record(rc, tmp_path / name),
-                   golden("large_grid", 0, name))
+                   golden("large_grid", variant, name))
 
 
 @pytest.mark.parametrize("suite, seed", [(suite, seed)

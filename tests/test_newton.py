@@ -526,15 +526,15 @@ def _record_shifts(monkeypatch) -> list:
     shifts = []
     real = _newton._shifted_solve
 
-    def recorder(H, mu, rhs, lu_options, held=None):
+    def recorder(H, mu, rhs, lu_options, lus=None):
         shifts.append(mu)
-        return real(H, mu, rhs, lu_options, held)
+        return real(H, mu, rhs, lu_options, lus)
 
     monkeypatch.setattr(_newton, "_shifted_solve", recorder)
     return shifts
 
 
-def _whole_matrix_solve(H, mu, rhs, lu_options, held=None):
+def _whole_matrix_solve(H, mu, rhs, lu_options, lus=None):
     """The symmetric path before the split: one splu of all of H + mu I,
     made afresh at every call."""
     Hmu = H + mu * sp.identity(H.shape[0], format="csr")
@@ -657,12 +657,12 @@ def test_connected_2d_hessian_makes_one_splu_per_factorization(
 _REAL_SHIFTED_SOLVE = _newton._shifted_solve
 
 
-def _fresh_solve(H, mu, rhs, lu_options, held=None):
-    """_shifted_solve with no held factorization: every call factors."""
+def _fresh_solve(H, mu, rhs, lu_options, lus=None):
+    """_shifted_solve with no table of LUs: every call factors."""
     return _REAL_SHIFTED_SOLVE(H, mu, rhs, lu_options)
 
 
-def _per_chain_solve(H, mu, rhs, lu_options, held=None):
+def _per_chain_solve(H, mu, rhs, lu_options, lus=None):
     """The split path without reuse: one splu of every connected
     component of H + mu I, identical ones included, at every call."""
     from scipy.sparse.csgraph import connected_components
@@ -738,14 +738,115 @@ def test_new_shift_refactors_and_a_repeated_one_does_not(monkeypatch,
     shifts = [0.0, 0.0, 1e-3, 1e-3, 1e-2, 0.0]
     refs = [_fresh_solve(H, mu, rhs, lu_options) for mu in shifts]
     calls = _record_splu(monkeypatch)
-    held = _newton._HeldFactor()
+    lus = {}
     factored = []
     for mu, ref in zip(shifts, refs):
-        step = _newton._shifted_solve(H, mu, rhs, lu_options, held)
+        step = _newton._shifted_solve(H, mu, rhs, lu_options, lus)
         factored.append(len(calls))
         assert np.array_equal(step, ref)
     # the Levenberg retries (a new mu) and the return to mu = 0 refactor
     assert factored == [1, 1, 2, 2, 3, 4]
+
+
+def _two_block_problem() -> tuple:
+    """(x0, grad_fn, hess_fn) of a sum of two uncoupled SPD problems on 10
+    unknowns each: a quadratic one, whose Hessian block is constant, and
+    one with a cubic term, whose block changes with x."""
+    n = 10
+    A = sp.diags([np.full(n - 1, -1.0), np.linspace(3.0, 4.0, n),
+                  np.full(n - 1, -1.0)], [-1, 0, 1], format="csr")
+    b = np.random.default_rng(5).standard_normal(2 * n)
+
+    def grad_fn(X):  # one row per trial point
+        G = np.hstack([(A @ X[:, :n].T).T, (A @ X[:, n:].T).T]) - b
+        G[:, n:] += X[:, n:] ** 3
+        return G
+
+    def hess_fn(x):
+        return sp.block_diag([A, A + sp.diags(3.0 * x[n:] ** 2)],
+                             format="csr")
+
+    # at x = 0 the two blocks would be equal, and share one LU
+    return np.full(2 * n, 0.5), grad_fn, hess_fn
+
+
+def test_constant_block_is_factored_once_across_newton_steps(monkeypatch):
+    x0, grad_fn, hess_fn = _two_block_problem()
+
+    def solve():
+        return newton_solve(x0, grad_fn, hess_fn, np.ones(x0.size),
+                            tol=1e-13, symmetric=True)
+
+    calls = _record_splu(monkeypatch)
+    x, res, iters, converged = solve()
+    assert converged and iters >= 3
+    # both blocks at the first step, then only the block that changed
+    assert len(calls) == 1 + iters
+    monkeypatch.setattr(_newton, "_shifted_solve", _fresh_solve)
+    ref_x, ref_res, ref_iters, _ = solve()
+    assert len(calls) == 1 + iters + 2 * ref_iters
+    assert np.array_equal(x, ref_x)
+    assert res == ref_res and iters == ref_iters
+
+
+def _block_keys(H, mu: float, lu_options: dict) -> set:
+    """The bytes (column pointers, row indices, values) of every block of
+    H + mu I: its connected components with options, else all of it."""
+    from scipy.sparse.csgraph import connected_components
+    Hmu = (H + mu * sp.identity(H.shape[0], format="csr")).tocsc()
+    labels = connected_components(Hmu, directed=False)[1] if lu_options \
+        else np.zeros(H.shape[0], int)
+    keys = set()
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
+        B = Hmu[idx][:, idx].tocsc()
+        keys.add((B.indptr.tobytes(), B.indices.tobytes(), B.data.tobytes()))
+    return keys
+
+
+def _watch_lus(monkeypatch) -> list:
+    """At every splu call, whether the table of LUs of the solve under way
+    holds blocks of the current H + mu I only; one entry per call."""
+    current = []
+    real_solve = _newton._shifted_solve
+
+    def solve(H, mu, rhs, lu_options, lus=None):
+        current[:] = [(H, mu, lu_options, lus)]
+        return real_solve(H, mu, rhs, lu_options, lus)
+
+    checked = []
+
+    def factor(A, **kwargs):
+        H, mu, lu_options, lus = current[0]
+        checked.append(set(lus) <= _block_keys(H, mu, lu_options))
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(_newton, "_shifted_solve", solve)
+    monkeypatch.setattr(_newton, "splu", factor)
+    return checked
+
+
+def test_lu_table_holds_no_block_of_an_earlier_matrix(monkeypatch):
+    checked = _watch_lus(monkeypatch)
+    x0, grad_fn, hess_fn = _two_block_problem()
+    _, _, iters, converged = newton_solve(x0, grad_fn, hess_fn,
+                                          np.ones(x0.size), tol=1e-13,
+                                          symmetric=True)
+    assert converged and checked == [True] * (1 + iters)
+    # Levenberg retries, on the split symmetric path
+    problem = band_problem(p=4.0)
+    nx, ny = problem.grid.shape
+    N = 8
+    w = _along_axis0(problem, np.random.default_rng(1).standard_normal(
+        (1, nx)) * (problem.initial[::ny] != 0.0))
+    checked.clear()
+    shifts = _record_shifts(monkeypatch)
+    _, report = minimize_wed(problem, np.tile(w, (N + 1, 1)),
+                             constant_trajectory(problem.grid,
+                                                 problem.initial,
+                                                 problem.T, N))
+    assert report.converged and any(mu > 0.0 for mu in shifts)
+    assert len(checked) >= 2 and all(checked)
 
 
 def test_1d_ladder_heat_factors_once_per_newton_level(monkeypatch):
@@ -788,13 +889,13 @@ def _sequential_newton(x0, grad_fn, hess_fn, scale, tol=1e-10, max_iter=100,
     res = float(np.max(np.abs(g / scale)))
     it = 0
     mu = 0.0
-    held = _newton._HeldFactor()
+    lus = {}
     while it < max_iter and res > tol:
         H = hess_fn(x)
         step = None
         for _ in range(8):
             try:
-                step = _newton._shifted_solve(H, mu, -g, lu_options, held)
+                step = _newton._shifted_solve(H, mu, -g, lu_options, lus)
                 if np.all(np.isfinite(step)):
                     break
             except RuntimeError:

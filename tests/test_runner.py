@@ -146,6 +146,19 @@ def test_forcing_values():
         forcing({"kind": "bump"})
 
 
+def test_spec_densities_take_the_forcing_shape_rule():
+    # one row of n values or one per knot; steps = 4 gives 5 knots
+    for g in ([1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]] * 5):
+        reaction = line_scenario(3, reaction={"kind": "constant_g",
+                                              "g": g}).problem.reaction
+        assert np.array_equal(reaction.g, np.array(g))
+        energy2 = line_scenario(3, energy2={"forcing": g}).problem.energy2
+        assert np.array_equal(energy2.forcing, np.array(g))
+    two = line_scenario(3, family="lotka_volterra", initial=[0.5] * 6,
+                        reaction={"kind": "constant_g", "g": [0.1] * 6})
+    assert two.problem.reaction.g.shape == (6,)
+
+
 def test_schedule_resolution():
     def schedule(**fields):
         return line_scenario(3, steps=50, **fields).values["schedule"]
@@ -690,6 +703,21 @@ def test_malformed_state_names_its_field(tmp_path, capsys, name, field,
     ("lv_patch", "rmaps", ["x"]),
     ("wave_pulse", "f_coeffs", {"kind": "bogus"}),
     ("wave_pulse", "steps", 1),
+    # array fields of the specs, which take the top-level forcing's shape
+    # rule, and the rules that tie a reaction to its density and energy
+    ("heat_relaxation", "reaction", {"kind": "lotka_volterra"}),
+    ("heat_relaxation", "reaction", {"kind": "constant_g"}),
+    ("heat_relaxation", "reaction", {"kind": "constant_g", "g": [1.0, 2.0]}),
+    ("heat_relaxation", "reaction", {"kind": "constant_g", "g": [1.0]}),
+    ("heat_relaxation", "reaction", {"kind": "constant_g",
+                                     "g": [[1.0] * 16]}),
+    ("heat_relaxation", "reaction", {"kind": "constant_g",
+                                     "g": [[1.0] * 16] * 2}),
+    ("heat_relaxation", "energy2", {"forcing": [1.0]}),
+    # the shape rule takes no input form but lists
+    ("heat_relaxation", "reaction", {"kind": "constant_g", "g": 1.0}),
+    ("heat_relaxation", "energy2", {"forcing": {"kind": "nodal",
+                                                "values": [1.0] * 16}}),
 ])
 def test_bad_field_is_named_before_any_solve(tmp_path, capsys, monkeypatch,
                                              name, field, value):
