@@ -6,8 +6,8 @@ preserves (comparison, symmetry classes, energetic certificates)."""
 from .grids import (ConfigurationError, Field, Grid, Trajectory, build_grid,
                     constant_trajectory, rearrange, rearrangement_order,
                     reflection_permutation)
-from .energies import (DissipationSpec, EnergySpec, ReactionSpec,
-                       dissipation_eval, energy1_value_grad,
+from .energies import (ConcaveSpec, DissipationSpec, EnergySpec,
+                       ReactionSpec, dissipation_eval, energy1_value_grad,
                        energy2_value_grad, reaction_eval)
 from .wed import (ContinuationResult, MinimizeReport, WedProblem,
                   default_eps_schedule, dual_field, eps_continuation,
@@ -38,7 +38,8 @@ __all__ = [
     "ConfigurationError", "Field", "Grid", "Trajectory", "build_grid",
     "constant_trajectory", "rearrange", "rearrangement_order",
     "reflection_permutation",
-    "DissipationSpec", "EnergySpec", "ReactionSpec", "dissipation_eval",
+    "ConcaveSpec", "DissipationSpec", "EnergySpec", "ReactionSpec",
+    "dissipation_eval",
     "energy1_value_grad", "energy2_value_grad", "reaction_eval",
     "ContinuationResult", "MinimizeReport", "WedProblem",
     "default_eps_schedule", "dual_field", "eps_continuation",

@@ -1,7 +1,7 @@
 """Order structure of weighted-energy minimizers.
 
-For potential problems (the state-dependent source is absent or a fixed
-field g) the functional evaluated on componentwise min and max of two
+For potential problems (no reaction, so the only source is the fixed
+forcing) the functional evaluated on componentwise min and max of two
 trajectories never exceeds the sum on the originals. That inequality is
 what `submodularity_check` measures, and `ordered_minimizers` exploits it:
 minimizing from ordered initial states and swapping the pair for its
@@ -27,9 +27,9 @@ import numpy as np
 
 from .grids import ConfigurationError, Field, Trajectory
 from .energies import (_rowdot, _sequential_sum, energy1_value_grad,
-                       energy2_value_grad, reaction_eval)
+                       energy2_value_grad)
 from .wed import (PairReport, WedProblem, _dissipation_value, _weights,
-                  continuation, fixed_point_solve)
+                  continuation, fixed_point_solve, source_rows)
 
 AUDIT_TOL = 1e-9
 
@@ -43,9 +43,9 @@ def _require_potential(problem: WedProblem) -> None:
 
 def wed_potential_value(problem: WedProblem, traj):
     """Value of the weighted functional with every non-dissipative term
-    inside the integrand: rate term + phi1 - phi2 - <g, u> per knot. traj
-    is a Trajectory, or a (k, N+1, n_dof) stack priced one value per
-    trajectory."""
+    inside the integrand: rate term + phi1 - phi2 - <f, u> per knot, f the
+    forcing. traj is a Trajectory, or a (k, N+1, n_dof) stack priced one
+    value per trajectory."""
     _require_potential(problem)
     U = traj.values if isinstance(traj, Trajectory) else traj
     N = U.shape[-2] - 1
@@ -54,11 +54,11 @@ def wed_potential_value(problem: WedProblem, traj):
     X = U[..., 1:, :].reshape(-1, U.shape[-1])
     slices = np.tile(np.arange(1, N + 1), X.shape[0] // N)
     v1, _ = energy1_value_grad(problem.energy1, problem.grid, X)
-    v2, _ = energy2_value_grad(problem.energy2, problem.grid, X, slices)
+    v2, _ = energy2_value_grad(problem.energy2, problem.grid, X)
     knot = v1 - v2
-    if problem.reaction.kind == "constant_g":
-        g = reaction_eval(problem.reaction, X, slices)
-        knot -= problem.grid.cell_measure * _rowdot(g, X)
+    if problem.forcing is not None:
+        knot -= problem.grid.cell_measure * _rowdot(
+            source_rows(problem, N + 1)[slices], X)
     return _sequential_sum(_dissipation_value(problem, U, problem.T / N),
                            b * knot.reshape(U.shape[:-2] + (N,)))
 

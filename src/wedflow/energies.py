@@ -277,18 +277,28 @@ def _sequential_sum(first, terms: np.ndarray):
 # Energies
 # ---------------------------------------------------------------------------
 
-_NONNEGATIVE = ("gamma", "B", "C", "D1", "D2", "F1", "F2", "concave_D")
+def _require_nonnegative(spec, names) -> None:
+    """ConfigurationError naming the first of the coefficients names of
+    spec that is not numeric or not nonnegative everywhere."""
+    for name in names:
+        c = getattr(spec, name)
+        try:
+            values = c.values if isinstance(c, Field) \
+                else np.asarray(c, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"coefficient {name} must be numeric") from None
+        if not np.all(values >= 0.0):
+            raise ConfigurationError(
+                f"coefficient {name} must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
 class EnergySpec:
-    """Parameters for the convex state energy (selected by `kind`) and the
-    concave perturbation / forcing consumed by energy2_value_grad.
-
-    kinds: quadratic(gamma), m_laplace(m, B, C, robin via grid), fractional
-    (s, gamma), lv_quadratic(D1, D2, F1, F2) acting on stacked (u, v) pairs.
-    Concave part: power (q, coefficient D >= 0) or none. Forcing is a nodal
-    density, either one vector or an (N+1, n) table indexed by time slice.
+    """Parameters of the convex state energy phi1, selected by `kind`:
+    quadratic(gamma), m_laplace(m, B, C, robin via grid), fractional
+    (s, gamma, exterior), lv_quadratic(D1, D2, F1, F2) acting on stacked
+    (u, v) pairs.
     """
 
     kind: str = "quadratic"
@@ -302,41 +312,33 @@ class EnergySpec:
     D2: float = 1.0
     F1: float = 0.0
     F2: float = 0.0
-    concave_q: Optional[float] = None
-    concave_D: object = 1.0
-    forcing: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.kind not in ("quadratic", "m_laplace", "fractional",
-                             "lv_quadratic", "none"):
+                             "lv_quadratic"):
             raise ConfigurationError(f"unknown energy kind {self.kind!r}")
         if self.kind == "m_laplace" and self.m < 2:
             raise ConfigurationError("m_laplace exponent must satisfy m >= 2")
         if self.kind == "fractional" and not 0.0 < self.s < 1.0:
             raise ConfigurationError("fractional order s must lie in (0,1)")
+        # phi1 must be convex: 2D solves factor its Hessian as SPD
+        _require_nonnegative(self, ("gamma", "B", "C", "D1", "D2", "F1",
+                                    "F2"))
+
+
+@dataclass(frozen=True, eq=False)
+class ConcaveSpec:
+    """phi2(u) = sum_i D_i |u_i|^q h^d / q with q = concave_q and
+    D = concave_D >= 0, the convex power term whose negative is the
+    concave perturbation; phi2 = 0 without concave_q."""
+
+    concave_q: Optional[float] = None
+    concave_D: object = 1.0
+
+    def __post_init__(self):
         if self.concave_q is not None and self.concave_q <= 1.0:
             raise ConfigurationError("concave exponent q must exceed 1")
-        # phi1 must be convex (2D solves factor its Hessian as SPD) and
-        # the power term of phi2 convex, so that -phi2 stays concave
-        for name in _NONNEGATIVE:
-            c = getattr(self, name)
-            try:
-                values = c.values if isinstance(c, Field) \
-                    else np.asarray(c, dtype=float)
-            except (TypeError, ValueError):
-                raise ConfigurationError(
-                    f"coefficient {name} must be numeric") from None
-            if not np.all(values >= 0.0):
-                raise ConfigurationError(
-                    f"coefficient {name} must be nonnegative")
-
-    def forcing_at(self, n: int, n_dof: int) -> np.ndarray:
-        if self.forcing is None:
-            return np.zeros(n_dof)
-        f = np.asarray(self.forcing, dtype=float)
-        if f.ndim == 1:
-            return f
-        return f[n]
+        _require_nonnegative(self, ("concave_D",))
 
 
 def _coef(c, n: int) -> np.ndarray:
@@ -467,8 +469,6 @@ def energy1_value_grad(spec: EnergySpec, grid: Grid,
     """Vector-level phi1: value and euclidean gradient on the flat state,
     or values and gradient rows on a stack of states (one per row)."""
     hd = grid.cell_measure
-    if spec.kind == "none":
-        return np.zeros(x.shape[0]), np.zeros_like(x)
     if spec.kind == "quadratic":
         return 0.5 * spec.gamma * hd * _rowdot(x, x), spec.gamma * hd * x
     if spec.kind == "fractional":
@@ -509,8 +509,6 @@ def energy1_hessian(spec: EnergySpec, grid: Grid, x: np.ndarray) -> sp.spmatrix:
     X = np.atleast_2d(x)
     k, n_dof = X.shape
     hd = grid.cell_measure
-    if spec.kind == "none":
-        return sp.csr_matrix((k * n_dof, k * n_dof))
     if spec.kind == "quadratic":
         return sp.identity(k * n_dof, format="csr") * (spec.gamma * hd)
     if spec.kind == "fractional":
@@ -535,30 +533,23 @@ def energy1_hessian(spec: EnergySpec, grid: Grid, x: np.ndarray) -> sp.spmatrix:
 
 
 @_rows
-def energy2_value_grad(spec: EnergySpec, grid: Grid, x: np.ndarray,
-                       n_slice=0) -> tuple[float, np.ndarray]:
-    """Vector-level phi2 = concave power part + forcing pairing; on a stack
-    of states n_slice holds each row's time slice."""
+def energy2_value_grad(spec: ConcaveSpec, grid: Grid,
+                       x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Vector-level phi2: value and euclidean gradient on the flat state,
+    or values and gradient rows on a stack of states (one per row)."""
+    if spec.concave_q is None:
+        return np.zeros(x.shape[0]), np.zeros_like(x)
     hd = grid.cell_measure
-    n_dof = x.shape[1]
-    val = np.zeros(x.shape[0])
-    grad = np.zeros_like(x)
-    if spec.concave_q is not None:
-        q = spec.concave_q
-        D = _coef(spec.concave_D, n_dof)
-        val += hd * np.sum(D * np.abs(x) ** q, axis=1) / q
-        if q == 2.0:
-            grad += hd * D * x
-        else:
-            # analytic subgradient selection at 0 is 0 (exact for q > 1)
-            nz = x != 0.0
-            g = np.zeros_like(x)
-            g[nz] = np.abs(x[nz]) ** (q - 2.0) * x[nz]
-            grad += hd * D * g
-    f = spec.forcing_at(n_slice, n_dof)
-    val += hd * _rowdot(f, x)
-    grad += hd * f
-    return val, grad
+    q = spec.concave_q
+    D = _coef(spec.concave_D, x.shape[1])
+    val = hd * np.sum(D * np.abs(x) ** q, axis=1) / q
+    if q == 2.0:
+        return val, hd * D * x
+    # analytic subgradient selection at 0 is 0 (exact for q > 1)
+    nz = x != 0.0
+    g = np.zeros_like(x)
+    g[nz] = np.abs(x[nz]) ** (q - 2.0) * x[nz]
+    return val, hd * D * g
 
 
 # ---------------------------------------------------------------------------
@@ -567,11 +558,10 @@ def energy2_value_grad(spec: EnergySpec, grid: Grid, x: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class ReactionSpec:
-    """kind "none", "constant_g" (time-indexed nodal density), or
-    "lotka_volterra" with the clamped interaction terms."""
+    """kind "none", or "lotka_volterra" with the clamped interaction
+    terms."""
 
     kind: str = "none"
-    g: Optional[np.ndarray] = None
     A: float = 1.0
     K: float = 1.0
     B: float = 0.0
@@ -579,10 +569,8 @@ class ReactionSpec:
     E: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "constant_g", "lotka_volterra"):
+        if self.kind not in ("none", "lotka_volterra"):
             raise ConfigurationError(f"unknown reaction kind {self.kind!r}")
-        if self.kind == "constant_g" and self.g is None:
-            raise ConfigurationError("constant_g needs a density g")
         if self.kind == "lotka_volterra":
             if self.A <= 0 or self.K <= 0:
                 raise ConfigurationError("growth rate A and cap K must be positive")
@@ -590,16 +578,13 @@ class ReactionSpec:
                 raise ConfigurationError("interaction constants must be nonnegative")
 
 
-def reaction_eval(spec: ReactionSpec, state, n_slice: int = 0):
+def reaction_eval(spec: ReactionSpec, state):
     """Nodal reaction density. LV takes and returns an (u, v) pair of
     arrays; the clamps U = min(u,K)^+ and V = v^+ are applied internally."""
     if spec.kind == "none":
         if isinstance(state, tuple):
             return tuple(np.zeros_like(np.asarray(s, float)) for s in state)
         return np.zeros_like(np.asarray(state, float))
-    if spec.kind == "constant_g":
-        g = np.asarray(spec.g, dtype=float)
-        return g[n_slice] if g.ndim == 2 else g
     if not isinstance(state, tuple) or len(state) != 2:
         raise ConfigurationError("lotka_volterra reaction needs an (u, v) pair")
     U, V = lv_clamp(spec, *(np.asarray(s, dtype=float) for s in state))

@@ -314,25 +314,17 @@ def compatibility_issues(R: RMap, problem: WedProblem,
             issues.append("clamp needs the paired quadratic energy")
         return issues
 
+    f = problem.forcing
+
     def forcing_fixed(tol: float = 1e-12) -> bool:
-        for holder in (e1, problem.energy2):
-            if holder.forcing is None:
-                continue
-            arr = np.asarray(holder.forcing, dtype=float)
-            arr = arr.reshape(-1, grid.n_nodes) if arr.ndim > 1 else arr[None]
-            if np.max(np.abs(R.apply(arr, grid) - arr)) > tol:
-                return False
-        return True
+        if f is None:
+            return True
+        rows = f.reshape(-1, grid.n_nodes) if f.ndim > 1 else f[None]
+        return np.max(np.abs(R.apply(rows, grid) - rows)) <= tol
 
     def forcing_sign_ok(want_nonneg: bool) -> bool:
-        ok = True
-        for holder in (e1, problem.energy2):
-            if holder.forcing is None:
-                continue
-            arr = np.asarray(holder.forcing, dtype=float)
-            ok = ok and (bool(np.all(arr >= 0)) if want_nonneg
-                         else bool(np.all(arr <= 0)))
-        return ok
+        return f is None or bool(np.all(f >= 0) if want_nonneg
+                                 else np.all(f <= 0))
 
     if R.kind == "rigid":
         # the permutation must leave the energy literally unchanged
@@ -452,13 +444,6 @@ def check_r1(R: RMap, grid: Grid, samples: int = 32,
     return rep
 
 
-def _source_slices(problem: WedProblem) -> int:
-    """Time slices of the problem's time-indexed sources (1 if none)."""
-    tables = (problem.energy2.forcing, problem.reaction.g)
-    return max((np.shape(t)[0] for t in tables if np.ndim(t) == 2),
-               default=1)
-
-
 def check_r2(R: RMap, problem: WedProblem, samples: int = 16,
              seed: int = 0) -> PropertyReport:
     """The three inequalities that transfer minimality into the solution
@@ -476,7 +461,8 @@ def check_r2(R: RMap, problem: WedProblem, samples: int = 16,
     steps = 6
     hd = grid.cell_measure
     # a trajectory has at least two slices, so an untimed source gets two
-    source_steps = max(_source_slices(problem) - 1, 1)
+    f = problem.forcing
+    source_steps = max(len(f) - 1, 1) if np.ndim(f) == 2 else 1
 
     for k in range(samples):
         u = rng.standard_normal(n) * 2.0

@@ -29,8 +29,8 @@ import numpy as np
 
 from .grids import (ConfigurationError, Field, Trajectory, build_grid,
                     rearrange, reflection_permutation, trajectory_to_csv)
-from .energies import (DissipationSpec, EnergySpec, ReactionSpec,
-                       _rowdot, energy1_value_grad)
+from .energies import (ConcaveSpec, DissipationSpec, EnergySpec,
+                       ReactionSpec, _rowdot, energy1_value_grad)
 from ._newton import with_pins
 from .wed import (WedProblem, check_schedule, default_eps_schedule,
                   eps_continuation, euler_lagrange_residual,
@@ -171,15 +171,15 @@ def _read(table: dict, obj, ctx=None) -> dict:
     return out
 
 
-def _kind(v, kinds: dict, ctx) -> tuple:
-    """(kind, fields) of an object whose 'kind' picks its table in kinds."""
+def _kind(v, kinds: dict, ctx, key="kind", default=None) -> tuple:
+    """(kind, fields) of an object whose field key (default if absent)
+    picks its table in kinds."""
     if not isinstance(v, dict):
-        raise ConfigurationError(f"expected a number, a list or an object "
-                                 f"with a 'kind', not {json.dumps(v)}")
-    kind = v.get("kind")
+        raise ConfigurationError(f"expected an object, not {json.dumps(v)}")
+    kind = v.get(key, default)
     if not isinstance(kind, str) or kind not in kinds:
-        raise ConfigurationError(f"unknown kind {kind!r}")
-    return kind, _read({"kind": (_string, None), **kinds[kind]}, v, ctx)
+        raise ConfigurationError(f"unknown {key} {kind!r}")
+    return kind, _read({key: (_string, None), **kinds[kind]}, v, ctx)
 
 
 _STATE_KINDS = {
@@ -247,23 +247,15 @@ _FORCING_KINDS = {
 }
 
 
-def _nodal_rows(v, ctx) -> np.ndarray:
-    """A list of n values (the state size), or of one row of them per
-    time knot."""
-    n, knots = _n_dof(ctx), ctx["steps"] + 1
-    f = _numbers(v)
-    if f.shape not in ((n,), (knots, n)):
-        raise ConfigurationError(f"expected {n} values or {knots} rows of "
-                                 f"them")
-    return f
-
-
 def _forcing(v, ctx, every_knot=False) -> np.ndarray:
-    """A nodal density: one row of n values, or a table of one row per
-    time knot (always, if every_knot)."""
+    """A nodal density: one row of n values (the state size), or a table
+    of one row per time knot (always, if every_knot)."""
     n, knots = _n_dof(ctx), ctx["steps"] + 1
     if isinstance(v, list):
-        f = _nodal_rows(v, ctx)
+        f = _numbers(v)
+        if f.shape not in ((n,), (knots, n)):
+            raise ConfigurationError(f"expected {n} values or {knots} rows "
+                                     f"of them")
     elif not isinstance(v, dict):
         f = np.full(n, _number(v))
     else:
@@ -308,14 +300,20 @@ _BY_ANNOTATION = {
                                                           _n_dof(ctx)))}
 
 
-def _spec(cls, v, ctx, nodal=None, **defaults):
-    """A cls from a JSON object whose keys are the fields of the dataclass
-    cls, each read by its annotation, but the field named nodal by
-    _nodal_rows; defaults replace the class's own."""
-    return cls(**_read({f.name: (_nodal_rows if f.name == nodal
-                                 else _BY_ANNOTATION[f.type],
-                                 defaults.get(f.name, f.default))
-                        for f in dc_fields(cls)}, v, ctx))
+def _fields(cls, names=None) -> dict:
+    """The field table of the named fields of the dataclass cls (all by
+    default), each read by its annotation, with the class's default."""
+    return {f.name: (_BY_ANNOTATION[f.type], f.default)
+            for f in dc_fields(cls) if names is None or f.name in names}
+
+
+def _spec(cls, kinds: dict, v, ctx, key="kind", default=None):
+    """A cls from a JSON object whose field key (default if absent, else
+    the class's default) picks in kinds the names of the fields it takes."""
+    kind, values = _kind(v, {k: _fields(cls, names)
+                             for k, names in kinds.items()}, ctx, key,
+                         default or getattr(cls, key))
+    return cls(**{**values, key: kind})
 
 
 def _maps(v, ctx, table) -> tuple:
@@ -365,15 +363,26 @@ _ENERGY_KINDS = {"doubly_nonlinear": "m_laplace",
                  "fractional_heat": "fractional",
                  "lotka_volterra": "lv_quadratic"}
 
+# the fields each kind of a spec reads, and so the only ones it takes
+_ENERGY_FIELDS = {"quadratic": ("gamma",), "m_laplace": ("m", "B", "C"),
+                  "fractional": ("s", "gamma", "exterior"),
+                  "lv_quadratic": ("D1", "D2", "F1", "F2")}
+# p is the exponent of the trajectory norms for either kind
+_DISSIPATION_FIELDS = {"power": ("p",),
+                       "table": ("p", "table_s", "table_alpha")}
+_REACTION_FIELDS = {"none": (), "lotka_volterra": ("A", "K", "B", "C", "E")}
+
 _WED = {**_HEAD,
         "grid": (_grid, _REQUIRED),
-        "dissipation": (partial(_spec, DissipationSpec), {}),
+        "dissipation": (partial(_spec, DissipationSpec, _DISSIPATION_FIELDS,
+                                key="alpha_kind"), {}),
         "energy": (lambda v, ctx: _spec(
-            EnergySpec, v, ctx, kind=_ENERGY_KINDS[ctx["family"]]), {}),
+            EnergySpec, _ENERGY_FIELDS, v, ctx,
+            default=_ENERGY_KINDS[ctx["family"]]), {}),
         "forcing": (_forcing, None),
-        "energy2": (partial(_spec, EnergySpec, nodal="forcing",
-                            kind="quadratic", gamma=0.0), {}),
-        "reaction": (partial(_spec, ReactionSpec, nodal="g"), {}),
+        "energy2": (lambda v, ctx: ConcaveSpec(
+            **_read(_fields(ConcaveSpec), v, ctx)), {}),
+        "reaction": (partial(_spec, ReactionSpec, _REACTION_FIELDS), {}),
         "initial": (_state, _REQUIRED),
         "compare_v0": (_compare, None),
         "rmaps": (partial(_maps, table=_WED_MAP), [])}
@@ -418,10 +427,7 @@ def _problem(cls, values: dict, **args):
 
 
 def _wed_problem(v: dict) -> WedProblem:
-    """A gradient-flow problem; the forcing, if given, is energy2's."""
-    energy2 = v["energy2"] if v["forcing"] is None \
-        else dc_replace(v["energy2"], forcing=v["forcing"])
-    return _problem(WedProblem, v, energy1=v["energy"], energy2=energy2)
+    return _problem(WedProblem, v, energy1=v["energy"])
 
 
 def _initial_invariant(problem: WedProblem, rmap: RMap) -> None:
@@ -775,7 +781,7 @@ def _verify_submodularity(seed: int = 0) -> dict:
     for name, e1 in energies.items():
         problem = WedProblem(
             grid=grid, dissipation=DissipationSpec(p=2.0), energy1=e1,
-            energy2=EnergySpec(kind="quadratic", gamma=0.0),
+            energy2=ConcaveSpec(),
             reaction=ReactionSpec(), T=1.0, epsilon=0.3,
             initial=np.zeros(6))
         pairs = []
@@ -824,7 +830,7 @@ def _verify_gradients(seed: int = 0) -> dict:
     problem = WedProblem(
         grid=grid, dissipation=DissipationSpec(p=3.0),
         energy1=specs["m_laplace"],
-        energy2=EnergySpec(kind="quadratic", gamma=0.0),
+        energy2=ConcaveSpec(),
         reaction=ReactionSpec(), T=1.0, epsilon=0.2,
         initial=rng.standard_normal(7))
     steps = 6
@@ -869,7 +875,7 @@ def _verify_invariance(seed: int = 0) -> dict:
     u0 = 0.5 * (u0 + u0[::-1])
     perm = reflection_permutation(grid)
     base = dict(grid=grid, dissipation=DissipationSpec(p=2.0),
-                energy2=EnergySpec(kind="quadratic", gamma=0.0),
+                energy2=ConcaveSpec(),
                 reaction=ReactionSpec(), T=0.5, epsilon=0.1)
     heat = EnergySpec(kind="m_laplace", m=2.0, B=1.0, C=0.0)
     for name, e1 in (("heat", heat),

@@ -38,9 +38,10 @@ import scipy.sparse as sp
 
 from ._newton import (FastDiagonalization, newton_solve, pinned_solve,
                       time_band, time_divergence)
-from .energies import (DissipationSpec, EnergySpec, ReactionSpec, A_eval,
-                       _rowdot, _sequential_sum, alpha_eval, alpha_prime,
-                       energy1_hessian, energy1_modes, energy1_value_grad,
+from .energies import (ConcaveSpec, DissipationSpec, EnergySpec,
+                       ReactionSpec, A_eval, _rowdot, _sequential_sum,
+                       alpha_eval, alpha_prime, energy1_hessian,
+                       energy1_modes, energy1_value_grad,
                        energy2_value_grad, p_conjugate, reaction_eval)
 from .grids import (ConfigurationError, Grid, Trajectory,
                     constant_trajectory)
@@ -49,20 +50,24 @@ from .grids import (ConfigurationError, Grid, Trajectory,
 @dataclass(frozen=True, eq=False)
 class WedProblem:
     """Everything defining one evolution: rate potential, convex energy,
-    concave perturbation + forcing, reaction, horizon, weight, initial state.
+    concave perturbation, reaction, horizon, weight, initial state and
+    fixed source.
 
     initial is the flat dof vector (length n_nodes, or 2*n_nodes for the
-    two-species reaction kind).
+    two-species reaction kind). forcing, the fixed source, is a nodal
+    density: None (no source), one vector of n_dof values, or one row of
+    them per time knot (see source_rows).
     """
 
     grid: Grid
     dissipation: DissipationSpec
     energy1: EnergySpec
-    energy2: EnergySpec
+    energy2: ConcaveSpec
     reaction: ReactionSpec
     T: float
     epsilon: float
     initial: np.ndarray
+    forcing: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < self.T:
@@ -81,6 +86,14 @@ class WedProblem:
                 f"initial state has {init.size} dofs, expected {expect}",
                 "initial")
         object.__setattr__(self, "initial", init)
+        if self.forcing is not None:
+            f = np.asarray(self.forcing, dtype=float)
+            if f.ndim not in (1, 2) or f.shape[-1] != expect \
+                    or not np.all(np.isfinite(f)):
+                raise ConfigurationError(
+                    f"forcing must be finite, {expect} values or rows of "
+                    f"them", "forcing")
+            object.__setattr__(self, "forcing", f)
 
     @property
     def n_dof(self) -> int:
@@ -255,27 +268,32 @@ def minimize_wed(problem: WedProblem, w, init: Trajectory,
 # Fixed point loop, continuation
 # ---------------------------------------------------------------------------
 
+def source_rows(problem: WedProblem, knots: int) -> np.ndarray:
+    """The fixed source at each of knots time knots, a read-only
+    (knots, n_dof) view (zeros without a forcing); ConfigurationError
+    naming the forcing unless it has one row or knots rows."""
+    f = np.zeros(problem.n_dof) if problem.forcing is None \
+        else problem.forcing
+    if f.ndim == 2 and f.shape[0] not in (1, knots):
+        raise ConfigurationError(
+            f"forcing has {f.shape[0]} rows, expected 1 or {knots} (one "
+            f"per time knot)", "forcing")
+    return np.broadcast_to(f, (knots, problem.n_dof))
+
+
 def dual_field(problem: WedProblem, traj: Trajectory) -> np.ndarray:
-    """w = (gradient of the concave part)/h^d + reaction at every slice:
-    the nodal-density dual closing the nonpotential terms."""
+    """w = (gradient of the concave part)/h^d + forcing + reaction at
+    every slice: the nodal-density dual closing the nonpotential terms."""
     U = traj.values
-    hd = problem.grid.cell_measure
     n_nodes = problem.grid.n_nodes
-    _, g2 = energy2_value_grad(problem.energy2, problem.grid, U,
-                               np.arange(U.shape[0]))
-    w = g2 / hd
+    _, g2 = energy2_value_grad(problem.energy2, problem.grid, U)
+    w = g2 / problem.grid.cell_measure
+    w += source_rows(problem, U.shape[0])
     if problem.reaction.kind == "lotka_volterra":
         fu, fv = reaction_eval(problem.reaction,
                                (U[:, :n_nodes], U[:, n_nodes:]))
         w += np.hstack([fu, fv])
-    elif problem.reaction.kind != "none":
-        w += reaction_eval(problem.reaction, U, np.arange(U.shape[0]))
     return w
-
-
-def _dual_is_constant(problem: WedProblem) -> bool:
-    return (problem.reaction.kind in ("none", "constant_g")
-            and problem.energy2.concave_q is None)
 
 
 def _traj_norm(problem: WedProblem, diff: np.ndarray, dt: float) -> float:
@@ -302,7 +320,9 @@ def fixed_point_solve(problem: WedProblem, steps: int,
     dt = problem.T / steps
     inner_reports = []
     history = []
-    if _dual_is_constant(problem) and project is None:
+    # without a reaction or a concave part the dual field is the forcing
+    if problem.reaction.kind == "none" and problem.energy2.concave_q is None \
+            and project is None:
         w = dual_field(problem, u)
         out, rep = minimize_wed(problem, w, u, gtol=gtol)
         inner_reports.append(rep)
@@ -443,7 +463,8 @@ def strong_solution_residual(traj: Trajectory, problem: WedProblem) -> float:
 
 def reference_solve(problem: WedProblem, steps: int) -> Trajectory:
     """Independent implicit-Euler oracle: each step minimizes
-    dt psi((v-u)/dt) + phi1(v) - phi2(v) - h^d <f(u), v> with a
+    dt psi((v-u)/dt) + phi1(v) - phi2(v) - h^d <f(u), v> (f the forcing
+    plus the reaction at the previous state) with a
     quasi-Newton library call, sharing no code path with minimize_wed.
     scipy.optimize is imported here, by its only user, so that importing
     the package (and every `wedflow` command) does not pay for it."""
@@ -453,25 +474,23 @@ def reference_solve(problem: WedProblem, steps: int) -> Trajectory:
     dt = problem.T / N
     hd = problem.grid.cell_measure
     n_nodes = problem.grid.n_nodes
+    source = source_rows(problem, N + 1)
     vals = np.empty((N + 1, problem.n_dof))
     vals[0] = problem.initial
     for n in range(1, N + 1):
         prev = vals[n - 1]
+        f = source[n]
         if problem.reaction.kind == "lotka_volterra":
             fu, fv = reaction_eval(problem.reaction,
                                    (prev[:n_nodes], prev[n_nodes:]))
-            f = np.concatenate([fu, fv])
-        elif problem.reaction.kind == "none":
-            f = np.zeros(problem.n_dof)
-        else:
-            f = reaction_eval(problem.reaction, prev, n)
+            f = f + np.concatenate([fu, fv])
 
         def objective(v):
             rate = (v - prev) / dt
             val = dt * float(np.sum(A_eval(problem.dissipation, rate))) * hd
             g = alpha_eval(problem.dissipation, rate) * hd
             v1, g1 = energy1_value_grad(problem.energy1, problem.grid, v)
-            v2, g2 = energy2_value_grad(problem.energy2, problem.grid, v, n)
+            v2, g2 = energy2_value_grad(problem.energy2, problem.grid, v)
             val += v1 - v2 - hd * float(f @ v)
             g = g + g1 - g2 - hd * f
             return val, g

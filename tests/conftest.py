@@ -7,8 +7,8 @@ captures stdout.
 
 import numpy as np
 
-from wedflow import (DissipationSpec, EnergySpec, ReactionSpec, WedProblem,
-                     build_grid)
+from wedflow import (ConcaveSpec, DissipationSpec, EnergySpec, ReactionSpec,
+                     WedProblem, build_grid)
 
 _ACCEPTANCE_LINES = []
 
@@ -62,7 +62,7 @@ def scalar_decay_problem(eps: float = 0.1) -> WedProblem:
     return WedProblem(grid=point_grid(),
                       dissipation=DissipationSpec(p=2.0),
                       energy1=EnergySpec(kind="quadratic", gamma=1.0),
-                      energy2=EnergySpec(kind="none"),
+                      energy2=ConcaveSpec(),
                       reaction=ReactionSpec(),
                       T=1.0, epsilon=eps, initial=np.ones(1))
 
@@ -79,6 +79,6 @@ def heat_problem(n: int = 16, eps: float = 0.2, T: float = 1.0,
                       dissipation=DissipationSpec(p=2.0),
                       energy1=EnergySpec(kind="m_laplace", m=2.0, B=1.0,
                                          C=0.0),
-                      energy2=EnergySpec(kind="none"),
+                      energy2=ConcaveSpec(),
                       reaction=ReactionSpec(),
                       T=T, epsilon=eps, initial=np.asarray(u0, dtype=float))

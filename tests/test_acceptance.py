@@ -10,8 +10,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from wedflow import (DissipationSpec, EnergySpec, Field, ReactionSpec,
-                     RIProblem, RMap, WedProblem, build_grid, verify)
+from wedflow import (ConcaveSpec, DissipationSpec, EnergySpec, Field,
+                     ReactionSpec, RIProblem, RMap, WedProblem, build_grid,
+                     verify)
 from wedflow.cli import main
 from wedflow.comparison import ordered_minimizers
 from wedflow.energies import fractional_seminorm, lv_clamp, reaction_eval
@@ -128,9 +129,8 @@ def test_symmetry_preservation_and_truncation():
     problem = WedProblem(
         grid=grid, dissipation=DissipationSpec(p=2.0),
         energy1=EnergySpec(kind="m_laplace", m=2.0, B=1.0, C=0.0),
-        energy2=EnergySpec(kind="none", forcing=np.full(9, 0.3)),
-        reaction=ReactionSpec(), T=0.5, epsilon=0.1,
-        initial=np.maximum(raw - 1.0, 0.0))
+        energy2=ConcaveSpec(), reaction=ReactionSpec(), T=0.5, epsilon=0.1,
+        initial=np.maximum(raw - 1.0, 0.0), forcing=np.full(9, 0.3))
     res = invariant_solve(problem, RMap(kind="truncate_lower", level=0.0),
                           steps=16, schedule=(0.1, 0.05))
     low = float(np.min(res.trajectory.values))
@@ -153,7 +153,7 @@ def test_lv_solution_respects_population_box():
         grid=grid, dissipation=DissipationSpec(p=2.0),
         energy1=EnergySpec(kind="lv_quadratic", D1=0.05, D2=0.05,
                            F1=0.0, F2=0.0),
-        energy2=EnergySpec(kind="quadratic", gamma=0.0),
+        energy2=ConcaveSpec(),
         reaction=reaction, T=1.0, epsilon=0.2,
         initial=np.concatenate([u0, np.full(8, 0.4)]))
     res = invariant_solve(problem, RMap(kind="lv_clamp", K=K), steps=32,

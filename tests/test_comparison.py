@@ -8,11 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wedflow import (ConfigurationError, DissipationSpec, EnergySpec, Field,
-                     ReactionSpec, Trajectory, WedProblem, comparison,
-                     fixed_point_solve, lattice_pair, lattice_value_audit,
-                     ordered_minimizers, ordering_margin,
-                     submodularity_check, wed_potential_value)
+from wedflow import (ConcaveSpec, ConfigurationError, DissipationSpec,
+                     EnergySpec, Field, ReactionSpec, Trajectory, WedProblem,
+                     comparison, fixed_point_solve, lattice_pair,
+                     lattice_value_audit, ordered_minimizers,
+                     ordering_margin, submodularity_check,
+                     wed_potential_value)
 from wedflow.comparison import _check_ordered_initials
 from wedflow.energies import energy1_value_grad, energy2_value_grad
 from wedflow.wed import continuation
@@ -38,12 +39,12 @@ def direct_potential_value(problem, traj):
         v1, _ = energy1_value_grad(problem.energy1, problem.grid,
                                    traj.values[n])
         v2, _ = energy2_value_grad(problem.energy2, problem.grid,
-                                   traj.values[n], n)
+                                   traj.values[n])
         knot = v1 - v2
-        if problem.reaction.kind == "constant_g":
-            g = np.asarray(problem.reaction.g, dtype=float)
-            gn = g[n] if g.ndim == 2 else g
-            knot -= hd * float(gn @ traj.values[n])
+        if problem.forcing is not None:
+            f = problem.forcing
+            fn = f[n] if f.ndim == 2 else f
+            knot -= hd * float(fn @ traj.values[n])
         val += b[n - 1] * knot
     return val
 
@@ -72,7 +73,7 @@ def test_potential_value_with_p3_and_fixed_source():
     problem = replace(
         base,
         dissipation=DissipationSpec(p=3.0),
-        reaction=ReactionSpec(kind="constant_g", g=rng.standard_normal(5)))
+        forcing=rng.standard_normal(5))
     traj = random_trajectory(problem, 5, rng)
     lib = wed_potential_value(problem, traj)
     ref = direct_potential_value(problem, traj)
@@ -85,7 +86,7 @@ def test_potential_value_rejects_two_species_source():
         grid=g,
         dissipation=DissipationSpec(p=2.0),
         energy1=EnergySpec(kind="lv_quadratic", D1=0.1, D2=0.1),
-        energy2=EnergySpec(kind="none"),
+        energy2=ConcaveSpec(),
         reaction=ReactionSpec(kind="lotka_volterra", A=1.0, K=2.0,
                               B=0.5, C=0.5, E=0.1),
         T=1.0, epsilon=0.2, initial=np.full(6, 0.5))
@@ -143,16 +144,15 @@ def test_submodularity_requires_ordered_initials():
 
 
 def knot_indexed_problem(N, kind, rng):
-    # phi2 forcing and the fixed source g are both tables over the knots
+    # the forcing is a table over the knots, the sum of two draws
     base = heat_problem(n=5, eps=0.25)
     energy1 = base.energy1 if kind == "m_laplace" \
         else EnergySpec(kind="fractional", s=0.5, gamma=0.5)
     return replace(
         base, energy1=energy1,
-        energy2=EnergySpec(kind="none", concave_q=3.0, concave_D=0.2,
-                           forcing=rng.standard_normal((N + 1, 5))),
-        reaction=ReactionSpec(kind="constant_g",
-                              g=rng.standard_normal((N + 1, 5))))
+        energy2=ConcaveSpec(concave_q=3.0, concave_D=0.2),
+        forcing=rng.standard_normal((N + 1, 5))
+        + rng.standard_normal((N + 1, 5)))
 
 
 @pytest.mark.parametrize("kind", ["m_laplace", "fractional"])

@@ -1,19 +1,25 @@
 """Dissipation and state-energy evaluations against finite differences
 and hand-computed small cases."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from wedflow import (ConfigurationError, DissipationSpec, EnergySpec, Field,
-                     ReactionSpec, build_grid, dissipation_eval,
-                     energy1_value_grad, energy2_value_grad, reaction_eval)
+from wedflow import (ConcaveSpec, ConfigurationError, DissipationSpec,
+                     EnergySpec, Field, ReactionSpec, Trajectory, build_grid,
+                     constant_trajectory, dissipation_eval, dual_field,
+                     energy1_value_grad, energy2_value_grad, reaction_eval,
+                     wed_potential_value)
 from wedflow.energies import (A_eval, alpha_eval,
                               alpha_prime, edge_differences, energy1_hessian,
                               energy1_modes,
                               fractional_seminorm, graph_laplacian,
                               grid_edges, lv_clamp, p_conjugate)
 
-from conftest import line_grid
+from wedflow.wed import _weights
+
+from conftest import heat_problem, line_grid
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -225,23 +231,26 @@ def test_energy_spec_validation():
     with pytest.raises(ConfigurationError):
         EnergySpec(kind="fractional", s=1.0)
     with pytest.raises(ConfigurationError):
-        EnergySpec(concave_q=1.0)
+        EnergySpec(kind="none")
+    with pytest.raises(ConfigurationError):
+        ConcaveSpec(concave_q=1.0)
 
 
 @pytest.mark.parametrize("name", ["gamma", "B", "C", "D1", "D2", "F1", "F2",
                                   "concave_D"])
 def test_energy_spec_rejects_negative_coefficients(name):
     g = line_grid(4)
+    spec = ConcaveSpec if name == "concave_D" else EnergySpec
     with pytest.raises(ConfigurationError, match=name):
-        EnergySpec(**{name: -1.0})
+        spec(**{name: -1.0})
     with pytest.raises(ConfigurationError, match=name):
-        EnergySpec(**{name: Field(g, np.array([1.0, 0.5, -1e-3, 2.0]))})
+        spec(**{name: Field(g, np.array([1.0, 0.5, -1e-3, 2.0]))})
     with pytest.raises(ConfigurationError, match=name):
-        EnergySpec(**{name: float("nan")})
+        spec(**{name: float("nan")})
     with pytest.raises(ConfigurationError, match=name):
-        EnergySpec(**{name: "abc"})
-    EnergySpec(**{name: 0.0})
-    EnergySpec(**{name: Field(g, np.array([1.0, 0.5, 0.0, 2.0]))})
+        spec(**{name: "abc"})
+    spec(**{name: 0.0})
+    spec(**{name: Field(g, np.array([1.0, 0.5, 0.0, 2.0]))})
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +259,7 @@ def test_energy_spec_rejects_negative_coefficients(name):
 
 def test_energy2_concave_gradient_fd():
     g = line_grid(5)
-    spec = EnergySpec(kind="none", concave_q=1.5, concave_D=0.8)
+    spec = ConcaveSpec(concave_q=1.5, concave_D=0.8)
     rng = np.random.default_rng(7)
     x = rng.normal(size=5) + 2.0  # stay away from the q<2 kink
 
@@ -263,21 +272,29 @@ def test_energy2_concave_gradient_fd():
 
 def test_energy2_subgradient_selection_at_zero():
     g = line_grid(4)
-    spec = EnergySpec(kind="none", concave_q=1.5, concave_D=1.0)
+    spec = ConcaveSpec(concave_q=1.5, concave_D=1.0)
     _, grad = energy2_value_grad(spec, g, np.zeros(4))
     assert np.array_equal(grad, np.zeros(4))
 
 
 def test_forcing_time_table():
-    g = line_grid(3)
+    # knot n reads row n of a forcing table: in the dual field, and in the
+    # pairing -h^d <f_n, u_n> of the potential value
     table = np.arange(12.0).reshape(4, 3)
-    spec = EnergySpec(kind="none", forcing=table)
-    v0, g0 = energy2_value_grad(spec, g, np.ones(3), n_slice=0)
-    v2, g2 = energy2_value_grad(spec, g, np.ones(3), n_slice=2)
-    hd = g.cell_measure
-    assert v0 == pytest.approx(hd * table[0].sum())
-    assert v2 == pytest.approx(hd * table[2].sum())
-    assert np.allclose(g2, hd * table[2])
+    plain = heat_problem(n=3, u0=np.ones(3))
+    problem = replace(plain, forcing=table)
+    traj = constant_trajectory(plain.grid, np.ones(3), plain.T, 3)
+    hd = plain.grid.cell_measure
+    w = dual_field(problem, traj)
+    assert np.allclose(w[0], table[0]) and np.allclose(w[2], table[2])
+    _, b = _weights(plain.epsilon, plain.T, 3)
+    pairing = wed_potential_value(plain, traj) \
+        - wed_potential_value(problem, traj)
+    assert pairing == pytest.approx(
+        sum(b[n - 1] * hd * table[n].sum() for n in (1, 2, 3)))
+    # one row is the source at every knot
+    w = dual_field(replace(problem, forcing=table[2]), traj)
+    assert np.allclose(w, np.tile(table[2], (4, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +328,6 @@ def test_lv_interior_formula():
     inter = u * v / (1.0 + 0.3 * v)
     assert fu[0] == pytest.approx(1.2 * u * (1.0 - u / 2.0) - 0.5 * inter)
     assert fv[0] == pytest.approx(0.4 * inter)
-
-
-def test_constant_g_time_indexed():
-    g_table = np.array([[1.0, 2.0], [3.0, 4.0]])
-    spec = ReactionSpec(kind="constant_g", g=g_table)
-    assert np.array_equal(reaction_eval(spec, np.zeros(2), 1), [3.0, 4.0])
 
 
 def test_reaction_validation():
@@ -357,15 +368,20 @@ def test_energy1_stack_is_the_rows_of_single_states(spec, ndof):
 
 
 def test_energy2_stack_reads_each_rows_slice():
+    # phi2 of a stack is that of each row, and the dual field of a
+    # trajectory adds each knot's own row of the forcing table
     g = line_grid(5)
     forcing = np.random.default_rng(7).normal(size=(3, 5))
-    spec = EnergySpec(kind="quadratic", gamma=0.0, concave_q=3.0,
-                      concave_D=0.4, forcing=forcing)
+    spec = ConcaveSpec(concave_q=3.0, concave_D=0.4)
     X = np.random.default_rng(8).normal(size=(3, 5))
-    vals, grads = energy2_value_grad(spec, g, X, np.arange(3))
+    vals, grads = energy2_value_grad(spec, g, X)
     for n, x in enumerate(X):
-        v, grad = energy2_value_grad(spec, g, x, n)
+        v, grad = energy2_value_grad(spec, g, x)
         assert vals[n] == v and np.array_equal(grads[n], grad)
+    problem = replace(heat_problem(n=5), energy2=spec, forcing=forcing,
+                      initial=X[0])
+    w = dual_field(problem, Trajectory(g, 1.0, X))
+    assert np.array_equal(w, grads / g.cell_measure + forcing)
 
 
 def test_grid_caches_are_keyed_by_grid_values(monkeypatch):

@@ -7,11 +7,11 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from wedflow import (ConfigurationError, DissipationSpec, EnergySpec,
-                     LagrangianProblem, ReactionSpec, RIProblem, Trajectory,
-                     WedProblem, WideWaveProblem, _newton, build_grid,
-                     constant_trajectory, minimize_wed, minimize_wed_ri,
-                     minimize_wide, rateind, wed, wide)
+from wedflow import (ConcaveSpec, ConfigurationError, DissipationSpec,
+                     EnergySpec, LagrangianProblem, ReactionSpec, RIProblem,
+                     Trajectory, WedProblem, WideWaveProblem, _newton,
+                     build_grid, constant_trajectory, minimize_wed,
+                     minimize_wed_ri, minimize_wide, rateind, wed, wide)
 from wedflow._newton import newton_solve
 from wedflow.cli import bundled_scenarios
 from wedflow.runner import Scenario
@@ -222,7 +222,7 @@ def rect_problem(boundary: str = "neumann", p: float = 2.0,
     return WedProblem(grid=g, dissipation=DissipationSpec(p=p),
                       energy1=EnergySpec(kind="m_laplace", m=3.0, B=1.0,
                                          C=0.5),
-                      energy2=EnergySpec(kind="none"),
+                      energy2=ConcaveSpec(),
                       reaction=ReactionSpec(), T=1.0, epsilon=0.2,
                       initial=u0)
 
@@ -338,7 +338,7 @@ def square_problem(boundary: str = "neumann", shape: tuple = (5, 4),
     return WedProblem(grid=g, dissipation=dissipation or DissipationSpec(),
                       energy1=energy or EnergySpec(kind="m_laplace", m=2.0,
                                                    B=1.0, C=0.0),
-                      energy2=EnergySpec(kind="none"),
+                      energy2=ConcaveSpec(),
                       reaction=ReactionSpec(), T=1.0, epsilon=eps,
                       initial=u0)
 
@@ -423,7 +423,7 @@ def ladder_problem(nodes: int = 32, eps: float = 0.2,
     return WedProblem(grid=g, dissipation=DissipationSpec(p=2.0),
                       energy1=EnergySpec(kind="m_laplace", m=m, B=1.0,
                                          C=0.0),
-                      energy2=EnergySpec(kind="none"),
+                      energy2=ConcaveSpec(),
                       reaction=ReactionSpec(), T=1.0, epsilon=eps,
                       initial=1.0 + 0.3 * np.cos(np.pi * x / x.max()))
 
@@ -962,7 +962,7 @@ def _wed_lane(energy: EnergySpec, p: float = 2.0, N: int = 5):
     n = 6
     n_dof = 2 * n if energy.kind == "lv_quadratic" else n
     problem = WedProblem(grid=line_grid(n), dissipation=DissipationSpec(p=p),
-                         energy1=energy, energy2=EnergySpec(kind="none"),
+                         energy1=energy, energy2=ConcaveSpec(),
                          reaction=ReactionSpec(), T=1.0, epsilon=0.2,
                          initial=1.0 + 0.3 * np.cos(np.linspace(0.0, 3.0,
                                                                 n_dof)))

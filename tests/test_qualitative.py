@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from wedflow import (ConfigurationError, EnergySpec, Field, RMap, Trajectory,
-                     apply_rmap, check_r1, check_r2, fixed_point_solve,
-                     invariance_residual, invariant_solve,
+from wedflow import (ConcaveSpec, ConfigurationError, EnergySpec, Field, RMap,
+                     Trajectory, apply_rmap, check_r1, check_r2,
+                     fixed_point_solve, invariance_residual, invariant_solve,
                      reflection_permutation)
 from dataclasses import replace
 
@@ -228,8 +228,7 @@ def test_check_r2_flags_asymmetric_forcing():
     g, u0 = symmetric_u0(9)
     f = np.zeros(9)
     f[0] = 0.9
-    problem = replace(heat_problem(n=9), initial=u0,
-                      energy2=EnergySpec(kind="none", forcing=f))
+    problem = replace(heat_problem(n=9), initial=u0, forcing=f)
     refl = RMap(kind="rigid", permutation=reflection_permutation(g))
     report = check_r2(refl, problem, samples=8)
     assert not report.passed
@@ -275,9 +274,7 @@ def test_invariant_solve_reflection_heat():
 def test_invariant_solve_truncation_keeps_nonneg():
     g, raw = symmetric_u0(9)
     u0 = np.maximum(raw - 1.0, 0.0)
-    problem = replace(heat_problem(n=9), initial=u0,
-                      energy2=EnergySpec(kind="none",
-                                         forcing=np.full(9, 0.3)))
+    problem = replace(heat_problem(n=9), initial=u0, forcing=np.full(9, 0.3))
     R = RMap(kind="truncate_lower", level=0.0)
     res = invariant_solve(problem, R, steps=16, schedule=(0.2, 0.1))
     assert not res.flagged
@@ -292,8 +289,7 @@ def test_invariant_solve_flags_incompatible_data():
     g, u0 = symmetric_u0(9)
     f = np.zeros(9)
     f[0] = 0.9
-    problem = replace(heat_problem(n=9), initial=u0,
-                      energy2=EnergySpec(kind="none", forcing=f))
+    problem = replace(heat_problem(n=9), initial=u0, forcing=f)
     refl = RMap(kind="rigid", permutation=reflection_permutation(g))
     res = invariant_solve(problem, refl, steps=8, schedule=(0.2,))
     assert res.flagged
@@ -310,9 +306,9 @@ def test_check_r2_pairing_covers_every_source_slice():
     def problem(source):
         return WedProblem(grid=g, dissipation=DissipationSpec(p=2.0),
                           energy1=EnergySpec(kind="m_laplace", m=2.0),
-                          energy2=EnergySpec(kind="none"),
-                          reaction=ReactionSpec(kind="constant_g", g=source),
-                          T=1.0, epsilon=0.2, initial=np.zeros(5))
+                          energy2=ConcaveSpec(), reaction=ReactionSpec(),
+                          T=1.0, epsilon=0.2, initial=np.zeros(5),
+                          forcing=source)
 
     R = RMap(kind="truncate_lower", level=0.0)
     indexed = check_r2(R, problem(table))
@@ -323,3 +319,6 @@ def test_check_r2_pairing_covers_every_source_slice():
     assert indexed.conditions["pairing_monotone"] \
         == constant.conditions["pairing_monotone"]
     assert not indexed.passed
+    # the compatibility check reads the one source field
+    for report in (indexed, constant):
+        assert "compat:lower cutoff needs nonnegative forcing" in report.notes

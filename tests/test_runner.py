@@ -149,14 +149,12 @@ def test_forcing_values():
 def test_spec_densities_take_the_forcing_shape_rule():
     # one row of n values or one per knot; steps = 4 gives 5 knots
     for g in ([1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]] * 5):
-        reaction = line_scenario(3, reaction={"kind": "constant_g",
-                                              "g": g}).problem.reaction
-        assert np.array_equal(reaction.g, np.array(g))
-        energy2 = line_scenario(3, energy2={"forcing": g}).problem.energy2
-        assert np.array_equal(energy2.forcing, np.array(g))
+        problem = line_scenario(3, forcing=g).problem
+        assert np.array_equal(problem.forcing, np.array(g))
     two = line_scenario(3, family="lotka_volterra", initial=[0.5] * 6,
-                        reaction={"kind": "constant_g", "g": [0.1] * 6})
-    assert two.problem.reaction.g.shape == (6,)
+                        reaction={"kind": "lotka_volterra"},
+                        forcing=[0.1] * 6)
+    assert two.problem.forcing.shape == (6,)
 
 
 def test_schedule_resolution():
@@ -718,6 +716,25 @@ def test_malformed_state_names_its_field(tmp_path, capsys, name, field,
     ("heat_relaxation", "reaction", {"kind": "constant_g", "g": 1.0}),
     ("heat_relaxation", "energy2", {"forcing": {"kind": "nodal",
                                                 "values": [1.0] * 16}}),
+    # fields of the other terms, and the source's other spellings: the
+    # fixed source is the top-level forcing, phi2 is energy2's two fields
+    ("heat_relaxation", "energy", {"kind": "m_laplace",
+                                   "forcing": [0.5] * 16}),
+    ("heat_relaxation", "energy", {"kind": "m_laplace", "concave_q": 3.0}),
+    ("heat_relaxation", "energy", {"kind": "none"}),
+    ("heat_relaxation", "energy2", {"gamma": 5.0}),
+    ("heat_relaxation", "energy2", {"forcing": [0.5] * 16}),
+    ("heat_relaxation", "reaction", {"kind": "constant_g",
+                                     "g": [0.5] * 16}),
+    # a field that only another kind reads
+    *[("heat_relaxation", "energy", {"kind": "m_laplace", key: value})
+      for key, value in (("gamma", 5.0), ("s", 0.3), ("D1", 3.0),
+                         ("exterior", False))],
+    ("heat_relaxation", "reaction", {"kind": "none", "A": 2.0}),
+    ("heat_relaxation", "reaction", {"E": 0.5}),
+    ("heat_relaxation", "dissipation", {"p": 2.0, "table_s": [0.0, 1.0]}),
+    ("heat_relaxation", "dissipation", {"alpha_kind": "power",
+                                        "table_alpha": [0.0, 1.0]}),
 ])
 def test_bad_field_is_named_before_any_solve(tmp_path, capsys, monkeypatch,
                                              name, field, value):
@@ -735,6 +752,73 @@ def test_bad_field_is_named_before_any_solve(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().out.startswith(
         f"configuration error: field '{field}'")
     assert not out.exists()
+
+
+# a valid value other than the base's of every field a WED spec takes
+NON_DEFAULT = {
+    "energy": {"gamma": 0.7, "m": 3.0, "B": 0.5, "C": 0.3, "s": 0.3,
+               "exterior": False, "D1": 0.5, "D2": 0.4, "F1": 0.3,
+               "F2": 0.2},
+    "dissipation": {"p": 3.0, "table_s": [-2.0, 3.0],
+                    "table_alpha": [-1.0, 2.0]},
+    "reaction": {"A": 2.0, "K": 1.5, "B": 0.3, "C": 0.2, "E": 0.5},
+    "energy2": {"concave_q": 1.5, "concave_D": 0.4},
+}
+
+
+def _wed_spec_fields():
+    """(family, key, base object, field) for every field the WED parse
+    takes, per kind; the base object selects the kind."""
+    two = {"family": "lotka_volterra",
+           "reaction": {"kind": "lotka_volterra"}}
+    for kind, names in runner._ENERGY_FIELDS.items():
+        family = two if kind == "lv_quadratic" else {}
+        yield from ((family, "energy", {"kind": kind}, f) for f in names)
+    table = {"alpha_kind": "table", "table_s": [-1.0, 1.0],
+             "table_alpha": [-1.0, 1.0]}
+    for kind, names in runner._DISSIPATION_FIELDS.items():
+        base = table if kind == "table" else {"alpha_kind": kind}
+        yield from (({}, "dissipation", base, f) for f in names)
+    # E divides the interaction term, which B and C scale
+    lv = {"kind": "lotka_volterra", "B": 0.5, "C": 0.4}
+    for kind, names in runner._REACTION_FIELDS.items():
+        base = lv if kind == "lotka_volterra" else {"kind": kind}
+        yield from ((two, "reaction", base, f) for f in names)
+    yield from (({}, "energy2", {"concave_q": 3.0}, f)
+                for f in runner._fields(wedflow.ConcaveSpec))
+
+
+def test_every_wed_spec_field_is_read(monkeypatch):
+    # one field set to a value other than the base's changes the
+    # functional, the dual field or (the table kind's p, the exponent of
+    # the norms) the strong residual on one fixed trajectory
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(wedflow.wed, "newton_solve", no_solve)
+
+    def outputs(fields):
+        problem = line_scenario(5, initial=0.5, **fields).problem
+        vals = 0.5 + np.random.default_rng(5).random((5, problem.n_dof))
+        vals[0] = problem.initial
+        traj = Trajectory(problem.grid, 1.0, vals, pinned_initial=vals[0],
+                          ncomp=problem.n_dof // 5)
+        w = wedflow.dual_field(problem, traj)
+        value, grad = wedflow.wed_value_grad(problem, w, traj)
+        return (value, grad, w,
+                wedflow.strong_solution_residual(traj, problem))
+
+    cases = list(_wed_spec_fields()) + [({}, "forcing", None, None)]
+    for family, key, base, field in cases:
+        before = outputs({**family, key: base})
+        value = 0.5 if key == "forcing" else NON_DEFAULT[key][field]
+        after = outputs({**family, key: value if base is None
+                         else {**base, field: value}})
+        assert any(not np.array_equal(x, y) for x, y in zip(before, after)), \
+            (key, base, field)
+    # 11 energy (gamma in two kinds), 4 dissipation (p in two kinds), 5
+    # reaction and 2 energy2 fields, and the forcing
+    assert len(cases) == 23
 
 
 JUNK = ("abc", None, [], {}, -1, float("nan"), [None], {"kind": "bogus"},

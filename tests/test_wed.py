@@ -1,11 +1,14 @@
 """Weighted trajectory functional: weights, minimizer against a dense
 linear-algebra oracle, fixed-point loop, continuation, residuals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from wedflow import (ConfigurationError, DissipationSpec, EnergySpec, Field,
-                     ReactionSpec, Trajectory, WedProblem,
+import wedflow
+from wedflow import (ConcaveSpec, ConfigurationError, DissipationSpec,
+                     EnergySpec, Field, ReactionSpec, Trajectory, WedProblem,
                      constant_trajectory, default_eps_schedule, dual_field,
                      eps_continuation, euler_lagrange_residual,
                      fixed_point_solve, minimize_wed, reference_solve,
@@ -47,7 +50,7 @@ def test_minimize_wed_matches_dense_solve():
     problem = WedProblem(grid=g, dissipation=DissipationSpec(p=2.0),
                          energy1=EnergySpec(kind="m_laplace", m=2.0, B=1.0,
                                             C=0.0),
-                         energy2=EnergySpec(kind="none"),
+                         energy2=ConcaveSpec(),
                          reaction=ReactionSpec(), T=T, epsilon=eps,
                          initial=np.array([1.0, 0.2, -0.4, 0.6]))
     rng = np.random.default_rng(8)
@@ -135,6 +138,21 @@ def test_dual_field_for_potential_problem_is_zero():
     assert np.array_equal(dual_field(problem, traj), np.zeros((5, 5)))
 
 
+@pytest.mark.parametrize("forcing", [
+    np.ones(5),            # values for 5 of the 8 nodes
+    np.ones((5, 8)),       # fewer rows than the 9 knots
+    np.ones((20, 8)),      # more rows than the 9 knots
+    np.full(8, np.nan),
+])
+def test_forcing_of_the_wrong_shape_is_named(monkeypatch, forcing):
+    # N = 8 on 8 nodes: the forcing needs 8 finite values, or 1 or 9 rows
+    # of them; the widths fail at construction, the rows at the first solve
+    monkeypatch.setattr(wedflow.wed, "newton_solve", None)
+    with pytest.raises(ConfigurationError, match="forcing") as info:
+        fixed_point_solve(replace(heat_problem(n=8), forcing=forcing), 8)
+    assert info.value.field == "forcing"
+
+
 def test_fixed_point_lv_smoke():
     g = line_grid(4, spacing=0.25)
     x = g.coords()[:, 0]
@@ -144,7 +162,7 @@ def test_fixed_point_lv_smoke():
         grid=g, dissipation=DissipationSpec(p=2.0),
         energy1=EnergySpec(kind="lv_quadratic", D1=0.05, D2=0.05,
                            F1=0.0, F2=0.0),
-        energy2=EnergySpec(kind="none"),
+        energy2=ConcaveSpec(),
         reaction=ReactionSpec(kind="lotka_volterra", A=1.0, K=2.0, B=0.5,
                               C=0.4, E=0.3),
         T=1.0, epsilon=0.2, initial=np.concatenate([u0, v0]))
@@ -209,7 +227,6 @@ def test_functional_value_is_the_running_sum_over_slices():
     """The whole-trajectory kernel adds the slice terms in time order, so
     the value keeps the rounding of a slice-by-slice running sum (the
     finite-difference checks of the verify suites amplify any change)."""
-    from dataclasses import replace
     from wedflow.energies import A_eval, energy1_value_grad
     problem = replace(heat_problem(n=7, eps=0.15, spacing=0.3),
                       dissipation=DissipationSpec(p=3.0),
