@@ -13,7 +13,8 @@ step as one row and, after a rejection, its next trials a/2, a/4, ... a
 few rows to a call (see newton_solve). Every gradient kernel acts row for
 row and the max-norm is exact, so each row carries the bits a call of its
 own would, and the accepted step, residual and iterate are those of the
-one-trial-at-a-time sweep.
+one-trial-at-a-time sweep. For the same reason a trial point bitwise
+equal to the iterate takes the iterate's gradient instead of a row.
 
 Front end. Every lane minimizes over whole trajectories U ((N+1, n_dof))
 whose first k rows are pinned (k = 2 in the inertial lane, else 1).
@@ -21,10 +22,12 @@ whose first k rows are pinned (k = 2 in the inertial lane, else 1).
 `with_pins`) and takes the solver as an argument, so each lane's calls go
 through its own module binding of `newton_solve`. `time_divergence` and
 `band_diagonals` are the backward-difference time coupling of the
-first-order lanes. Its Hessian comes in three forms: `time_band`, one
-sparse matrix, for lanes that couple dofs in space as well;
-`KnotTridiagonal`, one tridiagonal per dof column solved by LAPACK, for
-lanes that do not (the uncoupled rate-independent lane); and
+first-order lanes. Its Hessian comes in four forms: `time_band`, one
+sparse matrix, for the coupled rate-independent lane; the band filled
+into the CSC space-time Hessian of `energies.energy1_hessian`, for the
+parabolic lane; `KnotTridiagonal`, one tridiagonal per dof column solved
+by LAPACK, for lanes that do not couple dofs in space (the uncoupled
+rate-independent lane); and
 `FastDiagonalization`, the coupling plus a constant Kronecker-sum energy
 Hessian, whose per-mode tridiagonals are one `KnotTridiagonal`.
 """
@@ -66,6 +69,16 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
     sums each entry over the same terms in the same order whatever the
     number of rows; the max-norm of a row is exact; and the rows are
     tested in order, so the first to pass is the step the sweep accepts.
+    A trial point bitwise equal to x, a step below the iterate's ulp,
+    takes g and the current residual instead of a gradient row, in the
+    sweep and in the min_step fallback alike: by the same row-for-row
+    argument they are the bits its row would get. The stalled first
+    level of the benchmark's 512-node heat problem makes 4 gradient
+    calls instead of 44 this way.
+
+    A sparse Hessian arrives bitwise as the scipy chain that once
+    assembled it would build it (see energies.energy1_hessian), so its
+    LU, and every step, are those of that chain.
 
     The linear solver follows from the Hessian; a Hessian that is not a
     sparse matrix solves itself (`H.solve(rhs, mu)`) and raises
@@ -153,7 +166,8 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
             step = None
         if step is None:
             break
-        a, xnew, gnew, rnew = _backtrack(grad_fn, x, step, scale, res, sweep)
+        a, xnew, gnew, rnew = _backtrack(grad_fn, x, g, step, scale, res,
+                                         sweep)
         accepted = a is not None
         if not accepted:
             # take the smallest damped step anyway; progress may be below
@@ -161,8 +175,11 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
             # A NaN residual is no progress either.
             a = min_step
             xnew = x + a * step
-            gnew = grad_fn(xnew[None])[0]
-            rnew = float(np.max(np.abs(gnew / scale)))
+            if _same_bits(xnew[None], x)[0]:
+                gnew, rnew = g, res
+            else:
+                gnew = grad_fn(xnew[None])[0]
+                rnew = float(np.max(np.abs(gnew / scale)))
             if not rnew < res:
                 break
         x = xnew
@@ -182,20 +199,34 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
 _SWEEP_ELEMENTS = 2000
 
 
-def _backtrack(grad_fn, x: np.ndarray, step: np.ndarray, scale: np.ndarray,
-               res: float, sweep: tuple) -> tuple:
+def _backtrack(grad_fn, x: np.ndarray, g: np.ndarray, step: np.ndarray,
+               scale: np.ndarray, res: float, sweep: tuple) -> tuple:
     """The first of the sweep's steps a whose scaled residual at x + a step
     passes the sufficient decrease test, as (a, x + a step, its gradient,
-    its scaled residual); (None, ...) if none does. sweep holds the steps
-    a, their factors 1 - 1e-4 a and the rows per call after the first:
-    the full step is one gradient row, and the later trials go that many
-    rows to a call."""
+    its scaled residual); (None, ...) if none does. g and res are the
+    gradient and scaled residual at x. sweep holds the steps a, their
+    factors 1 - 1e-4 a and the rows per call after the first: the full
+    step is one gradient row, and the later trials go that many rows to a
+    call.
+
+    A trial point bitwise equal to x (a step below the iterate's ulp) takes
+    g and res instead of a gradient row: a row of a call carries the bits
+    of a call of its own, so they are the bits it would get. The test
+    compares the int64 views, so a trial that turns -0.0 into +0.0 is
+    evaluated."""
     trials, factors, batch = sweep
     lo, rows = 0, 1
     while lo < trials.size:
         A = trials[lo:lo + rows]
         X = x + A[:, None] * step
-        G = grad_fn(X)
+        same = _same_bits(X, x)
+        if same.any():
+            G = np.empty_like(X)
+            G[same] = g
+            if not same.all():
+                G[~same] = grad_fn(X[~same])
+        else:
+            G = grad_fn(X)
         R = np.abs(G / scale).max(axis=1)
         passed = R <= factors[lo:lo + rows] * res
         j = passed.argmax()
@@ -203,6 +234,12 @@ def _backtrack(grad_fn, x: np.ndarray, step: np.ndarray, scale: np.ndarray,
             return float(A[j]), X[j], G[j], float(R[j])
         lo, rows = lo + rows, batch
     return None, None, None, None
+
+
+def _same_bits(X: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Whether each row of the float stack X is bitwise x: int64 views, so
+    that -0.0 and +0.0 differ and a NaN equals its own bits."""
+    return (X.view(np.int64) == x.view(np.int64)).all(axis=1)
 
 
 def _shifted_solve(H, mu: float, rhs: np.ndarray, lu_options: dict,

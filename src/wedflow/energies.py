@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from ._newton import band_diagonals
 from .grids import ConfigurationError, Field, Grid
 
 
@@ -38,7 +39,11 @@ def p_conjugate(p: float) -> float:
 @dataclass(frozen=True)
 class DissipationSpec:
     """psi(v) = sum_i A(v_i) h^d with A(s) = integral of a nondecreasing
-    alpha from 0 to s. Power kind: alpha(s) = |s|^(p-2) s."""
+    alpha from 0 to s. Power kind: alpha(s) = |s|^(p-2) s. Table kind:
+    the piecewise-linear alpha through (table_s, table_alpha); p does not
+    enter alpha or A there, and sets only the exponent of the fixed-point
+    norm (wed._traj_norm) and of the strong residual (its conjugate in
+    wed.strong_solution_residual)."""
 
     p: float = 2.0
     alpha_kind: str = "power"
@@ -204,9 +209,9 @@ def graph_laplacian(grid: Grid, coeff: float = 1.0) -> Optional[sp.spmatrix]:
 
 
 def _edge_energy(grid: Grid, X: np.ndarray, B: np.ndarray, m: float):
-    """Per row of the state stack X: the value Sum_e B_i |d_e|^m h^d / m,
-    the gradient D^T f and the weights w of the Hessian D^T diag(w) D. The
-    nodal coefficient B is read at each edge's source node."""
+    """Per row of the state stack X: the value Sum_e B_i |d_e|^m h^d / m
+    and the gradient D^T f. The nodal coefficient B is read at each
+    edge's source node."""
     edges, D = _edge_operator(grid)
     src = edges[0]
     diffs, emeas = edge_differences(grid, X, edges)
@@ -215,16 +220,15 @@ def _edge_energy(grid: Grid, X: np.ndarray, B: np.ndarray, m: float):
     # d/dd of (1/m)|d|^m is |d|^{m-2} d; chain rule through d = D u
     force = Be * np.abs(diffs) ** (m - 2.0) * diffs * emeas
     grad = (D.T @ force.T).T
-    curv = Be * (m - 1.0) * np.abs(diffs) ** (m - 2.0) * emeas
-    return val, grad, curv
+    return val, grad
 
 
-def _edge_hessian(grid: Grid, curv: np.ndarray) -> sp.spmatrix:
-    """Block diagonal kron(I, D)^T diag(w) kron(I, D), one block per row of
-    the edge weights curv."""
-    D = _edge_operator(grid)[1]
-    Dk = sp.kron(sp.identity(curv.shape[0], format="csr"), D, format="csr")
-    return (Dk.T @ sp.diags(curv.ravel()) @ Dk).tocsr()
+def _edge_curvature(grid: Grid, X: np.ndarray, B: np.ndarray, m: float):
+    """Per row of the state stack X: the weights w of the edge energy's
+    Hessian D^T diag(w) D (see _edge_energy)."""
+    edges = _edge_operator(grid)[0]
+    diffs, emeas = edge_differences(grid, X, edges)
+    return B[..., edges[0]] * (m - 1.0) * np.abs(diffs) ** (m - 2.0) * emeas
 
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -482,7 +486,7 @@ def energy1_value_grad(spec: EnergySpec, grid: Grid,
         Y = x.reshape(-1, n)
         Dc = np.tile([spec.D1, spec.D2], x.shape[0])
         Fc = np.tile([spec.F1, spec.F2], x.shape[0])
-        ev, eg, _ = _edge_energy(grid, Y, np.ones(n), 2.0)
+        ev, eg = _edge_energy(grid, Y, np.ones(n), 2.0)
         a = Dc * ev
         b = 0.5 * Fc * hd * _rowdot(Y, Y)
         val = a[0::2] + b[0::2] + a[1::2] + b[1::2]
@@ -493,7 +497,7 @@ def energy1_value_grad(spec: EnergySpec, grid: Grid,
         B = _coef(spec.B, n)
         C = _coef(spec.C, n)
         m = spec.m
-        val, grad, _ = _edge_energy(grid, x, B, m)
+        val, grad = _edge_energy(grid, x, B, m)
         val = val + hd * np.sum(C * np.abs(x) ** m, axis=1) / m
         rob = _robin_diag(grid)
         val = val + 0.5 * np.sum(rob * x * x, axis=1)
@@ -502,34 +506,152 @@ def energy1_value_grad(spec: EnergySpec, grid: Grid,
     raise ConfigurationError(f"unhandled energy kind {spec.kind!r}")
 
 
-def energy1_hessian(spec: EnergySpec, grid: Grid, x: np.ndarray) -> sp.spmatrix:
-    """Exact Hessian of phi1 at x as a sparse (or dense-wrapped) matrix.
-    For a stack of states (one per row) it is the block diagonal of the
-    row Hessians, in the order of x.ravel()."""
+@_per_grid
+def _block_template(grid: Grid, coupling: str) -> tuple:
+    """The CSC pattern of one state's block of a phi1 Hessian over time
+    knots, and how its values add up from a row of terms.
+
+    Each column j holds, by ascending row, the coupling to dof j of the
+    previous knot, the block's own rows (always its diagonal) and the
+    coupling to dof j of the next knot. coupling names the block:
+    "edges", the edge energy D^T diag(w) D, whose terms are
+    t_e = (1/h)(w_e (1/h)) and then -t_e, added into each diagonal slot
+    (+t_e) and off-diagonal slot (-t_e) in ascending edge order, as the
+    sparse product adds them (an edge's difference row has -1/h and 1/h,
+    and a self-loop, a periodic axis of one node, a zero row); "dense",
+    a dense matrix, whose terms are its entries in column-major order;
+    "diagonal", the diagonal alone, with no terms.
+
+    Returns (indptr, rows, shift, diag, gather): rows is each slot's node
+    and shift its knot offset (-1, 0 or +1); diag is the slot of each
+    node's diagonal; gather ((rounds, slots)) is the term each slot adds
+    in each round, the index just past the terms (a trailing zero term)
+    once it has none left. Everything has the size of one state."""
+    n = grid.n_nodes
+    node = np.arange(n)
+    if coupling == "edges":
+        src, dst, _, phantom = _edge_operator(grid)[0]
+        edge = np.arange(src.size)
+        own = src != dst
+        pair = own & ~phantom
+        rows = np.concatenate([src[own], dst[pair], src[pair], dst[pair]])
+        cols = np.concatenate([src[own], dst[pair], dst[pair], src[pair]])
+        terms = np.concatenate([edge[own], edge[pair],
+                                src.size + edge[pair],
+                                src.size + edge[pair]])
+        edge = np.concatenate([edge[own], edge[pair], edge[pair],
+                               edge[pair]])
+        n_terms = 2 * src.size
+    elif coupling == "dense":
+        rows, cols = np.tile(node, n), np.repeat(node, n)
+        terms = edge = np.arange(n * n)
+        n_terms = n * n
+    else:
+        rows = cols = terms = edge = np.array([], dtype=int)
+        n_terms = 0
+    # the block's entries as column-major keys, each column framed by its
+    # two time slots: key i of column c sits at slot i + 2c + 1
+    keys = np.union1d(cols * n + rows, node * (n + 1))
+    size = keys.size + 2 * n
+    indptr = np.append(np.searchsorted(keys, node * n) + 2 * node, size)
+    shift = np.zeros(size, int)
+    shift[indptr[:-1]], shift[indptr[1:] - 1] = -1, 1
+    slot_rows = np.repeat(node, np.diff(indptr))
+    slot_rows[shift == 0] = keys % n
+    diag = np.searchsorted(keys, node * (n + 1)) + 2 * node + 1
+    slot = np.searchsorted(keys, cols * n + rows) + 2 * cols + 1
+    # the terms of each slot in ascending edge order, one per round
+    order = np.lexsort((edge, slot))
+    slot = slot[order]
+    rank = np.arange(slot.size) - np.searchsorted(slot, slot)
+    gather = np.full((rank.max(initial=-1) + 1, size), n_terms)
+    gather[rank, slot] = terms[order]
+    return indptr, slot_rows, shift, diag, gather
+
+
+def energy1_hessian(spec: EnergySpec, grid: Grid, x: np.ndarray,
+                    b: Optional[np.ndarray] = None,
+                    r: Optional[np.ndarray] = None) -> sp.csc_matrix:
+    """Exact Hessian of phi1 at x as one CSC matrix with sorted row
+    indices. For a stack of states X ((K, n_dof), one per time knot) it
+    is the Hessian of Sum_k b_k phi1(X_k) over x.ravel() (b = 1 unless
+    given), plus the time coupling band_diagonals(r) of a rate term with
+    curvature r ((K, n_dof)) when r is given: the space-time Hessian of
+    minimize_wed.
+
+    It is filled straight into CSC arrays from the grid's _block_template
+    (one state's pattern), tiled over the K knots by index arithmetic: a
+    call computes the edge curvatures and one data array. Each value comes
+    from the floating-point operations, in their order, of the sparse
+    chain b (kron(I, D)^T diag(w) kron(I, D) + diag(d)) + T: a diagonal
+    edge sum starts at 0.0 and adds its terms in ascending edge order, the
+    nodal diagonal d is added to it, the sum is scaled by b_k and the time
+    band T added last, ((E + d) b) + T, and entries that come out exactly
+    0 are dropped, as the sparse products and sums drop them. So the
+    matrix is bitwise the one that chain assembles, and so is its LU."""
     X = np.atleast_2d(x)
-    k, n_dof = X.shape
+    K, n_dof = X.shape
+    n = grid.n_nodes
     hd = grid.cell_measure
+    diagonal = None
     if spec.kind == "quadratic":
-        return sp.identity(k * n_dof, format="csr") * (spec.gamma * hd)
-    if spec.kind == "fractional":
+        template = _block_template(grid, "diagonal")
+        terms = None  # the template adds no terms
+        diagonal = spec.gamma * hd
+    elif spec.kind == "fractional":
+        template = _block_template(grid, "dense")
         Q = _fractional_matrix(grid, spec.s, spec.exterior)
-        return sp.kron(sp.identity(k, format="csr"),
-                       sp.csr_matrix(Q + spec.gamma * hd * np.eye(n_dof)),
-                       format="csr")
-    if spec.kind == "lv_quadratic":
-        n = grid.n_nodes
-        _, _, curv = _edge_energy(grid, X.reshape(-1, n), np.tile(
-            [[spec.D1], [spec.D2]], (k, n)), 2.0)
-        return (_edge_hessian(grid, curv) + sp.diags(np.repeat(
-            np.tile([spec.F1, spec.F2], k) * hd, n))).tocsr()
-    if spec.kind == "m_laplace":
-        B = _coef(spec.B, grid.n_nodes)
-        C = _coef(spec.C, grid.n_nodes)
-        _, _, curv = _edge_energy(grid, X, B, spec.m)
-        diag = hd * C * (spec.m - 1.0) * np.abs(X) ** (spec.m - 2.0) \
-            + _robin_diag(grid)
-        return (_edge_hessian(grid, curv) + sp.diags(diag.ravel())).tocsr()
-    raise ConfigurationError(f"unhandled energy kind {spec.kind!r}")
+        terms = np.append(np.ravel(Q + spec.gamma * hd * np.eye(n), "F"),
+                          0.0)[None]
+    elif spec.kind in ("m_laplace", "lv_quadratic"):
+        template = _block_template(grid, "edges")
+        if spec.kind == "m_laplace":
+            B = _coef(spec.B, n)
+            C = _coef(spec.C, n)
+            curv = _edge_curvature(grid, X, B, spec.m)
+            diagonal = hd * C * (spec.m - 1.0) \
+                * np.abs(X) ** (spec.m - 2.0) + _robin_diag(grid)
+        else:
+            # rows u_1, v_1, u_2, v_2, ...: each species a block of its own
+            curv = _edge_curvature(grid, X.reshape(-1, n), np.tile(
+                [[spec.D1], [spec.D2]], (K, n)), 2.0)
+            diagonal = (np.tile([spec.F1, spec.F2], K) * hd)[:, None]
+        inv = 1.0 / _edge_operator(grid)[0][2]
+        t = inv * (curv * inv)
+        terms = np.concatenate([t, -t, np.zeros((t.shape[0], 1))], axis=1)
+    else:
+        raise ConfigurationError(f"unhandled energy kind {spec.kind!r}")
+    indptr, rows, shift, diag, gather = template
+    blocks = K * (n_dof // n)
+    V = np.zeros((blocks, rows.size))
+    for g in gather:
+        V += np.take(terms, g, axis=1)
+    if diagonal is not None:
+        V[:, diag] += diagonal
+    if b is not None:
+        V *= np.repeat(b, n_dof // n)[:, None]
+    if r is not None:
+        tdiag, toff = band_diagonals(r)
+        V[:, diag] += tdiag.reshape(blocks, n)
+        zero = np.zeros((1, n_dof))
+        V[:, indptr[:-1]] = np.concatenate([zero, toff]).reshape(blocks, n)
+        V[:, indptr[1:] - 1] = np.concatenate([toff, zero]).reshape(blocks,
+                                                                    n)
+    # tile the one-state pattern over the blocks and drop exact zeros,
+    # among them the time slots of the first and last knot
+    data = V.ravel()
+    keep = data != 0.0
+    idx = np.int32 if data.size <= np.iinfo(np.int32).max else np.int64
+    starts = (np.arange(blocks, dtype=idx)[:, None] * rows.size
+              + indptr[:-1].astype(idx)).ravel()
+    dropped = np.bincount(np.searchsorted(starts, np.flatnonzero(~keep),
+                                          "right") - 1, minlength=starts.size)
+    indices = np.arange(0, blocks * n, n, dtype=idx)[:, None] \
+        + (rows + shift * n_dof).astype(idx)
+    return sp.csc_matrix(
+        (data[keep], indices.ravel()[keep], np.append(starts, data.size)
+         - np.append(0, np.cumsum(dropped)).astype(idx)),
+        shape=(blocks * n,) * 2)
 
 
 @_rows

@@ -25,7 +25,13 @@ the axes of a 2D grid (energies.energy1_modes), minimize_wed never
 assembles it: every step is a space-time fast diagonalization
 (_newton.FastDiagonalization). Every other problem assembles the sparse
 Hessian and factors it (see _newton.newton_solve for which factorization
-and why 1D grids keep SuperLU's defaults).
+and why 1D grids keep SuperLU's defaults). The assembly fills CSC arrays
+from a one-knot template cached per grid (energies.energy1_hessian) with
+the floating-point operations, in their order, of the scipy chain
+b (kron(I, D)^T diag(w) kron(I, D) + diag(d)) + T it replaced, so every
+Hessian, LU and step is bitwise that chain's. The line search takes the
+iterate's gradient at trial points bitwise equal to it (see
+_newton.newton_solve), which moves no bit either.
 """
 
 from __future__ import annotations
@@ -34,10 +40,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._newton import (FastDiagonalization, newton_solve, pinned_solve,
-                      time_band, time_divergence)
+                      time_divergence)
 from .energies import (ConcaveSpec, DissipationSpec, EnergySpec,
                        ReactionSpec, A_eval, _rowdot, _sequential_sum,
                        alpha_eval, alpha_prime, energy1_hessian,
@@ -72,7 +77,7 @@ class WedProblem:
     def __post_init__(self):
         if not 0.0 < self.epsilon < self.T:
             raise ConfigurationError("need 0 < epsilon < T", "epsilon")
-        init = np.asarray(self.initial, dtype=float).ravel()
+        init = _float_array(self.initial, "initial").ravel()
         if not np.all(np.isfinite(init)):
             raise ConfigurationError("initial state must be finite", "initial")
         two = self.energy1.kind == "lv_quadratic"
@@ -87,7 +92,7 @@ class WedProblem:
                 "initial")
         object.__setattr__(self, "initial", init)
         if self.forcing is not None:
-            f = np.asarray(self.forcing, dtype=float)
+            f = _float_array(self.forcing, "forcing")
             if f.ndim not in (1, 2) or f.shape[-1] != expect \
                     or not np.all(np.isfinite(f)):
                 raise ConfigurationError(
@@ -98,6 +103,16 @@ class WedProblem:
     @property
     def n_dof(self) -> int:
         return self.initial.size
+
+
+def _float_array(value, field: str) -> np.ndarray:
+    """value as a float array; ConfigurationError naming field if it is
+    ragged or not numeric."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"{field} must be a numeric array, not ragged", field) from None
 
 
 @dataclass
@@ -229,7 +244,8 @@ def minimize_wed(problem: WedProblem, w, init: Trajectory,
     pinned at problem.initial. Newton with the exact Hessian, globalized
     by scaled-residual backtracking; termination on the row-scaled gradient
     max-norm (rows weighted by b_n so the tolerance is uniform in time).
-    The Hessian is assembled and factored by a sparse LU, except where
+    The Hessian is filled into CSC arrays by energy1_hessian (b_k per
+    knot and the time band) and factored by a sparse LU, except where
     _fast_modes applies: then each Newton step is a space-time fast
     diagonalization and no Hessian is assembled."""
     if init.pinned_initial is None or not np.array_equal(
@@ -240,7 +256,6 @@ def minimize_wed(problem: WedProblem, w, init: Trajectory,
     dt = problem.T / N
     hd = problem.grid.cell_measure
     a, b = _weights(problem.epsilon, problem.T, N)
-    row_b = sp.diags(np.repeat(b, problem.n_dof))
     modes = _fast_modes(problem)
     fast = None if modes is None else FastDiagonalization(
         b, a * (hd / dt ** 2), modes)
@@ -250,8 +265,7 @@ def minimize_wed(problem: WedProblem, w, init: Trajectory,
             return fast
         r = a[:, None] * (alpha_prime(problem.dissipation,
                                       np.diff(U, axis=0) / dt) * hd / dt ** 2)
-        Hphi = energy1_hessian(problem.energy1, problem.grid, U[1:])
-        return (row_b @ Hphi + time_band(r)).tocsc()
+        return energy1_hessian(problem.energy1, problem.grid, U[1:], b, r)
 
     U, res, iters, conv = pinned_solve(
         newton_solve, problem.initial[None], N, init.values,

@@ -26,23 +26,56 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 def count_newton(monkeypatch, module) -> dict:
     """Patch module.newton_solve to count its solves, Newton iterations,
-    gradient calls (`grads`) and the trial rows those calls evaluate
-    (`rows`); returns the live counts."""
-    counts = dict(solves=0, iterations=0, grads=0, rows=0)
+    gradient calls (`grads`), the trial rows those calls evaluate (`rows`)
+    and the rows among them bitwise equal to the iterate (`repeats`, see
+    watch_repeats); returns the live counts."""
+    counts = dict(solves=0, iterations=0, grads=0, rows=0, repeats=0)
     real = module.newton_solve
 
     def counted(x0, grad_fn, hess_fn, scale, **options):
-        def grad(X):
-            counts["grads"] += 1
-            counts["rows"] += X.shape[0]
-            return grad_fn(X)
-        out = real(x0, grad, hess_fn, scale, **options)
+        out = real(x0, *watch_repeats(grad_fn, hess_fn, counts), scale,
+                   **options)
         counts["solves"] += 1
         counts["iterations"] += out[2]
         return out
 
     monkeypatch.setattr(module, "newton_solve", counted)
     return counts
+
+
+def watch_repeats(grad_fn, hess_fn, counts: dict) -> tuple:
+    """Newton callbacks that add to counts: `grads` and `rows` per gradient
+    call, and `repeats`, the rows bitwise equal (int64 views, so -0.0 is
+    not +0.0) to the iterate, the point of the last Hessian call."""
+    iterate = []
+
+    def grad(X):
+        counts["grads"] += 1
+        counts["rows"] += X.shape[0]
+        if iterate:
+            counts["repeats"] += int(np.sum(np.all(
+                X.view(np.int64) == iterate[0].view(np.int64), axis=1)))
+        return grad_fn(X)
+
+    def hess(x):
+        iterate[:] = [x.copy()]
+        return hess_fn(x)
+
+    return grad, hess
+
+
+def assert_same_csc(A, B) -> None:
+    """A and B are the same CSC matrix bit for bit: column pointers, row
+    indices and their dtype, the bytes of the values, and sorted row
+    indices in both."""
+    assert A.format == B.format == "csc" and A.shape == B.shape
+    assert A.indptr.dtype == B.indptr.dtype
+    assert A.indices.dtype == B.indices.dtype
+    assert A.has_sorted_indices and B.has_sorted_indices
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    assert A.data.dtype == B.data.dtype
+    assert A.data.tobytes() == B.data.tobytes()
 
 
 def line_grid(n: int, boundary: str = "neumann", spacing: float = None):

@@ -1,10 +1,12 @@
 """Dissipation and state-energy evaluations against finite differences
 and hand-computed small cases."""
 
+import contextlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from wedflow import (ConcaveSpec, ConfigurationError, DissipationSpec,
                      EnergySpec, Field, ReactionSpec, Trajectory, build_grid,
@@ -17,9 +19,14 @@ from wedflow.energies import (A_eval, alpha_eval,
                               fractional_seminorm, graph_laplacian,
                               grid_edges, lv_clamp, p_conjugate)
 
+from wedflow import WedProblem, minimize_wed, wed
+from wedflow._newton import time_band
+from wedflow.energies import _coef, _edge_operator, _fractional_matrix, \
+    _robin_diag
+from wedflow.grids import Grid
 from wedflow.wed import _weights
 
-from conftest import heat_problem, line_grid
+from conftest import assert_same_csc, heat_problem, line_grid, point_grid
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -460,3 +467,163 @@ def test_energy1_modes_diagonalize_the_assembled_hessian(grid, spec):
 ])
 def test_energy1_modes_only_for_kronecker_sums(grid, spec):
     assert energy1_modes(spec, grid) is None
+
+
+# ---------------------------------------------------------------------------
+# the space-time Hessian of minimize_wed against the sparse chain
+# ---------------------------------------------------------------------------
+
+def _chain_edge_hessian(grid, curv):
+    D = _edge_operator(grid)[1]
+    Dk = sp.kron(sp.identity(curv.shape[0], format="csr"), D, format="csr")
+    return (Dk.T @ sp.diags(curv.ravel()) @ Dk).tocsr()
+
+
+def _chain_curvature(grid, X, B, m):
+    edges = _edge_operator(grid)[0]
+    diffs, emeas = edge_differences(grid, X, edges)
+    Be = B[..., edges[0]]
+    return Be * (m - 1.0) * np.abs(diffs) ** (m - 2.0) * emeas
+
+
+def _chain_energy1_hessian(spec, grid, x):
+    X = np.atleast_2d(x)
+    k, n_dof = X.shape
+    hd = grid.cell_measure
+    if spec.kind == "quadratic":
+        return sp.identity(k * n_dof, format="csr") * (spec.gamma * hd)
+    if spec.kind == "fractional":
+        Q = _fractional_matrix(grid, spec.s, spec.exterior)
+        return sp.kron(sp.identity(k, format="csr"),
+                       sp.csr_matrix(Q + spec.gamma * hd * np.eye(n_dof)),
+                       format="csr")
+    if spec.kind == "lv_quadratic":
+        n = grid.n_nodes
+        curv = _chain_curvature(grid, X.reshape(-1, n), np.tile(
+            [[spec.D1], [spec.D2]], (k, n)), 2.0)
+        return (_chain_edge_hessian(grid, curv) + sp.diags(np.repeat(
+            np.tile([spec.F1, spec.F2], k) * hd, n))).tocsr()
+    B = _coef(spec.B, grid.n_nodes)
+    C = _coef(spec.C, grid.n_nodes)
+    curv = _chain_curvature(grid, X, B, spec.m)
+    diag = hd * C * (spec.m - 1.0) * np.abs(X) ** (spec.m - 2.0) \
+        + _robin_diag(grid)
+    return (_chain_edge_hessian(grid, curv) + sp.diags(diag.ravel())).tocsr()
+
+
+def _chain_hessian(problem, U):
+    """The space-time Hessian as minimize_wed assembled it with scipy's
+    sparse products and sums, kept as the bitwise reference."""
+    N = U.shape[0] - 1
+    dt = problem.T / N
+    hd = problem.grid.cell_measure
+    a, b = _weights(problem.epsilon, problem.T, N)
+    row_b = sp.diags(np.repeat(b, problem.n_dof))
+    r = a[:, None] * (alpha_prime(problem.dissipation,
+                                  np.diff(U, axis=0) / dt) * hd / dt ** 2)
+    Hphi = _chain_energy1_hessian(problem.energy1, problem.grid, U[1:])
+    return (row_b @ Hphi + time_band(r)).tocsc()
+
+
+HESSIAN_GRIDS = {
+    "line-neumann": line_grid(6),
+    "line-dirichlet": line_grid(6, "dirichlet"),
+    "line-robin": build_grid(dim=1, shape=(6,), spacing=(0.2,),
+                             boundary="robin", robin_b=0.7),
+    "ring-1": Grid(1, (1,), (0.5,), "periodic", "torus"),
+    "ring-2": Grid(1, (2,), (0.5,), "periodic", "torus"),
+    "point": point_grid(),
+    "rect-neumann": build_grid(dim=2, shape=(4, 3), spacing=(0.25, 0.4),
+                               boundary="neumann", domain_kind="rectangle"),
+    "rect-dirichlet": build_grid(dim=2, shape=(3, 4), spacing=(0.3, 0.2),
+                                 boundary="dirichlet",
+                                 domain_kind="rectangle"),
+    "rect-robin": build_grid(dim=2, shape=(3, 3), spacing=(0.3, 0.3),
+                             boundary="robin", domain_kind="rectangle",
+                             robin_b=1.0),
+    "torus-1x3": Grid(2, (1, 3), (0.5, 0.3), "periodic", "torus"),
+    "torus-2x3": Grid(2, (2, 3), (0.5, 0.3), "periodic", "torus"),
+}
+
+
+def _hessian_energy(kind: str, n: int) -> EnergySpec:
+    return {
+        "m2": EnergySpec(kind="m_laplace", m=2.0, B=1.0, C=0.0),
+        "m3": EnergySpec(kind="m_laplace", m=3.0, B=1.0, C=0.5),
+        "nodal": EnergySpec(kind="m_laplace", m=3.0,
+                            B=np.linspace(0.5, 1.5, n),
+                            C=np.linspace(0.0, 1.0, n)),
+        "lv_quadratic": EnergySpec(kind="lv_quadratic", D1=1.0, D2=0.5,
+                                   F1=0.3, F2=0.2),
+        "fractional": EnergySpec(kind="fractional", s=0.4, gamma=0.5),
+        "quadratic": EnergySpec(kind="quadratic", gamma=1.3),
+    }[kind]
+
+
+HESSIAN_DISSIPATIONS = {
+    "p2": DissipationSpec(),
+    "p4-rest": DissipationSpec(p=4.0),
+    "table": DissipationSpec(p=2.0, alpha_kind="table",
+                             table_s=np.array([-1.0, 0.0, 1.0]),
+                             table_alpha=np.array([-2.0, 0.0, 1.0])),
+}
+
+
+@pytest.mark.parametrize("dissipation", sorted(HESSIAN_DISSIPATIONS))
+@pytest.mark.parametrize("energy", ["m2", "m3", "nodal", "lv_quadratic",
+                                    "fractional", "quadratic"])
+@pytest.mark.parametrize("grid", sorted(HESSIAN_GRIDS))
+def test_wed_hessians_are_bitwise_the_sparse_chain(monkeypatch, grid, energy,
+                                                   dissipation):
+    grid = HESSIAN_GRIDS[grid]
+    n = grid.n_nodes
+    spec = _hessian_energy(energy, n)
+    n_dof = 2 * n if spec.kind == "lv_quadratic" else n
+    N = 3
+    rng = np.random.default_rng(2)
+    # states constant along the last axis in 2D, and on pairs of nodes in
+    # 1D, so that m = 3 drops the zero-curvature edges there
+    reps = grid.shape[-1] if grid.dim == 2 else 2 - n % 2
+
+    def pieces(*shape):
+        return np.tile(np.repeat(rng.standard_normal((*shape, n // reps)),
+                                 reps, axis=-1), n_dof // n)
+
+    u0 = 1.0 + 0.3 * pieces()
+    problem = WedProblem(grid=grid,
+                         dissipation=HESSIAN_DISSIPATIONS[dissipation],
+                         energy1=spec, energy2=ConcaveSpec(),
+                         reaction=ReactionSpec(), T=1.0, epsilon=0.2,
+                         initial=u0)
+    start = np.tile(u0, (N + 1, 1))
+    w = np.tile(u0, (N + 1, 1))
+    if dissipation != "p4-rest":
+        # from a start that moves, with a field that keeps it moving
+        start[1:] += 0.1 * pieces(N)
+        w += pieces(N + 1)
+    seen = []
+    real = wed.newton_solve
+
+    def compare(x0, grad_fn, hess_fn, scale, **options):
+        def hess(x):
+            H = hess_fn(x)
+            assert_same_csc(H, _chain_hessian(
+                problem, np.vstack([problem.initial, x.reshape(N, n_dof)])))
+            seen.append(H)
+            return H
+        return real(x0, grad_fn, hess, scale, **options)
+
+    monkeypatch.setattr(wed, "newton_solve", compare)
+    monkeypatch.setattr(wed, "_fast_modes", lambda problem: None)
+    # at rest, a zero energy Hessian (one node, C = 0) leaves H = 0: the
+    # Levenberg shift starts at 1e-300 and the trial points overflow
+    with np.errstate(over="ignore", invalid="ignore") \
+            if dissipation == "p4-rest" else contextlib.nullcontext():
+        minimize_wed(problem, w, Trajectory(grid, problem.T, start,
+                                            pinned_initial=problem.initial,
+                                            ncomp=n_dof // n), max_iter=4)
+    assert seen
+    if dissipation == "p4-rest":
+        # at rest the time band vanishes: each knot is its own block
+        H = seen[0].tocoo()
+        assert np.all(H.row // n_dof == H.col // n_dof)

@@ -16,7 +16,8 @@ from wedflow._newton import newton_solve
 from wedflow.cli import bundled_scenarios
 from wedflow.runner import Scenario
 
-from conftest import heat_problem, line_grid, point_grid
+from conftest import (count_newton, heat_problem, line_grid, point_grid,
+                      watch_repeats)
 
 
 def test_full_step_solve_reuses_the_line_search_gradient():
@@ -1097,3 +1098,50 @@ def test_1d_ladder_heat_evaluates_one_row_per_gradient_call(monkeypatch):
     wed.eps_continuation(problem, [0.2, 0.1, 0.05], 64)
     assert len(rows) > 3
     assert all(shape == (1, 512 * 64) for shape in rows)
+
+
+def test_stalled_sweep_reuses_the_iterate_gradient(monkeypatch):
+    # the benchmark ladder's 1D problem at eps = 0.2: a late Newton step
+    # is below the iterate's ulp, so its trial points are bitwise the
+    # iterate; they take its gradient, and the result is still bitwise
+    # the sequential sweep's
+    problem = heat_problem(n=512, spacing=1.0 / 512)
+    counts = count_newton(monkeypatch, wed)
+    stalled = dict(grads=0, rows=0, repeats=0)
+    real = wed.newton_solve
+    results = []
+
+    def both(x0, grad_fn, hess_fn, scale, **options):
+        got = real(x0, grad_fn, hess_fn, scale, **options)
+        results.append((got, _sequential_newton(
+            x0, *watch_repeats(grad_fn, hess_fn, stalled), scale,
+            **options)))
+        return got
+
+    monkeypatch.setattr(wed, "newton_solve", both)
+    wed.eps_continuation(problem, [0.2], 64)
+    assert len(results) == 1
+    (x, res, iters, conv), (rx, rres, riters, rconv) = results[0]
+    assert np.array_equal(x, rx)
+    assert res == rres and iters == riters and conv == rconv
+    assert stalled["repeats"] > 0
+    assert counts["repeats"] == 0
+    assert counts["grads"] == stalled["grads"] - stalled["repeats"]
+
+
+def test_trial_equal_to_the_iterate_but_for_a_zero_sign_is_evaluated():
+    calls = []
+
+    def grad_fn(X):
+        calls.append(X.copy())
+        return X - 1.0
+
+    sweep = (np.array([1.0]), np.array([1.0 - 1e-4]), 1)
+    step = np.zeros(2)
+    for x in (np.array([0.0, 2.0]), np.array([-0.0, 2.0])):
+        g = x - 1.0
+        _newton._backtrack(grad_fn, x, g, step, np.ones(2),
+                           float(np.max(np.abs(g))), sweep)
+    # +0.0 + 0.0 is the iterate's bits, -0.0 + 0.0 = +0.0 is not
+    assert len(calls) == 1
+    assert calls[0].shape == (1, 2) and not np.signbit(calls[0][0, 0])

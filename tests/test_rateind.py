@@ -337,7 +337,7 @@ def test_ramp_scenario_newton_work_is_unchanged(tmp_path, monkeypatch):
     raw["output_dir"] = str(tmp_path / "out")
     assert run(Scenario.from_dict(raw)) == 0
     assert counts == dict(solves=60, iterations=1047, grads=1857,
-                          rows=8607)
+                          rows=8607, repeats=0)
 
 
 def test_energetic_suite_newton_work(monkeypatch):
@@ -345,7 +345,7 @@ def test_energetic_suite_newton_work(monkeypatch):
     counts = count_newton(monkeypatch, rateind)
     assert verify("energetic")["passed"]
     assert counts == dict(solves=60, iterations=1047, grads=1857,
-                          rows=8607)
+                          rows=8607, repeats=0)
 
 
 def test_minimize_wed_ri_rejects_init_with_wrong_knot_count():

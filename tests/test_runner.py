@@ -880,7 +880,8 @@ def test_heat_relaxation_newton_work(tmp_path, monkeypatch):
     # member; the pair's u member reuses the main continuation
     counts = count_newton(monkeypatch, wedflow.wed)
     assert run(_bundled("heat_relaxation", tmp_path / "out")) == 0
-    assert counts == dict(solves=8, iterations=8, grads=16, rows=16)
+    assert counts == dict(solves=8, iterations=8, grads=16, rows=16,
+                          repeats=0)
 
 
 def test_bad_compose_part_is_named_once():

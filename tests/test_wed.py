@@ -153,6 +153,13 @@ def test_forcing_of_the_wrong_shape_is_named(monkeypatch, forcing):
     assert info.value.field == "forcing"
 
 
+@pytest.mark.parametrize("field", ["initial", "forcing"])
+def test_ragged_initial_or_forcing_is_named(field):
+    with pytest.raises(ConfigurationError, match=field) as info:
+        replace(heat_problem(n=3), **{field: [[1.0], [1.0, 2.0]]})
+    assert info.value.field == field
+
+
 def test_fixed_point_lv_smoke():
     g = line_grid(4, spacing=0.25)
     x = g.coords()[:, 0]
