@@ -44,7 +44,7 @@ from .grids import ConfigurationError
 
 def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
                  tol: float = 1e-10, max_iter: int = 100,
-                 min_step: float = 1e-12, symmetric: bool = False):
+                 symmetric: bool = False):
     """Minimize a smooth convex objective given by its gradient and Hessian
     callbacks. Returns (x, scaled_residual, iterations, converged).
 
@@ -54,7 +54,7 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
     weights for the residual norm. A Levenberg shift mu, raised only when a
     solve fails or is not finite, is added to the Hessian's diagonal.
 
-    The line search backtracks a = 1, 1/2, 1/4, ... down to min_step and
+    The line search backtracks a = 1, 1/2, 1/4, ... down to _MIN_STEP and
     takes the first step whose scaled residual falls below
     (1 - 1e-4 a) times the current one. The full step is one gradient
     row, so an iteration that accepts it makes one one-row call. After a
@@ -71,7 +71,7 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
     tested in order, so the first to pass is the step the sweep accepts.
     A trial point bitwise equal to x, a step below the iterate's ulp,
     takes g and the current residual instead of a gradient row, in the
-    sweep and in the min_step fallback alike: by the same row-for-row
+    sweep and in the _MIN_STEP fallback alike: by the same row-for-row
     argument they are the bits its row would get. The stalled first
     level of the benchmark's 512-node heat problem makes 4 gradient
     calls instead of 44 this way.
@@ -142,11 +142,11 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
     it = 0
     mu = 0.0  # Levenberg shift, raised only on factorization trouble
     lus = {}  # block bytes -> LU, see _shifted_solve
-    # the sweep's steps 1, 1/2, 1/4, ... down to min_step, their sufficient
+    # the sweep's steps 1, 1/2, 1/4, ... down to _MIN_STEP, their sufficient
     # decrease factors, and the trial rows per call after the full step
     trials = []
     a = 1.0
-    while a >= min_step:
+    while a >= _MIN_STEP:
         trials.append(a)
         a *= 0.5
     trials = np.array(trials)
@@ -173,7 +173,7 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
             # take the smallest damped step anyway; progress may be below
             # the acceptance threshold but the iteration must not cycle.
             # A NaN residual is no progress either.
-            a = min_step
+            a = _MIN_STEP
             xnew = x + a * step
             if _same_bits(xnew[None], x)[0]:
                 gnew, rnew = g, res
@@ -197,6 +197,10 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
 # rows at 200 unknowns, and a problem of more than 1,000 unknowns keeps
 # one row per call.
 _SWEEP_ELEMENTS = 2000
+
+# The smallest backtracking step, taken anyway when no step of the sweep
+# passes the sufficient decrease test.
+_MIN_STEP = 1e-12
 
 
 def _backtrack(grad_fn, x: np.ndarray, g: np.ndarray, step: np.ndarray,

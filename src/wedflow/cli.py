@@ -14,20 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
-from .runner import SUITES, Scenario, ScenarioError, run, verify
-
-
-def bundled_scenarios() -> dict:
-    """Name -> text of every scenario JSON shipped with the package."""
-    out = {}
-    root = resources.files(__package__) / "scenarios"
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            out[entry.name[:-5]] = entry.read_text()
-    return out
+from .runner import (SUITES, Scenario, ScenarioError, bundled_scenarios, run,
+                     verify)
 
 
 def _resolve(arg: str) -> str | Scenario:

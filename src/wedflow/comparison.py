@@ -11,15 +11,14 @@ u(t) <= v(t) everywhere.
 The u member of an ordered pair is the problem's own continuation as long
 as the pair stays ordered, so a caller that has already solved that
 continuation may hand its levels over. A level is reused only when its
-solve would repeat bit for bit: same weight, u0 bitwise the problem's
-initial state, and a warm start bitwise the reused previous level. Any
-other level is solved as before.
+solve would repeat bit for bit: same weight and knot count, u0 bitwise
+the problem's initial state, and a warm start bitwise the reused previous
+level. Any other level is solved as before.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -132,22 +131,6 @@ class OrderedPairResult:
     submodularity_ok: bool
     converged: bool = True   # every member solve of every level converged
 
-    def to_json(self) -> str:
-        def scalar(val):
-            if isinstance(val, (bool, np.bool_)):
-                return bool(val)
-            if isinstance(val, (float, np.floating)):
-                return repr(float(val))
-            return val
-
-        payload = {
-            "ordering_margin": repr(float(self.ordering_margin)),
-            "submodularity_ok": bool(self.submodularity_ok),
-            "levels": [{k: scalar(val) for k, val in audit.items()}
-                       for audit in self.audits],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
 
 def ordering_margin(u: Trajectory, v: Trajectory) -> float:
     """min over nodes and times of v - u; nonnegative means ordered."""
@@ -161,25 +144,26 @@ def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 def ordered_pair_levels(problem, u0: np.ndarray, v0: np.ndarray,
                         schedule: Optional[Sequence[float]], solve,
-                        value, u_levels: Sequence = ()) -> list:
+                        value, steps: int, u_levels: Sequence = ()) -> list:
     """The weight continuation of an ordered pair, shared by the
     gradient-flow and rate-independent families.
 
     At each level solve(problem, warm) -> (trajectory, report) minimizes
     from u0 and from v0, the pair is swapped for its lattice pair, which
     warm-starts the next level, and value(problem, trajectory) prices the
-    four trajectories of the level's audit. The schedule defaults to the
-    problem's own weight. Returns [(eps, (meet, join), PairReport)] as
-    `continuation` does.
+    four trajectories of the level's audit; solve's trajectories have
+    steps time steps. The schedule defaults to the problem's own weight.
+    Returns [(eps, (meet, join), PairReport)] as `continuation` does.
 
     u_levels, when given, is the [(eps, trajectory, report)] that
-    `continuation` returned for `problem` itself with the same `solve`.
-    Level k's u solve is then taken from it instead of repeated, provided
-    the solve would be bit for bit the same one: level k exists with this
-    level's eps, u0 is bitwise problem.initial, and the u warm start is
-    None at the first level and bitwise level k-1's trajectory after it
-    (the previous meet is the previous u whenever the pair was ordered).
-    Otherwise the level is solved."""
+    `continuation` returned for `problem` itself with the same steps and,
+    for the gradient-flow lane, no projection. Level k's u solve is then
+    taken from it instead of repeated, provided the solve would be bit for
+    bit the same one: level k exists with this level's eps and a
+    trajectory of steps time steps, u0 is bitwise problem.initial, and
+    the u warm start is None at the first level and bitwise level k-1's
+    trajectory after it (the previous meet is the previous u whenever the
+    pair was ordered). Otherwise the level is solved."""
     _check_ordered_initials(u0, v0)
     same_start = _bitwise_equal(u0, np.asarray(problem.initial))
 
@@ -188,6 +172,7 @@ def ordered_pair_levels(problem, u0: np.ndarray, v0: np.ndarray,
     def solve_u(pu, warm_u):
         k = next(count)
         if same_start and k < len(u_levels) and u_levels[k][0] == pu.epsilon \
+                and u_levels[k][1].steps == steps \
                 and (warm_u is None if k == 0 else _bitwise_equal(
                     warm_u.values, u_levels[k - 1][1].values)):
             return u_levels[k][1:]
@@ -211,23 +196,21 @@ def ordered_pair_levels(problem, u0: np.ndarray, v0: np.ndarray,
 
 def ordered_minimizers(problem: WedProblem, u0: Field, v0: Field,
                        schedule: Optional[Sequence[float]] = None,
-                       steps: int = 32, gtol: float = 1e-10,
-                       tol: float = 1e-10,
+                       steps: int = 32,
                        u_levels: Sequence = ()) -> OrderedPairResult:
     """Minimize from both initial states along the weight schedule; after
     each level, swap the pair for its componentwise min and max (both are
     minimizers again, which the audit verifies) and warm-start the next
     level from the swapped pair. The final pair is ordered at every node
     and time. u_levels are the [(eps, trajectory, report)] of the
-    problem's own continuation with the same steps, gtol and tol and no
-    projection, if already solved (see `ordered_pair_levels`)."""
+    problem's own continuation with the same steps and no projection, if
+    already solved (see `ordered_pair_levels`)."""
     _require_potential(problem)
     levels = ordered_pair_levels(
         problem, np.asarray(u0.values, dtype=float),
         np.asarray(v0.values, dtype=float), schedule,
-        lambda p, warm: fixed_point_solve(p, steps, init=warm, gtol=gtol,
-                                          tol=tol),
-        wed_potential_value, u_levels)
+        lambda p, warm: fixed_point_solve(p, steps, init=warm),
+        wed_potential_value, steps, u_levels)
     audits = [_with_verdicts(rep.audit) for *_, rep in levels]
     tu, tv = levels[-1][1]
     return OrderedPairResult(

@@ -534,15 +534,16 @@ def invariance_residual(R: RMap, traj: Trajectory) -> float:
 
 def invariant_solve(problem: WedProblem, R: RMap, steps: int,
                     schedule: Optional[Sequence[float]] = None,
-                    tol: float = 1e-8, samples: int = 16,
                     seed: int = 0) -> InvariantSolveResult:
     """Minimize along the weight schedule so the result lies in the map's
     solution class. The initial state must be exactly invariant. For
     projected maps every outer iterate passes through R; posthoc maps run
-    the plain loop and only the final residual certifies invariance."""
+    the plain loop and only the final residual certifies invariance. The
+    result is flagged when that residual exceeds 1e-8, the map fails
+    check_r2 (16 samples) or the continuation aborts."""
     u0 = problem.initial
     require_invariant(R, problem.grid, u0)
-    report = check_r2(R, problem, samples=samples, seed=seed)
+    report = check_r2(R, problem, seed=seed)
 
     project = None
     if R.enforcement == "projected":
@@ -558,7 +559,7 @@ def invariant_solve(problem: WedProblem, R: RMap, steps: int,
     history = [invariance_residual(R, traj) for _, traj in cont.family]
     final = cont.final
     residual = history[-1] if history else np.inf
-    flagged = (residual > tol) or (not report.passed) or cont.aborted
+    flagged = (residual > 1e-8) or (not report.passed) or cont.aborted
     return InvariantSolveResult(trajectory=final, residual=residual,
                                 residual_history=history, report=report,
                                 flagged=flagged, continuation=cont)

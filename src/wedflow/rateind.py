@@ -19,7 +19,6 @@ damped Newton engine, warm-starting the next stage.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -226,12 +225,12 @@ def _rho(v: np.ndarray, delta: float) -> np.ndarray:
 
 def minimize_wed_ri(problem: RIProblem,
                     init: Optional[RITrajectory] = None,
-                    deltas: Sequence[float] = DELTA_SCHEDULE,
-                    tol: float = 1e-9,
-                    max_iter: int = 200) -> tuple:
-    """Smoothing continuation over the variation term. Returns the
-    trajectory and a MinimizeReport whose gradient norm is the row-scaled
-    stationarity residual at the final smoothing stage. Without coupling
+                    deltas: Sequence[float] = DELTA_SCHEDULE) -> tuple:
+    """Smoothing continuation over the variation term, one Newton solve
+    per smoothing stage to a scaled residual of 1e-9 in at most 200
+    iterations. Returns the trajectory and a MinimizeReport whose gradient
+    norm is the row-scaled stationarity residual at the final smoothing
+    stage. Without coupling
     (a = 0 or a point grid) every node is its own chain in time and each
     Newton step is one LAPACK tridiagonal solve (_newton.KnotTridiagonal);
     with a > 0 the Hessian is block tridiagonal and is factored by splu."""
@@ -271,7 +270,7 @@ def minimize_wed_ri(problem: RIProblem,
         U, res, iters, ok = pinned_solve(
             newton_solve, problem.initial[None], N, U,
             lambda U: grad(U, delta), lambda U: hess(U, delta), jw * hd,
-            tol=tol, max_iter=max_iter)
+            tol=1e-9, max_iter=200)
         total_iters += iters
         converged = converged and ok
     traj = RITrajectory(problem.grid, problem.T, U,
@@ -318,14 +317,6 @@ class EnergeticReport:
     stability_left: float
     per_knot_balance: np.ndarray
     probes: int
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "stability": repr(float(self.stability)),
-            "balance": repr(float(self.balance)),
-            "stability_left": repr(float(self.stability_left)),
-            "probes": self.probes,
-        }, indent=2, sort_keys=True)
 
 
 def energetic_residuals(traj: RITrajectory, problem: RIProblem,
@@ -397,7 +388,7 @@ def ordered_ri_minimizers(problem: RIProblem, u0: np.ndarray,
         problem, np.asarray(u0, dtype=float).ravel(),
         np.asarray(v0, dtype=float).ravel(), schedule,
         lambda p, warm: minimize_wed_ri(p, init=warm), wed_ri_value,
-        u_levels)
+        problem.steps, u_levels)
     tu, tv = levels[-1][1]
     return OrderedRIPair(u=tu, v=tv,
                          audits=[rep.audit for *_, rep in levels],

@@ -22,6 +22,7 @@ import math
 import os
 from dataclasses import dataclass, fields as dc_fields, replace as dc_replace
 from functools import partial
+from importlib import resources
 from itertools import product as _iproduct
 from pathlib import Path
 
@@ -504,6 +505,16 @@ class Scenario:
         return Scenario.from_text(Path(path).read_text())
 
 
+def bundled_scenarios() -> dict:
+    """Name -> text of every scenario JSON shipped with the package."""
+    out = {}
+    root = resources.files(__package__) / "scenarios"
+    for entry in sorted(root.iterdir(), key=lambda e: e.name):
+        if entry.name.endswith(".json"):
+            out[entry.name[:-5]] = entry.read_text()
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Artifact helpers
 # ---------------------------------------------------------------------------
@@ -586,7 +597,7 @@ def _run_checked(path_or_scenario) -> int:
             traj = cont.final
             unconverged = unconverged or cont.aborted
             # the converged levels are a prefix of the schedule; the pair
-            # below solves with the same steps and tolerances
+            # below solves with the same steps
             u_levels = [(eps, t, rep) for (eps, t), rep
                         in zip(cont.family, cont.reports)]
         el = euler_lagrange_residual(problem, traj)
@@ -603,31 +614,24 @@ def _run_checked(path_or_scenario) -> int:
                                       Field(problem.grid, v0),
                                       schedule, steps, u_levels=u_levels)
             unconverged = unconverged or not pair.converged
-            reports["comparison"] = json.loads(pair.to_json())
+            reports["comparison"] = {
+                "levels": pair.audits,
+                "ordering_margin": pair.ordering_margin,
+                "submodularity_ok": pair.submodularity_ok}
             ok = pair.ordering_margin >= -1e-10 and pair.submodularity_ok
             summary.append(("ordering_margin", pair.ordering_margin, ok))
             files["pair_u.csv"] = trajectory_to_csv(pair.u)
             files["pair_v.csv"] = trajectory_to_csv(pair.v)
 
     elif isinstance(problem, RIProblem):
-        fam = ri_continuation(problem, schedule)
-        eps_last, traj, rep = fam[-1]
+        fam, certs, pair = _ri_certificates(problem, schedule, v0)
+        _, traj, rep = fam[-1]
         unconverged = unconverged or not rep.converged
-        # the certificate weights must match the weight level of the solve
-        prob_last = dc_replace(problem, epsilon=eps_last)
-        sign = sign_condition(prob_last, traj)
-        en = energetic_residuals(traj, problem)
-        reports.update(sign_condition=sign["worst_violation"],
-                       stability=en.stability, balance=en.balance,
-                       stability_left=en.stability_left)
-        for name, bound in (("sign_condition", 1e-6), ("stability", 1e-2),
-                            ("balance", 1e-2)):
-            ok = reports[name] <= bound
-            summary.append((name, reports[name], ok))
+        reports.update(certs)
+        for name, bound in _RI_BOUNDS.items():
+            summary.append((name, certs[name], certs[name] <= bound))
         files["trajectory.csv"] = traj.to_csv()
-        if v0 is not None:
-            pair = ordered_ri_minimizers(problem, problem.initial, v0,
-                                         schedule=schedule, u_levels=fam)
+        if pair is not None:
             unconverged = unconverged or not pair.converged
             ok = pair.ordering_margin >= -1e-10
             reports["comparison"] = {"ordering_margin": pair.ordering_margin,
@@ -670,6 +674,30 @@ def _run_checked(path_or_scenario) -> int:
     if unconverged:
         return 3
     return 0 if all(ok for *_, ok in summary) else 1
+
+
+# the bound on each rate-independent certificate that `_ri_certificates`
+# computes, checked by `run` and by the energetic suite
+_RI_BOUNDS = {"sign_condition": 1e-6, "stability": 1e-2, "balance": 1e-2}
+
+
+def _ri_certificates(problem: RIProblem, schedule, v0) -> tuple:
+    """The continuation levels of the rate-independent problem along
+    schedule, its certificates at the last level ({name: value} for the
+    names of _RI_BOUNDS and stability_left), and the ordered pair from
+    problem.initial and v0 (None without v0), whose u member reuses the
+    levels."""
+    fam = ri_continuation(problem, schedule)
+    eps_last, traj, _ = fam[-1]
+    # the certificate weights must match the weight level of the solve
+    sign = sign_condition(dc_replace(problem, epsilon=eps_last), traj)
+    en = energetic_residuals(traj, problem)
+    certs = {"sign_condition": sign["worst_violation"],
+             "stability": en.stability, "balance": en.balance,
+             "stability_left": en.stability_left}
+    pair = None if v0 is None else ordered_ri_minimizers(
+        problem, problem.initial, v0, schedule=schedule, u_levels=fam)
+    return fam, certs, pair
 
 
 # ---------------------------------------------------------------------------
@@ -903,16 +931,6 @@ def _verify_invariance(seed: int = 0) -> dict:
     return _suite_report("invariance", checks)
 
 
-def _ri_ramp_problem(eps: float = 0.2, steps: int = 200) -> RIProblem:
-    grid = build_grid(dim=1, shape=(1,), spacing=(1.0,),
-                      boundary="neumann", domain_kind="point")
-    t = np.linspace(0.0, 1.0, steps + 1)
-    h = np.interp(t, [0.0, 0.5, 0.75, 1.0], [0.0, 1.5, 0.5, 0.5])
-    return RIProblem(grid=grid, phi_coeffs=(0.0, 0.0, 0.5), a=0.0,
-                     forcing=h[:, None], T=1.0, epsilon=eps,
-                     initial=np.zeros(1))
-
-
 def ri_eps_schedule(steps: int = 200, T: float = 1.0,
                     start: float = 0.2) -> list:
     """Halving schedule stopped before the weight outruns the grid
@@ -941,35 +959,29 @@ def incremental_oracle(problem: RIProblem) -> np.ndarray:
 
 
 def _verify_energetic(seed: int = 0) -> dict:
-    checks = {}
-    steps = 200
-    problem = _ri_ramp_problem(steps=steps)
-    sched = ri_eps_schedule(steps)
-    fam = ri_continuation(problem, sched)
-    eps_last, traj, rep = fam[-1]
-    oracle = incremental_oracle(problem)
-    sup_err = float(np.max(np.abs(traj.values[:, 0] - oracle)))
-    checks["oracle_sup_error"] = _check(5e-2 - sup_err, 0.0)
-    sign = sign_condition(dc_replace(problem, epsilon=eps_last), traj)
-    checks["sign_condition"] = _check(1e-6 - sign["worst_violation"], 0.0)
-    en = energetic_residuals(traj, problem)
-    checks["stability"] = _check(1e-2 - en.stability, 0.0)
-    checks["balance"] = _check(1e-2 - en.balance, 0.0)
-    pair = ordered_ri_minimizers(problem, np.zeros(1), 0.5 * np.ones(1),
-                                 schedule=sched, u_levels=fam)
+    """The bundled `ri_ramp` against the stay/slide closed form, with its
+    certificates and ordered pair as `run` computes them."""
+    sc = Scenario.from_text(bundled_scenarios()["ri_ramp"])
+    fam, certs, pair = _ri_certificates(sc.problem, sc.values["schedule"],
+                                        sc.values["compare_v0"])
+    _, traj, rep = fam[-1]
+    sup_err = float(np.max(np.abs(traj.values[:, 0]
+                                  - incremental_oracle(sc.problem))))
+    checks = {"oracle_sup_error": _check(5e-2 - sup_err, 0.0)}
+    for name, bound in _RI_BOUNDS.items():
+        checks[name] = _check(bound - certs[name], 0.0)
     checks["ordering"] = _check(pair.ordering_margin, 1e-10)
     checks["converged"] = _check(0.0 if rep.converged else -1.0, 1e-12)
     return _suite_report("energetic", checks)
 
 
 def _verify_wide(seed: int = 0) -> dict:
+    """The bundled `wide_oscillator` against cos t, and the rotation
+    equivariance of a 2D oscillator."""
     checks = {}
-    osc = LagrangianProblem(d=1, M=np.eye(1), nu=0.0, u_kind="quadratic",
-                            T=1.0, epsilon=0.04,
-                            initial=np.array([1.0]),
-                            velocity=np.array([0.0]))
-    steps = 200
-    fam = wide_continuation(osc, (0.04, 0.02, 0.01), steps)
+    sc = Scenario.from_text(bundled_scenarios()["wide_oscillator"])
+    osc, steps = sc.problem, sc.values["steps"]
+    fam = wide_continuation(osc, sc.values["schedule"], steps)
     _, traj, rep = fam[-1]
     t = np.linspace(0.0, 1.0, steps + 1)
     err = float(np.max(np.abs(traj.values[:, 0] - np.cos(t))))

@@ -238,13 +238,12 @@ def _fast_modes(problem: WedProblem) -> Optional[tuple]:
 
 
 def minimize_wed(problem: WedProblem, w, init: Trajectory,
-                 gtol: float = 1e-10, max_iter: int = 120
-                 ) -> tuple[Trajectory, MinimizeReport]:
+                 max_iter: int = 120) -> tuple[Trajectory, MinimizeReport]:
     """Minimize the functional at fixed dual field w over trajectories
     pinned at problem.initial. Newton with the exact Hessian, globalized
     by scaled-residual backtracking; termination on the row-scaled gradient
-    max-norm (rows weighted by b_n so the tolerance is uniform in time).
-    The Hessian is filled into CSC arrays by energy1_hessian (b_k per
+    max-norm 1e-10 (rows weighted by b_n so the tolerance is uniform in
+    time). The Hessian is filled into CSC arrays by energy1_hessian (b_k per
     knot and the time band) and factored by a sparse LU, except where
     _fast_modes applies: then each Newton step is a space-time fast
     diagonalization and no Hessian is assembled."""
@@ -270,7 +269,7 @@ def minimize_wed(problem: WedProblem, w, init: Trajectory,
     U, res, iters, conv = pinned_solve(
         newton_solve, problem.initial[None], N, init.values,
         lambda U: _wed_kernel(problem, w, U, dt)[1], hess, b * hd,
-        tol=gtol, max_iter=max_iter, symmetric=problem.grid.dim > 1)
+        tol=1e-10, max_iter=max_iter, symmetric=problem.grid.dim > 1)
     out = Trajectory(problem.grid, problem.T, U,
                      pinned_initial=problem.initial,
                      ncomp=problem.n_dof // problem.grid.n_nodes)
@@ -317,43 +316,43 @@ def _traj_norm(problem: WedProblem, diff: np.ndarray, dt: float) -> float:
 
 
 def fixed_point_solve(problem: WedProblem, steps: int,
-                      theta: float = 0.5, tol: float = 1e-10,
-                      max_outer: int = 200,
                       init: Optional[Trajectory] = None,
-                      project: Optional[Callable] = None,
-                      gtol: float = 1e-10
+                      project: Optional[Callable] = None
                       ) -> tuple[Trajectory, FixedPointReport]:
     """Damped iteration u <- (1-theta) u + theta S(u), where S minimizes
-    the functional with the dual field frozen at u. The damping doubles
-    after every monotone residual decrease. `project` (when given) maps
-    each outer iterate before the dual field is evaluated; it is how
-    solution classes closed under a map are enforced."""
+    the functional with the dual field frozen at u. The damping starts at
+    0.5 and doubles after every monotone residual decrease; the loop stops
+    once the trajectory norm of the update is at most 1e-10, or after 200
+    outer iterations. `project` (when given) maps each outer iterate
+    before the dual field is evaluated; it is how solution classes closed
+    under a map are enforced."""
     ncomp = problem.n_dof // problem.grid.n_nodes
     u = init if init is not None else constant_trajectory(
         problem.grid, problem.initial, problem.T, steps)
     dt = problem.T / steps
     inner_reports = []
     history = []
+    theta = 0.5
     # without a reaction or a concave part the dual field is the forcing
     if problem.reaction.kind == "none" and problem.energy2.concave_q is None \
             and project is None:
         w = dual_field(problem, u)
-        out, rep = minimize_wed(problem, w, u, gtol=gtol)
+        out, rep = minimize_wed(problem, w, u)
         inner_reports.append(rep)
         return out, FixedPointReport(1, [0.0], theta, rep.converged,
                                      inner_reports)
     converged = False
-    for k in range(max_outer):
+    for _ in range(200):
         u_eval = project(u) if project is not None else u
         w = dual_field(problem, u_eval)
-        s, rep = minimize_wed(problem, w, u_eval, gtol=gtol)
+        s, rep = minimize_wed(problem, w, u_eval)
         inner_reports.append(rep)
         new_vals = (1.0 - theta) * u_eval.values + theta * s.values
         res = _traj_norm(problem, new_vals - u.values, dt)
         history.append(res)
         u = Trajectory(problem.grid, problem.T, new_vals,
                        pinned_initial=problem.initial, ncomp=ncomp)
-        if res <= tol:
+        if res <= 1e-10:
             converged = True
             break
         if len(history) >= 2 and history[-1] < history[-2]:
@@ -413,15 +412,13 @@ def continuation(level_solve: Callable, schedule, T: float) -> list:
 
 
 def eps_continuation(problem: WedProblem, schedule, steps: int,
-                     project: Optional[Callable] = None,
-                     tol: float = 1e-10, gtol: float = 1e-10
+                     project: Optional[Callable] = None
                      ) -> ContinuationResult:
     """Solve along a strictly decreasing weight schedule with warm starts;
     the last converged trajectory is the causal-limit candidate."""
     levels = continuation(
         lambda eps, warm: fixed_point_solve(
-            replace(problem, epsilon=eps), steps, init=warm, tol=tol,
-            project=project, gtol=gtol),
+            replace(problem, epsilon=eps), steps, init=warm, project=project),
         schedule, problem.T)
     family = [(eps, traj) for eps, traj, rep in levels if rep.converged]
     final = family[-1][1] if family else levels[-1][1]

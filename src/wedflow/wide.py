@@ -203,11 +203,6 @@ class LagrangianProblem:
             return np.matmul(self.Q, u[..., None])[..., 0]
         return polyval(u, self._u_der[0])
 
-    def pot_hess(self, u: np.ndarray) -> np.ndarray:
-        if self.u_kind == "quadratic":
-            return self.Q
-        return np.diag(polyval(u, self._u_der[1]))
-
 
 WideProblem = Union[WideWaveProblem, LagrangianProblem]
 
@@ -348,10 +343,10 @@ def wide_value_grad(problem: WideProblem,
 
 
 def minimize_wide(problem: WideProblem, steps: int,
-                  init: Optional[Trajectory] = None,
-                  gtol: float = 1e-10,
-                  max_iter: int = 120) -> tuple[Trajectory, MinimizeReport]:
-    """Newton solve over the unpinned knots u_2..u_N. The engine's
+                  init: Optional[Trajectory] = None
+                  ) -> tuple[Trajectory, MinimizeReport]:
+    """Newton solve over the unpinned knots u_2..u_N, to a scaled residual
+    of 1e-10 in at most 120 iterations. The engine's
     curvature fallback covers nonconvex (lambda < 0) nonlinearities; the
     declared curvature bound is recorded in the report notes."""
     N = steps
@@ -397,8 +392,7 @@ def minimize_wide(problem: WideProblem, steps: int,
         newton_solve, _pinned_rows(problem, dt), N,
         None if init is None else init.values,
         lambda U: _wide_kernel(parts, U)[1], hess,
-        np.maximum(beta[2:] * knot_mag, 1e-300), tol=gtol,
-        max_iter=max_iter)
+        np.maximum(beta[2:] * knot_mag, 1e-300), tol=1e-10, max_iter=120)
     traj = wide_trajectory(problem, U)
     value, _ = _wide_kernel(parts, U)
     rep = MinimizeReport(iterations=iters, value=value, gradient_norm=res,

@@ -2,7 +2,6 @@
 assembly against a direct sum, submodularity on random pairs, and the
 ordered-pair driver."""
 
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -230,17 +229,6 @@ def test_ordered_minimizers_validation():
         ordered_minimizers(problem, u0, v0, schedule=(0.1, 0.2), steps=8)
 
 
-def test_ordered_pair_result_json():
-    problem, u0, v0 = make_ordered_pair()
-    res = ordered_minimizers(problem, u0, v0, schedule=(0.2,), steps=8)
-    payload = json.loads(res.to_json())
-    assert isinstance(payload["submodularity_ok"], bool)
-    float(payload["ordering_margin"])
-    level = payload["levels"][0]
-    assert isinstance(level["meet_ok"], bool)
-    float(level["value_u"])
-
-
 def test_lattice_value_audit_keys():
     problem, u0, v0 = make_ordered_pair()
     res = ordered_minimizers(problem, u0, v0, schedule=(0.2,), steps=8)
@@ -269,9 +257,17 @@ def test_ordered_minimizers_reuse_the_main_continuation(monkeypatch):
     reused = ordered_minimizers(problem, u0, v0, schedule=sched, steps=12,
                                 u_levels=levels)
     assert solved == list(sched)  # the v member only
-    assert np.array_equal(reused.u.values, fresh.u.values)
-    assert np.array_equal(reused.v.values, fresh.v.values)
-    assert reused.audits == fresh.audits
-    assert reused.ordering_margin == fresh.ordering_margin
-    assert reused.submodularity_ok == fresh.submodularity_ok
-    assert reused.converged == fresh.converged
+    # levels of another knot count are solved, both members at every level
+    solved.clear()
+    coarse = ordered_minimizers(problem, u0, v0, schedule=sched, steps=8,
+                                u_levels=levels)
+    assert solved == [eps for eps in sched for _ in "uv"]
+    monkeypatch.undo()
+    for pair, ref in ((reused, fresh), (coarse, ordered_minimizers(
+            problem, u0, v0, schedule=sched, steps=8))):
+        assert np.array_equal(pair.u.values, ref.u.values)
+        assert np.array_equal(pair.v.values, ref.v.values)
+        assert pair.audits == ref.audits
+        assert pair.ordering_margin == ref.ordering_margin
+        assert pair.submodularity_ok == ref.submodularity_ok
+        assert pair.converged == ref.converged

@@ -511,18 +511,6 @@ def test_energetic_residuals_shrink_with_eps():
     assert stabilities[2] <= 0.5 * stabilities[0]
 
 
-def test_energetic_report_json():
-    import json
-    problem = ramp_problem(30, eps=0.05)
-    traj, _ = minimize_wed_ri(problem)
-    rep = energetic_residuals(traj, problem, probe_count=5)
-    payload = json.loads(rep.to_json())
-    assert payload["probes"] == 10
-    float(payload["stability"])
-    float(payload["balance"])
-    float(payload["stability_left"])
-
-
 def test_stationary_forcing_balances_exactly():
     # constant load, adapted start: nothing moves and no work is done.
     # The load must clear the terminal-weight threshold too, which is
