@@ -22,14 +22,15 @@ whose first k rows are pinned (k = 2 in the inertial lane, else 1).
 `with_pins`) and takes the solver as an argument, so each lane's calls go
 through its own module binding of `newton_solve`. `time_divergence` and
 `band_diagonals` are the backward-difference time coupling of the
-first-order lanes. Its Hessian comes in four forms: `time_band`, one
+first-order lanes. Its Hessian comes in five forms: `time_band`, one
 sparse matrix, for the coupled rate-independent lane; the band filled
 into the CSC space-time Hessian of `energies.energy1_hessian`, for the
-parabolic lane; `KnotTridiagonal`, one tridiagonal per dof column solved
-by LAPACK, for lanes that do not couple dofs in space (the uncoupled
-rate-independent lane); and
-`FastDiagonalization`, the coupling plus a constant Kronecker-sum energy
-Hessian, whose per-mode tridiagonals are one `KnotTridiagonal`.
+parabolic lane; `HeldSparse`, that CSC Hessian held with its LUs where
+no state changes it; `KnotTridiagonal`, one tridiagonal per dof column
+solved by LAPACK, for lanes that do not couple dofs in space (the
+uncoupled rate-independent lane); and `FastDiagonalization`, the
+coupling plus a constant Kronecker-sum energy Hessian, whose per-mode
+tridiagonals are one `KnotTridiagonal`.
 """
 
 from __future__ import annotations
@@ -83,6 +84,10 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
     The linear solver follows from the Hessian; a Hessian that is not a
     sparse matrix solves itself (`H.solve(rhs, mu)`) and raises
     RuntimeError where splu would, on an exactly singular system.
+    - A HeldSparse (what `minimize_wed` passes where its sparse Hessian
+      does not depend on the state, see wed._constant_hessian) is a
+      sparse matrix with its own table of block LUs, which outlives the
+      call; it is solved as below, with that table.
     - A FastDiagonalization (what `minimize_wed` passes on 2D grids with
       p = 2 and a state-independent, Kronecker-sum energy Hessian) solves
       without assembling or factoring anything.
@@ -124,18 +129,19 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
     options; a block is a connected component of H + mu I on the
     symmetric path, else all of it (see _shifted_solve). A block stored
     bitwise like one in the table, a repeat in the same matrix or a block
-    of the previous one, is solved with that LU. A quadratic energy with
-    p = 2, whose Hessian does not change between iterations, is factored
-    once; a Levenberg retry, whose mu differs, is refactored. The table
-    drops the blocks the new matrix does not use before anything is
-    factored, so it holds one matrix's LUs at most, and none outlives the
-    call. A reused factorization gives bitwise the step that refactoring
-    would, since gstrf is deterministic and a solve does not change the
-    factor, so reuse is safe on the solves at the round-off floor above
-    and moves no output.
+    of the previous one, is solved with that LU; a Levenberg retry, whose
+    mu differs, is refactored. The table drops the blocks the new matrix
+    does not use before anything is factored, so it holds one matrix's
+    LUs at most, and none outlives the call. A HeldSparse carries the
+    table of its own instead, so a Hessian that does not change, as that
+    of a quadratic energy with p = 2, is factored once for every call it
+    is passed to: in `wed.fixed_point_solve`, once per weight level. A
+    reused factorization gives bitwise the step that refactoring would,
+    since gstrf is deterministic and a solve does not change the factor,
+    so reuse is safe on the solves at the round-off floor above and moves
+    no output.
     """
-    lu_options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                      options=dict(SymmetricMode=True)) if symmetric else {}
+    lu_options = _lu_options(symmetric)
     x = x0.copy()
     g = grad_fn(x[None])[0]
     res = float(np.max(np.abs(g / scale)))
@@ -189,6 +195,14 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
         if accepted and a == 1.0 and mu > 0.0:
             mu = 0.0
     return x, res, it, res <= tol
+
+
+def _lu_options(symmetric: bool) -> dict:
+    """The SuperLU options of a sparse solve: SuperLU's symmetric mode (a
+    minimum degree ordering of A^T + A and diagonal pivots only) if
+    symmetric, else its defaults (see newton_solve)."""
+    return dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True)) if symmetric else {}
 
 
 # The element budget of one stacked gradient call of a backtracking sweep:
@@ -249,9 +263,11 @@ def _same_bits(X: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _shifted_solve(H, mu: float, rhs: np.ndarray, lu_options: dict,
                    lus: dict | None = None):
     """(H + mu I)^{-1} rhs: sparse LUs with the given SuperLU options for
-    a sparse H, else H's own solve. lus is the calling newton_solve's
-    table of block LUs, keyed by each block's bytes; without one, the
-    call starts an empty table of its own.
+    a sparse H, else H's own solve. lus is the table of block LUs of the
+    calling newton_solve, or of a HeldSparse, which lives as long as its
+    holder (a weight level of wed.fixed_point_solve), keyed by each
+    block's bytes; without one, the call starts an empty table of its
+    own.
 
     A block is a connected component of H + mu I with options (the
     symmetric path), else all of H + mu I. Each block's principal
@@ -269,7 +285,7 @@ def _shifted_solve(H, mu: float, rhs: np.ndarray, lu_options: dict,
 
     Each distinct block is factored once. A block whose column pointers,
     row indices and bytes of values are those of a block in lus, of this
-    matrix or of the call's previous one, is solved with that LU; only a
+    matrix or of the previous one, is solved with that LU; only a
     block not in lus is factored, from the bytes of its key. Before
     anything is factored, lus drops every block this matrix does not use,
     so it holds the LUs of one matrix at most. Each block's piece of the
@@ -329,6 +345,36 @@ def _shifted_solve(H, mu: float, rhs: np.ndarray, lu_options: dict,
     x = np.empty_like(y)
     x[order] = y
     return x
+
+
+class HeldSparse:
+    """A sparse Hessian that does not change while it is held: the CSC
+    matrix fill() returns, filled at its first use, the SuperLU options of
+    newton_solve's `symmetric` and a table of block LUs of its own. It
+    outlives a newton_solve call, so every Newton step of every solve it
+    is passed to reuses its LUs: a solve is _shifted_solve with that
+    table, so a block is factored (by `splu`) only the first time, and
+    again for a new Levenberg shift mu. A holder that is never solved
+    with, as at a start that is already stationary, fills nothing."""
+
+    def __init__(self, fill, symmetric: bool):
+        self._fill = fill
+        self._matrix = None
+        self.options = _lu_options(symmetric)
+        self.lus = {}
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            self._matrix, self._fill = self._fill(), None
+        return self._matrix
+
+    def diagonal(self) -> np.ndarray:
+        return self.matrix.diagonal()
+
+    def solve(self, rhs: np.ndarray, mu: float = 0.0) -> np.ndarray:
+        """(H + mu I)^{-1} rhs."""
+        return _shifted_solve(self.matrix, mu, rhs, self.options, self.lus)
 
 
 class KnotTridiagonal:

@@ -25,9 +25,11 @@ the axes of a 2D grid (energies.energy1_modes), minimize_wed never
 assembles it: every step is a space-time fast diagonalization
 (_newton.FastDiagonalization). Every other problem assembles the sparse
 Hessian and factors it (see _newton.newton_solve for which factorization
-and why 1D grids keep SuperLU's defaults). The assembly fills CSC arrays
-from a one-knot template cached per grid (energies.energy1_hessian) with
-the floating-point operations, in their order, of the scipy chain
+and why 1D grids keep SuperLU's defaults): at every Newton step, or, where
+no state changes it (_constant_hessian), once per weight level of
+fixed_point_solve. The assembly fills CSC arrays from a one-knot template
+cached per grid (energies.energy1_hessian) with the floating-point
+operations, in their order, of the scipy chain
 b (kron(I, D)^T diag(w) kron(I, D) + diag(d)) + T it replaced, so every
 Hessian, LU and step is bitwise that chain's. The line search takes the
 iterate's gradient at trial points bitwise equal to it (see
@@ -41,8 +43,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._newton import (FastDiagonalization, newton_solve, pinned_solve,
-                      time_divergence)
+from ._newton import (FastDiagonalization, HeldSparse, newton_solve,
+                      pinned_solve, time_divergence)
 from .energies import (ConcaveSpec, DissipationSpec, EnergySpec,
                        ReactionSpec, A_eval, _rowdot, _sequential_sum,
                        alpha_eval, alpha_prime, energy1_hessian,
@@ -237,39 +239,77 @@ def _fast_modes(problem: WedProblem) -> Optional[tuple]:
     return energy1_modes(problem.energy1, problem.grid)
 
 
+def _space_time_hessian(problem: WedProblem, U: np.ndarray):
+    """The sparse Hessian of the functional over knots 1..N at the
+    trajectory U ((N+1, n_dof)), grouped as the recorded artifacts were
+    computed."""
+    N = U.shape[0] - 1
+    dt = problem.T / N
+    a, b = _weights(problem.epsilon, problem.T, N)
+    r = a[:, None] * (alpha_prime(problem.dissipation, np.diff(U, axis=0)
+                                  / dt) * problem.grid.cell_measure / dt ** 2)
+    return energy1_hessian(problem.energy1, problem.grid, U[1:], b, r)
+
+
+def _constant_hessian(problem: WedProblem, init: Trajectory):
+    """The Hessian of minimize_wed over trajectories of init's knots, for
+    every state, where it does not depend on the state; None where it
+    does. That takes power dissipation with p = 2, whose rate curvature
+    is 1 everywhere, and an energy whose Hessian has no state in it:
+    quadratic, fractional, lv_quadratic, or m_laplace with m = 2 (|d|^0
+    and |u|^0 are 1, NaN and 0 included).
+    - Where _fast_modes applies it is the FastDiagonalization.
+    - Else it is the sparse Hessian at init, filled at its first use
+      and held with its LUs (_newton.HeldSparse). The fill at any other
+      state is bitwise this one, so every LU and step is that of a fill
+      per Newton step."""
+    if problem.dissipation.alpha_kind != "power" \
+            or problem.dissipation.p != 2.0:
+        return None
+    modes = _fast_modes(problem)
+    if modes is not None:
+        dt = problem.T / init.steps
+        a, b = _weights(problem.epsilon, problem.T, init.steps)
+        return FastDiagonalization(
+            b, a * (problem.grid.cell_measure / dt ** 2), modes)
+    spec = problem.energy1
+    if spec.kind == "m_laplace" and spec.m != 2.0:
+        return None
+    return HeldSparse(lambda: _space_time_hessian(problem, init.values),
+                      symmetric=problem.grid.dim > 1)
+
+
 def minimize_wed(problem: WedProblem, w, init: Trajectory,
-                 max_iter: int = 120) -> tuple[Trajectory, MinimizeReport]:
+                 max_iter: int = 120, *, _hessian=None
+                 ) -> tuple[Trajectory, MinimizeReport]:
     """Minimize the functional at fixed dual field w over trajectories
     pinned at problem.initial. Newton with the exact Hessian, globalized
     by scaled-residual backtracking; termination on the row-scaled gradient
     max-norm 1e-10 (rows weighted by b_n so the tolerance is uniform in
     time). The Hessian is filled into CSC arrays by energy1_hessian (b_k per
-    knot and the time band) and factored by a sparse LU, except where
-    _fast_modes applies: then each Newton step is a space-time fast
-    diagonalization and no Hessian is assembled."""
+    knot and the time band) at every Newton step and factored by a sparse
+    LU, except where _constant_hessian applies: then one Hessian serves
+    every step, a fast diagonalization (no Hessian is assembled) or one
+    fill whose LUs are made once. _hessian, internal, is that Hessian
+    built by the caller, fixed_point_solve, once for all its calls of a
+    weight level; without it the call builds its own."""
     if init.pinned_initial is None or not np.array_equal(
             init.values[0], problem.initial):
         raise ConfigurationError("init must be pinned at the problem initial")
     N = init.steps
     w = _check_w(w, N, problem.n_dof)
     dt = problem.T / N
-    hd = problem.grid.cell_measure
-    a, b = _weights(problem.epsilon, problem.T, N)
-    modes = _fast_modes(problem)
-    fast = None if modes is None else FastDiagonalization(
-        b, a * (hd / dt ** 2), modes)
+    _, b = _weights(problem.epsilon, problem.T, N)
+    held = _constant_hessian(problem, init) if _hessian is None else _hessian
 
-    def hess(U):  # grouped as the recorded artifacts were computed
-        if fast is not None:
-            return fast
-        r = a[:, None] * (alpha_prime(problem.dissipation,
-                                      np.diff(U, axis=0) / dt) * hd / dt ** 2)
-        return energy1_hessian(problem.energy1, problem.grid, U[1:], b, r)
+    def hess(U):
+        return held if held is not None else _space_time_hessian(problem, U)
 
     U, res, iters, conv = pinned_solve(
         newton_solve, problem.initial[None], N, init.values,
-        lambda U: _wed_kernel(problem, w, U, dt)[1], hess, b * hd,
-        tol=1e-10, max_iter=max_iter, symmetric=problem.grid.dim > 1)
+        lambda U: _wed_kernel(problem, w, U, dt)[1], hess,
+        b * problem.grid.cell_measure, tol=1e-10, max_iter=max_iter,
+        symmetric=problem.grid.dim > 1)
     out = Trajectory(problem.grid, problem.T, U,
                      pinned_initial=problem.initial,
                      ncomp=problem.n_dof // problem.grid.n_nodes)
@@ -325,8 +365,17 @@ def fixed_point_solve(problem: WedProblem, steps: int,
     once the trajectory norm of the update is at most 1e-10, or after 200
     outer iterations. `project` (when given) maps each outer iterate
     before the dual field is evaluated; it is how solution classes closed
-    under a map are enforced."""
+    under a map are enforced. init, if given, must have steps + 1 knots.
+
+    The Hessian of a problem that _constant_hessian covers is the same in
+    every outer iteration, so the loop builds it once, from init, and
+    every minimize_wed of the loop solves with it: one fill and one
+    factorization for the whole weight level (more only for a Levenberg
+    shift). It is dropped when the call returns, so no level's LUs
+    outlive it."""
     ncomp = problem.n_dof // problem.grid.n_nodes
+    if init is not None and init.steps != steps:
+        raise ConfigurationError("init has the wrong number of knots")
     u = init if init is not None else constant_trajectory(
         problem.grid, problem.initial, problem.T, steps)
     dt = problem.T / steps
@@ -342,10 +391,11 @@ def fixed_point_solve(problem: WedProblem, steps: int,
         return out, FixedPointReport(1, [0.0], theta, rep.converged,
                                      inner_reports)
     converged = False
+    held = _constant_hessian(problem, u)
     for _ in range(200):
         u_eval = project(u) if project is not None else u
         w = dual_field(problem, u_eval)
-        s, rep = minimize_wed(problem, w, u_eval)
+        s, rep = minimize_wed(problem, w, u_eval, _hessian=held)
         inner_reports.append(rep)
         new_vals = (1.0 - theta) * u_eval.values + theta * s.values
         res = _traj_norm(problem, new_vals - u.values, dt)

@@ -20,7 +20,7 @@ from wedflow.energies import (A_eval, alpha_eval,
                               grid_edges, lv_clamp, p_conjugate)
 
 from wedflow import WedProblem, minimize_wed, wed
-from wedflow._newton import time_band
+from wedflow._newton import HeldSparse, time_band
 from wedflow.energies import _coef, _edge_operator, _fractional_matrix, \
     _robin_diag
 from wedflow.grids import Grid
@@ -606,11 +606,14 @@ def test_wed_hessians_are_bitwise_the_sparse_chain(monkeypatch, grid, energy,
 
     def compare(x0, grad_fn, hess_fn, scale, **options):
         def hess(x):
-            H = hess_fn(x)
+            held = hess_fn(x)
+            # a constant Hessian is filled once and held: the chain at
+            # every iterate checks that it is constant
+            H = held.matrix if isinstance(held, HeldSparse) else held
             assert_same_csc(H, _chain_hessian(
                 problem, np.vstack([problem.initial, x.reshape(N, n_dof)])))
             seen.append(H)
-            return H
+            return held
         return real(x0, grad_fn, hess, scale, **options)
 
     monkeypatch.setattr(wed, "newton_solve", compare)

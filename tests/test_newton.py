@@ -384,8 +384,10 @@ def test_fast_newton_step_matches_the_symmetric_lu_step(monkeypatch,
                                                         problem, mu):
     N = 6
     fast, g = _first_newton_inputs(monkeypatch, problem, N, False)
-    H, g_ref = _first_newton_inputs(monkeypatch, problem, N, True)
+    held, g_ref = _first_newton_inputs(monkeypatch, problem, N, True)
     assert isinstance(fast, _newton.FastDiagonalization)
+    assert isinstance(held, _newton.HeldSparse)
+    H = held.matrix
     assert sp.issparse(H) and np.array_equal(g, g_ref)
     assert np.allclose(fast.diagonal(), H.diagonal(), rtol=1e-14, atol=0.0)
     step = _newton._shifted_solve(fast, mu, -g, {})
@@ -870,6 +872,65 @@ def test_1d_ladder_heat_factors_once_per_newton_level(monkeypatch):
     wed.eps_continuation(problem, [0.2, 0.1, 0.05], 64)
     assert max(levels) >= 2
     assert calls == [{}] * sum(1 for hessians in levels if hessians)
+
+
+# ---------------------------------------------------------------------------
+# a Hessian that no state changes is built once and holds its LUs
+# ---------------------------------------------------------------------------
+
+def _rest(problem: WedProblem, N: int = 5) -> Trajectory:
+    return constant_trajectory(problem.grid, problem.initial, problem.T, N)
+
+
+@pytest.mark.parametrize("problem", [
+    replace(heat_problem(n=6), energy1=EnergySpec(kind="m_laplace", m=3.0,
+                                                  B=1.0, C=0.5)),
+    replace(heat_problem(n=6), dissipation=DissipationSpec(p=4.0)),
+    replace(heat_problem(n=6), dissipation=DissipationSpec(
+        p=2.0, alpha_kind="table", table_s=np.array([-10.0, 10.0]),
+        table_alpha=np.array([-10.0, 10.0]))),
+], ids=["m=3", "p=4", "table"])
+def test_state_dependent_hessians_are_not_held(problem):
+    assert wed._constant_hessian(problem, _rest(problem)) is None
+
+
+@pytest.mark.parametrize("energy", [
+    EnergySpec(kind="quadratic", gamma=1.3),
+    EnergySpec(kind="fractional", s=0.4, gamma=0.5),
+    EnergySpec(kind="m_laplace", m=2.0, B=1.0, C=0.5),
+], ids=["quadratic", "fractional", "m=2"])
+def test_constant_hessians_are_held(energy):
+    problem = replace(heat_problem(n=6), energy1=energy)
+    assert isinstance(wed._constant_hessian(problem, _rest(problem)),
+                      _newton.HeldSparse)
+    square = square_problem(energy=energy)
+    held = wed._constant_hessian(square, _rest(square))
+    if energy.kind == "fractional":
+        # no Kronecker sum: the 2D fill is held, on the symmetric path
+        assert isinstance(held, _newton.HeldSparse)
+        assert held.options == SYMMETRIC
+    else:
+        assert isinstance(held, _newton.FastDiagonalization)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.37])
+@pytest.mark.parametrize("problem, options", [
+    (heat_problem(n=6), {}),
+    (square_problem("robin"), SYMMETRIC),
+], ids=["1d-default", "2d-symmetric"])
+def test_held_hessian_solve_is_the_lu_solve(monkeypatch, problem, options,
+                                            mu):
+    calls = _record_splu(monkeypatch)
+    held = wed._constant_hessian(problem, _rest(problem))
+    assert isinstance(held, _newton.HeldSparse)
+    assert calls == []  # filled and factored at the first use
+    H = held.matrix
+    rhs = np.random.default_rng(7).standard_normal(H.shape[0])
+    ref = splu((H + mu * sp.identity(H.shape[0])).tocsc(),
+               **options).solve(rhs)
+    assert np.array_equal(held.solve(rhs, mu), ref)
+    assert np.array_equal(held.solve(rhs, mu), ref)
+    assert calls == [options]
 
 
 # ---------------------------------------------------------------------------

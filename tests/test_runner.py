@@ -884,6 +884,27 @@ def test_heat_relaxation_newton_work(tmp_path, monkeypatch):
                           repeats=0)
 
 
+def test_lv_patch_fills_and_factors_once_per_level(tmp_path, monkeypatch):
+    # p = 2 and the lv_quadratic energy: each of the two weight levels
+    # fills one Hessian and factors it once for all its outer iterations
+    filled, factored = [], []
+    real_fill = wedflow.wed.energy1_hessian
+    real_splu = wedflow._newton.splu
+
+    def fill(*args, **kwargs):
+        filled.append(None)
+        return real_fill(*args, **kwargs)
+
+    def factor(*args, **kwargs):
+        factored.append(None)
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(wedflow.wed, "energy1_hessian", fill)
+    monkeypatch.setattr(wedflow._newton, "splu", factor)
+    assert run(_bundled("lv_patch", tmp_path / "out")) == 0
+    assert len(filled) == 2 and len(factored) == 2
+
+
 def test_bad_compose_part_is_named_once():
     with pytest.raises(ScenarioError) as info:
         line_scenario(5, rmaps=[{"kind": "compose",

@@ -1,6 +1,8 @@
 """Weighted trajectory functional: weights, minimizer against a dense
 linear-algebra oracle, fixed-point loop, continuation, residuals."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -179,6 +181,48 @@ def test_fixed_point_lv_smoke():
     v = traj.values[:, 4:]
     assert u.min() >= -1e-8 and u.max() <= 2.0 + 1e-8
     assert v.min() >= -1e-8
+
+
+@pytest.mark.parametrize("energy2", [
+    ConcaveSpec(), ConcaveSpec(concave_q=2.0, concave_D=0.1)],
+    ids=["forcing only", "concave"])
+def test_init_with_the_wrong_knot_count_is_refused(monkeypatch, energy2):
+    monkeypatch.setattr(wedflow.wed, "newton_solve", None)
+    problem = replace(heat_problem(n=6), energy2=energy2)
+    init = constant_trajectory(problem.grid, problem.initial, problem.T, 16)
+    with pytest.raises(ConfigurationError,
+                       match="init has the wrong number of knots"):
+        fixed_point_solve(problem, 8, init=init)
+
+
+def test_level_hessian_is_factored_once_and_dies_with_the_level(
+        monkeypatch):
+    # a concave part closes the loop; with m = 2 and p = 2 its Hessian is
+    # the same in every outer iteration
+    problem = replace(heat_problem(n=6),
+                      energy2=ConcaveSpec(concave_q=2.0, concave_D=0.1))
+    held, tables, factored = [], [], []
+    real_hessian = wedflow.wed._constant_hessian
+    real_splu = wedflow._newton.splu
+
+    def watched(problem, init):
+        H = real_hessian(problem, init)
+        held.append(weakref.ref(H))
+        tables.append(H.lus)
+        return H
+
+    def counted(A, **options):
+        factored.append(A.shape)
+        return real_splu(A, **options)
+
+    monkeypatch.setattr(wedflow.wed, "_constant_hessian", watched)
+    monkeypatch.setattr(wedflow._newton, "splu", counted)
+    _, rep = fixed_point_solve(problem, 8)
+    assert rep.converged and rep.outer_iterations > 2
+    # one Hessian for the loop, whose one LU served every outer iteration
+    assert len(held) == 1 and len(factored) == 1 and len(tables[0]) == 1
+    gc.collect()
+    assert held[0]() is None
 
 
 # ---------------------------------------------------------------------------
