@@ -29,8 +29,15 @@ parabolic lane; `HeldSparse`, that CSC Hessian held with its LUs where
 no state changes it; `KnotTridiagonal`, one tridiagonal per dof column
 solved by LAPACK, for lanes that do not couple dofs in space (the
 uncoupled rate-independent lane); and `FastDiagonalization`, the
-coupling plus a constant Kronecker-sum energy Hessian, whose per-mode
-tridiagonals are one `KnotTridiagonal`.
+coupling plus a constant Kronecker-sum energy Hessian on a 1D or 2D
+grid, whose per-mode tridiagonals are one `KnotTridiagonal`.
+
+Extended-precision polish. Where the float64 iteration stalls above its
+tolerance (the _MIN_STEP fallback makes no progress), `_polish` refines
+the stalled iterate with the gradient in np.longdouble and the float64
+Hessian solve, so a minimizer whose float64 gradient cannot be evaluated
+below the tolerance is still certified (Moler 1967). A solve that
+converges in float64 never enters it.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from .grids import ConfigurationError
 
 def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
                  tol: float = 1e-10, max_iter: int = 100,
-                 symmetric: bool = False):
+                 symmetric: bool = False, notes: list | None = None):
     """Minimize a smooth convex objective given by its gradient and Hessian
     callbacks. Returns (x, scaled_residual, iterations, converged).
 
@@ -54,6 +61,8 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
     KnotTridiagonal or a FastDiagonalization; scale -> positive per-row
     weights for the residual norm. A Levenberg shift mu, raised only when a
     solve fails or is not finite, is added to the Hessian's diagonal.
+    notes, if given, is a list to which a polished solve (see below)
+    appends "longdouble_polish_steps=<k>"; nothing else is appended.
 
     The line search backtracks a = 1, 1/2, 1/4, ... down to _MIN_STEP and
     takes the first step whose scaled residual falls below
@@ -75,7 +84,26 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
     sweep and in the _MIN_STEP fallback alike: by the same row-for-row
     argument they are the bits its row would get. The stalled first
     level of the benchmark's 512-node heat problem makes 4 gradient
-    calls instead of 44 this way.
+    calls instead of 44 this way before its polish.
+
+    Where even the _MIN_STEP step makes no progress, the float64
+    iteration has stalled, and the iterate goes to _polish: the gradient
+    is taken in np.longdouble, the step is the float64 solve with the
+    stalled step's Hessian and shift (the same LU table, held Hessian,
+    KnotTridiagonal or FastDiagonalization, so nothing is factored
+    again), and the iterate stays in np.longdouble for at most
+    _POLISH_STEPS steps. If its scaled residual in extended precision
+    reaches tol, the solve returns the float64 rounding of that iterate
+    and that residual, converged, and notes the polish; otherwise the
+    stall is returned as before, unconverged. The float64 floor is the
+    rounding of the gradient, not of the iterate: the benchmark's
+    512-node, N = 64 heat problem stalls at 1.12e-10 against tol 1e-10,
+    and 1-ulp perturbations of its iterate give 6.7-7.5e-10 in float64,
+    while one polish step reaches 5.5e-14 at each of its three weight
+    levels. A point-grid scalar decay with N = 4000 at eps = 0.2 (a
+    floor growing like (eps/dt)^2) converges the same way. Where
+    np.longdouble is no wider than float64 (eps >= 1e-18), the polish is
+    skipped and the flag stands.
 
     A sparse Hessian arrives bitwise as the scipy chain that once
     assembled it would build it (see energies.energy1_hessian), so its
@@ -88,9 +116,9 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
       does not depend on the state, see wed._constant_hessian) is a
       sparse matrix with its own table of block LUs, which outlives the
       call; it is solved as below, with that table.
-    - A FastDiagonalization (what `minimize_wed` passes on 2D grids with
-      p = 2 and a state-independent, Kronecker-sum energy Hessian) solves
-      without assembling or factoring anything.
+    - A FastDiagonalization (what `minimize_wed` passes on 1D and 2D
+      grids with p = 2 and a state-independent, Kronecker-sum energy
+      Hessian) solves without assembling or factoring anything.
     - A KnotTridiagonal (what `minimize_wed_ri` passes when a = 0 or the
       grid is a point, so that every node is its own chain in time) is
       one LAPACK tridiagonal solve, with no sparse matrix per iteration.
@@ -107,19 +135,23 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
       they give bitwise identical steps, and every iterate keeps the
       invariance. One ordering over the whole matrix broke it at round-off
       level, and the ~1e-16 couplings that followed grew the fill from 4
-      to 11-23. The other sparse solves (1D grids, coupled `rateind` with
-      a > 0, `wide`) keep SuperLU's defaults (COLAMD, partial pivoting):
-      their outputs sit at the round-off floor, where another solver moves
-      them by more than the 1e-12 refactor oracle. The `wide` Hessians are
-      badly conditioned (5e15 at the first level of `wide_oscillator`),
-      and the `wave_pulse` trajectory moved by 2.8e-10; in 1D and
+      to 11-23. The other sparse solves (1D and point grids, coupled
+      `rateind` with a > 0, `wide`) keep SuperLU's defaults (COLAMD,
+      partial pivoting): their outputs sit at the round-off floor, where
+      another solver moves them by more than the 1e-12 refactor oracle.
+      The `wide` Hessians are badly conditioned (5e15 at the first level
+      of `wide_oscillator`), and the `wave_pulse` trajectory moved by
+      2.8e-10; in 1D and
       `rateind` solves a point-grid Euler-Lagrange residual moved by
       3.6e-12 under the symmetric factorization. A coupled `rateind`
       Hessian is block tridiagonal (the coupling Laplacian sits in every
-      diagonal block), which a KnotTridiagonal cannot hold. 1D grids stay
-      off the fast diagonalization for the round-off reason: on one input
-      variant of the benchmark ladder's 512-node heat problem it moved the
-      Euler-Lagrange interior residual from 1.1225e-10 to 1.1372e-10.
+      diagonal block), which a KnotTridiagonal cannot hold. Point grids
+      stay off the fast diagonalization (energies.energy1_modes) for the
+      round-off reason: on benchmark variants 2, 3 and 5 of `scalar_decay`
+      it moved the `reports.json` leaf `euler_lagrange/interior_max` by
+      3.5e-12, over the 1e-12 oracle. That leaf is the O(1) residual
+      evaluated at the first weight level rather than the solved one, so
+      it amplifies the round-off of the solve.
       `ri_ramp`, whose solves are all uncoupled, moved by at most 4.5e-16
       when they left splu for dgtsv.
 
@@ -187,6 +219,12 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
                 gnew = grad_fn(xnew[None])[0]
                 rnew = float(np.max(np.abs(gnew / scale)))
             if not rnew < res:
+                polished = _polish(grad_fn, lambda r: _shifted_solve(
+                    H, mu, r, lu_options, lus), x, scale, tol)
+                if polished is not None:
+                    x, res, steps = polished
+                    if notes is not None:
+                        notes.append(f"longdouble_polish_steps={steps}")
                 break
         x = xnew
         g = gnew
@@ -204,6 +242,43 @@ def _lu_options(symmetric: bool) -> dict:
     return dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True)) if symmetric else {}
 
+
+def _polish(grad_fn, solve, x: np.ndarray, scale: np.ndarray,
+            tol: float):
+    """Newton refinement of a stalled float64 iterate x with the gradient
+    in extended precision (Moler 1967): X <- X + solve(-g(X)), X and g(X)
+    in np.longdouble, the step a float64 solve with the stalled step's
+    Hessian (its LU table, FastDiagonalization or KnotTridiagonal). At most
+    _POLISH_STEPS steps; it stops at the first that does not lower the
+    extended residual. Returns (the float64 rounding of X, X's scaled
+    residual in extended precision, steps taken) once that residual is at
+    most tol; None if it never is, or if np.longdouble is no wider than
+    float64 (not _EXTENDED), where the float64 stall stands."""
+    if not _EXTENDED:
+        return None
+    X = x.astype(np.longdouble)
+    G = grad_fn(X[None])[0]
+    res = float(np.max(np.abs(G / scale)))
+    steps = 0
+    while res > tol:
+        if steps == _POLISH_STEPS:
+            return None
+        trial = X + solve(-G.astype(float))
+        G_trial = grad_fn(trial[None])[0]
+        r_trial = float(np.max(np.abs(G_trial / scale)))
+        if not r_trial < res:
+            return None
+        X, G, res, steps = trial, G_trial, r_trial, steps + 1
+    return X.astype(float), res, steps
+
+
+# The most extended-precision steps of one polish (see _polish).
+_POLISH_STEPS = 3
+
+# Whether np.longdouble is wider than float64: eps 1.1e-19 for the x87
+# 80-bit format, 1.9e-34 for IEEE quad. Where it is float64 itself (eps
+# 2.2e-16, as on arm64 macOS or Windows), there is no polish (eps >= 1e-18).
+_EXTENDED = bool(np.finfo(np.longdouble).eps < 1e-18)
 
 # The element budget of one stacked gradient call of a backtracking sweep:
 # rows of trial points times unknowns. It bounds the sweep's extra memory

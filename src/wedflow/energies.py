@@ -68,6 +68,18 @@ class DissipationSpec:
             object.__setattr__(self, "table_alpha", a)
 
 
+def _interp(v: np.ndarray, s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """np.interp(v, s, a), whose float64 bits this is, except for an
+    np.longdouble v (the extended-precision polish of _newton), which
+    np.interp cannot take: that is interpolated in v's precision, with
+    the same constant ends outside [s_0, s_-1]."""
+    if np.asarray(v).dtype != np.longdouble:
+        return np.interp(v, s, a)
+    i = np.clip(np.searchsorted(s, v, side="right") - 1, 0, s.size - 2)
+    out = a[i] + (v - s[i]) * ((a[i + 1] - a[i]) / (s[i + 1] - s[i]))
+    return np.where(v < s[0], a[0], np.where(v > s[-1], a[-1], out))
+
+
 def alpha_eval(spec: DissipationSpec, v: np.ndarray) -> np.ndarray:
     if spec.alpha_kind == "power":
         if spec.p == 2.0:
@@ -76,7 +88,7 @@ def alpha_eval(spec: DissipationSpec, v: np.ndarray) -> np.ndarray:
         nz = v != 0.0
         out[nz] = np.abs(v[nz]) ** (spec.p - 2.0) * v[nz]
         return out
-    return np.interp(v, spec.table_s, spec.table_alpha)
+    return _interp(v, spec.table_s, spec.table_alpha)
 
 
 def alpha_prime(spec: DissipationSpec, v: np.ndarray) -> np.ndarray:
@@ -106,7 +118,7 @@ def A_eval(spec: DissipationSpec, v: np.ndarray) -> np.ndarray:
     i0 = min(max(i0, 0), s.size - 2)
     A0 = knots_A[i0] + 0.5 * (np.interp(0.0, s, a) + a[i0]) * (0.0 - s[i0])
     idx = np.clip(np.searchsorted(s, v, side="right") - 1, 0, s.size - 2)
-    av = np.interp(v, s, a)
+    av = _interp(v, s, a)
     Av = knots_A[idx] + 0.5 * (av + a[idx]) * (v - s[idx])
     return Av - A0
 
@@ -217,8 +229,13 @@ def _edge_energy(grid: Grid, X: np.ndarray, B: np.ndarray, m: float):
     diffs, emeas = edge_differences(grid, X, edges)
     Be = B[..., src]
     val = np.sum(Be * np.abs(diffs) ** m * emeas, axis=-1) / m
-    # d/dd of (1/m)|d|^m is |d|^{m-2} d; chain rule through d = D u
-    force = Be * np.abs(diffs) ** (m - 2.0) * diffs * emeas
+    # d/dd of (1/m)|d|^m is |d|^{m-2} d; chain rule through d = D u. At
+    # m = 2 the power is |d|^0 = 1 (NaN and inf included) and Be * 1 is
+    # Be, so leaving it out gives the same bits without a pow per edge
+    if m == 2.0:
+        force = Be * diffs * emeas
+    else:
+        force = Be * np.abs(diffs) ** (m - 2.0) * diffs * emeas
     grad = (D.T @ force.T).T
     return val, grad
 
@@ -501,7 +518,9 @@ def energy1_value_grad(spec: EnergySpec, grid: Grid,
         val = val + hd * np.sum(C * np.abs(x) ** m, axis=1) / m
         rob = _robin_diag(grid)
         val = val + 0.5 * np.sum(rob * x * x, axis=1)
-        grad += hd * C * np.abs(x) ** (m - 2.0) * x + rob * x
+        # |x|^0 = 1 at m = 2, as in _edge_energy
+        grad += (hd * C * x if m == 2.0
+                 else hd * C * np.abs(x) ** (m - 2.0) * x) + rob * x
         return val, grad
     raise ConfigurationError(f"unhandled energy kind {spec.kind!r}")
 

@@ -266,18 +266,20 @@ def minimize_wed_ri(problem: RIProblem,
     total_iters = 0
     res = np.inf
     converged = True
+    notes = []
     for delta in deltas:
         U, res, iters, ok = pinned_solve(
             newton_solve, problem.initial[None], N, U,
             lambda U: grad(U, delta), lambda U: hess(U, delta), jw * hd,
-            tol=1e-9, max_iter=200)
+            tol=1e-9, max_iter=200, notes=notes)
         total_iters += iters
         converged = converged and ok
     traj = RITrajectory(problem.grid, problem.T, U,
                         pinned_initial=problem.initial)
     value = wed_ri_value(problem, traj)
     report = MinimizeReport(iterations=total_iters, value=value,
-                            gradient_norm=res, converged=converged)
+                            gradient_norm=res, converged=converged,
+                            notes=tuple(notes))
     return traj, report
 
 

@@ -21,19 +21,21 @@ Newton steps. With p = 2 the rate term's curvature is a_n h^d/dt^2 at
 every node, so the space-time Hessian over knots 1..N is
 kron(diag(b), K) + kron(T_a, I), T_a the tridiagonal of that curvature
 and K the energy Hessian. Where K is constant and a Kronecker sum over
-the axes of a 2D grid (energies.energy1_modes), minimize_wed never
+the axes of a 1D or 2D grid (energies.energy1_modes), minimize_wed never
 assembles it: every step is a space-time fast diagonalization
 (_newton.FastDiagonalization). Every other problem assembles the sparse
-Hessian and factors it (see _newton.newton_solve for which factorization
-and why 1D grids keep SuperLU's defaults): at every Newton step, or, where
-no state changes it (_constant_hessian), once per weight level of
-fixed_point_solve. The assembly fills CSC arrays from a one-knot template
-cached per grid (energies.energy1_hessian) with the floating-point
-operations, in their order, of the scipy chain
+Hessian and factors it (see _newton.newton_solve for which factorization,
+and why point grids stay off the fast diagonalization): at every Newton
+step, or, where no state changes it (_constant_hessian), once per weight
+level of fixed_point_solve. The assembly fills CSC arrays from a one-knot
+template cached per grid (energies.energy1_hessian) with the
+floating-point operations, in their order, of the scipy chain
 b (kron(I, D)^T diag(w) kron(I, D) + diag(d)) + T it replaced, so every
 Hessian, LU and step is bitwise that chain's. The line search takes the
 iterate's gradient at trial points bitwise equal to it (see
-_newton.newton_solve), which moves no bit either.
+_newton.newton_solve), which moves no bit either. A solve that stalls
+above its tolerance in float64 is polished with an extended-precision
+gradient (_newton._polish) and says so in its MinimizeReport.notes.
 """
 
 from __future__ import annotations
@@ -230,10 +232,14 @@ def wed_value_grad(problem: WedProblem, w: np.ndarray,
 def _fast_modes(problem: WedProblem) -> Optional[tuple]:
     """The energy Hessian's fast-diagonalization form when the space-time
     Hessian of minimize_wed is kron(diag(b), K) + kron(T_a, I) with a
-    constant K and T_a, on a 2D grid (power dissipation with p = 2 and an
-    energy1_modes energy); None otherwise. 1D grids keep the sparse LU,
-    whose rounding their golden records carry (see newton_solve)."""
-    if problem.grid.dim != 2 or problem.dissipation.alpha_kind != "power" \
+    constant K and T_a, on a 1D or 2D grid (power dissipation with p = 2
+    and an energy1_modes energy); None otherwise. Point grids keep the
+    sparse LU: on benchmark variants 2, 3 and 5 of `scalar_decay` the fast
+    diagonalization moved the `reports.json` leaf
+    `euler_lagrange/interior_max`, the O(1) residual of the wrong weight
+    level, by 3.5e-12, over the 1e-12 refactor oracle (see
+    _newton.newton_solve)."""
+    if problem.dissipation.alpha_kind != "power" \
             or problem.dissipation.p != 2.0:
         return None
     return energy1_modes(problem.energy1, problem.grid)
@@ -292,7 +298,10 @@ def minimize_wed(problem: WedProblem, w, init: Trajectory,
     every step, a fast diagonalization (no Hessian is assembled) or one
     fill whose LUs are made once. _hessian, internal, is that Hessian
     built by the caller, fixed_point_solve, once for all its calls of a
-    weight level; without it the call builds its own."""
+    weight level; without it the call builds its own. A solve that
+    stalls in float64 and converges under the extended-precision polish
+    (see _newton.newton_solve) reports that residual as its gradient
+    norm and "longdouble_polish_steps=<k>" in its notes."""
     if init.pinned_initial is None or not np.array_equal(
             init.values[0], problem.initial):
         raise ConfigurationError("init must be pinned at the problem initial")
@@ -305,16 +314,17 @@ def minimize_wed(problem: WedProblem, w, init: Trajectory,
     def hess(U):
         return held if held is not None else _space_time_hessian(problem, U)
 
+    notes = []
     U, res, iters, conv = pinned_solve(
         newton_solve, problem.initial[None], N, init.values,
         lambda U: _wed_kernel(problem, w, U, dt)[1], hess,
         b * problem.grid.cell_measure, tol=1e-10, max_iter=max_iter,
-        symmetric=problem.grid.dim > 1)
+        symmetric=problem.grid.dim > 1, notes=notes)
     out = Trajectory(problem.grid, problem.T, U,
                      pinned_initial=problem.initial,
                      ncomp=problem.n_dof // problem.grid.n_nodes)
     value, _ = wed_value_grad(problem, w, out)
-    return out, MinimizeReport(iters, value, res, conv)
+    return out, MinimizeReport(iters, value, res, conv, tuple(notes))
 
 
 # ---------------------------------------------------------------------------

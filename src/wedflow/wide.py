@@ -388,16 +388,17 @@ def minimize_wide(problem: WideProblem, steps: int,
     hd = parts.grid.cell_measure
     knot_mag = (dt * (sinf + hd) + 8.0 * eps ** 2 * minf / dt ** 3
                 + 4.0 * eps * dinf / dt)
+    notes = [f"curvature_bound={repr(parts.lam)}"]
     U, res, iters, conv = pinned_solve(
         newton_solve, _pinned_rows(problem, dt), N,
         None if init is None else init.values,
         lambda U: _wide_kernel(parts, U)[1], hess,
-        np.maximum(beta[2:] * knot_mag, 1e-300), tol=1e-10, max_iter=120)
+        np.maximum(beta[2:] * knot_mag, 1e-300), tol=1e-10, max_iter=120,
+        notes=notes)
     traj = wide_trajectory(problem, U)
     value, _ = _wide_kernel(parts, U)
     rep = MinimizeReport(iterations=iters, value=value, gradient_norm=res,
-                         converged=conv,
-                         notes=(f"curvature_bound={repr(parts.lam)}",))
+                         converged=conv, notes=tuple(notes))
     return traj, rep
 
 

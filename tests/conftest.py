@@ -46,13 +46,15 @@ def count_newton(monkeypatch, module) -> dict:
 def watch_repeats(grad_fn, hess_fn, counts: dict) -> tuple:
     """Newton callbacks that add to counts: `grads` and `rows` per gradient
     call, and `repeats`, the rows bitwise equal (int64 views, so -0.0 is
-    not +0.0) to the iterate, the point of the last Hessian call."""
+    not +0.0) to the iterate, the point of the last Hessian call; a row of
+    another dtype (the np.longdouble rows of an extended-precision polish)
+    is never one."""
     iterate = []
 
     def grad(X):
         counts["grads"] += 1
         counts["rows"] += X.shape[0]
-        if iterate:
+        if iterate and X.dtype == iterate[0].dtype:
             counts["repeats"] += int(np.sum(np.all(
                 X.view(np.int64) == iterate[0].view(np.int64), axis=1)))
         return grad_fn(X)

@@ -76,6 +76,23 @@ def test_table_dissipation_matches_power():
     assert np.allclose(A_eval(spec, probe), 0.5 * probe * probe, atol=1e-12)
 
 
+def test_table_dissipation_takes_a_longdouble_stack():
+    # the extended-precision polish evaluates the gradient (and the value
+    # with it) on np.longdouble, which np.interp refuses
+    spec = DissipationSpec(p=2.0, alpha_kind="table",
+                           table_s=np.array([-1.0, 0.0, 0.5, 1.0]),
+                           table_alpha=np.array([-2.0, 0.0, 0.1, 1.0]))
+    v = np.array([[-3.0, -1.0, -0.4, 0.0, 0.2, 0.5, 0.75, 1.0, 2.0]])
+    for f in (alpha_eval, A_eval):
+        wide = f(spec, v.astype(np.longdouble))
+        assert wide.dtype == np.longdouble and wide.shape == v.shape
+        assert np.allclose(wide.astype(float), f(spec, v), rtol=1e-15,
+                           atol=1e-16)
+    # float64 keeps np.interp's bits
+    assert np.array_equal(alpha_eval(spec, v), np.interp(v, spec.table_s,
+                                                         spec.table_alpha))
+
+
 def test_dissipation_spec_validation():
     with pytest.raises(ConfigurationError):
         DissipationSpec(p=1.0)
@@ -622,10 +639,15 @@ def test_wed_hessians_are_bitwise_the_sparse_chain(monkeypatch, grid, energy,
     # Levenberg shift starts at 1e-300 and the trial points overflow
     with np.errstate(over="ignore", invalid="ignore") \
             if dissipation == "p4-rest" else contextlib.nullcontext():
-        minimize_wed(problem, w, Trajectory(grid, problem.T, start,
-                                            pinned_initial=problem.initial,
-                                            ncomp=n_dof // n), max_iter=4)
+        traj, report = minimize_wed(
+            problem, w, Trajectory(grid, problem.T, start,
+                                   pinned_initial=problem.initial,
+                                   ncomp=n_dof // n), max_iter=4)
     assert seen
+    # a stall goes to the extended-precision polish (table dissipation
+    # included), which hands back float64 whatever it decides
+    assert traj.values.dtype == np.float64
+    assert type(report.gradient_norm) is float
     if dissipation == "p4-rest":
         # at rest the time band vanishes: each knot is its own block
         H = seen[0].tocoo()

@@ -65,21 +65,54 @@ def test_bundled_scenario_matches_golden_record(tmp_path, monkeypatch, name):
                    golden("scenarios", 0, name))
 
 
-# heat1d_512_m2_N64 is the one ladder problem whose Newton steps reuse a
-# factorization across iterations, and its variant 3 Euler-Lagrange
-# residual sits at the round-off floor of its factorization
+def ladder_run(tmp_path, monkeypatch, name: str, variant: int) -> tuple:
+    """(exit code, record) of the benchmark's ladder operation."""
+    monkeypatch.setenv("WEDFLOW_OUT", str(tmp_path))
+    op, = [op for op in workloads.ladder_ops(variant, tmp_path)
+           if op.name == name]
+    rc, _ = cli(list(op.argv))
+    return rc, checks.run_record(rc, tmp_path / name)
+
+
+# heat1d_512_m2_N64 is recorded as a failure (exit 3: float64 Newton stalls
+# at a scaled residual of 1.12e-10 against tol 1e-10). The extended-precision
+# polish makes it converge, and a recorded failure that now passes its
+# gates has no golden outputs; it is judged as the benchmark judges it
+# (checks.judge), which counts it as passed
 @pytest.mark.parametrize("name, variant", [("heat2d_32x32_m2_N16", 0),
                                            ("heat2d_16x16_m3_N64", 0),
                                            ("heat1d_512_m2_N64", 0),
                                            ("heat1d_512_m2_N64", 3)])
 def test_ladder_problem_matches_golden_record(tmp_path, monkeypatch, name,
                                               variant):
-    monkeypatch.setenv("WEDFLOW_OUT", str(tmp_path))
-    op, = [op for op in workloads.ladder_ops(variant, tmp_path)
-           if op.name == name]
-    rc, _ = cli(list(op.argv))
-    assert_matches(checks.run_record(rc, tmp_path / name),
-                   golden("large_grid", variant, name))
+    _, record = ladder_run(tmp_path, monkeypatch, name, variant)
+    gold = golden("large_grid", variant, name)
+    if gold["exit"] == 0:
+        assert_matches(record, gold)
+    else:
+        failed, incorrect, notes = checks.judge(record, gold)
+        assert not failed and not incorrect, notes
+
+
+@pytest.mark.parametrize("variant", [0, 3])
+def test_ladder_heat1d_converges_at_every_level(tmp_path, monkeypatch,
+                                                variant):
+    levels = []
+    real = wedflow.runner.eps_continuation
+
+    def watched(*args, **kwargs):
+        levels.append(real(*args, **kwargs))
+        return levels[-1]
+
+    monkeypatch.setattr(wedflow.runner, "eps_continuation", watched)
+    rc, record = ladder_run(tmp_path, monkeypatch, "heat1d_512_m2_N64",
+                            variant)
+    assert rc == 0 and checks.gate_problems(record) == []
+    cont, = levels
+    assert not cont.aborted and len(cont.reports) == 3
+    for level in cont.reports:
+        report, = level.inner_reports
+        assert report.converged and report.gradient_norm <= 1e-10
 
 
 @pytest.mark.parametrize("suite, seed", [(suite, seed)

@@ -17,7 +17,7 @@ from wedflow.cli import bundled_scenarios
 from wedflow.runner import Scenario
 
 from conftest import (count_newton, heat_problem, line_grid, point_grid,
-                      watch_repeats)
+                      scalar_decay_problem, watch_repeats)
 
 
 def test_full_step_solve_reuses_the_line_search_gradient():
@@ -246,9 +246,11 @@ def test_2d_wed_solves_factor_symmetrically(monkeypatch):
 
 
 def test_other_solves_keep_superlu_defaults(monkeypatch):
-    # the 1D golden outputs depend on the default factorization's rounding
+    # the 1D golden outputs depend on the default factorization's rounding;
+    # a fractional energy is no Kronecker sum, so its 1D solve factors
     calls = _record_splu(monkeypatch)
-    problem = heat_problem(n=6)
+    problem = replace(heat_problem(n=6), energy1=EnergySpec(
+        kind="fractional", s=0.4, gamma=0.5))
     minimize_wed(problem, np.zeros((5, 6)),
                  constant_trajectory(problem.grid, problem.initial,
                                      problem.T, 4))
@@ -472,14 +474,47 @@ def test_other_2d_solves_still_factor_symmetrically(monkeypatch, problem):
     assert all(kw == SYMMETRIC for kw in calls)
 
 
-def test_1d_quadratic_solves_keep_the_default_lu(monkeypatch):
+def line_problem(boundary: str) -> WedProblem:
+    """heat_problem's data on 8 nodes of an interval with the given
+    boundary, or of a periodic ring."""
+    if boundary != "periodic":
+        return heat_problem(n=8, boundary=boundary)
+    return replace(heat_problem(n=8), grid=build_grid(
+        dim=1, shape=(8,), spacing=(1.0 / 8,), boundary="periodic",
+        domain_kind="torus"))
+
+
+LINE_BOUNDARIES = ("neumann", "dirichlet", "periodic")
+
+
+@pytest.mark.parametrize("boundary", LINE_BOUNDARIES)
+def test_1d_p2_solves_make_no_splu_call(monkeypatch, boundary):
     calls = _record_splu(monkeypatch)
-    problem = heat_problem(n=8)
-    _, report = minimize_wed(problem, np.zeros((5, 8)), constant_trajectory(
-        problem.grid, problem.initial, problem.T, 4))
-    assert report.converged
-    assert len(calls) == report.iterations >= 1
-    assert all(kw == {} for kw in calls)
+    problem = line_problem(boundary)
+    N = 4
+    w = np.tile(np.linspace(-1.0, 1.0, problem.n_dof), (N + 1, 1))
+    assert isinstance(wed._constant_hessian(problem, _rest(problem, N)),
+                      _newton.FastDiagonalization)
+    _, report = minimize_wed(problem, w, _rest(problem, N))
+    assert report.converged and report.iterations >= 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.37])
+@pytest.mark.parametrize("boundary", LINE_BOUNDARIES)
+def test_1d_fast_newton_step_matches_the_lu_step(monkeypatch, boundary, mu):
+    N = 6
+    problem = line_problem(boundary)
+    fast, g = _first_newton_inputs(monkeypatch, problem, N, False)
+    held, g_ref = _first_newton_inputs(monkeypatch, problem, N, True)
+    assert isinstance(fast, _newton.FastDiagonalization)
+    assert isinstance(held, _newton.HeldSparse) and held.options == {}
+    H = held.matrix
+    assert np.array_equal(g, g_ref)
+    assert np.allclose(fast.diagonal(), H.diagonal(), rtol=1e-14, atol=0.0)
+    step = _newton._shifted_solve(fast, mu, -g, {})
+    ref = splu((H + mu * sp.identity(H.shape[0])).tocsc()).solve(-g)
+    assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_2d_solve_of_1d_data_is_the_1d_solve_broadcast():
@@ -852,26 +887,72 @@ def test_lu_table_holds_no_block_of_an_earlier_matrix(monkeypatch):
     assert len(checked) >= 2 and all(checked)
 
 
-def test_1d_ladder_heat_factors_once_per_newton_level(monkeypatch):
-    # the benchmark ladder's 1D problem: n = 512, N = 64, a quadratic
-    # energy with p = 2, so every Newton step of a level has the same
-    # Hessian
+def _polish_notes(report) -> list:
+    return [note for note in report.notes
+            if note.startswith("longdouble_polish_steps=")]
+
+
+def test_1d_ladder_heat_is_polished_to_converge_at_every_level(monkeypatch):
+    # the benchmark ladder's 1D problem: n = 512, N = 64, an m = 2 energy
+    # with p = 2, so every Newton step is a fast diagonalization; float64
+    # stalls above 1e-10 at each level (about 1.1e-10), and the
+    # extended-precision polish certifies the minimizer
     problem = heat_problem(n=512, spacing=1.0 / 512)
     calls = _record_splu(monkeypatch)
-    levels = []
-    real = wed.newton_solve
+    cont = wed.eps_continuation(problem, [0.2, 0.1, 0.05], 64)
+    assert calls == []
+    assert not cont.aborted and len(cont.family) == 3
+    for level in cont.reports:
+        report, = level.inner_reports
+        assert report.converged and report.gradient_norm <= 1e-10
+        assert len(_polish_notes(report)) == 1
+    assert cont.final.values.dtype == np.float64
 
-    def watched(x0, grad_fn, hess_fn, scale, **options):
-        def hess(x):
-            levels[-1] += 1
-            return hess_fn(x)
-        levels.append(0)
-        return real(x0, grad_fn, hess, scale, **options)
 
-    monkeypatch.setattr(wed, "newton_solve", watched)
-    wed.eps_continuation(problem, [0.2, 0.1, 0.05], 64)
-    assert max(levels) >= 2
-    assert calls == [{}] * sum(1 for hessians in levels if hessians)
+def test_1d_ladder_heat_at_1024_knots_converges(monkeypatch):
+    # 262,144 unknowns: the sparse LU of this problem took about 550 MB,
+    # and float64 stalled at its first level; the fast diagonalization and
+    # the polish solve it in about 1 s and 130 MB
+    problem = heat_problem(n=256, spacing=1.0 / 256)
+    calls = _record_splu(monkeypatch)
+    cont = wed.eps_continuation(problem, [0.2, 0.1, 0.05], 1024)
+    assert calls == []
+    assert not cont.aborted and len(cont.family) == 3
+    assert all(level.inner_reports[-1].gradient_norm <= 1e-10
+               for level in cont.reports)
+
+
+def test_point_grid_decay_at_4000_knots_is_polished_on_splu(monkeypatch):
+    # the float64 floor grows like (eps/dt)^2: N = 4000 at eps = 0.2 stalls
+    # in float64; a point grid keeps the sparse LU, and the polish reuses
+    # its one factorization
+    problem = scalar_decay_problem(eps=0.2)
+    calls = _record_splu(monkeypatch)
+    traj, rep = wed.fixed_point_solve(problem, 4000)
+    report, = rep.inner_reports
+    assert rep.converged and report.gradient_norm <= 1e-10
+    assert len(_polish_notes(report)) == 1
+    assert calls == [{}]
+    assert traj.values.dtype == np.float64
+    # without the polish the same solve ends flagged, at an iterate the
+    # polish moved by round-off only
+    monkeypatch.setattr(_newton, "_EXTENDED", False)
+    stalled, rep = wed.fixed_point_solve(problem, 4000)
+    report, = rep.inner_reports
+    assert not rep.converged and report.gradient_norm > 1e-10
+    assert report.notes == ()
+    assert np.max(np.abs(traj.values - stalled.values)) <= 1e-12
+
+
+def test_solves_that_converge_in_float64_are_never_polished(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("polished a solve that converges")
+
+    monkeypatch.setattr(_newton, "_polish", refuse)
+    cont = wed.eps_continuation(heat_problem(n=16), [0.2, 0.1], 16)
+    assert not cont.aborted
+    assert all(rep.notes == () for level in cont.reports
+               for rep in level.inner_reports)
 
 
 # ---------------------------------------------------------------------------
@@ -900,9 +981,17 @@ def test_state_dependent_hessians_are_not_held(problem):
     EnergySpec(kind="m_laplace", m=2.0, B=1.0, C=0.5),
 ], ids=["quadratic", "fractional", "m=2"])
 def test_constant_hessians_are_held(energy):
-    problem = replace(heat_problem(n=6), energy1=energy)
-    assert isinstance(wed._constant_hessian(problem, _rest(problem)),
-                      _newton.HeldSparse)
+    # a Kronecker-sum energy solves by fast diagonalization in 1D and 2D;
+    # on a point grid, and for the fractional energy, the fill is held
+    line = replace(heat_problem(n=6), energy1=energy)
+    held = wed._constant_hessian(line, _rest(line))
+    if energy.kind == "fractional":
+        assert isinstance(held, _newton.HeldSparse) and held.options == {}
+    else:
+        assert isinstance(held, _newton.FastDiagonalization)
+    point = replace(scalar_decay_problem(), energy1=energy)
+    held = wed._constant_hessian(point, _rest(point))
+    assert isinstance(held, _newton.HeldSparse) and held.options == {}
     square = square_problem(energy=energy)
     held = wed._constant_hessian(square, _rest(square))
     if energy.kind == "fractional":
@@ -915,9 +1004,11 @@ def test_constant_hessians_are_held(energy):
 
 @pytest.mark.parametrize("mu", [0.0, 0.37])
 @pytest.mark.parametrize("problem, options", [
-    (heat_problem(n=6), {}),
+    (replace(heat_problem(n=6), energy1=EnergySpec(kind="fractional",
+                                                   s=0.4, gamma=0.5)), {}),
+    (scalar_decay_problem(), {}),
     (square_problem("robin"), SYMMETRIC),
-], ids=["1d-default", "2d-symmetric"])
+], ids=["1d-default", "point-default", "2d-symmetric"])
 def test_held_hessian_solve_is_the_lu_solve(monkeypatch, problem, options,
                                             mu):
     calls = _record_splu(monkeypatch)
@@ -938,9 +1029,10 @@ def test_held_hessian_solve_is_the_lu_solve(monkeypatch, problem, options,
 # ---------------------------------------------------------------------------
 
 def _sequential_newton(x0, grad_fn, hess_fn, scale, tol=1e-10, max_iter=100,
-                       min_step=1e-12, symmetric=False):
+                       min_step=1e-12, symmetric=False, notes=None):
     """newton_solve with one gradient row per trial step: each step
-    a = 1, 1/2, 1/4, ... is evaluated and tested on its own."""
+    a = 1, 1/2, 1/4, ... is evaluated and tested on its own. A stall ends
+    with newton_solve's extended-precision polish."""
     lu_options = SYMMETRIC if symmetric else {}
 
     def grad(x):
@@ -981,6 +1073,13 @@ def _sequential_newton(x0, grad_fn, hess_fn, scale, tol=1e-10, max_iter=100,
             gnew = grad(x + a * step)
             rnew = float(np.max(np.abs(gnew / scale)))
             if not rnew < res:
+                polished = _newton._polish(
+                    grad_fn, lambda r: _newton._shifted_solve(
+                        H, mu, r, lu_options, lus), x, scale, tol)
+                if polished is not None:
+                    x, res, steps = polished
+                    if notes is not None:
+                        notes.append(f"longdouble_polish_steps={steps}")
                 break
         x = x + a * step
         g = gnew
@@ -1019,11 +1118,15 @@ def _ri_lane(a: float):
     return lambda: minimize_wed_ri(problem, deltas=(1e-2,))
 
 
-def _wed_lane(energy: EnergySpec, p: float = 2.0, N: int = 5):
-    """A minimize_wed solve on a 6-node line with a random dual field."""
+def _wed_lane(energy: EnergySpec, p: float = 2.0, N: int = 5,
+              dissipation: DissipationSpec = None):
+    """A minimize_wed solve on a 6-node line with a random dual field,
+    under power dissipation with exponent p unless `dissipation` is
+    given."""
     n = 6
     n_dof = 2 * n if energy.kind == "lv_quadratic" else n
-    problem = WedProblem(grid=line_grid(n), dissipation=DissipationSpec(p=p),
+    problem = WedProblem(grid=line_grid(n),
+                         dissipation=dissipation or DissipationSpec(p=p),
                          energy1=energy, energy2=ConcaveSpec(),
                          reaction=ReactionSpec(), T=1.0, epsilon=0.2,
                          initial=1.0 + 0.3 * np.cos(np.linspace(0.0, 3.0,
@@ -1050,6 +1153,12 @@ LANES = {
                                                  gamma=0.5))),
     "wed-lv_quadratic": (wed, _wed_lane(EnergySpec(
         kind="lv_quadratic", D1=1.0, D2=0.5, F1=0.3, F2=0.2))),
+    "wed-table": (wed, _wed_lane(
+        EnergySpec(kind="m_laplace", m=2.0, B=1.0, C=0.2),
+        dissipation=DissipationSpec(p=2.0, alpha_kind="table",
+                                    table_s=np.array([-10.0, 0.0, 10.0]),
+                                    table_alpha=np.array([-5.0, 0.0,
+                                                          20.0])))),
     "wide-wave": (wide, _wide_lane(WideWaveProblem(
         grid=line_grid(5), rho=1.0, nu=0.2,
         f_coeffs=(0.0, 0.1, 0.5, 0.0, 0.25), lam=0.0, p_growth=4.0, T=1.0,
@@ -1095,6 +1204,23 @@ def test_stacked_gradient_rows_are_the_single_trajectory_gradients(
     for row in range(X.shape[0]):
         assert np.array_equal(rows[row], seen[0](X[row:row + 1])[0])
         assert np.array_equal(rows[row], G[row, k:].ravel())
+
+
+@pytest.mark.parametrize("lane", sorted(LANES))
+def test_every_lane_gradient_takes_a_longdouble_stack(monkeypatch, lane):
+    # the extended-precision polish evaluates a lane's gradient on an
+    # np.longdouble stack, and rounds only its result
+    module, solve = LANES[lane]
+    grad, pinned, N = _lane_gradient(monkeypatch, module, solve)
+    k, n_dof = pinned.shape
+    U = 1.0 + 0.5 * np.random.default_rng(8).standard_normal((3, N + 1,
+                                                               n_dof))
+    U[:, :k] = pinned
+    G = grad(U)
+    wide = grad(U.astype(np.longdouble))
+    assert wide.dtype == np.longdouble and wide.shape == U.shape
+    assert np.max(np.abs(wide.astype(float) - G)) \
+        <= 1e-12 * np.max(np.abs(G))
 
 
 def _compare_with_sequential(monkeypatch, module, solve) -> list:
@@ -1164,8 +1290,8 @@ def test_1d_ladder_heat_evaluates_one_row_per_gradient_call(monkeypatch):
 def test_stalled_sweep_reuses_the_iterate_gradient(monkeypatch):
     # the benchmark ladder's 1D problem at eps = 0.2: a late Newton step
     # is below the iterate's ulp, so its trial points are bitwise the
-    # iterate; they take its gradient, and the result is still bitwise
-    # the sequential sweep's
+    # iterate; they take its gradient, and the result, polished after the
+    # stall, is still bitwise the sequential sweep's
     problem = heat_problem(n=512, spacing=1.0 / 512)
     counts = count_newton(monkeypatch, wed)
     stalled = dict(grads=0, rows=0, repeats=0)
@@ -1183,8 +1309,9 @@ def test_stalled_sweep_reuses_the_iterate_gradient(monkeypatch):
     wed.eps_continuation(problem, [0.2], 64)
     assert len(results) == 1
     (x, res, iters, conv), (rx, rres, riters, rconv) = results[0]
-    assert np.array_equal(x, rx)
+    assert np.array_equal(x, rx) and x.dtype == np.float64
     assert res == rres and iters == riters and conv == rconv
+    assert conv and res <= 1e-10
     assert stalled["repeats"] > 0
     assert counts["repeats"] == 0
     assert counts["grads"] == stalled["grads"] - stalled["repeats"]

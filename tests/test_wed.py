@@ -197,9 +197,11 @@ def test_init_with_the_wrong_knot_count_is_refused(monkeypatch, energy2):
 
 def test_level_hessian_is_factored_once_and_dies_with_the_level(
         monkeypatch):
-    # a concave part closes the loop; with m = 2 and p = 2 its Hessian is
-    # the same in every outer iteration
+    # a concave part closes the loop; with a fractional energy and p = 2
+    # its Hessian is the same in every outer iteration, and it is no
+    # Kronecker sum, so it is filled and factored
     problem = replace(heat_problem(n=6),
+                      energy1=EnergySpec(kind="fractional", s=0.4, gamma=0.5),
                       energy2=ConcaveSpec(concave_q=2.0, concave_D=0.1))
     held, tables, factored = [], [], []
     real_hessian = wedflow.wed._constant_hessian
@@ -223,6 +225,28 @@ def test_level_hessian_is_factored_once_and_dies_with_the_level(
     assert len(held) == 1 and len(factored) == 1 and len(tables[0]) == 1
     gc.collect()
     assert held[0]() is None
+
+
+def test_level_fast_diagonalization_is_built_once_and_factors_nothing(
+        monkeypatch):
+    # with m = 2 and p = 2 on a line the level's Hessian is a Kronecker
+    # sum: one fast diagonalization serves every outer iteration
+    problem = replace(heat_problem(n=6),
+                      energy2=ConcaveSpec(concave_q=2.0, concave_D=0.1))
+    built, factored = [], []
+    real_hessian = wedflow.wed._constant_hessian
+
+    def watched(problem, init):
+        built.append(real_hessian(problem, init))
+        return built[-1]
+
+    monkeypatch.setattr(wedflow.wed, "_constant_hessian", watched)
+    monkeypatch.setattr(wedflow._newton, "splu",
+                        lambda A, **options: factored.append(A.shape))
+    _, rep = fixed_point_solve(problem, 8)
+    assert rep.converged and rep.outer_iterations > 2
+    assert len(built) == 1 and factored == []
+    assert isinstance(built[0], wedflow._newton.FastDiagonalization)
 
 
 # ---------------------------------------------------------------------------
