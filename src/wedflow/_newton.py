@@ -18,19 +18,21 @@ equal to the iterate takes the iterate's gradient instead of a row.
 
 Front end. Every lane minimizes over whole trajectories U ((N+1, n_dof))
 whose first k rows are pinned (k = 2 in the inertial lane, else 1).
-`pinned_solve` holds the shared plumbing (unknown knots, start, row scale,
-`with_pins`) and takes the solver as an argument, so each lane's calls go
-through its own module binding of `newton_solve`. `time_divergence` and
-`band_diagonals` are the backward-difference time coupling of the
-first-order lanes. Its Hessian comes in five forms: `time_band`, one
-sparse matrix, for the coupled rate-independent lane; the band filled
-into the CSC space-time Hessian of `energies.energy1_hessian`, for the
-parabolic lane; `HeldSparse`, that CSC Hessian held with its LUs where
-no state changes it; `KnotTridiagonal`, one tridiagonal per dof column
-solved by LAPACK, for lanes that do not couple dofs in space (the
-uncoupled rate-independent lane); and `FastDiagonalization`, the
-coupling plus a constant Kronecker-sum energy Hessian on a 1D or 2D
-grid, whose per-mode tridiagonals are one `KnotTridiagonal`.
+`pinned_solve` holds the shared plumbing (unknown knots, start, row scale)
+and takes the solver as an argument, so each lane's calls go through its
+own module binding of `newton_solve`. A lane's callbacks see and return
+only the unknown knots k..N; a lane that needs the whole trajectory builds
+it with `with_pins`. `time_divergence` and `band_diagonals` are the
+backward-difference time coupling of the first-order lanes. Its Hessian
+comes in five forms: `time_band`, one sparse matrix, for the coupled
+rate-independent lane; the band filled into the CSC space-time Hessian
+of `energies.energy1_hessian`, for the parabolic lane; `HeldSparse`,
+that CSC Hessian held with its LUs where no state changes it;
+`KnotTridiagonal`, one tridiagonal per dof column solved by LAPACK, for
+lanes that do not couple dofs in space (the uncoupled rate-independent
+lane); and `FastDiagonalization`, the coupling plus a constant
+Kronecker-sum energy Hessian on a 1D or 2D grid, whose per-mode
+tridiagonals are one `KnotTridiagonal`.
 
 Extended-precision polish. Where the float64 iteration stalls above its
 tolerance (the _MIN_STEP fallback makes no progress), `_polish` refines
@@ -195,7 +197,7 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
         for _ in range(8):
             try:
                 step = _shifted_solve(H, mu, -g, lu_options, lus)
-                if np.all(np.isfinite(step)):
+                if np.isfinite(step).all():
                     break
             except RuntimeError:
                 pass
@@ -213,7 +215,7 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
             # A NaN residual is no progress either.
             a = _MIN_STEP
             xnew = x + a * step
-            if _same_bits(xnew[None], x)[0]:
+            if xnew.tobytes() == x.tobytes():
                 gnew, rnew = g, res
             else:
                 gnew = grad_fn(xnew[None])[0]
@@ -305,21 +307,27 @@ def _backtrack(grad_fn, x: np.ndarray, g: np.ndarray, step: np.ndarray,
     A trial point bitwise equal to x (a step below the iterate's ulp) takes
     g and res instead of a gradient row: a row of a call carries the bits
     of a call of its own, so they are the bits it would get. The test
-    compares the int64 views, so a trial that turns -0.0 into +0.0 is
-    evaluated."""
+    compares bytes, so a trial that turns -0.0 into +0.0 is evaluated.
+    Such rows are the last of a call, if any. Rounding is monotone, so an
+    entry x_i + a step_i that rounds to x_i for some a does so for every
+    smaller a; a zero x_i keeps its sign while a step_i rounds to a zero
+    (to -0.0, if x_i is -0.0), which then holds for every smaller a too.
+    So a call whose last row differs from x has no such row, and only the
+    bytes of that row are compared."""
     trials, factors, batch = sweep
+    xbits = x.tobytes()
     lo, rows = 0, 1
     while lo < trials.size:
         A = trials[lo:lo + rows]
         X = x + A[:, None] * step
-        same = _same_bits(X, x)
-        if same.any():
+        if X[-1].tobytes() != xbits:
+            G = grad_fn(X)
+        else:
+            same = np.array([row.tobytes() == xbits for row in X])
             G = np.empty_like(X)
             G[same] = g
             if not same.all():
                 G[~same] = grad_fn(X[~same])
-        else:
-            G = grad_fn(X)
         R = np.abs(G / scale).max(axis=1)
         passed = R <= factors[lo:lo + rows] * res
         j = passed.argmax()
@@ -327,12 +335,6 @@ def _backtrack(grad_fn, x: np.ndarray, g: np.ndarray, step: np.ndarray,
             return float(A[j]), X[j], G[j], float(R[j])
         lo, rows = lo + rows, batch
     return None, None, None, None
-
-
-def _same_bits(X: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Whether each row of the float stack X is bitwise x: int64 views, so
-    that -0.0 and +0.0 differ and a NaN equals its own bits."""
-    return (X.view(np.int64) == x.view(np.int64)).all(axis=1)
 
 
 def _shifted_solve(H, mu: float, rhs: np.ndarray, lu_options: dict,
@@ -458,7 +460,20 @@ class KnotTridiagonal:
     diagonal off ((N-1, n)), as band_diagonals gives them. A solve is one
     LAPACK dgtsv (Gaussian elimination with partial pivoting) on the
     node-major flattening, the columns joined by zero couplings; an exactly
-    singular system raises RuntimeError, as splu does."""
+    singular system raises RuntimeError, as splu does.
+
+    The solve is bitwise that of the padded system, which appends one
+    uncoupled unknown with unit diagonal and zero right-hand side (the
+    wrapper rejects the empty off diagonal of a one-unknown system, which
+    is solved padded). dgtsv eliminates the rows of both alike and raises
+    at the same row with the same info: the padded row's pivot stays 1,
+    and its unknown comes out +0.0 (NaN where the last eliminated
+    right-hand side b is not finite). That unknown enters only the last
+    real unknown's back substitution, as (b - u * 0.0) / d with u = ±0.0,
+    which is b / d unless b is -0.0 (turned +0.0) or not finite. So where
+    the unpadded last unknown comes out finite and nonzero, b is too, and
+    the two solves agree bit for bit; elsewhere the padded system is
+    solved."""
 
     def __init__(self, diag: np.ndarray, off: np.ndarray):
         self.diag = diag
@@ -471,17 +486,31 @@ class KnotTridiagonal:
         """(H + mu I)^{-1} rhs for the flat knot-major rhs."""
         N, n = self.diag.shape
         # column j's knots are rows j N .. j N + N - 1, and the coupling
-        # after each column's last knot is zero; a last, uncoupled unknown
-        # with unit diagonal keeps a one-unknown system solvable, since
-        # the wrapper rejects an empty off diagonal
-        off = np.zeros((n, N))
-        off[:, :-1] = self.off.T
-        off = off.ravel()
-        *_, x, info = dgtsv(off, np.append((self.diag + mu).T, 1.0), off,
-                            np.append(rhs.reshape(N, n).T, 0.0)[:, None])
-        if info != 0:
-            raise RuntimeError(f"tridiagonal solve failed (dgtsv info {info})")
+        # after each column's last knot is zero
+        d = (self.diag + mu).T.ravel()
+        b = rhs.reshape(N, n).T.ravel()
+        if n == 1:
+            off = self.off.ravel()
+        else:
+            off = np.zeros((n, N))
+            off[:, :-1] = self.off.T
+            off = off.ravel()[:-1]
+        if d.size > 1:
+            x = _dgtsv(off, d, b)
+            if 0.0 < abs(x[-1]) < np.inf:
+                return x.reshape(n, N).T.ravel()
+        x = _dgtsv(np.append(off, 0.0), np.append(d, 1.0), np.append(b, 0.0))
         return x[:-1].reshape(n, N).T.ravel()
+
+
+def _dgtsv(off: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution of the symmetric tridiagonal system with main diagonal
+    d and off diagonal off, by LAPACK dgtsv; RuntimeError where it is
+    exactly singular."""
+    *_, x, info = dgtsv(off, d, off, b)
+    if info != 0:
+        raise RuntimeError(f"tridiagonal solve failed (dgtsv info {info})")
+    return x
 
 
 class FastDiagonalization:
@@ -530,35 +559,39 @@ def pinned_solve(solver, pinned: np.ndarray, N: int, start, grad, hess,
     """Minimize over the trajectories U ((N+1, n_dof)) whose first rows
     are `pinned` ((k, n_dof)); options go to `solver`. start is None (each
     unknown knot starts at the last pinned row) or an (N+1, n_dof) array.
-    grad(U) is the whole-trajectory gradient of each trajectory in the
-    stack U ((rows, N+1, n_dof)), hess(U) the Hessian over the knots k..N
-    of one trajectory. Returns (U, scaled_residual, iterations,
-    converged)."""
+    The callbacks see only the unknown knots k..N: grad(V) is the gradient
+    over them of each trajectory whose unknown knots are a row of the
+    stack V ((rows, N+1-k, n_dof)), as such a stack, and hess(V) the
+    Hessian over them of the one trajectory whose unknown knots are V
+    ((N+1-k, n_dof)). V is a view of the solver's iterate or trial stack;
+    a callback reads it and never writes it. Returns (U, scaled_residual,
+    iterations, converged)."""
     k, n_dof = pinned.shape
+    knots = (N + 1 - k, n_dof)
     if start is None:
-        x0 = np.tile(pinned[-1], (N + 1 - k, 1)).ravel()
+        x0 = np.tile(pinned[-1], (knots[0], 1)).ravel()
     elif start.shape[0] != N + 1:
         raise ConfigurationError("init has the wrong number of knots")
     else:
         x0 = start[k:].ravel()
 
     x, res, iters, conv = solver(
-        x0, lambda X: grad(with_pins(pinned, X))[:, k:].reshape(X.shape),
-        lambda x: hess(with_pins(pinned, x)), np.repeat(knot_scale, n_dof),
+        x0, lambda X: grad(X.reshape(X.shape[0], *knots)).reshape(X.shape),
+        lambda x: hess(x.reshape(knots)), np.repeat(knot_scale, n_dof),
         **options)
-    return with_pins(pinned, x), res, iters, conv
+    return with_pins(pinned, x.reshape(knots)), res, iters, conv
 
 
-def with_pins(pinned: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The trajectory whose rows are `pinned`, then the flat unknowns x:
-    a fresh array, as np.vstack would return, filled by two copies. For a
-    stack of unknowns x ((rows, m)), one such trajectory per row."""
-    k, n_dof = pinned.shape
-    rows = x.reshape(*x.shape[:-1], -1, n_dof)
-    U = np.empty((*rows.shape[:-2], k + rows.shape[-2], n_dof),
-                 np.result_type(pinned, rows))
+def with_pins(pinned: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The trajectory whose rows are `pinned`, then the unknown knots V
+    ((knots, n_dof)): a fresh array, as np.vstack would return, filled by
+    two copies. For a stack of them (V of shape (rows, knots, n_dof)),
+    one such trajectory per row."""
+    k = pinned.shape[0]
+    U = np.empty((*V.shape[:-2], k + V.shape[-2], V.shape[-1]),
+                 np.result_type(pinned, V))
     U[..., :k, :] = pinned
-    U[..., k:, :] = rows
+    U[..., k:, :] = V
     return U
 
 

@@ -176,11 +176,17 @@ def ri_energy_grad(problem: RIProblem, u: np.ndarray,
                    n_slice: int) -> np.ndarray:
     """The gradient of ri_energy in u (a state or a stack of states, with
     any leading axes); row for row the bits of the single-state call."""
-    hd = problem.grid.cell_measure
-    g = problem.phi_tilde_d1(u) * hd
+    return _energy_grad(problem, u,
+                        problem.grid.cell_measure * problem.forcing[n_slice])
+
+
+def _energy_grad(problem: RIProblem, u: np.ndarray,
+                 work: np.ndarray) -> np.ndarray:
+    """ri_energy_grad with the forcing term h^d h_n given as work."""
+    g = problem.phi_tilde_d1(u) * problem.grid.cell_measure
     if problem._lap is not None:
         g = g + _rowmul(problem._lap, u)
-    return g - hd * problem.forcing[n_slice]
+    return g - work
 
 
 def _ri_weights(eps: float, T: float, N: int):
@@ -228,12 +234,14 @@ def minimize_wed_ri(problem: RIProblem,
                     deltas: Sequence[float] = DELTA_SCHEDULE) -> tuple:
     """Smoothing continuation over the variation term, one Newton solve
     per smoothing stage to a scaled residual of 1e-9 in at most 200
-    iterations. Returns the trajectory and a MinimizeReport whose gradient
-    norm is the row-scaled stationarity residual at the final smoothing
-    stage. Without coupling
+    iterations; deltas, the smoothing stages, must be finite and positive,
+    and there must be at least one. Returns the trajectory and a
+    MinimizeReport whose gradient norm is the row-scaled stationarity
+    residual at the final smoothing stage. Without coupling
     (a = 0 or a point grid) every node is its own chain in time and each
     Newton step is one LAPACK tridiagonal solve (_newton.KnotTridiagonal);
     with a > 0 the Hessian is block tridiagonal and is factored by splu."""
+    deltas = _check_deltas(deltas)
     N = problem.steps
     hd = problem.grid.cell_measure
     jw, pw, tw = _ri_weights(problem.epsilon, problem.T, N)
@@ -242,22 +250,28 @@ def minimize_wed_ri(problem: RIProblem,
     pwt[-1] += tw
     lap = None if problem._lap is None \
         else sp.kron(sp.diags(pwt), problem._lap, format="csc")
-    # bound once per solve: the closures run thousands of times, and
-    # U[1:] - U[:-1] is np.diff(U, axis=0) without its call overhead
+    # bound once per solve: the closures run thousands of times
     pwt_col, jw_col = pwt[:, None], jw[:, None]
+    work = hd * problem.forcing[1:]
+    u0 = problem.initial
 
-    def grad(U: np.ndarray, delta: float) -> np.ndarray:
-        # U is a trajectory or a stack of them; each acts on its own
-        g = np.zeros_like(U)
-        V = U[..., 1:, :]
-        g[..., 1:, :] = pwt_col * ri_energy_grad(problem, V, slice(1, None))
-        time_divergence(g[..., 1:, :],
-                        jw_col * _sigma(V - U[..., :-1, :], delta) * hd)
+    # The callbacks see the unknown knots V (knots 1..N; a trajectory's,
+    # or a stack of them, each acting on its own) and return their rows.
+    def jumps(V: np.ndarray) -> np.ndarray:
+        # u_n - u_{n-1}, u_0 the pinned row: np.diff of the trajectory
+        before = np.empty_like(V)
+        before[..., 0, :] = u0
+        before[..., 1:, :] = V[..., :-1, :]
+        return V - before
+
+    def grad(V: np.ndarray, delta: float) -> np.ndarray:
+        g = pwt_col * _energy_grad(problem, V, work)
+        time_divergence(g, jw_col * _sigma(jumps(V), delta) * hd)
         return g
 
-    def hess(U: np.ndarray, delta: float) -> KnotTridiagonal | sp.spmatrix:
-        r = jw_col * _rho(U[1:] - U[:-1], delta) * hd
-        main = pwt_col * problem._phi_d2(U[1:]) * hd
+    def hess(V: np.ndarray, delta: float) -> KnotTridiagonal | sp.spmatrix:
+        r = jw_col * _rho(jumps(V), delta) * hd
+        main = pwt_col * problem._phi_d2(V) * hd
         if lap is None:
             return KnotTridiagonal(*band_diagonals(r, main))
         return (time_band(r, main) + lap).tocsc()
@@ -269,8 +283,8 @@ def minimize_wed_ri(problem: RIProblem,
     notes = []
     for delta in deltas:
         U, res, iters, ok = pinned_solve(
-            newton_solve, problem.initial[None], N, U,
-            lambda U: grad(U, delta), lambda U: hess(U, delta), jw * hd,
+            newton_solve, u0[None], N, U,
+            lambda V: grad(V, delta), lambda V: hess(V, delta), jw * hd,
             tol=1e-9, max_iter=200, notes=notes)
         total_iters += iters
         converged = converged and ok
@@ -281,6 +295,20 @@ def minimize_wed_ri(problem: RIProblem,
                             gradient_norm=res, converged=converged,
                             notes=tuple(notes))
     return traj, report
+
+
+def _check_deltas(deltas) -> tuple:
+    """The smoothing stages as floats; ConfigurationError naming `deltas`
+    unless there is at least one and each is finite and positive."""
+    try:
+        out = tuple(float(d) for d in deltas)
+    except (TypeError, ValueError):
+        out = ()
+    if not out or not all(np.isfinite(d) and d > 0.0 for d in out):
+        raise ConfigurationError(
+            f"deltas must be one or more finite, positive smoothing "
+            f"parameters, not {deltas!r}", "deltas")
+    return out
 
 
 def sign_condition(problem: RIProblem, traj: RITrajectory) -> dict:

@@ -868,7 +868,8 @@ def _verify_gradients(seed: int = 0) -> dict:
     _, g = wed_value_grad(problem, w, traj)
 
     def value_of(flat):
-        t = Trajectory(grid, 1.0, with_pins(problem.initial[None], flat),
+        t = Trajectory(grid, 1.0, with_pins(problem.initial[None],
+                                            flat.reshape(steps, 7)),
                        pinned_initial=problem.initial)
         return wed_value_grad(problem, w, t)[0]
 
@@ -886,7 +887,7 @@ def _verify_gradients(seed: int = 0) -> dict:
     _, gw = wide_value_grad(osc, wide_trajectory(osc, base))
 
     def wide_value_of(flat):
-        vals = with_pins(base[:2], flat)
+        vals = with_pins(base[:2], flat.reshape(N - 1, 2))
         return wide_value_grad(osc, wide_trajectory(osc, vals))[0]
 
     err = _fd_error(wide_value_of, base[2:].ravel(), gw[2:].ravel(), rng)

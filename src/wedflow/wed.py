@@ -46,7 +46,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._newton import (FastDiagonalization, HeldSparse, newton_solve,
-                      pinned_solve, time_divergence)
+                      pinned_solve, time_divergence, with_pins)
 from .energies import (ConcaveSpec, DissipationSpec, EnergySpec,
                        ReactionSpec, A_eval, _rowdot, _sequential_sum,
                        alpha_eval, alpha_prime, energy1_hessian,
@@ -310,14 +310,18 @@ def minimize_wed(problem: WedProblem, w, init: Trajectory,
     dt = problem.T / N
     _, b = _weights(problem.epsilon, problem.T, N)
     held = _constant_hessian(problem, init) if _hessian is None else _hessian
+    pinned = problem.initial[None]
 
-    def hess(U):
-        return held if held is not None else _space_time_hessian(problem, U)
+    def grad(V):
+        return _wed_kernel(problem, w, with_pins(pinned, V), dt)[1][..., 1:, :]
+
+    def hess(V):
+        return held if held is not None \
+            else _space_time_hessian(problem, with_pins(pinned, V))
 
     notes = []
     U, res, iters, conv = pinned_solve(
-        newton_solve, problem.initial[None], N, init.values,
-        lambda U: _wed_kernel(problem, w, U, dt)[1], hess,
+        newton_solve, pinned, N, init.values, grad, hess,
         b * problem.grid.cell_measure, tol=1e-10, max_iter=max_iter,
         symmetric=problem.grid.dim > 1, notes=notes)
     out = Trajectory(problem.grid, problem.T, U,

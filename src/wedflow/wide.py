@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from .grids import ConfigurationError, Grid, Trajectory, build_grid
 from .energies import (_rowdot, _rowmul, _sequential_sum, graph_laplacian,
                        polyders, polyval)
-from ._newton import newton_solve, pinned_solve
+from ._newton import newton_solve, pinned_solve, with_pins
 from .qualitative import RMap, invariance_residual, require_invariant
 from .wed import MinimizeReport, continuation
 
@@ -377,8 +377,8 @@ def minimize_wide(problem: WideProblem, steps: int,
     pot_rows = sp.diags(np.repeat(w_pot[1:], nd))
     stiffness = sp.kron(sp.identity(N - 1), parts.S, format="csr")
 
-    def hess(U: np.ndarray) -> sp.spmatrix:
-        pot = pot_rows @ (stiffness + parts.g_hess(U[2:]))
+    def hess(V: np.ndarray) -> sp.spmatrix:
+        pot = pot_rows @ (stiffness + parts.g_hess(V))
         return (linear + pot).tocsc()
 
     # row scale tracks the dominant stiffness of each knot's gradient row
@@ -389,10 +389,11 @@ def minimize_wide(problem: WideProblem, steps: int,
     knot_mag = (dt * (sinf + hd) + 8.0 * eps ** 2 * minf / dt ** 3
                 + 4.0 * eps * dinf / dt)
     notes = [f"curvature_bound={repr(parts.lam)}"]
+    pinned = _pinned_rows(problem, dt)
     U, res, iters, conv = pinned_solve(
-        newton_solve, _pinned_rows(problem, dt), N,
-        None if init is None else init.values,
-        lambda U: _wide_kernel(parts, U)[1], hess,
+        newton_solve, pinned, N, None if init is None else init.values,
+        lambda V: _wide_kernel(parts, with_pins(pinned, V))[1][..., 2:, :],
+        hess,
         np.maximum(beta[2:] * knot_mag, 1e-300), tol=1e-10, max_iter=120,
         notes=notes)
     traj = wide_trajectory(problem, U)

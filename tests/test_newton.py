@@ -80,10 +80,11 @@ def test_pinned_solve_keeps_the_pins_and_solves_the_rest():
     r, m, c = _chain(N, n_dof, 3)
     pin = np.array([[1.0, -1.0]])
 
-    def grad(U):  # a stack of trajectories
-        g = np.zeros_like(U)
-        g[..., 1:, :] = m * (U[..., 1:, :] - c)
-        _newton.time_divergence(g[..., 1:, :], r * np.diff(U, axis=-2))
+    def grad(V):  # the unknown knots of a stack of trajectories
+        assert V.shape[-2:] == (N, n_dof)
+        g = m * (V - c)
+        _newton.time_divergence(g, r * np.diff(_newton.with_pins(pin, V),
+                                               axis=-2))
         return g
 
     starts = []
@@ -119,12 +120,17 @@ def test_pinned_solve_keeps_the_pins_and_solves_the_rest():
 def test_with_pins_is_vstack_in_a_fresh_array(k):
     rng = np.random.default_rng(k)
     pinned = rng.standard_normal((k, 3))
-    x = rng.standard_normal(12)
+    x = rng.standard_normal((4, 3))
     U = _newton.with_pins(pinned, x)
-    assert np.array_equal(U, np.vstack([pinned, x.reshape(-1, 3)]))
+    assert np.array_equal(U, np.vstack([pinned, x]))
     again = _newton.with_pins(pinned, x)
     assert again is not U and not np.shares_memory(again, U)
     assert not np.shares_memory(U, x) and not np.shares_memory(U, pinned)
+    # a stack of unknown knots gives one trajectory per row
+    X = rng.standard_normal((5, 4, 3))
+    stack = _newton.with_pins(pinned, X)
+    for row in range(5):
+        assert np.array_equal(stack[row], np.vstack([pinned, X[row]]))
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +155,100 @@ def test_knot_tridiagonal_solve_matches_the_lu_of_the_band(n_dof, mu):
                        rhs[:n_dof] / (m[0] + r[0] + mu), rtol=1e-15)
 
 
+def _padded_solve(H: _newton.KnotTridiagonal, rhs: np.ndarray,
+                  mu: float) -> np.ndarray:
+    """The knot tridiagonal solve as one dgtsv on the zero-padded system:
+    the columns one after another, joined by zero couplings, then one
+    uncoupled unknown with unit diagonal and zero right-hand side."""
+    N, n = H.diag.shape
+    off = np.zeros((n, N))
+    off[:, :-1] = H.off.T
+    off = off.ravel()
+    *_, x, info = _newton.dgtsv(off, np.append((H.diag + mu).T, 1.0), off,
+                                np.append(rhs.reshape(N, n).T, 0.0)[:, None])
+    if info != 0:
+        raise RuntimeError(f"tridiagonal solve failed (dgtsv info {info})")
+    return x[:-1].reshape(n, N).T.ravel()
+
+
+def _record_dgtsv(monkeypatch) -> list:
+    """Route `_newton.dgtsv` through a recorder of each call's unknowns."""
+    sizes = []
+    real = _newton.dgtsv
+
+    def recorder(dl, d, du, b, **kwargs):
+        sizes.append(d.size)
+        return real(dl, d, du, b, **kwargs)
+
+    monkeypatch.setattr(_newton, "dgtsv", recorder)
+    return sizes
+
+
+@pytest.mark.parametrize("dominant", [True, False])
+@pytest.mark.parametrize("N", [1, 2, 7])
+@pytest.mark.parametrize("n", [1, 3])
+def test_knot_tridiagonal_solve_is_bitwise_the_padded_system(
+        monkeypatch, n, N, dominant):
+    # random systems, and systems whose off diagonal outweighs the
+    # diagonal, where dgtsv exchanges rows; the solve takes the unpadded
+    # bands (nN unknowns, one dgtsv call) unless there is one unknown
+    rng = np.random.default_rng(100 * n + N)
+    sizes = _record_dgtsv(monkeypatch)
+    pivoted = 0
+    for trial in range(40):
+        off = rng.standard_normal((N - 1, n))
+        diag = rng.standard_normal((N, n))
+        if dominant:
+            diag = np.abs(diag) + 2.0
+        else:
+            diag *= 1e-3
+        rhs = rng.standard_normal(N * n)
+        rhs[rng.random(N * n) < 0.2] = 0.0
+        rhs[rng.random(N * n) < 0.2] = -0.0
+        mu = [0.0, 0.37][trial % 2]
+        H = _newton.KnotTridiagonal(diag, off)
+        sizes.clear()
+        got = H.solve(rhs, mu)
+        want = _padded_solve(H, rhs, mu)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert sizes[0] == (N * n if N * n > 1 else 2)
+        pivoted += bool(np.any(np.abs(off) > np.abs(diag[:-1] + mu)))
+    if N > 1 and not dominant:
+        assert pivoted
+
+
+def test_knot_tridiagonal_solve_keeps_the_padded_sign_of_zero():
+    # dgtsv exchanges the two rows, and the eliminated last right-hand
+    # side is -0.0: the unpadded system would return -0.0 where the padded
+    # one returns +0.0, so the solve takes the padded system
+    H = _newton.KnotTridiagonal(np.array([[0.1], [1.0]]), np.array([[1.0]]))
+    rhs = np.array([-0.0, 0.0])
+    *_, bare, info = _newton.dgtsv(H.off.ravel(), H.diag.ravel(),
+                                   H.off.ravel(), rhs)
+    assert info == 0 and np.signbit(bare[-1])
+    got = H.solve(rhs)
+    assert got.tobytes() == _padded_solve(H, rhs, 0.0).tobytes()
+    assert not np.signbit(got[-1])
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("N", [1, 2, 5])
+def test_exactly_singular_knot_tridiagonal_raises(n, N):
+    # every column but the last is well conditioned; the last is a path
+    # Laplacian, whose last pivot is exactly 0 (one knot: a zero diagonal)
+    diag = np.full((N, n), 3.0)
+    off = np.ones((N - 1, n))
+    diag[:, -1] = 2.0
+    diag[[0, -1], -1] = 1.0 if N > 1 else 0.0
+    off[:, -1] = -1.0
+    H = _newton.KnotTridiagonal(diag, off)
+    with pytest.raises(RuntimeError, match="dgtsv info"):
+        H.solve(np.ones(N * n))
+    with pytest.raises(RuntimeError, match="dgtsv info"):
+        _padded_solve(H, np.ones(N * n), 0.0)
+
+
 def test_singular_band_raises_and_newton_shifts_past_it(monkeypatch):
     # column 0 is a quadratic chain; column 1 is sum x^4 / 4 from its
     # minimizer 0, where its curvature, and so its tridiagonal, vanish
@@ -156,20 +256,22 @@ def test_singular_band_raises_and_newton_shifts_past_it(monkeypatch):
     r, m, c = _chain(N, 2, 7)
     r[:, 1] = 0.0
 
-    def grad(U):  # a stack of trajectories
-        g = np.zeros_like(U)
-        g[..., 1:, 0] = m[:, 0] * (U[..., 1:, 0] - c[:, 0])
-        g[..., 1:, 1] = U[..., 1:, 1] ** 3
-        _newton.time_divergence(g[..., 1:, :], r * np.diff(U, axis=-2))
+    pin = np.zeros((1, 2))
+
+    def grad(V):  # the unknown knots of a stack of trajectories
+        g = np.empty_like(V)
+        g[..., 0] = m[:, 0] * (V[..., 0] - c[:, 0])
+        g[..., 1] = V[..., 1] ** 3
+        _newton.time_divergence(g, r * np.diff(_newton.with_pins(pin, V),
+                                               axis=-2))
         return g
 
-    def hess(U):
-        main = np.column_stack([m[:, 0], 3.0 * U[1:, 1] ** 2])
+    def hess(V):
+        main = np.column_stack([m[:, 0], 3.0 * V[:, 1] ** 2])
         return _newton.KnotTridiagonal(*_newton.band_diagonals(r, main))
 
-    pin = np.zeros((1, 2))
     with pytest.raises(RuntimeError, match="dgtsv"):
-        hess(np.zeros((N + 1, 2))).solve(np.ones(2 * N))
+        hess(np.zeros((N, 2))).solve(np.ones(2 * N))
     shifts = []
     real = _newton.KnotTridiagonal.solve
     monkeypatch.setattr(_newton.KnotTridiagonal, "solve",
@@ -1092,7 +1194,8 @@ def _sequential_newton(x0, grad_fn, hess_fn, scale, tol=1e-10, max_iter=100,
 
 def _lane_gradient(monkeypatch, module, solve) -> tuple:
     """(grad, pinned rows, N) that the lane's solver hands to pinned_solve
-    on its first call: grad is the lane's whole-trajectory gradient."""
+    on its first call: grad is the lane's gradient over the unknown
+    knots."""
     seen = []
     real = module.pinned_solve
 
@@ -1183,12 +1286,11 @@ def test_stacked_gradient_rows_are_the_single_trajectory_gradients(
     grad, pinned, N = _lane_gradient(monkeypatch, module, solve)
     k, n_dof = pinned.shape
     rng = np.random.default_rng(7)
-    U = 1.0 + 0.5 * rng.standard_normal((7, N + 1, n_dof))
-    U[:, :k] = pinned
-    G = grad(U)
-    assert G.shape == U.shape
-    for row in range(U.shape[0]):
-        assert np.array_equal(G[row], grad(U[row].copy()))
+    V = 1.0 + 0.5 * rng.standard_normal((7, N + 1 - k, n_dof))
+    G = grad(V)
+    assert G.shape == V.shape
+    for row in range(V.shape[0]):
+        assert np.array_equal(G[row], grad(V[row].copy()))
     # and through the front end: the flat unknowns of each trajectory
     seen = []
 
@@ -1199,11 +1301,11 @@ def test_stacked_gradient_rows_are_the_single_trajectory_gradients(
     monkeypatch.setattr(module, "newton_solve", capture)
     _newton.pinned_solve(module.newton_solve, pinned, N, None, grad,
                          lambda U: None, np.ones(N + 1 - k))
-    X = U[:, k:].reshape(U.shape[0], -1)
+    X = V.reshape(V.shape[0], -1)
     rows = seen[0](X)
     for row in range(X.shape[0]):
         assert np.array_equal(rows[row], seen[0](X[row:row + 1])[0])
-        assert np.array_equal(rows[row], G[row, k:].ravel())
+        assert np.array_equal(rows[row], G[row].ravel())
 
 
 @pytest.mark.parametrize("lane", sorted(LANES))
@@ -1213,12 +1315,11 @@ def test_every_lane_gradient_takes_a_longdouble_stack(monkeypatch, lane):
     module, solve = LANES[lane]
     grad, pinned, N = _lane_gradient(monkeypatch, module, solve)
     k, n_dof = pinned.shape
-    U = 1.0 + 0.5 * np.random.default_rng(8).standard_normal((3, N + 1,
+    V = 1.0 + 0.5 * np.random.default_rng(8).standard_normal((3, N + 1 - k,
                                                                n_dof))
-    U[:, :k] = pinned
-    G = grad(U)
-    wide = grad(U.astype(np.longdouble))
-    assert wide.dtype == np.longdouble and wide.shape == U.shape
+    G = grad(V)
+    wide = grad(V.astype(np.longdouble))
+    assert wide.dtype == np.longdouble and wide.shape == V.shape
     assert np.max(np.abs(wide.astype(float) - G)) \
         <= 1e-12 * np.max(np.abs(G))
 
@@ -1333,3 +1434,38 @@ def test_trial_equal_to_the_iterate_but_for_a_zero_sign_is_evaluated():
     # +0.0 + 0.0 is the iterate's bits, -0.0 + 0.0 = +0.0 is not
     assert len(calls) == 1
     assert calls[0].shape == (1, 2) and not np.signbit(calls[0][0, 0])
+
+
+@pytest.mark.parametrize("x, step", [
+    ([1.0, 2.0], [1e-10, -3e-12]),      # rows past some a round to x
+    ([-0.0, 1.0], [1e-320, 1e-20]),     # -0.0 + (+tiny or +0.0): never x
+    ([-0.0, 1.0], [-1e-320, 1e-20]),    # underflows to -0.0: x again
+    ([0.0, 1.0], [-1e-320, 1e-17]),
+    ([3.0, -0.0], [0.0, 0.0]),          # every trial is x
+    ([3.0, 1.0], [1.0, -1.0]),          # no trial is x
+])
+def test_trial_rows_equal_to_the_iterate_are_the_last_and_take_g(x, step):
+    # a sweep that rejects every trial: the rows bitwise equal to x (here
+    # found one trial at a time) take g, and every other row is evaluated
+    # once, in the calls of the sweep's schedule
+    x, step = np.array(x), np.array(step)
+    trials = 0.5 ** np.arange(45)
+    sweep = (trials, 1.0 - 1e-4 * trials, 4)
+    calls = []
+
+    def grad_fn(X):
+        calls.append(X.copy())
+        return np.ones_like(X)
+
+    a, *_ = _newton._backtrack(grad_fn, x, np.ones(2), step, np.ones(2),
+                               0.5, sweep)
+    assert a is None
+    same = [(x + t * step).tobytes() == x.tobytes() for t in trials]
+    evaluated = [row.tobytes() for X in calls for row in X]
+    assert evaluated == [(x + t * step).tobytes()
+                         for t, s in zip(trials, same) if not s]
+    assert same == sorted(same)   # a suffix, as the sweep assumes
+    # one row, then 4 rows to a call; a call whose rows are all x is none
+    bounds = [0, *range(1, trials.size, 4), trials.size]
+    fresh = [same[lo:hi].count(False) for lo, hi in zip(bounds, bounds[1:])]
+    assert [len(X) for X in calls] == [k for k in fresh if k]

@@ -15,7 +15,8 @@ from wedflow import (ConfigurationError, RIProblem, RITrajectory, Scenario,
                      sign_condition, verify, wed_ri_value)
 from wedflow.cli import bundled_scenarios
 from wedflow.energies import graph_laplacian
-from wedflow.rateind import _ri_weights, _sigma, ri_energy, ri_energy_grad
+from wedflow.rateind import (_rho, _ri_weights, _sigma, ri_energy,
+                             ri_energy_grad)
 
 from conftest import count_newton, line_grid, point_grid
 
@@ -306,12 +307,13 @@ def test_solve_gradient_is_the_per_call_formula_bit_for_bit(monkeypatch, a):
     pwt = pw.copy()
     pwt[-1] += tw
     U = np.random.default_rng(1).standard_normal((N + 1, 3))
+    U[0] = problem.initial
     deltas = (1e-1, 1e-3)
     got = []
     real = rateind.pinned_solve
 
     def capture(solver, pinned, N, start, grad, hess, knot_scale, **opts):
-        got.append(grad(U))
+        got.append(grad(U[1:]))
         return real(solver, pinned, N, start, grad, hess, knot_scale, **opts)
 
     monkeypatch.setattr(rateind, "pinned_solve", capture)
@@ -322,7 +324,92 @@ def test_solve_gradient_is_the_per_call_formula_bit_for_bit(monkeypatch, a):
                                                  np.arange(1, N + 1))
         _newton.time_divergence(want[1:], jw[:, None] * _sigma(
             np.diff(U, axis=0), delta) * hd)
-        assert np.array_equal(g, want)
+        assert np.array_equal(g, want[1:])
+
+
+def _lane_callbacks(monkeypatch, problem, delta) -> tuple:
+    """The (grad, hess) that minimize_wed_ri hands to pinned_solve for the
+    smoothing stage delta."""
+    seen = []
+    real = rateind.pinned_solve
+
+    def capture(solver, pinned, N, start, grad, hess, knot_scale, **opts):
+        seen.append((grad, hess))
+        return real(solver, pinned, N, start, grad, hess, knot_scale, **opts)
+
+    monkeypatch.setattr(rateind, "pinned_solve", capture)
+    minimize_wed_ri(problem, deltas=(delta,))
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-6])
+@pytest.mark.parametrize("a", [0.0, 0.5])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("rows", [1, 10])
+def test_lane_kernels_are_the_whole_trajectory_formula_bit_for_bit(
+        monkeypatch, rows, n, a, delta):
+    # the gradient rows and Hessian over the unknown knots, taken straight
+    # from them and the pinned row, against the formula on the whole
+    # trajectory: with_pins, a zero pinned row, np.diff, then the slice
+    # h^d = 0.3 on the line, so that a regrouped product would show
+    rng = np.random.default_rng(11)
+    problem = RIProblem(grid=line_grid(n, spacing=0.3) if n > 1
+                        else point_grid(),
+                        phi_coeffs=(0.0, 0.1, 0.5, 0.0, 0.25), a=a,
+                        forcing=rng.standard_normal((8, n)), T=1.0,
+                        epsilon=0.3, initial=rng.standard_normal(n))
+    N, hd = problem.steps, problem.grid.cell_measure
+    jw, pw, tw = _ri_weights(problem.epsilon, problem.T, N)
+    pwt = pw.copy()
+    pwt[-1] += tw
+    grad, hess = _lane_callbacks(monkeypatch, problem, delta)
+    # jumps of the size of delta and far past it, zero jumps included
+    V = problem.initial + np.cumsum(
+        rng.choice([0.0, 1.0], (rows, N, n))
+        * rng.standard_normal((rows, N, n)) * 10.0 ** rng.integers(
+            -7, 1, (rows, N, n)), axis=1)
+    U = _newton.with_pins(problem.initial[None], V)
+    want = np.zeros_like(U)
+    want[..., 1:, :] = pwt[:, None] * ri_energy_grad(problem, U[..., 1:, :],
+                                                     slice(1, None))
+    _newton.time_divergence(want[..., 1:, :], jw[:, None] * _sigma(
+        np.diff(U, axis=-2), delta) * hd)
+    G = grad(V)
+    assert G.shape == V.shape
+    assert np.array_equal(G, want[..., 1:, :])
+    for row in range(rows):
+        r = jw[:, None] * _rho(np.diff(U[row], axis=0), delta) * hd
+        main = pwt[:, None] * problem._phi_d2(U[row, 1:]) * hd
+        H = hess(V[row])
+        if problem._lap is None:
+            diag, off = _newton.band_diagonals(r, main)
+            assert isinstance(H, _newton.KnotTridiagonal)
+            assert np.array_equal(H.diag, diag)
+            assert np.array_equal(H.off, off)
+        else:
+            ref = (_newton.time_band(r, main) + sp.kron(
+                sp.diags(pwt), problem._lap, format="csc")).tocsc()
+            assert np.array_equal(H.toarray(), ref.toarray())
+
+
+@pytest.mark.parametrize("deltas", [(), [], (0.0,), (float("nan"),),
+                                    (float("inf"),), (1e-2, -1e-3),
+                                    (1e-2, 0.0), ("tiny",), None])
+def test_smoothing_stages_must_be_finite_and_positive(deltas):
+    problem = coupled_problem(a=0.0)
+    with pytest.raises(ConfigurationError) as err:
+        minimize_wed_ri(problem, deltas=deltas)
+    assert err.value.field == "deltas"
+
+
+def test_smoothing_stages_accept_the_schedule_and_any_positive_floats():
+    problem = coupled_problem(a=0.0)
+    _, ref = minimize_wed_ri(problem)
+    _, again = minimize_wed_ri(problem, deltas=list(rateind.DELTA_SCHEDULE))
+    assert again == ref
+    _, one = minimize_wed_ri(problem, deltas=(np.float64(1e-3),))
+    assert one.iterations >= 1 and np.isfinite(one.gradient_norm)
 
 
 def test_ramp_scenario_newton_work_is_unchanged(tmp_path, monkeypatch):
