@@ -27,7 +27,8 @@ backward-difference time coupling of the first-order lanes. Its Hessian
 comes in five forms: `time_band`, one sparse matrix, for the coupled
 rate-independent lane; the band filled into the CSC space-time Hessian
 of `energies.energy1_hessian`, for the parabolic lane; `HeldSparse`,
-that CSC Hessian held with its LUs where no state changes it;
+that CSC Hessian held with the factorization of its last Levenberg shift
+where no state changes it;
 `KnotTridiagonal`, one tridiagonal per dof column solved by LAPACK, for
 lanes that do not couple dofs in space (the uncoupled rate-independent
 lane); and `FastDiagonalization`, the coupling plus a constant
@@ -91,21 +92,20 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
     Where even the _MIN_STEP step makes no progress, the float64
     iteration has stalled, and the iterate goes to _polish: the gradient
     is taken in np.longdouble, the step is the float64 solve with the
-    stalled step's Hessian and shift (the same LU table, held Hessian,
-    KnotTridiagonal or FastDiagonalization, so nothing is factored
-    again), and the iterate stays in np.longdouble for at most
-    _POLISH_STEPS steps. If its scaled residual in extended precision
-    reaches tol, the solve returns the float64 rounding of that iterate
-    and that residual, converged, and notes the polish; otherwise the
-    stall is returned as before, unconverged. The float64 floor is the
-    rounding of the gradient, not of the iterate: the benchmark's
-    512-node, N = 64 heat problem stalls at 1.12e-10 against tol 1e-10,
-    and 1-ulp perturbations of its iterate give 6.7-7.5e-10 in float64,
-    while one polish step reaches 5.5e-14 at each of its three weight
-    levels. A point-grid scalar decay with N = 4000 at eps = 0.2 (a
-    floor growing like (eps/dt)^2) converges the same way. Where
-    np.longdouble is no wider than float64 (eps >= 1e-18), the polish is
-    skipped and the flag stands.
+    stalled step's Hessian and shift (the solve that _factor made for
+    that step, so nothing is factored again), and the iterate stays in
+    np.longdouble for at most _POLISH_STEPS steps. If its scaled residual
+    in extended precision reaches tol, the solve returns the float64
+    rounding of that iterate and that residual, converged, and notes the
+    polish; otherwise the stall is returned as before, unconverged. The
+    float64 floor is the rounding of the gradient, not of the iterate:
+    the benchmark's 512-node, N = 64 heat problem stalls at 1.12e-10
+    against tol 1e-10, and 1-ulp perturbations of its iterate give
+    6.7-7.5e-10 in float64, while one polish step reaches 5.5e-14 at each
+    of its three weight levels. A point-grid scalar decay with N = 4000
+    at eps = 0.2 (a floor growing like (eps/dt)^2) converges the same
+    way. Where np.longdouble is no wider than float64 (eps >= 1e-18), the
+    polish is skipped and the flag stands.
 
     A sparse Hessian arrives bitwise as the scipy chain that once
     assembled it would build it (see energies.energy1_hessian), so its
@@ -116,8 +116,8 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
     RuntimeError where splu would, on an exactly singular system.
     - A HeldSparse (what `minimize_wed` passes where its sparse Hessian
       does not depend on the state, see wed._constant_hessian) is a
-      sparse matrix with its own table of block LUs, which outlives the
-      call; it is solved as below, with that table.
+      sparse matrix that holds the factorization of its last shift mu,
+      which outlives the call; it is factored as below.
     - A FastDiagonalization (what `minimize_wed` passes on 1D and 2D
       grids with p = 2 and a state-independent, Kronecker-sum energy
       Hessian) solves without assembling or factoring anything.
@@ -131,7 +131,7 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
       and whose factorization dominates the solve: on a 32x32 grid with
       N=16 the fill drops from 94x to 41x and the factor time by about
       3.6x. On this path each connected component of H + mu I is factored
-      on its own (see _shifted_solve). A degenerate m-Laplacian (m > 2)
+      on its own (see _factor). A degenerate m-Laplacian (m > 2)
       drops every edge where the gradient vanishes, so data constant along
       one axis splits the Hessian into identical chains; factored apart
       they give bitwise identical steps, and every iterate keeps the
@@ -157,31 +157,24 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
       `ri_ramp`, whose solves are all uncoupled, moved by at most 4.5e-16
       when they left splu for dgtsv.
 
-    Each distinct sparse block is factored once per call. The call keeps
-    one table of block LUs, keyed by each block's column pointers, row
-    indices and bytes of values, under the call's one set of SuperLU
-    options; a block is a connected component of H + mu I on the
-    symmetric path, else all of it (see _shifted_solve). A block stored
-    bitwise like one in the table, a repeat in the same matrix or a block
-    of the previous one, is solved with that LU; a Levenberg retry, whose
-    mu differs, is refactored. The table drops the blocks the new matrix
-    does not use before anything is factored, so it holds one matrix's
-    LUs at most, and none outlives the call. A HeldSparse carries the
-    table of its own instead, so a Hessian that does not change, as that
-    of a quadratic energy with p = 2, is factored once for every call it
-    is passed to: in `wed.fixed_point_solve`, once per weight level. A
-    reused factorization gives bitwise the step that refactoring would,
-    since gstrf is deterministic and a solve does not change the factor,
-    so reuse is safe on the solves at the round-off floor above and moves
-    no output.
+    Each matrix is factored once: every Levenberg try of a step calls
+    _factor(H, mu, symmetric) once, and the solve it returns serves the
+    step and any polish that follows; identical blocks of one matrix
+    share one LU (see _factor). No LU outlives its matrix, except in a
+    HeldSparse, which keeps the factorization of its last mu, so a
+    Hessian that does not change, as that of a quadratic energy with
+    p = 2, is factored once for every call it is passed to: in
+    `wed.fixed_point_solve`, once per weight level; a new mu refactors
+    it. A reused factorization gives bitwise the step that refactoring
+    would, since gstrf is deterministic and a solve does not change the
+    factor, so reuse is safe on the solves at the round-off floor above
+    and moves no output.
     """
-    lu_options = _lu_options(symmetric)
     x = x0.copy()
     g = grad_fn(x[None])[0]
     res = float(np.max(np.abs(g / scale)))
     it = 0
     mu = 0.0  # Levenberg shift, raised only on factorization trouble
-    lus = {}  # block bytes -> LU, see _shifted_solve
     # the sweep's steps 1, 1/2, 1/4, ... down to _MIN_STEP, their sufficient
     # decrease factors, and the trial rows per call after the full step
     trials = []
@@ -195,8 +188,10 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
         H = hess_fn(x)
         step = None
         for _ in range(8):
+            solve = None  # the last LUs go before new ones are made
             try:
-                step = _shifted_solve(H, mu, -g, lu_options, lus)
+                solve = _factor(H, mu, symmetric)
+                step = solve(-g)
                 if np.isfinite(step).all():
                     break
             except RuntimeError:
@@ -221,8 +216,7 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
                 gnew = grad_fn(xnew[None])[0]
                 rnew = float(np.max(np.abs(gnew / scale)))
             if not rnew < res:
-                polished = _polish(grad_fn, lambda r: _shifted_solve(
-                    H, mu, r, lu_options, lus), x, scale, tol)
+                polished = _polish(grad_fn, solve, x, scale, tol)
                 if polished is not None:
                     x, res, steps = polished
                     if notes is not None:
@@ -237,25 +231,17 @@ def newton_solve(x0: np.ndarray, grad_fn, hess_fn, scale: np.ndarray,
     return x, res, it, res <= tol
 
 
-def _lu_options(symmetric: bool) -> dict:
-    """The SuperLU options of a sparse solve: SuperLU's symmetric mode (a
-    minimum degree ordering of A^T + A and diagonal pivots only) if
-    symmetric, else its defaults (see newton_solve)."""
-    return dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True)) if symmetric else {}
-
-
 def _polish(grad_fn, solve, x: np.ndarray, scale: np.ndarray,
             tol: float):
     """Newton refinement of a stalled float64 iterate x with the gradient
     in extended precision (Moler 1967): X <- X + solve(-g(X)), X and g(X)
-    in np.longdouble, the step a float64 solve with the stalled step's
-    Hessian (its LU table, FastDiagonalization or KnotTridiagonal). At most
-    _POLISH_STEPS steps; it stops at the first that does not lower the
-    extended residual. Returns (the float64 rounding of X, X's scaled
-    residual in extended precision, steps taken) once that residual is at
-    most tol; None if it never is, or if np.longdouble is no wider than
-    float64 (not _EXTENDED), where the float64 stall stands."""
+    in np.longdouble, and solve the float64 solve of the stalled step's
+    factorization (see _factor). At most _POLISH_STEPS steps; it stops at
+    the first that does not lower the extended residual. Returns (the
+    float64 rounding of X, X's scaled residual in extended precision,
+    steps taken) once that residual is at most tol; None if it never is,
+    or if np.longdouble is no wider than float64 (not _EXTENDED), where
+    the float64 stall stands."""
     if not _EXTENDED:
         return None
     X = x.astype(np.longdouble)
@@ -337,50 +323,41 @@ def _backtrack(grad_fn, x: np.ndarray, g: np.ndarray, step: np.ndarray,
     return None, None, None, None
 
 
-def _shifted_solve(H, mu: float, rhs: np.ndarray, lu_options: dict,
-                   lus: dict | None = None):
-    """(H + mu I)^{-1} rhs: sparse LUs with the given SuperLU options for
-    a sparse H, else H's own solve. lus is the table of block LUs of the
-    calling newton_solve, or of a HeldSparse, which lives as long as its
-    holder (a weight level of wed.fixed_point_solve), keyed by each
-    block's bytes; without one, the call starts an empty table of its
-    own.
+def _factor(H, mu: float, symmetric: bool):
+    """Factor H + mu I once and return its solve, rhs -> (H + mu I)^{-1}
+    rhs. A Hessian that is not a sparse matrix solves itself
+    (`H.solve(rhs, mu)`); a sparse one is factored by `splu`, with
+    SuperLU's symmetric mode if symmetric, else its defaults (see
+    newton_solve).
 
-    A block is a connected component of H + mu I with options (the
-    symmetric path), else all of H + mu I. Each block's principal
-    submatrix gets its own splu with the same options, and a connected
-    matrix makes the one splu call it always made. A Hessian splits where
-    its couplings vanish, as the degenerate m-Laplacian's edges with zero
-    gradient do, and a single minimum degree ordering over all components
-    would give identical components different eliminations. Apart,
-    identical components (same values in the same local order) give
-    bitwise identical pieces of the step, so data invariant along an axis
-    keeps every Newton iterate invariant; the factorizations are also
-    smaller. The default-option solves are not split: their small 1D
+    On the symmetric path each connected component of H + mu I is a block
+    of its own, factored by its own splu; elsewhere the one block is all of
+    H + mu I, and a connected matrix makes the one splu call it always
+    made. A Hessian splits where its couplings vanish, as the degenerate
+    m-Laplacian's edges with zero gradient do, and a single minimum degree
+    ordering over all components would give identical components
+    different eliminations. Apart, identical components (same values in
+    the same local order) give bitwise identical pieces of the step, so
+    data invariant along an axis keeps every Newton iterate invariant;
+    the factorizations are also smaller. Identical blocks share one LU:
+    a block whose column pointers, row indices and bytes of values are
+    those of an earlier block of the matrix is solved with that block's
+    LU, which gives bitwise the step that its own splu would (gstrf is
+    deterministic on equal input, and a solve does not change the
+    factor). The default-option solves are not split: their small 1D
     Hessians would break into many tiny pieces, and their outputs sit at
-    the round-off floor (see newton_solve).
-
-    Each distinct block is factored once. A block whose column pointers,
-    row indices and bytes of values are those of a block in lus, of this
-    matrix or of the previous one, is solved with that LU; only a
-    block not in lus is factored, from the bytes of its key. Before
-    anything is factored, lus drops every block this matrix does not use,
-    so it holds the LUs of one matrix at most. Each block's piece of the
-    right-hand side still gets its own one-column solve; a stacked
-    multi-column solve could round differently. A reused LU gives bitwise
-    the step that refactoring would: gstrf is deterministic on equal
-    input and the solve does not change the factor. So reuse is safe on
-    the 1D, coupled `rateind` and `wide` solves at the round-off floor,
-    too."""
+    the round-off floor (see newton_solve). Each block's piece of the
+    right-hand side gets its own one-column solve; a stacked multi-column
+    solve could round differently."""
     if not sp.issparse(H):
-        return H.solve(rhs, mu)
-    if lus is None:
-        lus = {}
+        return lambda rhs: H.solve(rhs, mu)
+    options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True)) if symmetric else {}
     A = H if mu == 0.0 else H + mu * sp.identity(H.shape[0], format="csr")
     A = A.tocsc()
     n = A.shape[0]
     order, rows, bounds = np.arange(n), A.indices, [0, n]
-    if lu_options:
+    if symmetric:
         # imported here, so that importing the package does not load it
         from scipy.sparse.csgraph import connected_components
         # components are those of the undirected graph, so the CSR view
@@ -397,48 +374,44 @@ def _shifted_solve(H, mu: float, rhs: np.ndarray, lu_options: dict,
             A = A[:, order]
             rows = new[A.indices]
             bounds = [0] + np.cumsum(np.bincount(labels)).tolist()
-    # a key holds the block's only copy of its CSC arrays, so A is dropped
-    # before anything is factored
-    dtypes = (A.indptr.dtype, rows.dtype, A.data.dtype)
-    blocks = []
+    lus, blocks = {}, []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        ptr = A.indptr[lo:hi + 1]
-        blocks.append((lo, hi, ((ptr - ptr[0]).tobytes(),
-                                (rows[ptr[0]:ptr[-1]] - lo).tobytes(),
-                                A.data[ptr[0]:ptr[-1]].tobytes())))
-    del A, rows
-    for key in lus.keys() - {key for *_, key in blocks}:
-        del lus[key]
-    for lo, hi, key in blocks:
+        start, end = A.indptr[lo], A.indptr[hi]
+        ptr, local = A.indptr[lo:hi + 1] - start, rows[start:end] - lo
+        data = A.data[start:end]
+        key = (ptr.tobytes(), local.tobytes(), data.tobytes())
         if key not in lus:
-            ptr, local, data = (np.frombuffer(b, t)
-                                for b, t in zip(key, dtypes))
             lus[key] = splu(sp.csc_matrix((data, local, ptr),
                                           shape=(hi - lo, hi - lo)),
-                            **lu_options)
-    y = rhs[order]
-    for lo, hi, key in blocks:
-        y[lo:hi] = lus[key].solve(y[lo:hi])
-    x = np.empty_like(y)
-    x[order] = y
-    return x
+                            **options)
+        blocks.append((lo, hi, lus[key]))
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        y = rhs[order]
+        for lo, hi, lu in blocks:
+            y[lo:hi] = lu.solve(y[lo:hi])
+        x = np.empty_like(y)
+        x[order] = y
+        return x
+    return solve
 
 
 class HeldSparse:
     """A sparse Hessian that does not change while it is held: the CSC
-    matrix fill() returns, filled at its first use, the SuperLU options of
-    newton_solve's `symmetric` and a table of block LUs of its own. It
-    outlives a newton_solve call, so every Newton step of every solve it
-    is passed to reuses its LUs: a solve is _shifted_solve with that
-    table, so a block is factored (by `splu`) only the first time, and
-    again for a new Levenberg shift mu. A holder that is never solved
-    with, as at a start that is already stationary, fills nothing."""
+    matrix fill() returns, filled at its first use, and the factorization
+    of its last Levenberg shift mu. It outlives a newton_solve call, so
+    every Newton step of every solve it is passed to reuses that
+    factorization: a solve with the mu of the last one factors nothing,
+    and a solve with another mu replaces it by _factor(H, mu, symmetric),
+    so the matrix is factored (by `splu`) the first time and again for
+    each new mu. A holder that is never solved with, as at a start that is
+    already stationary, fills nothing."""
 
     def __init__(self, fill, symmetric: bool):
         self._fill = fill
         self._matrix = None
-        self.options = _lu_options(symmetric)
-        self.lus = {}
+        self.symmetric = symmetric
+        self._mu, self._solve = None, None
 
     @property
     def matrix(self):
@@ -451,7 +424,11 @@ class HeldSparse:
 
     def solve(self, rhs: np.ndarray, mu: float = 0.0) -> np.ndarray:
         """(H + mu I)^{-1} rhs."""
-        return _shifted_solve(self.matrix, mu, rhs, self.options, self.lus)
+        if mu != self._mu:
+            self._mu = self._solve = None  # the old LUs go first
+            self._solve = _factor(self.matrix, mu, self.symmetric)
+            self._mu = mu
+        return self._solve(rhs)
 
 
 class KnotTridiagonal:
@@ -558,7 +535,8 @@ def pinned_solve(solver, pinned: np.ndarray, N: int, start, grad, hess,
                  knot_scale: np.ndarray, **options):
     """Minimize over the trajectories U ((N+1, n_dof)) whose first rows
     are `pinned` ((k, n_dof)); options go to `solver`. start is None (each
-    unknown knot starts at the last pinned row) or an (N+1, n_dof) array.
+    unknown knot starts at the last pinned row) or an (N+1, n_dof) array;
+    a start of any other shape raises ConfigurationError.
     The callbacks see only the unknown knots k..N: grad(V) is the gradient
     over them of each trajectory whose unknown knots are a row of the
     stack V ((rows, N+1-k, n_dof)), as such a stack, and hess(V) the
@@ -572,6 +550,9 @@ def pinned_solve(solver, pinned: np.ndarray, N: int, start, grad, hess,
         x0 = np.tile(pinned[-1], (knots[0], 1)).ravel()
     elif start.shape[0] != N + 1:
         raise ConfigurationError("init has the wrong number of knots")
+    elif start.shape != (N + 1, n_dof):
+        raise ConfigurationError(f"init has shape {start.shape}, not "
+                                 f"{(N + 1, n_dof)}")
     else:
         x0 = start[k:].ravel()
 

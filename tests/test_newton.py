@@ -146,7 +146,7 @@ def test_knot_tridiagonal_solve_matches_the_lu_of_the_band(n_dof, mu):
     H = _newton.KnotTridiagonal(*_newton.band_diagonals(r, m))
     assert np.array_equal(H.diagonal(), band.diagonal())
     rhs = np.random.default_rng(8).standard_normal(N * n_dof)
-    step = _newton._shifted_solve(H, mu, rhs, {})
+    step = _newton._factor(H, mu, False)(rhs)
     ref = splu((band + mu * sp.identity(N * n_dof)).tocsc()).solve(rhs)
     assert np.max(np.abs(step - ref)) <= 1e-14 * np.max(np.abs(ref))
     # one knot: no off diagonal at all
@@ -494,7 +494,7 @@ def test_fast_newton_step_matches_the_symmetric_lu_step(monkeypatch,
     H = held.matrix
     assert sp.issparse(H) and np.array_equal(g, g_ref)
     assert np.allclose(fast.diagonal(), H.diagonal(), rtol=1e-14, atol=0.0)
-    step = _newton._shifted_solve(fast, mu, -g, {})
+    step = _newton._factor(fast, mu, False)(-g)
     ref = splu((H + mu * sp.identity(H.shape[0])).tocsc(),
                **SYMMETRIC).solve(-g)
     assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -610,11 +610,11 @@ def test_1d_fast_newton_step_matches_the_lu_step(monkeypatch, boundary, mu):
     fast, g = _first_newton_inputs(monkeypatch, problem, N, False)
     held, g_ref = _first_newton_inputs(monkeypatch, problem, N, True)
     assert isinstance(fast, _newton.FastDiagonalization)
-    assert isinstance(held, _newton.HeldSparse) and held.options == {}
+    assert isinstance(held, _newton.HeldSparse) and not held.symmetric
     H = held.matrix
     assert np.array_equal(g, g_ref)
     assert np.allclose(fast.diagonal(), H.diagonal(), rtol=1e-14, atol=0.0)
-    step = _newton._shifted_solve(fast, mu, -g, {})
+    step = _newton._factor(fast, mu, False)(-g)
     ref = splu((H + mu * sp.identity(H.shape[0])).tocsc()).solve(-g)
     assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -662,23 +662,23 @@ def _record_sizes(monkeypatch) -> list:
 
 
 def _record_shifts(monkeypatch) -> list:
-    """Route `_newton._shifted_solve` through a recorder of its shifts."""
+    """Route `_newton._factor` through a recorder of its shifts."""
     shifts = []
-    real = _newton._shifted_solve
+    real = _newton._factor
 
-    def recorder(H, mu, rhs, lu_options, lus=None):
+    def recorder(H, mu, symmetric):
         shifts.append(mu)
-        return real(H, mu, rhs, lu_options, lus)
+        return real(H, mu, symmetric)
 
-    monkeypatch.setattr(_newton, "_shifted_solve", recorder)
+    monkeypatch.setattr(_newton, "_factor", recorder)
     return shifts
 
 
-def _whole_matrix_solve(H, mu, rhs, lu_options, lus=None):
-    """The symmetric path before the split: one splu of all of H + mu I,
-    made afresh at every call."""
+def _whole_matrix_solve(H, mu, symmetric):
+    """The symmetric path before the split: the solve of one splu of all
+    of H + mu I."""
     Hmu = H + mu * sp.identity(H.shape[0], format="csr")
-    return splu(Hmu.tocsc(), **lu_options).solve(rhs)
+    return splu(Hmu.tocsc(), **(SYMMETRIC if symmetric else {})).solve
 
 
 def band_problem(shape: tuple = (7, 5), p: float = 2.0) -> WedProblem:
@@ -719,10 +719,10 @@ def test_split_step_matches_the_whole_symmetric_lu_step(monkeypatch, mu):
                                         pinned_initial=problem.initial))
     H, g = seen[0]
     calls = _record_sizes(monkeypatch)
-    step = _newton._shifted_solve(H, mu, -g, SYMMETRIC)
+    step = _newton._factor(H, mu, True)(-g)
     # the ny chains are identical: one factorization serves them all
     assert calls == [(nx * N, SYMMETRIC)]
-    ref = _whole_matrix_solve(H, mu, -g, SYMMETRIC)
+    ref = _whole_matrix_solve(H, mu, True)(-g)
     assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
     # identical chains give identical pieces of the step
     S = step.reshape(N, nx, ny)
@@ -745,7 +745,7 @@ def test_levenberg_retry_splits_the_shifted_hessian(monkeypatch):
     # every factorization, the shifted retries included, is of a piece
     assert calls and all(kw == SYMMETRIC for _, kw in calls)
     assert max(size for size, _ in calls) <= nx * N
-    monkeypatch.setattr(_newton, "_shifted_solve", _whole_matrix_solve)
+    monkeypatch.setattr(_newton, "_factor", _whole_matrix_solve)
     ref, ref_report = minimize_wed(problem, w, init)
     assert report.iterations == ref_report.iterations
     scale = np.max(np.abs(ref.values))
@@ -794,57 +794,23 @@ def test_connected_2d_hessian_makes_one_splu_per_factorization(
 # each distinct factorization is made once
 # ---------------------------------------------------------------------------
 
-_REAL_SHIFTED_SOLVE = _newton._shifted_solve
-
-
-def _fresh_solve(H, mu, rhs, lu_options, lus=None):
-    """_shifted_solve with no table of LUs: every call factors."""
-    return _REAL_SHIFTED_SOLVE(H, mu, rhs, lu_options)
-
-
-def _per_chain_solve(H, mu, rhs, lu_options, lus=None):
-    """The split path without reuse: one splu of every connected
-    component of H + mu I, identical ones included, at every call."""
+def _per_chain_solve(H, mu, symmetric):
+    """The split path without reuse: the solve of one splu of every
+    connected component of H + mu I, identical ones included."""
     from scipy.sparse.csgraph import connected_components
     Hmu = H if mu == 0.0 else H + mu * sp.identity(H.shape[0], format="csr")
     Hmu = Hmu.tocsc()
     count, labels = connected_components(Hmu, directed=False)
-    x = np.empty_like(rhs)
-    for c in range(count):
-        idx = np.flatnonzero(labels == c)
-        x[idx] = splu(Hmu[idx][:, idx].tocsc(),
-                      **lu_options).solve(rhs[idx])
-    return x
+    pieces = [np.flatnonzero(labels == c) for c in range(count)]
+    lus = [splu(Hmu[idx][:, idx].tocsc(), **(SYMMETRIC if symmetric else {}))
+           for idx in pieces]
 
-
-@pytest.mark.parametrize("lu_options", [{}, SYMMETRIC],
-                         ids=["default", "symmetric"])
-def test_unchanged_hessian_is_factored_once(monkeypatch, lu_options):
-    # a fixed SPD matrix with a small cubic term in the gradient: the
-    # Hessian misses the term, so Newton converges linearly, over
-    # several iterations of one and the same matrix
-    n = 30
-    A = sp.diags([np.full(n - 1, -1.0), np.linspace(3.0, 4.0, n),
-                  np.full(n - 1, -1.0)], [-1, 0, 1], format="csr")
-    b = np.random.default_rng(3).standard_normal(n)
-
-    def grad_fn(X):  # one row per trial point
-        return (A @ X.T).T - b + 0.05 * X ** 3
-
-    def solve():
-        return newton_solve(np.zeros(n), grad_fn, lambda x: A.copy(),
-                            np.ones(n), tol=1e-13,
-                            symmetric=bool(lu_options))
-
-    calls = _record_splu(monkeypatch)
-    x, res, iters, converged = solve()
-    assert converged and iters >= 3
-    assert calls == [lu_options]
-    monkeypatch.setattr(_newton, "_shifted_solve", _fresh_solve)
-    ref_x, ref_res, ref_iters, _ = solve()
-    assert len(calls) == 1 + ref_iters
-    assert np.array_equal(x, ref_x)
-    assert res == ref_res and iters == ref_iters
+    def solve(rhs):
+        x = np.empty_like(rhs)
+        for idx, lu in zip(pieces, lus):
+            x[idx] = lu.solve(rhs[idx])
+        return x
+    return solve
 
 
 def test_identical_chains_share_one_lu_in_every_newton_step(monkeypatch):
@@ -860,133 +826,35 @@ def test_identical_chains_share_one_lu_in_every_newton_step(monkeypatch):
     assert report.converged and report.iterations >= 2
     # one splu per Newton step, not one per each of the ny chains
     assert calls == [(nx * N, SYMMETRIC)] * len(shifts)
-    monkeypatch.setattr(_newton, "_shifted_solve", _per_chain_solve)
+    monkeypatch.setattr(_newton, "_factor", _per_chain_solve)
     ref, ref_report = minimize_wed(problem, w, init)
     assert report.iterations == ref_report.iterations
     assert np.array_equal(traj.values, ref.values)
     assert report.value == ref_report.value
 
 
-@pytest.mark.parametrize("lu_options", [{}, SYMMETRIC],
+@pytest.mark.parametrize("symmetric", [False, True],
                          ids=["default", "symmetric"])
 def test_new_shift_refactors_and_a_repeated_one_does_not(monkeypatch,
-                                                         lu_options):
+                                                         symmetric):
     n = 12
     H = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.5),
                   np.full(n - 1, -1.0)], [-1, 0, 1], format="csr")
     rhs = np.random.default_rng(4).standard_normal(n)
+    options = SYMMETRIC if symmetric else {}
     shifts = [0.0, 0.0, 1e-3, 1e-3, 1e-2, 0.0]
-    refs = [_fresh_solve(H, mu, rhs, lu_options) for mu in shifts]
+    refs = [splu((H + mu * sp.identity(n)).tocsc(), **options).solve(rhs)
+            for mu in shifts]
     calls = _record_splu(monkeypatch)
-    lus = {}
+    held = _newton.HeldSparse(lambda: H, symmetric)
     factored = []
     for mu, ref in zip(shifts, refs):
-        step = _newton._shifted_solve(H, mu, rhs, lu_options, lus)
+        step = held.solve(rhs, mu)
         factored.append(len(calls))
         assert np.array_equal(step, ref)
     # the Levenberg retries (a new mu) and the return to mu = 0 refactor
     assert factored == [1, 1, 2, 2, 3, 4]
-
-
-def _two_block_problem() -> tuple:
-    """(x0, grad_fn, hess_fn) of a sum of two uncoupled SPD problems on 10
-    unknowns each: a quadratic one, whose Hessian block is constant, and
-    one with a cubic term, whose block changes with x."""
-    n = 10
-    A = sp.diags([np.full(n - 1, -1.0), np.linspace(3.0, 4.0, n),
-                  np.full(n - 1, -1.0)], [-1, 0, 1], format="csr")
-    b = np.random.default_rng(5).standard_normal(2 * n)
-
-    def grad_fn(X):  # one row per trial point
-        G = np.hstack([(A @ X[:, :n].T).T, (A @ X[:, n:].T).T]) - b
-        G[:, n:] += X[:, n:] ** 3
-        return G
-
-    def hess_fn(x):
-        return sp.block_diag([A, A + sp.diags(3.0 * x[n:] ** 2)],
-                             format="csr")
-
-    # at x = 0 the two blocks would be equal, and share one LU
-    return np.full(2 * n, 0.5), grad_fn, hess_fn
-
-
-def test_constant_block_is_factored_once_across_newton_steps(monkeypatch):
-    x0, grad_fn, hess_fn = _two_block_problem()
-
-    def solve():
-        return newton_solve(x0, grad_fn, hess_fn, np.ones(x0.size),
-                            tol=1e-13, symmetric=True)
-
-    calls = _record_splu(monkeypatch)
-    x, res, iters, converged = solve()
-    assert converged and iters >= 3
-    # both blocks at the first step, then only the block that changed
-    assert len(calls) == 1 + iters
-    monkeypatch.setattr(_newton, "_shifted_solve", _fresh_solve)
-    ref_x, ref_res, ref_iters, _ = solve()
-    assert len(calls) == 1 + iters + 2 * ref_iters
-    assert np.array_equal(x, ref_x)
-    assert res == ref_res and iters == ref_iters
-
-
-def _block_keys(H, mu: float, lu_options: dict) -> set:
-    """The bytes (column pointers, row indices, values) of every block of
-    H + mu I: its connected components with options, else all of it."""
-    from scipy.sparse.csgraph import connected_components
-    Hmu = (H + mu * sp.identity(H.shape[0], format="csr")).tocsc()
-    labels = connected_components(Hmu, directed=False)[1] if lu_options \
-        else np.zeros(H.shape[0], int)
-    keys = set()
-    for c in np.unique(labels):
-        idx = np.flatnonzero(labels == c)
-        B = Hmu[idx][:, idx].tocsc()
-        keys.add((B.indptr.tobytes(), B.indices.tobytes(), B.data.tobytes()))
-    return keys
-
-
-def _watch_lus(monkeypatch) -> list:
-    """At every splu call, whether the table of LUs of the solve under way
-    holds blocks of the current H + mu I only; one entry per call."""
-    current = []
-    real_solve = _newton._shifted_solve
-
-    def solve(H, mu, rhs, lu_options, lus=None):
-        current[:] = [(H, mu, lu_options, lus)]
-        return real_solve(H, mu, rhs, lu_options, lus)
-
-    checked = []
-
-    def factor(A, **kwargs):
-        H, mu, lu_options, lus = current[0]
-        checked.append(set(lus) <= _block_keys(H, mu, lu_options))
-        return splu(A, **kwargs)
-
-    monkeypatch.setattr(_newton, "_shifted_solve", solve)
-    monkeypatch.setattr(_newton, "splu", factor)
-    return checked
-
-
-def test_lu_table_holds_no_block_of_an_earlier_matrix(monkeypatch):
-    checked = _watch_lus(monkeypatch)
-    x0, grad_fn, hess_fn = _two_block_problem()
-    _, _, iters, converged = newton_solve(x0, grad_fn, hess_fn,
-                                          np.ones(x0.size), tol=1e-13,
-                                          symmetric=True)
-    assert converged and checked == [True] * (1 + iters)
-    # Levenberg retries, on the split symmetric path
-    problem = band_problem(p=4.0)
-    nx, ny = problem.grid.shape
-    N = 8
-    w = _along_axis0(problem, np.random.default_rng(1).standard_normal(
-        (1, nx)) * (problem.initial[::ny] != 0.0))
-    checked.clear()
-    shifts = _record_shifts(monkeypatch)
-    _, report = minimize_wed(problem, np.tile(w, (N + 1, 1)),
-                             constant_trajectory(problem.grid,
-                                                 problem.initial,
-                                                 problem.T, N))
-    assert report.converged and any(mu > 0.0 for mu in shifts)
-    assert len(checked) >= 2 and all(checked)
+    assert calls == [options] * 4
 
 
 def _polish_notes(report) -> list:
@@ -1088,18 +956,17 @@ def test_constant_hessians_are_held(energy):
     line = replace(heat_problem(n=6), energy1=energy)
     held = wed._constant_hessian(line, _rest(line))
     if energy.kind == "fractional":
-        assert isinstance(held, _newton.HeldSparse) and held.options == {}
+        assert isinstance(held, _newton.HeldSparse) and not held.symmetric
     else:
         assert isinstance(held, _newton.FastDiagonalization)
     point = replace(scalar_decay_problem(), energy1=energy)
     held = wed._constant_hessian(point, _rest(point))
-    assert isinstance(held, _newton.HeldSparse) and held.options == {}
+    assert isinstance(held, _newton.HeldSparse) and not held.symmetric
     square = square_problem(energy=energy)
     held = wed._constant_hessian(square, _rest(square))
     if energy.kind == "fractional":
         # no Kronecker sum: the 2D fill is held, on the symmetric path
-        assert isinstance(held, _newton.HeldSparse)
-        assert held.options == SYMMETRIC
+        assert isinstance(held, _newton.HeldSparse) and held.symmetric
     else:
         assert isinstance(held, _newton.FastDiagonalization)
 
@@ -1135,8 +1002,6 @@ def _sequential_newton(x0, grad_fn, hess_fn, scale, tol=1e-10, max_iter=100,
     """newton_solve with one gradient row per trial step: each step
     a = 1, 1/2, 1/4, ... is evaluated and tested on its own. A stall ends
     with newton_solve's extended-precision polish."""
-    lu_options = SYMMETRIC if symmetric else {}
-
     def grad(x):
         return grad_fn(x[None])[0]
 
@@ -1145,13 +1010,13 @@ def _sequential_newton(x0, grad_fn, hess_fn, scale, tol=1e-10, max_iter=100,
     res = float(np.max(np.abs(g / scale)))
     it = 0
     mu = 0.0
-    lus = {}
     while it < max_iter and res > tol:
         H = hess_fn(x)
         step = None
         for _ in range(8):
             try:
-                step = _newton._shifted_solve(H, mu, -g, lu_options, lus)
+                solve = _newton._factor(H, mu, symmetric)
+                step = solve(-g)
                 if np.all(np.isfinite(step)):
                     break
             except RuntimeError:
@@ -1175,9 +1040,7 @@ def _sequential_newton(x0, grad_fn, hess_fn, scale, tol=1e-10, max_iter=100,
             gnew = grad(x + a * step)
             rnew = float(np.max(np.abs(gnew / scale)))
             if not rnew < res:
-                polished = _newton._polish(
-                    grad_fn, lambda r: _newton._shifted_solve(
-                        H, mu, r, lu_options, lus), x, scale, tol)
+                polished = _newton._polish(grad_fn, solve, x, scale, tol)
                 if polished is not None:
                     x, res, steps = polished
                     if notes is not None:

@@ -442,6 +442,14 @@ def test_minimize_wed_ri_rejects_init_with_wrong_knot_count():
         minimize_wed_ri(ramp_problem(8), init=init)
 
 
+def test_minimize_wed_ri_rejects_init_with_wrong_node_count():
+    # 9 knots of 3 nodes for a 1-node problem: the knot count fits
+    init = RITrajectory(line_grid(3), 1.0, np.zeros((9, 3)),
+                        pinned_initial=np.zeros(3))
+    with pytest.raises(ConfigurationError, match=r"init has shape \(9, 3\)"):
+        minimize_wed_ri(ramp_problem(8), init=init)
+
+
 def test_sign_condition_certificate_small():
     problem = ramp_problem(60, eps=0.05)
     traj, _ = minimize_wed_ri(problem)

@@ -905,6 +905,25 @@ def test_lv_patch_fills_and_factors_once_per_level(tmp_path, monkeypatch):
     assert len(filled) == 2 and len(factored) == 2
 
 
+@pytest.mark.parametrize("name, factorizations", [
+    ("scalar_decay", 4), ("fractional_decay", 2), ("wave_pulse", 2),
+    ("wide_oscillator", 3)])
+def test_bundled_scenario_splu_count(tmp_path, monkeypatch, name,
+                                     factorizations):
+    # the other bundled scenarios that factor: lv_patch above, while
+    # heat_relaxation and ri_ramp make no splu call
+    factored = []
+    real_splu = wedflow._newton.splu
+
+    def factor(*args, **kwargs):
+        factored.append(None)
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(wedflow._newton, "splu", factor)
+    assert run(_bundled(name, tmp_path / "out")) == 0
+    assert len(factored) == factorizations
+
+
 def test_bad_compose_part_is_named_once():
     with pytest.raises(ScenarioError) as info:
         line_scenario(5, rmaps=[{"kind": "compose",

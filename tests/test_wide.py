@@ -259,6 +259,9 @@ def test_minimize_wide_rejects_bad_init_and_steps():
     other, _ = minimize_wide(problem, steps=12)
     with pytest.raises(ConfigurationError):
         minimize_wide(problem, steps=16, init=other)
+    # the knot count fits, but the trajectory is of a d = 1 problem
+    with pytest.raises(ConfigurationError, match=r"init has shape \(13, 1\)"):
+        minimize_wide(planar(), steps=12, init=other)
 
 
 def test_minimize_wide_builds_its_parts_once_per_solve(monkeypatch):
