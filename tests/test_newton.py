@@ -857,6 +857,96 @@ def test_new_shift_refactors_and_a_repeated_one_does_not(monkeypatch,
     assert calls == [options] * 4
 
 
+def _two_block_problem() -> tuple:
+    """(x0, grad_fn, hess_fn) of a sum of two uncoupled SPD problems on 10
+    unknowns each: a quadratic one, whose Hessian block is constant, and
+    one with a cubic term, whose block changes with x."""
+    n = 10
+    A = sp.diags([np.full(n - 1, -1.0), np.linspace(3.0, 4.0, n),
+                  np.full(n - 1, -1.0)], [-1, 0, 1], format="csr")
+    b = np.random.default_rng(5).standard_normal(2 * n)
+
+    def grad_fn(X):  # one row per trial point
+        G = np.hstack([(A @ X[:, :n].T).T, (A @ X[:, n:].T).T]) - b
+        G[:, n:] += X[:, n:] ** 3
+        return G
+
+    def hess_fn(x):
+        return sp.block_diag([A, A + sp.diags(3.0 * x[n:] ** 2)],
+                             format="csr")
+
+    # at x = 0 the two blocks would be equal, and share one LU
+    return np.full(2 * n, 0.5), grad_fn, hess_fn
+
+
+def _block_keys(H, mu: float, symmetric: bool) -> set:
+    """The bytes (column pointers, row indices, values) of every block of
+    H + mu I: its connected components if symmetric, else all of it."""
+    from scipy.sparse.csgraph import connected_components
+    Hmu = (H + mu * sp.identity(H.shape[0], format="csr")).tocsc()
+    labels = connected_components(Hmu, directed=False)[1] if symmetric \
+        else np.zeros(H.shape[0], int)
+    keys = set()
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
+        B = Hmu[idx][:, idx].tocsc()
+        keys.add((B.indptr.tobytes(), B.indices.tobytes(), B.data.tobytes()))
+    return keys
+
+
+def _watch_lus(monkeypatch) -> list:
+    """At every splu call, whether the block factored is one of the
+    current H + mu I and no solve of an earlier _factor call, with the
+    LUs it holds, is still alive; one entry per call."""
+    import weakref
+    current, made = [], []
+    real = _newton._factor
+
+    def factor(H, mu, symmetric):
+        current[:] = [(H, mu, symmetric)]
+        solve = real(H, mu, symmetric)
+        made.append(weakref.ref(solve))
+        return solve
+
+    checked = []
+
+    def lu(A, **kwargs):
+        H, mu, symmetric = current[0]
+        key = (A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes())
+        checked.append(key in _block_keys(H, mu, symmetric)
+                       and all(ref() is None for ref in made))
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(_newton, "_factor", factor)
+    monkeypatch.setattr(_newton, "splu", lu)
+    return checked
+
+
+def test_lu_table_holds_no_block_of_an_earlier_matrix(monkeypatch):
+    checked = _watch_lus(monkeypatch)
+    x0, grad_fn, hess_fn = _two_block_problem()
+    _, _, iters, converged = newton_solve(x0, grad_fn, hess_fn,
+                                          np.ones(x0.size), tol=1e-13,
+                                          symmetric=True)
+    # both blocks at every step, each from the step's own matrix, and the
+    # LUs of the step before are gone
+    assert converged and iters >= 3 and checked == [True] * (2 * iters)
+    # Levenberg retries, on the split symmetric path
+    problem = band_problem(p=4.0)
+    nx, ny = problem.grid.shape
+    N = 8
+    w = _along_axis0(problem, np.random.default_rng(1).standard_normal(
+        (1, nx)) * (problem.initial[::ny] != 0.0))
+    checked.clear()
+    shifts = _record_shifts(monkeypatch)
+    _, report = minimize_wed(problem, np.tile(w, (N + 1, 1)),
+                             constant_trajectory(problem.grid,
+                                                 problem.initial,
+                                                 problem.T, N))
+    assert report.converged and any(mu > 0.0 for mu in shifts)
+    assert len(checked) >= 2 and all(checked)
+
+
 def _polish_notes(report) -> list:
     return [note for note in report.notes
             if note.startswith("longdouble_polish_steps=")]
