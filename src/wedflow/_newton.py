@@ -241,7 +241,10 @@ def _polish(grad_fn, solve, x: np.ndarray, scale: np.ndarray,
     float64 rounding of X, X's scaled residual in extended precision,
     steps taken) once that residual is at most tol; None if it never is,
     or if np.longdouble is no wider than float64 (not _EXTENDED), where
-    the float64 stall stands."""
+    the float64 stall stands. grad_fn is the lane's Newton gradient, which
+    reads no functional value: the closures of wed.minimize_wed and
+    wide.minimize_wide call their kernels with value=False, so the
+    extended-precision gradient computes none of the value's terms."""
     if not _EXTENDED:
         return None
     X = x.astype(np.longdouble)

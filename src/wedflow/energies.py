@@ -220,15 +220,17 @@ def graph_laplacian(grid: Grid, coeff: float = 1.0) -> Optional[sp.spmatrix]:
     return ((coeff * grid.cell_measure) * (D.T @ D)).tocsr()
 
 
-def _edge_energy(grid: Grid, X: np.ndarray, B: np.ndarray, m: float):
+def _edge_energy(grid: Grid, X: np.ndarray, B: np.ndarray, m: float,
+                 value: bool = True):
     """Per row of the state stack X: the value Sum_e B_i |d_e|^m h^d / m
-    and the gradient D^T f. The nodal coefficient B is read at each
-    edge's source node."""
+    (None unless value) and the gradient D^T f. The nodal coefficient B
+    is read at each edge's source node."""
     edges, D = _edge_operator(grid)
     src = edges[0]
     diffs, emeas = edge_differences(grid, X, edges)
     Be = B[..., src]
-    val = np.sum(Be * np.abs(diffs) ** m * emeas, axis=-1) / m
+    val = np.sum(Be * np.abs(diffs) ** m * emeas, axis=-1) / m \
+        if value else None
     # d/dd of (1/m)|d|^m is |d|^{m-2} d; chain rule through d = D u. At
     # m = 2 the power is |d|^0 = 1 (NaN and inf included) and Be * 1 is
     # Be, so leaving it out gives the same bits without a pow per edge
@@ -257,23 +259,31 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def polyval(x: np.ndarray, c) -> np.ndarray:
     """np.polynomial.polynomial.polyval(x, c) for ascending coefficients
-    c, by Horner's rule in polyval's own operation order (so with the
-    same bits), without its per-call overhead. c = None, a derivative
-    that vanishes identically (see polyders), gives zeros like x."""
+    c, by Horner's rule with polyval's own operations, so with its bits,
+    but without its per-call overhead. Where polyval computes c_k + v * x
+    into new arrays, this multiplies and adds in place on the one fresh
+    array x * 0.0; IEEE addition and multiplication are commutative, so
+    every bit stays. Python float coefficients (as polyders gives them)
+    are the cheapest to add. c = None, a derivative that vanishes
+    identically (see polyders), gives zeros like x."""
     if c is None:
         return np.zeros_like(x)
-    v = c[-1] + x * 0
+    v = x * 0.0
+    v += c[-1]
     for ci in c[-2::-1]:
-        v = ci + v * x
+        v *= x
+        v += ci
     return v
 
 
 def polyders(c) -> tuple:
     """The ascending coefficients of the first and second derivatives of
-    the polynomial with ascending coefficients c, each None where it
-    vanishes identically (c of degree below 1, resp. 2)."""
-    return tuple(np.polynomial.polynomial.polyder(c, k) if len(c) > k
-                 else None for k in (1, 2))
+    the polynomial with ascending coefficients c, as tuples of Python
+    floats, each None where it vanishes identically (c of degree below 1,
+    resp. 2)."""
+    return tuple(tuple(float(d) for d in
+                       np.polynomial.polynomial.polyder(c, k))
+                 if len(c) > k else None for k in (1, 2))
 
 
 def _rowmul(A, X: np.ndarray) -> np.ndarray:
@@ -475,27 +485,37 @@ def _robin_diag(grid: Grid) -> np.ndarray:
 
 def _rows(kernel):
     """Let a kernel written for a stack of states (one per row) take one
-    flat state too, giving a float value and a flat gradient for it."""
+    flat state too, giving a float value and a flat gradient for it. A
+    value the kernel leaves out (None) stays None."""
     @functools.wraps(kernel)
     def on_rows(spec, grid, x, *args, **kwargs):
         val, grad = kernel(spec, grid, np.ascontiguousarray(
             np.atleast_2d(x)), *args, **kwargs)
-        return (float(val[0]), grad[0]) if np.ndim(x) == 1 else (val, grad)
+        if np.ndim(x) != 1:
+            return val, grad
+        return (None if val is None else float(val[0])), grad[0]
     return on_rows
 
 
 @_rows
-def energy1_value_grad(spec: EnergySpec, grid: Grid,
-                       x: np.ndarray) -> tuple[float, np.ndarray]:
+def energy1_value_grad(spec: EnergySpec, grid: Grid, x: np.ndarray,
+                       value: bool = True) -> tuple[float, np.ndarray]:
     """Vector-level phi1: value and euclidean gradient on the flat state,
-    or values and gradient rows on a stack of states (one per row)."""
+    or values and gradient rows on a stack of states (one per row).
+    value=False leaves the value out (None) and computes the gradient
+    with the same operations, so with the same bits."""
     hd = grid.cell_measure
+    val = None
     if spec.kind == "quadratic":
-        return 0.5 * spec.gamma * hd * _rowdot(x, x), spec.gamma * hd * x
+        if value:
+            val = 0.5 * spec.gamma * hd * _rowdot(x, x)
+        return val, spec.gamma * hd * x
     if spec.kind == "fractional":
         Q = _fractional_matrix(grid, spec.s, spec.exterior)
         xQ = np.matmul(x[:, None, :], Q)[:, 0, :]
-        val = 0.5 * spec.gamma * hd * _rowdot(x, x) + 0.5 * _rowdot(xQ, x)
+        if value:
+            val = 0.5 * spec.gamma * hd * _rowdot(x, x) \
+                + 0.5 * _rowdot(xQ, x)
         return val, spec.gamma * hd * x + xQ
     if spec.kind == "lv_quadratic":
         # rows u_1, v_1, u_2, v_2, ...: each species is a state of its own
@@ -503,10 +523,11 @@ def energy1_value_grad(spec: EnergySpec, grid: Grid,
         Y = x.reshape(-1, n)
         Dc = np.tile([spec.D1, spec.D2], x.shape[0])
         Fc = np.tile([spec.F1, spec.F2], x.shape[0])
-        ev, eg = _edge_energy(grid, Y, np.ones(n), 2.0)
-        a = Dc * ev
-        b = 0.5 * Fc * hd * _rowdot(Y, Y)
-        val = a[0::2] + b[0::2] + a[1::2] + b[1::2]
+        ev, eg = _edge_energy(grid, Y, np.ones(n), 2.0, value)
+        if value:
+            a = Dc * ev
+            b = 0.5 * Fc * hd * _rowdot(Y, Y)
+            val = a[0::2] + b[0::2] + a[1::2] + b[1::2]
         grad = Dc[:, None] * eg + Fc[:, None] * hd * Y
         return val, grad.reshape(x.shape)
     if spec.kind == "m_laplace":
@@ -514,10 +535,11 @@ def energy1_value_grad(spec: EnergySpec, grid: Grid,
         B = _coef(spec.B, n)
         C = _coef(spec.C, n)
         m = spec.m
-        val, grad = _edge_energy(grid, x, B, m)
-        val = val + hd * np.sum(C * np.abs(x) ** m, axis=1) / m
+        val, grad = _edge_energy(grid, x, B, m, value)
         rob = _robin_diag(grid)
-        val = val + 0.5 * np.sum(rob * x * x, axis=1)
+        if value:
+            val = val + hd * np.sum(C * np.abs(x) ** m, axis=1) / m
+            val = val + 0.5 * np.sum(rob * x * x, axis=1)
         # |x|^0 = 1 at m = 2, as in _edge_energy
         grad += (hd * C * x if m == 2.0
                  else hd * C * np.abs(x) ** (m - 2.0) * x) + rob * x

@@ -190,12 +190,18 @@ def _dissipation_value(problem: WedProblem, U: np.ndarray, dt: float):
 
 
 def _wed_kernel(problem: WedProblem, w: np.ndarray, U: np.ndarray,
-               dt: float) -> tuple[float, np.ndarray]:
+               dt: float, value: bool = True) -> tuple[float, np.ndarray]:
     """Value and gradient (zero in the pinned row 0) of the functional on
     the whole trajectory U ((N+1, n_dof)) for the dual table w, or one
     value and gradient per trajectory of a (k, N+1, n_dof) stack, row for
     row the bits of the single call. The value adds the slice terms in
-    time order, as a running sum would."""
+    time order, as a running sum would.
+
+    The value is read by wed_value_grad (so by the report of
+    minimize_wed); the Newton gradient of minimize_wed, the
+    extended-precision polish's included, passes value=False, which
+    leaves the value out (None) and computes the gradient with the same
+    operations, so with the same bits."""
     N = U.shape[-2] - 1
     hd = problem.grid.cell_measure
     a, b = _weights(problem.epsilon, problem.T, N)
@@ -203,14 +209,14 @@ def _wed_kernel(problem: WedProblem, w: np.ndarray, U: np.ndarray,
     alph = alpha_eval(problem.dissipation, rates)
     V = U[..., 1:, :]
     v1, g1 = energy1_value_grad(problem.energy1, problem.grid,
-                                V.reshape(-1, V.shape[-1]))
-    value = _sequential_sum(_dissipation_value(problem, U, dt),
-                            b * (v1.reshape(V.shape[:-1])
-                                 - hd * _rowdot(w[1:], V)))
+                                V.reshape(-1, V.shape[-1]), value=value)
+    val = _sequential_sum(_dissipation_value(problem, U, dt),
+                          b * (v1.reshape(V.shape[:-1])
+                               - hd * _rowdot(w[1:], V))) if value else None
     grad = np.zeros_like(U)
     grad[..., 1:, :] = b[:, None] * (g1.reshape(V.shape) - hd * w[1:])
     time_divergence(grad[..., 1:, :], (a / dt)[:, None] * alph * hd)
-    return value, grad
+    return val, grad
 
 
 def wed_value_grad(problem: WedProblem, w: np.ndarray,
@@ -313,7 +319,8 @@ def minimize_wed(problem: WedProblem, w, init: Trajectory,
     pinned = problem.initial[None]
 
     def grad(V):
-        return _wed_kernel(problem, w, with_pins(pinned, V), dt)[1][..., 1:, :]
+        return _wed_kernel(problem, w, with_pins(pinned, V), dt,
+                           value=False)[1][..., 1:, :]
 
     def hess(V):
         return held if held is not None \

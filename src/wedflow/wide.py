@@ -283,12 +283,19 @@ def _unknown_band(*diagonals) -> sp.spmatrix:
                     format="csr")[2:, 2:]
 
 
-def _wide_kernel(parts: _Parts, U: np.ndarray) -> tuple[float, np.ndarray]:
+def _wide_kernel(parts: _Parts, U: np.ndarray,
+                 value: bool = True) -> tuple[float, np.ndarray]:
     """Value and gradient (zero in both pinned slots) of the functional on
     the whole knot array U, or one value and gradient per knot array of a
     (k, N+1, n_dof) stack, row for row the bits of the single call. The
     value adds every acceleration term, then the velocity and potential
-    terms knot by knot, as a running sum would."""
+    terms knot by knot, as a running sum would.
+
+    The value is read by wide_value_grad and by the report of
+    minimize_wide; the Newton gradient of minimize_wide, the
+    extended-precision polish's included, passes value=False, which
+    leaves the value out (None, and parts.g_val uncalled) and computes the
+    gradient with the same operations, so with the same bits."""
     problem = parts.problem
     N = U.shape[-2] - 1
     dt = problem.T / N
@@ -300,12 +307,14 @@ def _wide_kernel(parts: _Parts, U: np.ndarray) -> tuple[float, np.ndarray]:
     Ma = _rowmul(parts.M, acc)
     Dv = _rowmul(parts.D, vel)
     Su = _rowmul(parts.S, V)
-    vel_pot = np.stack([
-        w_vel * _rowdot(vel, Dv),
-        w_pot * (0.5 * _rowdot(V, Su) + parts.g_val(V))], axis=-1)
-    value = _sequential_sum(np.zeros(U.shape[:-2]), np.concatenate(
-        [w_acc * _rowdot(acc, Ma), vel_pot.reshape(*U.shape[:-2], -1)],
-        axis=-1))
+    val = None
+    if value:
+        vel_pot = np.stack([
+            w_vel * _rowdot(vel, Dv),
+            w_pot * (0.5 * _rowdot(V, Su) + parts.g_val(V))], axis=-1)
+        val = _sequential_sum(np.zeros(U.shape[:-2]), np.concatenate(
+            [w_acc * _rowdot(acc, Ma), vel_pot.reshape(*U.shape[:-2], -1)],
+            axis=-1))
     ga = (2.0 * w_acc / dt ** 2)[:, None] * Ma
     gv = (2.0 * w_vel / dt)[:, None] * Dv
     # each knot's row collects its terms in the order of the knot-by-knot
@@ -318,7 +327,7 @@ def _wide_kernel(parts: _Parts, U: np.ndarray) -> tuple[float, np.ndarray]:
     grad[..., 1:, :] += w_pot[:, None] * (Su + parts.g_grad(V))
     grad[..., :-1, :] -= gv
     grad[..., :2, :] = 0.0
-    return value, grad
+    return val, grad
 
 
 def wide_trajectory(problem: WideProblem, values: np.ndarray) -> Trajectory:
@@ -392,7 +401,8 @@ def minimize_wide(problem: WideProblem, steps: int,
     pinned = _pinned_rows(problem, dt)
     U, res, iters, conv = pinned_solve(
         newton_solve, pinned, N, None if init is None else init.values,
-        lambda V: _wide_kernel(parts, with_pins(pinned, V))[1][..., 2:, :],
+        lambda V: _wide_kernel(parts, with_pins(pinned, V),
+                               value=False)[1][..., 2:, :],
         hess,
         np.maximum(beta[2:] * knot_mag, 1e-300), tol=1e-10, max_iter=120,
         notes=notes)

@@ -80,6 +80,19 @@ def assert_same_csc(A, B) -> None:
     assert A.data.tobytes() == B.data.tobytes()
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a and b have the same dtype, shape and bits. float64 is
+    compared byte for byte. np.longdouble in the x87 format pads each
+    value with bytes that hold none of its bits, so it is compared by
+    value and sign (-0.0 is not +0.0), NaN matching NaN."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    if a.dtype == np.float64:
+        return a.tobytes() == b.tobytes()
+    return bool(np.array_equal(a, b, equal_nan=True)
+                and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
 def line_grid(n: int, boundary: str = "neumann", spacing: float = None):
     if spacing is None:
         spacing = 1.0 / (n - 1)

@@ -17,7 +17,8 @@ from wedflow.energies import (A_eval, alpha_eval,
                               alpha_prime, edge_differences, energy1_hessian,
                               energy1_modes,
                               fractional_seminorm, graph_laplacian,
-                              grid_edges, lv_clamp, p_conjugate)
+                              grid_edges, lv_clamp, p_conjugate, polyders,
+                              polyval)
 
 from wedflow import WedProblem, minimize_wed, wed
 from wedflow._newton import HeldSparse, time_band
@@ -26,7 +27,8 @@ from wedflow.energies import _coef, _edge_operator, _fractional_matrix, \
 from wedflow.grids import Grid
 from wedflow.wed import _weights
 
-from conftest import assert_same_csc, heat_problem, line_grid, point_grid
+from conftest import (assert_same_csc, heat_problem, line_grid, point_grid,
+                      same_bits)
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -77,8 +79,8 @@ def test_table_dissipation_matches_power():
 
 
 def test_table_dissipation_takes_a_longdouble_stack():
-    # the extended-precision polish evaluates the gradient (and the value
-    # with it) on np.longdouble, which np.interp refuses
+    # the extended-precision polish evaluates the gradient on
+    # np.longdouble, which np.interp refuses; the value takes it too
     spec = DissipationSpec(p=2.0, alpha_kind="table",
                            table_s=np.array([-1.0, 0.0, 0.5, 1.0]),
                            table_alpha=np.array([-2.0, 0.0, 0.1, 1.0]))
@@ -484,6 +486,41 @@ def test_energy1_modes_diagonalize_the_assembled_hessian(grid, spec):
 ])
 def test_energy1_modes_only_for_kronecker_sums(grid, spec):
     assert energy1_modes(spec, grid) is None
+
+
+# ---------------------------------------------------------------------------
+# polynomials
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("degree", range(5))
+def test_polyval_is_numpys_polyval_bit_for_bit(degree):
+    P = np.polynomial.polynomial
+    rng = np.random.default_rng(30 + degree)
+    x = np.concatenate([3.0 * rng.standard_normal(40),
+                        [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e300,
+                         -1e300]]).reshape(6, 8)
+    random = tuple(float(c) for c in rng.standard_normal(degree + 1))
+    # x^degree: at degree 1, the phi~' coefficients [0, 1] of `ri_ramp`
+    monomial = (0.0,) * degree + (1.0,)
+    signed = (-0.0,) + random[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in (random, monomial, signed):
+            assert same_bits(polyval(x, c), P.polyval(x, c))
+            assert same_bits(polyval(x.astype(np.longdouble), c),
+                             P.polyval(x.astype(np.longdouble), c))
+            # at +-inf and NaN: NaN wherever numpy gives NaN, which the
+            # _MIN_STEP fallback of the Newton line search reads
+            bad = np.array([np.inf, -np.inf, np.nan, 2.0])
+            assert np.array_equal(polyval(bad, c), P.polyval(bad, c),
+                                  equal_nan=True)
+
+
+def test_polyders_are_python_floats():
+    d1, d2 = polyders((0.0, 0.1, 0.5, 0.0, 0.25))
+    assert d1 == (0.1, 1.0, 0.0, 1.0) and d2 == (1.0, 0.0, 3.0)
+    assert all(type(c) is float for c in d1 + d2)
+    assert polyders((2.0,)) == (None, None)
+    assert polyders((2.0, 1.0))[1] is None
 
 
 # ---------------------------------------------------------------------------

@@ -969,6 +969,49 @@ def test_1d_ladder_heat_is_polished_to_converge_at_every_level(monkeypatch):
     assert cont.final.values.dtype == np.float64
 
 
+def test_wed_newton_loop_computes_no_functional_value(monkeypatch):
+    # the Newton gradient takes the kernel's gradient-only mode, in the
+    # float64 steps and in the np.longdouble polish alike: the ladder's
+    # 1D problem, which polishes after its float64 steps, computes the
+    # rate term's value once, the value its report holds
+    problem = heat_problem(n=512, spacing=1.0 / 512)
+    counts = count_newton(monkeypatch, wed)
+    real, values = wed._dissipation_value, []
+    monkeypatch.setattr(wed, "_dissipation_value", lambda p, U, dt:
+                        values.append(U.dtype) or real(p, U, dt))
+    _, report = minimize_wed(problem, np.zeros(problem.n_dof),
+                             constant_trajectory(problem.grid,
+                                                 problem.initial, problem.T,
+                                                 64))
+    assert report.converged and len(_polish_notes(report)) == 1
+    assert report.iterations >= 2 and counts["grads"] >= 5
+    assert values == [np.float64]
+
+
+def test_wide_newton_loop_computes_no_potential_value(monkeypatch):
+    # the same for the inertial lane: over every Newton gradient, the
+    # nonlinear potential's value is computed once, for the report
+    calls = []
+
+    class Counted(wide._Parts):
+        def __init__(self, problem):
+            super().__init__(problem)
+            g_val = self.g_val
+            self.g_val = lambda U: calls.append(U.shape) or g_val(U)
+
+    monkeypatch.setattr(wide, "_Parts", Counted)
+    counts = count_newton(monkeypatch, wide)
+    problem = WideWaveProblem(
+        grid=line_grid(5), rho=1.0, nu=0.2,
+        f_coeffs=(0.0, 0.1, 0.5, 0.0, 0.25), lam=0.0, p_growth=4.0, T=1.0,
+        epsilon=0.1, initial=np.cos(np.linspace(0.0, np.pi, 5)),
+        velocity=np.linspace(0.0, 0.3, 5))
+    _, report = minimize_wide(problem, 16)
+    assert report.converged
+    assert report.iterations >= 2 and counts["grads"] >= 3
+    assert calls == [(16, 5)]
+
+
 def test_1d_ladder_heat_at_1024_knots_converges(monkeypatch):
     # 262,144 unknowns: the sparse LU of this problem took about 550 MB,
     # and float64 stalled at its first level; the fast diagonalization and

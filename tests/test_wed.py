@@ -11,13 +11,14 @@ import pytest
 import wedflow
 from wedflow import (ConcaveSpec, ConfigurationError, DissipationSpec,
                      EnergySpec, Field, ReactionSpec, Trajectory, WedProblem,
-                     constant_trajectory, default_eps_schedule, dual_field,
+                     build_grid, constant_trajectory, default_eps_schedule, dual_field,
                      eps_continuation, euler_lagrange_residual,
                      fixed_point_solve, minimize_wed, reference_solve,
                      strong_solution_residual, wed_value_grad)
-from wedflow.wed import _weights
+from wedflow.wed import _wed_kernel, _weights
 
-from conftest import heat_problem, line_grid, scalar_decay_problem
+from conftest import (heat_problem, line_grid, same_bits,
+                      scalar_decay_problem)
 
 
 # ---------------------------------------------------------------------------
@@ -324,3 +325,61 @@ def test_functional_value_is_the_running_sum_over_slices():
         v1, _ = energy1_value_grad(problem.energy1, problem.grid, vals[n])
         expect += b[n - 1] * (v1 - hd * float(w[n] @ vals[n]))
     assert value == expect
+
+
+# ---------------------------------------------------------------------------
+# the kernel's gradient-only mode
+# ---------------------------------------------------------------------------
+
+_ENERGIES = {
+    "quadratic": EnergySpec(kind="quadratic", gamma=1.3),
+    "fractional": EnergySpec(kind="fractional", s=0.4, gamma=0.5),
+    "lv_quadratic": EnergySpec(kind="lv_quadratic", D1=1.0, D2=0.5, F1=0.3,
+                               F2=0.2),
+    "m_laplace-m2": EnergySpec(kind="m_laplace", m=2.0, B=1.0, C=0.2),
+    "m_laplace-m3": EnergySpec(kind="m_laplace", m=3.0, B=0.8, C=0.4),
+}
+
+_DISSIPATIONS = {
+    "power-p2": DissipationSpec(p=2.0),
+    "power-p3": DissipationSpec(p=3.0),
+    "table": DissipationSpec(p=2.0, alpha_kind="table",
+                             table_s=np.array([-1.0, 0.0, 0.5, 1.0]),
+                             table_alpha=np.array([-2.0, 0.0, 0.1, 1.0])),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble],
+                         ids=["float64", "longdouble"])
+@pytest.mark.parametrize("dissipation", sorted(_DISSIPATIONS))
+@pytest.mark.parametrize("energy", sorted(_ENERGIES))
+def test_gradient_only_kernel_keeps_every_gradient_bit(energy, dissipation,
+                                                       dtype):
+    """value=False, the Newton gradient's mode (np.longdouble in the
+    polish), gives the gradient of the value-and-gradient call byte for
+    byte, on one trajectory and on a stack of them."""
+    spec = _ENERGIES[energy]
+    n, N = 6, 5
+    n_dof = 2 * n if spec.kind == "lv_quadratic" else n
+    rng = np.random.default_rng(12)
+    # a robin boundary adds the m_laplace kind's boundary term
+    grid = build_grid(dim=1, shape=(n,), spacing=(0.2,), robin_b=0.5,
+                      boundary="robin" if spec.kind == "m_laplace"
+                      else "neumann")
+    problem = WedProblem(grid=grid,
+                         dissipation=_DISSIPATIONS[dissipation],
+                         energy1=spec, energy2=ConcaveSpec(),
+                         reaction=ReactionSpec(), T=1.0, epsilon=0.2,
+                         initial=1.0 + 0.3 * rng.standard_normal(n_dof))
+    w = rng.standard_normal((N + 1, n_dof))
+    U = problem.initial + np.cumsum(
+        0.3 * rng.standard_normal((3, N + 1, n_dof)), axis=1)
+    U[:, 0] = problem.initial
+    U[0, 2, :2] = -0.0
+    for X in (U[0], U):
+        X = X.astype(dtype)
+        full_value, full = _wed_kernel(problem, w, X, problem.T / N)
+        value, grad = _wed_kernel(problem, w, X, problem.T / N, value=False)
+        assert value is None and full_value is not None
+        assert grad.dtype == dtype and grad.shape == X.shape
+        assert same_bits(grad, full)

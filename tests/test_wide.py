@@ -11,7 +11,7 @@ from wedflow import (ConfigurationError, LagrangianProblem, Trajectory,
                      wide_continuation, wide_invariance_residual,
                      wide_invariant_solve, wide_trajectory, wide_value_grad)
 
-from conftest import line_grid, point_grid
+from conftest import line_grid, point_grid, same_bits
 
 
 def wave_problem(n=5, eps=0.1, nu=0.2, f_coeffs=(0.0, 0.0, 0.5), lam=1.0,
@@ -490,3 +490,41 @@ def test_kernel_reproduces_the_knot_loop_bit_for_bit(monkeypatch, N):
     R.sort_indices()
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(H, attr), getattr(R, attr))
+
+
+_FAMILIES = {
+    "wave": lambda: wave_problem(n=6, nu=0.3,
+                                 f_coeffs=(0.0, 0.1, 0.5, 0.0, 0.25)),
+    "lagrangian-quadratic": lambda: LagrangianProblem(
+        d=2, M=np.array([[2.0, 0.3], [0.3, 1.0]]), nu=0.4,
+        u_kind="quadratic", Q=np.array([[1.0, 0.2], [0.2, 0.5]]), T=1.0,
+        epsilon=0.1, initial=np.array([1.0, -0.5]),
+        velocity=np.array([0.2, 0.1])),
+    "lagrangian-poly": lambda: LagrangianProblem(
+        d=2, M=np.eye(2), nu=0.1, u_kind="component_poly",
+        u_coeffs=(0.0, 0.0, 0.5, 0.0, 0.1), T=1.0, epsilon=0.1,
+        initial=np.array([1.0, -0.5]), velocity=np.array([0.2, 0.1])),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble],
+                         ids=["float64", "longdouble"])
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_gradient_only_kernel_keeps_every_gradient_bit(family, dtype):
+    """value=False, the Newton gradient's mode (np.longdouble in the
+    polish), gives the gradient of the value-and-gradient call byte for
+    byte, on one knot array and on a stack of them."""
+    from wedflow.wide import _Parts, _wide_kernel
+    problem = _FAMILIES[family]()
+    parts = _Parts(problem)
+    N = 7
+    rng = np.random.default_rng(13)
+    U = np.stack([random_wide_values(problem, N, rng) for _ in range(3)])
+    U[1, 4, 0] = -0.0
+    for X in (U[0], U):
+        X = X.astype(dtype)
+        full_value, full = _wide_kernel(parts, X)
+        value, grad = _wide_kernel(parts, X, value=False)
+        assert value is None and full_value is not None
+        assert grad.dtype == dtype and grad.shape == X.shape
+        assert same_bits(grad, full)
