@@ -29,8 +29,9 @@ from .grids import (ConfigurationError, Grid, Trajectory,
                     trajectory_to_csv)
 from .energies import (_rowdot, _rowmul, _sequential_sum, graph_laplacian,
                        polyders, polyval)
-from ._newton import (KnotTridiagonal, band_diagonals, newton_solve,
-                      pinned_solve, time_band, time_divergence)
+from ._newton import (KnotTridiagonal, SparseHessian, band_diagonals,
+                      newton_solve, pinned_solve, time_band,
+                      time_divergence)
 from .wed import MinimizeReport, continuation
 from .comparison import ordered_pair_levels, ordering_margin
 
@@ -240,7 +241,8 @@ def minimize_wed_ri(problem: RIProblem,
     residual at the final smoothing stage. Without coupling
     (a = 0 or a point grid) every node is its own chain in time and each
     Newton step is one LAPACK tridiagonal solve (_newton.KnotTridiagonal);
-    with a > 0 the Hessian is block tridiagonal and is factored by splu."""
+    with a > 0 the Hessian is block tridiagonal and is factored by splu
+    (_newton.SparseHessian)."""
     deltas = _check_deltas(deltas)
     N = problem.steps
     hd = problem.grid.cell_measure
@@ -269,12 +271,12 @@ def minimize_wed_ri(problem: RIProblem,
         time_divergence(g, jw_col * _sigma(jumps(V), delta) * hd)
         return g
 
-    def hess(V: np.ndarray, delta: float) -> KnotTridiagonal | sp.spmatrix:
+    def hess(V: np.ndarray, delta: float) -> KnotTridiagonal | SparseHessian:
         r = jw_col * _rho(jumps(V), delta) * hd
         main = pwt_col * problem._phi_d2(V) * hd
         if lap is None:
             return KnotTridiagonal(*band_diagonals(r, main))
-        return (time_band(r, main) + lap).tocsc()
+        return SparseHessian((time_band(r, main) + lap).tocsc())
 
     U = None if init is None else init.values
     total_iters = 0

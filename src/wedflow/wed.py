@@ -24,18 +24,17 @@ and K the energy Hessian. Where K is constant and a Kronecker sum over
 the axes of a 1D or 2D grid (energies.energy1_modes), minimize_wed never
 assembles it: every step is a space-time fast diagonalization
 (_newton.FastDiagonalization). Every other problem assembles the sparse
-Hessian and factors it (see _newton.newton_solve for which factorization,
-and why point grids stay off the fast diagonalization): at every Newton
-step, or, where no state changes it (_constant_hessian), once per weight
-level of fixed_point_solve. The assembly fills CSC arrays from a one-knot
-template cached per grid (energies.energy1_hessian) with the
-floating-point operations, in their order, of the scipy chain
-b (kron(I, D)^T diag(w) kron(I, D) + diag(d)) + T it replaced, so every
-Hessian, LU and step is bitwise that chain's. The line search takes the
-iterate's gradient at trial points bitwise equal to it (see
-_newton.newton_solve), which moves no bit either. A solve that stalls
-above its tolerance in float64 is polished with an extended-precision
-gradient (_newton._polish) and says so in its MinimizeReport.notes.
+Hessian as a _newton.SparseHessian, which factors itself (see there for
+which factorization, and why point grids stay off the fast
+diagonalization): one per Newton step, or, where no state changes it
+(_constant_hessian), one per weight level of fixed_point_solve. The
+assembly fills CSC arrays from a one-knot template cached per grid
+(energies.energy1_hessian) with the floating-point operations, in their
+order, of the scipy chain b (kron(I, D)^T diag(w) kron(I, D) + diag(d))
++ T it replaced, so every Hessian, LU and step is bitwise that chain's.
+A solve that stalls above its tolerance in float64 is polished with an
+extended-precision gradient (_newton._polish) and says so in its
+MinimizeReport.notes.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._newton import (FastDiagonalization, HeldSparse, newton_solve,
+from ._newton import (FastDiagonalization, SparseHessian, newton_solve,
                       pinned_solve, time_divergence, with_pins)
 from .energies import (ConcaveSpec, DissipationSpec, EnergySpec,
                        ReactionSpec, A_eval, _rowdot, _sequential_sum,
@@ -235,32 +234,19 @@ def wed_value_grad(problem: WedProblem, w: np.ndarray,
 # Inner minimization
 # ---------------------------------------------------------------------------
 
-def _fast_modes(problem: WedProblem) -> Optional[tuple]:
-    """The energy Hessian's fast-diagonalization form when the space-time
-    Hessian of minimize_wed is kron(diag(b), K) + kron(T_a, I) with a
-    constant K and T_a, on a 1D or 2D grid (power dissipation with p = 2
-    and an energy1_modes energy); None otherwise. Point grids keep the
-    sparse LU: on benchmark variants 2, 3 and 5 of `scalar_decay` the fast
-    diagonalization moved the `reports.json` leaf
-    `euler_lagrange/interior_max`, the O(1) residual of the wrong weight
-    level, by 3.5e-12, over the 1e-12 refactor oracle (see
-    _newton.newton_solve)."""
-    if problem.dissipation.alpha_kind != "power" \
-            or problem.dissipation.p != 2.0:
-        return None
-    return energy1_modes(problem.energy1, problem.grid)
-
-
-def _space_time_hessian(problem: WedProblem, U: np.ndarray):
-    """The sparse Hessian of the functional over knots 1..N at the
-    trajectory U ((N+1, n_dof)), grouped as the recorded artifacts were
-    computed."""
+def _space_time_hessian(problem: WedProblem, U: np.ndarray) -> SparseHessian:
+    """The Hessian of the functional over knots 1..N at the trajectory U
+    ((N+1, n_dof)): the CSC matrix of energy1_hessian, grouped as the
+    recorded artifacts were computed, factored symmetrically on grids of
+    dimension >= 2 (see _newton.SparseHessian)."""
     N = U.shape[0] - 1
     dt = problem.T / N
     a, b = _weights(problem.epsilon, problem.T, N)
     r = a[:, None] * (alpha_prime(problem.dissipation, np.diff(U, axis=0)
                                   / dt) * problem.grid.cell_measure / dt ** 2)
-    return energy1_hessian(problem.energy1, problem.grid, U[1:], b, r)
+    return SparseHessian(energy1_hessian(problem.energy1, problem.grid, U[1:],
+                                         b, r),
+                         symmetric=problem.grid.dim > 1)
 
 
 def _constant_hessian(problem: WedProblem, init: Trajectory):
@@ -270,15 +256,21 @@ def _constant_hessian(problem: WedProblem, init: Trajectory):
     is 1 everywhere, and an energy whose Hessian has no state in it:
     quadratic, fractional, lv_quadratic, or m_laplace with m = 2 (|d|^0
     and |u|^0 are 1, NaN and 0 included).
-    - Where _fast_modes applies it is the FastDiagonalization.
-    - Else it is the sparse Hessian at init, filled at its first use
-      and held with its LUs (_newton.HeldSparse). The fill at any other
-      state is bitwise this one, so every LU and step is that of a fill
-      per Newton step."""
+    - Where energies.energy1_modes gives the energy Hessian K as a
+      Kronecker sum over the axes of a 1D or 2D grid, it is the
+      FastDiagonalization of kron(diag(b), K) + kron(T_a, I). Point grids
+      keep the sparse LU: on benchmark variants 2, 3 and 5 of
+      `scalar_decay` the fast diagonalization moved the `reports.json`
+      leaf `euler_lagrange/interior_max`, the O(1) residual of the wrong
+      weight level, by 3.5e-12, over the 1e-12 refactor oracle (see
+      _newton.SparseHessian).
+    - Else it is the SparseHessian at init, which holds its LUs. The fill
+      at any other state is bitwise this one, so every LU and step is
+      that of a fill per Newton step."""
     if problem.dissipation.alpha_kind != "power" \
             or problem.dissipation.p != 2.0:
         return None
-    modes = _fast_modes(problem)
+    modes = energy1_modes(problem.energy1, problem.grid)
     if modes is not None:
         dt = problem.T / init.steps
         a, b = _weights(problem.epsilon, problem.T, init.steps)
@@ -287,8 +279,7 @@ def _constant_hessian(problem: WedProblem, init: Trajectory):
     spec = problem.energy1
     if spec.kind == "m_laplace" and spec.m != 2.0:
         return None
-    return HeldSparse(lambda: _space_time_hessian(problem, init.values),
-                      symmetric=problem.grid.dim > 1)
+    return _space_time_hessian(problem, init.values)
 
 
 def minimize_wed(problem: WedProblem, w, init: Trajectory,
@@ -298,16 +289,17 @@ def minimize_wed(problem: WedProblem, w, init: Trajectory,
     pinned at problem.initial. Newton with the exact Hessian, globalized
     by scaled-residual backtracking; termination on the row-scaled gradient
     max-norm 1e-10 (rows weighted by b_n so the tolerance is uniform in
-    time). The Hessian is filled into CSC arrays by energy1_hessian (b_k per
-    knot and the time band) at every Newton step and factored by a sparse
-    LU, except where _constant_hessian applies: then one Hessian serves
-    every step, a fast diagonalization (no Hessian is assembled) or one
-    fill whose LUs are made once. _hessian, internal, is that Hessian
-    built by the caller, fixed_point_solve, once for all its calls of a
-    weight level; without it the call builds its own. A solve that
-    stalls in float64 and converges under the extended-precision polish
-    (see _newton.newton_solve) reports that residual as its gradient
-    norm and "longdouble_polish_steps=<k>" in its notes."""
+    time). At every Newton step the Hessian is filled into CSC arrays by
+    energy1_hessian (b_k per knot and the time band), a SparseHessian
+    that factors itself, except where _constant_hessian applies: then one
+    Hessian serves every step, a fast diagonalization (no Hessian is
+    assembled) or one SparseHessian whose LUs are made once. _hessian,
+    internal, is that Hessian built by the caller, fixed_point_solve, once
+    for all its calls of a weight level; without it the call builds its
+    own. A solve that stalls in float64 and converges under the
+    extended-precision polish (see _newton.newton_solve) reports that
+    residual as its gradient norm and "longdouble_polish_steps=<k>" in its
+    notes."""
     if init.pinned_initial is None or not np.array_equal(
             init.values[0], problem.initial):
         raise ConfigurationError("init must be pinned at the problem initial")
@@ -330,7 +322,7 @@ def minimize_wed(problem: WedProblem, w, init: Trajectory,
     U, res, iters, conv = pinned_solve(
         newton_solve, pinned, N, init.values, grad, hess,
         b * problem.grid.cell_measure, tol=1e-10, max_iter=max_iter,
-        symmetric=problem.grid.dim > 1, notes=notes)
+        notes=notes)
     out = Trajectory(problem.grid, problem.T, U,
                      pinned_initial=problem.initial,
                      ncomp=problem.n_dof // problem.grid.n_nodes)

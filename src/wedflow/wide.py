@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from .grids import ConfigurationError, Grid, Trajectory, build_grid
 from .energies import (_rowdot, _rowmul, _sequential_sum, graph_laplacian,
                        polyders, polyval)
-from ._newton import newton_solve, pinned_solve, with_pins
+from ._newton import SparseHessian, newton_solve, pinned_solve, with_pins
 from .qualitative import RMap, invariance_residual, require_invariant
 from .wed import MinimizeReport, continuation
 
@@ -386,9 +386,9 @@ def minimize_wide(problem: WideProblem, steps: int,
     pot_rows = sp.diags(np.repeat(w_pot[1:], nd))
     stiffness = sp.kron(sp.identity(N - 1), parts.S, format="csr")
 
-    def hess(V: np.ndarray) -> sp.spmatrix:
+    def hess(V: np.ndarray) -> SparseHessian:
         pot = pot_rows @ (stiffness + parts.g_hess(V))
-        return (linear + pot).tocsc()
+        return SparseHessian((linear + pot).tocsc())
 
     # row scale tracks the dominant stiffness of each knot's gradient row
     # (inertia grows like eps^2/dt^3), so the scaled residual is relative

@@ -29,8 +29,8 @@ def test_full_step_solve_reuses_the_line_search_gradient():
         calls.append(X.copy())
         return (A @ X.T).T - b
 
-    x, res, iters, converged = newton_solve(np.zeros(2), grad_fn,
-                                            lambda x: A, np.ones(2))
+    x, res, iters, converged = newton_solve(
+        np.zeros(2), grad_fn, lambda x: _newton.SparseHessian(A), np.ones(2))
     assert converged and iters == 1
     assert np.allclose(A @ x, b, atol=1e-14)
     # the start point and the accepted full step, nothing recomputed
@@ -94,9 +94,11 @@ def test_pinned_solve_keeps_the_pins_and_solves_the_rest():
         assert np.array_equal(scale, np.repeat(np.arange(1.0, N + 1), n_dof))
         return newton_solve(x0, grad_fn, hess_fn, scale, **options)
 
+    def hess(V):
+        return _newton.SparseHessian(_newton.time_band(r, m))
+
     U, res, iters, converged = _newton.pinned_solve(
-        solver, pin, N, None, grad, lambda U: _newton.time_band(r, m),
-        np.arange(1.0, N + 1), tol=1e-12)
+        solver, pin, N, None, grad, hess, np.arange(1.0, N + 1), tol=1e-12)
     assert converged and res <= 1e-12 and U.shape == (N + 1, n_dof)
     assert np.array_equal(U[:1], pin)
     assert np.array_equal(starts[0], np.tile(pin[0], N))
@@ -106,13 +108,11 @@ def test_pinned_solve_keeps_the_pins_and_solves_the_rest():
     assert np.allclose(U[1:].ravel(), want, rtol=1e-12, atol=1e-12)
     # a start array gives its rows after the pins; its pinned rows are unused
     start = np.full((N + 1, n_dof), 7.0)
-    _newton.pinned_solve(solver, pin, N, start, grad,
-                         lambda U: _newton.time_band(r, m),
+    _newton.pinned_solve(solver, pin, N, start, grad, hess,
                          np.arange(1.0, N + 1))
     assert np.array_equal(starts[1], np.full(N * n_dof, 7.0))
     with pytest.raises(ConfigurationError, match="wrong number of knots"):
-        _newton.pinned_solve(solver, pin, N, start[1:], grad,
-                             lambda U: _newton.time_band(r, m),
+        _newton.pinned_solve(solver, pin, N, start[1:], grad, hess,
                              np.arange(1.0, N + 1))
 
 
@@ -146,7 +146,7 @@ def test_knot_tridiagonal_solve_matches_the_lu_of_the_band(n_dof, mu):
     H = _newton.KnotTridiagonal(*_newton.band_diagonals(r, m))
     assert np.array_equal(H.diagonal(), band.diagonal())
     rhs = np.random.default_rng(8).standard_normal(N * n_dof)
-    step = _newton._factor(H, mu, False)(rhs)
+    step = H.solve(rhs, mu)
     ref = splu((band + mu * sp.identity(N * n_dof)).tocsc()).solve(rhs)
     assert np.max(np.abs(step - ref)) <= 1e-14 * np.max(np.abs(ref))
     # one knot: no off diagonal at all
@@ -191,7 +191,7 @@ def test_knot_tridiagonal_solve_is_bitwise_the_padded_system(
         monkeypatch, n, N, dominant):
     # random systems, and systems whose off diagonal outweighs the
     # diagonal, where dgtsv exchanges rows; the solve takes the unpadded
-    # bands (nN unknowns, one dgtsv call) unless there is one unknown
+    # bands (nN unknowns, one dgtsv call), and one unknown is b / d
     rng = np.random.default_rng(100 * n + N)
     sizes = _record_dgtsv(monkeypatch)
     pivoted = 0
@@ -204,32 +204,40 @@ def test_knot_tridiagonal_solve_is_bitwise_the_padded_system(
             diag *= 1e-3
         rhs = rng.standard_normal(N * n)
         rhs[rng.random(N * n) < 0.2] = 0.0
-        rhs[rng.random(N * n) < 0.2] = -0.0
         mu = [0.0, 0.37][trial % 2]
         H = _newton.KnotTridiagonal(diag, off)
         sizes.clear()
         got = H.solve(rhs, mu)
+        assert sizes == ([N * n] if N * n > 1 else [])
         want = _padded_solve(H, rhs, mu)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-        assert sizes[0] == (N * n if N * n > 1 else 2)
         pivoted += bool(np.any(np.abs(off) > np.abs(diag[:-1] + mu)))
     if N > 1 and not dominant:
         assert pivoted
 
 
-def test_knot_tridiagonal_solve_keeps_the_padded_sign_of_zero():
-    # dgtsv exchanges the two rows, and the eliminated last right-hand
-    # side is -0.0: the unpadded system would return -0.0 where the padded
-    # one returns +0.0, so the solve takes the padded system
-    H = _newton.KnotTridiagonal(np.array([[0.1], [1.0]]), np.array([[1.0]]))
-    rhs = np.array([-0.0, 0.0])
-    *_, bare, info = _newton.dgtsv(H.off.ravel(), H.diag.ravel(),
-                                   H.off.ravel(), rhs)
-    assert info == 0 and np.signbit(bare[-1])
-    got = H.solve(rhs)
-    assert got.tobytes() == _padded_solve(H, rhs, 0.0).tobytes()
-    assert not np.signbit(got[-1])
+@pytest.mark.parametrize("n", [1, 2])
+def test_knot_tridiagonal_with_a_zero_last_unknown_calls_dgtsv_once(
+        monkeypatch, n):
+    # 2 x0 + x1 = 1 and x0 + 2 x1 = 1/2 in every column: x = (1/2, 0)
+    calls = _record_dgtsv(monkeypatch)
+    H = _newton.KnotTridiagonal(np.full((2, n), 2.0), np.ones((1, n)))
+    x = H.solve(np.repeat([1.0, 0.5], n))
+    assert x.tobytes() == np.repeat([0.5, 0.0], n).tobytes()
+    assert calls == [2 * n]
+
+
+@pytest.mark.parametrize("d, b, mu", [(4.0, 1.0, 0.0), (-3.0, 2.0, 0.5),
+                                      (0.5, -0.0, 0.0), (2.0, 0.0, -1.0)])
+def test_one_unknown_knot_tridiagonal_is_b_over_d(monkeypatch, d, b, mu):
+    calls = _record_dgtsv(monkeypatch)
+    H = _newton.KnotTridiagonal(np.array([[d]]), np.empty((0, 1)))
+    assert H.solve(np.array([b]), mu).tobytes() \
+        == np.array([b / (d + mu)]).tobytes()
+    with pytest.raises(RuntimeError, match="dgtsv info 1"):
+        H.solve(np.array([b]), -d)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -466,7 +474,7 @@ def _first_newton_inputs(monkeypatch, problem: WedProblem, N: int,
 
     monkeypatch.setattr(wed, "newton_solve", capture)
     if assembled:
-        monkeypatch.setattr(wed, "_fast_modes", lambda problem: None)
+        monkeypatch.setattr(wed, "energy1_modes", lambda spec, grid: None)
     minimize_wed(problem, w, Trajectory(problem.grid, problem.T, start,
                                         pinned_initial=problem.initial))
     monkeypatch.undo()
@@ -490,11 +498,11 @@ def test_fast_newton_step_matches_the_symmetric_lu_step(monkeypatch,
     fast, g = _first_newton_inputs(monkeypatch, problem, N, False)
     held, g_ref = _first_newton_inputs(monkeypatch, problem, N, True)
     assert isinstance(fast, _newton.FastDiagonalization)
-    assert isinstance(held, _newton.HeldSparse)
+    assert isinstance(held, _newton.SparseHessian) and held.symmetric
     H = held.matrix
     assert sp.issparse(H) and np.array_equal(g, g_ref)
     assert np.allclose(fast.diagonal(), H.diagonal(), rtol=1e-14, atol=0.0)
-    step = _newton._factor(fast, mu, False)(-g)
+    step = fast.solve(-g, mu)
     ref = splu((H + mu * sp.identity(H.shape[0])).tocsc(),
                **SYMMETRIC).solve(-g)
     assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -510,7 +518,7 @@ def test_fast_and_lu_minimizers_agree(monkeypatch):
     calls = _record_splu(monkeypatch)
     traj, report = minimize_wed(problem, w, init)
     assert report.converged and calls == []
-    monkeypatch.setattr(wed, "_fast_modes", lambda problem: None)
+    monkeypatch.setattr(wed, "energy1_modes", lambda spec, grid: None)
     ref, ref_report = minimize_wed(problem, w, init)
     assert calls and all(kw == SYMMETRIC for kw in calls)
     assert report.iterations == ref_report.iterations
@@ -610,11 +618,11 @@ def test_1d_fast_newton_step_matches_the_lu_step(monkeypatch, boundary, mu):
     fast, g = _first_newton_inputs(monkeypatch, problem, N, False)
     held, g_ref = _first_newton_inputs(monkeypatch, problem, N, True)
     assert isinstance(fast, _newton.FastDiagonalization)
-    assert isinstance(held, _newton.HeldSparse) and not held.symmetric
+    assert isinstance(held, _newton.SparseHessian) and not held.symmetric
     H = held.matrix
     assert np.array_equal(g, g_ref)
     assert np.allclose(fast.diagonal(), H.diagonal(), rtol=1e-14, atol=0.0)
-    step = _newton._factor(fast, mu, False)(-g)
+    step = fast.solve(-g, mu)
     ref = splu((H + mu * sp.identity(H.shape[0])).tocsc()).solve(-g)
     assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -718,11 +726,12 @@ def test_split_step_matches_the_whole_symmetric_lu_step(monkeypatch, mu):
     minimize_wed(problem, w, Trajectory(problem.grid, problem.T, start,
                                         pinned_initial=problem.initial))
     H, g = seen[0]
+    assert isinstance(H, _newton.SparseHessian) and H.symmetric
     calls = _record_sizes(monkeypatch)
-    step = _newton._factor(H, mu, True)(-g)
+    step = H.solve(-g, mu)
     # the ny chains are identical: one factorization serves them all
     assert calls == [(nx * N, SYMMETRIC)]
-    ref = _whole_matrix_solve(H, mu, True)(-g)
+    ref = _whole_matrix_solve(H.matrix, mu, True)(-g)
     assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
     # identical chains give identical pieces of the step
     S = step.reshape(N, nx, ny)
@@ -846,7 +855,7 @@ def test_new_shift_refactors_and_a_repeated_one_does_not(monkeypatch,
     refs = [splu((H + mu * sp.identity(n)).tocsc(), **options).solve(rhs)
             for mu in shifts]
     calls = _record_splu(monkeypatch)
-    held = _newton.HeldSparse(lambda: H, symmetric)
+    held = _newton.SparseHessian(H, symmetric)
     factored = []
     for mu, ref in zip(shifts, refs):
         step = held.solve(rhs, mu)
@@ -925,9 +934,10 @@ def _watch_lus(monkeypatch) -> list:
 def test_lu_table_holds_no_block_of_an_earlier_matrix(monkeypatch):
     checked = _watch_lus(monkeypatch)
     x0, grad_fn, hess_fn = _two_block_problem()
-    _, _, iters, converged = newton_solve(x0, grad_fn, hess_fn,
-                                          np.ones(x0.size), tol=1e-13,
-                                          symmetric=True)
+    _, _, iters, converged = newton_solve(
+        x0, grad_fn,
+        lambda x: _newton.SparseHessian(hess_fn(x), symmetric=True),
+        np.ones(x0.size), tol=1e-13)
     # both blocks at every step, each from the step's own matrix, and the
     # LUs of the step before are gone
     assert converged and iters >= 3 and checked == [True] * (2 * iters)
@@ -1089,17 +1099,17 @@ def test_constant_hessians_are_held(energy):
     line = replace(heat_problem(n=6), energy1=energy)
     held = wed._constant_hessian(line, _rest(line))
     if energy.kind == "fractional":
-        assert isinstance(held, _newton.HeldSparse) and not held.symmetric
+        assert isinstance(held, _newton.SparseHessian) and not held.symmetric
     else:
         assert isinstance(held, _newton.FastDiagonalization)
     point = replace(scalar_decay_problem(), energy1=energy)
     held = wed._constant_hessian(point, _rest(point))
-    assert isinstance(held, _newton.HeldSparse) and not held.symmetric
+    assert isinstance(held, _newton.SparseHessian) and not held.symmetric
     square = square_problem(energy=energy)
     held = wed._constant_hessian(square, _rest(square))
     if energy.kind == "fractional":
         # no Kronecker sum: the 2D fill is held, on the symmetric path
-        assert isinstance(held, _newton.HeldSparse) and held.symmetric
+        assert isinstance(held, _newton.SparseHessian) and held.symmetric
     else:
         assert isinstance(held, _newton.FastDiagonalization)
 
@@ -1115,8 +1125,8 @@ def test_held_hessian_solve_is_the_lu_solve(monkeypatch, problem, options,
                                             mu):
     calls = _record_splu(monkeypatch)
     held = wed._constant_hessian(problem, _rest(problem))
-    assert isinstance(held, _newton.HeldSparse)
-    assert calls == []  # filled and factored at the first use
+    assert isinstance(held, _newton.SparseHessian)
+    assert calls == []  # filled when made, factored at the first solve
     H = held.matrix
     rhs = np.random.default_rng(7).standard_normal(H.shape[0])
     ref = splu((H + mu * sp.identity(H.shape[0])).tocsc(),
@@ -1131,10 +1141,11 @@ def test_held_hessian_solve_is_the_lu_solve(monkeypatch, problem, options,
 # ---------------------------------------------------------------------------
 
 def _sequential_newton(x0, grad_fn, hess_fn, scale, tol=1e-10, max_iter=100,
-                       min_step=1e-12, symmetric=False, notes=None):
+                       min_step=1e-12, notes=None):
     """newton_solve with one gradient row per trial step: each step
-    a = 1, 1/2, 1/4, ... is evaluated and tested on its own. A stall ends
-    with newton_solve's extended-precision polish."""
+    a = 1, 1/2, 1/4, ... is evaluated and tested on its own, a trial point
+    bitwise equal to the iterate included. A stall ends with newton_solve's
+    extended-precision polish."""
     def grad(x):
         return grad_fn(x[None])[0]
 
@@ -1148,8 +1159,7 @@ def _sequential_newton(x0, grad_fn, hess_fn, scale, tol=1e-10, max_iter=100,
         step = None
         for _ in range(8):
             try:
-                solve = _newton._factor(H, mu, symmetric)
-                step = solve(-g)
+                step = H.solve(-g, mu)
                 if np.all(np.isfinite(step)):
                     break
             except RuntimeError:
@@ -1173,7 +1183,8 @@ def _sequential_newton(x0, grad_fn, hess_fn, scale, tol=1e-10, max_iter=100,
             gnew = grad(x + a * step)
             rnew = float(np.max(np.abs(gnew / scale)))
             if not rnew < res:
-                polished = _newton._polish(grad_fn, solve, x, scale, tol)
+                polished = _newton._polish(
+                    grad_fn, lambda rhs: H.solve(rhs, mu), x, scale, tol)
                 if polished is not None:
                     x, res, steps = polished
                     if notes is not None:
@@ -1320,6 +1331,52 @@ def test_every_lane_gradient_takes_a_longdouble_stack(monkeypatch, lane):
         <= 1e-12 * np.max(np.abs(G))
 
 
+# the Hessian each lane hands to newton_solve: its class, whether it is
+# factored symmetrically (a SparseHessian), and whether one serves every
+# iterate (a Hessian that no state changes)
+LANE_HESSIANS = {
+    "rateind-a0": (_newton.KnotTridiagonal, None, False),
+    "rateind-a>0": (_newton.SparseHessian, False, False),
+    "wed-m2": (_newton.FastDiagonalization, None, True),
+    "wed-m3-p3": (_newton.SparseHessian, False, False),
+    "wed-quadratic": (_newton.FastDiagonalization, None, True),
+    "wed-fractional": (_newton.SparseHessian, False, True),
+    "wed-lv_quadratic": (_newton.SparseHessian, False, True),
+    "wed-table": (_newton.SparseHessian, False, False),
+    "wide-wave": (_newton.SparseHessian, False, False),
+    "wide-lagrangian": (_newton.SparseHessian, False, False),
+    "wide-lagrangian-poly": (_newton.SparseHessian, False, False),
+}
+
+
+@pytest.mark.parametrize("lane", sorted(LANE_HESSIANS) + ["wed-2d-m3"])
+def test_every_lane_hessian_solves_itself(monkeypatch, lane):
+    if lane == "wed-2d-m3":
+        module = wed
+        solve = lambda: rect_solve(rect_problem(shape=(4, 3)), N=3)  # noqa
+        kind, symmetric, held = _newton.SparseHessian, True, False
+    else:
+        module, solve = LANES[lane]
+        kind, symmetric, held = LANE_HESSIANS[lane]
+    seen = []
+
+    def capture(x0, grad_fn, hess_fn, scale, **options):
+        seen.append((hess_fn(x0), hess_fn(x0 + 0.25), x0))
+        return x0, 0.0, 0, True
+
+    monkeypatch.setattr(module, "newton_solve", capture)
+    solve()
+    H, other, x0 = seen[0]
+    assert type(H) is kind and type(other) is kind
+    assert (other is H) == held
+    if symmetric is not None:
+        assert H.symmetric == symmetric
+    # the whole protocol newton_solve uses
+    assert H.diagonal().shape == x0.shape
+    step = H.solve(np.linspace(-1.0, 1.0, x0.size), 0.1)
+    assert step.shape == x0.shape and np.isfinite(step).all()
+
+
 def _compare_with_sequential(monkeypatch, module, solve) -> list:
     """Run solve with every newton_solve call also made by the
     sequential-sweep reference; returns [(result, reference, rows,
@@ -1384,16 +1441,21 @@ def test_1d_ladder_heat_evaluates_one_row_per_gradient_call(monkeypatch):
     assert all(shape == (1, 512 * 64) for shape in rows)
 
 
-def test_stalled_sweep_reuses_the_iterate_gradient(monkeypatch):
+def test_stalled_sweep_evaluates_no_trial_equal_to_the_iterate(
+        monkeypatch):
     # the benchmark ladder's 1D problem at eps = 0.2: a late Newton step
-    # is below the iterate's ulp, so its trial points are bitwise the
-    # iterate; they take its gradient, and the result, polished after the
-    # stall, is still bitwise the sequential sweep's
+    # is below the iterate's ulp, so its trial points come to be bitwise
+    # the iterate; the sweep ends at the first of them, which never
+    # reaches the gradient, and the result, polished after the stall, is
+    # still bitwise the sequential sweep's, which evaluates them all
     problem = heat_problem(n=512, spacing=1.0 / 512)
     counts = count_newton(monkeypatch, wed)
     stalled = dict(grads=0, rows=0, repeats=0)
     real = wed.newton_solve
-    results = []
+    results, sweeps = [], []
+    real_backtrack = _newton._backtrack
+    monkeypatch.setattr(_newton, "_backtrack", lambda *args: sweeps.append(
+        real_backtrack(*args)) or sweeps[-1])
 
     def both(x0, grad_fn, hess_fn, scale, **options):
         got = real(x0, grad_fn, hess_fn, scale, **options)
@@ -1409,6 +1471,7 @@ def test_stalled_sweep_reuses_the_iterate_gradient(monkeypatch):
     assert np.array_equal(x, rx) and x.dtype == np.float64
     assert res == rres and iters == riters and conv == rconv
     assert conv and res <= 1e-10
+    assert any(a is None for a, *_ in sweeps)
     assert stalled["repeats"] > 0
     assert counts["repeats"] == 0
     assert counts["grads"] == stalled["grads"] - stalled["repeats"]
@@ -1425,7 +1488,7 @@ def test_trial_equal_to_the_iterate_but_for_a_zero_sign_is_evaluated():
     step = np.zeros(2)
     for x in (np.array([0.0, 2.0]), np.array([-0.0, 2.0])):
         g = x - 1.0
-        _newton._backtrack(grad_fn, x, g, step, np.ones(2),
+        _newton._backtrack(grad_fn, x, step, np.ones(2),
                            float(np.max(np.abs(g))), sweep)
     # +0.0 + 0.0 is the iterate's bits, -0.0 + 0.0 = +0.0 is not
     assert len(calls) == 1
@@ -1441,9 +1504,9 @@ def test_trial_equal_to_the_iterate_but_for_a_zero_sign_is_evaluated():
     ([3.0, 1.0], [1.0, -1.0]),          # no trial is x
 ])
 def test_trial_rows_equal_to_the_iterate_are_the_last_and_take_g(x, step):
-    # a sweep that rejects every trial: the rows bitwise equal to x (here
-    # found one trial at a time) take g, and every other row is evaluated
-    # once, in the calls of the sweep's schedule
+    # a sweep that rejects every trial ends at its first row bitwise equal
+    # to x: the rows before it are evaluated once, in the calls of the
+    # sweep's schedule, and no row equal to x reaches the gradient
     x, step = np.array(x), np.array(step)
     trials = 0.5 ** np.arange(45)
     sweep = (trials, 1.0 - 1e-4 * trials, 4)
@@ -1453,15 +1516,14 @@ def test_trial_rows_equal_to_the_iterate_are_the_last_and_take_g(x, step):
         calls.append(X.copy())
         return np.ones_like(X)
 
-    a, *_ = _newton._backtrack(grad_fn, x, np.ones(2), step, np.ones(2),
-                               0.5, sweep)
-    assert a is None
+    assert _newton._backtrack(grad_fn, x, step, np.ones(2), 0.5,
+                              sweep) == (None, None, None, None)
     same = [(x + t * step).tobytes() == x.tobytes() for t in trials]
-    evaluated = [row.tobytes() for X in calls for row in X]
-    assert evaluated == [(x + t * step).tobytes()
-                         for t, s in zip(trials, same) if not s]
     assert same == sorted(same)   # a suffix, as the sweep assumes
-    # one row, then 4 rows to a call; a call whose rows are all x is none
+    first = same.index(True) if True in same else trials.size
+    evaluated = [row.tobytes() for X in calls for row in X]
+    assert evaluated == [(x + t * step).tobytes() for t in trials[:first]]
+    # one row, then 4 rows to a call, up to the first row equal to x
     bounds = [0, *range(1, trials.size, 4), trials.size]
-    fresh = [same[lo:hi].count(False) for lo, hi in zip(bounds, bounds[1:])]
-    assert [len(X) for X in calls] == [k for k in fresh if k]
+    fresh = [min(hi, first) - lo for lo, hi in zip(bounds, bounds[1:])]
+    assert [len(X) for X in calls] == [k for k in fresh if k > 0]
