@@ -414,25 +414,31 @@ class KnotTridiagonal:
         # column j's knots are rows j N .. j N + N - 1, and the coupling
         # after each column's last knot is zero
         d = (self.diag + mu).T.ravel()
-        b = rhs.reshape(N, n).T.ravel()
+        # a copy: at n = 1 or N = 1 the ravel would be a view of rhs
+        b = rhs.reshape(N, n).T.flatten()
         if d.size == 1:
             if d[0] == 0.0:
                 raise RuntimeError("tridiagonal solve failed (dgtsv info 1)")
             return b / d
         if n == 1:
-            off = self.off.ravel()
-        else:
-            off = np.zeros((n, N))
-            off[:, :-1] = self.off.T
-            off = off.ravel()[:-1]
-        return _dgtsv(off, d, b).reshape(n, N).T.ravel()
+            # a view of self.off, which LAPACK must not overwrite
+            return _dgtsv(self.off.ravel(), d, b, own_off=False)
+        off = np.zeros((n, N))
+        off[:, :-1] = self.off.T
+        return _dgtsv(off.ravel()[:-1], d, b,
+                      own_off=True).reshape(n, N).T.ravel()
 
 
-def _dgtsv(off: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _dgtsv(off: np.ndarray, d: np.ndarray, b: np.ndarray,
+           own_off: bool) -> np.ndarray:
     """The solution of the symmetric tridiagonal system with main diagonal
     d and off diagonal off, by LAPACK dgtsv; RuntimeError where it is
-    exactly singular."""
-    *_, x, info = dgtsv(off, d, off, b)
+    exactly singular. LAPACK works in place in d and b, which the caller
+    must own, and in off where own_off; it writes both off diagonals, so
+    the upper one, the same array as off, is always copied. The solution
+    has the bits of the copying call."""
+    *_, x, info = dgtsv(off, d, off, b, overwrite_dl=own_off,
+                        overwrite_d=True, overwrite_b=True)
     if info != 0:
         raise RuntimeError(f"tridiagonal solve failed (dgtsv info {info})")
     return x

@@ -182,17 +182,20 @@ def _per_grid(build):
 
 @_per_grid
 def _edge_operator(grid: Grid) -> tuple:
-    """(grid_edges(grid), D): D is the sparse edge-difference operator,
-    (D u)_e = (u_j - u_i)/h, phantom edges keeping only their -1/h."""
+    """(grid_edges(grid), D, D.T): D is the sparse edge-difference
+    operator, (D u)_e = (u_j - u_i)/h, phantom edges keeping only their
+    -1/h; its transpose (a csc view of D's arrays) is kept, so that a
+    gradient D^T f builds none."""
     edges = grid_edges(grid)
     src, dst, hs, phantom = edges
     rows = np.arange(src.size)
     real = ~phantom
-    return edges, sp.csr_matrix(
+    D = sp.csr_matrix(
         (np.concatenate([-1.0 / hs, 1.0 / hs[real]]),
          (np.concatenate([rows, rows[real]]),
           np.concatenate([src, dst[real]]))),
         shape=(src.size, grid.n_nodes))
+    return edges, D, D.T
 
 
 def edge_differences(grid: Grid, u: np.ndarray,
@@ -216,8 +219,8 @@ def graph_laplacian(grid: Grid, coeff: float = 1.0) -> Optional[sp.spmatrix]:
     None for point grids (no edges)."""
     if grid.domain_kind == "point" or coeff == 0.0:
         return None
-    D = _edge_operator(grid)[1]
-    return ((coeff * grid.cell_measure) * (D.T @ D)).tocsr()
+    _, D, DT = _edge_operator(grid)
+    return ((coeff * grid.cell_measure) * (DT @ D)).tocsr()
 
 
 def _edge_energy(grid: Grid, X: np.ndarray, B: np.ndarray, m: float,
@@ -225,7 +228,7 @@ def _edge_energy(grid: Grid, X: np.ndarray, B: np.ndarray, m: float,
     """Per row of the state stack X: the value Sum_e B_i |d_e|^m h^d / m
     (None unless value) and the gradient D^T f. The nodal coefficient B
     is read at each edge's source node."""
-    edges, D = _edge_operator(grid)
+    edges, _, DT = _edge_operator(grid)
     src = edges[0]
     diffs, emeas = edge_differences(grid, X, edges)
     Be = B[..., src]
@@ -238,7 +241,7 @@ def _edge_energy(grid: Grid, X: np.ndarray, B: np.ndarray, m: float,
         force = Be * diffs * emeas
     else:
         force = Be * np.abs(diffs) ** (m - 2.0) * diffs * emeas
-    grad = (D.T @ force.T).T
+    grad = (DT @ force.T).T
     return val, grad
 
 

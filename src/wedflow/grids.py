@@ -10,6 +10,7 @@ immutable numpy arrays; the Field maps return new Fields, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,8 +49,9 @@ class Grid:
     domain_kind: str
     robin_b: float = 0.0
 
-    @property
+    @cached_property
     def n_nodes(self) -> int:
+        # read on every map, energy and trajectory call: computed once
         return int(np.prod(self.shape))
 
     @property

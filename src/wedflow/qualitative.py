@@ -29,9 +29,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .grids import (ConfigurationError, Field, Grid, Trajectory,
-                    _check_axis_direction, constant_trajectory,
-                    field_to_csv, rearrange)
-from .energies import energy1_value_grad
+                    _check_axis_direction, field_to_csv, rearrange)
+from .energies import _rowdot, energy1_value_grad
 from .wed import (WedProblem, _dissipation_value, dual_field,
                   eps_continuation)
 
@@ -199,29 +198,50 @@ def apply_rmap(R: RMap, x: Union[Field, Trajectory]):
     raise ConfigurationError("apply_rmap expects a Field or a Trajectory")
 
 
-def _fixed_point_of(R: RMap, grid: Grid, vec: np.ndarray,
-                    iters: int = 16) -> Optional[np.ndarray]:
-    """A fixed point of R seeded from vec, or None if iteration does not
-    settle. For permutations the orbit average is used (they are linear,
-    so the average is exactly invariant up to roundoff)."""
-    cur = vec[None]
+def _fixed_point_of(R: RMap, grid: Grid, V: np.ndarray,
+                    iters: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """A fixed point of R seeded from each row of the stack V, and a mask
+    of the rows whose iteration settles (the others' rows are left
+    unset). For permutations the orbit average is used (they are linear,
+    so the average is exactly invariant up to roundoff). The whole stack
+    is mapped at once, and each row stops where it would alone, so every
+    point has the bits of a one-row call."""
+    k = len(V)
     if R.kind in ("rigid", "translation"):
-        orbit = [cur]
-        for _ in range(iters):
+        # a row's orbit closes at the first power that maps it back onto
+        # itself; one that never closes averages all iters + 1 states
+        orbit, cur = [V], V
+        length = np.full(k, iters + 1)
+        open_ = np.ones(k, dtype=bool)
+        for j in range(1, iters + 1):
             cur = R.apply(cur, grid)
-            if np.array_equal(cur, orbit[0]):
+            closed = open_ & np.all(cur == V, axis=1)
+            length[closed] = j
+            open_ &= ~closed
+            if not open_.any():
                 break
             orbit.append(cur)
-        avg = np.mean(np.concatenate(orbit), axis=0)[None]
+        orbit = np.stack(orbit)
+        avg = np.empty_like(V)
+        for size in np.unique(length):
+            rows = length == size
+            avg[rows] = np.mean(orbit[:size, rows], axis=0)
         # one more pass kills the roundoff asymmetry of the mean
-        return (0.5 * (avg + R.apply(avg, grid)))[0]
+        return 0.5 * (avg + R.apply(avg, grid)), np.ones(k, dtype=bool)
+    out = np.empty_like(V)
+    settled = np.zeros(k, dtype=bool)
+    active, cur = np.arange(k), V
     for _ in range(iters):
+        if not active.size:
+            break
         nxt = R.apply(cur, grid)
         # selection maps settle exactly; averaging can dither by an ulp
-        if np.max(np.abs(nxt - cur)) <= 1e-13 * (1.0 + np.max(np.abs(cur))):
-            return nxt[0]
-        cur = nxt
-    return None
+        done = np.max(np.abs(nxt - cur), axis=1) \
+            <= 1e-13 * (1.0 + np.max(np.abs(cur), axis=1))
+        out[active[done]] = nxt[done]
+        settled[active[done]] = True
+        active, cur = active[~done], nxt[~done]
+    return out, settled
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +251,9 @@ def _fixed_point_of(R: RMap, grid: Grid, vec: np.ndarray,
 @dataclass
 class PropertyReport:
     """Sampled verification outcome. Each condition maps to its worst
-    margin; a margin at or above -1e-10 counts as satisfied. Equality
-    style conditions store the negated error, so the same rule applies."""
+    margin; a finite margin at or above -1e-10 counts as satisfied.
+    Equality style conditions store the negated error, so the same rule
+    applies."""
 
     name: str
     conditions: dict
@@ -244,7 +265,7 @@ class PropertyReport:
 
     @property
     def passed(self) -> bool:
-        return all(m >= -MARGIN_TOL for m in self.conditions.values())
+        return not any(map(_fails, self.conditions.values()))
 
     def _counterexample_csv(self) -> Optional[str]:
         if self.counterexample is None:
@@ -270,13 +291,23 @@ class PropertyReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _fails(margin: float) -> bool:
+    """A margin below -MARGIN_TOL, or one that is not finite (an
+    overflowed energy gives NaN, which no comparison would catch)."""
+    return not (np.isfinite(margin) and margin >= -MARGIN_TOL)
+
+
 def _worsen(report_conditions: dict, key: str, margin: float,
             state: dict, vec: np.ndarray) -> None:
-    """Track the running worst margin and remember the witness vector."""
-    old = report_conditions.get(key, np.inf)
-    if margin < old:
+    """Track the running worst margin and remember the witness vector. A
+    margin that is not finite ranks below every finite one, and the first
+    such margin stays."""
+    old = report_conditions.get(key)
+    if old is not None and not np.isfinite(old):
+        return
+    if old is None or not np.isfinite(margin) or margin < old:
         report_conditions[key] = margin
-        if margin < -MARGIN_TOL:
+        if _fails(margin):
             state["worst"] = vec.copy()
 
 
@@ -389,17 +420,21 @@ def check_r1(R: RMap, grid: Grid, samples: int = 32,
     """Structure of the solution class itself: midpoints of invariant
     states stay invariant (convexity), the map never inflates the discrete
     time-derivative seminorm (so trajectories stay admissible), and for
-    projected maps the class is stable under shrinking toward zero."""
+    projected maps the class is stable under shrinking toward zero. The
+    seeds of the invariant states are drawn pair by pair and iterated to
+    their fixed points as one stack."""
     rng = np.random.default_rng(seed)
     n = grid.n_nodes * R.n_components()
     conds: dict = {}
     state: dict = {}
     notes = []
     made = 0
-    for _ in range(samples):
-        a = _fixed_point_of(R, grid, rng.standard_normal(n) * 2.0)
-        b = _fixed_point_of(R, grid, rng.standard_normal(n) * 2.0)
-        if a is None or b is None:
+    seeds = np.array([rng.standard_normal(n) * 2.0
+                      for _ in range(2 * samples)]).reshape(-1, n)
+    fixed, settled = _fixed_point_of(R, grid, seeds)
+    for a, b, ok_a, ok_b in zip(fixed[0::2], fixed[1::2],
+                                settled[0::2], settled[1::2]):
+        if not (ok_a and ok_b):
             continue
         made += 1
         # the midpoint, then (projected maps) the dilations of a
@@ -451,7 +486,13 @@ def check_r2(R: RMap, problem: WedProblem, samples: int = 16,
     dissipation of a mapped trajectory does not grow, and the pairing with
     the dual field does not shrink. The dual field is taken from an
     invariant state for projected maps and from the sample itself for
-    posthoc maps."""
+    posthoc maps.
+
+    Each sample's numbers are drawn in the order of a per-sample loop
+    (u, the kick of an odd sample, the walk, the seed of a projected
+    map's fixed point); then every role is mapped, priced and paired as
+    one stack, and the margins enter the report in the loop's order, so
+    each worst margin and the witness are the loop's."""
     rng = np.random.default_rng(seed)
     grid = problem.grid
     n = problem.n_dof
@@ -463,40 +504,55 @@ def check_r2(R: RMap, problem: WedProblem, samples: int = 16,
     # a trajectory has at least two slices, so an untimed source gets two
     f = problem.forcing
     source_steps = max(len(f) - 1, 1) if np.ndim(f) == 2 else 1
+    projected = R.enforcement == "projected"
+
+    U = np.empty((samples, n))
+    kicks = np.empty((samples // 2, n))
+    walks = np.empty((samples, steps + 1, n))
+    seeds = np.empty((samples if projected else 0, n))
+    for k in range(samples):
+        U[k] = rng.standard_normal(n) * 2.0
+        if k % 2 == 1:
+            kicks[k // 2] = rng.standard_normal(n)
+        walks[k] = rng.standard_normal((steps + 1, n)) * 0.5
+        if projected:
+            seeds[k] = rng.standard_normal(n) * 2.0
+
+    # adversarial odd samples: start from a mapped state and kick it
+    U[1::2] = R.apply(U[1::2], grid) + 0.1 * kicks
+    RU = R.apply(U, grid)
+    energy, _ = energy1_value_grad(problem.energy1, grid,
+                                   np.concatenate([U, RU]))
+    eu, eru = energy[:samples], energy[samples:]
+    energy_margin = (eu - eru) / (1.0 + np.abs(eu)) + MARGIN_TOL
+
+    walks = np.cumsum(walks, axis=1)
+    mapped = R.apply(walks.reshape(-1, n), grid).reshape(walks.shape)
+    dissipation = _dissipation_value(problem,
+                                     np.concatenate([walks, mapped]),
+                                     problem.T / steps)
+    dba, dbr = dissipation[:samples], dissipation[samples:]
+    dissipation_margin = (dba - dbr) / (1.0 + np.abs(dba)) + MARGIN_TOL
+
+    # pairing with the dual field of a constant trajectory at each source
+    # (a projected map's fixed point, where its iteration settles)
+    src, paired = (_fixed_point_of(R, grid, seeds) if projected
+                   else (U, np.ones(samples, dtype=bool)))
+    paired = np.flatnonzero(paired)
+    duals = dual_field(problem, np.repeat(src[paired, None],
+                                          source_steps + 1, axis=1))
+    wru = _rowdot(duals, RU[paired, None])
+    wu = _rowdot(duals, U[paired, None])
+    pairing_margin = dict(zip(
+        paired.tolist(),
+        hd * (wru - wu) / (1.0 + np.abs(hd * wu)) + MARGIN_TOL))
 
     for k in range(samples):
-        u = rng.standard_normal(n) * 2.0
-        if k % 2 == 1:
-            # adversarial: start from a mapped state and kick it
-            u = R.apply(u[None], grid)[0] + 0.1 * rng.standard_normal(n)
-        ru = R.apply(u[None], grid)[0]
-        (eu, eru), _ = energy1_value_grad(problem.energy1, grid,
-                                          np.stack([u, ru]))
-        _worsen(conds, "energy_monotone",
-                (eu - eru) / (1.0 + abs(eu)) + MARGIN_TOL, state, u)
-
-        traj = np.cumsum(rng.standard_normal((steps + 1, n)) * 0.5, axis=0)
-        rt = R.apply(traj, grid)
-        dba, dbr = _dissipation_value(problem, np.stack([traj, rt]),
-                                      problem.T / steps)
-        _worsen(conds, "dissipation_monotone",
-                (dba - dbr) / (1.0 + abs(dba)) + MARGIN_TOL, state,
-                traj.ravel())
-
-        # pairing with the dual field
-        if R.enforcement == "projected":
-            src = _fixed_point_of(R, grid, rng.standard_normal(n) * 2.0)
-            if src is None:
-                continue
-        else:
-            src = u
-        duals = dual_field(problem, constant_trajectory(
-            grid, src, problem.T, source_steps, pin=False))
-        for w in duals:
-            margin = hd * float(w @ ru - w @ u)
-            _worsen(conds, "pairing_monotone",
-                    margin / (1.0 + abs(hd * float(w @ u))) + MARGIN_TOL,
-                    state, u)
+        _worsen(conds, "energy_monotone", energy_margin[k], state, U[k])
+        _worsen(conds, "dissipation_monotone", dissipation_margin[k], state,
+                walks[k].ravel())
+        for margin in pairing_margin.get(k, ()):
+            _worsen(conds, "pairing_monotone", margin, state, U[k])
     return PropertyReport(name=f"r2:{R.kind}", conditions=conds,
                           samples=samples, seed=seed, notes=tuple(notes),
                           counterexample=state.get("worst"),

@@ -714,12 +714,16 @@ def _check(margin: float, tol: float) -> dict:
     return {"margin": float(margin), "passed": bool(margin >= -tol)}
 
 
-def _ps_energy(U: np.ndarray, boundary: str, m: float) -> np.ndarray:
-    """Row-wise sum of |nearest-neighbour difference|^m; dirichlet pads a
-    zero on both sides, neumann uses interior differences only."""
+def _ps_energies(U: np.ndarray, boundary: str) -> list:
+    """Row-wise sums of |nearest-neighbour difference|^m for m = 2 and 3;
+    dirichlet borders each row with a zero on both sides, neumann uses
+    interior differences only."""
     if boundary == "dirichlet":
-        U = np.pad(U, ((0, 0), (1, 1)))
-    return np.sum(np.abs(np.diff(U, axis=1)) ** m, axis=1)
+        border = np.zeros((len(U), U.shape[1] + 2))
+        border[:, 1:-1] = U
+        U = border
+    jumps = np.abs(np.diff(U, axis=1))
+    return [np.sum(jumps ** m, axis=1) for m in (2.0, 3.0)]
 
 
 # the rearrangements checked, with the boundary of their Polya-Szego energy
@@ -731,7 +735,8 @@ def _verify_rearrangement(seed: int = 0) -> dict:
     word of a three-letter alphabet up to length 7. The random samples are
     drawn one at a time in the order (n, u, v) and only then grouped by n,
     so the rng stream is that of a per-sample loop while each length is
-    rearranged and checked as one (k, n) stack."""
+    rearranged and checked as one (k, n) stack; the terms that do not
+    depend on the rearrangement are computed once per length."""
     rng = np.random.default_rng(seed)
     checks = {}
     samples = {}
@@ -742,47 +747,50 @@ def _verify_rearrangement(seed: int = 0) -> dict:
         samples.setdefault(n, []).append((u, v))
     worst = {k: np.inf for k in
              ("norm", "hardy_littlewood", "nonexpansive", "polya_szego")}
+    spreads = (np.abs, np.square)
     for n, pairs in samples.items():
         grid = build_grid(dim=1, shape=(n,), spacing=(1.0,),
                           boundary="neumann")
         U, V = (np.array(rows) for rows in zip(*pairs))
+        sorted_u = np.sort(np.maximum(U, 0.0), axis=1)
+        uv = _rowdot(U, V)
+        spread = [np.sum(J(U - V), axis=1) for J in spreads]
         for kind, bnd in _PS_BOUNDARY.items():
             RU, RV = np.split(rearrange(grid, np.vstack([U, V]), kind), 2)
             margins = {
-                "norm": -np.max(np.abs(np.sort(RU, axis=1) - np.sort(
-                    np.maximum(U, 0.0), axis=1)), axis=1),
-                "hardy_littlewood": _rowdot(RU, RV) - _rowdot(U, V),
-                "nonexpansive": [np.sum(J(U - V), axis=1)
-                                 - np.sum(J(RU - RV), axis=1)
-                                 for J in (np.abs, np.square)],
-                "polya_szego": [_ps_energy(U, bnd, m) - _ps_energy(RU, bnd, m)
-                                for m in (2.0, 3.0)],
+                "norm": -np.max(np.abs(np.sort(RU, axis=1) - sorted_u),
+                                axis=1),
+                "hardy_littlewood": _rowdot(RU, RV) - uv,
+                "nonexpansive": [s - np.sum(J(RU - RV), axis=1)
+                                 for s, J in zip(spread, spreads)],
+                "polya_szego": [e - r for e, r in zip(
+                    _ps_energies(U, bnd), _ps_energies(RU, bnd))],
             }
             for key, val in margins.items():
                 worst[key] = min(worst[key], float(np.min(val)))
     for key, val in worst.items():
         checks[key] = _check(val, 1e-12)
 
-    # exhaustive three-letter-alphabet oracles, all lengths up to 7; the
-    # Gram matrix goes in blocks of 256 rows to bound the memory
+    # exhaustive three-letter-alphabet oracles, all lengths up to 7. The
+    # Hardy-Littlewood margins RU RU^T - U U^T are one product
+    # [RU, U] @ [RU, -U]^T, exact because every entry is 0, 1 or 2 and
+    # n <= 7: each dot is an integer of magnitude at most 28 at every
+    # partial sum, whatever the summation order. The product goes in
+    # blocks of 256 rows to bound the memory.
     hl_worst = np.inf
     ps_worst = np.inf
     for n in range(3, 8):
         grid = build_grid(dim=1, shape=(n,), spacing=(1.0,),
                           boundary="neumann")
         U = np.array(list(_iproduct((0.0, 1.0, 2.0), repeat=n)))
-        RUs = {kind: rearrange(grid, U, kind) for kind in _PS_BOUNDARY}
-        for lo in range(0, U.shape[0], 256):
-            block = slice(lo, lo + 256)
-            gram = U[block] @ U.T
-            for RU in RUs.values():
+        for kind, bnd in _PS_BOUNDARY.items():
+            RU = rearrange(grid, U, kind)
+            left, right = np.hstack([RU, U]), np.hstack([RU, -U]).T
+            for lo in range(0, len(U), 256):
                 hl_worst = min(hl_worst, float(np.min(
-                    RU[block] @ RU.T - gram)))
-        for kind, RU in RUs.items():
-            bnd = _PS_BOUNDARY[kind]
-            for m in (2.0, 3.0):
-                ps_worst = min(ps_worst, float(np.min(
-                    _ps_energy(U, bnd, m) - _ps_energy(RU, bnd, m))))
+                    left[lo:lo + 256] @ right)))
+            for e, r in zip(_ps_energies(U, bnd), _ps_energies(RU, bnd)):
+                ps_worst = min(ps_worst, float(np.min(e - r)))
     checks["hardy_littlewood_exhaustive"] = _check(hl_worst, 1e-12)
     checks["polya_szego_exhaustive"] = _check(ps_worst, 1e-12)
     return _suite_report("rearrangement", checks)
@@ -796,6 +804,11 @@ def _random_walk(rng, start: np.ndarray, steps: int) -> np.ndarray:
 
 
 def _verify_submodularity(seed: int = 0) -> dict:
+    """Lattice submodularity of the functional on 500 ordered pairs of
+    random walks per energy. Each pair's numbers are drawn in the order
+    of a per-pair loop (base, other, base's steps, other's steps) into
+    one (2, 500, knots, n) block, and the walks are one cumulative sum
+    along the knots, with the bits of one _random_walk per walk."""
     rng = np.random.default_rng(seed)
     checks = {}
     energies = {
@@ -812,13 +825,13 @@ def _verify_submodularity(seed: int = 0) -> dict:
             energy2=ConcaveSpec(),
             reaction=ReactionSpec(), T=1.0, epsilon=0.3,
             initial=np.zeros(6))
-        pairs = []
-        for _ in range(500):
+        walks = np.empty((2, 500, steps + 1, 6))
+        for pair in range(500):
             base = rng.random(6)
-            other = base + rng.random(6)
-            pairs.append((_random_walk(rng, base, steps),
-                          _random_walk(rng, other, steps)))
-        U, V = (np.stack(member) for member in zip(*pairs))
+            walks[:, pair, 0] = base, base + rng.random(6)
+            walks[0, pair, 1:] = 0.3 * rng.standard_normal((steps, 6))
+            walks[1, pair, 1:] = 0.3 * rng.standard_normal((steps, 6))
+        U, V = np.cumsum(walks, axis=2)
         checks[name] = _check(np.min(submodularity_check(problem, U, V)),
                               1e-10)
     return _suite_report("submodularity", checks)

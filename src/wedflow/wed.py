@@ -347,18 +347,22 @@ def source_rows(problem: WedProblem, knots: int) -> np.ndarray:
     return np.broadcast_to(f, (knots, problem.n_dof))
 
 
-def dual_field(problem: WedProblem, traj: Trajectory) -> np.ndarray:
+def dual_field(problem: WedProblem, traj) -> np.ndarray:
     """w = (gradient of the concave part)/h^d + forcing + reaction at
-    every slice: the nodal-density dual closing the nonpotential terms."""
-    U = traj.values
+    every slice: the nodal-density dual closing the nonpotential terms.
+    traj is a Trajectory, or the values of a stack of trajectories
+    ((k, knots, n_dof)), whose fields are row for row the bits of one
+    call per trajectory."""
+    U = traj.values if isinstance(traj, Trajectory) else traj
     n_nodes = problem.grid.n_nodes
-    _, g2 = energy2_value_grad(problem.energy2, problem.grid, U)
-    w = g2 / problem.grid.cell_measure
-    w += source_rows(problem, U.shape[0])
+    _, g2 = energy2_value_grad(problem.energy2, problem.grid,
+                               U.reshape(-1, U.shape[-1]))
+    w = g2.reshape(U.shape) / problem.grid.cell_measure
+    w += source_rows(problem, U.shape[-2])
     if problem.reaction.kind == "lotka_volterra":
         fu, fv = reaction_eval(problem.reaction,
-                               (U[:, :n_nodes], U[:, n_nodes:]))
-        w += np.hstack([fu, fv])
+                               (U[..., :n_nodes], U[..., n_nodes:]))
+        w += np.concatenate([fu, fv], axis=-1)
     return w
 
 

@@ -433,7 +433,11 @@ def test_edge_operator_differences_match_the_gather():
     g = build_grid(dim=2, shape=(4, 5), spacing=(0.3, 0.2),
                    boundary="dirichlet", domain_kind="rectangle")
     from wedflow.energies import _edge_operator
-    _, D = _edge_operator(g)
+    _, D, DT = _edge_operator(g)
+    # the transpose is built once per grid, and is D's own transpose
+    assert _edge_operator(g)[2] is DT
+    assert DT.format == "csc" and DT.shape == D.shape[::-1]
+    assert (DT != D.T).nnz == 0
     u = np.random.default_rng(9).normal(size=g.n_nodes)
     diffs, emeas = edge_differences(g, u)
     assert np.allclose(D @ u, diffs, rtol=1e-14, atol=1e-14)

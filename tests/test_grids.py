@@ -40,6 +40,16 @@ def test_point_grid_is_the_single_exception():
     assert g.boundary_index_set().size == 0
 
 
+def test_node_count_is_computed_once_per_grid(monkeypatch):
+    g = build_grid(dim=2, shape=(3, 4), spacing=(0.5, 0.25),
+                   boundary="neumann", domain_kind="rectangle")
+    assert g.n_nodes == 12 and isinstance(g.n_nodes, int)
+    calls = []
+    monkeypatch.setattr(np, "prod", lambda *a, **k: calls.append(a))
+    assert g.n_nodes == 12
+    assert calls == []
+
+
 def test_torus_and_periodic_are_paired():
     with pytest.raises(ConfigurationError):
         build_grid(dim=1, shape=(5,), spacing=(1.0,), boundary="periodic")

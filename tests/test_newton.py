@@ -217,6 +217,48 @@ def test_knot_tridiagonal_solve_is_bitwise_the_padded_system(
         assert pivoted
 
 
+@pytest.mark.parametrize("N", [1, 2, 7])
+@pytest.mark.parametrize("n", [1, 3])
+def test_knot_tridiagonal_solve_works_in_place_only_in_its_own_arrays(
+        monkeypatch, n, N):
+    # LAPACK may overwrite the bands and right-hand side the solve builds,
+    # never the Hessian's arrays or the caller's rhs (a view of it at
+    # n = 1 or N = 1), and never dl while it is du; the solution has the
+    # bits of the call that copies every input
+    rng = np.random.default_rng(10 * n + N)
+    flags = []
+    real = _newton.dgtsv
+
+    def recorder(dl, d, du, b, **kwargs):
+        flags.append((dl is du, kwargs))
+        return real(dl, d, du, b, **kwargs)
+
+    monkeypatch.setattr(_newton, "dgtsv", recorder)
+    for mu in (0.0, 0.37):
+        diag = rng.standard_normal((N, n)) * 1e-3
+        off = rng.standard_normal((N - 1, n))
+        rhs = rng.standard_normal(N * n)
+        kept = [a.copy() for a in (diag, off, rhs)]
+        H = _newton.KnotTridiagonal(diag, off)
+        got = H.solve(rhs, mu)
+        for before, after in zip(kept, (H.diag, H.off, rhs)):
+            assert before.tobytes() == after.tobytes()
+        if N * n == 1:
+            continue
+        bands = np.zeros((n, N))
+        bands[:, :-1] = off.T
+        dl = off.ravel() if n == 1 else bands.ravel()[:-1]
+        *_, x, info = real(dl.copy(), (diag + mu).T.ravel(), dl.copy(),
+                           rhs.reshape(N, n).T.ravel())
+        assert info == 0
+        assert got.tobytes() == x.reshape(n, N).T.ravel().tobytes()
+    for same, kwargs in flags:
+        assert kwargs["overwrite_d"] and kwargs["overwrite_b"]
+        assert kwargs["overwrite_dl"] == (n > 1)
+        assert same and not kwargs.get("overwrite_du", False)
+    assert len(flags) == (0 if N * n == 1 else 2)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_knot_tridiagonal_with_a_zero_last_unknown_calls_dgtsv_once(
         monkeypatch, n):

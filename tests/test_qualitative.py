@@ -6,10 +6,17 @@ import json
 import numpy as np
 import pytest
 
-from wedflow import (ConcaveSpec, ConfigurationError, EnergySpec, Field, RMap,
-                     Trajectory, apply_rmap, check_r1, check_r2,
-                     fixed_point_solve, invariance_residual, invariant_solve,
+from wedflow import (ConcaveSpec, ConfigurationError, DissipationSpec,
+                     EnergySpec, Field, ReactionSpec, RMap, Scenario,
+                     Trajectory, WedProblem, apply_rmap, check_r1, check_r2,
+                     constant_trajectory, dual_field, fixed_point_solve,
+                     invariance_residual, invariant_solve,
                      reflection_permutation)
+from wedflow.cli import bundled_scenarios
+from wedflow.energies import energy1_value_grad
+from wedflow.qualitative import (MARGIN_TOL, PropertyReport, _fixed_point_of,
+                                 _worsen, compatibility_issues)
+from wedflow.wed import _dissipation_value
 from dataclasses import replace
 
 from conftest import heat_problem, line_grid, point_grid
@@ -322,3 +329,215 @@ def test_check_r2_pairing_covers_every_source_slice():
     # the compatibility check reads the one source field
     for report in (indexed, constant):
         assert "compat:lower cutoff needs nonnegative forcing" in report.notes
+
+
+# ---------------------------------------------------------------------------
+# the stacked check_r2 against its per-sample loop
+# ---------------------------------------------------------------------------
+
+def _fixed_point_loop(R, grid, vec, iters=16):
+    """One seed's fixed point of R, or None where the iteration does not
+    settle, as a loop over single states finds it."""
+    cur = vec[None]
+    if R.kind in ("rigid", "translation"):
+        orbit = [cur]
+        for _ in range(iters):
+            cur = R.apply(cur, grid)
+            if np.array_equal(cur, orbit[0]):
+                break
+            orbit.append(cur)
+        avg = np.mean(np.concatenate(orbit), axis=0)[None]
+        return (0.5 * (avg + R.apply(avg, grid)))[0]
+    for _ in range(iters):
+        nxt = R.apply(cur, grid)
+        if np.max(np.abs(nxt - cur)) <= 1e-13 * (1.0 + np.max(np.abs(cur))):
+            return nxt[0]
+        cur = nxt
+    return None
+
+
+def _check_r2_loop(R, problem, samples=16, seed=0):
+    """check_r2 one sample at a time: each state is mapped, priced and
+    paired alone, in draw order."""
+    rng = np.random.default_rng(seed)
+    grid = problem.grid
+    n = problem.n_dof
+    conds, state = {}, {}
+    notes = [f"compat:{m}" for m in compatibility_issues(R, problem, seed)]
+    steps = 6
+    hd = grid.cell_measure
+    f = problem.forcing
+    source_steps = max(len(f) - 1, 1) if np.ndim(f) == 2 else 1
+    for k in range(samples):
+        u = rng.standard_normal(n) * 2.0
+        if k % 2 == 1:
+            u = R.apply(u[None], grid)[0] + 0.1 * rng.standard_normal(n)
+        ru = R.apply(u[None], grid)[0]
+        (eu, eru), _ = energy1_value_grad(problem.energy1, grid,
+                                          np.stack([u, ru]))
+        _worsen(conds, "energy_monotone",
+                (eu - eru) / (1.0 + abs(eu)) + MARGIN_TOL, state, u)
+        traj = np.cumsum(rng.standard_normal((steps + 1, n)) * 0.5, axis=0)
+        rt = R.apply(traj, grid)
+        dba, dbr = _dissipation_value(problem, np.stack([traj, rt]),
+                                      problem.T / steps)
+        _worsen(conds, "dissipation_monotone",
+                (dba - dbr) / (1.0 + abs(dba)) + MARGIN_TOL, state,
+                traj.ravel())
+        if R.enforcement == "projected":
+            src = _fixed_point_loop(R, grid, rng.standard_normal(n) * 2.0)
+            if src is None:
+                continue
+        else:
+            src = u
+        duals = dual_field(problem, constant_trajectory(
+            grid, src, problem.T, source_steps, pin=False))
+        for w in duals:
+            margin = hd * float(w @ ru - w @ u)
+            _worsen(conds, "pairing_monotone",
+                    margin / (1.0 + abs(hd * float(w @ u))) + MARGIN_TOL,
+                    state, u)
+    return PropertyReport(name=f"r2:{R.kind}", conditions=conds,
+                          samples=samples, seed=seed, notes=tuple(notes),
+                          counterexample=state.get("worst"),
+                          counterexample_grid=grid)
+
+
+def _invariance_suite_cases():
+    """The four (map, problem) pairs of `verify invariance`."""
+    grid = line_grid(9, spacing=0.25)
+    x = grid.coords()[:, 0]
+    u0 = 1.0 + 0.5 * np.cos(np.pi * x / x.max())
+    u0 = 0.5 * (u0 + u0[::-1])
+    reflect = RMap(kind="rigid", permutation=reflection_permutation(grid))
+    trunc = RMap(kind="truncate_lower", level=0.0)
+    base = dict(grid=grid, dissipation=DissipationSpec(p=2.0),
+                energy2=ConcaveSpec(), reaction=ReactionSpec(), T=0.5,
+                epsilon=0.1)
+    heat = EnergySpec(kind="m_laplace", m=2.0, B=1.0, C=0.0)
+    mlap = EnergySpec(kind="m_laplace", m=3.0, B=1.0, C=0.5)
+    truncated = WedProblem(energy1=heat, initial=np.maximum(u0 - 1.0, 0.0),
+                           **base)
+    return {
+        "reflection_heat": (reflect, WedProblem(energy1=heat, initial=u0,
+                                                **base)),
+        "reflection_m_laplace": (reflect, WedProblem(energy1=mlap,
+                                                     initial=u0, **base)),
+        "truncation": (trunc, truncated),
+        "composition": (RMap(kind="compose", parts=(trunc, reflect)),
+                        truncated),
+    }
+
+
+def _lv_patch_case():
+    sc = Scenario.from_text(bundled_scenarios()["lv_patch"])
+    (clamp,) = sc.values["rmaps"]
+    return clamp, sc.problem
+
+
+def _time_indexed_source_case():
+    """The time-indexed source of
+    test_check_r2_pairing_covers_every_source_slice."""
+    table = -np.ones((5, 5))
+    table[0] = 1.0
+    return RMap(kind="truncate_lower", level=0.0), WedProblem(
+        grid=line_grid(5), dissipation=DissipationSpec(p=2.0),
+        energy1=EnergySpec(kind="m_laplace", m=2.0), energy2=ConcaveSpec(),
+        reaction=ReactionSpec(), T=1.0, epsilon=0.2, initial=np.zeros(5),
+        forcing=table)
+
+
+_R2_CASES = {**_invariance_suite_cases(), "lv_patch": _lv_patch_case(),
+             "time_indexed_source": _time_indexed_source_case()}
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("case", sorted(_R2_CASES))
+def test_stacked_check_r2_is_the_per_sample_loop(case, seed):
+    R, problem = _R2_CASES[case]
+    got = check_r2(R, problem, seed=seed)
+    want = _check_r2_loop(R, problem, seed=seed)
+    assert got.to_json() == want.to_json()
+    assert {"energy_monotone", "dissipation_monotone"} <= set(got.conditions)
+
+
+def test_stacked_check_r2_keeps_the_loop_witness():
+    # the failing case of test_check_r2_flags_asymmetric_forcing: the
+    # witness is the last sample that worsened a failing margin
+    g, u0 = symmetric_u0(9)
+    f = np.zeros(9)
+    f[0] = 0.9
+    problem = replace(heat_problem(n=9), initial=u0, forcing=f)
+    refl = RMap(kind="rigid", permutation=reflection_permutation(g))
+    for samples in (1, 2, 8):
+        got = check_r2(refl, problem, samples=samples, seed=3)
+        want = _check_r2_loop(refl, problem, samples=samples, seed=3)
+        assert got.to_json() == want.to_json()
+    assert got.counterexample is not None
+
+
+def test_stacked_fixed_points_are_the_one_seed_loop():
+    g = line_grid(7)
+    rng = np.random.default_rng(5)
+    seeds = rng.standard_normal((12, 7)) * 2.0
+    # orbits that close early: a mirror-symmetric row (length 1 under the
+    # reflection) and a row fixed by the 2-cycle of a (2 3)-cycle map
+    seeds[3] = seeds[3] + seeds[3][::-1]
+    seeds[4, 1] = seeds[4, 0]
+    cycles = np.array([1, 0, 3, 4, 2, 5, 6])
+    maps = [RMap(kind="rigid", permutation=reflection_permutation(g)),
+            RMap(kind="rigid", permutation=cycles),
+            RMap(kind="truncate_lower", level=-0.5),
+            RMap(kind="averaging"),
+            RMap(kind="symmetric_decreasing"),
+            # alternates between mirror images: settles only on a
+            # symmetric row
+            RMap(kind="compose", parts=(
+                RMap(kind="positive_part"),
+                RMap(kind="rigid", permutation=reflection_permutation(g))))]
+    for R in maps:
+        for iters in (1, 16):
+            points, settled = _fixed_point_of(R, g, seeds, iters)
+            for vec, point, ok in zip(seeds, points, settled):
+                want = _fixed_point_loop(R, g, vec, iters)
+                assert ok == (want is not None)
+                if ok:
+                    assert point.tobytes() == want.tobytes()
+    assert not settled.all() and settled.any()
+
+
+def test_check_r2_fails_a_non_finite_margin():
+    # |d|^400 overflows on every sample, so every energy margin is NaN;
+    # it stays in the report and fails it
+    grid = line_grid(6)
+    problem = replace(heat_problem(n=6), initial=np.ones(6),
+                      energy1=EnergySpec(kind="m_laplace", m=400.0))
+    R = RMap(kind="rigid", permutation=reflection_permutation(grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = check_r2(R, problem)
+        want = _check_r2_loop(R, problem)
+    assert np.isnan(report.conditions["energy_monotone"])
+    assert not report.passed
+    assert json.loads(report.to_json())["conditions"]["energy_monotone"] \
+        == "nan"
+    assert report.counterexample is not None
+    assert report.to_json() == want.to_json()
+
+
+def test_worsen_keeps_the_first_non_finite_margin():
+    conds, state = {}, {}
+    vec = np.arange(3.0)
+    _worsen(conds, "c", 0.5, state, vec)
+    assert conds["c"] == 0.5 and "worst" not in state
+    _worsen(conds, "c", np.nan, state, vec)
+    assert np.isnan(conds["c"]) and np.array_equal(state["worst"], vec)
+    for later in (-1.0, np.inf, -np.inf):
+        _worsen(conds, "c", later, state, vec + 1.0)
+        assert np.isnan(conds["c"])
+    assert np.array_equal(state["worst"], vec)
+    # an infinite margin fails too, where a NaN-blind test would pass it
+    _worsen(conds, "d", np.inf, state, vec)
+    assert conds["d"] == np.inf
+    report = PropertyReport(name="x", conditions={"d": np.inf}, samples=1,
+                            seed=0)
+    assert not report.passed

@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 import wedflow
-from wedflow import (Scenario, ScenarioError, Trajectory, build_grid,
-                     rearrange, run, runner, verify)
+from wedflow import (ConcaveSpec, DissipationSpec, EnergySpec, ReactionSpec,
+                     Scenario, ScenarioError, Trajectory, WedProblem,
+                     build_grid, rearrange, run, runner,
+                     submodularity_check, verify)
 from wedflow.cli import bundled_scenarios, main
 from wedflow.runner import _json_ready, output_dir_for, trajectory_to_csv
 from wedflow.wed import default_eps_schedule
@@ -427,9 +429,61 @@ def test_stacked_rearrangement_suite_matches_the_per_sample_loop(seed):
     assert list(report["checks"]) == list(ref)
     for key, margin in ref.items():
         got = report["checks"][key]
-        assert abs(got["margin"] - margin) <= 1e-12 * max(abs(margin), 1.0)
+        assert got["margin"] == margin
         assert got["passed"] == (margin >= -1e-12)
     assert report["passed"] == all(m >= -1e-12 for m in ref.values())
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_fused_exhaustive_product_is_the_three_product_form(n):
+    # [RU, U] @ [RU, -U]^T against RU RU^T - U U^T, as the suite blocks
+    # them: entries 0, 1 and 2 make every dot an exact small integer
+    grid = build_grid(dim=1, shape=(n,), spacing=(1.0,), boundary="neumann")
+    U = np.array(list(product((0.0, 1.0, 2.0), repeat=n)))
+    for kind in ("monotone", "symmetric_decreasing"):
+        RU = rearrange(grid, U, kind)
+        left, right = np.hstack([RU, U]), np.hstack([RU, -U]).T
+        for lo in range(0, len(U), 256):
+            block = slice(lo, lo + 256)
+            fused = left[block] @ right
+            three = RU[block] @ RU.T - U[block] @ U.T
+            assert fused.tobytes() == three.tobytes()
+
+
+def _submodularity_loop(seed):
+    """`verify submodularity`'s margins with one _random_walk per walk, as
+    the suite drew and summed them before it filled one block."""
+    rng = np.random.default_rng(seed)
+    grid = build_grid(dim=1, shape=(6,), spacing=(0.5,),
+                      boundary="dirichlet")
+    margins = {}
+    for name, e1 in (
+            ("quadratic", EnergySpec(kind="m_laplace", m=2.0, B=1.0, C=0.0)),
+            ("m_laplace", EnergySpec(kind="m_laplace", m=3.0, B=1.0, C=0.5)),
+            ("fractional", EnergySpec(kind="fractional", s=0.5,
+                                      gamma=0.0))):
+        problem = WedProblem(grid=grid, dissipation=DissipationSpec(p=2.0),
+                             energy1=e1, energy2=ConcaveSpec(),
+                             reaction=ReactionSpec(), T=1.0, epsilon=0.3,
+                             initial=np.zeros(6))
+        pairs = []
+        for _ in range(500):
+            base = rng.random(6)
+            other = base + rng.random(6)
+            pairs.append((runner._random_walk(rng, base, 5),
+                          runner._random_walk(rng, other, 5)))
+        U, V = (np.stack(member) for member in zip(*pairs))
+        margins[name] = float(np.min(submodularity_check(problem, U, V)))
+    return margins
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_submodularity_suite_is_the_random_walk_loop(seed):
+    report = verify("submodularity", seed)
+    ref = _submodularity_loop(seed)
+    assert list(report["checks"]) == list(ref)
+    for name, margin in ref.items():
+        assert report["checks"][name]["margin"] == margin
 
 
 def _scaled_up(grid, rows, kind, *args):
