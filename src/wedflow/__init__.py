@@ -3,20 +3,19 @@ minimization for dissipative, rate-independent, and inertial evolutions,
 with executable checks of the structural properties the construction
 preserves (comparison, symmetry classes, energetic certificates)."""
 
-from .grids import (ConfigurationError, Field, Grid, Trajectory, build_grid,
+from .grids import (ConfigurationError, Grid, Trajectory, build_grid,
                     constant_trajectory, rearrange, rearrangement_order,
                     reflection_permutation)
 from .energies import (ConcaveSpec, DissipationSpec, EnergySpec,
-                       ReactionSpec, dissipation_eval, energy1_value_grad,
-                       energy2_value_grad, reaction_eval)
+                       ReactionSpec, energy1_value_grad, energy2_value_grad,
+                       reaction_eval)
 from .wed import (ContinuationResult, MinimizeReport, WedProblem,
                   default_eps_schedule, dual_field, eps_continuation,
                   euler_lagrange_residual, fixed_point_solve, minimize_wed,
                   reference_solve, strong_solution_residual, wed_value_grad)
 from .qualitative import (InvariantSolveResult, PropertyReport, RMap,
-                          apply_rmap, check_r1, check_r2,
-                          compatibility_issues, invariance_residual,
-                          invariant_solve)
+                          check_r1, check_r2, compatibility_issues,
+                          invariance_residual, invariant_solve)
 from .comparison import (OrderedPairResult, lattice_pair,
                          lattice_value_audit, ordered_minimizers,
                          ordering_margin, submodularity_check,
@@ -28,24 +27,23 @@ from .rateind import (EnergeticReport, OrderedRIPair, RIProblem,
 from .wide import (LagrangianProblem, WideWaveProblem,
                    equivariance_residual, hamiltonian, hamiltonian_drift,
                    minimize_wide, wide_continuation,
-                   wide_invariance_residual, wide_invariant_solve,
-                   wide_trajectory, wide_value_grad)
+                   wide_invariance_residual, wide_trajectory,
+                   wide_value_grad)
 from .runner import Scenario, ScenarioError, run, verify
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigurationError", "Field", "Grid", "Trajectory", "build_grid",
+    "ConfigurationError", "Grid", "Trajectory", "build_grid",
     "constant_trajectory", "rearrange", "rearrangement_order",
     "reflection_permutation",
     "ConcaveSpec", "DissipationSpec", "EnergySpec", "ReactionSpec",
-    "dissipation_eval",
     "energy1_value_grad", "energy2_value_grad", "reaction_eval",
     "ContinuationResult", "MinimizeReport", "WedProblem",
     "default_eps_schedule", "dual_field", "eps_continuation",
     "euler_lagrange_residual", "fixed_point_solve", "minimize_wed",
     "reference_solve", "strong_solution_residual", "wed_value_grad",
-    "InvariantSolveResult", "PropertyReport", "RMap", "apply_rmap",
+    "InvariantSolveResult", "PropertyReport", "RMap",
     "check_r1", "check_r2", "compatibility_issues", "invariance_residual",
     "invariant_solve",
     "OrderedPairResult", "lattice_pair", "lattice_value_audit",
@@ -57,6 +55,6 @@ __all__ = [
     "LagrangianProblem", "WideWaveProblem",
     "equivariance_residual", "hamiltonian", "hamiltonian_drift",
     "minimize_wide", "wide_continuation", "wide_invariance_residual",
-    "wide_invariant_solve", "wide_trajectory", "wide_value_grad",
+    "wide_trajectory", "wide_value_grad",
     "Scenario", "ScenarioError", "run", "verify",
 ]

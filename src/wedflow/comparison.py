@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grids import ConfigurationError, Field, Trajectory
+from .grids import ConfigurationError, Trajectory
 from .energies import (_rowdot, _sequential_sum, energy1_value_grad,
                        energy2_value_grad)
 from .wed import (PairReport, WedProblem, _dissipation_value, _weights,
@@ -75,8 +75,8 @@ def lattice_pair(u: Trajectory, v: Trajectory) -> tuple:
     holds bitwise."""
     mn = np.minimum(u.values, v.values)
     mx = np.maximum(u.values, v.values)
-    return (replace(u, values=mn, pinned_initial=mn[0], pinned_velocity=None),
-            replace(u, values=mx, pinned_initial=mx[0], pinned_velocity=None))
+    return (replace(u, values=mn, pinned_initial=mn[0]),
+            replace(u, values=mx, pinned_initial=mx[0]))
 
 
 def submodularity_check(problem: WedProblem, u, v):
@@ -194,7 +194,8 @@ def ordered_pair_levels(problem, u0: np.ndarray, v0: np.ndarray,
                         else schedule, problem.T)
 
 
-def ordered_minimizers(problem: WedProblem, u0: Field, v0: Field,
+def ordered_minimizers(problem: WedProblem, u0: np.ndarray,
+                       v0: np.ndarray,
                        schedule: Optional[Sequence[float]] = None,
                        steps: int = 32,
                        u_levels: Sequence = ()) -> OrderedPairResult:
@@ -207,8 +208,8 @@ def ordered_minimizers(problem: WedProblem, u0: Field, v0: Field,
     already solved (see `ordered_pair_levels`)."""
     _require_potential(problem)
     levels = ordered_pair_levels(
-        problem, np.asarray(u0.values, dtype=float),
-        np.asarray(v0.values, dtype=float), schedule,
+        problem, np.asarray(u0, dtype=float).ravel(),
+        np.asarray(v0, dtype=float).ravel(), schedule,
         lambda p, warm: fixed_point_solve(p, steps, init=warm),
         wed_potential_value, steps, u_levels)
     audits = [_with_verdicts(rep.audit) for *_, rep in levels]

@@ -1,5 +1,5 @@
-"""Dissipation potentials, state energies, fractional seminorms, and
-reaction terms, each with value and analytic gradient.
+"""Dissipation potentials, state energies (the fractional seminorm
+among them) and reaction terms, each with value and analytic gradient.
 
 Conventions used throughout the package:
 
@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._newton import band_diagonals
-from .grids import ConfigurationError, Field, Grid
+from .grids import ConfigurationError, Grid
 
 
 def p_conjugate(p: float) -> float:
@@ -121,16 +121,6 @@ def A_eval(spec: DissipationSpec, v: np.ndarray) -> np.ndarray:
     av = _interp(v, s, a)
     Av = knots_A[idx] + 0.5 * (av + a[idx]) * (v - s[idx])
     return Av - A0
-
-
-def dissipation_eval(spec: DissipationSpec, v: Field) -> tuple[float, Field]:
-    vals = v.values
-    if not np.all(np.isfinite(vals)):
-        raise ConfigurationError("non-finite dissipation input")
-    meas = v.grid.cell_measure
-    value = float(np.sum(A_eval(spec, vals)) * meas)
-    grad = alpha_eval(spec, vals) * meas
-    return value, Field(v.grid, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +307,7 @@ def _require_nonnegative(spec, names) -> None:
     for name in names:
         c = getattr(spec, name)
         try:
-            values = c.values if isinstance(c, Field) \
-                else np.asarray(c, dtype=float)
+            values = np.asarray(c, dtype=float)
         except (TypeError, ValueError):
             raise ConfigurationError(
                 f"coefficient {name} must be numeric") from None
@@ -376,8 +365,6 @@ class ConcaveSpec:
 
 
 def _coef(c, n: int) -> np.ndarray:
-    if isinstance(c, Field):
-        return c.values
     arr = np.asarray(c, dtype=float)
     if arr.ndim == 0:
         return np.full(n, float(arr))
@@ -423,16 +410,6 @@ def _fractional_matrix(grid: Grid, s: float, exterior: bool) -> np.ndarray:
     return 2.0 * (np.diag(W.sum(axis=1)) - W) + np.diag(wext)
 
 
-def fractional_seminorm(u: Field, s: float,
-                        exterior: bool = True) -> tuple[float, Field]:
-    """Squared nonlocal seminorm with zero extension, plus its gradient."""
-    if not 0.0 < s < 1.0:
-        raise ConfigurationError("fractional order s must lie in (0,1)")
-    Q = _fractional_matrix(u.grid, s, exterior)
-    v = u.values
-    return float(v @ Q @ v), Field(u.grid, 2.0 * (Q @ v))
-
-
 @_per_grid
 def _kron_modes(grid: Grid, B: float, C: float) -> tuple:
     """The Hessian K = h^d (B D^T D + C I) of a quadratic edge energy on a
@@ -470,9 +447,8 @@ def energy1_modes(spec: EnergySpec, grid: Grid) -> Optional[tuple]:
         return None
     if spec.kind == "quadratic":
         return _kron_modes(grid, 0.0, float(spec.gamma))
-    if spec.kind == "m_laplace" and spec.m == 2.0 and not any(
-            isinstance(c, Field) or np.ndim(c) != 0
-            for c in (spec.B, spec.C)):
+    if spec.kind == "m_laplace" and spec.m == 2.0 \
+            and np.ndim(spec.B) == 0 and np.ndim(spec.C) == 0:
         return _kron_modes(grid, float(spec.B), float(spec.C))
     return None
 

@@ -1,10 +1,9 @@
-"""Spatial grids, nodal fields, time-indexed trajectories, and the
-value-reordering maps (rearrangements and the node permutation of a
-reflection).
+"""Spatial grids, time-indexed trajectories, and the value-reordering
+maps (rearrangements and the node permutation of a reflection).
 
-Everything here is a pure function of its inputs. Field values are
-immutable numpy arrays; the Field maps return new Fields, and
-`rearrange` maps a whole stack of node-value rows at once.
+Everything here is a pure function of its inputs. A state is a flat
+numpy array of nodal values, a trajectory holds one such row per time
+knot, and `rearrange` maps a whole stack of rows at once.
 """
 
 from __future__ import annotations
@@ -137,45 +136,21 @@ def build_grid(dim: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# Field and Trajectory
+# Trajectory
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class Field:
-    """Nodal real values on a grid. Values are locked after construction."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).ravel()
-        if vals.size != self.grid.n_nodes:
-            raise ConfigurationError(
-                f"value count {vals.size} != node count {self.grid.n_nodes}")
-        if not np.all(np.isfinite(vals)):
-            raise ConfigurationError("field values must be finite")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.grid, values)
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """N+1 time slices of nodal values on one grid, t_n = n*T/N.
 
     Stored as a single (N+1, n_nodes) array. pinned_initial, when present,
-    must coincide bitwise with slice 0; pinned_velocity additionally pins
-    the first divided difference (slice1 - slice0)/dt.
+    must coincide bitwise with slice 0.
     """
 
     grid: Grid
     T: float
     values: np.ndarray  # (N+1, n_nodes * ncomp)
     pinned_initial: Optional[np.ndarray] = None
-    pinned_velocity: Optional[np.ndarray] = None
     ncomp: int = 1
 
     def __post_init__(self):
@@ -192,10 +167,6 @@ class Trajectory:
             if not np.array_equal(vals[0], pin):
                 raise ConfigurationError("slice 0 differs from pinned initial")
             object.__setattr__(self, "pinned_initial", pin)
-        if self.pinned_velocity is not None:
-            object.__setattr__(
-                self, "pinned_velocity",
-                np.asarray(self.pinned_velocity, dtype=float).ravel())
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -210,15 +181,6 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.steps + 1)
-
-    def slice(self, n: int) -> Field:
-        if self.ncomp != 1:
-            raise ConfigurationError("slice() is single-component; use component()")
-        return Field(self.grid, self.values[n])
-
-    def component(self, n: int, c: int) -> Field:
-        nn = self.grid.n_nodes
-        return Field(self.grid, self.values[n, c * nn:(c + 1) * nn])
 
 
 def constant_trajectory(grid: Grid, u0: np.ndarray, T: float, steps: int,
@@ -326,16 +288,16 @@ def reflection_permutation(grid: Grid, axis: int = 0) -> np.ndarray:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def field_to_csv(u: Field) -> str:
-    """One row per node: index, node coordinates, value. Floats use repr,
-    so round trips are bit-exact."""
-    coords = u.grid.coords()
-    head = ",".join(["index"] + [f"coord{k}" for k in range(u.grid.dim)]
+def field_to_csv(grid: Grid, values: np.ndarray) -> str:
+    """One row per node of a state on grid: index, node coordinates,
+    value. Floats use repr, so round trips are bit-exact."""
+    coords = grid.coords()
+    head = ",".join(["index"] + [f"coord{k}" for k in range(grid.dim)]
                     + ["value"])
     lines = [head]
-    for i in range(u.grid.n_nodes):
+    for i in range(grid.n_nodes):
         cs = ",".join(repr(float(c)) for c in np.atleast_1d(coords[i]))
-        lines.append(f"{i},{cs},{repr(float(u.values[i]))}")
+        lines.append(f"{i},{cs},{repr(float(values[i]))}")
     return "\n".join(lines) + "\n"
 
 
@@ -355,13 +317,3 @@ def trajectory_to_csv(traj: Trajectory, header: str = "node_index",
         lines.extend([f"{head}{i},{v!r}{tail}" for i, v in enumerate(row)])
     return "\n".join(lines) + "\n"
 
-
-def field_from_csv(grid: Grid, text: str) -> Field:
-    rows = [r for r in text.strip().splitlines()[1:] if r]
-    if len(rows) != grid.n_nodes:
-        raise ConfigurationError("row count does not match the grid")
-    vals = np.empty(grid.n_nodes)
-    for r in rows:
-        parts = r.split(",")
-        vals[int(parts[0])] = float(parts[-1])
-    return Field(grid, vals)

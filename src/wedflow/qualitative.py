@@ -7,7 +7,7 @@ provable; it is the map type of both lanes (see INERTIAL_KINDS). Three
 layers:
 
   * RMap.apply        apply R to a (k, n_dof) stack of states at once
-                      (apply_rmap: to a Field or a Trajectory)
+                      (a trajectory's values are such a stack)
   * check_r1/check_r2 sampled verification of the structural conditions
   * invariant_solve   run the damped fixed-point loop so that the output
                       trajectory satisfies Ru = u up to a reported residual
@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .grids import (ConfigurationError, Field, Grid, Trajectory,
+from .grids import (ConfigurationError, Grid, Trajectory,
                     _check_axis_direction, field_to_csv, rearrange)
 from .energies import _rowdot, energy1_value_grad
 from .wed import (WedProblem, _dissipation_value, dual_field,
@@ -54,11 +54,8 @@ class RMap:
     """A nodal map whose fixed-point set is the solution class.
 
     kind selects the transformation; the remaining fields parameterize it.
-    `enforcement` declares how invariant_solve treats the map: "projected"
-    maps are applied to every outer iterate, "posthoc" maps are not
-    enforced during iteration (the problem data must do the work) and the
-    residual is only measured on the final trajectory. The parameters are
-    validated once, here; `apply` maps whole row stacks.
+    The parameters are validated once, here; `apply` maps whole row
+    stacks.
     """
 
     kind: str
@@ -68,7 +65,6 @@ class RMap:
     axis: int = 0                              # steiner / averaging
     direction: int = +1                        # monotone
     parts: tuple = ()                          # compose
-    enforcement: str = ""                      # "" = kind default
     r: Optional[np.ndarray] = None             # lagrangian_affine:
     shift: Optional[np.ndarray] = None         #   u -> r u + shift
 
@@ -106,10 +102,20 @@ class RMap:
             raise ConfigurationError("compose needs at least one part")
         if kind == "lv_clamp" and not self.K > 0:
             raise ConfigurationError("clamp level K must be positive")
-        if self.enforcement == "":
-            object.__setattr__(self, "enforcement", _default_enforcement(self))
-        if self.enforcement not in ("projected", "posthoc"):
-            raise ConfigurationError("enforcement must be projected or posthoc")
+
+    @property
+    def enforcement(self) -> str:
+        """How invariant_solve treats the map: "projected" maps are applied
+        to every outer iterate, "posthoc" maps are not enforced during
+        iteration (the problem data must do the work) and the residual is
+        only measured on the final trajectory."""
+        if self.kind == "lv_clamp" \
+                or (self.kind == "truncate_upper" and self.level > 0):
+            return "posthoc"
+        if self.kind == "compose" \
+                and any(p.enforcement == "posthoc" for p in self.parts):
+            return "posthoc"
+        return "projected"
 
     @property
     def algebra(self) -> str:
@@ -171,31 +177,6 @@ class RMap:
         a = 1 + self.axis if grid.dim == 2 else 1
         return np.repeat(arr.mean(axis=a, keepdims=True), arr.shape[a],
                          axis=a).reshape(rows.shape)
-
-
-def _default_enforcement(R: RMap) -> str:
-    if R.kind == "lv_clamp":
-        return "posthoc"
-    if R.kind == "truncate_upper" and R.level > 0:
-        return "posthoc"
-    if R.kind == "compose":
-        kinds = {p.enforcement for p in R.parts}
-        return "posthoc" if "posthoc" in kinds else "projected"
-    return "projected"
-
-
-def apply_rmap(R: RMap, x: Union[Field, Trajectory]):
-    """Apply R to a field, or slice-wise in time to a trajectory."""
-    if isinstance(x, Field):
-        return Field(x.grid, R.apply(x.values[None], x.grid)[0])
-    if isinstance(x, Trajectory):
-        rows = R.apply(x.values, x.grid)
-        pin = x.pinned_initial
-        if pin is not None and not np.array_equal(rows[0], pin):
-            pin = None
-        return Trajectory(x.grid, x.T, rows, pinned_initial=pin,
-                          pinned_velocity=None, ncomp=x.ncomp)
-    raise ConfigurationError("apply_rmap expects a Field or a Trajectory")
 
 
 def _fixed_point_of(R: RMap, grid: Grid, V: np.ndarray,
@@ -272,7 +253,7 @@ class PropertyReport:
             return None
         g = self.counterexample_grid
         if g is not None and self.counterexample.size == g.n_nodes:
-            return field_to_csv(Field(g, self.counterexample))
+            return field_to_csv(g, self.counterexample)
         rows = ["index,value"] + [f"{i},{repr(float(v))}"
                                   for i, v in enumerate(self.counterexample)]
         return "\n".join(rows) + "\n"

@@ -116,10 +116,6 @@ class RIProblem:
     def steps(self) -> int:
         return self.forcing.shape[0] - 1
 
-    @property
-    def dt(self) -> float:
-        return self.T / self.steps
-
     def _phi_d2(self, s: np.ndarray) -> np.ndarray:
         return polyval(s, self._d2_coeffs)
 
@@ -148,9 +144,6 @@ class RITrajectory(Trajectory):
         jm = np.zeros(self.steps + 1)
         jm[1:] = np.sum(np.abs(np.diff(self.values, axis=0)), axis=1) * hd
         return jm
-
-    def variation(self) -> float:
-        return float(np.sum(self.jump_magnitudes()))
 
     def to_csv(self) -> str:
         return trajectory_to_csv(
@@ -292,11 +285,8 @@ def minimize_wed_ri(problem: RIProblem,
         converged = converged and ok
     traj = RITrajectory(problem.grid, problem.T, U,
                         pinned_initial=problem.initial)
-    value = wed_ri_value(problem, traj)
-    report = MinimizeReport(iterations=total_iters, value=value,
-                            gradient_norm=res, converged=converged,
-                            notes=tuple(notes))
-    return traj, report
+    return traj, MinimizeReport(iterations=total_iters, gradient_norm=res,
+                                converged=converged, notes=tuple(notes))
 
 
 def _check_deltas(deltas) -> tuple:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import (ConfigurationError, Field, Trajectory, build_grid,
+from .grids import (ConfigurationError, Trajectory, build_grid,
                     rearrange, reflection_permutation, trajectory_to_csv)
 from .energies import (ConcaveSpec, DissipationSpec, EnergySpec,
                        ReactionSpec, _rowdot, energy1_value_grad)
@@ -326,13 +326,12 @@ def _maps(v, ctx, table) -> tuple:
 
 
 # the map fields of each lane: an inertial map is a symmetry of the state
-# alone, so it takes no level, clamp, axis, order or enforcement
+# alone, so it takes no level, clamp, axis or order
 _WED_MAP = {"kind": (_choice(WED_KINDS), _REQUIRED),
             "permutation": (_indices, None), "level": (_number, None),
             "K": (_number, None), "axis": (_integer(), None),
             "direction": (_integer(), None),
-            "parts": (lambda v, ctx: _maps(v, ctx, _WED_MAP), None),
-            "enforcement": (_string, None)}
+            "parts": (lambda v, ctx: _maps(v, ctx, _WED_MAP), None)}
 _INERTIAL_MAP = {"kind": (_choice(INERTIAL_KINDS), _REQUIRED),
                  "permutation": (_indices, None), "r": (_matrix, None),
                  "shift": (_vector, None)}
@@ -609,9 +608,7 @@ def _run_checked(path_or_scenario) -> int:
         files["trajectory.csv"] = trajectory_to_csv(traj)
 
         if v0 is not None:
-            pair = ordered_minimizers(problem,
-                                      Field(problem.grid, problem.initial),
-                                      Field(problem.grid, v0),
+            pair = ordered_minimizers(problem, problem.initial, v0,
                                       schedule, steps, u_levels=u_levels)
             unconverged = unconverged or not pair.converged
             reports["comparison"] = {
@@ -711,7 +708,15 @@ def _suite_report(name: str, checks: dict) -> dict:
 
 
 def _check(margin: float, tol: float) -> dict:
-    return {"margin": float(margin), "passed": bool(margin >= -tol)}
+    """A margin passes at or above -tol; one that is not finite fails."""
+    return {"margin": float(margin),
+            "passed": bool(np.isfinite(margin) and margin >= -tol)}
+
+
+def _lowest(worst: float, margin: float) -> float:
+    """The smaller of two margins, where NaN ranks below every number (a
+    plain min would drop it: min(x, nan) is x)."""
+    return margin if margin < worst or math.isnan(margin) else worst
 
 
 def _ps_energies(U: np.ndarray, boundary: str) -> list:
@@ -767,7 +772,7 @@ def _verify_rearrangement(seed: int = 0) -> dict:
                     _ps_energies(U, bnd), _ps_energies(RU, bnd))],
             }
             for key, val in margins.items():
-                worst[key] = min(worst[key], float(np.min(val)))
+                worst[key] = _lowest(worst[key], float(np.min(val)))
     for key, val in worst.items():
         checks[key] = _check(val, 1e-12)
 
@@ -787,10 +792,10 @@ def _verify_rearrangement(seed: int = 0) -> dict:
             RU = rearrange(grid, U, kind)
             left, right = np.hstack([RU, U]), np.hstack([RU, -U]).T
             for lo in range(0, len(U), 256):
-                hl_worst = min(hl_worst, float(np.min(
+                hl_worst = _lowest(hl_worst, float(np.min(
                     left[lo:lo + 256] @ right)))
             for e, r in zip(_ps_energies(U, bnd), _ps_energies(RU, bnd)):
-                ps_worst = min(ps_worst, float(np.min(e - r)))
+                ps_worst = _lowest(ps_worst, float(np.min(e - r)))
     checks["hardy_littlewood_exhaustive"] = _check(hl_worst, 1e-12)
     checks["polya_szego_exhaustive"] = _check(ps_worst, 1e-12)
     return _suite_report("rearrangement", checks)
@@ -840,15 +845,15 @@ def _verify_submodularity(seed: int = 0) -> dict:
 def _fd_error(f, x: np.ndarray, g: np.ndarray, rng,
               h: float = 1e-6) -> float:
     """Relative error of g against central differences along five random
-    unit directions."""
-    worst = 0.0
+    unit directions; NaN if any of them is (np.max keeps a NaN)."""
+    errs = []
     for _ in range(5):
         d = rng.standard_normal(x.size)
         d /= np.linalg.norm(d)
         fd = (f(x + h * d) - f(x - h * d)) / (2.0 * h)
         an = float(g @ d)
-        worst = max(worst, abs(fd - an) / (1.0 + abs(an)))
-    return worst
+        errs.append(abs(fd - an) / (1.0 + abs(an)))
+    return float(np.max(errs))
 
 
 def _verify_gradients(seed: int = 0) -> dict:
@@ -943,17 +948,6 @@ def _verify_invariance(seed: int = 0) -> dict:
                           seed=seed)
     checks["composition"] = _check(-res.residual, 1e-8)
     return _suite_report("invariance", checks)
-
-
-def ri_eps_schedule(steps: int = 200, T: float = 1.0,
-                    start: float = 0.2) -> list:
-    """Halving schedule stopped before the weight outruns the grid
-    (below 1.25 dt the threshold behaviour degrades)."""
-    dt = T / steps
-    out = [start]
-    while out[-1] * 0.5 >= 1.25 * dt - 1e-12:
-        out.append(out[-1] * 0.5)
-    return out
 
 
 def incremental_oracle(problem: RIProblem) -> np.ndarray:

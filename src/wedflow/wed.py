@@ -121,7 +121,6 @@ def _float_array(value, field: str) -> np.ndarray:
 @dataclass
 class MinimizeReport:
     iterations: int
-    value: float
     gradient_norm: float
     converged: bool
     notes: tuple = ()
@@ -196,11 +195,10 @@ def _wed_kernel(problem: WedProblem, w: np.ndarray, U: np.ndarray,
     row the bits of the single call. The value adds the slice terms in
     time order, as a running sum would.
 
-    The value is read by wed_value_grad (so by the report of
-    minimize_wed); the Newton gradient of minimize_wed, the
-    extended-precision polish's included, passes value=False, which
-    leaves the value out (None) and computes the gradient with the same
-    operations, so with the same bits."""
+    The value is read by wed_value_grad; the Newton gradient of
+    minimize_wed, the extended-precision polish's included, passes
+    value=False, which leaves the value out (None) and computes the
+    gradient with the same operations, so with the same bits."""
     N = U.shape[-2] - 1
     hd = problem.grid.cell_measure
     a, b = _weights(problem.epsilon, problem.T, N)
@@ -326,8 +324,7 @@ def minimize_wed(problem: WedProblem, w, init: Trajectory,
     out = Trajectory(problem.grid, problem.T, U,
                      pinned_initial=problem.initial,
                      ncomp=problem.n_dof // problem.grid.n_nodes)
-    value, _ = wed_value_grad(problem, w, out)
-    return out, MinimizeReport(iters, value, res, conv, tuple(notes))
+    return out, MinimizeReport(iters, res, conv, tuple(notes))
 
 
 # ---------------------------------------------------------------------------

@@ -291,11 +291,11 @@ def _wide_kernel(parts: _Parts, U: np.ndarray,
     value adds every acceleration term, then the velocity and potential
     terms knot by knot, as a running sum would.
 
-    The value is read by wide_value_grad and by the report of
-    minimize_wide; the Newton gradient of minimize_wide, the
-    extended-precision polish's included, passes value=False, which
-    leaves the value out (None, and parts.g_val uncalled) and computes the
-    gradient with the same operations, so with the same bits."""
+    The value is read by wide_value_grad; the Newton gradient of
+    minimize_wide, the extended-precision polish's included, passes
+    value=False, which leaves the value out (None, and parts.g_val
+    uncalled) and computes the gradient with the same operations, so with
+    the same bits."""
     problem = parts.problem
     N = U.shape[-2] - 1
     dt = problem.T / N
@@ -337,7 +337,6 @@ def wide_trajectory(problem: WideProblem, values: np.ndarray) -> Trajectory:
         raise ConfigurationError(
             "rows 0 and 1 must pin the state and velocity")
     return Trajectory(grid, problem.T, values, pinned_initial=u0,
-                      pinned_velocity=problem.velocity.copy(),
                       ncomp=problem.n_dof // grid.n_nodes)
 
 
@@ -406,11 +405,9 @@ def minimize_wide(problem: WideProblem, steps: int,
         hess,
         np.maximum(beta[2:] * knot_mag, 1e-300), tol=1e-10, max_iter=120,
         notes=notes)
-    traj = wide_trajectory(problem, U)
-    value, _ = _wide_kernel(parts, U)
-    rep = MinimizeReport(iterations=iters, value=value, gradient_norm=res,
-                         converged=conv, notes=tuple(notes))
-    return traj, rep
+    return wide_trajectory(problem, U), MinimizeReport(
+        iterations=iters, gradient_norm=res, converged=conv,
+        notes=tuple(notes))
 
 
 def wide_continuation(problem: WideProblem, schedule: Sequence[float],
@@ -442,19 +439,6 @@ def require_invariant_data(problem: WideProblem, R: RMap) -> None:
     if R.kind == "averaging" and isinstance(problem, WideWaveProblem) \
             and problem.lam < 0:
         raise ConfigurationError("averaging requires a convex nonlinearity")
-
-
-def wide_invariant_solve(problem: WideProblem, R: RMap, steps: int,
-                         schedule: Optional[Sequence[float]] = None
-                         ) -> tuple[Trajectory, float]:
-    """Solve and report sup_t |Ru(t) - u(t)|, for data that passes
-    require_invariant_data."""
-    require_invariant_data(problem, R)
-    if schedule is None:
-        schedule = (problem.epsilon,)
-    fam = wide_continuation(problem, schedule, steps)
-    traj = fam[-1][1]
-    return traj, wide_invariance_residual(R, traj)
 
 
 def equivariance_residual(problem: WideProblem, R: RMap,

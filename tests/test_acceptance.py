@@ -10,16 +10,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from wedflow import (ConcaveSpec, DissipationSpec, EnergySpec, Field,
-                     ReactionSpec, RIProblem, RMap, WedProblem, build_grid,
-                     verify)
+from wedflow import (ConcaveSpec, DissipationSpec, EnergySpec, ReactionSpec,
+                     RIProblem, RMap, WedProblem, build_grid,
+                     energy1_value_grad, verify)
 from wedflow.cli import main
 from wedflow.comparison import ordered_minimizers
-from wedflow.energies import fractional_seminorm, lv_clamp, reaction_eval
+from wedflow.energies import lv_clamp, reaction_eval
 from wedflow.qualitative import invariant_solve
 from wedflow.rateind import (energetic_residuals, ordered_ri_minimizers,
                              ri_continuation, sign_condition)
-from wedflow.runner import ri_eps_schedule
 from wedflow.wed import eps_continuation, fixed_point_solve, reference_solve
 from wedflow.wide import (LagrangianProblem, equivariance_residual,
                           wide_continuation)
@@ -98,8 +97,7 @@ def test_submodularity_sweep_holds():
 def test_ordered_heat_minimizers_stay_ordered():
     problem = heat_problem(n=16, eps=0.2, spacing=1.0 / 16)
     base = 0.8 * problem.initial
-    res = ordered_minimizers(problem, Field(problem.grid, base),
-                             Field(problem.grid, base + 0.2),
+    res = ordered_minimizers(problem, base, base + 0.2,
                              schedule=[0.2, 0.1, 0.05], steps=24)
     worst_rel = 0.0
     audits_ok = True
@@ -206,8 +204,11 @@ def test_fractional_seminorm_is_lattice_submodular():
             if trial % 25 == 0:
                 grid = build_grid(dim=1, shape=(n,), spacing=(1.0,),
                                   boundary="neumann")
-                lib = fractional_seminorm(Field(grid, u), s,
-                                          exterior=False)[0]
+                # twice phi1 of the fractional energy without its
+                # quadratic term is the seminorm
+                spec = EnergySpec(kind="fractional", s=s, gamma=0.0,
+                                  exterior=False)
+                lib = 2.0 * energy1_value_grad(spec, grid, u)[0]
                 cross = max(cross, abs(lib - su) / (1.0 + su))
     ok = worst >= -1e-12 and cross <= 1e-10
     assert gate("A09", f"seminorm lattice margin {worst:.2e} >= -1.0e-12 "
@@ -222,7 +223,6 @@ def test_hysteresis_limit_matches_incremental_oracle():
                         a=0.0, forcing=h[:, None], T=1.0, epsilon=0.2,
                         initial=np.zeros(1))
     schedule = [0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625]
-    assert ri_eps_schedule(steps) == schedule
     family = ri_continuation(problem, schedule)
     eps_last, traj, rep = family[-1]
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from wedflow import (ConcaveSpec, ConfigurationError, DissipationSpec,
-                     EnergySpec, Field, ReactionSpec, Trajectory, WedProblem,
+                     EnergySpec, ReactionSpec, Trajectory, WedProblem,
                      comparison, fixed_point_solve, lattice_pair,
                      lattice_value_audit, ordered_minimizers,
                      ordering_margin, submodularity_check,
@@ -192,8 +192,7 @@ def test_ordering_margin_sign():
 def make_ordered_pair(n=6):
     problem = heat_problem(n=n)
     base = problem.initial
-    return problem, Field(problem.grid, 0.8 * base), \
-        Field(problem.grid, 0.8 * base + 0.2)
+    return problem, 0.8 * base, 0.8 * base + 0.2
 
 
 def test_ordered_minimizers_tiny_heat():
@@ -208,8 +207,8 @@ def test_ordered_minimizers_tiny_heat():
                               "value_join", "meet_excess", "join_excess",
                               "meet_ok", "join_ok"}
     # pins survive the lattice swap
-    assert np.array_equal(res.u.values[0], u0.values)
-    assert np.array_equal(res.v.values[0], v0.values)
+    assert np.array_equal(res.u.values[0], u0)
+    assert np.array_equal(res.v.values[0], v0)
 
 
 def test_ordered_minimizers_deterministic():
@@ -229,6 +228,17 @@ def test_ordered_minimizers_validation():
         ordered_minimizers(problem, u0, v0, schedule=(0.1, 0.2), steps=8)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "short", "long"])
+def test_ordered_minimizers_reject_a_bad_partner_state(bad):
+    """The partner state must be finite and of the problem's size."""
+    problem, u0, v0 = make_ordered_pair()
+    v0 = {"nan": np.where(np.arange(v0.size) == 2, np.nan, v0),
+          "inf": np.where(np.arange(v0.size) == 2, np.inf, v0),
+          "short": v0[:-1], "long": np.append(v0, 1.0)}[bad]
+    with pytest.raises(ConfigurationError):
+        ordered_minimizers(problem, u0, v0, schedule=(0.2,), steps=8)
+
+
 def test_lattice_value_audit_keys():
     problem, u0, v0 = make_ordered_pair()
     res = ordered_minimizers(problem, u0, v0, schedule=(0.2,), steps=8)
@@ -239,8 +249,7 @@ def test_lattice_value_audit_keys():
 
 def test_ordered_minimizers_reuse_the_main_continuation(monkeypatch):
     problem = heat_problem(n=6)
-    u0 = Field(problem.grid, problem.initial)
-    v0 = Field(problem.grid, problem.initial + 0.2)
+    u0, v0 = problem.initial, problem.initial + 0.2
     sched = (0.2, 0.1, 0.05)
     levels = continuation(
         lambda eps, warm: fixed_point_solve(replace(problem, epsilon=eps),

@@ -10,7 +10,7 @@ import wedflow.comparison as comparison_mod
 import wedflow.rateind as rateind_mod
 import wedflow.wed as wed_mod
 import wedflow.wide as wide_mod
-from wedflow import (ConfigurationError, Field, LagrangianProblem, RIProblem,
+from wedflow import (ConfigurationError, LagrangianProblem, RIProblem,
                      eps_continuation, ordered_minimizers,
                      ordered_ri_minimizers, ri_continuation,
                      wide_continuation)
@@ -38,8 +38,7 @@ def oscillator():
 def heat_pair():
     problem = heat_problem(n=5)
     base = problem.initial
-    return problem, Field(problem.grid, 0.8 * base), \
-        Field(problem.grid, 0.8 * base + 0.2)
+    return problem, 0.8 * base, 0.8 * base + 0.2
 
 
 def fail_call(monkeypatch, module, name: str, which: int) -> list:

@@ -9,14 +9,12 @@ import pytest
 import scipy.sparse as sp
 
 from wedflow import (ConcaveSpec, ConfigurationError, DissipationSpec,
-                     EnergySpec, Field, ReactionSpec, Trajectory, build_grid,
-                     constant_trajectory, dissipation_eval, dual_field,
-                     energy1_value_grad, energy2_value_grad, reaction_eval,
-                     wed_potential_value)
+                     EnergySpec, ReactionSpec, Trajectory, build_grid,
+                     constant_trajectory, dual_field, energy1_value_grad,
+                     energy2_value_grad, reaction_eval, wed_potential_value)
 from wedflow.energies import (A_eval, alpha_eval,
                               alpha_prime, edge_differences, energy1_hessian,
-                              energy1_modes,
-                              fractional_seminorm, graph_laplacian,
+                              energy1_modes, graph_laplacian,
                               grid_edges, lv_clamp, p_conjugate, polyders,
                               polyval)
 
@@ -108,16 +106,15 @@ def test_dissipation_spec_validation():
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_dissipation_eval_gradient(p):
-    g = line_grid(6)
+    """alpha is the derivative of A, node by node."""
     rng = np.random.default_rng(0)
     v = rng.normal(size=6) + 0.3  # keep away from the p<2 kink at 0
     spec = DissipationSpec(p=p)
 
     def f(x):
-        return dissipation_eval(spec, Field(g, x))[0]
+        return float(np.sum(A_eval(spec, x)))
 
-    _, grad = dissipation_eval(spec, Field(g, v))
-    assert np.allclose(grad.values, fd_gradient(f, v), atol=1e-5)
+    assert np.allclose(alpha_eval(spec, v), fd_gradient(f, v), atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +228,10 @@ def test_fractional_seminorm_matches_direct_sum():
         for j in range(n):
             if i != j:
                 direct += (u[i] - u[j]) ** 2 / abs(i - j) ** (1 + 2 * s)
-    val, _ = fractional_seminorm(Field(g, u), s, exterior=False)
-    assert val == pytest.approx(direct, rel=1e-12)
+    # twice phi1 of the fractional energy without its quadratic term
+    spec = EnergySpec(kind="fractional", s=s, gamma=0.0, exterior=False)
+    val, _ = energy1_value_grad(spec, g, u)
+    assert 2.0 * val == pytest.approx(direct, rel=1e-12)
 
 
 def test_robin_boundary_adds_quadratic_term():
@@ -265,18 +264,17 @@ def test_energy_spec_validation():
 @pytest.mark.parametrize("name", ["gamma", "B", "C", "D1", "D2", "F1", "F2",
                                   "concave_D"])
 def test_energy_spec_rejects_negative_coefficients(name):
-    g = line_grid(4)
     spec = ConcaveSpec if name == "concave_D" else EnergySpec
     with pytest.raises(ConfigurationError, match=name):
         spec(**{name: -1.0})
     with pytest.raises(ConfigurationError, match=name):
-        spec(**{name: Field(g, np.array([1.0, 0.5, -1e-3, 2.0]))})
+        spec(**{name: np.array([1.0, 0.5, -1e-3, 2.0])})
     with pytest.raises(ConfigurationError, match=name):
         spec(**{name: float("nan")})
     with pytest.raises(ConfigurationError, match=name):
         spec(**{name: "abc"})
     spec(**{name: 0.0})
-    spec(**{name: Field(g, np.array([1.0, 0.5, 0.0, 2.0]))})
+    spec(**{name: np.array([1.0, 0.5, 0.0, 2.0])})
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +480,7 @@ def test_energy1_modes_diagonalize_the_assembled_hessian(grid, spec):
      EnergySpec(kind="m_laplace", m=2.0)),
     (line_grid(5), EnergySpec(kind="m_laplace", m=3.0)),
     (line_grid(5), EnergySpec(kind="m_laplace", m=2.0, B=np.ones(5))),
-    (line_grid(5), EnergySpec(kind="m_laplace", m=2.0,
-                              C=Field(line_grid(5), np.ones(5)))),
+    (line_grid(5), EnergySpec(kind="m_laplace", m=2.0, C=np.ones(5))),
     (line_grid(5), EnergySpec(kind="fractional", s=0.5)),
     (build_grid(dim=1, shape=(1,), spacing=(1.0,), domain_kind="point"),
      EnergySpec(kind="quadratic")),

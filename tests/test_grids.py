@@ -1,4 +1,5 @@
-"""Grid construction, fields, lattice operations, and rearrangements.
+"""Grid construction, trajectories, lattice operations, and
+rearrangements.
 
 The rearrangement checks here are the small independent oracles: a frozen
 node-order example, exhaustive brute force over a small alphabet, and the
@@ -14,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wedflow import (ConfigurationError, Field, RMap, Trajectory, apply_rmap,
-                     build_grid, constant_trajectory, lattice_pair, rearrange,
+from wedflow import (ConfigurationError, RMap, Trajectory, build_grid,
+                     constant_trajectory, lattice_pair, rearrange,
                      rearrangement_order, reflection_permutation)
-from wedflow.grids import field_from_csv, field_to_csv
+from wedflow.grids import field_to_csv
 
 from conftest import line_grid, point_grid
 
@@ -67,15 +68,6 @@ def test_robin_needs_positive_coefficient():
                    robin_b=0.0)
 
 
-def test_field_values_are_locked():
-    g = line_grid(5)
-    u = Field(g, np.arange(5.0))
-    with pytest.raises(ValueError):
-        u.values[0] = 7.0
-    v = u.with_values(np.ones(5))
-    assert v.values[0] == 1.0 and u.values[0] == 0.0
-
-
 def test_trajectory_pin_is_bitwise():
     g = line_grid(4)
     vals = np.zeros((3, 4))
@@ -88,10 +80,11 @@ def test_trajectory_pin_is_bitwise():
 def test_constant_trajectory_two_components():
     g = line_grid(3)
     traj = constant_trajectory(g, np.arange(6.0), 1.0, 4)
-    assert traj.ncomp == 2
-    assert np.array_equal(traj.component(2, 1).values, [3.0, 4.0, 5.0])
+    assert traj.ncomp == 2 and traj.values.shape == (5, 6)
+    # each knot stacks the components: the second one is nodes 3..5
+    assert np.array_equal(traj.values[2, 3:], [3.0, 4.0, 5.0])
     with pytest.raises(ConfigurationError):
-        traj.slice(0)  # slice() refuses stacked pairs
+        constant_trajectory(g, np.arange(4.0), 1.0, 4)  # not 3k values
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +105,11 @@ def test_lattice_pair_sums_exactly(a, b):
 
 def test_truncate_modes_and_sign_conventions():
     g = line_grid(5)
-    u = Field(g, np.array([-2.0, -0.5, 0.0, 0.5, 2.0]))
-    lo = apply_rmap(RMap("truncate_lower", level=-1.0), u)
-    assert np.array_equal(lo.values, [-1.0, -0.5, 0.0, 0.5, 2.0])
-    hi = apply_rmap(RMap("truncate_upper", level=1.0), u)
-    assert np.array_equal(hi.values, [-2.0, -0.5, 0.0, 0.5, 1.0])
+    u = np.array([[-2.0, -0.5, 0.0, 0.5, 2.0]])
+    lo = RMap("truncate_lower", level=-1.0).apply(u, g)
+    assert np.array_equal(lo, [[-1.0, -0.5, 0.0, 0.5, 2.0]])
+    hi = RMap("truncate_upper", level=1.0).apply(u, g)
+    assert np.array_equal(hi, [[-2.0, -0.5, 0.0, 0.5, 1.0]])
     with pytest.raises(ConfigurationError):
         RMap("truncate_lower", level=0.5)
     with pytest.raises(ConfigurationError):
@@ -128,11 +121,11 @@ def test_truncate_modes_and_sign_conventions():
 @given(st.lists(st.floats(-10, 10), min_size=4, max_size=4))
 def test_sign_parts_decompose(a):
     g = build_grid(dim=1, shape=(4,), spacing=(1.0,))
-    u = Field(g, np.array(a))
-    pos = apply_rmap(RMap("positive_part"), u)
-    neg = apply_rmap(RMap("negative_part"), u)
-    assert np.array_equal(pos.values + neg.values, u.values)
-    assert np.all(pos.values >= 0.0) and np.all(neg.values <= 0.0)
+    u = np.array([a])
+    pos = RMap("positive_part").apply(u, g)
+    neg = RMap("negative_part").apply(u, g)
+    assert np.array_equal(pos + neg, u)
+    assert np.all(pos >= 0.0) and np.all(neg <= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +144,17 @@ def test_symdec_order_frozen_examples():
 
 def test_rearrange_symdec_example():
     g = line_grid(5)
-    u = Field(g, np.array([0.0, 4.0, 1.0, 2.0, 0.0]))
-    r = Field(g, rearrange(g, u.values[None], "symmetric_decreasing")[0])
-    assert np.array_equal(r.values, [0.0, 1.0, 4.0, 2.0, 0.0])
+    u = np.array([0.0, 4.0, 1.0, 2.0, 0.0])
+    r = rearrange(g, u[None], "symmetric_decreasing")[0]
+    assert np.array_equal(r, [0.0, 1.0, 4.0, 2.0, 0.0])
 
 
 def test_rearrange_monotone_directions():
     g = line_grid(4)
-    u = Field(g, np.array([1.0, 3.0, -2.0, 2.0]))
-    assert np.array_equal(rearrange(g, u.values[None], "monotone")[0],
+    u = np.array([1.0, 3.0, -2.0, 2.0])
+    assert np.array_equal(rearrange(g, u[None], "monotone")[0],
                           [3.0, 2.0, 1.0, 0.0])
-    assert np.array_equal(rearrange(g, u.values[None], "monotone",
+    assert np.array_equal(rearrange(g, u[None], "monotone",
                                     direction=-1)[0],
                           [0.0, 1.0, 2.0, 3.0])
 
@@ -172,19 +165,17 @@ def test_rearrange_monotone_directions():
 def test_rearrange_permutes_positive_part(vals, kind):
     n = len(vals)
     g = build_grid(dim=1, shape=(n,), spacing=(1.0,))
-    u = Field(g, np.array(vals))
-    r = Field(g, rearrange(g, u.values[None], kind)[0])
-    assert np.array_equal(np.sort(r.values),
-                          np.sort(np.maximum(u.values, 0.0)))
-    # idempotent: rearranging the rearranged field changes nothing
-    assert np.array_equal(rearrange(g, r.values[None], kind)[0], r.values)
+    u = np.array(vals)
+    r = rearrange(g, u[None], kind)[0]
+    assert np.array_equal(np.sort(r), np.sort(np.maximum(u, 0.0)))
+    # idempotent: rearranging the rearranged state changes nothing
+    assert np.array_equal(rearrange(g, r[None], kind)[0], r)
 
 
 def test_steiner_rearranges_lines():
     g = build_grid(dim=2, shape=(3, 4), spacing=(1.0, 1.0))
     vals = np.arange(12.0)
-    r = Field(g, rearrange(g, vals[None], "steiner", axis=0)[0])
-    arr = r.values.reshape(3, 4)
+    arr = rearrange(g, vals[None], "steiner", axis=0)[0].reshape(3, 4)
     order = rearrangement_order(line_grid(4), "symmetric_decreasing")
     for i in range(3):
         row = np.sort(vals.reshape(3, 4)[i])[::-1]
@@ -279,19 +270,18 @@ def test_reflection_is_an_involution():
     g = line_grid(7)
     perm = reflection_permutation(g)
     assert np.array_equal(perm[perm], np.arange(7))
-    u = Field(g, np.arange(7.0))
+    u = np.arange(7.0)[None]
     reflect = RMap("rigid", permutation=perm)
-    v = apply_rmap(reflect, apply_rmap(reflect, u))
-    assert np.array_equal(v.values, u.values)
+    assert np.array_equal(reflect.apply(reflect.apply(u, g), g), u)
 
 
 def test_rigid_transform_preserves_values():
     g = line_grid(5)
     rng = np.random.default_rng(3)
-    u = Field(g, rng.normal(size=5))
+    u = rng.normal(size=(1, 5))
     perm = rng.permutation(5)
-    v = apply_rmap(RMap("rigid", permutation=perm), u)
-    assert np.array_equal(np.sort(v.values), np.sort(u.values))
+    v = RMap("rigid", permutation=perm).apply(u, g)
+    assert np.array_equal(np.sort(v), np.sort(u))
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +291,12 @@ def test_rigid_transform_preserves_values():
 def test_field_csv_roundtrip_is_exact():
     g = line_grid(8)
     rng = np.random.default_rng(11)
-    u = Field(g, rng.normal(size=8) * np.pi)
-    text = field_to_csv(u)
-    back = field_from_csv(g, text)
-    assert np.array_equal(back.values, u.values)
-    assert text.splitlines()[0].startswith("index,")
+    u = rng.normal(size=8) * np.pi
+    text = field_to_csv(g, u)
+    head, *rows = text.splitlines()
+    assert head == "index,coord0,value" and text.endswith("\n")
+    cells = [r.split(",") for r in rows]
+    assert [int(c[0]) for c in cells] == list(range(8))
+    assert np.array_equal([float(c[1]) for c in cells], g.coords()[:, 0])
+    # repr floats read back bit for bit
+    assert np.array_equal([float(c[2]) for c in cells], u)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from wedflow import (ConcaveSpec, ConfigurationError, DissipationSpec,
-                     EnergySpec, Field, ReactionSpec, RMap, Scenario,
-                     Trajectory, WedProblem, apply_rmap, check_r1, check_r2,
+                     EnergySpec, ReactionSpec, RMap, Scenario,
+                     WedProblem, check_r1, check_r2,
                      constant_trajectory, dual_field, fixed_point_solve,
                      invariance_residual, invariant_solve,
                      reflection_permutation)
@@ -36,40 +36,43 @@ def symmetric_u0(n):
 def test_rigid_map_application():
     g = line_grid(5)
     R = RMap(kind="rigid", permutation=reflection_permutation(g))
-    u = Field(g, np.arange(5.0))
-    assert np.array_equal(apply_rmap(R, u).values, [4.0, 3.0, 2.0, 1.0, 0.0])
+    u = np.arange(10.0).reshape(2, 5)
+    assert np.array_equal(R.apply(u, g), [[4.0, 3.0, 2.0, 1.0, 0.0],
+                                          [9.0, 8.0, 7.0, 6.0, 5.0]])
 
 
 def test_truncation_and_sign_maps():
     g = line_grid(4)
-    u = Field(g, np.array([-2.0, -0.5, 0.5, 2.0]))
+    u = np.array([[-2.0, -0.5, 0.5, 2.0], [2.0, 0.5, -0.5, -2.0]])
     assert np.array_equal(
-        apply_rmap(RMap(kind="truncate_lower", level=-1.0), u).values,
-        [-1.0, -0.5, 0.5, 2.0])
+        RMap(kind="truncate_lower", level=-1.0).apply(u, g),
+        [[-1.0, -0.5, 0.5, 2.0], [2.0, 0.5, -0.5, -1.0]])
     assert np.array_equal(
-        apply_rmap(RMap(kind="truncate_upper", level=1.0), u).values,
-        [-2.0, -0.5, 0.5, 1.0])
+        RMap(kind="truncate_upper", level=1.0).apply(u, g),
+        [[-2.0, -0.5, 0.5, 1.0], [1.0, 0.5, -0.5, -2.0]])
     assert np.array_equal(
-        apply_rmap(RMap(kind="positive_part"), u).values,
-        [0.0, 0.0, 0.5, 2.0])
+        RMap(kind="positive_part").apply(u, g),
+        [[0.0, 0.0, 0.5, 2.0], [2.0, 0.5, 0.0, 0.0]])
     assert np.array_equal(
-        apply_rmap(RMap(kind="negative_part"), u).values,
-        [-2.0, -0.5, 0.0, 0.0])
+        RMap(kind="negative_part").apply(u, g),
+        [[-2.0, -0.5, 0.0, 0.0], [0.0, 0.0, -0.5, -2.0]])
 
 
 def test_lv_clamp_map_needs_pairs():
     g = line_grid(3)
     R = RMap(kind="lv_clamp", K=1.0)
-    pair = Field(g, np.array([2.0, -1.0, 0.5]))
     with pytest.raises(ConfigurationError):
-        apply_rmap(R, pair)  # 3 dofs is not a stacked pair on 3 nodes
+        # 3 dofs is not a stacked pair on 3 nodes
+        R.apply(np.array([[2.0, -1.0, 0.5]]), g)
+    assert np.array_equal(R.apply(np.array([[2.0, -1.0, 0.5] * 2]), g),
+                          [[1.0, 0.0, 0.5, 2.0, 0.0, 0.5]])
 
 
 def test_averaging_map_2d_axis():
     from wedflow import build_grid
     g = build_grid(dim=2, shape=(3, 3), spacing=(1.0, 1.0))
     vals = np.arange(9.0)
-    out = apply_rmap(RMap(kind="averaging", axis=0), Field(g, vals)).values
+    out = RMap(kind="averaging", axis=0).apply(vals[None], g)[0]
     arr = vals.reshape(3, 3)
     assert np.allclose(out.reshape(3, 3), arr.mean(axis=0, keepdims=True))
 
@@ -79,18 +82,9 @@ def test_compose_applies_in_declared_order():
     R = RMap(kind="compose", parts=(
         RMap(kind="monotone"),
         RMap(kind="rigid", permutation=reflection_permutation(g))))
-    u = Field(g, np.array([0.0, 1.0, 4.0]))
+    u = np.array([[0.0, 1.0, 4.0]])
     # monotone gives [4,1,0], the reflection flips it back
-    assert np.array_equal(apply_rmap(R, u).values, [0.0, 1.0, 4.0])
-
-
-def test_apply_rmap_trajectory_drops_stale_pin():
-    g = line_grid(3)
-    vals = np.array([[-1.0, 0.5, 2.0], [0.0, 0.0, 0.0]])
-    traj = Trajectory(g, 1.0, vals, pinned_initial=vals[0])
-    mapped = apply_rmap(RMap(kind="positive_part"), traj)
-    assert mapped.pinned_initial is None
-    assert np.array_equal(mapped.values[0], [0.0, 0.5, 2.0])
+    assert np.array_equal(R.apply(u, g), u)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +121,9 @@ def test_rmap_validation():
         RMap(kind="compose", parts=())
     with pytest.raises(ConfigurationError):
         RMap(kind="lv_clamp", K=0.0)
-    with pytest.raises(ConfigurationError):
-        RMap(kind="positive_part", enforcement="maybe")
+    # enforcement follows from the kind and level; it is no option
+    with pytest.raises(TypeError):
+        RMap(kind="positive_part", enforcement="posthoc")
 
 
 def test_rmap_rejects_axis_direction_and_level_at_construction():

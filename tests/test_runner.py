@@ -510,6 +510,55 @@ def test_rearrangement_suite_catches_a_wrong_rearrangement(monkeypatch,
     assert report["checks"][caught]["passed"] is False
 
 
+def _one_nan_at_length_40(grid, rows, kind, **options):
+    """rearrange, but for one NaN in the first row of length 40."""
+    out = rearrange(grid, rows, kind, **options)
+    if rows.shape[1] == 40:
+        out[0, 0] = np.nan
+    return out
+
+
+def test_rearrangement_suite_fails_a_nan_margin(monkeypatch):
+    # a plain min fold drops the NaN: the suite then passed at seed 0
+    # with every margin 0.0
+    monkeypatch.setattr(runner, "rearrange", _one_nan_at_length_40)
+    report = verify("rearrangement", seed=0)
+    assert report["passed"] is False
+    for key in ("norm", "hardy_littlewood", "nonexpansive", "polya_szego"):
+        check = report["checks"][key]
+        assert np.isnan(check["margin"]) and check["passed"] is False
+    assert report["checks"]["polya_szego_exhaustive"]["passed"] is True
+
+
+def test_gradients_suite_fails_a_nan_value(monkeypatch):
+    # a NaN functional value makes every finite difference NaN, which a
+    # plain max fold dropped: the suite passed with margins of 1e-6
+    real = runner.energy1_value_grad
+
+    def nan_value(spec, grid, u, *args, **kwargs):
+        value, grad = real(spec, grid, u, *args, **kwargs)
+        return (np.nan if np.ndim(value) == 0 else value), grad
+
+    monkeypatch.setattr(runner, "energy1_value_grad", nan_value)
+    report = verify("gradients", seed=0)
+    assert report["passed"] is False
+    for kind in ("quadratic", "m_laplace", "fractional"):
+        assert np.isnan(report["checks"][f"energy_{kind}"]["margin"])
+
+
+@pytest.mark.parametrize("margin", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_suite_margin_fails(margin):
+    assert runner._check(margin, 1e-12)["passed"] is False
+    assert runner._check(0.0, 1e-12)["passed"] is True
+
+
+def test_lowest_margin_keeps_a_nan():
+    assert np.isnan(runner._lowest(0.5, np.nan))
+    assert np.isnan(runner._lowest(np.nan, -1.0))
+    assert runner._lowest(0.5, -1.0) == -1.0
+    assert runner._lowest(-1.0, 0.5) == -1.0
+
+
 def _loaded_by_importing_the_cli(module: str) -> bool:
     """Whether a fresh interpreter has `module` loaded after importing
     wedflow.cli."""
@@ -520,6 +569,14 @@ def _loaded_by_importing_the_cli(module: str) -> bool:
          f"print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     return out.stdout.strip() == "True"
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from wedflow import *", namespace)
+    assert len(set(wedflow.__all__)) == len(wedflow.__all__)
+    for name in wedflow.__all__:
+        assert namespace[name] is getattr(wedflow, name)
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
@@ -789,6 +846,11 @@ def test_malformed_state_names_its_field(tmp_path, capsys, name, field,
     ("heat_relaxation", "dissipation", {"p": 2.0, "table_s": [0.0, 1.0]}),
     ("heat_relaxation", "dissipation", {"alpha_kind": "power",
                                         "table_alpha": [0.0, 1.0]}),
+    # a map's enforcement follows from its kind and level: no key sets it
+    ("heat_relaxation", "rmaps", [{"kind": "positive_part",
+                                   "enforcement": "posthoc"}]),
+    ("lv_patch", "rmaps", [{"kind": "lv_clamp", "K": 1.0,
+                            "enforcement": "posthoc"}]),
 ])
 def test_bad_field_is_named_before_any_solve(tmp_path, capsys, monkeypatch,
                                              name, field, value):

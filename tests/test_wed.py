@@ -10,7 +10,7 @@ import pytest
 
 import wedflow
 from wedflow import (ConcaveSpec, ConfigurationError, DissipationSpec,
-                     EnergySpec, Field, ReactionSpec, Trajectory, WedProblem,
+                     EnergySpec, ReactionSpec, Trajectory, WedProblem,
                      build_grid, constant_trajectory, default_eps_schedule, dual_field,
                      eps_continuation, euler_lagrange_residual,
                      fixed_point_solve, minimize_wed, reference_solve,

@@ -9,7 +9,8 @@ from wedflow import (ConfigurationError, LagrangianProblem, Trajectory,
                      equivariance_residual, hamiltonian, hamiltonian_drift,
                      minimize_wide, reflection_permutation,
                      wide_continuation, wide_invariance_residual,
-                     wide_invariant_solve, wide_trajectory, wide_value_grad)
+                     wide_trajectory, wide_value_grad)
+from wedflow.wide import require_invariant_data
 
 from conftest import line_grid, point_grid, same_bits
 
@@ -106,7 +107,7 @@ def test_wide_trajectory_pins_two_rows():
     vals = np.tile(problem.initial, (N + 1, 1))
     vals[1] = problem.initial + dt * problem.velocity
     traj = wide_trajectory(problem, vals)
-    assert np.array_equal(traj.pinned_velocity, problem.velocity)
+    assert np.array_equal(traj.pinned_initial, problem.initial)
     bad = vals.copy()
     bad[1] = bad[1] + 1e-12
     with pytest.raises(ConfigurationError):
@@ -320,10 +321,9 @@ def test_wide_invariant_solve_reflection_wave():
     u0 = 0.5 * (raw + raw[::-1])
     problem = wave_problem(n=n, u0=u0)
     R = RMap(kind="rigid", permutation=reflection_permutation(g))
-    traj, res = wide_invariant_solve(problem, R, steps=32,
-                                     schedule=(0.1, 0.05))
-    assert res <= 1e-8  # measured 1.6e-12
-    assert wide_invariance_residual(R, traj) == res
+    require_invariant_data(problem, R)
+    traj = wide_continuation(problem, (0.1, 0.05), 32)[-1][1]
+    assert wide_invariance_residual(R, traj) <= 1e-8  # measured 1.6e-12
 
 
 def test_wide_invariant_solve_requires_invariant_data():
@@ -332,10 +332,10 @@ def test_wide_invariant_solve_requires_invariant_data():
     R = RMap(kind="rigid", permutation=reflection_permutation(g))
     asym = np.linspace(0.0, 1.0, n)
     with pytest.raises(ConfigurationError):
-        wide_invariant_solve(wave_problem(n=n, u0=asym), R, steps=8)
+        require_invariant_data(wave_problem(n=n, u0=asym), R)
     sym = np.ones(n)
     with pytest.raises(ConfigurationError):
-        wide_invariant_solve(wave_problem(n=n, u0=sym, v0=asym), R, steps=8)
+        require_invariant_data(wave_problem(n=n, u0=sym, v0=asym), R)
 
 
 def test_averaging_needs_convex_nonlinearity():
@@ -343,7 +343,7 @@ def test_averaging_needs_convex_nonlinearity():
                            u0=np.ones(5))
     R = RMap(kind="averaging")
     with pytest.raises(ConfigurationError):
-        wide_invariant_solve(problem, R, steps=8)
+        require_invariant_data(problem, R)
 
 
 # ---------------------------------------------------------------------------
