@@ -29,8 +29,9 @@ coupling plus a constant Kronecker-sum energy Hessian on a 1D or 2D grid,
 whose per-mode tridiagonals are one `KnotTridiagonal`.
 
 Front end. Every lane minimizes over whole trajectories U ((N+1, n_dof))
-whose first k rows are pinned (k = 2 in the inertial lane, else 1).
-`pinned_solve` holds the shared plumbing (unknown knots, start, row scale)
+whose first k rows are pinned by the problem (k = 2 in the inertial lane,
+else 1). `pinned_solve` holds the shared plumbing (unknown knots, start,
+row scale), is the one place a start is checked against the pinned rows,
 and takes the solver as an argument, so each lane's calls go through its
 own module binding of `newton_solve`. A lane's callbacks see and return
 only the unknown knots k..N; a lane that needs the whole trajectory builds
@@ -489,8 +490,9 @@ def pinned_solve(solver, pinned: np.ndarray, N: int, start, grad, hess,
                  knot_scale: np.ndarray, **options):
     """Minimize over the trajectories U ((N+1, n_dof)) whose first rows
     are `pinned` ((k, n_dof)); options go to `solver`. start is None (each
-    unknown knot starts at the last pinned row) or an (N+1, n_dof) array;
-    a start of any other shape raises ConfigurationError.
+    unknown knot starts at the last pinned row) or an (N+1, n_dof) array
+    whose first k rows are bitwise `pinned`; any other start raises
+    ConfigurationError.
     The callbacks see only the unknown knots k..N: grad(V) is the gradient
     over them of each trajectory whose unknown knots are a row of the
     stack V ((rows, N+1-k, n_dof)), as such a stack, and hess(V) the
@@ -507,6 +509,8 @@ def pinned_solve(solver, pinned: np.ndarray, N: int, start, grad, hess,
     elif start.shape != (N + 1, n_dof):
         raise ConfigurationError(f"init has shape {start.shape}, not "
                                  f"{(N + 1, n_dof)}")
+    elif not np.array_equal(start[:k], pinned):
+        raise ConfigurationError("init differs from the pinned rows")
     else:
         x0 = start[k:].ravel()
 

@@ -70,13 +70,10 @@ def _check_ordered_initials(u0: np.ndarray, v0: np.ndarray) -> None:
 
 
 def lattice_pair(u: Trajectory, v: Trajectory) -> tuple:
-    """Row-wise (min, max) of two trajectories, of u's type and pinned at
-    their first rows. Selection only, so the identity meet + join = u + v
-    holds bitwise."""
-    mn = np.minimum(u.values, v.values)
-    mx = np.maximum(u.values, v.values)
-    return (replace(u, values=mn, pinned_initial=mn[0]),
-            replace(u, values=mx, pinned_initial=mx[0]))
+    """Row-wise (min, max) of two trajectories, of u's type. Selection
+    only, so the identity meet + join = u + v holds bitwise."""
+    return (replace(u, values=np.minimum(u.values, v.values)),
+            replace(u, values=np.maximum(u.values, v.values)))
 
 
 def submodularity_check(problem: WedProblem, u, v):

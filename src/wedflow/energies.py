@@ -52,8 +52,8 @@ class DissipationSpec:
     table_alpha: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.p <= 1.0:
-            raise ConfigurationError("dissipation exponent p must exceed 1")
+        if not 1.0 < self.p < np.inf:
+            raise ConfigurationError("need finite dissipation exponent p > 1")
         if self.alpha_kind not in ("power", "table"):
             raise ConfigurationError(f"unknown alpha_kind {self.alpha_kind!r}")
         if self.alpha_kind == "table":
@@ -340,8 +340,8 @@ class EnergySpec:
         if self.kind not in ("quadratic", "m_laplace", "fractional",
                              "lv_quadratic"):
             raise ConfigurationError(f"unknown energy kind {self.kind!r}")
-        if self.kind == "m_laplace" and self.m < 2:
-            raise ConfigurationError("m_laplace exponent must satisfy m >= 2")
+        if self.kind == "m_laplace" and not 2 <= self.m < np.inf:
+            raise ConfigurationError("need a finite m_laplace exponent m >= 2")
         if self.kind == "fractional" and not 0.0 < self.s < 1.0:
             raise ConfigurationError("fractional order s must lie in (0,1)")
         # phi1 must be convex: 2D solves factor its Hessian as SPD
@@ -359,8 +359,8 @@ class ConcaveSpec:
     concave_D: object = 1.0
 
     def __post_init__(self):
-        if self.concave_q is not None and self.concave_q <= 1.0:
-            raise ConfigurationError("concave exponent q must exceed 1")
+        if self.concave_q is not None and not 1.0 < self.concave_q < np.inf:
+            raise ConfigurationError("need a finite concave exponent q > 1")
         _require_nonnegative(self, ("concave_D",))
 
 
@@ -714,10 +714,10 @@ class ReactionSpec:
         if self.kind not in ("none", "lotka_volterra"):
             raise ConfigurationError(f"unknown reaction kind {self.kind!r}")
         if self.kind == "lotka_volterra":
-            if self.A <= 0 or self.K <= 0:
-                raise ConfigurationError("growth rate A and cap K must be positive")
-            if self.B < 0 or self.C < 0 or self.E < 0:
-                raise ConfigurationError("interaction constants must be nonnegative")
+            if not (0 < self.A < np.inf and 0 < self.K < np.inf):
+                raise ConfigurationError("need finite A > 0 and K > 0")
+            if not all(0 <= c < np.inf for c in (self.B, self.C, self.E)):
+                raise ConfigurationError("need finite B, C, E >= 0")
 
 
 def reaction_eval(spec: ReactionSpec, state):

@@ -2,8 +2,10 @@
 maps (rearrangements and the node permutation of a reflection).
 
 Everything here is a pure function of its inputs. A state is a flat
-numpy array of nodal values, a trajectory holds one such row per time
-knot, and `rearrange` maps a whole stack of rows at once.
+numpy array of nodal values, a trajectory is a grid, a horizon T and one
+such row per time knot, and `rearrange` maps a whole stack of rows at
+once. A trajectory does not mark pinned rows: the problem owns them, and
+the solvers check a start against them (_newton.pinned_solve).
 """
 
 from __future__ import annotations
@@ -97,9 +99,9 @@ def build_grid(dim: int = 1,
                robin_b: float = 0.0) -> Grid:
     """Validate parameters and construct a Grid.
 
-    Raises ConfigurationError for non-positive spacing/node counts, fewer
-    than 3 nodes per axis (except the "point" kind), robin without b > 0,
-    or a torus without periodic boundary.
+    Raises ConfigurationError for spacing that is not finite and
+    positive, fewer than 3 nodes per axis (except the "point" kind),
+    robin without a finite b > 0, or a torus without periodic boundary.
     """
     if isinstance(shape, int):
         shape = (shape,) * dim
@@ -122,10 +124,10 @@ def build_grid(dim: int = 1,
         raise ConfigurationError("shape/spacing length must match dim")
     if any(s < 3 for s in shape):
         raise ConfigurationError("need at least 3 nodes per axis")
-    if any(h <= 0 for h in spacing):
-        raise ConfigurationError("spacing must be positive")
-    if boundary == "robin" and robin_b <= 0:
-        raise ConfigurationError("robin boundary requires b > 0")
+    if not all(0 < h < np.inf for h in spacing):
+        raise ConfigurationError("spacing must be finite and positive")
+    if boundary == "robin" and not 0 < robin_b < np.inf:
+        raise ConfigurationError("robin boundary requires a finite b > 0")
     if domain_kind == "torus" and boundary != "periodic":
         raise ConfigurationError("torus requires periodic boundary")
     if boundary == "periodic" and domain_kind != "torus":
@@ -143,30 +145,24 @@ def build_grid(dim: int = 1,
 class Trajectory:
     """N+1 time slices of nodal values on one grid, t_n = n*T/N.
 
-    Stored as a single (N+1, n_nodes) array. pinned_initial, when present,
-    must coincide bitwise with slice 0.
-    """
+    Stored as a single read-only (N+1, n_dof) array, n_dof a positive
+    multiple of the node count (one block of nodes per component). Which
+    rows are pinned is the problem's to say: a solver checks its start
+    against them (see _newton.pinned_solve)."""
 
     grid: Grid
     T: float
-    values: np.ndarray  # (N+1, n_nodes * ncomp)
-    pinned_initial: Optional[np.ndarray] = None
-    ncomp: int = 1
+    values: np.ndarray  # (N+1, n_dof)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[1] != self.grid.n_nodes * self.ncomp:
-            raise ConfigurationError("trajectory shape must be (N+1, n_dof)")
+        vals = np.array(self.values, dtype=float)
+        n = self.grid.n_nodes
+        if vals.ndim != 2 or vals.shape[1] < n or vals.shape[1] % n:
+            raise ConfigurationError("trajectory must be (N+1, k * n_nodes)")
         if vals.shape[0] < 2:
             raise ConfigurationError("need at least one time step")
-        if self.T <= 0:
-            raise ConfigurationError("horizon T must be positive")
-        vals = vals.copy()
-        if self.pinned_initial is not None:
-            pin = np.asarray(self.pinned_initial, dtype=float).ravel()
-            if not np.array_equal(vals[0], pin):
-                raise ConfigurationError("slice 0 differs from pinned initial")
-            object.__setattr__(self, "pinned_initial", pin)
+        if not 0 < self.T < np.inf:
+            raise ConfigurationError("horizon T must be finite and positive")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -183,15 +179,10 @@ class Trajectory:
         return np.linspace(0.0, self.T, self.steps + 1)
 
 
-def constant_trajectory(grid: Grid, u0: np.ndarray, T: float, steps: int,
-                        pin: bool = True) -> Trajectory:
+def constant_trajectory(grid: Grid, u0: np.ndarray, T: float,
+                        steps: int) -> Trajectory:
     u0 = np.asarray(u0, dtype=float).ravel()
-    vals = np.tile(u0, (steps + 1, 1))
-    ncomp, rem = divmod(u0.size, grid.n_nodes)
-    if rem or ncomp < 1:
-        raise ConfigurationError("state size must be a multiple of n_nodes")
-    return Trajectory(grid, T, vals, pinned_initial=u0 if pin else None,
-                      ncomp=ncomp)
+    return Trajectory(grid, T, np.tile(u0, (steps + 1, 1)))
 
 
 # ---------------------------------------------------------------------------

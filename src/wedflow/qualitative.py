@@ -23,7 +23,7 @@ everything else is projected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -578,17 +578,14 @@ def invariant_solve(problem: WedProblem, R: RMap, steps: int,
     the plain loop and only the final residual certifies invariance. The
     result is flagged when that residual exceeds 1e-8, the map fails
     check_r2 (16 samples) or the continuation aborts."""
-    u0 = problem.initial
-    require_invariant(R, problem.grid, u0)
+    require_invariant(R, problem.grid, problem.initial)
     report = check_r2(R, problem, seed=seed)
 
     project = None
     if R.enforcement == "projected":
         def project(traj: Trajectory) -> Trajectory:
-            rows = R.apply(traj.values, traj.grid)
-            rows[0] = u0
-            return Trajectory(traj.grid, traj.T, rows, pinned_initial=u0,
-                              ncomp=traj.ncomp)
+            # the initial state is invariant, so row 0 keeps its bits
+            return replace(traj, values=R.apply(traj.values, traj.grid))
 
     if schedule is None:
         schedule = (problem.epsilon,)

@@ -129,11 +129,9 @@ class RIProblem:
 @dataclass(frozen=True, eq=False)
 class RITrajectory(Trajectory):
     """A step trajectory of the rate-independent lane: its values must be
-    finite and knot 0 must be pinned."""
+    finite."""
 
     def __post_init__(self):
-        if self.pinned_initial is None:
-            raise ConfigurationError("knot 0 must be pinned")
         super().__post_init__()
         if not np.all(np.isfinite(self.values)):
             raise ConfigurationError("trajectory values must be finite")
@@ -283,8 +281,7 @@ def minimize_wed_ri(problem: RIProblem,
             tol=1e-9, max_iter=200, notes=notes)
         total_iters += iters
         converged = converged and ok
-    traj = RITrajectory(problem.grid, problem.T, U,
-                        pinned_initial=problem.initial)
+    traj = RITrajectory(problem.grid, problem.T, U)
     return traj, MinimizeReport(iterations=total_iters, gradient_norm=res,
                                 converged=converged, notes=tuple(notes))
 

@@ -880,15 +880,13 @@ def _verify_gradients(seed: int = 0) -> dict:
         reaction=ReactionSpec(), T=1.0, epsilon=0.2,
         initial=rng.standard_normal(7))
     steps = 6
-    traj = Trajectory(grid, 1.0, _random_walk(rng, problem.initial, steps),
-                      pinned_initial=problem.initial)
+    traj = Trajectory(grid, 1.0, _random_walk(rng, problem.initial, steps))
     w = np.zeros((steps + 1, 7))
     _, g = wed_value_grad(problem, w, traj)
 
     def value_of(flat):
         t = Trajectory(grid, 1.0, with_pins(problem.initial[None],
-                                            flat.reshape(steps, 7)),
-                       pinned_initial=problem.initial)
+                                            flat.reshape(steps, 7)))
         return wed_value_grad(problem, w, t)[0]
 
     err = _fd_error(value_of, traj.values[1:].ravel(), g[1:].ravel(), rng)

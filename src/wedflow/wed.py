@@ -130,7 +130,6 @@ class MinimizeReport:
 class FixedPointReport:
     outer_iterations: int
     residual_history: list
-    damping: float
     converged: bool
     inner_reports: list
 
@@ -222,8 +221,6 @@ def wed_value_grad(problem: WedProblem, w: np.ndarray,
     slot 0) of the weighted trajectory functional for a fixed dual field w.
     w is a nodal density table of shape (N+1, n_dof); row 0 is unused."""
     U = traj.values
-    if traj.pinned_initial is None:
-        raise ConfigurationError("trajectory must be pinned at the start")
     return _wed_kernel(problem, _check_w(w, traj.steps, U.shape[1]), U,
                        traj.dt)
 
@@ -284,23 +281,21 @@ def minimize_wed(problem: WedProblem, w, init: Trajectory,
                  max_iter: int = 120, *, _hessian=None
                  ) -> tuple[Trajectory, MinimizeReport]:
     """Minimize the functional at fixed dual field w over trajectories
-    pinned at problem.initial. Newton with the exact Hessian, globalized
-    by scaled-residual backtracking; termination on the row-scaled gradient
-    max-norm 1e-10 (rows weighted by b_n so the tolerance is uniform in
-    time). At every Newton step the Hessian is filled into CSC arrays by
-    energy1_hessian (b_k per knot and the time band), a SparseHessian
-    that factors itself, except where _constant_hessian applies: then one
-    Hessian serves every step, a fast diagonalization (no Hessian is
-    assembled) or one SparseHessian whose LUs are made once. _hessian,
-    internal, is that Hessian built by the caller, fixed_point_solve, once
-    for all its calls of a weight level; without it the call builds its
-    own. A solve that stalls in float64 and converges under the
-    extended-precision polish (see _newton.newton_solve) reports that
-    residual as its gradient norm and "longdouble_polish_steps=<k>" in its
-    notes."""
-    if init.pinned_initial is None or not np.array_equal(
-            init.values[0], problem.initial):
-        raise ConfigurationError("init must be pinned at the problem initial")
+    pinned at problem.initial, from init, whose row 0 must be bitwise
+    problem.initial (_newton.pinned_solve checks it). Newton with the exact
+    Hessian, globalized by scaled-residual backtracking; termination on the
+    row-scaled gradient max-norm 1e-10 (rows weighted by b_n so the
+    tolerance is uniform in time). At every Newton step the Hessian is
+    filled into CSC arrays by energy1_hessian (b_k per knot and the time
+    band), a SparseHessian that factors itself, except where
+    _constant_hessian applies: then one Hessian serves every step, a fast
+    diagonalization (no Hessian is assembled) or one SparseHessian whose LUs
+    are made once. _hessian, internal, is that Hessian built by the caller,
+    fixed_point_solve, once for all its calls of a weight level; without it
+    the call builds its own. A solve that stalls in float64 and converges
+    under the extended-precision polish (see _newton.newton_solve) reports
+    that residual as its gradient norm and "longdouble_polish_steps=<k>" in
+    its notes."""
     N = init.steps
     w = _check_w(w, N, problem.n_dof)
     dt = problem.T / N
@@ -321,10 +316,8 @@ def minimize_wed(problem: WedProblem, w, init: Trajectory,
         newton_solve, pinned, N, init.values, grad, hess,
         b * problem.grid.cell_measure, tol=1e-10, max_iter=max_iter,
         notes=notes)
-    out = Trajectory(problem.grid, problem.T, U,
-                     pinned_initial=problem.initial,
-                     ncomp=problem.n_dof // problem.grid.n_nodes)
-    return out, MinimizeReport(iters, res, conv, tuple(notes))
+    return Trajectory(problem.grid, problem.T, U), MinimizeReport(
+        iters, res, conv, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +380,6 @@ def fixed_point_solve(problem: WedProblem, steps: int,
     factorization for the whole weight level (more only for a Levenberg
     shift). It is dropped when the call returns, so no level's LUs
     outlive it."""
-    ncomp = problem.n_dof // problem.grid.n_nodes
     if init is not None and init.steps != steps:
         raise ConfigurationError("init has the wrong number of knots")
     u = init if init is not None else constant_trajectory(
@@ -395,15 +387,14 @@ def fixed_point_solve(problem: WedProblem, steps: int,
     dt = problem.T / steps
     inner_reports = []
     history = []
-    theta = 0.5
     # without a reaction or a concave part the dual field is the forcing
     if problem.reaction.kind == "none" and problem.energy2.concave_q is None \
             and project is None:
         w = dual_field(problem, u)
         out, rep = minimize_wed(problem, w, u)
         inner_reports.append(rep)
-        return out, FixedPointReport(1, [0.0], theta, rep.converged,
-                                     inner_reports)
+        return out, FixedPointReport(1, [0.0], rep.converged, inner_reports)
+    theta = 0.5
     converged = False
     held = _constant_hessian(problem, u)
     for _ in range(200):
@@ -414,19 +405,16 @@ def fixed_point_solve(problem: WedProblem, steps: int,
         new_vals = (1.0 - theta) * u_eval.values + theta * s.values
         res = _traj_norm(problem, new_vals - u.values, dt)
         history.append(res)
-        u = Trajectory(problem.grid, problem.T, new_vals,
-                       pinned_initial=problem.initial, ncomp=ncomp)
+        u = Trajectory(problem.grid, problem.T, new_vals)
         if res <= 1e-10:
             converged = True
             break
         if len(history) >= 2 and history[-1] < history[-2]:
             theta = min(1.0, 2.0 * theta)
     if project is not None:
-        u_final = project(u)
-        u = Trajectory(problem.grid, problem.T, u_final.values,
-                       pinned_initial=problem.initial, ncomp=ncomp)
+        u = project(u)
     return u, FixedPointReport(len(history) if history else 1, history,
-                               theta, converged, inner_reports)
+                               converged, inner_reports)
 
 
 @dataclass
@@ -574,6 +562,4 @@ def reference_solve(problem: WedProblem, steps: int) -> Trajectory:
                              options={"maxiter": 500, "ftol": 1e-16,
                                       "gtol": 1e-12})
         vals[n] = res.x
-    return Trajectory(problem.grid, problem.T, vals,
-                      pinned_initial=problem.initial,
-                      ncomp=problem.n_dof // problem.grid.n_nodes)
+    return Trajectory(problem.grid, problem.T, vals)

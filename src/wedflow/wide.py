@@ -60,10 +60,10 @@ class WideWaveProblem:
     def __post_init__(self):
         if self.grid.dim != 1:
             raise ConfigurationError("wave problems are 1D here", "grid")
-        if not self.rho > 0:
-            raise ConfigurationError("density rho must be positive", "rho")
-        if self.nu < 0:
-            raise ConfigurationError("damping nu must be nonnegative", "nu")
+        if not 0 < self.rho < np.inf:
+            raise ConfigurationError("need a finite density rho > 0", "rho")
+        if not 0 <= self.nu < np.inf:
+            raise ConfigurationError("need a finite damping nu >= 0", "nu")
         if self.p_growth < 2:
             raise ConfigurationError("growth exponent must be >= 2",
                                      "p_growth")
@@ -155,8 +155,8 @@ class LagrangianProblem:
             raise ConfigurationError("mass matrix must be positive definite",
                                      "M")
         object.__setattr__(self, "M", M)
-        if self.nu < 0:
-            raise ConfigurationError("damping nu must be nonnegative", "nu")
+        if not 0 <= self.nu < np.inf:
+            raise ConfigurationError("need a finite damping nu >= 0", "nu")
         if not (0 < self.epsilon < self.T):
             raise ConfigurationError("eps must lie in (0, T)", "epsilon")
         if self.u_kind not in ("quadratic", "component_poly"):
@@ -232,7 +232,6 @@ class _Parts:
             self.g_hess = lambda U: sp.diags(
                 problem.force_hess_diag(U).ravel())
             self.lam = problem.lam
-            self.ncomp = 1
         else:
             d = problem.d
             self.M = sp.csr_matrix(problem.M)
@@ -247,7 +246,6 @@ class _Parts:
                 self.g_hess = lambda U: sp.diags(
                     polyval(U, problem._u_der[1]).ravel())
             self.lam = 0.0
-            self.ncomp = d
         self.grid = _state_grid(problem)
 
 
@@ -336,8 +334,7 @@ def wide_trajectory(problem: WideProblem, values: np.ndarray) -> Trajectory:
     if not (np.array_equal(values[0], u0) and np.array_equal(values[1], u1)):
         raise ConfigurationError(
             "rows 0 and 1 must pin the state and velocity")
-    return Trajectory(grid, problem.T, values, pinned_initial=u0,
-                      ncomp=problem.n_dof // grid.n_nodes)
+    return Trajectory(grid, problem.T, values)
 
 
 def wide_value_grad(problem: WideProblem,

@@ -52,9 +52,7 @@ def random_trajectory(problem, N, rng, scale=1.0):
     vals = np.cumsum(rng.standard_normal((N + 1, problem.n_dof)) * scale,
                      axis=0)
     vals[0] = problem.initial
-    return Trajectory(problem.grid, problem.T, vals,
-                      pinned_initial=problem.initial,
-                      ncomp=problem.n_dof // problem.grid.n_nodes)
+    return Trajectory(problem.grid, problem.T, vals)
 
 
 def test_potential_value_matches_direct_sum():
@@ -124,11 +122,9 @@ def test_submodularity_nonnegative_on_random_pairs():
             lo = np.minimum(a.values[0], b.values[0])
             hi = np.maximum(a.values[0], b.values[0])
             u = Trajectory(problem.grid, problem.T,
-                           np.vstack([[lo], a.values[1:]]),
-                           pinned_initial=lo)
+                           np.vstack([[lo], a.values[1:]]))
             v = Trajectory(problem.grid, problem.T,
-                           np.vstack([[hi], b.values[1:]]),
-                           pinned_initial=hi)
+                           np.vstack([[hi], b.values[1:]]))
             assert submodularity_check(problem, u, v) >= -1e-10
 
 
@@ -136,8 +132,7 @@ def test_submodularity_requires_ordered_initials():
     rng = np.random.default_rng(9)
     problem = heat_problem(n=5)
     u = random_trajectory(problem, 4, rng)
-    v = Trajectory(problem.grid, problem.T, u.values - 1.0,
-                   pinned_initial=u.values[0] - 1.0)
+    v = Trajectory(problem.grid, problem.T, u.values - 1.0)
     with pytest.raises(ConfigurationError):
         submodularity_check(problem, u, v)  # v starts strictly below u
 
@@ -160,7 +155,7 @@ def test_stacked_pricing_equals_one_call_per_trajectory(kind):
     N = 6
     problem = knot_indexed_problem(N, kind, rng)
     us = [random_trajectory(problem, N, rng) for _ in range(4)]
-    vs = [Trajectory(problem.grid, problem.T, w, pinned_initial=w[0])
+    vs = [Trajectory(problem.grid, problem.T, w)
           for w in (u.values + rng.random(u.values.shape) for u in us)]
     U = np.stack([u.values for u in us])
     V = np.stack([v.values for v in vs])
@@ -183,8 +178,7 @@ def test_ordering_margin_sign():
     problem = heat_problem(n=4)
     rng = np.random.default_rng(2)
     u = random_trajectory(problem, 3, rng)
-    above = Trajectory(problem.grid, problem.T, u.values + 0.25,
-                       pinned_initial=u.values[0] + 0.25)
+    above = Trajectory(problem.grid, problem.T, u.values + 0.25)
     assert ordering_margin(u, above) == pytest.approx(0.25)
     assert ordering_margin(above, u) == pytest.approx(-0.25)
 

@@ -677,9 +677,7 @@ def test_wed_hessians_are_bitwise_the_sparse_chain(monkeypatch, grid, energy,
     with np.errstate(over="ignore", invalid="ignore") \
             if dissipation == "p4-rest" else contextlib.nullcontext():
         traj, report = minimize_wed(
-            problem, w, Trajectory(grid, problem.T, start,
-                                   pinned_initial=problem.initial,
-                                   ncomp=n_dof // n), max_iter=4)
+            problem, w, Trajectory(grid, problem.T, start), max_iter=4)
     assert seen
     # a stall goes to the extended-precision polish (table dissipation
     # included), which hands back float64 whatever it decides

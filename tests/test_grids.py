@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wedflow import (ConfigurationError, RMap, Trajectory, build_grid,
+from wedflow import (ConcaveSpec, ConfigurationError, DissipationSpec,
+                     EnergySpec, LagrangianProblem, ReactionSpec, RMap,
+                     Trajectory, WideWaveProblem, build_grid,
                      constant_trajectory, lattice_pair, rearrange,
                      rearrangement_order, reflection_permutation)
 from wedflow.grids import field_to_csv
@@ -68,23 +70,64 @@ def test_robin_needs_positive_coefficient():
                    robin_b=0.0)
 
 
-def test_trajectory_pin_is_bitwise():
-    g = line_grid(4)
-    vals = np.zeros((3, 4))
-    traj = Trajectory(g, 1.0, vals, pinned_initial=np.zeros(4))
-    assert traj.steps == 2 and traj.dt == 0.5
-    with pytest.raises(ConfigurationError):
-        Trajectory(g, 1.0, vals, pinned_initial=np.full(4, 1e-300))
-
-
 def test_constant_trajectory_two_components():
     g = line_grid(3)
     traj = constant_trajectory(g, np.arange(6.0), 1.0, 4)
-    assert traj.ncomp == 2 and traj.values.shape == (5, 6)
+    assert traj.values.shape == (5, 6)
+    assert traj.steps == 4 and traj.dt == 0.25
     # each knot stacks the components: the second one is nodes 3..5
     assert np.array_equal(traj.values[2, 3:], [3.0, 4.0, 5.0])
+    for size in (4, 0):  # not a positive multiple of 3 values
+        with pytest.raises(ConfigurationError):
+            constant_trajectory(g, np.arange(float(size)), 1.0, 4)
+
+
+def _wave(**bad):
+    return WideWaveProblem(**{**dict(
+        grid=line_grid(5), rho=1.0, nu=0.0, f_coeffs=(0.0,), lam=0.0,
+        p_growth=2.0, T=1.0, epsilon=0.1, initial=np.zeros(5),
+        velocity=np.zeros(5)), **bad})
+
+
+def _lagrangian(**bad):
+    return LagrangianProblem(**{**dict(
+        d=1, M=None, nu=0.0, u_kind="quadratic", T=1.0, epsilon=0.1,
+        initial=np.zeros(1), velocity=np.zeros(1)), **bad})
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_grid(dim=1, shape=(3,), spacing=(NAN,)),
+    lambda: build_grid(dim=1, shape=(3,), spacing=(np.inf,)),
+    lambda: build_grid(dim=1, shape=(3,), boundary="robin", robin_b=NAN),
+    lambda: build_grid(dim=1, shape=(3,), boundary="robin", robin_b=np.inf),
+    lambda: Trajectory(line_grid(3), NAN, np.zeros((2, 3))),
+    lambda: Trajectory(line_grid(3), np.inf, np.zeros((2, 3))),
+    lambda: DissipationSpec(p=NAN),
+    lambda: DissipationSpec(p=np.inf),
+    lambda: EnergySpec(kind="m_laplace", m=NAN),
+    lambda: EnergySpec(kind="m_laplace", m=np.inf),
+    lambda: ConcaveSpec(concave_q=NAN),
+    lambda: ConcaveSpec(concave_q=np.inf),
+    lambda: ReactionSpec(kind="lotka_volterra", A=NAN),
+    lambda: ReactionSpec(kind="lotka_volterra", K=np.inf),
+    lambda: ReactionSpec(kind="lotka_volterra", B=NAN),
+    lambda: ReactionSpec(kind="lotka_volterra", E=np.inf),
+    lambda: _wave(nu=NAN),
+    lambda: _wave(nu=np.inf),
+    lambda: _wave(rho=np.inf),
+    lambda: _lagrangian(nu=NAN),
+], ids=["spacing nan", "spacing inf", "robin_b nan", "robin_b inf", "T nan",
+        "T inf", "p nan", "p inf", "m nan", "m inf", "q nan", "q inf",
+        "A nan", "K inf", "B nan", "E inf", "wave nu nan", "wave nu inf",
+        "rho inf", "lagrangian nu nan"])
+def test_range_checks_reject_non_finite_numbers(make):
+    # each check used to read x <= bound, which NaN passes
+    _wave(), _lagrangian()  # the problems' other data are valid
     with pytest.raises(ConfigurationError):
-        constant_trajectory(g, np.arange(4.0), 1.0, 4)  # not 3k values
+        make()
 
 
 # ---------------------------------------------------------------------------

@@ -107,14 +107,29 @@ def test_pinned_solve_keeps_the_pins_and_solves_the_rest():
     rhs[:n_dof] += r[0] * pin[0]
     want = np.linalg.solve(_newton.time_band(r, m).toarray(), rhs)
     assert np.allclose(U[1:].ravel(), want, rtol=1e-12, atol=1e-12)
-    # a start array gives its rows after the pins; its pinned rows are unused
+    # a start array gives its rows after the pins, which it repeats
     start = np.full((N + 1, n_dof), 7.0)
+    start[0] = pin[0]
     _newton.pinned_solve(solver, pin, N, start, grad, hess,
                          np.arange(1.0, N + 1))
     assert np.array_equal(starts[1], np.full(N * n_dof, 7.0))
     with pytest.raises(ConfigurationError, match="wrong number of knots"):
         _newton.pinned_solve(solver, pin, N, start[1:], grad, hess,
                              np.arange(1.0, N + 1))
+
+
+def test_pinned_solve_pin_is_bitwise():
+    # the start must repeat every pinned row bit for bit (the last of k = 1
+    # and of k = 2 is off here); the check comes before any solve
+    def solver(*args, **options):
+        raise AssertionError("a mismatched start was solved")
+
+    for k in (1, 2):
+        start = np.zeros((6, 4))
+        start[k - 1, 0] = 1e-300
+        with pytest.raises(ConfigurationError, match="pinned rows"):
+            _newton.pinned_solve(solver, np.zeros((k, 4)), 5, start, None,
+                                 None, np.ones(6 - k))
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -531,8 +546,7 @@ def _first_newton_inputs(monkeypatch, problem: WedProblem, N: int,
     monkeypatch.setattr(wed, "newton_solve", capture)
     if assembled:
         monkeypatch.setattr(wed, "energy1_modes", lambda spec, grid: None)
-    minimize_wed(problem, w, Trajectory(problem.grid, problem.T, start,
-                                        pinned_initial=problem.initial))
+    minimize_wed(problem, w, Trajectory(problem.grid, problem.T, start))
     monkeypatch.undo()
     return seen[0]
 
@@ -778,8 +792,7 @@ def test_split_step_matches_the_whole_symmetric_lu_step(monkeypatch, mu):
         return x0, 0.0, 0, True
 
     monkeypatch.setattr(wed, "newton_solve", capture)
-    minimize_wed(problem, w, Trajectory(problem.grid, problem.T, start,
-                                        pinned_initial=problem.initial))
+    minimize_wed(problem, w, Trajectory(problem.grid, problem.T, start))
     H, g = seen[0]
     assert isinstance(H, _newton.SparseHessian) and H.symmetric
     calls = _record_sizes(monkeypatch)

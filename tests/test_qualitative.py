@@ -386,7 +386,7 @@ def _check_r2_loop(R, problem, samples=16, seed=0):
         else:
             src = u
         duals = dual_field(problem, constant_trajectory(
-            grid, src, problem.T, source_steps, pin=False))
+            grid, src, problem.T, source_steps))
         for w in duals:
             margin = hd * float(w @ ru - w @ u)
             _worsen(conds, "pairing_monotone",

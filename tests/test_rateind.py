@@ -106,7 +106,7 @@ def test_problem_rejects_non_finite_or_non_numeric_data(bad):
 def test_trajectory_container():
     g = point_grid()
     vals = np.array([[0.0], [0.4], [0.4], [1.0]])
-    traj = RITrajectory(g, 1.0, vals, pinned_initial=np.zeros(1))
+    traj = RITrajectory(g, 1.0, vals)
     jm = traj.jump_magnitudes()
     assert jm[0] == 0.0
     assert np.allclose(jm, [0.0, 0.4, 0.0, 0.6])
@@ -115,8 +115,6 @@ def test_trajectory_container():
     assert csv.splitlines()[0] == "t,node_index,value,jump_magnitude"
     assert len(csv.splitlines()) == 1 + 4
     assert isinstance(traj, Trajectory)
-    with pytest.raises(ConfigurationError):
-        RITrajectory(g, 1.0, vals, pinned_initial=np.full(1, 0.1))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -124,12 +122,6 @@ def test_trajectory_rejects_non_finite_values(bad):
     vals = np.array([[0.0], [0.4], [0.4], [1.0]])
     vals[2, 0] = bad
     with pytest.raises(ConfigurationError, match="finite"):
-        RITrajectory(point_grid(), 1.0, vals, pinned_initial=np.zeros(1))
-
-
-def test_trajectory_requires_a_pin():
-    vals = np.array([[0.0], [0.4]])
-    with pytest.raises(ConfigurationError, match="pinned"):
         RITrajectory(point_grid(), 1.0, vals)
 
 
@@ -166,8 +158,7 @@ def test_ri_value_matches_direct_sum():
     vals = np.cumsum(rng.standard_normal((problem.steps + 1, 3)) * 0.5,
                      axis=0)
     vals[0] = problem.initial
-    traj = RITrajectory(problem.grid, problem.T, vals,
-                        pinned_initial=problem.initial)
+    traj = RITrajectory(problem.grid, problem.T, vals)
     lib = wed_ri_value(problem, traj)
     ref = direct_ri_value(problem, traj)
     assert abs(lib - ref) <= 1e-12 * (1.0 + abs(ref))
@@ -179,8 +170,7 @@ def test_ri_value_uncoupled_case():
     vals = np.cumsum(rng.standard_normal((problem.steps + 1, 3)) * 0.5,
                      axis=0)
     vals[0] = problem.initial
-    traj = RITrajectory(problem.grid, problem.T, vals,
-                        pinned_initial=problem.initial)
+    traj = RITrajectory(problem.grid, problem.T, vals)
     assert abs(wed_ri_value(problem, traj) - direct_ri_value(problem, traj)) \
         <= 1e-12
 
@@ -190,8 +180,7 @@ def test_ri_value_checks_knot_count():
     problem = coupled_problem(steps=5)
     for knots in (4, 8):
         traj = RITrajectory(problem.grid, problem.T,
-                            np.tile(problem.initial, (knots, 1)),
-                            pinned_initial=problem.initial)
+                            np.tile(problem.initial, (knots, 1)))
         for check in (wed_ri_value, sign_condition,
                       lambda p, t: energetic_residuals(t, p)):
             with pytest.raises(ConfigurationError,
@@ -437,16 +426,22 @@ def test_energetic_suite_newton_work(monkeypatch):
 
 
 def test_minimize_wed_ri_rejects_init_with_wrong_knot_count():
-    init = RITrajectory(point_grid(), 1.0, np.zeros((7, 1)),
-                        pinned_initial=np.zeros(1))
+    init = RITrajectory(point_grid(), 1.0, np.zeros((7, 1)))
     with pytest.raises(ConfigurationError, match="wrong number of knots"):
         minimize_wed_ri(ramp_problem(8), init=init)
 
 
+def test_minimize_wed_ri_rejects_init_off_the_initial_state():
+    problem = ramp_problem(8)
+    init = RITrajectory(point_grid(), 1.0,
+                        np.tile(problem.initial + 0.1, (9, 1)))
+    with pytest.raises(ConfigurationError, match="pinned rows"):
+        minimize_wed_ri(problem, init=init)
+
+
 def test_minimize_wed_ri_rejects_init_with_wrong_node_count():
     # 9 knots of 3 nodes for a 1-node problem: the knot count fits
-    init = RITrajectory(line_grid(3), 1.0, np.zeros((9, 3)),
-                        pinned_initial=np.zeros(3))
+    init = RITrajectory(line_grid(3), 1.0, np.zeros((9, 3)))
     with pytest.raises(ConfigurationError, match=r"init has shape \(9, 3\)"):
         minimize_wed_ri(ramp_problem(8), init=init)
 
@@ -467,8 +462,7 @@ def test_sign_condition_flags_wrong_trajectory():
     # lagging the load by 1.4 instead of 1.0 breaks the certificate
     h = problem.forcing[:, 0]
     vals = np.maximum.accumulate(np.maximum(h - 1.4, 0.0))[:, None]
-    traj = RITrajectory(problem.grid, problem.T, vals,
-                        pinned_initial=np.zeros(1))
+    traj = RITrajectory(problem.grid, problem.T, vals)
     cert = sign_condition(problem, traj)
     assert cert["worst_violation"] > 1e-2
 
@@ -583,8 +577,7 @@ def test_certificates_match_their_knot_and_probe_loops(problem):
 @pytest.mark.parametrize("count", [0, -3])
 def test_energetic_residuals_need_a_probe(count):
     problem = ramp_problem(10)
-    traj = RITrajectory(problem.grid, problem.T, np.zeros((11, 1)),
-                        pinned_initial=np.zeros(1))
+    traj = RITrajectory(problem.grid, problem.T, np.zeros((11, 1)))
     with pytest.raises(ConfigurationError, match="probe_count"):
         energetic_residuals(traj, problem, probe_count=count)
 
@@ -642,20 +635,17 @@ def test_ordered_ri_minimizers_ramp():
         assert audit["join_excess"] <= 1e-9 * (1 + abs(audit["value_v"]))
     assert np.array_equal(pair.u.values[0], [0.0])
     assert np.array_equal(pair.v.values[0], [0.5])
-    for traj, pin in ((pair.u, [0.0]), (pair.v, [0.5])):
-        assert type(traj) is RITrajectory
-        assert np.array_equal(traj.pinned_initial, pin)
+    assert type(pair.u) is RITrajectory and type(pair.v) is RITrajectory
 
 
 def test_lattice_pair_of_ri_trajectories():
     g = point_grid()
-    u = RITrajectory(g, 1.0, [[0.0], [0.7], [0.2]], pinned_initial=[0.0])
-    v = RITrajectory(g, 1.0, [[0.5], [0.5], [0.5]], pinned_initial=[0.5])
+    u = RITrajectory(g, 1.0, [[0.0], [0.7], [0.2]])
+    v = RITrajectory(g, 1.0, [[0.5], [0.5], [0.5]])
     meet, join = lattice_pair(u, v)
     assert type(meet) is RITrajectory and type(join) is RITrajectory
-    assert np.array_equal(meet.pinned_initial, [0.0])
-    assert np.array_equal(join.pinned_initial, [0.5])
     assert np.array_equal(meet.values, [[0.0], [0.5], [0.2]])
+    assert np.array_equal(join.values[0], [0.5])
     assert np.sum(meet.jump_magnitudes()) == pytest.approx(0.8)
 
 

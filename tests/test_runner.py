@@ -183,8 +183,7 @@ def test_schedule_resolution():
 def test_trajectory_to_csv_layout():
     g = line_grid(3, spacing=1.0)
     traj = Trajectory(g, 1.0,
-                      np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]),
-                      pinned_initial=np.array([0.0, 1.0, 2.0]))
+                      np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]))
     lines = trajectory_to_csv(traj).splitlines()
     assert lines[0] == "t,node_index,value"
     assert lines[1] == "0.0,0,0.0"
@@ -917,8 +916,7 @@ def test_every_wed_spec_field_is_read(monkeypatch):
         problem = line_scenario(5, initial=0.5, **fields).problem
         vals = 0.5 + np.random.default_rng(5).random((5, problem.n_dof))
         vals[0] = problem.initial
-        traj = Trajectory(problem.grid, 1.0, vals, pinned_initial=vals[0],
-                          ncomp=problem.n_dof // 5)
+        traj = Trajectory(problem.grid, 1.0, vals)
         w = wedflow.dual_field(problem, traj)
         value, grad = wedflow.wed_value_grad(problem, w, traj)
         return (value, grad, w,

@@ -97,8 +97,7 @@ def test_wed_value_grad_fd():
     rng = np.random.default_rng(9)
     vals = np.cumsum(rng.normal(size=(N + 1, 5)) * 0.2, axis=0)
     vals[0] = problem.initial
-    traj = Trajectory(problem.grid, problem.T, vals,
-                      pinned_initial=problem.initial)
+    traj = Trajectory(problem.grid, problem.T, vals)
     w = rng.normal(size=5)
     val, grad = wed_value_grad(problem, w, traj)
     h = 1e-6
@@ -106,20 +105,22 @@ def test_wed_value_grad_fd():
         bump = vals.copy()
         bump[i, j] += h
         vp, _ = wed_value_grad(problem, w, Trajectory(
-            problem.grid, problem.T, bump, pinned_initial=problem.initial))
+            problem.grid, problem.T, bump))
         bump[i, j] -= 2 * h
         vm, _ = wed_value_grad(problem, w, Trajectory(
-            problem.grid, problem.T, bump, pinned_initial=problem.initial))
+            problem.grid, problem.T, bump))
         assert grad[i, j] == pytest.approx((vp - vm) / (2 * h), abs=1e-5)
     assert grad[0].max() == 0.0  # pinned slot carries no gradient
 
 
 def test_minimize_wed_requires_pinned_init():
     problem = heat_problem(n=5)
-    vals = np.zeros((4, 5))
-    traj = Trajectory(problem.grid, problem.T, vals,
-                      pinned_initial=np.zeros(5))
-    with pytest.raises(ConfigurationError):
+    vals = np.tile(problem.initial, (4, 1))
+    minimize_wed(problem, np.zeros(5), Trajectory(problem.grid, problem.T,
+                                                  vals))
+    vals[0, 2] += 1e-12
+    traj = Trajectory(problem.grid, problem.T, vals)
+    with pytest.raises(ConfigurationError, match="pinned rows"):
         minimize_wed(problem, np.zeros(5), traj)
 
 
@@ -311,8 +312,7 @@ def test_functional_value_is_the_running_sum_over_slices():
     N = 9
     vals = problem.initial + np.cumsum(
         np.vstack([np.zeros(7), 0.2 * rng.normal(size=(N, 7))]), axis=0)
-    traj = Trajectory(problem.grid, problem.T, vals,
-                      pinned_initial=problem.initial)
+    traj = Trajectory(problem.grid, problem.T, vals)
     w = rng.normal(size=(N + 1, 7))
     value, _ = wed_value_grad(problem, w, traj)
     a, b = _weights(problem.epsilon, problem.T, N)

@@ -107,7 +107,7 @@ def test_wide_trajectory_pins_two_rows():
     vals = np.tile(problem.initial, (N + 1, 1))
     vals[1] = problem.initial + dt * problem.velocity
     traj = wide_trajectory(problem, vals)
-    assert np.array_equal(traj.pinned_initial, problem.initial)
+    assert np.array_equal(traj.values, vals) and traj.steps == N
     bad = vals.copy()
     bad[1] = bad[1] + 1e-12
     with pytest.raises(ConfigurationError):
@@ -203,8 +203,7 @@ def test_wide_value_refuses_two_knots():
     problem = oscillator()
     vals = np.array([[1.0], [1.0]])
     with pytest.raises(ConfigurationError):
-        wide_value_grad(problem, Trajectory(point_grid(), 1.0, vals,
-                                            pinned_initial=vals[0]))
+        wide_value_grad(problem, Trajectory(point_grid(), 1.0, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +262,16 @@ def test_minimize_wide_rejects_bad_init_and_steps():
     # the knot count fits, but the trajectory is of a d = 1 problem
     with pytest.raises(ConfigurationError, match=r"init has shape \(13, 1\)"):
         minimize_wide(planar(), steps=12, init=other)
+
+
+def test_minimize_wide_rejects_init_off_the_pinned_rows():
+    problem = oscillator()
+    good, _ = minimize_wide(problem, steps=12)
+    vals = good.values.copy()
+    vals[1] += 1e-12  # the velocity row
+    init = Trajectory(point_grid(), problem.T, vals)
+    with pytest.raises(ConfigurationError, match="pinned rows"):
+        minimize_wide(problem, steps=12, init=init)
 
 
 def test_minimize_wide_builds_its_parts_once_per_solve(monkeypatch):
@@ -355,7 +364,7 @@ def test_hamiltonian_of_exact_cosine():
     N = 200
     t = np.linspace(0.0, 1.0, N + 1)
     vals = np.cos(t)[:, None]
-    traj = Trajectory(point_grid(), 1.0, vals, pinned_initial=vals[0])
+    traj = Trajectory(point_grid(), 1.0, vals)
     H = hamiltonian(problem, traj)
     assert H.shape == (N - 1,)
     assert np.max(np.abs(H - 0.5)) <= 5e-3
@@ -365,7 +374,7 @@ def test_hamiltonian_of_exact_cosine():
 def test_hamiltonian_drift_zero_base():
     problem = oscillator()
     vals = np.zeros((9, 1))
-    traj = Trajectory(point_grid(), 1.0, vals, pinned_initial=vals[0])
+    traj = Trajectory(point_grid(), 1.0, vals)
     assert hamiltonian_drift(problem, traj) == 0.0
 
 
@@ -395,7 +404,7 @@ def test_hamiltonian_reproduces_the_knot_loop_bit_for_bit(make):
         pot = 0.5 * float(vals[n] @ (parts.S @ vals[n])) \
             + parts.g_val(vals[n])
         ref[n - 1] = 0.5 * float(v @ (parts.M @ v)) + pot
-    traj = Trajectory(parts.grid, problem.T, vals, ncomp=parts.ncomp)
+    traj = Trajectory(parts.grid, problem.T, vals)
     assert np.array_equal(hamiltonian(problem, traj), ref)
 
 
