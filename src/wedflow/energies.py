@@ -303,7 +303,8 @@ def _sequential_sum(first, terms: np.ndarray):
 
 def _require_nonnegative(spec, names) -> None:
     """ConfigurationError naming the first of the coefficients names of
-    spec that is not numeric or not nonnegative everywhere."""
+    spec that is not numeric, or not finite and nonnegative everywhere
+    (values >= 0 alone lets inf through)."""
     for name in names:
         c = getattr(spec, name)
         try:
@@ -311,9 +312,9 @@ def _require_nonnegative(spec, names) -> None:
         except (TypeError, ValueError):
             raise ConfigurationError(
                 f"coefficient {name} must be numeric") from None
-        if not np.all(values >= 0.0):
+        if not np.all(np.isfinite(values) & (values >= 0.0)):
             raise ConfigurationError(
-                f"coefficient {name} must be nonnegative")
+                f"coefficient {name} must be finite and nonnegative")
 
 
 @dataclass(frozen=True, eq=False)

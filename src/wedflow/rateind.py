@@ -168,17 +168,11 @@ def ri_energy_grad(problem: RIProblem, u: np.ndarray,
                    n_slice: int) -> np.ndarray:
     """The gradient of ri_energy in u (a state or a stack of states, with
     any leading axes); row for row the bits of the single-state call."""
-    return _energy_grad(problem, u,
-                        problem.grid.cell_measure * problem.forcing[n_slice])
-
-
-def _energy_grad(problem: RIProblem, u: np.ndarray,
-                 work: np.ndarray) -> np.ndarray:
-    """ri_energy_grad with the forcing term h^d h_n given as work."""
-    g = problem.phi_tilde_d1(u) * problem.grid.cell_measure
+    hd = problem.grid.cell_measure
+    g = problem.phi_tilde_d1(u) * hd
     if problem._lap is not None:
         g = g + _rowmul(problem._lap, u)
-    return g - work
+    return g - hd * problem.forcing[n_slice]
 
 
 def _ri_weights(eps: float, T: float, N: int):
@@ -214,11 +208,21 @@ def wed_ri_value(problem: RIProblem, traj: RITrajectory) -> float:
 # ---------------------------------------------------------------------------
 
 def _sigma(v: np.ndarray, delta: float) -> np.ndarray:
-    return v / np.sqrt(v * v + delta * delta)
+    """v / sqrt(v^2 + delta^2), the smoothed |v|'s derivative, computed in
+    place on the one fresh array v * v."""
+    q = v * v
+    q += delta * delta
+    np.sqrt(q, out=q)
+    return np.divide(v, q, out=q)
 
 
 def _rho(v: np.ndarray, delta: float) -> np.ndarray:
-    return delta * delta / (v * v + delta * delta) ** 1.5
+    """delta^2 / (v^2 + delta^2)^1.5, the smoothed |v|'s curvature,
+    computed in place on the one fresh array v * v."""
+    q = v * v
+    q += delta * delta
+    q **= 1.5
+    return np.divide(delta * delta, q, out=q)
 
 
 def minimize_wed_ri(problem: RIProblem,
@@ -233,7 +237,13 @@ def minimize_wed_ri(problem: RIProblem,
     (a = 0 or a point grid) every node is its own chain in time and each
     Newton step is one LAPACK tridiagonal solve (_newton.KnotTridiagonal);
     with a > 0 the Hessian is block tridiagonal and is factored by splu
-    (_newton.SparseHessian)."""
+    (_newton.SparseHessian).
+
+    The Newton callbacks compute the jumps once per call into one fresh
+    array, and build the potential term, the flux sigma jw h^d and the
+    curvature rho jw h^d in place, each on one array, with the operations
+    of the whole-trajectory formula in its order; so they have its bits,
+    on float64 stacks and on the np.longdouble stacks of the polish."""
     deltas = _check_deltas(deltas)
     N = problem.steps
     hd = problem.grid.cell_measure
@@ -250,21 +260,36 @@ def minimize_wed_ri(problem: RIProblem,
 
     # The callbacks see the unknown knots V (knots 1..N; a trajectory's,
     # or a stack of them, each acting on its own) and return their rows.
+    # x *= c has the bits of c * x: IEEE multiplication and addition
+    # commute.
     def jumps(V: np.ndarray) -> np.ndarray:
         # u_n - u_{n-1}, u_0 the pinned row: np.diff of the trajectory
-        before = np.empty_like(V)
-        before[..., 0, :] = u0
-        before[..., 1:, :] = V[..., :-1, :]
-        return V - before
+        J = np.empty_like(V)
+        np.subtract(V[..., 1:, :], V[..., :-1, :], out=J[..., 1:, :])
+        np.subtract(V[..., 0, :], u0, out=J[..., 0, :])
+        return J
 
     def grad(V: np.ndarray, delta: float) -> np.ndarray:
-        g = pwt_col * _energy_grad(problem, V, work)
-        time_divergence(g, jw_col * _sigma(jumps(V), delta) * hd)
+        # pwt (phi~'(V) h^d + L V - h^d h_n), the ri_energy_grad terms
+        g = problem.phi_tilde_d1(V)
+        g *= hd
+        if problem._lap is not None:
+            g += _rowmul(problem._lap, V)
+        g -= work
+        g *= pwt_col
+        flux = _sigma(jumps(V), delta)
+        flux *= jw_col
+        flux *= hd
+        time_divergence(g, flux)
         return g
 
     def hess(V: np.ndarray, delta: float) -> KnotTridiagonal | SparseHessian:
-        r = jw_col * _rho(jumps(V), delta) * hd
-        main = pwt_col * problem._phi_d2(V) * hd
+        r = _rho(jumps(V), delta)
+        r *= jw_col
+        r *= hd
+        main = problem._phi_d2(V)
+        main *= pwt_col
+        main *= hd
         if lap is None:
             return KnotTridiagonal(*band_diagonals(r, main))
         return SparseHessian((time_band(r, main) + lap).tocsc())

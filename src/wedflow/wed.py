@@ -80,6 +80,8 @@ class WedProblem:
     def __post_init__(self):
         if not 0.0 < self.epsilon < self.T:
             raise ConfigurationError("need 0 < epsilon < T", "epsilon")
+        if not np.isfinite(self.T):
+            raise ConfigurationError("horizon T must be finite", "T")
         init = _float_array(self.initial, "initial").ravel()
         if not np.all(np.isfinite(init)):
             raise ConfigurationError("initial state must be finite", "initial")

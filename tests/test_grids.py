@@ -22,7 +22,7 @@ from wedflow import (ConcaveSpec, ConfigurationError, DissipationSpec,
                      rearrangement_order, reflection_permutation)
 from wedflow.grids import field_to_csv
 
-from conftest import line_grid, point_grid
+from conftest import heat_problem, line_grid, point_grid
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +119,19 @@ NAN = float("nan")
     lambda: _wave(nu=np.inf),
     lambda: _wave(rho=np.inf),
     lambda: _lagrangian(nu=NAN),
+    lambda: EnergySpec(gamma=np.inf),
+    lambda: EnergySpec(kind="m_laplace", B=np.inf),
+    lambda: ConcaveSpec(concave_q=3.0, concave_D=np.inf),
+    lambda: heat_problem(T=np.inf),
 ], ids=["spacing nan", "spacing inf", "robin_b nan", "robin_b inf", "T nan",
         "T inf", "p nan", "p inf", "m nan", "m inf", "q nan", "q inf",
         "A nan", "K inf", "B nan", "E inf", "wave nu nan", "wave nu inf",
-        "rho inf", "lagrangian nu nan"])
+        "rho inf", "lagrangian nu nan", "gamma inf", "energy B inf",
+        "concave_D inf", "wed T inf"])
 def test_range_checks_reject_non_finite_numbers(make):
-    # each check used to read x <= bound, which NaN passes
-    _wave(), _lagrangian()  # the problems' other data are valid
+    # each check used to read x <= bound, which NaN passes, or x >= 0 or
+    # eps < T, which inf passes
+    _wave(), _lagrangian(), heat_problem()  # the other data are valid
     with pytest.raises(ConfigurationError):
         make()
 

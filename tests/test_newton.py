@@ -1490,6 +1490,59 @@ def test_stacked_sweep_is_bitwise_the_sequential_sweep(monkeypatch, case):
         assert res == rres and iters == riters and conv == rconv
 
 
+def test_sweep_after_a_damped_step_starts_with_a_stack(monkeypatch):
+    # a sweep's first call is the full step alone after an accepted full
+    # step (or at the first iteration), and a whole stack of trials after
+    # a damped one; the solve stays bitwise the sequential sweep's
+    problem = Scenario.from_text(bundled_scenarios()["ri_ramp"]).problem
+    events, results = [], []
+    real_backtrack = _newton._backtrack
+    real = rateind.newton_solve
+
+    def backtrack(*args):
+        out = real_backtrack(*args)
+        events.append(("a", out[0]))
+        return out
+
+    def watched(x0, grad_fn, hess_fn, scale, **options):
+        def grad(X):
+            events.append(("rows", X.shape[0]))
+            return grad_fn(X)
+
+        def hess(x):
+            events.append(("hess", None))
+            return hess_fn(x)
+
+        events.append(("solve", x0.size))
+        got = real(x0, grad, hess, scale, **options)
+        results.append((got, _sequential_newton(x0, grad_fn, hess_fn, scale,
+                                                **options)))
+        return got
+
+    monkeypatch.setattr(_newton, "_backtrack", backtrack)
+    monkeypatch.setattr(rateind, "newton_solve", watched)
+    minimize_wed_ri(problem, deltas=(1e-2, 1e-3, 1e-4))
+    monkeypatch.undo()
+    firsts = {1.0: [], "damped": []}
+    batch = last = None
+    for i, (kind, value) in enumerate(events):
+        if kind == "solve":
+            batch, last = max(1, _newton._SWEEP_ELEMENTS // value), 1.0
+        elif kind == "a":
+            # a rejected sweep ends in the _MIN_STEP step
+            last = 1.0 if value == 1.0 else "damped"
+        elif kind == "hess":
+            # the first gradient call of this iteration's sweep
+            rows = next(v for k, v in events[i:] if k == "rows")
+            firsts[last].append(rows)
+    assert batch == 10
+    assert firsts[1.0] and set(firsts[1.0]) == {1}
+    assert firsts["damped"] and set(firsts["damped"]) == {batch}
+    for (x, res, iters, conv), (rx, rres, riters, rconv) in results:
+        assert np.array_equal(x, rx)
+        assert res == rres and iters == riters and conv == rconv
+
+
 def test_1d_ladder_heat_evaluates_one_row_per_gradient_call(monkeypatch):
     # the benchmark ladder's 1D n = 512, N = 64 problem: 32,768 unknowns,
     # past the sweep's element budget, so every call is a single row

@@ -14,7 +14,7 @@ from wedflow import (ConfigurationError, RIProblem, RITrajectory, Scenario,
                      ordered_ri_minimizers, rateind, ri_continuation, run,
                      sign_condition, verify, wed_ri_value)
 from wedflow.cli import bundled_scenarios
-from wedflow.energies import graph_laplacian
+from wedflow.energies import _rowmul, graph_laplacian
 from wedflow.rateind import (_rho, _ri_weights, _sigma, ri_energy,
                              ri_energy_grad)
 
@@ -383,6 +383,102 @@ def test_lane_kernels_are_the_whole_trajectory_formula_bit_for_bit(
             assert np.array_equal(H.matrix.toarray(), ref.toarray())
 
 
+def _out_of_place_callbacks(problem, delta) -> tuple:
+    """The lane's (grad, hess) for the smoothing stage delta as written
+    with one fresh array per operation, kept as the reference for the
+    in-place kernels of minimize_wed_ri."""
+    N, hd = problem.steps, problem.grid.cell_measure
+    jw, pw, tw = _ri_weights(problem.epsilon, problem.T, N)
+    pwt = pw.copy()
+    pwt[-1] += tw
+    lap = None if problem._lap is None \
+        else sp.kron(sp.diags(pwt), problem._lap, format="csc")
+    pwt_col, jw_col = pwt[:, None], jw[:, None]
+    work = hd * problem.forcing[1:]
+    u0 = problem.initial
+
+    def sigma(v):
+        return v / np.sqrt(v * v + delta * delta)
+
+    def rho(v):
+        return delta * delta / (v * v + delta * delta) ** 1.5
+
+    def jumps(V):
+        before = np.empty_like(V)
+        before[..., 0, :] = u0
+        before[..., 1:, :] = V[..., :-1, :]
+        return V - before
+
+    def energy_grad(u):
+        g = problem.phi_tilde_d1(u) * hd
+        if problem._lap is not None:
+            g = g + _rowmul(problem._lap, u)
+        return g - work
+
+    def grad(V):
+        g = pwt_col * energy_grad(V)
+        _newton.time_divergence(g, jw_col * sigma(jumps(V)) * hd)
+        return g
+
+    def hess(V):
+        r = jw_col * rho(jumps(V)) * hd
+        main = pwt_col * problem._phi_d2(V) * hd
+        if lap is None:
+            return _newton.KnotTridiagonal(*_newton.band_diagonals(r, main))
+        return _newton.SparseHessian((_newton.time_band(r, main)
+                                      + lap).tocsc())
+
+    return grad, hess
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("delta", [1e-2, 1e-6])
+@pytest.mark.parametrize("rows", [1, 10])
+@pytest.mark.parametrize("n, a", [(1, 0.0), (3, 0.0), (3, 0.5)],
+                         ids=["point", "line-a0", "line-a>0"])
+def test_in_place_kernels_are_the_out_of_place_ones_bit_for_bit(
+        monkeypatch, n, a, rows, delta, dtype):
+    # the callbacks minimize_wed_ri hands to pinned_solve against the same
+    # formulas with a fresh array per operation: the gradient of every
+    # stack, in float64 and in the polish's np.longdouble, and the
+    # Hessian of every row; h^d = 0.3 on the line, so that a regrouped
+    # product would show
+    rng = np.random.default_rng(13)
+    problem = RIProblem(grid=line_grid(n, spacing=0.3) if n > 1
+                        else point_grid(),
+                        phi_coeffs=(0.0, 0.1, 0.5, 0.0, 0.25), a=a,
+                        forcing=rng.standard_normal((9, n)), T=1.0,
+                        epsilon=0.3, initial=rng.standard_normal(n))
+    grad, hess = _lane_callbacks(monkeypatch, problem, delta)
+    ref_grad, ref_hess = _out_of_place_callbacks(problem, delta)
+    # jumps of the size of delta and far past it, zero jumps and signed
+    # zeros included
+    V = problem.initial + np.cumsum(
+        rng.choice([0.0, 1.0], (rows, problem.steps, n))
+        * rng.standard_normal((rows, problem.steps, n)) * 10.0
+        ** rng.integers(-7, 1, (rows, problem.steps, n)), axis=1)
+    V[..., -1, 0] = -0.0
+    V = V.astype(dtype)
+    G = grad(V)
+    assert G.dtype == dtype and G.shape == V.shape
+    want = ref_grad(V)
+    assert np.array_equal(G, want)
+    assert np.array_equal(np.signbit(G), np.signbit(want))
+    if dtype is np.longdouble:
+        return
+    for row in V:
+        H, ref = hess(row), ref_hess(row)
+        assert type(H) is type(ref)
+        if isinstance(H, _newton.KnotTridiagonal):
+            assert H.diag.tobytes() == ref.diag.tobytes()
+            assert H.off.tobytes() == ref.off.tobytes()
+        else:
+            assert not H.symmetric
+            for part in ("data", "indices", "indptr"):
+                assert getattr(H.matrix, part).tobytes() \
+                    == getattr(ref.matrix, part).tobytes()
+
+
 @pytest.mark.parametrize("deltas", [(), [], (0.0,), (float("nan"),),
                                     (float("inf"),), (1e-2, -1e-3),
                                     (1e-2, 0.0), ("tiny",), None])
@@ -407,22 +503,23 @@ def test_ramp_scenario_newton_work_is_unchanged(tmp_path, monkeypatch):
     # run ri_ramp`: 30 Newton solves for the main continuation and 30 for
     # the pair's v member; the pair's u member reuses the main
     # continuation. A backtracking sweep evaluates its trial steps ten rows
-    # to a call: 1,857 calls evaluate the 5,026 rows that one row per call
-    # would, and 3,581 trial rows past the accepted ones
+    # to a call, and after a damped step its full step too: 1,264 calls
+    # evaluate the 5,026 rows that one row per call would, and 4,275 trial
+    # rows past the accepted ones
     counts = count_newton(monkeypatch, rateind)
     raw = json.loads(bundled_scenarios()["ri_ramp"])
     raw["output_dir"] = str(tmp_path / "out")
     assert run(Scenario.from_dict(raw)) == 0
-    assert counts == dict(solves=60, iterations=1047, grads=1857,
-                          rows=8607, repeats=0)
+    assert counts == dict(solves=60, iterations=1047, grads=1264,
+                          rows=9301, repeats=0)
 
 
 def test_energetic_suite_newton_work(monkeypatch):
     # `wedflow verify energetic` solves the same ramp as ri_ramp
     counts = count_newton(monkeypatch, rateind)
     assert verify("energetic")["passed"]
-    assert counts == dict(solves=60, iterations=1047, grads=1857,
-                          rows=8607, repeats=0)
+    assert counts == dict(solves=60, iterations=1047, grads=1264,
+                          rows=9301, repeats=0)
 
 
 def test_minimize_wed_ri_rejects_init_with_wrong_knot_count():
