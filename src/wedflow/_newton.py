@@ -29,6 +29,12 @@ uncoupled rate-independent lane). `FastDiagonalization` is the time
 coupling plus a constant Kronecker-sum energy Hessian on a 1D or 2D grid,
 whose per-mode tridiagonals are one `KnotTridiagonal`.
 
+Pattern plans. What a sparse Newton step computes from its sparsity
+pattern alone, energies.energy1_hessian's tiled indices and _factor's
+block split, is planned once per pattern and solve (pattern_plan) and
+reused while the pattern repeats exactly. A plan holds index arrays only,
+so every value, LU and step is bitwise that of an unplanned call.
+
 Front end. Every lane minimizes over whole trajectories U ((N+1, n_dof))
 whose first k rows are pinned by the problem (k = 2 in the inertial lane,
 else 1). `pinned_solve` holds the shared plumbing (unknown knots, start,
@@ -48,6 +54,9 @@ converges in float64 never enters it.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -305,13 +314,54 @@ def _factor(H, mu: float, symmetric: bool):
     Hessians would break into many tiny pieces, and their outputs sit at
     the round-off floor (see SparseHessian). Each block's piece of the
     right-hand side gets its own one-column solve; a stacked multi-column
-    solve could round differently."""
+    solve could round differently.
+
+    The split depends on the pattern of H + mu I alone, so _block_plan
+    makes it once per pattern and solve (see pattern_plan), and a call
+    gathers the values into block order, keys and factors the blocks. The
+    default path takes the same plan: one block, in the identity order."""
     options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options=dict(SymmetricMode=True)) if symmetric else {}
     A = H if mu == 0.0 else H + mu * sp.identity(H.shape[0], format="csr")
     A = A.tocsc()
+    order, perm, blocks = pattern_plan(
+        "factor", (A.shape, A.indptr, A.indices, symmetric),
+        lambda: _block_plan(A, symmetric))
+    data = A.data if perm is None else A.data.take(perm)
+    lus, solves = {}, []
+    for lo, hi, start, end, pattern, local, ptr in blocks:
+        values = data[start:end]
+        key = (pattern, values.tobytes())
+        if key not in lus:
+            lus[key] = splu(sp.csc_matrix((values, local, ptr),
+                                          shape=(hi - lo, hi - lo)),
+                            **options)
+        solves.append((lo, hi, lus[key]))
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        y = rhs[order]
+        for lo, hi, lu in solves:
+            y[lo:hi] = lu.solve(y[lo:hi])
+        x = np.empty_like(y)
+        x[order] = y
+        return x
+    return solve
+
+
+def _block_plan(A, symmetric: bool) -> tuple:
+    """Where _factor's blocks of the CSC matrix A are, from its pattern
+    alone: (order, perm, blocks). order is the unknowns in block order;
+    A.data[perm] (A.data itself where perm is None) are the values of
+    A[:, order], column by column; blocks holds each block's (lo, hi,
+    start, end, pattern, row indices, column pointers): unknowns lo..hi
+    and values start..end of that order. pattern numbers the distinct
+    (row indices, column pointers), whose arrays blocks of the same
+    pattern share. Every array is that of the split without a plan, in
+    the same dtype."""
     n = A.shape[0]
-    order, rows, bounds = np.arange(n), A.indices, [0, n]
+    itype = A.indices.dtype
+    order, perm, bounds = np.arange(n, dtype=itype), None, [0, n]
+    indptr, rows = A.indptr, A.indices
     if symmetric:
         # imported here, so that importing the package does not load it
         from scipy.sparse.csgraph import connected_components
@@ -323,32 +373,67 @@ def _factor(H, mu: float, symmetric: bool):
             # contiguous range, keeping the original order inside it; the
             # matrix is then block diagonal, and each block is a slice of
             # its columns
-            order = np.argsort(labels, kind="stable")
-            new = np.empty(n, A.indices.dtype)
-            new[order] = np.arange(n)
-            A = A[:, order]
-            rows = new[A.indices]
+            order = np.argsort(labels, kind="stable").astype(itype)
+            new = np.empty(n, itype)
+            new[order] = np.arange(n, dtype=itype)
+            # the columns of A[:, order], whose entries are A.data[perm]
+            # (scipy gives its pointers the dtype of A's)
+            lengths = np.diff(A.indptr)[order]
+            indptr = np.zeros(n + 1, A.indptr.dtype)
+            np.cumsum(lengths, out=indptr[1:])
+            perm = np.repeat(A.indptr[:-1][order] - indptr[:-1], lengths)
+            perm += np.arange(A.nnz, dtype=perm.dtype)
+            rows = new[A.indices[perm]]
             bounds = [0] + np.cumsum(np.bincount(labels)).tolist()
-    lus, blocks = {}, []
+    patterns, blocks = {}, []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        start, end = A.indptr[lo], A.indptr[hi]
-        ptr, local = A.indptr[lo:hi + 1] - start, rows[start:end] - lo
-        data = A.data[start:end]
-        key = (ptr.tobytes(), local.tobytes(), data.tobytes())
-        if key not in lus:
-            lus[key] = splu(sp.csc_matrix((data, local, ptr),
-                                          shape=(hi - lo, hi - lo)),
-                            **options)
-        blocks.append((lo, hi, lus[key]))
+        start, end = indptr[lo], indptr[hi]
+        ptr, local = indptr[lo:hi + 1] - start, rows[start:end] - lo
+        pattern, local, ptr = patterns.setdefault(
+            (ptr.tobytes(), local.tobytes()), (len(patterns), local, ptr))
+        blocks.append((lo, hi, start, end, pattern, local, ptr))
+    return order, perm, blocks
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        y = rhs[order]
-        for lo, hi, lu in blocks:
-            y[lo:hi] = lu.solve(y[lo:hi])
-        x = np.empty_like(y)
-        x[order] = y
-        return x
-    return solve
+
+def pattern_plan(kind: str, pattern: tuple, build):
+    """The plan build() makes for the sparsity pattern `pattern`, reused
+    within a plan_scope while the pattern repeats exactly: pattern is a
+    tuple, of a fixed layout per kind, of arrays (equal in dtype, shape
+    and every entry) and other fields (equal by ==). kind names the plan,
+    _factor's "factor" or energies.energy1_hessian's "hessian"; a scope
+    holds the last plan of each kind, and drops it before it makes a new
+    one. A plan holds index arrays only, never a value or an LU. Outside
+    a scope every call makes its plan."""
+    plans = _PLANS.get()
+    held = None if plans is None else plans.pop(kind, None)
+    if held is not None and all(
+            x is y or x.dtype == y.dtype and x.shape == y.shape
+            and np.array_equal(x, y) if isinstance(x, np.ndarray)
+            else x == y for x, y in zip(held[0], pattern)):
+        plan = held[1]
+    else:
+        held = None  # the old plan goes before the new one is made
+        plan = build()
+    if plans is not None:
+        plans[kind] = (pattern, plan)
+    return plan
+
+
+@contextmanager
+def plan_scope():
+    """The lifetime of pattern plans: pattern_plan keeps its plans in the
+    innermost open scope, and they go when it ends. pinned_solve runs
+    each solve in one."""
+    token = _PLANS.set({})
+    try:
+        yield
+    finally:
+        _PLANS.reset(token)
+
+
+# The plans of the innermost open plan_scope, by kind; None outside every
+# scope. A context variable, so that each thread has its own.
+_PLANS: ContextVar = ContextVar("wedflow_pattern_plans", default=None)
 
 
 class SparseHessian:
@@ -392,7 +477,8 @@ class SparseHessian:
     `reports.json` leaf `euler_lagrange/interior_max` by 3.5e-12, over the
     1e-12 oracle. That leaf is the O(1) residual evaluated at the first
     weight level rather than the solved one, so it amplifies the round-off
-    of the solve."""
+    of the solve. The block split of a factorization is planned once per
+    pattern and solve, not held here (see _factor)."""
 
     def __init__(self, matrix, symmetric: bool = False):
         self.matrix = matrix
@@ -521,8 +607,9 @@ def pinned_solve(solver, pinned: np.ndarray, N: int, start, grad, hess,
     stack V ((rows, N+1-k, n_dof)), as such a stack, and hess(V) the
     Hessian over them of the one trajectory whose unknown knots are V
     ((N+1-k, n_dof)). V is a view of the solver's iterate or trial stack;
-    a callback reads it and never writes it. Returns (U, scaled_residual,
-    iterations, converged)."""
+    a callback reads it and never writes it. The solve runs in a
+    plan_scope, so its pattern plans go when it returns. Returns (U,
+    scaled_residual, iterations, converged)."""
     k, n_dof = pinned.shape
     knots = (N + 1 - k, n_dof)
     if start is None:
@@ -545,8 +632,9 @@ def pinned_solve(solver, pinned: np.ndarray, N: int, start, grad, hess,
     def knot_hess(x: np.ndarray):
         return hess(x.reshape(knots))
 
-    x, res, iters, conv = solver(x0, flat_grad, knot_hess,
-                                 np.repeat(knot_scale, n_dof), **options)
+    with plan_scope():
+        x, res, iters, conv = solver(x0, flat_grad, knot_hess,
+                                     np.repeat(knot_scale, n_dof), **options)
     return with_pins(pinned, x.reshape(knots)), res, iters, conv
 
 

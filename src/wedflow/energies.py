@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ._newton import band_diagonals
+from ._newton import band_diagonals, pattern_plan
 from .grids import ConfigurationError, Grid
 
 
@@ -96,8 +96,11 @@ def alpha_prime(spec: DissipationSpec, v: np.ndarray) -> np.ndarray:
     if spec.alpha_kind == "power":
         if spec.p == 2.0:
             return np.ones_like(v)
-        out = np.abs(v) ** (spec.p - 2.0)
-        # p < 2 has unbounded slope at 0; cap it so Newton diagonals stay finite
+        # p < 2 has unbounded slope at 0, where the power is 1 / 0 = inf
+        # (expected, so not warned of); cap it so Newton diagonals stay
+        # finite
+        with np.errstate(divide="ignore"):
+            out = np.abs(v) ** (spec.p - 2.0)
         return (spec.p - 1.0) * np.where(np.isfinite(out), out, 1e12)
     s, a = spec.table_s, spec.table_alpha
     slopes = np.diff(a) / np.diff(s)
@@ -530,7 +533,7 @@ def energy1_value_grad(spec: EnergySpec, grid: Grid, x: np.ndarray,
 @_per_grid
 def _block_template(grid: Grid, coupling: str) -> tuple:
     """The CSC pattern of one state's block of a phi1 Hessian over time
-    knots, and how its values add up from a row of terms.
+    knots, and how its values add up from a column of terms.
 
     Each column j holds, by ascending row, the coupling to dof j of the
     previous knot, the block's own rows (always its diagonal) and the
@@ -543,11 +546,14 @@ def _block_template(grid: Grid, coupling: str) -> tuple:
     a dense matrix, whose terms are its entries in column-major order;
     "diagonal", the diagonal alone, with no terms.
 
-    Returns (indptr, rows, shift, diag, gather): rows is each slot's node
+    Returns (indptr, rows, shift, diag, summing): rows is each slot's node
     and shift its knot offset (-1, 0 or +1); diag is the slot of each
-    node's diagonal; gather ((rounds, slots)) is the term each slot adds
-    in each round, the index just past the terms (a trailing zero term)
-    once it has none left. Everything has the size of one state."""
+    node's diagonal; summing is the CSR matrix (slots x terms) that adds
+    up each slot: row s holds a 1.0 for every term slot s adds, in the
+    order it adds them. scipy's product summing @ X starts each entry at
+    0.0 and adds 1.0 x, in that order, so each column of terms X gives
+    the slots the sums that the sparse chain gives them. Everything has
+    the size of one state."""
     n = grid.n_nodes
     node = np.arange(n)
     if coupling == "edges":
@@ -581,13 +587,13 @@ def _block_template(grid: Grid, coupling: str) -> tuple:
     slot_rows[shift == 0] = keys % n
     diag = np.searchsorted(keys, node * (n + 1)) + 2 * node + 1
     slot = np.searchsorted(keys, cols * n + rows) + 2 * cols + 1
-    # the terms of each slot in ascending edge order, one per round
+    # the terms of each slot in ascending edge order
     order = np.lexsort((edge, slot))
-    slot = slot[order]
-    rank = np.arange(slot.size) - np.searchsorted(slot, slot)
-    gather = np.full((rank.max(initial=-1) + 1, size), n_terms)
-    gather[rank, slot] = terms[order]
-    return indptr, slot_rows, shift, diag, gather
+    summing = sp.csr_matrix(
+        (np.ones(order.size), terms[order],
+         np.append(0, np.cumsum(np.bincount(slot, minlength=size)))),
+        shape=(size, n_terms))
+    return indptr, slot_rows, shift, diag, summing
 
 
 def energy1_hessian(spec: EnergySpec, grid: Grid, x: np.ndarray,
@@ -602,14 +608,22 @@ def energy1_hessian(spec: EnergySpec, grid: Grid, x: np.ndarray,
 
     It is filled straight into CSC arrays from the grid's _block_template
     (one state's pattern), tiled over the K knots by index arithmetic: a
-    call computes the edge curvatures and one data array. Each value comes
-    from the floating-point operations, in their order, of the sparse
-    chain b (kron(I, D)^T diag(w) kron(I, D) + diag(d)) + T: a diagonal
-    edge sum starts at 0.0 and adds its terms in ascending edge order, the
-    nodal diagonal d is added to it, the sum is scaled by b_k and the time
-    band T added last, ((E + d) b) + T, and entries that come out exactly
-    0 are dropped, as the sparse products and sums drop them. So the
-    matrix is bitwise the one that chain assembles, and so is its LU."""
+    call computes the edge curvatures, sums them into one data array with
+    the template's summing matrix, and keeps its nonzero entries. Each
+    value comes from the floating-point operations, in their order, of
+    the sparse chain b (kron(I, D)^T diag(w) kron(I, D) + diag(d)) + T: a
+    diagonal edge sum starts at 0.0 and adds its terms in ascending edge
+    order, the nodal diagonal d is added to it, the sum is scaled by b_k
+    and the time band T added last, ((E + d) b) + T, and entries that
+    come out exactly 0 are dropped, as the sparse products and sums drop
+    them. So the matrix is bitwise the one that chain assembles, and so
+    is its LU.
+
+    The values decide the pattern only through which entries are dropped,
+    so within one solve the fills with the same template, n_dof and
+    exact-zero mask share one plan of row indices and column pointers
+    (_tiled_pattern, through _newton.pattern_plan), read-only; a fill
+    with another mask gets a plan of its own."""
     X = np.atleast_2d(x)
     K, n_dof = X.shape
     n = grid.n_nodes
@@ -617,13 +631,12 @@ def energy1_hessian(spec: EnergySpec, grid: Grid, x: np.ndarray,
     diagonal = None
     if spec.kind == "quadratic":
         template = _block_template(grid, "diagonal")
-        terms = None  # the template adds no terms
+        terms = np.empty((0, 1))  # the template adds no terms
         diagonal = spec.gamma * hd
     elif spec.kind == "fractional":
         template = _block_template(grid, "dense")
         Q = _fractional_matrix(grid, spec.s, spec.exterior)
-        terms = np.append(np.ravel(Q + spec.gamma * hd * np.eye(n), "F"),
-                          0.0)[None]
+        terms = np.ravel(Q + spec.gamma * hd * np.eye(n), "F")[:, None]
     elif spec.kind in ("m_laplace", "lv_quadratic"):
         template = _block_template(grid, "edges")
         if spec.kind == "m_laplace":
@@ -637,16 +650,25 @@ def energy1_hessian(spec: EnergySpec, grid: Grid, x: np.ndarray,
             curv = _edge_curvature(grid, X.reshape(-1, n), np.tile(
                 [[spec.D1], [spec.D2]], (K, n)), 2.0)
             diagonal = (np.tile([spec.F1, spec.F2], K) * hd)[:, None]
+        # t = inv (curv inv), in place (products commute bit for bit),
+        # then +t and -t, one row per term
         inv = 1.0 / _edge_operator(grid)[0][2]
-        t = inv * (curv * inv)
-        terms = np.concatenate([t, -t, np.zeros((t.shape[0], 1))], axis=1)
+        curv *= inv
+        curv *= inv
+        terms = np.concatenate([curv.T, -curv.T])
+        del curv
     else:
         raise ConfigurationError(f"unhandled energy kind {spec.kind!r}")
-    indptr, rows, shift, diag, gather = template
+    indptr, rows, shift, diag, summing = template
     blocks = K * (n_dof // n)
-    V = np.zeros((blocks, rows.size))
-    for g in gather:
-        V += np.take(terms, g, axis=1)
+    # each slot's sum of its terms per column of terms (a block, or one
+    # for all blocks), spread over the blocks: the sums start at 0.0, so
+    # none is -0.0 and their copy has the bits of 0.0 + sums. The terms and
+    # the sums, of the Hessian's size, go as soon as they are used.
+    sums = summing @ terms
+    del terms
+    V = np.broadcast_to(sums.T, (blocks, rows.size)).copy()
+    del sums
     if diagonal is not None:
         V[:, diag] += diagonal
     if b is not None:
@@ -662,17 +684,34 @@ def energy1_hessian(spec: EnergySpec, grid: Grid, x: np.ndarray,
     # among them the time slots of the first and last knot
     data = V.ravel()
     keep = data != 0.0
-    idx = np.int32 if data.size <= np.iinfo(np.int32).max else np.int64
+    indices, colptr = pattern_plan(
+        "hessian", (rows, shift, indptr, n_dof, keep.size,
+                    np.packbits(keep)),
+        lambda: _tiled_pattern(template, n_dof, keep))
+    return sp.csc_matrix((np.compress(keep, data), indices, colptr),
+                         shape=(blocks * n,) * 2)
+
+
+def _tiled_pattern(template: tuple, n_dof: int, keep: np.ndarray) -> tuple:
+    """(row indices, column pointers) of energy1_hessian's CSC matrix:
+    the one-state template tiled over keep.size / slots blocks of n_dof
+    unknowns apart, without the slots where keep is False. Both are of
+    the one index dtype that the CSC constructor keeps, and read-only,
+    as every matrix of the plan shares them."""
+    indptr, rows, shift = template[:3]
+    n = indptr.size - 1
+    blocks = keep.size // rows.size
+    idx = np.int32 if keep.size <= np.iinfo(np.int32).max else np.int64
     starts = (np.arange(blocks, dtype=idx)[:, None] * rows.size
               + indptr[:-1].astype(idx)).ravel()
     dropped = np.bincount(np.searchsorted(starts, np.flatnonzero(~keep),
                                           "right") - 1, minlength=starts.size)
-    indices = np.arange(0, blocks * n, n, dtype=idx)[:, None] \
-        + (rows + shift * n_dof).astype(idx)
-    return sp.csc_matrix(
-        (data[keep], indices.ravel()[keep], np.append(starts, data.size)
-         - np.append(0, np.cumsum(dropped)).astype(idx)),
-        shape=(blocks * n,) * 2)
+    indices = (np.arange(0, blocks * n, n, dtype=idx)[:, None]
+               + (rows + shift * n_dof).astype(idx)).ravel()[keep]
+    colptr = (np.append(starts, keep.size)
+              - np.append(0, np.cumsum(dropped))).astype(idx)
+    indices.flags.writeable = colptr.flags.writeable = False
+    return indices, colptr
 
 
 @_rows

@@ -372,9 +372,13 @@ def fixed_point_solve(problem: WedProblem, steps: int,
     the functional with the dual field frozen at u. The damping starts at
     0.5 and doubles after every monotone residual decrease; the loop stops
     once the trajectory norm of the update is at most 1e-10, or after 200
-    outer iterations. `project` (when given) maps each outer iterate
-    before the dual field is evaluated; it is how solution classes closed
-    under a map are enforced. init, if given, must have steps + 1 knots.
+    outer iterations. It has converged only if it stopped on the update
+    and the inner solve of that last outer iteration converged: an inner
+    solve that makes no step returns its start, and so an update of 0,
+    without a fixed point of S. `project` (when given) maps each outer
+    iterate before the dual field is evaluated; it is how solution classes
+    closed under a map are enforced. init, if given, must have steps + 1
+    knots.
 
     The Hessian of a problem that _constant_hessian covers is the same in
     every outer iteration, so the loop builds it once, from init, and
@@ -409,7 +413,8 @@ def fixed_point_solve(problem: WedProblem, steps: int,
         history.append(res)
         u = Trajectory(problem.grid, problem.T, new_vals)
         if res <= 1e-10:
-            converged = True
+            # a fixed point of S only where S was solved
+            converged = rep.converged
             break
         if len(history) >= 2 and history[-1] < history[-2]:
             theta = min(1.0, 2.0 * theta)

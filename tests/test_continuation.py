@@ -1,6 +1,8 @@
 """The weight continuation shared by every solver family: schedule
 validation, warm starts, and stopping at the first unconverged level."""
 
+import itertools
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -10,11 +12,12 @@ import wedflow.comparison as comparison_mod
 import wedflow.rateind as rateind_mod
 import wedflow.wed as wed_mod
 import wedflow.wide as wide_mod
-from wedflow import (ConfigurationError, LagrangianProblem, RIProblem,
-                     eps_continuation, ordered_minimizers,
-                     ordered_ri_minimizers, ri_continuation,
-                     wide_continuation)
-from wedflow.wed import continuation
+from wedflow import (ConcaveSpec, ConfigurationError, DissipationSpec,
+                     EnergySpec, LagrangianProblem, ReactionSpec, RIProblem,
+                     WedProblem, build_grid, eps_continuation,
+                     ordered_minimizers, ordered_ri_minimizers,
+                     ri_continuation, wide_continuation)
+from wedflow.wed import continuation, euler_lagrange_residual
 
 from conftest import heat_problem, point_grid
 
@@ -151,6 +154,62 @@ def test_unflagged_runs_report_convergence():
     assert ordered_ri_minimizers(ramp_problem(), np.zeros(1),
                                  0.5 * np.ones(1),
                                  schedule=(0.2, 0.1)).converged
+
+
+# ---------------------------------------------------------------------------
+# a converged level solves its Euler-Lagrange system: a differential sweep
+# ---------------------------------------------------------------------------
+
+SWEEP_GRIDS = {
+    "line-neumann": dict(dim=1, shape=(12,), spacing=(1 / 11,),
+                         boundary="neumann"),
+    "line-dirichlet": dict(dim=1, shape=(12,), spacing=(1 / 11,),
+                           boundary="dirichlet"),
+    "line-robin": dict(dim=1, shape=(12,), spacing=(1 / 11,),
+                       boundary="robin", robin_b=0.7),
+    "square-neumann": dict(dim=2, shape=(6, 6), spacing=(0.2, 0.2),
+                           boundary="neumann", domain_kind="rectangle"),
+    "point": dict(dim=1, shape=(1,), spacing=(1.0,), boundary="neumann",
+                  domain_kind="point"),
+}
+SWEEP_ENERGIES = {
+    "quadratic": dict(kind="quadratic", gamma=1.0),
+    "m2": dict(kind="m_laplace", m=2.0, B=1.0, C=0.0),
+    "m3": dict(kind="m_laplace", m=3.0, B=1.0, C=0.0),
+    "m4": dict(kind="m_laplace", m=4.0, B=1.0, C=0.0),
+    "fractional": dict(kind="fractional", s=0.4, gamma=0.5),
+}
+# grids x energies (a point grid takes the quadratic energy only) x the
+# dissipation exponent p x the concave exponent q (none, 2 or 3): 189
+# configurations, about 11 s in all; tier-1 runs a fixed sample of them
+SWEEP = [(g, e, p, q) for g, e, p, q in itertools.product(
+    SWEEP_GRIDS, SWEEP_ENERGIES, (1.5, 2.0, 3.0), (None, 2.0, 3.0))
+    if g != "point" or e == "quadratic"]
+
+
+@pytest.mark.parametrize("grid, energy, p, q",
+                         random.Random(1).sample(SWEEP, 24))
+def test_every_converged_level_solves_its_euler_lagrange_system(
+        grid, energy, p, q):
+    # the level's report may flag it; a level that reports convergence
+    # must hold its stationarity conditions at its own weight. Before the
+    # fixed-point loop read its inner solves, 12 of the configurations
+    # with p = 3 and a concave part reported a fixed point with a
+    # residual of 2.5-3.1: the start, which the inner solve never left
+    g = build_grid(**SWEEP_GRIDS[grid])
+    x = g.coords()[:, 0]
+    problem = WedProblem(
+        grid=g, dissipation=DissipationSpec(p=p),
+        energy1=EnergySpec(**SWEEP_ENERGIES[energy]),
+        energy2=ConcaveSpec() if q is None
+        else ConcaveSpec(concave_q=q, concave_D=0.3),
+        reaction=ReactionSpec(), T=1.0, epsilon=SCHEDULE[0],
+        initial=1.0 + 0.3 * np.cos(np.pi * x / max(x.max(), 1.0)))
+    cont = eps_continuation(problem, SCHEDULE, steps=48)
+    for eps, traj in cont.family:
+        residual = euler_lagrange_residual(replace(problem, epsilon=eps),
+                                           traj)
+        assert residual["max"] <= 1e-7
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 and hand-computed small cases."""
 
 import contextlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from wedflow.energies import (A_eval, alpha_eval,
                               grid_edges, lv_clamp, p_conjugate, polyders,
                               polyval)
 
-from wedflow import WedProblem, minimize_wed, wed
+from wedflow import WedProblem, _newton, minimize_wed, wed
 from wedflow._newton import time_band
 from wedflow.energies import _coef, _edge_operator, _fractional_matrix, \
     _robin_diag
@@ -64,6 +65,20 @@ def test_alpha_prime_is_capped_below_two():
     with np.errstate(divide="ignore"):
         d = alpha_prime(spec, np.array([0.0]))
     assert np.isfinite(d[0]) and d[0] <= 1e12
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_alpha_prime_at_rest_warns_nothing(p):
+    # 0 ** (p - 2) is inf below p = 2; the cap takes it, without a
+    # "divide by zero" warning, and every other entry is the power
+    spec = DissipationSpec(p=p)
+    v = np.array([0.0, -0.0, 1e-3, -2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = alpha_prime(spec, v)
+    rest = (p - 1.0) * (1e12 if p < 2.0 else 0.0)
+    moving = (p - 1.0) * np.abs(v[2:]) ** (p - 2.0)
+    assert d.tobytes() == np.concatenate([[rest, rest], moving]).tobytes()
 
 
 def test_table_dissipation_matches_power():
@@ -687,3 +702,17 @@ def test_wed_hessians_are_bitwise_the_sparse_chain(monkeypatch, grid, energy,
         # at rest the time band vanishes: each knot is its own block
         H = seen[0].tocoo()
         assert np.all(H.row // n_dof == H.col // n_dof)
+    # within one scope of fill plans, fills at states with other exact
+    # zeros (the start, whose time band vanishes at rest and whose m = 3
+    # edges vanish where it is constant, then a state that moves
+    # everywhere) and at the first state again are each the chain's: a
+    # plan serves only the zero mask it was made for
+    moved = start + 0.01 * rng.standard_normal(start.shape)
+    moved[0] = problem.initial
+    states = (start, moved, start)
+    with _newton.plan_scope():
+        fills = [wed._space_time_hessian(problem, U).matrix for U in states]
+    for H, U in zip(fills, states):
+        assert_same_csc(H, _chain_hessian(problem, U))
+    if dissipation == "p4-rest":
+        assert fills[0].nnz < fills[1].nnz

@@ -17,8 +17,9 @@ from wedflow._newton import newton_solve
 from wedflow.cli import bundled_scenarios
 from wedflow.runner import Scenario
 
-from conftest import (count_newton, heat_problem, line_grid, point_grid,
-                      scalar_decay_problem, watch_repeats)
+from conftest import (assert_same_csc, count_newton, heat_problem,
+                      line_grid, point_grid, scalar_decay_problem,
+                      watch_repeats)
 
 
 def test_full_step_solve_reuses_the_line_search_gradient():
@@ -1023,6 +1024,138 @@ def test_lu_table_holds_no_block_of_an_earlier_matrix(monkeypatch):
                                                  problem.T, N))
     assert report.converged and any(mu > 0.0 for mu in shifts)
     assert len(checked) >= 2 and all(checked)
+
+
+# ---------------------------------------------------------------------------
+# each sparsity pattern is planned once per solve
+# ---------------------------------------------------------------------------
+
+def _count_plans(monkeypatch) -> dict:
+    """Route the two plan builders, _newton._block_plan and
+    energies._tiled_pattern, through counters of their calls."""
+    from wedflow import energies
+    counts = {"factor": 0, "hessian": 0}
+    for kind, module, name in (("factor", _newton, "_block_plan"),
+                               ("hessian", energies, "_tiled_pattern")):
+        def counted(*args, kind=kind, real=getattr(module, name)):
+            counts[kind] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def _pattern_changes(matrices: list) -> int:
+    """How many of the CSC matrices have another pattern (shape, column
+    pointers, row indices) than the one before them, the first included."""
+    keys = [(A.shape, A.indptr.tobytes(), A.indices.tobytes())
+            for A in matrices]
+    return sum(k != before for k, before in zip(keys, [None] + keys[:-1]))
+
+
+def _shifted(H, mu: float):
+    return H if mu == 0.0 \
+        else (H + mu * sp.identity(H.shape[0], format="csr")).tocsc()
+
+
+@pytest.mark.parametrize("symmetric", [False, True],
+                         ids=["default", "symmetric"])
+def test_planned_factor_is_bitwise_the_unplanned(monkeypatch, symmetric):
+    # Hessians of the band problem at a state constant along axis 1 (ny
+    # identical chains), at another such state (the same pattern, other
+    # values) and at a state that varies along both axes (one component),
+    # then the first again; with and without a Levenberg shift
+    problem = band_problem()
+    nx, ny = problem.grid.shape
+    N = 5
+    rng = np.random.default_rng(8)
+    split = [np.vstack([problem.initial, problem.initial + _along_axis0(
+        problem, 0.2 * rng.standard_normal((N, nx)))]) for _ in range(2)]
+    connected = np.vstack([problem.initial, problem.initial
+                           + 0.2 * rng.standard_normal((N, problem.n_dof))])
+    states = split + [connected, split[0]]
+    matrices = [wed._space_time_hessian(problem, U).matrix for U in states]
+    calls = [(H, mu) for mu in (0.0, 0.37) for H in matrices]
+    rhs = rng.standard_normal(N * problem.n_dof)
+    counts = _count_plans(monkeypatch)
+    with _newton.plan_scope():
+        planned = [_newton._factor(H, mu, symmetric)(rhs) for H, mu in calls]
+    # a plan per run of one pattern, not one per call
+    assert counts["factor"] == _pattern_changes(
+        [_shifted(H, mu) for H, mu in calls]) < len(calls)
+    for (H, mu), step in zip(calls, planned):
+        assert step.tobytes() == _newton._factor(H, mu, symmetric)(
+            rhs).tobytes()
+        ref = _per_chain_solve(H, mu, True)(rhs) if symmetric \
+            else splu(_shifted(H, mu).tocsc()).solve(rhs)
+        assert step.tobytes() == ref.tobytes()
+
+
+def test_a_new_pattern_within_a_solve_gets_a_fresh_plan(monkeypatch):
+    # the band problem from a start constant along axis 1 with a field
+    # that is not: the first Hessian drops every axis-1 edge and splits
+    # into ny chains, the later ones are connected
+    problem = band_problem()
+    N = 6
+    rng = np.random.default_rng(7)
+    w = rng.standard_normal((N + 1, problem.n_dof))
+    init = constant_trajectory(problem.grid, problem.initial, problem.T, N)
+    rhs = rng.standard_normal(N * problem.n_dof)
+    real_factor, real_fill = _newton._factor, wed._space_time_hessian
+    factored, filled = [], []
+
+    def factor(H, mu, symmetric):
+        solve = real_factor(H, mu, symmetric)
+        factored.append((H, mu, symmetric, solve(rhs)))
+        return solve
+
+    def fill(problem, U):
+        H = real_fill(problem, U)
+        filled.append((U, H.matrix))
+        return H
+
+    monkeypatch.setattr(_newton, "_factor", factor)
+    monkeypatch.setattr(wed, "_space_time_hessian", fill)
+    counts = _count_plans(monkeypatch)
+    _, report = minimize_wed(problem, w, init)
+    assert report.converged and report.iterations >= 3
+    # the pattern changed within the solve, and held after the change
+    fills = [H for _, H in filled]
+    assert fills[0].nnz < fills[-1].nnz
+    assert counts["hessian"] == _pattern_changes(fills) < len(fills)
+    assert counts["factor"] == _pattern_changes(
+        [_shifted(H, mu) for H, mu, _, _ in factored]) < len(factored)
+    # each fill and step is bitwise that of a plan made for it alone
+    # (outside a solve) and of the split without plans
+    for U, H in filled:
+        assert_same_csc(H, real_fill(problem, U).matrix)
+    for H, mu, symmetric, step in factored:
+        assert symmetric
+        assert step.tobytes() == real_factor(H, mu, True)(rhs).tobytes()
+        assert step.tobytes() == _per_chain_solve(H, mu, True)(
+            rhs).tobytes()
+
+
+def test_plans_go_with_their_solve(monkeypatch):
+    problem = band_problem()
+    N = 4
+    scopes = []
+    real = wed.newton_solve
+
+    def watched(*args, **kwargs):
+        plans = _newton._PLANS.get()
+        scopes.append(dict(plans))
+        out = real(*args, **kwargs)
+        scopes.append(dict(plans))
+        return out
+
+    monkeypatch.setattr(wed, "newton_solve", watched)
+    assert _newton._PLANS.get() is None
+    minimize_wed(problem, np.zeros((N + 1, problem.n_dof)),
+                 constant_trajectory(problem.grid, problem.initial,
+                                     problem.T, N))
+    # the solve held a plan of each kind, and they went when it returned
+    assert scopes[0] == {} and sorted(scopes[1]) == ["factor", "hessian"]
+    assert _newton._PLANS.get() is None
 
 
 def _polish_notes(report) -> list:

@@ -1075,6 +1075,28 @@ def test_run_exit_three_when_any_level_fails(tmp_path, monkeypatch, name,
     assert (out / "summary.txt").read_text().splitlines()[-1].endswith("FAIL")
 
 
+@pytest.mark.parametrize("over", [
+    {"dissipation": {"p": 1.5}},
+    {"dissipation": {"p": 3.0},
+     "energy": {"kind": "m_laplace", "m": 3.0, "B": 1.0, "C": 0.0}},
+], ids=["p1.5", "m3-p3"])
+def test_fixed_point_of_an_unsolved_inner_problem_is_not_converged(
+        tmp_path, over):
+    # heat_relaxation with a concave part: at the first level the inner
+    # solve makes no step and does not converge, so the outer update is
+    # exactly 0; the level used to report a converged fixed point, the
+    # initial state at every knot, with a strong residual of 2.3 (p = 1.5)
+    # and 2.1 (m = 3, p = 3) where the bundled scenario has 0.087
+    out = tmp_path / "out"
+    assert run(_bundled("heat_relaxation", out,
+                        energy2={"concave_q": 2, "concave_D": 0.3},
+                        **over)) == 3
+    assert json.loads((out / "reports.json").read_text())["converged"] \
+        is False
+    assert (out / "summary.txt").read_text().splitlines()[-1].split() \
+        == ["converged", "False", "FAIL"]
+
+
 @pytest.mark.parametrize("T", ["abc", None, True, 0.0, -1.0, float("inf"),
                                float("nan")])
 def test_non_numeric_or_non_positive_T_is_a_configuration_error(
