@@ -22,10 +22,12 @@ Hessians. newton_solve asks a Hessian for two things: `solve(rhs, mu)`,
 and `diagonal()`. Three classes provide them. `SparseHessian` is a sparse
 matrix factored by `splu`: the CSC space-time Hessian of
 `energies.energy1_hessian` for the parabolic lane, `time_band` plus the
-coupling Laplacian for the coupled rate-independent lane, and the banded
-Hessian of the inertial lane. `KnotTridiagonal` is one tridiagonal per dof
-column solved by LAPACK, for lanes that do not couple dofs in space (the
-uncoupled rate-independent lane). `FastDiagonalization` is the time
+coupling Laplacian for the coupled rate-independent lane, and the
+space-time Hessian of the inertial lane, whose CSC arrays
+`wide._hessian_fill` fills directly from one column block's template.
+`KnotTridiagonal` is one tridiagonal per dof column solved by LAPACK, for
+lanes that do not couple dofs in space (the uncoupled rate-independent
+lane). `FastDiagonalization` is the time
 coupling plus a constant Kronecker-sum energy Hessian on a 1D or 2D grid,
 whose per-mode tridiagonals are one `KnotTridiagonal`.
 
@@ -463,7 +465,9 @@ class SparseHessian:
     that followed grew the fill from 4 to 11-23.
 
     The other sparse solves (1D and point grids, coupled `rateind` with
-    a > 0, `wide`) keep SuperLU's defaults (COLAMD, partial pivoting):
+    a > 0, `wide`, whose Hessian is filled straight into CSC arrays with
+    the bits of the scipy chain it replaced) keep SuperLU's defaults
+    (COLAMD, partial pivoting):
     their outputs sit at the round-off floor, where another solver moves
     them by more than the 1e-12 refactor oracle. The `wide` Hessians are
     badly conditioned (5e15 at the first level of `wide_oscillator`), and

@@ -19,6 +19,7 @@ affine state maps r u + shift with orthogonal r.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -64,16 +65,21 @@ class WideWaveProblem:
             raise ConfigurationError("need a finite density rho > 0", "rho")
         if not 0 <= self.nu < np.inf:
             raise ConfigurationError("need a finite damping nu >= 0", "nu")
-        if self.p_growth < 2:
-            raise ConfigurationError("growth exponent must be >= 2",
+        if not 2 <= self.p_growth < np.inf:
+            raise ConfigurationError("need a finite growth exponent >= 2",
                                      "p_growth")
+        if not np.isfinite(self.lam):
+            raise ConfigurationError("need a finite curvature bound lam",
+                                     "lam")
+        if not 0 < self.T < np.inf:
+            raise ConfigurationError("need a finite horizon T > 0", "T")
         if not (0 < self.epsilon < self.T):
             raise ConfigurationError("eps must lie in (0, T)", "epsilon")
         object.__setattr__(self, "f_coeffs",
                            tuple(float(c) for c in self.f_coeffs))
-        if not self.f_coeffs:
-            raise ConfigurationError("F needs at least one coefficient",
-                                     "f_coeffs")
+        if not self.f_coeffs or not np.all(np.isfinite(self.f_coeffs)):
+            raise ConfigurationError("F needs finite coefficients, at least "
+                                     "one", "f_coeffs")
         object.__setattr__(self, "_f_der", polyders(self.f_coeffs))
         for name in ("initial", "velocity"):
             v = np.asarray(getattr(self, name), dtype=float).ravel()
@@ -146,9 +152,10 @@ class LagrangianProblem:
             raise ConfigurationError("dimension must be positive", "d")
         M = np.eye(self.d) if self.M is None \
             else np.asarray(self.M, dtype=float)
-        if M.shape != (self.d, self.d) or not np.allclose(M, M.T):
-            raise ConfigurationError("mass matrix must be symmetric d x d",
-                                     "M")
+        if M.shape != (self.d, self.d) or not np.all(np.isfinite(M)) \
+                or not np.allclose(M, M.T):
+            raise ConfigurationError("mass matrix must be finite, symmetric "
+                                     "d x d", "M")
         try:
             np.linalg.cholesky(M)
         except np.linalg.LinAlgError:
@@ -157,6 +164,8 @@ class LagrangianProblem:
         object.__setattr__(self, "M", M)
         if not 0 <= self.nu < np.inf:
             raise ConfigurationError("need a finite damping nu >= 0", "nu")
+        if not 0 < self.T < np.inf:
+            raise ConfigurationError("need a finite horizon T > 0", "T")
         if not (0 < self.epsilon < self.T):
             raise ConfigurationError("eps must lie in (0, T)", "epsilon")
         if self.u_kind not in ("quadratic", "component_poly"):
@@ -165,17 +174,19 @@ class LagrangianProblem:
         if self.u_kind == "quadratic":
             Q = np.eye(self.d) if self.Q is None \
                 else np.asarray(self.Q, dtype=float)
-            if Q.shape != (self.d, self.d) or not np.allclose(Q, Q.T):
-                raise ConfigurationError("Q must be symmetric d x d", "Q")
+            if Q.shape != (self.d, self.d) or not np.all(np.isfinite(Q)) \
+                    or not np.allclose(Q, Q.T):
+                raise ConfigurationError("Q must be finite, symmetric d x d",
+                                         "Q")
             if np.min(np.linalg.eigvalsh(Q)) < -1e-12:
                 raise ConfigurationError("quadratic potential must be convex",
                                          "Q")
             object.__setattr__(self, "Q", Q)
         else:
             c = tuple(float(x) for x in self.u_coeffs)
-            if len(c) < 1:
-                raise ConfigurationError("component_poly needs coefficients",
-                                         "u_coeffs")
+            if len(c) < 1 or not np.all(np.isfinite(c)):
+                raise ConfigurationError("component_poly needs finite "
+                                         "coefficients", "u_coeffs")
             object.__setattr__(self, "u_coeffs", c)
             object.__setattr__(self, "_u_der", polyders(c))
             s = np.linspace(-20, 20, 257)
@@ -213,9 +224,12 @@ WideProblem = Union[WideWaveProblem, LagrangianProblem]
 
 class _Parts:
     """Mass/damping/stiffness matrices and the nonlinear term, reduced to
-    one interface so the functional and solver are written once. g_val,
-    g_grad and g_hess act on a stack of states, one per row; g_hess is
-    the block diagonal of the row Hessians."""
+    one interface so the functional and solver are written once. g_val
+    and g_grad act on a stack of states, one per row. The potential's
+    Hessian at a state is the block G: its pattern is G's, and its values
+    are G's own where g_curv is None (the constant Q of `quadratic`), else
+    the diagonal g_curv gives per state (F'' h^d of waves, U'' of
+    `component_poly`)."""
 
     def __init__(self, problem: WideProblem):
         self.problem = problem
@@ -229,8 +243,8 @@ class _Parts:
                 else sp.csr_matrix((n, n))
             self.g_val = problem.force_value
             self.g_grad = problem.force_grad
-            self.g_hess = lambda U: sp.diags(
-                problem.force_hess_diag(U).ravel())
+            self.G = sp.identity(n, format="csr")
+            self.g_curv = problem.force_hess_diag
             self.lam = problem.lam
         else:
             d = problem.d
@@ -240,11 +254,10 @@ class _Parts:
             self.g_val = problem.pot_value
             self.g_grad = problem.pot_grad
             if problem.u_kind == "quadratic":
-                self.g_hess = lambda U: sp.kron(
-                    sp.identity(U.shape[0]), sp.csr_matrix(problem.Q))
+                self.G, self.g_curv = sp.csr_matrix(problem.Q), None
             else:
-                self.g_hess = lambda U: sp.diags(
-                    polyval(U, problem._u_der[1]).ravel())
+                self.G = sp.identity(d, format="csr")
+                self.g_curv = partial(polyval, c=problem._u_der[1])
             self.lam = 0.0
         self.grid = _state_grid(problem)
 
@@ -272,13 +285,118 @@ def _knot_weights(problem: WideProblem, N: int) -> tuple:
             beta[1:] * dt)
 
 
-def _unknown_band(*diagonals) -> sp.spmatrix:
-    """Symmetric band over all knots 0..N, from its main and upper
-    diagonals, cut to the unknown knots 2..N."""
-    offsets = range(len(diagonals))
-    return sp.diags([*diagonals, *diagonals[1:]],
-                    [*offsets, *(-o for o in offsets[1:])],
-                    format="csr")[2:, 2:]
+def _block_entries(A, nd: int) -> tuple:
+    """The stored entries of the nd x nd CSR block A: their column-major
+    keys l nd + k (row k, column l) in ascending order, and their values,
+    each closed by a sentinel (key nd^2, value 0.0)."""
+    keys = A.indices * np.int64(nd) + np.repeat(np.arange(nd),
+                                                np.diff(A.indptr))
+    order = np.argsort(keys)
+    return np.append(keys[order], nd * nd), np.append(A.data[order], 0.0)
+
+
+def _band_columns(N: int, *diagonals) -> np.ndarray:
+    """The symmetric band over knots 0..N with the given main and upper
+    diagonals, seen from the unknown knots 2..N: row o + 2 holds, for
+    each column knot, the band entry of the row knot o = -2..2 away
+    (zero beyond the band; entries off the unknowns are never read)."""
+    out = np.zeros((5, N - 1))
+    for o, diag in enumerate(diagonals):
+        diag = np.append(diag, np.zeros(o))
+        out[2 + o] = diag[2:]
+        out[2 - o] = diag[2 - o:N + 1 - o]
+    return out
+
+
+def _hessian_fill(parts: _Parts, N: int, w_acc: np.ndarray,
+                  w_vel: np.ndarray, w_pot: np.ndarray):
+    """The Newton Hessian of the functional over the unknown knots 2..N,
+    as a callback of those knots V ((N-1, n_dof)) that fills its CSC
+    arrays directly.
+
+    Knot n's acceleration and velocity weights c_n, v_n couple knots
+    through the stencils (1, -2, 1) and (-1, 1), so the block of row
+    knot r and column knot c is, with o = r - c, acc_o M + vel_o D +
+    vel'_o D + [o = 0] w_pot (S + G(V_c)): M reaches |o| <= 2, D |o| <= 1,
+    S and G only the diagonal blocks. One template lists a column
+    block's entries in CSC order (for each column l, the offsets o =
+    -2..2 and each offset's union pattern of rows), and the column
+    blocks tile it. Each entry adds its terms in the order of the scipy
+    chain this replaces, ((acc M + vel D) + vel' D) + w_pot (S + G), and
+    the exact zeros are dropped, as that chain's conversions and sums
+    dropped them: wave Hessians are ill-conditioned enough for the
+    solution to show any other rounding, so every matrix is bitwise the
+    chain's, with its int32 indices. The constant part, the row indices
+    and the column pointers are made once per call, from arrays of the
+    matrix's size, and shared read-only by every Hessian of the solve;
+    a step adds the potential blocks and drops any exact zeros."""
+    nd = parts.problem.n_dof
+    K = N - 1
+    dt = parts.problem.T / N
+    c = np.zeros(N + 2)
+    c[1:N] = 2.0 * w_acc / dt ** 4
+    v = np.zeros(N + 2)
+    v[1:N + 1] = 2.0 * w_vel / dt ** 2
+    k = np.arange(N + 1)
+    bands = (_band_columns(N, c[k - 1] + 4.0 * c[k] + c[k + 1],
+                           -2.0 * c[:N] - 2.0 * c[1:N + 1], c[1:N]),
+             _band_columns(N, v[k], -v[1:N + 1]),
+             _band_columns(N, v[k + 1]))
+    blocks = [_block_entries(X, nd)
+              for X in (parts.M, parts.D, parts.S, parts.G)]
+    reach = (2, 1, 0, 0)
+    offs = np.arange(-2, 3, dtype=np.int32)
+    unions = [np.unique(np.concatenate([b[0][:-1] for b, r in
+                                        zip(blocks, reach) if abs(o) <= r]))
+              for o in offs]
+    offs = np.repeat(offs, [u.size for u in unions])
+    keys = np.concatenate(unions)
+    col, row = np.divmod(keys, nd)
+    order = np.lexsort((row, offs, col))
+    offs, keys, col, row = offs[order], keys[order], col[order], row[order]
+    # each template entry's index into each block's entries, the
+    # sentinel where the block has none or does not reach
+    at = []
+    for (bkeys, _), r in zip(blocks, reach):
+        pos = np.searchsorted(bkeys, keys)
+        at.append(np.where((np.abs(offs) <= r) & (bkeys[pos] == keys), pos,
+                           bkeys.size - 1))
+    # column block b holds the rows of block b + o; the (K, template)
+    # arrays below are the matrix's size, so few are alive at once
+    block = np.arange(K, dtype=np.int32)[:, None] + offs
+    valid = (block >= 0) & (block < K)
+    rows = (block * np.int32(nd) + row.astype(np.int32))[valid]
+    del block
+    linear = bands[0][offs + 2].T * blocks[0][1][at[0]]
+    linear += bands[1][offs + 2].T * blocks[1][1][at[1]]
+    linear += bands[2][offs + 2].T * blocks[1][1][at[1]]
+    linear = linear[valid]
+    # every column has an entry: M's diagonal, at o = 0
+    indptr = np.zeros(K * nd + 1, np.int32)
+    np.cumsum(np.add.reduceat(valid, np.searchsorted(col, np.arange(nd)),
+                              axis=1, dtype=np.int32), out=indptr[1:])
+    # the diagonal blocks' entries, in the order of the values' array
+    diag = offs == 0
+    diag_at = (np.cumsum(valid, dtype=np.int32) - 1).reshape(K, -1)[:, diag]
+    diag_at = diag_at.ravel()
+    s_diag, g_at = blocks[2][1][at[2][diag]], at[3][diag]
+    w = w_pot[1:, None]
+
+    def hess(V: np.ndarray) -> SparseHessian:
+        g = blocks[3][1][None] if parts.g_curv is None \
+            else np.append(parts.g_curv(V), np.zeros((K, 1)), axis=1)
+        data = linear.copy()
+        data[diag_at] += (w * (s_diag + g[:, g_at])).ravel()
+        keep = data != 0.0
+        if keep.all():
+            H = sp.csc_matrix((data, rows, indptr), shape=(K * nd, K * nd))
+        else:
+            kept = np.zeros(data.size + 1, np.int32)
+            np.cumsum(keep, out=kept[1:])
+            H = sp.csc_matrix((data[keep], rows[keep], kept[indptr]),
+                              shape=(K * nd, K * nd))
+        return SparseHessian(H)
+    return hess
 
 
 def _wide_kernel(parts: _Parts, U: np.ndarray,
@@ -351,7 +469,9 @@ def minimize_wide(problem: WideProblem, steps: int,
                   init: Optional[Trajectory] = None
                   ) -> tuple[Trajectory, MinimizeReport]:
     """Newton solve over the unpinned knots u_2..u_N, to a scaled residual
-    of 1e-10 in at most 120 iterations. The engine's
+    of 1e-10 in at most 120 iterations. Each step's Hessian is filled
+    straight into CSC arrays (_hessian_fill), with the bits of the scipy
+    kron chain it replaced, and factored by splu. The engine's
     curvature fallback covers nonconvex (lambda < 0) nonlinearities; the
     declared curvature bound is recorded in the report notes."""
     N = steps
@@ -359,32 +479,8 @@ def minimize_wide(problem: WideProblem, steps: int,
         raise ConfigurationError("need at least 3 time knots")
     dt = problem.T / N
     parts = _Parts(problem)
-    nd = problem.n_dof
     eps = problem.epsilon
     beta, w_acc, w_vel, w_pot = _knot_weights(problem, N)
-
-    # Knot n's acceleration and velocity weights c_n, v_n (zero outside
-    # 1..N-1 and 1..N) couple knots through the stencils (1, -2, 1) and
-    # (-1, 1). Each entry adds its terms in the order of the knot-by-knot
-    # assembly this replaces: wave Hessians are ill-conditioned enough for
-    # the solution to show any other rounding.
-    c = np.zeros(N + 2)
-    c[1:N] = 2.0 * w_acc / dt ** 4
-    v = np.zeros(N + 2)
-    v[1:N + 1] = 2.0 * w_vel / dt ** 2
-    k = np.arange(N + 1)
-    linear = (sp.kron(_unknown_band(c[k - 1] + 4.0 * c[k] + c[k + 1],
-                                    -2.0 * c[:N] - 2.0 * c[1:N + 1],
-                                    c[1:N]), parts.M, format="csr")
-              + sp.kron(_unknown_band(v[k], -v[1:N + 1]), parts.D,
-                        format="csr")
-              + sp.kron(_unknown_band(v[k + 1]), parts.D, format="csr"))
-    pot_rows = sp.diags(np.repeat(w_pot[1:], nd))
-    stiffness = sp.kron(sp.identity(N - 1), parts.S, format="csr")
-
-    def hess(V: np.ndarray) -> SparseHessian:
-        pot = pot_rows @ (stiffness + parts.g_hess(V))
-        return SparseHessian((linear + pot).tocsc())
 
     # row scale tracks the dominant stiffness of each knot's gradient row
     # (inertia grows like eps^2/dt^3), so the scaled residual is relative
@@ -399,7 +495,7 @@ def minimize_wide(problem: WideProblem, steps: int,
         newton_solve, pinned, N, None if init is None else init.values,
         lambda V: _wide_kernel(parts, with_pins(pinned, V),
                                value=False)[1][..., 2:, :],
-        hess,
+        _hessian_fill(parts, N, w_acc, w_vel, w_pot),
         np.maximum(beta[2:] * knot_mag, 1e-300), tol=1e-10, max_iter=120,
         notes=notes)
     return wide_trajectory(problem, U), MinimizeReport(

@@ -97,6 +97,20 @@ def _lagrangian(**bad):
 
 NAN = float("nan")
 
+# the inertial problems' non-finite inputs, with the field each must name
+_WIDE_NON_FINITE = {
+    "wave lam nan": ("lam", lambda: _wave(lam=NAN)),
+    "wave lam -inf": ("lam", lambda: _wave(lam=-np.inf)),
+    "wave T inf": ("T", lambda: _wave(T=np.inf)),
+    "p_growth inf": ("p_growth", lambda: _wave(p_growth=np.inf)),
+    "f_coeffs inf": ("f_coeffs", lambda: _wave(f_coeffs=(0.0, np.inf))),
+    "lagrangian T inf": ("T", lambda: _lagrangian(T=np.inf)),
+    "M inf": ("M", lambda: _lagrangian(M=[[np.inf]])),
+    "Q inf": ("Q", lambda: _lagrangian(Q=[[np.inf]])),
+    "u_coeffs nan": ("u_coeffs", lambda: _lagrangian(
+        u_kind="component_poly", u_coeffs=(0.0, NAN, 0.5))),
+}
+
 
 @pytest.mark.parametrize("make", [
     lambda: build_grid(dim=1, shape=(3,), spacing=(NAN,)),
@@ -123,17 +137,28 @@ NAN = float("nan")
     lambda: EnergySpec(kind="m_laplace", B=np.inf),
     lambda: ConcaveSpec(concave_q=3.0, concave_D=np.inf),
     lambda: heat_problem(T=np.inf),
+    *(make for _, make in _WIDE_NON_FINITE.values()),
 ], ids=["spacing nan", "spacing inf", "robin_b nan", "robin_b inf", "T nan",
         "T inf", "p nan", "p inf", "m nan", "m inf", "q nan", "q inf",
         "A nan", "K inf", "B nan", "E inf", "wave nu nan", "wave nu inf",
         "rho inf", "lagrangian nu nan", "gamma inf", "energy B inf",
-        "concave_D inf", "wed T inf"])
+        "concave_D inf", "wed T inf", *_WIDE_NON_FINITE])
 def test_range_checks_reject_non_finite_numbers(make):
     # each check used to read x <= bound, which NaN passes, or x >= 0 or
     # eps < T, which inf passes
     _wave(), _lagrangian(), heat_problem()  # the other data are valid
     with pytest.raises(ConfigurationError):
         make()
+
+
+@pytest.mark.parametrize("field, make", _WIDE_NON_FINITE.values(),
+                         ids=list(_WIDE_NON_FINITE))
+def test_wide_problems_name_the_non_finite_field(field, make):
+    # checked before any arithmetic on it: warnings are errors in tier-1,
+    # and p_growth = inf used to warn in the growth probe first
+    with pytest.raises(ConfigurationError) as err:
+        make()
+    assert err.value.field == field
 
 
 # ---------------------------------------------------------------------------

@@ -449,6 +449,20 @@ def test_fused_exhaustive_product_is_the_three_product_form(n):
             assert fused.tobytes() == three.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["monotone", "symmetric_decreasing"])
+@pytest.mark.parametrize("n", range(3, 8))
+def test_exhaustive_gram_margin_is_exact_in_float32(n, kind):
+    # every partial sum is an integer in [-28, 28], so the float32 product
+    # the suite runs gives the float64 margin
+    grid = build_grid(dim=1, shape=(n,), spacing=(1.0,), boundary="neumann")
+    U = np.array(list(product((0.0, 1.0, 2.0), repeat=n)))
+    RU = rearrange(grid, U, kind)
+    double = min(float(np.min(RU[lo:lo + 256] @ RU.T - U[lo:lo + 256] @ U.T))
+                 for lo in range(0, len(U), 256))
+    single = runner._gram_margin(RU, U)
+    assert type(single) is float and single == double == 0.0
+
+
 def _submodularity_loop(seed):
     """`verify submodularity`'s margins with one _random_walk per walk, as
     the suite drew and summed them before it filled one block."""

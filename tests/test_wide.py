@@ -537,3 +537,89 @@ def test_gradient_only_kernel_keeps_every_gradient_bit(family, dtype):
         assert value is None and full_value is not None
         assert grad.dtype == dtype and grad.shape == X.shape
         assert same_bits(grad, full)
+
+
+def _scipy_hessian(problem, N, V):
+    """The Newton Hessian at the unknown knots V by the scipy chain that
+    minimize_wide's direct CSC fill replaced, kept verbatim as its
+    oracle: three kron bands, the stiffness and the potential blocks
+    scaled per knot, summed and converted to CSC."""
+    import scipy.sparse as sp
+    from wedflow.energies import polyval
+    from wedflow.wide import _knot_weights, _Parts
+    parts = _Parts(problem)
+    if isinstance(problem, WideWaveProblem):
+        g_hess = lambda U: sp.diags(problem.force_hess_diag(U).ravel())
+    elif problem.u_kind == "quadratic":
+        g_hess = lambda U: sp.kron(
+            sp.identity(U.shape[0]), sp.csr_matrix(problem.Q))
+    else:
+        g_hess = lambda U: sp.diags(
+            polyval(U, problem._u_der[1]).ravel())
+
+    def _unknown_band(*diagonals):
+        offsets = range(len(diagonals))
+        return sp.diags([*diagonals, *diagonals[1:]],
+                        [*offsets, *(-o for o in offsets[1:])],
+                        format="csr")[2:, 2:]
+
+    dt = problem.T / N
+    nd = problem.n_dof
+    beta, w_acc, w_vel, w_pot = _knot_weights(problem, N)
+    c = np.zeros(N + 2)
+    c[1:N] = 2.0 * w_acc / dt ** 4
+    v = np.zeros(N + 2)
+    v[1:N + 1] = 2.0 * w_vel / dt ** 2
+    k = np.arange(N + 1)
+    linear = (sp.kron(_unknown_band(c[k - 1] + 4.0 * c[k] + c[k + 1],
+                                    -2.0 * c[:N] - 2.0 * c[1:N + 1],
+                                    c[1:N]), parts.M, format="csr")
+              + sp.kron(_unknown_band(v[k], -v[1:N + 1]), parts.D,
+                        format="csr")
+              + sp.kron(_unknown_band(v[k + 1]), parts.D, format="csr"))
+    pot_rows = sp.diags(np.repeat(w_pot[1:], nd))
+    stiffness = sp.kron(sp.identity(N - 1), parts.S, format="csr")
+    pot = pot_rows @ (stiffness + g_hess(V))
+    return (linear + pot).tocsc()
+
+
+_FILLED = {**_FAMILIES,
+           "wave-undamped": lambda: wave_problem(
+               n=6, nu=0.0, f_coeffs=(0.0, 0.1, 0.5, 0.0, 0.25)),
+           # exp(-t/eps) underflows from t = 7/9 at N = 9: whole columns
+           # of exact zeros, which the chain drops
+           "wave-underflow": lambda: wave_problem(n=4, eps=1e-3),
+           "lagrangian-poly-coupled-mass": lambda: LagrangianProblem(
+               d=3, M=np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.0],
+                                [0.0, 0.0, 1.5]]),
+               nu=0.2, u_kind="component_poly",
+               u_coeffs=(0.0, 0.0, 0.5, 0.0, 0.1), T=1.0, epsilon=0.1,
+               initial=np.array([1.0, -0.5, 0.2]),
+               velocity=np.array([0.2, 0.1, 0.0]))}
+
+
+@pytest.mark.parametrize("N", [2, 3, 9])
+@pytest.mark.parametrize("family", sorted(_FILLED))
+def test_hessian_fill_is_the_scipy_chain_bit_for_bit(monkeypatch, family,
+                                                     N):
+    """minimize_wide's Hessian, filled straight into CSC arrays, has the
+    scipy chain's pattern, values and dtypes, its dropped exact zeros
+    included."""
+    from wedflow import wide
+    problem = _FILLED[family]()
+    V = random_wide_values(problem, N, np.random.default_rng(14))[2:]
+    captured = []
+
+    def capture(x0, grad_fn, hess_fn, scale, **kwargs):
+        captured.append(hess_fn(V.ravel()).matrix)
+        captured.append(hess_fn(np.zeros_like(V).ravel()).matrix)
+        return x0, 0.0, 0, True
+
+    monkeypatch.setattr(wide, "newton_solve", capture)
+    minimize_wide(problem, N)
+    for H, R in zip(captured, (_scipy_hessian(problem, N, V),
+                               _scipy_hessian(problem, N, 0.0 * V))):
+        assert type(H) is type(R) and H.shape == R.shape
+        for attr in ("indptr", "indices", "data"):
+            x, y = getattr(H, attr), getattr(R, attr)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
