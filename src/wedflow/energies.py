@@ -18,7 +18,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -272,14 +274,38 @@ def polyval(x: np.ndarray, c) -> np.ndarray:
     return v
 
 
-def polyders(c) -> tuple:
+def polyders(c, field: Optional[str] = None) -> tuple:
     """The ascending coefficients of the first and second derivatives of
     the polynomial with ascending coefficients c, as tuples of Python
     floats, each None where it vanishes identically (c of degree below 1,
-    resp. 2)."""
-    return tuple(tuple(float(d) for d in
-                       np.polynomial.polynomial.polyder(c, k))
-                 if len(c) > k else None for k in (1, 2))
+    resp. 2). A coefficient that overflows (c near the float range)
+    raises a ConfigurationError naming field, not a warning."""
+    with np.errstate(over="ignore"):
+        ders = tuple(tuple(float(d) for d in
+                           np.polynomial.polynomial.polyder(c, k))
+                     if len(c) > k else None for k in (1, 2))
+    if not all(map(math.isfinite, chain.from_iterable(filter(None, ders)))):
+        raise ConfigurationError("the derivatives' coefficients overflow",
+                                 field)
+    return ders
+
+
+def probe_polyvals(cs, r: float, fields: tuple) -> tuple:
+    """(s, [polyval(s, c) for c in cs]) on a constructor's probe sample s,
+    257 points of [-r, r], r >= 10. A value that is not finite raises a
+    ConfigurationError, not a warning. It names fields[0], the
+    coefficients, where the values overflow on [-10, 10] already, else
+    fields[1], the data that widened the range to r."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.linspace(-r, r, 257)
+        vals = [polyval(s, c) for c in cs]
+        if all(np.isfinite(v).all() for v in vals):
+            return s, vals
+        s = np.linspace(-10.0, 10.0, 257)
+        inner = all(np.isfinite(polyval(s, c)).all() for c in cs)
+    raise ConfigurationError(f"the polynomial overflows on the probe range "
+                             f"|u| <= {r if inner else 10.0:.3g}",
+                             fields[int(inner)])
 
 
 def _rowmul(A, X: np.ndarray) -> np.ndarray:

@@ -6,6 +6,12 @@ numpy array of nodal values, a trajectory is a grid, a horizon T and one
 such row per time knot, and `rearrange` maps a whole stack of rows at
 once. A trajectory does not mark pinned rows: the problem owns them, and
 the solvers check a start against them (_newton.pinned_solve).
+
+The CSV writers format every float with repr, so a value reads back bit
+for bit. They fill one % template per knot (per field) and call repr
+once per distinct bit pattern in it: the invariant states the paper's
+symmetry results predict repeat few values, and a knot of all-distinct
+values costs one repr per value.
 """
 
 from __future__ import annotations
@@ -279,32 +285,89 @@ def reflection_permutation(grid: Grid, axis: int = 0) -> np.ndarray:
 # Serialization
 # ---------------------------------------------------------------------------
 
+# values per block of _row_reprs: one sort per block spreads numpy's
+# per-call cost over many narrow rows, and a block's reprs (at most this
+# many strings) are all that is alive at once
+_REPR_BLOCK = 4096
+
+
+def _row_reprs(stack: np.ndarray):
+    """Yield, for each row of a 2D float64 stack, the tuple of the reprs
+    of its entries, with one repr call per distinct bit pattern of the
+    row. Bits, not values, key the dedupe: -0.0 and 0.0 (and NaNs with
+    different payloads) keep their own reprs, so each tuple is the
+    per-value one. Rows go in blocks of about _REPR_BLOCK values, each
+    sorted along its rows at once."""
+    rows, width = stack.shape
+    step = max(1, _REPR_BLOCK // width)
+    for start in range(0, rows, step):
+        bits = stack[start:start + step].view(np.uint64)
+        order = bits.argsort(axis=1)
+        ranked = np.take_along_axis(bits, order, axis=1)
+        first = np.empty(bits.shape, dtype=bool)  # first of a run of equals
+        first[:, 0] = True
+        np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+        reprs = np.array(list(map(repr, ranked[first].view(np.float64)
+                                  .tolist())), dtype=object)
+        # each entry's repr: ranked[first] lists the block's rows in turn,
+        # and every row starts a run, so the running count of firsts over
+        # the flat block is the entry's index into it, plus one
+        index = np.empty(bits.shape, dtype=np.intp)
+        np.put_along_axis(index, order,
+                          first.cumsum().reshape(bits.shape) - 1, axis=1)
+        yield from map(tuple, reprs.take(index).tolist())
+
+
+def _rows_template(rows: int, width: int) -> str:
+    """The % template of the lines "i,%s,...,%s" (width slots) for i in
+    range(rows), joined by newlines."""
+    slots = ",%s" * width
+    return "\n".join([f"{i}{slots}" for i in range(rows)])
+
+
+def _indexed_csv(head: str, table: np.ndarray) -> str:
+    """head, then the line "i,table[i, 0],...,table[i, -1]" per row i of a
+    2D float table: one template fill, one repr per distinct bit pattern
+    of the table."""
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    rows = _rows_template(*table.shape) % \
+        next(_row_reprs(table.reshape(1, -1)))
+    return f"{head}\n{rows}\n"
+
+
 def field_to_csv(grid: Grid, values: np.ndarray) -> str:
     """One row per node of a state on grid: index, node coordinates,
-    value. Floats use repr, so round trips are bit-exact."""
-    coords = grid.coords()
+    value. Floats use repr, so round trips are bit-exact; it costs one
+    repr per distinct bit pattern among the coordinates and values."""
     head = ",".join(["index"] + [f"coord{k}" for k in range(grid.dim)]
                     + ["value"])
-    lines = [head]
-    for i in range(grid.n_nodes):
-        cs = ",".join(repr(float(c)) for c in np.atleast_1d(coords[i]))
-        lines.append(f"{i},{cs},{repr(float(values[i]))}")
-    return "\n".join(lines) + "\n"
+    values = np.asarray(values, dtype=np.float64)[:grid.n_nodes]
+    return _indexed_csv(head, np.column_stack([grid.coords(), values]))
 
 
 def trajectory_to_csv(traj: Trajectory, header: str = "node_index",
                       column: Optional[tuple] = None) -> str:
     """One row per knot and component: t, index, value, and, when column
-    is (name, one value per knot), that knot's value. Floats use repr."""
-    # one tolist() per array: its Python floats repr as float() of each
-    # element would, without a numpy scalar per value
-    lines = [f"t,{header},value"]
-    tails = [""] * (traj.steps + 1)
-    if column is not None:
-        lines[0] += f",{column[0]}"
-        tails = [f",{c!r}" for c in np.asarray(column[1], float).tolist()]
-    for t, row, tail in zip(traj.times.tolist(), traj.values.tolist(), tails):
-        head = f"{t!r},"
-        lines.extend([f"{head}{i},{v!r}{tail}" for i, v in enumerate(row)])
-    return "\n".join(lines) + "\n"
+    is (name, one value per knot), that knot's value. Floats use repr.
 
+    The lines' template is built once per call; each knot puts its t and
+    column value in and fills it with one repr per distinct bit pattern
+    of its values. An invariant state repeats few values, and a knot of
+    all-distinct values costs one repr per value, as writing each value
+    on its own would."""
+    values = np.ascontiguousarray(traj.values, dtype=np.float64)
+    rows = _rows_template(values.shape[1], 1)
+    head = f"t,{header},value"
+    tails = [""] * len(values)
+    if column is not None:
+        head += f",{column[0]}"
+        tails = [f",{c!r}" for c in np.asarray(column[1], float).tolist()]
+    out = [f"{head}\n"]
+    for t, tail, reprs in zip(traj.times.tolist(), tails,
+                              _row_reprs(values)):
+        lead = f"{t!r},"
+        # the first line's lead goes in front, every other line's after a
+        # newline of the template
+        lines = rows.replace("\n", f"{tail}\n{lead}")
+        out.append(f"{lead}{lines}{tail}\n" % reprs)
+    return "".join(out)

@@ -29,7 +29,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grids import (ConfigurationError, Grid, Trajectory,
-                    _check_axis_direction, field_to_csv, rearrange)
+                    _check_axis_direction, _indexed_csv, field_to_csv,
+                    rearrange)
 from .energies import _rowdot, energy1_value_grad
 from .wed import (WedProblem, _dissipation_value, dual_field,
                   eps_continuation)
@@ -254,9 +255,8 @@ class PropertyReport:
         g = self.counterexample_grid
         if g is not None and self.counterexample.size == g.n_nodes:
             return field_to_csv(g, self.counterexample)
-        rows = ["index,value"] + [f"{i},{repr(float(v))}"
-                                  for i, v in enumerate(self.counterexample)]
-        return "\n".join(rows) + "\n"
+        return _indexed_csv("index,value",
+                            np.reshape(self.counterexample, (-1, 1)))
 
     def to_json(self) -> str:
         payload = {

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from .grids import (ConfigurationError, Grid, Trajectory,
                     trajectory_to_csv)
 from .energies import (_rowdot, _rowmul, _sequential_sum, graph_laplacian,
-                       polyders, polyval)
+                       polyders, polyval, probe_polyvals)
 from ._newton import (KnotTridiagonal, SparseHessian, band_diagonals,
                       newton_solve, pinned_solve, time_band,
                       time_divergence)
@@ -102,13 +102,16 @@ class RIProblem:
         if not np.all(np.isfinite(c)):
             raise ConfigurationError("phi_coeffs must be finite", "phi_coeffs")
         object.__setattr__(self, "phi_coeffs", tuple(float(x) for x in c))
-        d1, d2 = polyders(c)
+        d1, d2 = polyders(c, "phi_coeffs")
         object.__setattr__(self, "_d1_coeffs", d1)
         object.__setattr__(self, "_d2_coeffs", d2)
-        # convexity probe on a generous sample range
-        r = 10.0 * (1.0 + np.max(np.abs(u0)) + np.max(np.abs(f)))
-        s = np.linspace(-r, r, 257)
-        if np.min(self._phi_d2(s)) < -1e-12:
+        # convexity probe on a generous sample range, which the larger of
+        # the initial state and the forcing widens
+        u_max, f_max = float(np.max(np.abs(u0))), float(np.max(np.abs(f)))
+        wide = "initial" if u_max >= f_max else "forcing"
+        _, (phi_d2,) = probe_polyvals([d2], 10.0 * (1.0 + u_max + f_max),
+                                      ("phi_coeffs", wide))
+        if np.min(phi_d2) < -1e-12:
             raise ConfigurationError("node potential is not convex on samples",
                                      "phi_coeffs")
 

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from .grids import ConfigurationError, Grid, Trajectory, build_grid
 from .energies import (_rowdot, _rowmul, _sequential_sum, graph_laplacian,
-                       polyders, polyval)
+                       polyders, polyval, probe_polyvals)
 from ._newton import SparseHessian, newton_solve, pinned_solve, with_pins
 from .qualitative import RMap, invariance_residual, require_invariant
 from .wed import MinimizeReport, continuation
@@ -80,18 +80,20 @@ class WideWaveProblem:
         if not self.f_coeffs or not np.all(np.isfinite(self.f_coeffs)):
             raise ConfigurationError("F needs finite coefficients, at least "
                                      "one", "f_coeffs")
-        object.__setattr__(self, "_f_der", polyders(self.f_coeffs))
+        object.__setattr__(self, "_f_der", polyders(self.f_coeffs,
+                                                    "f_coeffs"))
         for name in ("initial", "velocity"):
             v = np.asarray(getattr(self, name), dtype=float).ravel()
             if v.size != self.grid.n_nodes or not np.all(np.isfinite(v)):
                 raise ConfigurationError(f"{name} must be finite, one per "
                                          "node", name)
             object.__setattr__(self, name, v)
-        # curvature and growth declarations, probed on a wide sample
+        # curvature and growth declarations, probed on a wide sample, which
+        # the initial state widens
         r = 10.0 * (1.0 + float(np.max(np.abs(self.initial))))
-        s = np.linspace(-r, r, 257)
+        s, (fs, dfs, d2) = probe_polyvals((self.f_coeffs, *self._f_der), r,
+                                          ("f_coeffs", "initial"))
         if len(self.f_coeffs) > 2:
-            d2 = polyval(s, self._f_der[1])
             if np.min(d2) < self.lam - 1e-9:
                 raise ConfigurationError(
                     "F'' falls below the declared bound lam on samples",
@@ -99,12 +101,15 @@ class WideWaveProblem:
         elif self.lam > 1e-12:
             raise ConfigurationError("an affine F has no curvature lam > 0",
                                      "f_coeffs")
-        fs = polyval(s, self.f_coeffs)
-        dfs = polyval(s, self._f_der[0])
+        # the growth constants max (|s|^p - F) / (1 + |s|^p) and
+        # max |F'|^p' / (1 + |s|^p), from logs: |s|^p overflows at a
+        # large p where both constants are finite
         pc = self.p_growth / (self.p_growth - 1.0)
-        big = np.abs(s) ** self.p_growth
-        c1 = np.max((big - fs) / (1.0 + big))
-        c2 = np.max(np.abs(dfs) ** pc / (1.0 + big))
+        with np.errstate(divide="ignore", over="ignore"):
+            log_w = -np.logaddexp(0.0, self.p_growth * np.log(np.abs(s)))
+            w = np.exp(log_w)  # 1 / (1 + |s|^p)
+            c1 = np.max((1.0 - w) - fs * w)
+            c2 = np.max(np.exp(pc * np.log(np.abs(dfs)) + log_w))
         if not (np.isfinite(c1) and np.isfinite(c2)):
             raise ConfigurationError("growth constants are not finite",
                                      "f_coeffs")
@@ -188,9 +193,10 @@ class LagrangianProblem:
                 raise ConfigurationError("component_poly needs finite "
                                          "coefficients", "u_coeffs")
             object.__setattr__(self, "u_coeffs", c)
-            object.__setattr__(self, "_u_der", polyders(c))
-            s = np.linspace(-20, 20, 257)
-            if len(c) > 2 and np.min(polyval(s, self._u_der[1])) < -1e-12:
+            object.__setattr__(self, "_u_der", polyders(c, "u_coeffs"))
+            _, (d2,) = probe_polyvals(self._u_der[1:], 20.0,
+                                      ("u_coeffs", "u_coeffs"))
+            if len(c) > 2 and np.min(d2) < -1e-12:
                 raise ConfigurationError("potential is not convex on samples",
                                          "u_coeffs")
         for name in ("initial", "velocity"):

@@ -537,6 +537,10 @@ def test_polyders_are_python_floats():
     assert all(type(c) is float for c in d1 + d2)
     assert polyders((2.0,)) == (None, None)
     assert polyders((2.0, 1.0))[1] is None
+    # a coefficient that overflows is a configuration error, not a warning
+    with pytest.raises(ConfigurationError) as err:
+        polyders((0.0, 0.0, 1e308), "c")
+    assert err.value.field == "c"
 
 
 # ---------------------------------------------------------------------------

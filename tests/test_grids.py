@@ -374,3 +374,29 @@ def test_field_csv_roundtrip_is_exact():
     assert np.array_equal([float(c[1]) for c in cells], g.coords()[:, 0])
     # repr floats read back bit for bit
     assert np.array_equal([float(c[2]) for c in cells], u)
+
+
+def _per_node_csv(grid, values) -> str:
+    """field_to_csv's text, one repr per coordinate and value."""
+    coords = grid.coords()
+    head = ",".join(["index"] + [f"coord{k}" for k in range(grid.dim)]
+                    + ["value"])
+    rows = [f"{i},{','.join(repr(float(c)) for c in coords[i])},"
+            f"{repr(float(values[i]))}" for i in range(grid.n_nodes)]
+    return "\n".join([head] + rows) + "\n"
+
+
+@pytest.mark.parametrize("grid", [
+    line_grid(9), point_grid(),
+    build_grid(dim=2, shape=(4, 5), spacing=(0.3, 0.1), boundary="neumann",
+               domain_kind="rectangle"),
+    build_grid(dim=2, shape=(3, 3), spacing=(1.0, 1.0), boundary="periodic",
+               domain_kind="torus")], ids=["1d", "point", "2d", "torus"])
+def test_field_to_csv_is_the_per_node_writer(grid):
+    rng = np.random.default_rng(4)
+    n = grid.n_nodes
+    # repeats, both zeros and values whose repr takes exponent form
+    pool = np.array([0.0, -0.0, 1e16, 9.9e-5, -1.0 / 3.0, 5e-324])
+    for values in (rng.normal(size=n) * np.pi, pool[np.arange(n) % 6],
+                   np.cos(grid.coords()[:, 0])):
+        assert field_to_csv(grid, values) == _per_node_csv(grid, values)

@@ -14,6 +14,7 @@ from wedflow import (ConcaveSpec, ConfigurationError, DissipationSpec,
                      reflection_permutation)
 from wedflow.cli import bundled_scenarios
 from wedflow.energies import energy1_value_grad
+from wedflow.grids import field_to_csv
 from wedflow.qualitative import (MARGIN_TOL, PropertyReport, _fixed_point_of,
                                  _worsen, compatibility_issues)
 from wedflow.wed import _dissipation_value
@@ -536,3 +537,16 @@ def test_worsen_keeps_the_first_non_finite_margin():
     report = PropertyReport(name="x", conditions={"d": np.inf}, samples=1,
                             seed=0)
     assert not report.passed
+
+
+def test_counterexample_csv_without_a_grid_is_the_per_value_writer():
+    values = np.array([0.5, -0.0, 0.5, 0.0, 1e-5, np.pi, 1e16, 0.5])
+    report = PropertyReport(name="x", conditions={}, samples=1, seed=0,
+                            counterexample=values)
+    rows = ["index,value"] + [f"{i},{repr(float(v))}"
+                              for i, v in enumerate(values)]
+    assert report._counterexample_csv() == "\n".join(rows) + "\n"
+    # with its grid, the report writes the field
+    g = line_grid(8)
+    report = replace(report, counterexample_grid=g)
+    assert report._counterexample_csv() == field_to_csv(g, values)

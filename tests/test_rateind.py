@@ -103,6 +103,23 @@ def test_problem_rejects_non_finite_or_non_numeric_data(bad):
         RIProblem(**{**ok, **bad})
 
 
+@pytest.mark.parametrize("over, field", [
+    ({"phi_coeffs": (0.0, 0.0, 1e308)}, "phi_coeffs"),
+    ({"phi_coeffs": (0.0, 0.0, 0.5, 0.0, 1e306)}, "phi_coeffs"),
+    ({"phi_coeffs": (0.0, 0.0, 0.5, 0.0, 1.0),
+      "forcing": np.full((3, 1), 1e200)}, "forcing"),
+    ({"phi_coeffs": (0.0, 0.0, 0.5, 0.0, 1.0),
+      "initial": np.full(1, 1e200)}, "initial"),
+], ids=["phi'' coefficient", "phi'' on [-10, 10]", "forcing", "initial"])
+def test_problem_probe_overflow_names_the_field(over, field):
+    ok = dict(grid=point_grid(), phi_coeffs=(0.0, 0.0, 0.5), a=0.0,
+              forcing=np.zeros((3, 1)), T=1.0, epsilon=0.2,
+              initial=np.zeros(1))
+    with pytest.raises(ConfigurationError) as err:
+        RIProblem(**{**ok, **over})
+    assert err.value.field == field
+
+
 def test_trajectory_container():
     g = point_grid()
     vals = np.array([[0.0], [0.4], [0.4], [1.0]])

@@ -1,14 +1,18 @@
 """Scenario parsing, artifact emission, exit codes, the named suites, and
 the command line."""
 
+import contextlib
 import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from functools import cache
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -192,21 +196,98 @@ def test_trajectory_to_csv_layout():
     assert alt.splitlines()[0] == "t,component_index,value"
 
 
+def _per_value_csv(traj, header="node_index", column=None) -> str:
+    """trajectory_to_csv's text, one f-string and repr per value."""
+    tails = [f",{repr(float(c))}" for c in column[1]] if column \
+        else [""] * len(traj.values)
+    rows = [f"{repr(float(t))},{i},{repr(float(v))}{tails[n]}"
+            for n, t in enumerate(traj.times)
+            for i, v in enumerate(traj.values[n])]
+    head = f"t,{header},value" + (f",{column[0]}" if column else "")
+    return "\n".join([head] + rows) + "\n"
+
+
+def _nan(payload: int, sign: int = 0) -> float:
+    """A quiet NaN with the given mantissa payload and sign bit."""
+    bits = (sign << 63) | 0x7FF8000000000000 | payload
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+def _csv_cases() -> dict:
+    """name -> (trajectory, header, column) of the writer's edge cases."""
+    rng = np.random.default_rng(3)
+    wide = rng.standard_normal((6, 4)) * 10.0 ** rng.integers(-300, 300,
+                                                              (6, 4))
+    wide[2, 1], wide[3, 0] = -0.0, 5e-324
+    # a small pool: values repeat inside each knot and across knots
+    pool = np.array([0.25, -1.5, 1.0 / 3.0, 2.0 ** -40, 7.0])
+    repeated = pool[rng.integers(0, pool.size, (5, 12))]
+    repeated[3] = repeated[1]
+    # both zeros in one knot, each order: a dedupe keyed by value, not by
+    # bits, writes one of them for both
+    zeros = [[0.0, -0.0, 1.0, 0.0], [-0.0, 0.0, -0.0, 1.0]]
+    special = [[np.nan, np.inf, -np.inf, 5e-324, -5e-324, 0.0],
+               [_nan(1), _nan(0, 1), _nan(12345, 1), np.inf, 5e-324,
+                np.nan]]
+    # where repr switches between positional and exponent form
+    switch = [1e16, 9999999999999998.0, 1e-4, 9.9e-5]
+    switch = [switch + [-v for v in switch],
+              [1e15, 1e17, 0.0001, 0.00011, 9.999e-05, 1e22, 1e-5, 1.0]]
+    # 2D data invariant along the second axis
+    g = build_grid(dim=2, shape=(5, 4), spacing=(0.25, 1.0 / 3.0),
+                   boundary="neumann", domain_kind="rectangle")
+    x = np.cos(np.pi * g.coords()[:, 0])
+    return {
+        "wide_magnitudes": (Trajectory(line_grid(4), 0.7, wide), None, None),
+        "repeated": (Trajectory(line_grid(12), 2.0, repeated), None, None),
+        "signed_zeros": (Trajectory(line_grid(4), 1.0, zeros), None, None),
+        "non_finite": (Trajectory(line_grid(6), 1.0, special), None, None),
+        "exponent_switch": (Trajectory(line_grid(8), 1.0, switch), None,
+                            None),
+        # two components per node, N = 1, the other header and a column
+        "components_n1": (
+            Trajectory(line_grid(3), 0.3, rng.standard_normal((2, 6))),
+            "component_index", ("jump_magnitude", [0.0, 0.1 + 0.2])),
+        "invariant_2d": (Trajectory(g, 1.0, np.outer([1.0, 0.5, -0.25], x)),
+                         None, None),
+    }
+
+
+CSV_CASES = _csv_cases()
+
+
+@cache
+def _scenario_trajectories() -> dict:
+    """name -> (trajectory, header, column) of every trajectory that the
+    bundled scenarios write: each final trajectory and each ordered
+    pair's members."""
+    written = {}
+
+    def recording(traj, header="node_index", column=None):
+        text = trajectory_to_csv(traj, header, column)
+        written[f"{name}:{len(written)}"] = (traj, header, column)
+        return text
+
+    with tempfile.TemporaryDirectory() as out, \
+            mock.patch.dict(os.environ, {"WEDFLOW_OUT": out}), \
+            mock.patch.object(runner, "trajectory_to_csv", recording), \
+            mock.patch.object(wedflow.rateind, "trajectory_to_csv",
+                              recording), \
+            contextlib.redirect_stdout(io.StringIO()):
+        for name in sorted(bundled_scenarios()):
+            assert main(["run", name]) == 0, name
+    return written
+
+
 @pytest.mark.parametrize("with_column", [False, True])
 def test_trajectory_to_csv_reprs_every_float(with_column):
-    rng = np.random.default_rng(3)
-    values = rng.standard_normal((6, 4)) * 10.0 ** rng.integers(-300, 300,
-                                                                (6, 4))
-    values[2, 1], values[3, 0] = -0.0, 5e-324
-    traj = Trajectory(line_grid(4), 0.7, values)
-    column = ("c", np.linspace(-1.0, 1.0, 6) / 3.0) if with_column else None
-    tails = [f",{repr(float(c))}" for c in column[1]] if with_column \
-        else [""] * 6
-    rows = [f"{repr(float(t))},{i},{repr(float(values[n, i]))}{tails[n]}"
-            for n, t in enumerate(traj.times) for i in range(4)]
-    head = "t,node_index,value" + (",c" if with_column else "")
-    assert trajectory_to_csv(traj, column=column) == \
-        "\n".join([head] + rows) + "\n"
+    cases = {**CSV_CASES, **_scenario_trajectories()}
+    for case, (traj, header, column) in cases.items():
+        if column is None and with_column:
+            column = ("c", np.linspace(-1.0, 1.0, traj.steps + 1) / 3.0)
+        header = header or "node_index"
+        assert trajectory_to_csv(traj, header, column) == \
+            _per_value_csv(traj, header, column), case
 
 
 def test_json_ready_is_deterministic():
@@ -716,6 +797,8 @@ def _bundled(name: str, out_dir, **over) -> Path:
     ("ri_ramp", {"a": "x"}),
     ("ri_ramp", {"phi_coeffs": ["a"]}),
     ("ri_ramp", {"phi_coeffs": [0.0, 0.0, float("nan")]}),
+    # a coefficient whose derivative overflows
+    ("ri_ramp", {"phi_coeffs": [0.0, 0.0, 1e308]}),
     # malformed forcing
     ("ri_ramp", {"forcing": "abc"}),
     ("ri_ramp", {"forcing": {"kind": "nodal"}}),
@@ -726,6 +809,11 @@ def test_rejected_scenario_writes_no_artifact(tmp_path, name, over):
     out = tmp_path / "out"
     assert run(_bundled(name, out, **over)) == 2
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_wave_with_a_large_growth_exponent_runs(tmp_path):
+    # |s|^p overflows in the growth probe, and F = u^2/2 grows slower
+    assert run(_bundled("wave_pulse", tmp_path / "out", p_growth=1e3)) == 0
 
 
 @pytest.mark.parametrize("name, field, value", [

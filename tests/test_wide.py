@@ -96,6 +96,39 @@ def test_lagrangian_problem_validation():
         LagrangianProblem(**{**ok, "velocity": np.zeros(3)})
 
 
+
+def test_wave_growth_probe_takes_a_large_exponent():
+    # |s|^p overflows at p = 1e3, where the growth F = u^2/2 <= |u|^p + C
+    # holds; the constants are taken from logs
+    g = line_grid(5)
+    WideWaveProblem(grid=g, rho=1.0, nu=0.0, f_coeffs=(0.0, 0.0, 0.5),
+                    lam=0.0, p_growth=1e3, T=1.0, epsilon=0.1,
+                    initial=np.linspace(0.0, 1.0, 5), velocity=np.zeros(5))
+
+
+@pytest.mark.parametrize("over, field", [
+    ({"u0": np.full(5, 1e200)}, "initial"),
+    ({"u0": np.full(5, 1.7e308), "f_coeffs": (0.0, 1.0), "lam": 0.0},
+     "initial"),
+    ({"f_coeffs": (0.0, 0.0, 1e308)}, "f_coeffs"),
+    ({"f_coeffs": (0.0, 0.0, 0.5, 0.0, 1e306)}, "f_coeffs"),
+], ids=["initial 1e200", "initial near max", "F'' coefficient",
+        "F on [-10, 10]"])
+def test_wave_probe_overflow_names_the_field(over, field):
+    # an overflow in the constructor's probes is a configuration error
+    # naming the field at fault, not a RuntimeWarning
+    with pytest.raises(ConfigurationError) as err:
+        wave_problem(**over)
+    assert err.value.field == field
+
+
+def test_lagrangian_coefficient_overflow_names_the_field():
+    with pytest.raises(ConfigurationError) as err:
+        LagrangianProblem(d=2, M=np.eye(2), nu=0.0, u_kind="component_poly",
+                          u_coeffs=(0.0, 0.0, 1e308), T=1.0, epsilon=0.1,
+                          initial=np.zeros(2), velocity=np.zeros(2))
+    assert err.value.field == "u_coeffs"
+
 # ---------------------------------------------------------------------------
 # trajectories and the functional
 # ---------------------------------------------------------------------------
