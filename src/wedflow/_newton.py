@@ -29,13 +29,19 @@ space-time Hessian of the inertial lane, whose CSC arrays
 lanes that do not couple dofs in space (the uncoupled rate-independent
 lane). `FastDiagonalization` is the time
 coupling plus a constant Kronecker-sum energy Hessian on a 1D or 2D grid,
-whose per-mode tridiagonals are one `KnotTridiagonal`.
+whose per-mode tridiagonals are one `KnotTridiagonal`. Its per-axis modes
+are closed forms (energies.energy1_modes, no eigensolver): an axis below
+energies.FFT_CROSSOVER nodes is a dense Q, a longer one is transformed by
+numpy.fft (DCT-II/III, DST-I or the real Fourier basis, per boundary
+kind), which scipy has loaded already; importing scipy.fft would add
+2.6 MB of resident memory and about 60 ms to the process.
 
 Pattern plans. What a sparse Newton step computes from its sparsity
 pattern alone, energies.energy1_hessian's tiled indices and _factor's
-block split, is planned once per pattern and solve (pattern_plan) and
-reused while the pattern repeats exactly. A plan holds index arrays only,
-so every value, LU and step is bitwise that of an unplanned call.
+block split, is planned once per pattern and continuation (pattern_plan,
+plan_scope) and reused while the pattern repeats exactly. A plan holds
+index arrays only, so every value, LU and step is bitwise that of an
+unplanned call.
 
 Front end. Every lane minimizes over whole trajectories U ((N+1, n_dof))
 whose first k rows are pinned by the problem (k = 2 in the inertial lane,
@@ -57,7 +63,7 @@ converges in float64 never enters it.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 
 import numpy as np
@@ -319,9 +325,10 @@ def _factor(H, mu: float, symmetric: bool):
     solve could round differently.
 
     The split depends on the pattern of H + mu I alone, so _block_plan
-    makes it once per pattern and solve (see pattern_plan), and a call
-    gathers the values into block order, keys and factors the blocks. The
-    default path takes the same plan: one block, in the identity order."""
+    makes it once per pattern and continuation (see pattern_plan), and a
+    call gathers the values into block order, keys and factors the
+    blocks. The default path takes the same plan: one block, in the
+    identity order."""
     options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options=dict(SymmetricMode=True)) if symmetric else {}
     A = H if mu == 0.0 else H + mu * sp.identity(H.shape[0], format="csr")
@@ -405,7 +412,9 @@ def pattern_plan(kind: str, pattern: tuple, build):
     _factor's "factor" or energies.energy1_hessian's "hessian"; a scope
     holds the last plan of each kind, and drops it before it makes a new
     one. A plan holds index arrays only, never a value or an LU. Outside
-    a scope every call makes its plan."""
+    a scope every call makes its plan. A plan lives as long as its scope:
+    a whole weight continuation (wed.continuation), or one solve
+    (pinned_solve) outside every continuation."""
     plans = _PLANS.get()
     held = None if plans is None else plans.pop(kind, None)
     if held is not None and all(
@@ -424,8 +433,10 @@ def pattern_plan(kind: str, pattern: tuple, build):
 @contextmanager
 def plan_scope():
     """The lifetime of pattern plans: pattern_plan keeps its plans in the
-    innermost open scope, and they go when it ends. pinned_solve runs
-    each solve in one."""
+    innermost open scope, and they go when it ends. wed.continuation runs
+    all its levels in one, so a pattern that repeats across levels (the
+    same grid and knots) is planned once per run; pinned_solve opens one
+    for its solve only where none is open."""
     token = _PLANS.set({})
     try:
         yield
@@ -482,7 +493,7 @@ class SparseHessian:
     1e-12 oracle. That leaf is the O(1) residual evaluated at the first
     weight level rather than the solved one, so it amplifies the round-off
     of the solve. The block split of a factorization is planned once per
-    pattern and solve, not held here (see _factor)."""
+    pattern and continuation, not held here (see _factor)."""
 
     def __init__(self, matrix, symmetric: bool = False):
         self.matrix = matrix
@@ -514,6 +525,17 @@ class KnotTridiagonal:
     def __init__(self, diag: np.ndarray, off: np.ndarray):
         self.diag = diag
         self.off = off
+        N, n = diag.shape
+        # the node-major bands, laid out once for every solve: column j's
+        # knots are rows j N .. j N + N - 1, and the coupling after each
+        # column's last knot is zero (one column: views of the bands,
+        # which LAPACK must not overwrite)
+        if n == 1:
+            self._bands = diag.ravel(), off.ravel()
+        else:
+            bands = np.zeros((n, N))
+            bands[:, :-1] = off.T
+            self._bands = diag.T.ravel(), bands.ravel()[:-1]
 
     def diagonal(self) -> np.ndarray:
         return self.diag.ravel()
@@ -521,25 +543,17 @@ class KnotTridiagonal:
     def solve(self, rhs: np.ndarray, mu: float = 0.0) -> np.ndarray:
         """(H + mu I)^{-1} rhs for the flat knot-major rhs."""
         N, n = self.diag.shape
-        if n == 1:
-            # one column: the knots are the unknowns, in order
-            d, b = self.diag.ravel() + mu, rhs.copy()
-        else:
-            # column j's knots are rows j N .. j N + N - 1, and the
-            # coupling after each column's last knot is zero
-            d = (self.diag + mu).T.ravel()
-            # a copy: at N = 1 the ravel would be a view of rhs
-            b = rhs.reshape(N, n).T.flatten()
+        d, off = self._bands
+        d = d + mu
+        # a copy: at N = 1 or n = 1 the ravel would be a view of rhs
+        b = rhs.reshape(N, n).T.flatten()
         if d.size == 1:
             if d[0] == 0.0:
                 raise RuntimeError("tridiagonal solve failed (dgtsv info 1)")
             return b / d
         if n == 1:
-            # a view of self.off, which LAPACK must not overwrite
-            return _dgtsv(self.off.ravel(), d, b, own_off=False)
-        off = np.zeros((n, N))
-        off[:, :-1] = self.off.T
-        return _dgtsv(off.ravel()[:-1], d, b,
+            return _dgtsv(off, d, b, own_off=False)
+        return _dgtsv(off.copy(), d, b,
                       own_off=True).reshape(n, N).T.ravel()
 
 
@@ -566,17 +580,30 @@ class FastDiagonalization:
     Kronecker product of per-axis orthogonal matrices (energies.
     energy1_modes), a solve is a transform of the right-hand side into
     the eigenbasis, one N x N tridiagonal solve b lam_j + T per mode j
-    (all modes in one KnotTridiagonal), and the transform back: the
-    space-time fast diagonalization of Lynch, Rice & Thomas 1964 in the
-    form of Maday & Ronquist 2008. Nothing of size (N n)^2 is ever
-    formed."""
+    (all modes in one KnotTridiagonal, whose LAPACK bands are laid out
+    once here, for every solve of the weight level), and the transform
+    back: the space-time fast diagonalization of Lynch, Rice & Thomas
+    1964 in the form of Maday & Ronquist 2008. Nothing of size (N n)^2 is
+    ever formed.
+
+    An axis comes as its dense closed-form Q, applied as a product, or,
+    from energies.FFT_CROSSOVER nodes on, as its boundary kind, whose Q
+    _FFT applies in O(n log n) per state with numpy.fft: the orthonormal
+    DCT-II/III (neumann) by Makhoul's reordered real FFT, the DST-I
+    (dirichlet) by the real FFT of the odd extension, and the real
+    Fourier basis (periodic) by the real FFT itself (Swarztrauber 1977).
+    numpy.fft is loaded with scipy already; scipy.fft would add 2.6 MB
+    of resident memory and 58-99 ms to every process that imports it
+    (measured after importing wedflow.cli)."""
 
     def __init__(self, b: np.ndarray, r: np.ndarray, modes: tuple):
         self.b = b
         self.axes, self.lam, self.kdiag = modes
         self.tdiag, toff = band_diagonals(r)
+        # the transpose of a node-major array, whose node-major ravel the
+        # KnotTridiagonal then takes without a copy
         self.mode_band = KnotTridiagonal(
-            b[:, None] * self.lam.ravel() + self.tdiag[:, None],
+            (self.lam.reshape(-1, 1) * b + self.tdiag).T,
             np.broadcast_to(toff[:, None], (toff.size, self.lam.size)))
 
     def diagonal(self) -> np.ndarray:
@@ -587,8 +614,10 @@ class FastDiagonalization:
         """Q^T (or Q, if inverse) applied to every knot's state of the
         (N, *grid shape) array X, one axis at a time."""
         for a, Q in enumerate(self.axes, start=1):
-            X = np.swapaxes(np.swapaxes(X, a, -1) @ (Q.T if inverse else Q),
-                            a, -1)
+            X = np.swapaxes(X, a, -1)
+            X = _FFT[Q][inverse](X) if isinstance(Q, str) \
+                else X @ (Q.T if inverse else Q)
+            X = np.swapaxes(X, a, -1)
         return X
 
     def solve(self, rhs: np.ndarray, mu: float = 0.0) -> np.ndarray:
@@ -597,6 +626,102 @@ class FastDiagonalization:
         Y = self._transform(rhs.reshape(N, *self.lam.shape), False)
         Y = self.mode_band.solve(Y.ravel(), mu)
         return self._transform(Y.reshape(N, *self.lam.shape), True).ravel()
+
+
+def _dct2(X: np.ndarray) -> np.ndarray:
+    """Q^T x along the last axis for the neumann Q of n nodes, the
+    orthonormal DCT-II: one rfft of the even entries followed by the odd
+    ones reversed, turned by exp(-i pi k/2n) (Makhoul 1980); entry n-k is
+    minus the imaginary part of entry k."""
+    n = X.shape[-1]
+    half = n // 2 + 1
+    V = np.fft.rfft(np.concatenate((X[..., ::2], X[..., 1::2][..., ::-1]),
+                                   axis=-1), axis=-1)
+    V *= _turns(n, False)
+    Y = np.empty(X.shape)
+    Y[..., :half] = V.real
+    Y[..., half:] = -V.imag[..., (n + 1) // 2 - 1:0:-1]
+    return Y
+
+
+def _dct3(Y: np.ndarray) -> np.ndarray:
+    """Q y along the last axis for the neumann Q, the inverse of _dct2:
+    the spectrum (y_k - i y_{n-k}) exp(i pi k/2n) by one irfft, then the
+    even and reversed odd entries back in place."""
+    n = Y.shape[-1]
+    half = n // 2 + 1
+    V = np.empty((*Y.shape[:-1], half), complex)
+    V.real = Y[..., :half]
+    V.imag[..., 0] = 0.0
+    V.imag[..., 1:] = -Y[..., n - 1:n - half:-1]
+    V *= _turns(n, True)
+    v = np.fft.irfft(V, n, axis=-1)
+    X = np.empty(v.shape)
+    X[..., ::2] = v[..., :(n + 1) // 2]
+    X[..., 1::2] = v[..., (n + 1) // 2:][..., ::-1]
+    return X
+
+
+def _turns(n: int, inverse: bool) -> np.ndarray:
+    """exp(-+i pi k/2n) for k = 0..n/2, times the orthonormal DCT's scale
+    sqrt(1/n) at k = 0 and sqrt(2/n) beyond (the inverse: sign + and the
+    scales sqrt(n), sqrt(n/2), which also undo the rfft's sums)."""
+    k = np.arange(n // 2 + 1)
+    if inverse:
+        return np.exp(0.5j * np.pi / n * k) \
+            * np.where(k == 0, np.sqrt(n), np.sqrt(0.5 * n))
+    return np.exp(-0.5j * np.pi / n * k) \
+        * np.where(k == 0, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
+
+
+def _dst1(X: np.ndarray) -> np.ndarray:
+    """Q x along the last axis for the dirichlet Q, the orthonormal DST-I,
+    which is its own inverse (Q = Q^T = Q^{-1}): minus half the imaginary
+    part of the rfft of the odd extension (0, x, 0, -reversed x), scaled
+    by sqrt(2/(n+1))."""
+    n = X.shape[-1]
+    W = np.zeros((*X.shape[:-1], 2 * n + 2))
+    W[..., 1:n + 1] = X
+    W[..., n + 2:] = -X[..., ::-1]
+    return np.fft.rfft(W, axis=-1).imag[..., 1:n + 1] \
+        * -np.sqrt(0.5 / (n + 1))
+
+
+def _rdft(X: np.ndarray) -> np.ndarray:
+    """Q^T x along the last axis for the periodic Q, the real Fourier
+    basis: the rfft's constant term, then per wave number its real part
+    (the cosine) and minus its imaginary part (the sine), then the
+    alternating term of an even n, each scaled to unit norm."""
+    n = X.shape[-1]
+    m = (n - 1) // 2
+    F = np.fft.rfft(X, axis=-1)
+    Y = np.empty(X.shape)
+    Y[..., 0] = F[..., 0].real * np.sqrt(1.0 / n)
+    Y[..., 1:2 * m + 1:2] = F.real[..., 1:m + 1] * np.sqrt(2.0 / n)
+    Y[..., 2:2 * m + 2:2] = F.imag[..., 1:m + 1] * -np.sqrt(2.0 / n)
+    if n % 2 == 0:
+        Y[..., -1] = F[..., -1].real * np.sqrt(1.0 / n)
+    return Y
+
+
+def _irdft(Y: np.ndarray) -> np.ndarray:
+    """Q y along the last axis for the periodic Q, the inverse of _rdft:
+    the spectrum it reads, rescaled for numpy's irfft."""
+    n = Y.shape[-1]
+    m = (n - 1) // 2
+    F = np.empty((*Y.shape[:-1], n // 2 + 1), complex)
+    F[..., 0] = Y[..., 0] * np.sqrt(n)
+    F.real[..., 1:m + 1] = Y[..., 1:2 * m + 1:2] * np.sqrt(0.5 * n)
+    F.imag[..., 1:m + 1] = Y[..., 2:2 * m + 2:2] * -np.sqrt(0.5 * n)
+    if n % 2 == 0:
+        F[..., -1] = Y[..., -1] * np.sqrt(n)
+    return np.fft.irfft(F, n, axis=-1)
+
+
+# Per boundary kind, the transforms (Q^T, Q) of a long axis of
+# FastDiagonalization, along the last axis of a stack of states.
+_FFT = {"neumann": (_dct2, _dct3), "dirichlet": (_dst1, _dst1),
+        "periodic": (_rdft, _irdft)}
 
 
 def pinned_solve(solver, pinned: np.ndarray, N: int, start, grad, hess,
@@ -611,8 +736,9 @@ def pinned_solve(solver, pinned: np.ndarray, N: int, start, grad, hess,
     stack V ((rows, N+1-k, n_dof)), as such a stack, and hess(V) the
     Hessian over them of the one trajectory whose unknown knots are V
     ((N+1-k, n_dof)). V is a view of the solver's iterate or trial stack;
-    a callback reads it and never writes it. The solve runs in a
-    plan_scope, so its pattern plans go when it returns. Returns (U,
+    a callback reads it and never writes it. The solve runs in the open
+    plan_scope, or in one of its own, whose pattern plans go when it
+    returns, where none is open. Returns (U,
     scaled_residual, iterations, converged)."""
     k, n_dof = pinned.shape
     knots = (N + 1 - k, n_dof)
@@ -636,7 +762,7 @@ def pinned_solve(solver, pinned: np.ndarray, N: int, start, grad, hess,
     def knot_hess(x: np.ndarray):
         return hess(x.reshape(knots))
 
-    with plan_scope():
+    with plan_scope() if _PLANS.get() is None else nullcontext():
         x, res, iters, conv = solver(x0, flat_grad, knot_hess,
                                      np.repeat(knot_scale, n_dof), **options)
     return with_pins(pinned, x.reshape(knots)), res, iters, conv

@@ -162,7 +162,8 @@ def grid_edges(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
 
 def _per_grid(build):
     """Cache build(grid, *params) once per distinct grid, keyed by the
-    grid's field values (Grid compares by identity)."""
+    grid's field values (Grid compares by identity), for the life of the
+    process; the cache is the wrapper's `cache` attribute."""
     cache = {}
 
     @functools.wraps(build)
@@ -172,6 +173,7 @@ def _per_grid(build):
         if key not in cache:
             cache[key] = build(grid, *params)
         return cache[key]
+    cached.cache = cache
     return cached
 
 
@@ -440,6 +442,64 @@ def _fractional_matrix(grid: Grid, s: float, exterior: bool) -> np.ndarray:
     return 2.0 * (np.diag(W.sum(axis=1)) - W) + np.diag(wext)
 
 
+# The axis length from which _kron_modes hands an axis to the numpy.fft
+# transforms of _newton.FastDiagonalization instead of a dense Q, per
+# boundary kind: the shortest of the lengths timed (n, or n + 1 for
+# dirichlet, in 96, 128, 160, 192, 224, 256, 320, 384, 512, 640, 768,
+# 1024) from which Q^T then Q by FFT took no longer than the two dense
+# products, for 64 and for 512 states at a time (the 1D n = 512, N = 64
+# and the 2D 32 x 32, N = 16 solves of the benchmark), one thread, numpy
+# 2.4. At 64 states the FFT wins from about 160 nodes on (dirichlet's
+# transform is twice as long); at 512 states, where the dense product
+# runs at BLAS speed, from 256 (dirichlet 640). An FFT length with a large
+# prime factor costs more: 131 or 193 nodes took 4-5x the dense time,
+# and the break-even moves to about 1,000 nodes.
+FFT_CROSSOVER = {"neumann": 256, "dirichlet": 640, "periodic": 256}
+
+
+def axis_eigenvalues(kind: str, n: int, h: float) -> np.ndarray:
+    """The eigenvalues, ascending, of the difference Laplacian of one
+    uniform axis of n nodes and spacing h, whose boundary rows follow
+    grid_edges: (4/h^2) sin^2(theta_k) with theta_k = pi k/2n, k = 0..n-1
+    (neumann), pi k/2(n+1), k = 1..n (dirichlet), and pi k/n with
+    k = 0, 1, 1, 2, 2, .. (periodic, each wave number once for its cosine
+    and once for its sine, the alternating mode of an even n once)."""
+    if kind == "neumann":
+        theta = np.pi / (2 * n) * np.arange(n)
+    elif kind == "dirichlet":
+        theta = np.pi / (2 * (n + 1)) * np.arange(1, n + 1)
+    else:
+        theta = np.pi / n * ((np.arange(n) + 1) // 2)
+    return 4.0 / (h * h) * np.sin(theta) ** 2
+
+
+def axis_eigenvectors(kind: str, n: int) -> np.ndarray:
+    """The orthonormal eigenvectors of axis_eigenvalues(kind, n, h) as the
+    columns of a dense n x n Q, in their order: the DCT-II basis
+    c_k cos(pi k (2j+1)/2n) (neumann), the DST-I basis sqrt(2/(n+1))
+    sin(pi (j+1)(k+1)/(n+1)) (dirichlet), and the real Fourier basis
+    1/sqrt(n), then sqrt(2/n) cos(2 pi k j/n) and sqrt(2/n) sin(2 pi k j/n)
+    per wave number, then (-1)^j/sqrt(n) for an even n (periodic). Each
+    angle is reduced to one period in integers first."""
+    j = np.arange(n)[:, None]
+    if kind == "neumann":
+        Q = np.sqrt(2.0 / n) * np.cos(
+            np.pi / (2 * n) * ((2 * j + 1) * np.arange(n) % (4 * n)))
+        Q[:, 0] = np.sqrt(1.0 / n)
+    elif kind == "dirichlet":
+        Q = np.sqrt(2.0 / (n + 1)) * np.sin(
+            np.pi / (n + 1) * ((j + 1) * np.arange(1, n + 1) % (2 * n + 2)))
+    else:
+        k = (np.arange(n) + 1) // 2
+        angle = 2.0 * np.pi / n * (j * k % n)
+        Q = np.sqrt(2.0 / n) * np.where(np.arange(n) % 2 == 1,
+                                        np.cos(angle), np.sin(angle))
+        Q[:, 0] = np.sqrt(1.0 / n)
+        if n % 2 == 0:
+            Q[:, -1] = np.where(j[:, 0] % 2 == 0, 1.0, -1.0) / np.sqrt(n)
+    return Q
+
+
 @_per_grid
 def _kron_modes(grid: Grid, B: float, C: float) -> tuple:
     """The Hessian K = h^d (B D^T D + C I) of a quadratic edge energy on a
@@ -448,31 +508,46 @@ def _kron_modes(grid: Grid, B: float, C: float) -> tuple:
     eigenvector matrices. D^T D is the Kronecker sum of the per-axis
     difference Laplacians, whose boundary rows follow grid_edges (neumann
     one edge, dirichlet a phantom edge too, periodic a wrap). Returns
-    (per-axis Q, lam and diag(K) shaped like the grid)."""
+    (per-axis Q, lam and diag(K) shaped like the grid).
+
+    Every axis is uniform, so its eigenpairs have closed forms (Buzbee,
+    Golub & Nielson 1970; Swarztrauber 1977) and no eigensolver runs:
+    axis_eigenvalues and axis_eigenvectors. An axis shorter than
+    FFT_CROSSOVER[boundary] gets its dense Q; a longer one gets the
+    boundary kind instead, and FastDiagonalization applies its Q by the
+    numpy.fft transform of that kind, so the cache holds O(n) numbers for
+    it, not an n x n matrix. The crossover is where the transform pair
+    by FFT took no longer than the two dense products, timed at the
+    benchmark's 64 and 512 states per transform (see FFT_CROSSOVER). The
+    closed-form basis is also the more accurate one: at n = 4096 eigh's
+    vectors were off from it by up to 3.7e-10, its eigenvalues by
+    1.8e-15 relative."""
     hd = grid.cell_measure
+    kind = grid.boundary
     mats, lam, diag = [], 0.0, 0.0
     for a, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
-        L = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-        if grid.boundary == "periodic":
-            L[0, -1] = L[-1, 0] = -1.0
-        elif grid.boundary == "neumann":
-            L[0, 0] = L[-1, -1] = 1.0
-        L /= h * h
-        evals, Q = np.linalg.eigh(L)
-        mats.append(Q)
+        mats.append(axis_eigenvectors(kind, n) if n < FFT_CROSSOVER[kind]
+                    else kind)
+        # the Laplacian's diagonal: 2/h^2, neumann's end nodes 1/h^2
+        d = np.full(n, 2.0)
+        if kind == "neumann":
+            d[[0, -1]] = 1.0
         axis = [None] * grid.dim
         axis[a] = slice(None)
-        lam = lam + evals[tuple(axis)]
-        diag = diag + np.diag(L)[tuple(axis)]
+        lam = lam + axis_eigenvalues(kind, n, h)[tuple(axis)]
+        diag = diag + (d / (h * h))[tuple(axis)]
     return mats, hd * (B * lam + C), hd * (B * diag + C)
 
 
 def energy1_modes(spec: EnergySpec, grid: Grid) -> Optional[tuple]:
-    """The state-independent Hessian of phi1 in fast-diagonalization form
-    (see _kron_modes), or None unless it is one: the quadratic kind, or
-    m_laplace with m = 2 and scalar B and C, on a tensor grid whose
-    boundary is not robin (the robin term counts corner nodes once, so
-    it is no Kronecker sum)."""
+    """The state-independent Hessian of phi1 in fast-diagonalization form,
+    (per-axis Q, lam, diag K) from closed forms with no eigensolver (see
+    _kron_modes): each axis's Q is dense below FFT_CROSSOVER[boundary]
+    nodes and the boundary kind, for _newton.FastDiagonalization's
+    numpy.fft transforms, at or above it. None unless it is one: the
+    quadratic kind, or m_laplace with m = 2 and scalar B and C, on a
+    tensor grid whose boundary is not robin (the robin term counts corner
+    nodes once, so it is no Kronecker sum)."""
     if grid.domain_kind == "point" or grid.boundary == "robin":
         return None
     if spec.kind == "quadratic":

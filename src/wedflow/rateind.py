@@ -105,12 +105,14 @@ class RIProblem:
         d1, d2 = polyders(c, "phi_coeffs")
         object.__setattr__(self, "_d1_coeffs", d1)
         object.__setattr__(self, "_d2_coeffs", d2)
-        # convexity probe on a generous sample range, which the larger of
-        # the initial state and the forcing widens
+        # phi~, its derivative (the energetic residuals and the solves
+        # evaluate both) and the convexity probe, on a generous sample
+        # range, which the larger of the initial state and the forcing
+        # widens
         u_max, f_max = float(np.max(np.abs(u0))), float(np.max(np.abs(f)))
         wide = "initial" if u_max >= f_max else "forcing"
-        _, (phi_d2,) = probe_polyvals([d2], 10.0 * (1.0 + u_max + f_max),
-                                      ("phi_coeffs", wide))
+        _, (_, _, phi_d2) = probe_polyvals(
+            (c, d1, d2), 10.0 * (1.0 + u_max + f_max), ("phi_coeffs", wide))
         if np.min(phi_d2) < -1e-12:
             raise ConfigurationError("node potential is not convex on samples",
                                      "phi_coeffs")

@@ -45,7 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._newton import (FastDiagonalization, SparseHessian, newton_solve,
-                      pinned_solve, time_divergence, with_pins)
+                      pinned_solve, plan_scope, time_divergence, with_pins)
 from .energies import (ConcaveSpec, DissipationSpec, EnergySpec,
                        ReactionSpec, A_eval, _rowdot, _sequential_sum,
                        alpha_eval, alpha_prime, energy1_hessian,
@@ -255,7 +255,12 @@ def _constant_hessian(problem: WedProblem, init: Trajectory):
     and |u|^0 are 1, NaN and 0 included).
     - Where energies.energy1_modes gives the energy Hessian K as a
       Kronecker sum over the axes of a 1D or 2D grid, it is the
-      FastDiagonalization of kron(diag(b), K) + kron(T_a, I). Point grids
+      FastDiagonalization of kron(diag(b), K) + kron(T_a, I), from the
+      closed-form trigonometric modes of each uniform axis (no
+      eigensolver): a dense Q below energies.FFT_CROSSOVER nodes (256
+      neumann and periodic, 640 dirichlet, where the numpy.fft transform
+      pair became no slower than the dense products at 64 and at 512
+      states per transform), numpy.fft transforms at or above it. Point grids
       keep the sparse LU: on benchmark variants 2, 3 and 5 of
       `scalar_decay` the fast diagonalization moved the `reports.json`
       leaf `euler_lagrange/interior_max`, the O(1) residual of the wrong
@@ -459,14 +464,18 @@ def continuation(level_solve: Callable, schedule, T: float) -> list:
     level_solve(eps, warm) returns (state, report), where warm is the state
     of the previous level (None at the first). The schedule must pass
     check_schedule. Returns [(eps, state, report)] in schedule order,
-    ending at the first level whose report has not converged."""
+    ending at the first level whose report has not converged. Every
+    level runs in one _newton.plan_scope, so a sparsity pattern that
+    repeats across levels is planned once per continuation."""
+    schedule = check_schedule(schedule, T)
     levels = []
     warm = None
-    for eps in check_schedule(schedule, T):
-        warm, report = level_solve(eps, warm)
-        levels.append((eps, warm, report))
-        if not report.converged:
-            break
+    with plan_scope():
+        for eps in schedule:
+            warm, report = level_solve(eps, warm)
+            levels.append((eps, warm, report))
+            if not report.converged:
+                break
     return levels
 
 

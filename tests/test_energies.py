@@ -19,7 +19,7 @@ from wedflow.energies import (A_eval, alpha_eval,
                               grid_edges, lv_clamp, p_conjugate, polyders,
                               polyval)
 
-from wedflow import WedProblem, _newton, minimize_wed, wed
+from wedflow import WedProblem, _newton, energies, minimize_wed, wed
 from wedflow._newton import time_band
 from wedflow.energies import _coef, _edge_operator, _fractional_matrix, \
     _robin_diag
@@ -474,19 +474,115 @@ def test_edge_operator_differences_match_the_gather():
                 boundary="dirichlet", domain_kind="rectangle"),
      EnergySpec(kind="quadratic", gamma=1.7)),
     (line_grid(7, "dirichlet"), EnergySpec(kind="m_laplace", m=2.0)),
+    # one axis at its kind's crossover, applied by numpy.fft
+    (build_grid(dim=2, shape=(256, 3), spacing=(0.01, 0.3),
+                boundary="neumann", domain_kind="rectangle"),
+     EnergySpec(kind="m_laplace", m=2.0, B=0.9, C=0.1)),
+    (build_grid(dim=2, shape=(4, 256), spacing=(0.2, 0.01),
+                boundary="periodic", domain_kind="torus"),
+     EnergySpec(kind="m_laplace", m=2.0)),
+    (line_grid(640, "dirichlet"), EnergySpec(kind="quadratic", gamma=0.4)),
 ])
 def test_energy1_modes_diagonalize_the_assembled_hessian(grid, spec):
     axes, lam, kdiag = energy1_modes(spec, grid)
     assert lam.shape == kdiag.shape == grid.shape
-    Q = axes[0]
-    for q in axes[1:]:
-        Q = np.kron(Q, q)
+    Q = _dense(axes[0], grid.shape[0])
+    for q, n in zip(axes[1:], grid.shape[1:]):
+        Q = np.kron(Q, _dense(q, n))
     assert np.allclose(Q.T @ Q, np.eye(grid.n_nodes), atol=1e-14)
     K = energy1_hessian(spec, grid, np.zeros(grid.n_nodes)).toarray()
     scale = np.max(np.abs(K))
     assert np.allclose(Q @ np.diag(lam.ravel()) @ Q.T, K, rtol=0.0,
                        atol=1e-13 * scale)
     assert np.allclose(kdiag.ravel(), np.diag(K), rtol=1e-14, atol=0.0)
+
+
+def _dense(axis, n: int) -> np.ndarray:
+    """An axis of energy1_modes as its dense Q: the matrix itself, or the
+    rows of the identity through its forward numpy.fft transform, which
+    maps a row x to x Q."""
+    return axis if isinstance(axis, np.ndarray) \
+        else _newton._FFT[axis][0](np.eye(n))
+
+
+def _axis_grid(kind: str, n: int, h: float):
+    return build_grid(dim=1, shape=(n,), spacing=(h,), boundary=kind,
+                      domain_kind="torus" if kind == "periodic"
+                      else "interval")
+
+
+KINDS = ("neumann", "dirichlet", "periodic")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("side", ["short", "below", "at"])
+def test_closed_form_modes_are_those_of_the_assembled_hessian(kind, side):
+    # odd and even n of 3, 4, 7 and 8 nodes, then the lengths just below
+    # and at the kind's crossover, where the dense Q gives way to the FFT
+    cross = energies.FFT_CROSSOVER[kind]
+    lengths = {"short": (3, 4, 7, 8), "below": (cross - 1,),
+               "at": (cross,)}[side]
+    for n in lengths:
+        grid = _axis_grid(kind, n, 0.7 / n)
+        spec = EnergySpec(kind="m_laplace", m=2.0, B=1.3, C=0.2)
+        (axis,), lam, kdiag = energy1_modes(spec, grid)
+        assert isinstance(axis, str) == (side == "at")
+        K = energy1_hessian(spec, grid, np.zeros(n)).toarray()
+        scale = np.max(np.abs(K))
+        evals, vecs = np.linalg.eigh(K)
+        # the closed-form eigenvalues, ascending, are eigh's
+        assert np.all(np.diff(lam) >= 0.0)
+        assert np.max(np.abs(lam - evals)) <= 1e-13 * scale
+        # and the closed-form Q, dense or by FFT, diagonalizes K
+        Q = _dense(axis, n)
+        assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 1e-13
+        assert np.max(np.abs(Q.T @ K @ Q - np.diag(lam))) <= 1e-13 * scale
+        # each eigenvalue's space is eigh's (a periodic pair shares one)
+        for value in np.unique(lam):
+            mine, theirs = Q[:, lam == value], \
+                vecs[:, np.abs(evals - value) <= 1e-9 * scale]
+            assert mine.shape == theirs.shape
+            assert np.allclose(np.abs(np.linalg.svd(mine.T @ theirs)[1]),
+                               1.0, rtol=0.0, atol=1e-9)
+        assert np.allclose(kdiag, np.diag(K), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [3, 4, 7, 8, 33, 255, 256, 639, 640])
+def test_fft_transforms_apply_the_closed_form_q(kind, n):
+    Q = energies.axis_eigenvectors(kind, n)
+    forward, inverse = _newton._FFT[kind]
+    X = np.random.default_rng(n).standard_normal((3, 5, n))
+    for got, want in ((forward(X), X @ Q), (inverse(X), X @ Q.T)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_kron_modes_call_no_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    spec = EnergySpec(kind="m_laplace", m=2.0)
+    for kind in KINDS:
+        for n in (5, energies.FFT_CROSSOVER[kind] + 1):
+            # a spacing no other test uses, so the cache cannot answer
+            assert energy1_modes(spec, _axis_grid(kind, n, 0.0123)) \
+                is not None
+
+
+def test_the_mode_cache_holds_no_dense_q_for_a_long_axis():
+    n = 512
+    grid = build_grid(dim=2, shape=(n, 3), spacing=(1.0 / n, 0.25),
+                      boundary="neumann", domain_kind="rectangle")
+    energy1_modes(EnergySpec(kind="m_laplace", m=2.0, B=0.8), grid)
+    (entry,) = [v for k, v in energies._kron_modes.cache.items()
+                if k[:3] == (2, (n, 3), (1.0 / n, 0.25)) and k[-2] == 0.8]
+    axes, lam, kdiag = entry
+    assert axes[0] == "neumann" and axes[1].shape == (3, 3)
+    assert lam.shape == kdiag.shape == (n, 3)
+    assert all(np.size(a) < n * n for a in (*axes, lam, kdiag))
 
 
 @pytest.mark.parametrize("grid, spec", [

@@ -1,5 +1,7 @@
 """The damped Newton engine shared by the trajectory solvers."""
 
+import contextlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -10,12 +12,13 @@ from scipy.sparse.linalg import splu
 from wedflow import (ConcaveSpec, ConfigurationError, DissipationSpec,
                      EnergySpec, LagrangianProblem, ReactionSpec, RIProblem,
                      Trajectory, WedProblem, WideWaveProblem, _newton,
+                     energies,
                      build_grid, constant_trajectory, minimize_wed,
                      minimize_wed_ri, minimize_wide, rateind, wed,
                      wed_value_grad, wide)
 from wedflow._newton import newton_solve
 from wedflow.cli import bundled_scenarios
-from wedflow.runner import Scenario
+from wedflow.runner import Scenario, run
 
 from conftest import (assert_same_csc, count_newton, heat_problem,
                       line_grid, point_grid, scalar_decay_problem,
@@ -562,14 +565,28 @@ def _first_newton_inputs(monkeypatch, problem: WedProblem, N: int,
                                                   B=0.7, C=0.45)),
     square_problem("periodic", shape=(4, 5), energy=EnergySpec(
         kind="quadratic", gamma=1.3)),
-], ids=["neumann", "dirichlet", "torus", "anisotropic", "C>0", "quadratic"])
+    # long axes, whose Q numpy.fft applies; at the benchmark's spacing
+    # 1/512 the system's condition number is 1.4e7, and SuperLU's
+    # symmetric and default LUs of it already differ by 1.7e-12 at mu = 0
+    # (LAPACK's dense solve by 3.7e-12), so the spacing is wider here
+    heat_problem(n=512, spacing=1.0 / 64),
+    heat_problem(n=700, boundary="dirichlet", spacing=1.0 / 64),
+    square_problem("periodic", shape=(300, 4)),
+], ids=["neumann", "dirichlet", "torus", "anisotropic", "C>0", "quadratic",
+        "1d-neumann-512", "1d-dirichlet-700", "torus-300x4"])
 def test_fast_newton_step_matches_the_symmetric_lu_step(monkeypatch,
                                                         problem, mu):
     N = 6
     fast, g = _first_newton_inputs(monkeypatch, problem, N, False)
     held, g_ref = _first_newton_inputs(monkeypatch, problem, N, True)
+    grid = problem.grid
     assert isinstance(fast, _newton.FastDiagonalization)
-    assert isinstance(held, _newton.SparseHessian) and held.symmetric
+    assert [isinstance(q, str) for q in fast.axes] == [
+        n >= energies.FFT_CROSSOVER[grid.boundary] for n in grid.shape]
+    # the 1D assembly takes SuperLU's defaults; the reference below is
+    # the symmetric LU in every case
+    assert isinstance(held, _newton.SparseHessian)
+    assert held.symmetric == (grid.dim > 1)
     H = held.matrix
     assert sp.issparse(H) and np.array_equal(g, g_ref)
     assert np.allclose(fast.diagonal(), H.diagonal(), rtol=1e-14, atol=0.0)
@@ -1155,6 +1172,42 @@ def test_plans_go_with_their_solve(monkeypatch):
                                      problem.T, N))
     # the solve held a plan of each kind, and they went when it returned
     assert scopes[0] == {} and sorted(scopes[1]) == ["factor", "hessian"]
+    assert _newton._PLANS.get() is None
+
+
+def _ladder_artifacts(root) -> dict:
+    """The artifacts, by file name, of the benchmark ladder's 2D m = 3
+    heat problem (16 x 16 nodes, N = 64, three weight levels), run in the
+    new directory root."""
+    root.mkdir()
+    out = root / "out"
+    path = root / "heat2d_16x16_m3_N64.json"
+    path.write_text(json.dumps({
+        "name": "heat2d_16x16_m3_N64", "family": "doubly_nonlinear",
+        "grid": {"dim": 2, "shape": [16, 16], "spacing": [1.0 / 16] * 2,
+                 "boundary": "neumann", "domain_kind": "rectangle"},
+        "dissipation": {"p": 2.0},
+        "energy": {"kind": "m_laplace", "m": 3.0, "B": 1.0, "C": 0.0},
+        "initial": {"kind": "cosine", "base": 1.0, "amplitude": 0.3,
+                    "mode": 1.0},
+        "T": 1.0, "steps": 64, "schedule": [0.2, 0.1, 0.05], "seed": 0,
+        "output_dir": str(out)}))
+    assert run(path) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_a_continuation_plans_each_pattern_once(monkeypatch, tmp_path):
+    # every level solves on the same grid and knots, so one plan of each
+    # kind serves the whole run; with a scope per solve each level made
+    # its own, and every artifact is the same byte for byte
+    counts = _count_plans(monkeypatch)
+    held = _ladder_artifacts(tmp_path / "held")
+    assert counts == {"factor": 1, "hessian": 1}
+    counts.update(factor=0, hessian=0)
+    monkeypatch.setattr(wed, "plan_scope", contextlib.nullcontext)
+    per_solve = _ladder_artifacts(tmp_path / "per_solve")
+    assert counts == {"factor": 3, "hessian": 3}
+    assert held == per_solve
     assert _newton._PLANS.get() is None
 
 

@@ -653,13 +653,14 @@ def test_lowest_margin_keeps_a_nan():
     assert runner._lowest(-1.0, 0.5) == -1.0
 
 
-def _loaded_by_importing_the_cli(module: str) -> bool:
+def _loaded_by_importing_the_cli(module: str,
+                                 then: str = "pass") -> bool:
     """Whether a fresh interpreter has `module` loaded after importing
-    wedflow.cli."""
+    wedflow.cli and running the statement `then`."""
     src = str(Path(wedflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, wedflow.cli; "
+        [sys.executable, "-c", f"import sys, wedflow.cli; {then}; "
          f"print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     return out.stdout.strip() == "True"
@@ -681,6 +682,23 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded():
 def test_importing_the_cli_leaves_scipy_csgraph_unloaded():
     # only the symmetric sparse solve of 2D grids finds components
     assert not _loaded_by_importing_the_cli("scipy.sparse.csgraph")
+
+
+def test_a_long_axis_solve_leaves_scipy_fft_unloaded():
+    # the fast diagonalization of a long axis transforms with numpy.fft,
+    # which scipy has loaded already; scipy.fft would cost 2.6 MB
+    solve = (
+        "import numpy as np; from wedflow import *; from wedflow import wed; "
+        "g = build_grid(dim=1, shape=(512,), spacing=(1 / 512,)); "
+        "p = WedProblem(grid=g, dissipation=DissipationSpec(), "
+        "energy1=EnergySpec(kind='m_laplace', m=2.0), "
+        "energy2=ConcaveSpec(), reaction=ReactionSpec(), T=1.0, "
+        "epsilon=0.2, initial=1 + 0.3 * np.cos(np.pi * g.coords()[:, 0])); "
+        "init = constant_trajectory(g, p.initial, 1.0, 16); "
+        "assert wed._constant_hessian(p, init).axes == ['neumann']; "
+        "assert minimize_wed(p, np.zeros(512), init)[1].converged")
+    assert not _loaded_by_importing_the_cli("scipy.fft", solve)
+    assert _loaded_by_importing_the_cli("numpy.fft")
 
 
 def test_verify_unknown_suite():
@@ -834,6 +852,24 @@ def test_malformed_state_names_its_field(tmp_path, capsys, name, field,
                                          value):
     out = tmp_path / "out"
     assert run(_bundled(name, out, **{field: value})) == 2
+    assert capsys.readouterr().out.startswith(
+        f"configuration error: field '{field}'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("initial", 1e200),
+    ("forcing", {"kind": "piecewise_linear_time",
+                 "points": [[0.0, 0.0], [1.0, 1e200]]}),
+])
+def test_rate_independent_potential_overflow_names_its_field(
+        tmp_path, capsys, field, value):
+    # phi = u^2/2 has a finite phi'' everywhere, but phi and phi' overflow
+    # on the range the data widens; the run used to go on and stop on
+    # RuntimeWarnings from the solve's smoothed variation and residuals
+    out = tmp_path / "out"
+    assert run(_bundled("ri_ramp", out, compare_v0=None, schedule=[0.2],
+                        **{field: value})) == 2
     assert capsys.readouterr().out.startswith(
         f"configuration error: field '{field}'")
     assert not out.exists()
