@@ -195,19 +195,74 @@ def _edge_operator(grid: Grid) -> tuple:
     return edges, D, D.T
 
 
-def edge_differences(grid: Grid, u: np.ndarray,
-                     edges=None) -> tuple[np.ndarray, np.ndarray]:
+class _EdgeFacts:
+    """What the edge terms of one grid read on every call, found once per
+    grid beside its _edge_operator (see _edge_facts)."""
+
+    def __init__(self, grid: Grid):
+        (src, dst, hs, phantom), _, self.DT = _edge_operator(grid)
+        self.src = src
+        # node j of every edge, a phantom's replaced by node 0, and the
+        # phantom edges, whose u_j is then set to 0.0 (None without any)
+        self.dst = np.where(phantom, 0, dst)
+        self.phantom = np.flatnonzero(phantom) if phantom.any() else None
+        # whether edge e joins node e to node e + 1 (a 1D grid without
+        # wrap or phantom), so that the differences are of two slices
+        self.chain = src.size > 0 and self.phantom is None \
+            and np.array_equal(src, np.arange(src.size)) \
+            and np.array_equal(dst, src + 1)
+        # one spacing for every edge, as a float, where there is one
+        self.h = float(hs[0]) if hs.size and np.all(hs == hs[0]) else hs
+        self.hd = grid.cell_measure
+        self.emeas = np.full(src.size, self.hd)
+        self.rob = _robin_diag(grid)
+        bidx = np.flatnonzero(self.rob)
+        # the robin boundary nodes and their coefficient; None without
+        self.robin = (bidx, float(self.rob[bidx[0]])) if bidx.size else None
+        for a in (self.dst, self.emeas, self.rob):
+            a.flags.writeable = False
+
+
+@_per_grid
+def _edge_facts(grid: Grid) -> _EdgeFacts:
+    """The grid's _EdgeFacts, cached as its _edge_operator is."""
+    return _EdgeFacts(grid)
+
+
+def _differences(facts: _EdgeFacts, u: np.ndarray) -> np.ndarray:
+    """The edge differences of edge_differences, a fresh array: u_j - u_i
+    by one subtraction per edge, of two slices on a chain, else of two
+    gathers with each phantom u_j set to 0.0 (what np.where(phantom, 0.0,
+    u_j) gives), and divided by the spacing, a float where every edge has
+    it (an array of one value divides alike)."""
+    if u.dtype.kind != "f":
+        u = u.astype(float)
+    if facts.chain:
+        d = u[..., 1:facts.src.size + 1] - u[..., :facts.src.size]
+    else:
+        # np.take keeps stacked rows C-ordered, so row sums round as 1D sums
+        d = np.take(u, facts.dst, -1)
+        if facts.phantom is not None:
+            d[..., facts.phantom] = 0.0
+        d -= np.take(u, facts.src, -1)
+    d /= facts.h
+    return d
+
+
+def edge_differences(grid: Grid, u: np.ndarray) -> tuple[np.ndarray,
+                                                           np.ndarray]:
     """(u_j - u_i)/h per edge (phantom j contributes 0), and the edge measure
     h^d (the h in the difference cancels one spacing factor of the cell).
-    For a stack of states (one per row) the differences are rows too."""
-    if edges is None:
-        edges = _edge_operator(grid)[0]
-    src, dst, hs, phantom = edges
-    # np.take keeps stacked rows C-ordered, so row sums round as 1D sums
-    uj = np.where(phantom, 0.0, np.take(u, np.where(phantom, 0, dst), -1))
-    diffs = (uj - np.take(u, src, -1)) / hs
-    emeas = np.full(src.size, grid.cell_measure)
-    return diffs, emeas
+    For a stack of states (one per row) the differences are rows too.
+
+    The grid's facts (_edge_facts) are found once per grid, so a call
+    makes only the differences: no gather on a 1D grid without wrap or
+    phantom (the difference of two slices has the same operands), no
+    np.where pass where the grid has no phantom edge, one float spacing
+    on a uniform grid, and the edge measures are the grid's one read-only
+    array. Every difference has the bits of the gather-and-where form."""
+    facts = _edge_facts(grid)
+    return _differences(facts, np.asarray(u)), facts.emeas
 
 
 def graph_laplacian(grid: Grid, coeff: float = 1.0) -> Optional[sp.spmatrix]:
@@ -220,34 +275,58 @@ def graph_laplacian(grid: Grid, coeff: float = 1.0) -> Optional[sp.spmatrix]:
     return ((coeff * grid.cell_measure) * (DT @ D)).tocsr()
 
 
-def _edge_energy(grid: Grid, X: np.ndarray, B: np.ndarray, m: float,
+def _at_edges(B, facts: _EdgeFacts):
+    """The coefficient B read at each edge's source node: None (B = 1) and
+    a float stay as they are, a nodal array (or a stack of them) is
+    gathered."""
+    return B if B is None or np.ndim(B) == 0 else B[..., facts.src]
+
+
+def _edge_energy(grid: Grid, X: np.ndarray, B, m: float,
                  value: bool = True):
     """Per row of the state stack X: the value Sum_e B_i |d_e|^m h^d / m
-    (None unless value) and the gradient D^T f. The nodal coefficient B
-    is read at each edge's source node."""
-    edges, _, DT = _edge_operator(grid)
-    src = edges[0]
-    diffs, emeas = edge_differences(grid, X, edges)
-    Be = B[..., src]
-    val = np.sum(Be * np.abs(diffs) ** m * emeas, axis=-1) / m \
-        if value else None
+    (None unless value) and the gradient D^T f. The coefficient B, read at
+    each edge's source node, is None where it is 1, a float, or nodal.
+
+    B = 1 is a factor of exactly 1.0 and a uniform edge measure h^d
+    multiplies as the float does, so neither is an array pass; the
+    products keep their order, ((B |d|^{m-2}) d) h^d, so every entry has
+    the bits of the all-terms form."""
+    facts = _edge_facts(grid)
+    diffs = _differences(facts, X)
+    Be = _at_edges(B, facts)
+    val = None
+    if value:
+        # in place (a product commutes bit for bit), and gone before the
+        # gradient's arrays are made
+        power = np.abs(diffs) ** m
+        if Be is not None:
+            power *= Be
+        power *= facts.hd
+        val = np.sum(power, axis=-1) / m
+        del power
     # d/dd of (1/m)|d|^m is |d|^{m-2} d; chain rule through d = D u. At
     # m = 2 the power is |d|^0 = 1 (NaN and inf included) and Be * 1 is
     # Be, so leaving it out gives the same bits without a pow per edge
     if m == 2.0:
-        force = Be * diffs * emeas
+        force = diffs if Be is None else Be * diffs
     else:
-        force = Be * np.abs(diffs) ** (m - 2.0) * diffs * emeas
-    grad = (DT @ force.T).T
+        force = np.abs(diffs) ** (m - 2.0)
+        if Be is not None:
+            force = Be * force
+        force *= diffs
+    force *= facts.hd
+    grad = (facts.DT @ force.T).T
     return val, grad
 
 
-def _edge_curvature(grid: Grid, X: np.ndarray, B: np.ndarray, m: float):
+def _edge_curvature(grid: Grid, X: np.ndarray, B, m: float):
     """Per row of the state stack X: the weights w of the edge energy's
-    Hessian D^T diag(w) D (see _edge_energy)."""
-    edges = _edge_operator(grid)[0]
-    diffs, emeas = edge_differences(grid, X, edges)
-    return B[..., edges[0]] * (m - 1.0) * np.abs(diffs) ** (m - 2.0) * emeas
+    Hessian D^T diag(w) D (see _edge_energy; B None where it is 1)."""
+    facts = _edge_facts(grid)
+    Be = _at_edges(B, facts)
+    scale = (m - 1.0) if Be is None else Be * (m - 1.0)
+    return scale * np.abs(_differences(facts, X)) ** (m - 2.0) * facts.hd
 
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -379,6 +458,21 @@ class EnergySpec:
         # phi1 must be convex: 2D solves factor its Hessian as SPD
         _require_nonnegative(self, ("gamma", "B", "C", "D1", "D2", "F1",
                                     "F2"))
+
+    @functools.cached_property
+    def _coefs(self) -> tuple:
+        """(B, C, C_live): the m_laplace coefficients as its gradient and
+        Hessian read them, found once per spec. B is None where every
+        entry is 1 (a factor of exactly 1.0), and B and C are otherwise a
+        float for a scalar, or the nodal array; broadcast, a float rounds
+        as the array np.full would give. C_live is False where the
+        gradient's term h^d C |x|^{m-2} x is +-0.0 for every finite x: C is
+        zero everywhere and m <= 3, so |x|^{m-2} <= max(1, |x|) is finite
+        (at m > 3 it can overflow, and 0 * inf is NaN)."""
+        B, C = (float(c) if np.ndim(c) == 0 else np.asarray(c, dtype=float)
+                for c in (self.B, self.C))
+        return (None if np.all(B == 1.0) else B, C,
+                bool(np.any(C != 0.0)) or self.m > 3.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -587,7 +681,17 @@ def energy1_value_grad(spec: EnergySpec, grid: Grid, x: np.ndarray,
     """Vector-level phi1: value and euclidean gradient on the flat state,
     or values and gradient rows on a stack of states (one per row).
     value=False leaves the value out (None) and computes the gradient
-    with the same operations, so with the same bits."""
+    with the same operations, so with the same bits.
+
+    The m_laplace gradient is the edge part D^T f plus, per node, the term
+    h^d C |x|^{m-2} x + rob x, and it evaluates only the live addends,
+    from the spec's _coefs and the grid's _edge_facts: no C term where
+    C_live is False, rob x only at the robin boundary nodes, and neither
+    off a robin grid. That keeps every bit for a finite x: D^T f is
+    scipy's sparse product, whose sums start at +0.0, so it is never
+    -0.0, and the addends left out are +-0.0, which leave such a sum as it
+    is. An x that is not finite gives a gradient that is not finite with
+    or without them. The value, where asked for, adds every term."""
     hd = grid.cell_measure
     val = None
     if spec.kind == "quadratic":
@@ -607,7 +711,7 @@ def energy1_value_grad(spec: EnergySpec, grid: Grid, x: np.ndarray,
         Y = x.reshape(-1, n)
         Dc = np.tile([spec.D1, spec.D2], x.shape[0])
         Fc = np.tile([spec.F1, spec.F2], x.shape[0])
-        ev, eg = _edge_energy(grid, Y, np.ones(n), 2.0, value)
+        ev, eg = _edge_energy(grid, Y, None, 2.0, value)
         if value:
             a = Dc * ev
             b = 0.5 * Fc * hd * _rowdot(Y, Y)
@@ -615,18 +719,26 @@ def energy1_value_grad(spec: EnergySpec, grid: Grid, x: np.ndarray,
         grad = Dc[:, None] * eg + Fc[:, None] * hd * Y
         return val, grad.reshape(x.shape)
     if spec.kind == "m_laplace":
-        n = grid.n_nodes
-        B = _coef(spec.B, n)
-        C = _coef(spec.C, n)
+        B, C, C_live = spec._coefs
         m = spec.m
         val, grad = _edge_energy(grid, x, B, m, value)
-        rob = _robin_diag(grid)
+        facts = _edge_facts(grid)
         if value:
             val = val + hd * np.sum(C * np.abs(x) ** m, axis=1) / m
-            val = val + 0.5 * np.sum(rob * x * x, axis=1)
+            val = val + 0.5 * np.sum(facts.rob * x * x, axis=1)
         # |x|^0 = 1 at m = 2, as in _edge_energy
-        grad += (hd * C * x if m == 2.0
-                 else hd * C * np.abs(x) ** (m - 2.0) * x) + rob * x
+        node = None
+        if C_live:
+            node = hd * C * x if m == 2.0 \
+                else hd * C * np.abs(x) ** (m - 2.0) * x
+        if facts.robin is not None:
+            bidx, rob = facts.robin
+            if node is None:
+                grad[:, bidx] += rob * x[:, bidx]
+            else:
+                node[:, bidx] += rob * x[:, bidx]
+        if node is not None:
+            grad += node
         return val, grad
     raise ConfigurationError(f"unhandled energy kind {spec.kind!r}")
 
@@ -741,11 +853,10 @@ def energy1_hessian(spec: EnergySpec, grid: Grid, x: np.ndarray,
     elif spec.kind in ("m_laplace", "lv_quadratic"):
         template = _block_template(grid, "edges")
         if spec.kind == "m_laplace":
-            B = _coef(spec.B, n)
-            C = _coef(spec.C, n)
+            B, C, _ = spec._coefs
             curv = _edge_curvature(grid, X, B, spec.m)
             diagonal = hd * C * (spec.m - 1.0) \
-                * np.abs(X) ** (spec.m - 2.0) + _robin_diag(grid)
+                * np.abs(X) ** (spec.m - 2.0) + _edge_facts(grid).rob
         else:
             # rows u_1, v_1, u_2, v_2, ...: each species a block of its own
             curv = _edge_curvature(grid, X.reshape(-1, n), np.tile(
@@ -753,7 +864,7 @@ def energy1_hessian(spec: EnergySpec, grid: Grid, x: np.ndarray,
             diagonal = (np.tile([spec.F1, spec.F2], K) * hd)[:, None]
         # t = inv (curv inv), in place (products commute bit for bit),
         # then +t and -t, one row per term
-        inv = 1.0 / _edge_operator(grid)[0][2]
+        inv = 1.0 / _edge_facts(grid).h
         curv *= inv
         curv *= inv
         terms = np.concatenate([curv.T, -curv.T])

@@ -39,6 +39,7 @@ MinimizeReport.notes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -140,14 +141,18 @@ class FixedPointReport:
 # Weights
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
 def _weights(eps: float, T: float, N: int):
-    """(a, b): dissipation and potential weights per slice n = 1..N."""
+    """(a, b): dissipation and potential weights per slice n = 1..N, made
+    once per (eps, T, N) and read-only, as every kernel, value and Hessian
+    call of a solve reads them."""
     dt = T / N
     t = np.linspace(0.0, T, N + 1)
     beta = np.exp(-t / eps)
     b = beta[1:] * dt
     c0 = eps * np.expm1(dt / eps) / dt
     a = c0 * eps * b
+    a.flags.writeable = b.flags.writeable = False
     return a, b
 
 
@@ -188,8 +193,23 @@ def _dissipation_value(problem: WedProblem, U: np.ndarray, dt: float):
                   axis=(-2, -1)) * problem.grid.cell_measure
 
 
+def _kernel_plan(problem: WedProblem, w: np.ndarray, N: int,
+                 dt: float) -> tuple:
+    """What _wed_kernel reads of the weights and the dual table w on every
+    call of a solve, found once: ((a/dt) and b as columns, hd w over knots
+    1..N or None where every entry of it is +0.0, whether alpha is the
+    identity)."""
+    a, b = _weights(problem.epsilon, problem.T, N)
+    hdw = problem.grid.cell_measure * w[1:] \
+        if np.ascontiguousarray(w[1:]).view(np.int64).any() else None
+    spec = problem.dissipation
+    return ((a / dt)[:, None], b[:, None], hdw,
+            spec.alpha_kind == "power" and spec.p == 2.0)
+
+
 def _wed_kernel(problem: WedProblem, w: np.ndarray, U: np.ndarray,
-               dt: float, value: bool = True) -> tuple[float, np.ndarray]:
+                dt: float, value: bool = True, plan: Optional[tuple] = None
+                ) -> tuple[float, np.ndarray]:
     """Value and gradient (zero in the pinned row 0) of the functional on
     the whole trajectory U ((N+1, n_dof)) for the dual table w, or one
     value and gradient per trajectory of a (k, N+1, n_dof) stack, row for
@@ -199,21 +219,47 @@ def _wed_kernel(problem: WedProblem, w: np.ndarray, U: np.ndarray,
     The value is read by wed_value_grad; the Newton gradient of
     minimize_wed, the extended-precision polish's included, passes
     value=False, which leaves the value out (None) and computes the
-    gradient with the same operations, so with the same bits."""
+    gradient with the same operations, so with the same bits.
+
+    The gradient of knot n is b_n (g1_n - hd w_n) + flux_n - flux_{n+1},
+    with flux = ((a/dt) alpha(rate)) hd, and only its live passes run.
+    plan, internal, is _kernel_plan's, which minimize_wed makes once per
+    solve (without it, each call makes its own). It leaves out hd w where
+    w is +0.0 at every knot 1..N (x - (+0.0) is x, -0.0 and NaN
+    included), and the copy alpha(v) = v at p = 2; the flux and b products
+    are taken in place on fresh arrays (a product commutes bit for bit),
+    and the gradient rows are written straight into the output, whose
+    pinned row alone is zeroed. The energy's gradient leaves out its own
+    dead terms (energies.energy1_value_grad). So every gradient row has
+    the bits of the all-terms form for a finite U, and a row that is not
+    finite stays so, so no line-search or polish decision changes."""
     N = U.shape[-2] - 1
     hd = problem.grid.cell_measure
-    a, b = _weights(problem.epsilon, problem.T, N)
-    rates = np.diff(U, axis=-2) / dt
-    alph = alpha_eval(problem.dissipation, rates)
+    a_dt, b, hdw, identity = plan if plan is not None \
+        else _kernel_plan(problem, w, N, dt)
     V = U[..., 1:, :]
+    flux = np.subtract(V, U[..., :-1, :])
+    flux /= dt
+    if not identity:
+        flux = alpha_eval(problem.dissipation, flux)
+    flux *= a_dt
+    flux *= hd
     v1, g1 = energy1_value_grad(problem.energy1, problem.grid,
                                 V.reshape(-1, V.shape[-1]), value=value)
     val = _sequential_sum(_dissipation_value(problem, U, dt),
-                          b * (v1.reshape(V.shape[:-1])
-                               - hd * _rowdot(w[1:], V))) if value else None
-    grad = np.zeros_like(U)
-    grad[..., 1:, :] = b[:, None] * (g1.reshape(V.shape) - hd * w[1:])
-    time_divergence(grad[..., 1:, :], (a / dt)[:, None] * alph * hd)
+                          b[:, 0] * (v1.reshape(V.shape[:-1])
+                                     - hd * _rowdot(w[1:], V))) \
+        if value else None
+    grad = np.empty_like(U)
+    grad[..., 0, :] = 0.0
+    G = grad[..., 1:, :]
+    g1 = g1.reshape(V.shape)
+    if hdw is None:
+        np.multiply(g1, b, out=G)
+    else:
+        np.subtract(g1, hdw, out=G)
+        G *= b
+    time_divergence(G, flux)
     return val, grad
 
 
@@ -309,10 +355,11 @@ def minimize_wed(problem: WedProblem, w, init: Trajectory,
     _, b = _weights(problem.epsilon, problem.T, N)
     held = _constant_hessian(problem, init) if _hessian is None else _hessian
     pinned = problem.initial[None]
+    plan = _kernel_plan(problem, w, N, dt)
 
     def grad(V):
         return _wed_kernel(problem, w, with_pins(pinned, V), dt,
-                           value=False)[1][..., 1:, :]
+                           value=False, plan=plan)[1][..., 1:, :]
 
     def hess(V):
         return held if held is not None \

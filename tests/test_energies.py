@@ -651,7 +651,7 @@ def _chain_edge_hessian(grid, curv):
 
 def _chain_curvature(grid, X, B, m):
     edges = _edge_operator(grid)[0]
-    diffs, emeas = edge_differences(grid, X, edges)
+    diffs, emeas = edge_differences(grid, X)
     Be = B[..., edges[0]]
     return Be * (m - 1.0) * np.abs(diffs) ** (m - 2.0) * emeas
 
