@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._newton import band_diagonals, pattern_plan
-from .grids import ConfigurationError, Grid
+from .grids import ConfigurationError, Grid, float_array, number
 
 
 def p_conjugate(p: float) -> float:
@@ -54,20 +54,25 @@ class DissipationSpec:
     table_alpha: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not 1.0 < self.p < np.inf:
-            raise ConfigurationError("need finite dissipation exponent p > 1")
+        number(self.p, "p", above=1.0)
         if self.alpha_kind not in ("power", "table"):
-            raise ConfigurationError(f"unknown alpha_kind {self.alpha_kind!r}")
+            raise ConfigurationError(f"unknown alpha_kind {self.alpha_kind!r}",
+                                     "alpha_kind")
         if self.alpha_kind == "table":
-            s = np.asarray(self.table_s, dtype=float)
-            a = np.asarray(self.table_alpha, dtype=float)
-            if s.ndim != 1 or s.shape != a.shape or s.size < 2:
-                raise ConfigurationError("alpha table needs matching 1D arrays")
-            if np.any(np.diff(s) <= 0) or np.any(np.diff(a) < 0):
-                raise ConfigurationError("alpha table must be increasing in s "
-                                         "and nondecreasing in alpha")
+            s = float_array(self.table_s, "table_s", (None,))
+            if s.size < 2 or np.any(np.diff(s) <= 0):
+                raise ConfigurationError("the alpha table needs two or more "
+                                         "knots s, increasing", "table_s")
+            a = float_array(self.table_alpha, "table_alpha", s.shape)
+            if np.any(np.diff(a) < 0):
+                raise ConfigurationError("the alpha table must not decrease",
+                                         "table_alpha")
             object.__setattr__(self, "table_s", s)
             object.__setattr__(self, "table_alpha", a)
+        elif self.table_s is not None or self.table_alpha is not None:
+            raise ConfigurationError(
+                "a power alpha takes no table",
+                "table_s" if self.table_s is not None else "table_alpha")
 
 
 def _interp(v: np.ndarray, s: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -342,9 +347,9 @@ def polyval(x: np.ndarray, c) -> np.ndarray:
     but without its per-call overhead. Where polyval computes c_k + v * x
     into new arrays, this multiplies and adds in place on the one fresh
     array x * 0.0; IEEE addition and multiplication are commutative, so
-    every bit stays. Python float coefficients (as polyders gives them)
+    every bit stays. Python float coefficients (as polynomial gives them)
     are the cheapest to add. c = None, a derivative that vanishes
-    identically (see polyders), gives zeros like x."""
+    identically (see polynomial), gives zeros like x."""
     if c is None:
         return np.zeros_like(x)
     v = x * 0.0
@@ -355,20 +360,24 @@ def polyval(x: np.ndarray, c) -> np.ndarray:
     return v
 
 
-def polyders(c, field: Optional[str] = None) -> tuple:
-    """The ascending coefficients of the first and second derivatives of
-    the polynomial with ascending coefficients c, as tuples of Python
-    floats, each None where it vanishes identically (c of degree below 1,
-    resp. 2). A coefficient that overflows (c near the float range)
-    raises a ConfigurationError naming field, not a warning."""
+def polynomial(coeffs, field: str) -> tuple:
+    """(c, (d1, d2)): the ascending coefficients coeffs as a tuple of
+    Python floats, and those of its first and second derivatives, each
+    None where it vanishes identically (degree below 1, resp. 2);
+    ConfigurationError naming field unless coeffs is one or more finite
+    numbers whose derivatives do not overflow."""
+    c = float_array(coeffs, field, (None,))
+    if not c.size:
+        raise ConfigurationError(f"{field} needs at least one coefficient",
+                                 field)
     with np.errstate(over="ignore"):
         ders = tuple(tuple(float(d) for d in
                            np.polynomial.polynomial.polyder(c, k))
-                     if len(c) > k else None for k in (1, 2))
+                     if c.size > k else None for k in (1, 2))
     if not all(map(math.isfinite, chain.from_iterable(filter(None, ders)))):
         raise ConfigurationError("the derivatives' coefficients overflow",
                                  field)
-    return ders
+    return tuple(c.tolist()), ders
 
 
 def probe_polyvals(cs, r: float, fields: tuple) -> tuple:
@@ -413,18 +422,11 @@ def _sequential_sum(first, terms: np.ndarray):
 
 def _require_nonnegative(spec, names) -> None:
     """ConfigurationError naming the first of the coefficients names of
-    spec that is not numeric, or not finite and nonnegative everywhere
-    (values >= 0 alone lets inf through)."""
+    spec that is not finite and nonnegative everywhere."""
     for name in names:
-        c = getattr(spec, name)
-        try:
-            values = np.asarray(c, dtype=float)
-        except (TypeError, ValueError):
+        if np.any(float_array(getattr(spec, name), name) < 0.0):
             raise ConfigurationError(
-                f"coefficient {name} must be numeric") from None
-        if not np.all(np.isfinite(values) & (values >= 0.0)):
-            raise ConfigurationError(
-                f"coefficient {name} must be finite and nonnegative")
+                f"coefficient {name} must be nonnegative", name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,11 +452,13 @@ class EnergySpec:
     def __post_init__(self):
         if self.kind not in ("quadratic", "m_laplace", "fractional",
                              "lv_quadratic"):
-            raise ConfigurationError(f"unknown energy kind {self.kind!r}")
-        if self.kind == "m_laplace" and not 2 <= self.m < np.inf:
-            raise ConfigurationError("need a finite m_laplace exponent m >= 2")
-        if self.kind == "fractional" and not 0.0 < self.s < 1.0:
-            raise ConfigurationError("fractional order s must lie in (0,1)")
+            raise ConfigurationError(f"unknown energy kind {self.kind!r}",
+                                     "kind")
+        number(self.m, "m",
+               at_least=2.0 if self.kind == "m_laplace" else -math.inf)
+        fractional = self.kind == "fractional"
+        number(self.s, "s", above=0.0 if fractional else -math.inf,
+               below=1.0 if fractional else math.inf)
         # phi1 must be convex: 2D solves factor its Hessian as SPD
         _require_nonnegative(self, ("gamma", "B", "C", "D1", "D2", "F1",
                                     "F2"))
@@ -485,8 +489,8 @@ class ConcaveSpec:
     concave_D: object = 1.0
 
     def __post_init__(self):
-        if self.concave_q is not None and not 1.0 < self.concave_q < np.inf:
-            raise ConfigurationError("need a finite concave exponent q > 1")
+        if self.concave_q is not None:
+            number(self.concave_q, "concave_q", above=1.0)
         _require_nonnegative(self, ("concave_D",))
 
 
@@ -964,12 +968,13 @@ class ReactionSpec:
 
     def __post_init__(self):
         if self.kind not in ("none", "lotka_volterra"):
-            raise ConfigurationError(f"unknown reaction kind {self.kind!r}")
-        if self.kind == "lotka_volterra":
-            if not (0 < self.A < np.inf and 0 < self.K < np.inf):
-                raise ConfigurationError("need finite A > 0 and K > 0")
-            if not all(0 <= c < np.inf for c in (self.B, self.C, self.E)):
-                raise ConfigurationError("need finite B, C, E >= 0")
+            raise ConfigurationError(f"unknown reaction kind {self.kind!r}",
+                                     "kind")
+        floor = 0.0 if self.kind == "lotka_volterra" else -math.inf
+        for name in ("A", "K"):
+            number(getattr(self, name), name, above=floor)
+        for name in ("B", "C", "E"):
+            number(getattr(self, name), name, at_least=floor)
 
 
 def reaction_eval(spec: ReactionSpec, state):

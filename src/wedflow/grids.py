@@ -7,6 +7,10 @@ such row per time knot, and `rearrange` maps a whole stack of rows at
 once. A trajectory does not mark pinned rows: the problem owns them, and
 the solvers check a start against them (_newton.pinned_solve).
 
+Every constructor takes its numbers through the intake below
+ConfigurationError (`number`, `count`, `float_array`, `horizon`), which
+raises one naming the argument at fault unless it is finite and in range.
+
 The CSV writers format every float with repr, so a value reads back bit
 for bit. They fill one % template per knot (per field) and call repr
 once per distinct bit pattern in it: the invariant states the paper's
@@ -16,6 +20,8 @@ values costs one repr per value.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -30,6 +36,81 @@ class ConfigurationError(ValueError):
     def __init__(self, message: str, field: Optional[str] = None):
         super().__init__(message)
         self.field = field
+
+
+# ---------------------------------------------------------------------------
+# Intake: the numbers every constructor takes
+# ---------------------------------------------------------------------------
+
+def number(value, field: str, *, above: float = -math.inf,
+           at_least: float = -math.inf, below: float = math.inf,
+           at_most: float = math.inf) -> float:
+    """value as a finite Python float within the given bounds, checked in
+    plain Python; ConfigurationError naming field for anything else (a
+    bool, a string, a complex number or an array too)."""
+    try:
+        if isinstance(value, (bool, np.bool_, str, bytes, complex,
+                              np.complexfloating)):
+            raise TypeError
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"{field} must be a real number, not "
+                                 f"{type(value).__name__}", field) from None
+    # strict default bounds leave out NaN and +-inf
+    if not (above < x < below and at_least <= x <= at_most):
+        bounds = "".join(f" and {op} {b!r}" for op, b in (
+            (">", above), (">=", at_least), ("<", below), ("<=", at_most))
+            if abs(b) < math.inf)
+        raise ConfigurationError(f"{field} must be finite{bounds}, not {x!r}",
+                                 field)
+    return x
+
+
+def count(value, field: str, at_least: int = 1) -> int:
+    """value as an int >= at_least; ConfigurationError naming field
+    unless it is an integer (a float or a bool is not)."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or isinstance(value, bool) or n < at_least:
+        raise ConfigurationError(f"{field} must be an integer >= {at_least}",
+                                 field)
+    return n
+
+
+def float_array(value, field: str, shape=None,
+                finite: bool = True) -> np.ndarray:
+    """value as a float array (a float64 array is not copied);
+    ConfigurationError naming field unless it is a regular array of bools,
+    integers or reals (not None, strings, complex numbers or integers past
+    64 bits) of the given shape (axis lengths, None for any; an int n: n
+    values, flattened) and, where finite is set, finite."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "biuf":
+            raise TypeError
+        arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError):
+        kind = getattr(value, "dtype", type(value).__name__)
+        raise ConfigurationError(f"{field} must be a regular array of real "
+                                 f"numbers, not {kind}", field) from None
+    if isinstance(shape, int):
+        arr, shape = arr.ravel(), (shape,)
+    if shape is not None and (arr.ndim != len(shape) or any(
+            n not in (None, m) for n, m in zip(shape, arr.shape))):
+        raise ConfigurationError(f"{field} has shape {arr.shape}, not "
+                                 f"{tuple(shape)}", field)
+    if finite and not np.isfinite(arr).all():
+        raise ConfigurationError(f"{field} must be finite", field)
+    return arr
+
+
+def horizon(T, epsilon) -> tuple:
+    """(T, epsilon) as floats, a finite horizon T > 0 and a weight
+    0 < epsilon < T; ConfigurationError naming the one at fault."""
+    T = number(T, "T", above=0.0)
+    return T, number(epsilon, "epsilon", above=0.0, below=T)
 
 
 # ---------------------------------------------------------------------------
@@ -103,43 +184,41 @@ def build_grid(dim: int = 1,
                boundary: str = "neumann",
                domain_kind: str = "interval",
                robin_b: float = 0.0) -> Grid:
-    """Validate parameters and construct a Grid.
-
-    Raises ConfigurationError for spacing that is not finite and
-    positive, fewer than 3 nodes per axis (except the "point" kind),
-    robin without a finite b > 0, or a torus without periodic boundary.
-    """
-    if isinstance(shape, int):
-        shape = (shape,) * dim
-    if isinstance(spacing, (int, float)):
-        spacing = (float(spacing),) * dim
-    shape = tuple(int(s) for s in shape)
-    spacing = tuple(float(s) for s in spacing)
-
+    """Validate parameters and construct a Grid. shape and spacing give
+    one entry per axis, or one for every axis."""
+    dim = count(dim, "dim")
     if dim not in (1, 2):
-        raise ConfigurationError(f"dim must be 1 or 2, got {dim}")
-    if domain_kind not in _DOMAIN_KINDS:
-        raise ConfigurationError(f"unknown domain_kind {domain_kind!r}")
-    if boundary not in _BOUNDARIES:
-        raise ConfigurationError(f"unknown boundary {boundary!r}")
+        raise ConfigurationError(f"dim must be 1 or 2, got {dim}", "dim")
+    for name, kind, kinds in (("domain_kind", domain_kind, _DOMAIN_KINDS),
+                              ("boundary", boundary, _BOUNDARIES)):
+        if kind not in kinds:
+            raise ConfigurationError(f"unknown {name} {kind!r}", name)
+    shape, spacing = (x if isinstance(x, (list, tuple))
+                      or getattr(x, "ndim", 0) else (x,) * dim
+                      for x in (shape, spacing))
+    shape = tuple(count(s, "shape") for s in shape)
     if domain_kind == "point":
         if shape != (1,) * dim or dim != 1:
-            raise ConfigurationError("point grids are 1D with a single node")
+            raise ConfigurationError("point grids are 1D with a single node",
+                                     "shape")
         return Grid(1, (1,), (1.0,), boundary, "point")
+    spacing = tuple(number(h, "spacing", above=0.0) for h in spacing)
     if len(shape) != dim or len(spacing) != dim:
-        raise ConfigurationError("shape/spacing length must match dim")
-    if any(s < 3 for s in shape):
-        raise ConfigurationError("need at least 3 nodes per axis")
-    if not all(0 < h < np.inf for h in spacing):
-        raise ConfigurationError("spacing must be finite and positive")
-    if boundary == "robin" and not 0 < robin_b < np.inf:
-        raise ConfigurationError("robin boundary requires a finite b > 0")
+        raise ConfigurationError("shape/spacing length must match dim",
+                                 "shape" if len(shape) != dim else "spacing")
+    if min(shape) < 3:
+        raise ConfigurationError("need at least 3 nodes per axis", "shape")
+    robin_b = number(robin_b, "robin_b",
+                     above=0.0 if boundary == "robin" else -math.inf)
     if domain_kind == "torus" and boundary != "periodic":
-        raise ConfigurationError("torus requires periodic boundary")
+        raise ConfigurationError("torus requires periodic boundary",
+                                 "boundary")
     if boundary == "periodic" and domain_kind != "torus":
-        raise ConfigurationError("periodic boundary requires a torus domain")
+        raise ConfigurationError("periodic boundary requires a torus domain",
+                                 "domain_kind")
     if domain_kind == "rectangle" and dim != 2:
-        raise ConfigurationError("rectangle domain_kind requires dim 2")
+        raise ConfigurationError("rectangle domain_kind requires dim 2",
+                                 "domain_kind")
     return Grid(dim, shape, spacing, boundary, domain_kind, robin_b)
 
 
@@ -152,7 +231,8 @@ class Trajectory:
     """N+1 time slices of nodal values on one grid, t_n = n*T/N.
 
     Stored as a single read-only (N+1, n_dof) array, n_dof a positive
-    multiple of the node count (one block of nodes per component). Which
+    multiple of the node count (one block of nodes per component); its
+    values may be NaN or infinite, which the CSV writers write. Which
     rows are pinned is the problem's to say: a solver checks its start
     against them (see _newton.pinned_solve)."""
 
@@ -161,14 +241,13 @@ class Trajectory:
     values: np.ndarray  # (N+1, n_dof)
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
+        number(self.T, "T", above=0.0)
+        vals = float_array(self.values, "values", (None, None),
+                           finite=False).copy()  # the caller's stays writable
         n = self.grid.n_nodes
-        if vals.ndim != 2 or vals.shape[1] < n or vals.shape[1] % n:
-            raise ConfigurationError("trajectory must be (N+1, k * n_nodes)")
-        if vals.shape[0] < 2:
-            raise ConfigurationError("need at least one time step")
-        if not 0 < self.T < np.inf:
-            raise ConfigurationError("horizon T must be finite and positive")
+        if len(vals) < 2 or vals.shape[1] < n or vals.shape[1] % n:
+            raise ConfigurationError("trajectory must be (N+1, k * n_nodes), "
+                                     "N >= 1, k >= 1", "values")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -241,9 +320,10 @@ def rearrangement_order(grid: Grid, kind: str, axis: int = 0,
 
 
 def _check_axis_direction(axis: int, direction: int) -> None:
-    if axis not in (0, 1) or direction not in (1, -1):
-        raise ConfigurationError(f"need axis 0 or 1 and direction +1 or -1, "
-                                 f"got {axis!r} and {direction!r}")
+    for name, value, allowed in (("axis", axis, (0, 1)),
+                                 ("direction", direction, (1, -1))):
+        if count(value, name, at_least=-1) not in allowed:
+            raise ConfigurationError(f"need {name} in {allowed}", name)
 
 
 def rearrange(grid: Grid, rows: np.ndarray, kind: str, axis: int = 0,

@@ -23,6 +23,7 @@ everything else is projected.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .grids import (ConfigurationError, Grid, Trajectory,
                     _check_axis_direction, _indexed_csv, field_to_csv,
-                    rearrange)
+                    float_array, number, rearrange)
 from .energies import _rowdot, energy1_value_grad
 from .wed import (WedProblem, _dissipation_value, dual_field,
                   eps_continuation)
@@ -55,8 +56,7 @@ class RMap:
     """A nodal map whose fixed-point set is the solution class.
 
     kind selects the transformation; the remaining fields parameterize it.
-    The parameters are validated once, here; `apply` maps whole row
-    stacks.
+    `apply` maps whole row stacks.
     """
 
     kind: str
@@ -72,37 +72,35 @@ class RMap:
     def __post_init__(self):
         kind = self.kind
         if kind not in WED_KINDS + INERTIAL_KINDS:
-            raise ConfigurationError(f"unknown map kind {kind!r}")
+            raise ConfigurationError(f"unknown map kind {kind!r}", "kind")
         _check_axis_direction(self.axis, self.direction)
-        if kind in ("rigid", "translation"):
-            perm = np.asarray(() if self.permutation is None
-                              else self.permutation, dtype=int)
-            if perm.ndim != 1 or perm.size == 0 or not np.array_equal(
-                    np.sort(perm), np.arange(perm.size)):
+        if kind in ("rigid", "translation") or self.permutation is not None:
+            perm = float_array(self.permutation, "permutation", (None,))
+            if perm.size == 0 or not np.array_equal(np.sort(perm),
+                                                    np.arange(perm.size)):
                 raise ConfigurationError(f"{kind} map needs a permutation "
-                                         "of the node set")
-            object.__setattr__(self, "permutation", perm)
-        if (kind == "truncate_lower" and self.level > 0) \
-                or (kind == "truncate_upper" and self.level < 0):
-            raise ConfigurationError("lower truncation needs M <= 0, "
-                                     "upper truncation M >= 0")
+                                         "of the node set", "permutation")
+            object.__setattr__(self, "permutation", perm.astype(int))
+        number(self.level, "level",
+               at_most=0.0 if kind == "truncate_lower" else math.inf,
+               at_least=0.0 if kind == "truncate_upper" else -math.inf)
+        number(self.K, "K", above=0.0 if kind == "lv_clamp" else -math.inf)
         if kind == "lagrangian_affine":
-            r = None if self.r is None else np.asarray(self.r, dtype=float)
-            shift = None if self.shift is None \
-                else np.asarray(self.shift, dtype=float).ravel()
-            if r is None or r.ndim != 2 or r.shape[0] != r.shape[1] \
-                    or not np.allclose(r.T @ r, np.eye(len(r)), atol=1e-12) \
-                    or (shift is not None and shift.size != len(r)):
+            r = float_array(self.r, "r", (None, None))
+            if len(r) != r.shape[1] or not np.allclose(r.T @ r, np.eye(len(r)),
+                                                       atol=1e-12):
                 raise ConfigurationError("affine map needs an orthogonal "
-                                         "matrix r and a shift of its size")
+                                         "matrix r", "r")
             object.__setattr__(self, "r", r)
-            object.__setattr__(self, "shift", shift)
+            if self.shift is not None:
+                object.__setattr__(self, "shift",
+                                   float_array(self.shift, "shift", len(r)))
         elif self.r is not None or self.shift is not None:
-            raise ConfigurationError(f"{kind} map takes no r or shift")
+            raise ConfigurationError(f"{kind} map takes no r or shift",
+                                     "r" if self.r is not None else "shift")
         if kind == "compose" and not self.parts:
-            raise ConfigurationError("compose needs at least one part")
-        if kind == "lv_clamp" and not self.K > 0:
-            raise ConfigurationError("clamp level K must be positive")
+            raise ConfigurationError("compose needs at least one part",
+                                     "parts")
 
     @property
     def enforcement(self) -> str:

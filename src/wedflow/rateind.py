@@ -25,10 +25,10 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .grids import (ConfigurationError, Grid, Trajectory,
-                    trajectory_to_csv)
+from .grids import (ConfigurationError, Grid, Trajectory, count,
+                    float_array, horizon, number, trajectory_to_csv)
 from .energies import (_rowdot, _rowmul, _sequential_sum, graph_laplacian,
-                       polyders, polyval, probe_polyvals)
+                       polynomial, polyval, probe_polyvals)
 from ._newton import (KnotTridiagonal, SparseHessian, band_diagonals,
                       newton_solve, pinned_solve, time_band,
                       time_divergence)
@@ -64,47 +64,19 @@ class RIProblem:
     _lap: Optional[sp.spmatrix] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        f = np.asarray(self.forcing, dtype=float)
-        if f.ndim != 2 or f.shape[1] != self.grid.n_nodes or f.shape[0] < 2:
-            raise ConfigurationError("forcing must be (N+1, n_nodes), N >= 1",
-                                     "forcing")
-        if not np.all(np.isfinite(f)):
-            raise ConfigurationError("forcing must be finite", "forcing")
-        object.__setattr__(self, "forcing", f)
-        u0 = np.asarray(self.initial, dtype=float).ravel()
-        if u0.size != self.grid.n_nodes:
-            raise ConfigurationError("initial state size mismatch", "initial")
-        if not np.all(np.isfinite(u0)):
-            raise ConfigurationError("initial state must be finite", "initial")
-        object.__setattr__(self, "initial", u0)
-        try:
-            a = float(self.a)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"coupling a must be a number, "
-                                     f"not {self.a!r}", "a")
-        if not (np.isfinite(a) and a >= 0):
-            raise ConfigurationError("coupling a must be finite and "
-                                     "nonnegative", "a")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "_lap", graph_laplacian(self.grid, a))
-        if not (np.isfinite(self.T) and self.T > 0):
-            raise ConfigurationError("horizon T must be positive", "T")
-        if not (0 < self.epsilon < self.T):
-            raise ConfigurationError("eps must lie in (0, T)", "epsilon")
-        try:
-            c = np.asarray(self.phi_coeffs, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"phi_coeffs must be numbers, "
-                                     f"not {self.phi_coeffs!r}", "phi_coeffs")
-        if c.ndim != 1 or c.size < 1:
-            raise ConfigurationError("phi_coeffs must be a 1D list of "
-                                     "coefficients", "phi_coeffs")
-        if not np.all(np.isfinite(c)):
-            raise ConfigurationError("phi_coeffs must be finite", "phi_coeffs")
-        object.__setattr__(self, "phi_coeffs", tuple(float(x) for x in c))
-        d1, d2 = polyders(c, "phi_coeffs")
-        object.__setattr__(self, "_d1_coeffs", d1)
-        object.__setattr__(self, "_d2_coeffs", d2)
+        horizon(self.T, self.epsilon)
+        n = self.grid.n_nodes
+        f = float_array(self.forcing, "forcing", (None, n))
+        if len(f) < 2:
+            raise ConfigurationError("forcing needs 2 or more rows", "forcing")
+        u0 = float_array(self.initial, "initial", n)
+        a = number(self.a, "a", at_least=0.0)
+        c, (d1, d2) = polynomial(self.phi_coeffs, "phi_coeffs")
+        for name, value in (("forcing", f), ("initial", u0), ("a", a),
+                            ("_lap", graph_laplacian(self.grid, a)),
+                            ("phi_coeffs", c), ("_d1_coeffs", d1),
+                            ("_d2_coeffs", d2)):
+            object.__setattr__(self, name, value)
         # phi~, its derivative (the energetic residuals and the solves
         # evaluate both) and the convexity probe, on a generous sample
         # range, which the larger of the initial state and the forcing
@@ -138,8 +110,7 @@ class RITrajectory(Trajectory):
 
     def __post_init__(self):
         super().__post_init__()
-        if not np.all(np.isfinite(self.values)):
-            raise ConfigurationError("trajectory values must be finite")
+        float_array(self.values, "values")
 
     def jump_magnitudes(self) -> np.ndarray:
         """psi(u_n - u_{n-1}) per knot; knot 0 carries no jump."""
@@ -319,15 +290,11 @@ def minimize_wed_ri(problem: RIProblem,
 def _check_deltas(deltas) -> tuple:
     """The smoothing stages as floats; ConfigurationError naming `deltas`
     unless there is at least one and each is finite and positive."""
-    try:
-        out = tuple(float(d) for d in deltas)
-    except (TypeError, ValueError):
-        out = ()
-    if not out or not all(np.isfinite(d) and d > 0.0 for d in out):
-        raise ConfigurationError(
-            f"deltas must be one or more finite, positive smoothing "
-            f"parameters, not {deltas!r}", "deltas")
-    return out
+    out = float_array(deltas, "deltas", (None,))
+    if not out.size or np.any(out <= 0.0):
+        raise ConfigurationError(f"deltas must be one or more positive "
+                                 f"numbers, not {deltas!r}", "deltas")
+    return tuple(out.tolist())
 
 
 def sign_condition(problem: RIProblem, traj: RITrajectory) -> dict:
@@ -382,8 +349,7 @@ def energetic_residuals(traj: RITrajectory, problem: RIProblem,
     plus the trapezoid work increment <h_n - h_{n-1}, (u_n + u_{n-1})/2>
     h^d, exact for step interpolants resting or sliding at unit rate."""
     N = _knot_count(problem, traj)
-    if probe_count < 1:
-        raise ConfigurationError("probe_count must be at least 1")
+    probe_count = count(probe_count, "probe_count")
     hd = problem.grid.cell_measure
     U = traj.values
     logs = np.logspace(-3, 1, probe_count)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import (ConfigurationError, Trajectory, build_grid,
+from .grids import (ConfigurationError, Trajectory, build_grid, float_array,
                     rearrange, reflection_permutation, trajectory_to_csv)
 from .energies import (ConcaveSpec, DissipationSpec, EnergySpec,
                        ReactionSpec, _rowdot, energy1_value_grad)
@@ -224,9 +224,7 @@ def _state(v, ctx, n=None) -> np.ndarray:
                 L = float(np.max(x)) + grid.spacing[0]
                 values = f["amplitude"] \
                     * np.sin(2.0 * np.pi * f["mode"] * x / L)
-    if not np.all(np.isfinite(values)):
-        raise ConfigurationError("values must be finite")
-    return values
+    return float_array(values, "values")
 
 
 def _compare(v, ctx) -> np.ndarray:

@@ -53,7 +53,7 @@ from .energies import (ConcaveSpec, DissipationSpec, EnergySpec,
                        energy1_modes, energy1_value_grad,
                        energy2_value_grad, p_conjugate, reaction_eval)
 from .grids import (ConfigurationError, Grid, Trajectory,
-                    constant_trajectory)
+                    constant_trajectory, float_array, horizon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,46 +79,24 @@ class WedProblem:
     forcing: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < self.T:
-            raise ConfigurationError("need 0 < epsilon < T", "epsilon")
-        if not np.isfinite(self.T):
-            raise ConfigurationError("horizon T must be finite", "T")
-        init = _float_array(self.initial, "initial").ravel()
-        if not np.all(np.isfinite(init)):
-            raise ConfigurationError("initial state must be finite", "initial")
+        horizon(self.T, self.epsilon)
         two = self.energy1.kind == "lv_quadratic"
         if self.reaction.kind == "lotka_volterra" and not two:
             raise ConfigurationError("a lotka_volterra reaction needs the "
                                      "lv_quadratic energy", "reaction")
-        n = self.grid.n_nodes
-        expect = 2 * n if two else n
-        if init.size != expect:
-            raise ConfigurationError(
-                f"initial state has {init.size} dofs, expected {expect}",
-                "initial")
-        object.__setattr__(self, "initial", init)
+        n = self.grid.n_nodes * (2 if two else 1)
+        object.__setattr__(self, "initial",
+                           float_array(self.initial, "initial", n))
         if self.forcing is not None:
-            f = _float_array(self.forcing, "forcing")
-            if f.ndim not in (1, 2) or f.shape[-1] != expect \
-                    or not np.all(np.isfinite(f)):
+            f = float_array(self.forcing, "forcing")
+            if f.ndim not in (1, 2) or f.shape[-1] != n:
                 raise ConfigurationError(
-                    f"forcing must be finite, {expect} values or rows of "
-                    f"them", "forcing")
+                    f"forcing must be {n} values or rows of them", "forcing")
             object.__setattr__(self, "forcing", f)
 
     @property
     def n_dof(self) -> int:
         return self.initial.size
-
-
-def _float_array(value, field: str) -> np.ndarray:
-    """value as a float array; ConfigurationError naming field if it is
-    ragged or not numeric."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"{field} must be a numeric array, not ragged", field) from None
 
 
 @dataclass
@@ -493,15 +471,15 @@ class PairReport:
 
 
 def check_schedule(schedule, T: float) -> list:
-    """The weight schedule as a list of floats; ConfigurationError unless
-    it is nonempty, strictly decreasing and inside (0, T)."""
-    schedule = [float(e) for e in schedule]
+    """The weight schedule as a list of floats; ConfigurationError naming
+    `schedule` unless it is nonempty, strictly decreasing and in (0, T)."""
+    schedule = float_array(schedule, "schedule", (None,)).tolist()
     if not schedule:
-        raise ConfigurationError("empty continuation schedule")
+        raise ConfigurationError("empty continuation schedule", "schedule")
     if any(e2 >= e1 for e1, e2 in zip(schedule, schedule[1:])):
-        raise ConfigurationError("schedule must decrease strictly")
+        raise ConfigurationError("schedule must decrease strictly", "schedule")
     if any(not 0.0 < e < T for e in schedule):
-        raise ConfigurationError("schedule entries must lie in (0, T)")
+        raise ConfigurationError("entries must lie in (0, T)", "schedule")
     return schedule
 
 

@@ -25,9 +25,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .grids import ConfigurationError, Grid, Trajectory, build_grid
+from .grids import (ConfigurationError, Grid, Trajectory, build_grid,
+                    count, float_array, horizon, number)
 from .energies import (_rowdot, _rowmul, _sequential_sum, graph_laplacian,
-                       polyders, polyval, probe_polyvals)
+                       polynomial, polyval, probe_polyvals)
 from ._newton import SparseHessian, newton_solve, pinned_solve, with_pins
 from .qualitative import RMap, invariance_residual, require_invariant
 from .wed import MinimizeReport, continuation
@@ -56,38 +57,22 @@ class WideWaveProblem:
     epsilon: float
     initial: np.ndarray
     velocity: np.ndarray
-    _f_der: tuple = field(init=False, repr=False)  # polyders(f_coeffs)
+    _f_der: tuple = field(init=False, repr=False)  # polynomial(f_coeffs)[1]
 
     def __post_init__(self):
+        horizon(self.T, self.epsilon)
         if self.grid.dim != 1:
             raise ConfigurationError("wave problems are 1D here", "grid")
-        if not 0 < self.rho < np.inf:
-            raise ConfigurationError("need a finite density rho > 0", "rho")
-        if not 0 <= self.nu < np.inf:
-            raise ConfigurationError("need a finite damping nu >= 0", "nu")
-        if not 2 <= self.p_growth < np.inf:
-            raise ConfigurationError("need a finite growth exponent >= 2",
-                                     "p_growth")
-        if not np.isfinite(self.lam):
-            raise ConfigurationError("need a finite curvature bound lam",
-                                     "lam")
-        if not 0 < self.T < np.inf:
-            raise ConfigurationError("need a finite horizon T > 0", "T")
-        if not (0 < self.epsilon < self.T):
-            raise ConfigurationError("eps must lie in (0, T)", "epsilon")
-        object.__setattr__(self, "f_coeffs",
-                           tuple(float(c) for c in self.f_coeffs))
-        if not self.f_coeffs or not np.all(np.isfinite(self.f_coeffs)):
-            raise ConfigurationError("F needs finite coefficients, at least "
-                                     "one", "f_coeffs")
-        object.__setattr__(self, "_f_der", polyders(self.f_coeffs,
-                                                    "f_coeffs"))
+        number(self.rho, "rho", above=0.0)
+        number(self.nu, "nu", at_least=0.0)
+        number(self.p_growth, "p_growth", at_least=2.0)
+        number(self.lam, "lam")
+        c, der = polynomial(self.f_coeffs, "f_coeffs")
+        object.__setattr__(self, "f_coeffs", c)
+        object.__setattr__(self, "_f_der", der)
         for name in ("initial", "velocity"):
-            v = np.asarray(getattr(self, name), dtype=float).ravel()
-            if v.size != self.grid.n_nodes or not np.all(np.isfinite(v)):
-                raise ConfigurationError(f"{name} must be finite, one per "
-                                         "node", name)
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, float_array(
+                getattr(self, name), name, self.grid.n_nodes))
         # curvature and growth declarations, probed on a wide sample, which
         # the initial state widens
         r = 10.0 * (1.0 + float(np.max(np.abs(self.initial))))
@@ -136,7 +121,7 @@ class LagrangianProblem:
 
     U is either "quadratic" (0.5 u^T Q u, Q symmetric positive
     semidefinite) or "component_poly" (a convex polynomial summed over
-    components). Convexity is probed on random segments.
+    components).
     """
 
     d: int
@@ -150,61 +135,43 @@ class LagrangianProblem:
     Q: Optional[np.ndarray] = None
     u_coeffs: tuple = ()
     _u_der: tuple = field(init=False, repr=False,
-                          default=None)  # polyders(u_coeffs)
+                          default=None)  # polynomial(u_coeffs)[1]
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ConfigurationError("dimension must be positive", "d")
-        M = np.eye(self.d) if self.M is None \
-            else np.asarray(self.M, dtype=float)
-        if M.shape != (self.d, self.d) or not np.all(np.isfinite(M)) \
-                or not np.allclose(M, M.T):
-            raise ConfigurationError("mass matrix must be finite, symmetric "
-                                     "d x d", "M")
+        horizon(self.T, self.epsilon)
+        d = count(self.d, "d")
+        object.__setattr__(self, "d", d)
+        # the states first: a d they do not have builds no d x d matrix
+        for name in ("initial", "velocity"):
+            object.__setattr__(self, name,
+                               float_array(getattr(self, name), name, d))
+        M = _symmetric(self.M, d, "M")
         try:
             np.linalg.cholesky(M)
         except np.linalg.LinAlgError:
             raise ConfigurationError("mass matrix must be positive definite",
                                      "M")
         object.__setattr__(self, "M", M)
-        if not 0 <= self.nu < np.inf:
-            raise ConfigurationError("need a finite damping nu >= 0", "nu")
-        if not 0 < self.T < np.inf:
-            raise ConfigurationError("need a finite horizon T > 0", "T")
-        if not (0 < self.epsilon < self.T):
-            raise ConfigurationError("eps must lie in (0, T)", "epsilon")
+        number(self.nu, "nu", at_least=0.0)
         if self.u_kind not in ("quadratic", "component_poly"):
             raise ConfigurationError(f"unknown potential kind {self.u_kind!r}",
                                      "u_kind")
+        # the argument the kind does not read is checked all the same
+        Q = _symmetric(self.Q, d, "Q")
         if self.u_kind == "quadratic":
-            Q = np.eye(self.d) if self.Q is None \
-                else np.asarray(self.Q, dtype=float)
-            if Q.shape != (self.d, self.d) or not np.all(np.isfinite(Q)) \
-                    or not np.allclose(Q, Q.T):
-                raise ConfigurationError("Q must be finite, symmetric d x d",
-                                         "Q")
+            float_array(self.u_coeffs, "u_coeffs", (None,))
             if np.min(np.linalg.eigvalsh(Q)) < -1e-12:
                 raise ConfigurationError("quadratic potential must be convex",
                                          "Q")
             object.__setattr__(self, "Q", Q)
         else:
-            c = tuple(float(x) for x in self.u_coeffs)
-            if len(c) < 1 or not np.all(np.isfinite(c)):
-                raise ConfigurationError("component_poly needs finite "
-                                         "coefficients", "u_coeffs")
+            c, der = polynomial(self.u_coeffs, "u_coeffs")
             object.__setattr__(self, "u_coeffs", c)
-            object.__setattr__(self, "_u_der", polyders(c, "u_coeffs"))
-            _, (d2,) = probe_polyvals(self._u_der[1:], 20.0,
-                                      ("u_coeffs", "u_coeffs"))
+            object.__setattr__(self, "_u_der", der)
+            _, (d2,) = probe_polyvals(der[1:], 20.0, ("u_coeffs", "u_coeffs"))
             if len(c) > 2 and np.min(d2) < -1e-12:
                 raise ConfigurationError("potential is not convex on samples",
                                          "u_coeffs")
-        for name in ("initial", "velocity"):
-            v = np.asarray(getattr(self, name), dtype=float).ravel()
-            if v.size != self.d or not np.all(np.isfinite(v)):
-                raise ConfigurationError(f"{name} must be a finite d-vector",
-                                         name)
-            object.__setattr__(self, name, v)
 
     @property
     def n_dof(self) -> int:
@@ -222,6 +189,15 @@ class LagrangianProblem:
 
 
 WideProblem = Union[WideWaveProblem, LagrangianProblem]
+
+
+def _symmetric(A, d: int, field: str) -> np.ndarray:
+    """A as a finite symmetric d x d array, the identity for None."""
+    A = np.eye(d) if A is None else float_array(A, field, (d, d))
+    # np.allclose(A, A.T)'s test, without its overhead: A is finite
+    if not np.all(np.abs(A - A.T) <= 1e-8 + 1e-5 * np.abs(A.T)):
+        raise ConfigurationError(f"{field} must be symmetric", field)
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +456,7 @@ def minimize_wide(problem: WideProblem, steps: int,
     kron chain it replaced, and factored by splu. The engine's
     curvature fallback covers nonconvex (lambda < 0) nonlinearities; the
     declared curvature bound is recorded in the report notes."""
-    N = steps
-    if N < 2:
-        raise ConfigurationError("need at least 3 time knots")
+    N = count(steps, "steps", at_least=2)
     dt = problem.T / N
     parts = _Parts(problem)
     eps = problem.epsilon

@@ -16,7 +16,7 @@ from wedflow import (ConcaveSpec, ConfigurationError, DissipationSpec,
 from wedflow.energies import (A_eval, alpha_eval,
                               alpha_prime, edge_differences, energy1_hessian,
                               energy1_modes, graph_laplacian,
-                              grid_edges, lv_clamp, p_conjugate, polyders,
+                              grid_edges, lv_clamp, p_conjugate, polynomial,
                               polyval)
 
 from wedflow import WedProblem, _newton, energies, minimize_wed, wed
@@ -628,14 +628,15 @@ def test_polyval_is_numpys_polyval_bit_for_bit(degree):
 
 
 def test_polyders_are_python_floats():
-    d1, d2 = polyders((0.0, 0.1, 0.5, 0.0, 0.25))
+    c, (d1, d2) = polynomial((0, 0.1, 0.5, 0.0, 0.25), "c")
+    assert c == (0.0, 0.1, 0.5, 0.0, 0.25)
     assert d1 == (0.1, 1.0, 0.0, 1.0) and d2 == (1.0, 0.0, 3.0)
-    assert all(type(c) is float for c in d1 + d2)
-    assert polyders((2.0,)) == (None, None)
-    assert polyders((2.0, 1.0))[1] is None
+    assert all(type(x) is float for x in c + d1 + d2)
+    assert polynomial((2.0,), "c")[1] == (None, None)
+    assert polynomial((2.0, 1.0), "c")[1][1] is None
     # a coefficient that overflows is a configuration error, not a warning
     with pytest.raises(ConfigurationError) as err:
-        polyders((0.0, 0.0, 1e308), "c")
+        polynomial((0.0, 0.0, 1e308), "c")
     assert err.value.field == "c"
 
 

@@ -8,19 +8,25 @@ two counterexamples that pin the difference-convention pairing. The full
 suite and are exercised by the acceptance tests.
 """
 
+import dataclasses
 import itertools
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wedflow import (ConcaveSpec, ConfigurationError, DissipationSpec,
-                     EnergySpec, LagrangianProblem, ReactionSpec, RMap,
-                     Trajectory, WideWaveProblem, build_grid,
+                     EnergySpec, LagrangianProblem, ReactionSpec, RIProblem,
+                     RMap, Trajectory, WideWaveProblem, build_grid,
                      constant_trajectory, lattice_pair, rearrange,
                      rearrangement_order, reflection_permutation)
 from wedflow.grids import field_to_csv
+from wedflow.rateind import RITrajectory, _check_deltas
+from wedflow.wed import check_schedule
 
 from conftest import heat_problem, line_grid, point_grid
 
@@ -97,7 +103,8 @@ def _lagrangian(**bad):
 
 NAN = float("nan")
 
-# the inertial problems' non-finite inputs, with the field each must name
+# the inertial problems' non-finite or non-numeric inputs, with the field
+# each must name
 _WIDE_NON_FINITE = {
     "wave lam nan": ("lam", lambda: _wave(lam=NAN)),
     "wave lam -inf": ("lam", lambda: _wave(lam=-np.inf)),
@@ -109,46 +116,89 @@ _WIDE_NON_FINITE = {
     "Q inf": ("Q", lambda: _lagrangian(Q=[[np.inf]])),
     "u_coeffs nan": ("u_coeffs", lambda: _lagrangian(
         u_kind="component_poly", u_coeffs=(0.0, NAN, 0.5))),
+    # these raised TypeError or ValueError, not a ConfigurationError
+    "wave T str": ("T", lambda: _wave(T="1.0")),
+    "wave epsilon None": ("epsilon", lambda: _wave(epsilon=None)),
+    "rho str": ("rho", lambda: _wave(rho="x")),
+    "wave nu list": ("nu", lambda: _wave(nu=[0.0])),
+    "lam None": ("lam", lambda: _wave(lam=None)),
+    "p_growth str": ("p_growth", lambda: _wave(p_growth="2")),
+    "f_coeffs None": ("f_coeffs", lambda: _wave(f_coeffs=None)),
+    "lagrangian epsilon str": ("epsilon", lambda: _lagrangian(epsilon="x")),
+    "lagrangian nu None": ("nu", lambda: _lagrangian(nu=None)),
+    "d 1.5": ("d", lambda: _lagrangian(d=1.5)),
+}
+
+# every other range check's non-finite, non-numeric or non-integral input,
+# with the field it must name
+_NON_FINITE = {
+    "spacing nan": ("spacing", lambda: build_grid(dim=1, shape=(3,),
+                                                  spacing=(NAN,))),
+    "spacing inf": ("spacing", lambda: build_grid(dim=1, shape=(3,),
+                                                  spacing=(np.inf,))),
+    "robin_b nan": ("robin_b", lambda: build_grid(
+        dim=1, shape=(3,), boundary="robin", robin_b=NAN)),
+    "robin_b inf": ("robin_b", lambda: build_grid(
+        dim=1, shape=(3,), boundary="robin", robin_b=np.inf)),
+    "T nan": ("T", lambda: Trajectory(line_grid(3), NAN, np.zeros((2, 3)))),
+    "T inf": ("T", lambda: Trajectory(line_grid(3), np.inf,
+                                      np.zeros((2, 3)))),
+    "p nan": ("p", lambda: DissipationSpec(p=NAN)),
+    "p inf": ("p", lambda: DissipationSpec(p=np.inf)),
+    "m nan": ("m", lambda: EnergySpec(kind="m_laplace", m=NAN)),
+    "m inf": ("m", lambda: EnergySpec(kind="m_laplace", m=np.inf)),
+    "q nan": ("concave_q", lambda: ConcaveSpec(concave_q=NAN)),
+    "q inf": ("concave_q", lambda: ConcaveSpec(concave_q=np.inf)),
+    "A nan": ("A", lambda: ReactionSpec(kind="lotka_volterra", A=NAN)),
+    "K inf": ("K", lambda: ReactionSpec(kind="lotka_volterra", K=np.inf)),
+    "B nan": ("B", lambda: ReactionSpec(kind="lotka_volterra", B=NAN)),
+    "E inf": ("E", lambda: ReactionSpec(kind="lotka_volterra", E=np.inf)),
+    "wave nu nan": ("nu", lambda: _wave(nu=NAN)),
+    "wave nu inf": ("nu", lambda: _wave(nu=np.inf)),
+    "rho inf": ("rho", lambda: _wave(rho=np.inf)),
+    "lagrangian nu nan": ("nu", lambda: _lagrangian(nu=NAN)),
+    "gamma inf": ("gamma", lambda: EnergySpec(gamma=np.inf)),
+    "energy B inf": ("B", lambda: EnergySpec(kind="m_laplace", B=np.inf)),
+    "concave_D inf": ("concave_D", lambda: ConcaveSpec(concave_q=3.0,
+                                                       concave_D=np.inf)),
+    "wed T inf": ("T", lambda: heat_problem(T=np.inf)),
+    **_WIDE_NON_FINITE,
+    # np.diff(s) <= 0 is False at NaN, so NaN knots passed and alpha was NaN
+    "table_s nan": ("table_s", lambda: DissipationSpec(
+        alpha_kind="table", table_s=[0.0, NAN], table_alpha=[0.0, 1.0])),
+    "table_alpha inf": ("table_alpha", lambda: DissipationSpec(
+        alpha_kind="table", table_s=[0.0, 1.0], table_alpha=[0.0, np.inf])),
+    "level nan": ("level", lambda: RMap("truncate_lower", level=NAN)),
+    "shift inf": ("shift", lambda: RMap("lagrangian_affine", r=np.eye(2),
+                                        shift=[0.0, np.inf])),
+    "shape 3.7": ("shape", lambda: build_grid(dim=1, shape=(3.7,))),
+    "dim 1.0": ("dim", lambda: build_grid(dim=1.0, shape=3)),
+    # T = NaN used to be reported as a bad epsilon
+    "wed T nan": ("T", lambda: heat_problem(T=NAN)),
+    "wed T 0": ("T", lambda: heat_problem(T=0.0)),
+    "ri T str": ("T", lambda: _ri(T="1")),
+    "ri epsilon None": ("epsilon", lambda: _ri(epsilon=None)),
+    "schedule None entry": ("schedule", lambda: check_schedule([None], 1.0)),
+    "schedule scalar": ("schedule", lambda: check_schedule(0.1, 1.0)),
 }
 
 
-@pytest.mark.parametrize("make", [
-    lambda: build_grid(dim=1, shape=(3,), spacing=(NAN,)),
-    lambda: build_grid(dim=1, shape=(3,), spacing=(np.inf,)),
-    lambda: build_grid(dim=1, shape=(3,), boundary="robin", robin_b=NAN),
-    lambda: build_grid(dim=1, shape=(3,), boundary="robin", robin_b=np.inf),
-    lambda: Trajectory(line_grid(3), NAN, np.zeros((2, 3))),
-    lambda: Trajectory(line_grid(3), np.inf, np.zeros((2, 3))),
-    lambda: DissipationSpec(p=NAN),
-    lambda: DissipationSpec(p=np.inf),
-    lambda: EnergySpec(kind="m_laplace", m=NAN),
-    lambda: EnergySpec(kind="m_laplace", m=np.inf),
-    lambda: ConcaveSpec(concave_q=NAN),
-    lambda: ConcaveSpec(concave_q=np.inf),
-    lambda: ReactionSpec(kind="lotka_volterra", A=NAN),
-    lambda: ReactionSpec(kind="lotka_volterra", K=np.inf),
-    lambda: ReactionSpec(kind="lotka_volterra", B=NAN),
-    lambda: ReactionSpec(kind="lotka_volterra", E=np.inf),
-    lambda: _wave(nu=NAN),
-    lambda: _wave(nu=np.inf),
-    lambda: _wave(rho=np.inf),
-    lambda: _lagrangian(nu=NAN),
-    lambda: EnergySpec(gamma=np.inf),
-    lambda: EnergySpec(kind="m_laplace", B=np.inf),
-    lambda: ConcaveSpec(concave_q=3.0, concave_D=np.inf),
-    lambda: heat_problem(T=np.inf),
-    *(make for _, make in _WIDE_NON_FINITE.values()),
-], ids=["spacing nan", "spacing inf", "robin_b nan", "robin_b inf", "T nan",
-        "T inf", "p nan", "p inf", "m nan", "m inf", "q nan", "q inf",
-        "A nan", "K inf", "B nan", "E inf", "wave nu nan", "wave nu inf",
-        "rho inf", "lagrangian nu nan", "gamma inf", "energy B inf",
-        "concave_D inf", "wed T inf", *_WIDE_NON_FINITE])
-def test_range_checks_reject_non_finite_numbers(make):
+def _ri(**args):
+    return RIProblem(**{**dict(
+        grid=line_grid(3), phi_coeffs=(0.0, 0.0, 0.5), a=0.5,
+        forcing=np.zeros((3, 3)), T=1.0, epsilon=0.1,
+        initial=np.zeros(3)), **args})
+
+
+@pytest.mark.parametrize("field, make", _NON_FINITE.values(),
+                         ids=list(_NON_FINITE))
+def test_range_checks_reject_non_finite_numbers(field, make):
     # each check used to read x <= bound, which NaN passes, or x >= 0 or
-    # eps < T, which inf passes
-    _wave(), _lagrangian(), heat_problem()  # the other data are valid
-    with pytest.raises(ConfigurationError):
+    # eps < T, which inf passes; others raised TypeError or ValueError
+    _wave(), _lagrangian(), _ri(), heat_problem()  # the other data are valid
+    with pytest.raises(ConfigurationError) as err:
         make()
+    assert err.value.field == field
 
 
 @pytest.mark.parametrize("field, make", _WIDE_NON_FINITE.values(),
@@ -159,6 +209,167 @@ def test_wide_problems_name_the_non_finite_field(field, make):
     with pytest.raises(ConfigurationError) as err:
         make()
     assert err.value.field == field
+
+
+def _spec(cls, **base):
+    return lambda **args: cls(**{**base, **args})
+
+
+def _replaced(make):
+    return lambda **args: replace(make(), **args)
+
+
+_AFFINE = dict(r=[[0.0, 1.0], [1.0, 0.0]], shift=[0.5, 0.5])
+
+# every constructor that takes numbers, on valid data: name -> (the
+# constructor of that data with some arguments replaced, {numeric argument:
+# values just outside its documented range}). A value absent there may
+# construct or not; the edge values must not.
+_INTAKE = {
+    "WedProblem": (_replaced(lambda: replace(heat_problem(n=3),
+                                             forcing=np.zeros((9, 3)))),
+                   {"T": [0.0, -1.0], "epsilon": [0.0, 1.0, 1.5],
+                    "initial": [[0.0] * 4, [[0.0] * 3] * 2],
+                    "forcing": [[0.0] * 4, [[[0.0] * 3]]]}),
+    "RIProblem": (_replaced(_ri),
+                  {"T": [0.0], "epsilon": [0.0, 1.0], "a": [-5e-324],
+                   "phi_coeffs": [(), (0.0, 0.0, -1.0), [[0.0]]],
+                   "forcing": [np.zeros((1, 3)), np.zeros(3)],
+                   "initial": [[0.0] * 2]}),
+    "WideWaveProblem": (_replaced(_wave),
+                        {"T": [0.0], "epsilon": [0.0, 1.0], "rho": [0.0],
+                         "nu": [-5e-324], "p_growth": [2.0 - 2 ** -52],
+                         "lam": [1.0], "f_coeffs": [(), [[0.0]]],
+                         "initial": [[0.0] * 4], "velocity": [[0.0] * 6]}),
+    "LagrangianProblem": (_replaced(lambda: _lagrangian(
+                              d=2, initial=np.zeros(2),
+                              velocity=np.zeros(2))),
+                          {"T": [0.0], "epsilon": [0.0, 1.0],
+                           "d": [0, -1, 1.5],
+                           "nu": [-1e-300], "M": [[[1.0, 0.5], [0.0, 1.0]],
+                                                  np.zeros((2, 2)), [[1.0]]],
+                           "Q": [[[-1.0, 0.0], [0.0, 1.0]]],
+                           "u_coeffs": [[[0.0]]], "initial": [[0.0] * 3],
+                           "velocity": [[0.0]]}),
+    "component_poly": (_replaced(lambda: _lagrangian(
+                           u_kind="component_poly", u_coeffs=(0.0, 0.0, 1.0))),
+                       {"u_coeffs": [(), (0.0, 0.0, -1.0)],
+                        "Q": [[[1.0, 2.0]]]}),
+    "DissipationSpec": (_spec(DissipationSpec, alpha_kind="table",
+                              table_s=[-1.0, 1.0], table_alpha=[-1.0, 1.0]),
+                        {"p": [1.0, 0.5], "table_s": [[1.0, -1.0], [0.0]],
+                         "table_alpha": [[1.0, -1.0], [0.0, 1.0, 2.0]]}),
+    "power": (_spec(DissipationSpec), {"table_s": [[0.0]]}),
+    "EnergySpec": (_spec(EnergySpec, kind="m_laplace", m=3.0, B=[1.0, 2.0]),
+                   {"m": [2.0 - 2 ** -52], "gamma": [-1.0], "B": [[1.0, -1.0]],
+                    "C": [-5e-324], "D1": [-1.0], "D2": [-1.0], "F1": [-1.0],
+                    "F2": [-1.0]}),
+    "fractional": (_spec(EnergySpec, kind="fractional"),
+                   {"s": [0.0, 1.0], "m": []}),
+    "ConcaveSpec": (_spec(ConcaveSpec, concave_q=3.0),
+                    {"concave_q": [1.0], "concave_D": [-1.0, [1.0, -1.0]]}),
+    "ReactionSpec": (_spec(ReactionSpec, kind="lotka_volterra"),
+                     {"A": [0.0], "K": [0.0], "B": [-5e-324], "C": [-1.0],
+                      "E": [-1.0]}),
+    "none reaction": (_spec(ReactionSpec), {"A": [], "E": []}),
+    "build_grid": (_spec(build_grid, dim=1, shape=3, spacing=0.5,
+                         boundary="robin", robin_b=1.0),
+                   {"dim": [0, 3, 1.0], "shape": [2, (3, 3), (0,), (3.7,)],
+                    "spacing": [0.0, (0.5, 0.5)], "robin_b": [0.0]}),
+    "Trajectory": (_spec(Trajectory, grid=line_grid(3), T=1.0,
+                         values=np.zeros((2, 3))),
+                   {"T": [0.0], "values": [np.zeros((1, 3)), np.zeros(3),
+                                           np.zeros((2, 2))]}),
+    "RITrajectory": (_spec(RITrajectory, grid=line_grid(3), T=1.0,
+                           values=np.zeros((2, 3))),
+                     {"values": [np.zeros((1, 3))]}),
+    "RMap": (_spec(RMap, kind="rigid", permutation=[1, 0, 2]),
+             {"permutation": [[0, 0, 1], [0.5, 1.0, 2.0], []],
+              "level": [], "K": [], "axis": [2, -1], "direction": [0, 2]}),
+    "truncate_lower": (_spec(RMap, kind="truncate_lower", level=-1.0),
+                       {"level": [5e-324]}),
+    "truncate_upper": (_spec(RMap, kind="truncate_upper", level=1.0),
+                       {"level": [-5e-324]}),
+    "lv_clamp": (_spec(RMap, kind="lv_clamp"), {"K": [0.0]}),
+    "lagrangian_affine": (_spec(RMap, kind="lagrangian_affine", **_AFFINE),
+                          {"r": [[[1.0, 0.0], [0.0, 2.0]], [[1.0, 0.0]]],
+                           "shift": [[0.0] * 3]}),
+    "check_schedule": (partial(check_schedule, T=1.0),
+                       {"schedule": [[0.1, 0.2], [1.0], [0.0], []]}),
+    "_check_deltas": (_check_deltas, {"deltas": [[0.0], [], [-1e-3]]}),
+}
+
+# what no argument may take without a ConfigurationError or a finite copy
+_BAD = st.recursive(
+    st.sampled_from([None, True, False, np.bool_(True), "1.0", "x", b"1",
+                     NAN, np.inf, -np.inf, 1.5, -1.0, 0.0, 1, 2, 1j,
+                     np.array([1j, 1.0]), 10 ** 400, -10 ** 400, 2 ** 1024]),
+    lambda items: st.lists(items, max_size=3), max_leaves=6)
+
+
+def _finite(obj) -> bool:
+    """Whether every number obj stores (dataclass fields, arrays, sparse
+    matrices, sequences, recursively) is finite; an int always is."""
+    if dataclasses.is_dataclass(obj):
+        return all(_finite(getattr(obj, f.name))
+                   for f in dataclasses.fields(obj))
+    if isinstance(obj, (tuple, list)):
+        return all(map(_finite, obj))
+    if sp.issparse(obj):
+        return bool(np.isfinite(obj.data).all())
+    if obj is None or isinstance(obj, (str, bool, int, np.integer)):
+        return True
+    return bool(np.isfinite(np.asarray(obj, dtype=float)).all())
+
+
+# where a check ties two arguments together, the other one, which its
+# error may name: d sizes the states, r the shift and table_s the alpha
+# table, and F'' is checked against lam as f_coeffs
+_CHECKED_AGAINST = {"d": "initial", "r": "shift", "table_s": "table_alpha",
+                    "lam": "f_coeffs"}
+
+
+@st.composite
+def _intake_draws(draw):
+    name = draw(st.sampled_from(sorted(_INTAKE)))
+    arg = draw(st.sampled_from(sorted(_INTAKE[name][1])))
+    edges = _INTAKE[name][1][arg]
+    edge = bool(edges) and draw(st.booleans())
+    value = draw(st.sampled_from(edges)) if edge else draw(_BAD)
+    return name, arg, value, edge
+
+
+@settings(max_examples=400, deadline=None)
+@given(_intake_draws())
+@example(("check_schedule", "schedule", [None], False))
+@example(("check_schedule", "schedule", 0.1, False))
+@example(("DissipationSpec", "table_s", [NAN, 1.0], False))
+@example(("DissipationSpec", "table_alpha", [-1.0, np.inf], False))
+@example(("truncate_lower", "level", NAN, False))
+@example(("lagrangian_affine", "shift", [0.0, -np.inf], False))
+@example(("build_grid", "shape", (3.7,), True))
+@example(("build_grid", "dim", 1.0, True))
+@example(("LagrangianProblem", "d", 1.5, True))
+@example(("WedProblem", "T", NAN, False))
+@example(("RIProblem", "initial", [[0.0], [0.0, 1.0]], False))
+@example(("WideWaveProblem", "rho", "x", False))
+@example(("WideWaveProblem", "f_coeffs", None, False))
+def test_every_constructor_checks_its_numbers(draw):
+    # a draw constructs, with every stored number finite, or raises a
+    # ConfigurationError naming the argument drawn; a Trajectory may hold
+    # NaN and +-inf (the CSV writers write them), an RITrajectory not
+    name, arg, value, edge = draw
+    make, _ = _INTAKE[name]
+    try:
+        out = make(**{arg: value})
+    except ConfigurationError as err:
+        assert err.field in (arg, _CHECKED_AGAINST.get(arg)), \
+            (name, arg, value, err.field)
+        return
+    assert not edge, (name, arg, value)
+    if name == "Trajectory":
+        out = replace(out, values=np.zeros((2, 3)))
+    assert _finite(out), (name, arg, value)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 
 import wedflow
 from wedflow import (ConcaveSpec, ConfigurationError, DissipationSpec,
-                     EnergySpec, ReactionSpec, Trajectory, WedProblem,
+                     EnergySpec, LagrangianProblem, ReactionSpec, RIProblem,
+                     Trajectory, WedProblem, WideWaveProblem,
                      build_grid, constant_trajectory, default_eps_schedule, dual_field,
                      eps_continuation, euler_lagrange_residual,
                      fixed_point_solve, minimize_wed, reference_solve,
@@ -157,10 +158,44 @@ def test_forcing_of_the_wrong_shape_is_named(monkeypatch, forcing):
     assert info.value.field == "forcing"
 
 
-@pytest.mark.parametrize("field", ["initial", "forcing"])
-def test_ragged_initial_or_forcing_is_named(field):
+def _problems() -> dict:
+    """One valid problem of each class, by name."""
+    return {
+        "wed": heat_problem(n=3),
+        "ri": RIProblem(grid=line_grid(3), phi_coeffs=(0.0, 0.0, 0.5), a=0.0,
+                        forcing=np.zeros((3, 3)), T=1.0, epsilon=0.2,
+                        initial=np.zeros(3)),
+        "wave": WideWaveProblem(grid=line_grid(3), rho=1.0, nu=0.0,
+                                f_coeffs=(0.0,), lam=0.0, p_growth=2.0,
+                                T=1.0, epsilon=0.2, initial=np.zeros(3),
+                                velocity=np.zeros(3)),
+        "lagrangian": LagrangianProblem(d=1, M=None, nu=0.0,
+                                        u_kind="quadratic", T=1.0,
+                                        epsilon=0.2, initial=np.zeros(1),
+                                        velocity=np.zeros(1)),
+    }
+
+
+# each class's state arrays, ragged, with a string, or with None; the
+# WED cases keep the ids they had before the other classes came
+_RAGGED = {
+    f"{'' if problem == 'wed' else problem + ' '}{field}{kind}":
+        (problem, field, value)
+    for problem, fields in [("wed", ("initial", "forcing")),
+                            ("ri", ("initial", "forcing")),
+                            ("wave", ("initial", "velocity")),
+                            ("lagrangian", ("initial", "velocity"))]
+    for field in fields
+    for kind, value in [("", [[1.0], [1.0, 2.0]]),
+                        (" non-numeric", ["a", 1.0]),
+                        (" none entry", [None])]}
+
+
+@pytest.mark.parametrize("problem, field, value", _RAGGED.values(),
+                         ids=list(_RAGGED))
+def test_ragged_initial_or_forcing_is_named(problem, field, value):
     with pytest.raises(ConfigurationError, match=field) as info:
-        replace(heat_problem(n=3), **{field: [[1.0], [1.0, 2.0]]})
+        replace(_problems()[problem], **{field: value})
     assert info.value.field == field
 
 
