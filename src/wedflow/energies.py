@@ -54,7 +54,7 @@ class DissipationSpec:
     table_alpha: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        number(self.p, "p", above=1.0)
+        object.__setattr__(self, "p", number(self.p, "p", above=1.0))
         if self.alpha_kind not in ("power", "table"):
             raise ConfigurationError(f"unknown alpha_kind {self.alpha_kind!r}",
                                      "alpha_kind")
@@ -420,13 +420,21 @@ def _sequential_sum(first, terms: np.ndarray):
 # Energies
 # ---------------------------------------------------------------------------
 
-def _require_nonnegative(spec, names) -> None:
-    """ConfigurationError naming the first of the coefficients names of
-    spec that is not finite and nonnegative everywhere."""
+def _require_nonnegative(spec, names, nodal: bool = False) -> None:
+    """Check the coefficients names of spec, finite and nonnegative: one
+    number each or, where nodal, an array of them too. Each is stored as
+    its intake returns it, a float, or a nodal array as the float64 array;
+    ConfigurationError naming the first at fault."""
     for name in names:
-        if np.any(float_array(getattr(spec, name), name) < 0.0):
-            raise ConfigurationError(
-                f"coefficient {name} must be nonnegative", name)
+        if nodal:
+            value = float_array(getattr(spec, name), name)
+            if np.any(value < 0.0):
+                raise ConfigurationError(
+                    f"coefficient {name} must be nonnegative", name)
+            value = float(value) if value.ndim == 0 else value
+        else:
+            value = number(getattr(spec, name), name, at_least=0.0)
+        object.__setattr__(spec, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,7 +442,10 @@ class EnergySpec:
     """Parameters of the convex state energy phi1, selected by `kind`:
     quadratic(gamma), m_laplace(m, B, C, robin via grid), fractional
     (s, gamma, exterior), lv_quadratic(D1, D2, F1, F2) acting on stacked
-    (u, v) pairs.
+    (u, v) pairs. B and C are one number or one per node (WedProblem
+    checks the count against its grid), every other coefficient one
+    number. The constructor stores what its checks return: floats, the
+    float64 array of a nodal coefficient and exterior as a bool.
     """
 
     kind: str = "quadratic"
@@ -454,27 +465,33 @@ class EnergySpec:
                              "lv_quadratic"):
             raise ConfigurationError(f"unknown energy kind {self.kind!r}",
                                      "kind")
-        number(self.m, "m",
-               at_least=2.0 if self.kind == "m_laplace" else -math.inf)
+        object.__setattr__(self, "m", number(
+            self.m, "m",
+            at_least=2.0 if self.kind == "m_laplace" else -math.inf))
         fractional = self.kind == "fractional"
-        number(self.s, "s", above=0.0 if fractional else -math.inf,
-               below=1.0 if fractional else math.inf)
+        object.__setattr__(self, "s", number(
+            self.s, "s", above=0.0 if fractional else -math.inf,
+            below=1.0 if fractional else math.inf))
+        if not isinstance(self.exterior, (bool, np.bool_)):
+            raise ConfigurationError("exterior must be true or false, not "
+                                     f"{type(self.exterior).__name__}",
+                                     "exterior")
+        object.__setattr__(self, "exterior", bool(self.exterior))
         # phi1 must be convex: 2D solves factor its Hessian as SPD
-        _require_nonnegative(self, ("gamma", "B", "C", "D1", "D2", "F1",
-                                    "F2"))
+        _require_nonnegative(self, ("gamma", "D1", "D2", "F1", "F2"))
+        _require_nonnegative(self, ("B", "C"), nodal=True)
 
     @functools.cached_property
     def _coefs(self) -> tuple:
         """(B, C, C_live): the m_laplace coefficients as its gradient and
         Hessian read them, found once per spec. B is None where every
-        entry is 1 (a factor of exactly 1.0), and B and C are otherwise a
-        float for a scalar, or the nodal array; broadcast, a float rounds
-        as the array np.full would give. C_live is False where the
+        entry is 1 (a factor of exactly 1.0), and B and C are otherwise as
+        stored, a float or the nodal array; broadcast, a float rounds as
+        the array np.full would give. C_live is False where the
         gradient's term h^d C |x|^{m-2} x is +-0.0 for every finite x: C is
         zero everywhere and m <= 3, so |x|^{m-2} <= max(1, |x|) is finite
         (at m > 3 it can overflow, and 0 * inf is NaN)."""
-        B, C = (float(c) if np.ndim(c) == 0 else np.asarray(c, dtype=float)
-                for c in (self.B, self.C))
+        B, C = self.B, self.C
         return (None if np.all(B == 1.0) else B, C,
                 bool(np.any(C != 0.0)) or self.m > 3.0)
 
@@ -483,22 +500,18 @@ class EnergySpec:
 class ConcaveSpec:
     """phi2(u) = sum_i D_i |u_i|^q h^d / q with q = concave_q and
     D = concave_D >= 0, the convex power term whose negative is the
-    concave perturbation; phi2 = 0 without concave_q."""
+    concave perturbation; phi2 = 0 without concave_q. concave_D is one
+    number or one per degree of freedom (WedProblem checks the count), and
+    both are stored as checked."""
 
     concave_q: Optional[float] = None
     concave_D: object = 1.0
 
     def __post_init__(self):
         if self.concave_q is not None:
-            number(self.concave_q, "concave_q", above=1.0)
-        _require_nonnegative(self, ("concave_D",))
-
-
-def _coef(c, n: int) -> np.ndarray:
-    arr = np.asarray(c, dtype=float)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
-    return arr
+            object.__setattr__(self, "concave_q", number(
+                self.concave_q, "concave_q", above=1.0))
+        _require_nonnegative(self, ("concave_D",), nodal=True)
 
 
 @_per_grid
@@ -649,10 +662,10 @@ def energy1_modes(spec: EnergySpec, grid: Grid) -> Optional[tuple]:
     if grid.domain_kind == "point" or grid.boundary == "robin":
         return None
     if spec.kind == "quadratic":
-        return _kron_modes(grid, 0.0, float(spec.gamma))
+        return _kron_modes(grid, 0.0, spec.gamma)
     if spec.kind == "m_laplace" and spec.m == 2.0 \
             and np.ndim(spec.B) == 0 and np.ndim(spec.C) == 0:
-        return _kron_modes(grid, float(spec.B), float(spec.C))
+        return _kron_modes(grid, spec.B, spec.C)
     return None
 
 
@@ -938,8 +951,7 @@ def energy2_value_grad(spec: ConcaveSpec, grid: Grid,
     if spec.concave_q is None:
         return np.zeros(x.shape[0]), np.zeros_like(x)
     hd = grid.cell_measure
-    q = spec.concave_q
-    D = _coef(spec.concave_D, x.shape[1])
+    q, D = spec.concave_q, spec.concave_D
     val = hd * np.sum(D * np.abs(x) ** q, axis=1) / q
     if q == 2.0:
         return val, hd * D * x
@@ -972,9 +984,11 @@ class ReactionSpec:
                                      "kind")
         floor = 0.0 if self.kind == "lotka_volterra" else -math.inf
         for name in ("A", "K"):
-            number(getattr(self, name), name, above=floor)
+            object.__setattr__(self, name, number(getattr(self, name), name,
+                                                  above=floor))
         for name in ("B", "C", "E"):
-            number(getattr(self, name), name, at_least=floor)
+            object.__setattr__(self, name, number(getattr(self, name), name,
+                                                  at_least=floor))
 
 
 def reaction_eval(spec: ReactionSpec, state):

@@ -79,16 +79,25 @@ def count(value, field: str, at_least: int = 1) -> int:
     return n
 
 
+def _holds_bool(value) -> bool:
+    """Whether value is a bool, a bool array or a list or tuple holding
+    one at any depth: np.asarray([0, True]) would read it as 1."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, (bool, np.bool_)) \
+        or getattr(value, "dtype", None) == bool
+
+
 def float_array(value, field: str, shape=None,
                 finite: bool = True) -> np.ndarray:
     """value as a float array (a float64 array is not copied);
-    ConfigurationError naming field unless it is a regular array of bools,
-    integers or reals (not None, strings, complex numbers or integers past
-    64 bits) of the given shape (axis lengths, None for any; an int n: n
-    values, flattened) and, where finite is set, finite."""
+    ConfigurationError naming field unless it is a regular array of
+    integers or reals (not None, bools, strings, complex numbers or
+    integers past 64 bits) of the given shape (axis lengths, None for any;
+    an int n: n values, flattened) and, where finite is set, finite."""
     try:
         arr = np.asarray(value)
-        if arr.dtype.kind not in "biuf":
+        if arr.dtype.kind not in "iuf" or _holds_bool(value):
             raise TypeError
         arr = arr.astype(float, copy=False)
     except (TypeError, ValueError):
@@ -106,11 +115,14 @@ def float_array(value, field: str, shape=None,
     return arr
 
 
-def horizon(T, epsilon) -> tuple:
-    """(T, epsilon) as floats, a finite horizon T > 0 and a weight
-    0 < epsilon < T; ConfigurationError naming the one at fault."""
-    T = number(T, "T", above=0.0)
-    return T, number(epsilon, "epsilon", above=0.0, below=T)
+def horizon(problem) -> None:
+    """Store a problem's horizon T and weight epsilon as the floats that
+    number returns; ConfigurationError naming the one at fault unless T
+    is finite and positive and 0 < epsilon < T."""
+    T = number(problem.T, "T", above=0.0)
+    object.__setattr__(problem, "T", T)
+    object.__setattr__(problem, "epsilon", number(
+        problem.epsilon, "epsilon", above=0.0, below=T))
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +209,20 @@ def build_grid(dim: int = 1,
                       or getattr(x, "ndim", 0) else (x,) * dim
                       for x in (shape, spacing))
     shape = tuple(count(s, "shape") for s in shape)
+    # checked for a point grid too, which has unit spacing and no border
+    spacing = tuple(number(h, "spacing", above=0.0) for h in spacing)
+    robin_b = number(robin_b, "robin_b",
+                     above=0.0 if boundary == "robin" else -math.inf)
     if domain_kind == "point":
         if shape != (1,) * dim or dim != 1:
             raise ConfigurationError("point grids are 1D with a single node",
                                      "shape")
         return Grid(1, (1,), (1.0,), boundary, "point")
-    spacing = tuple(number(h, "spacing", above=0.0) for h in spacing)
     if len(shape) != dim or len(spacing) != dim:
         raise ConfigurationError("shape/spacing length must match dim",
                                  "shape" if len(shape) != dim else "spacing")
     if min(shape) < 3:
         raise ConfigurationError("need at least 3 nodes per axis", "shape")
-    robin_b = number(robin_b, "robin_b",
-                     above=0.0 if boundary == "robin" else -math.inf)
     if domain_kind == "torus" and boundary != "periodic":
         raise ConfigurationError("torus requires periodic boundary",
                                  "boundary")

@@ -76,15 +76,19 @@ class RMap:
         _check_axis_direction(self.axis, self.direction)
         if kind in ("rigid", "translation") or self.permutation is not None:
             perm = float_array(self.permutation, "permutation", (None,))
-            if perm.size == 0 or not np.array_equal(np.sort(perm),
-                                                    np.arange(perm.size)):
+            # integers only: floats are refused, whole or not
+            if perm.size == 0 or np.asarray(self.permutation).dtype.kind \
+                    not in "iu" or not np.array_equal(np.sort(perm),
+                                                      np.arange(perm.size)):
                 raise ConfigurationError(f"{kind} map needs a permutation "
                                          "of the node set", "permutation")
             object.__setattr__(self, "permutation", perm.astype(int))
-        number(self.level, "level",
-               at_most=0.0 if kind == "truncate_lower" else math.inf,
-               at_least=0.0 if kind == "truncate_upper" else -math.inf)
-        number(self.K, "K", above=0.0 if kind == "lv_clamp" else -math.inf)
+        object.__setattr__(self, "level", number(
+            self.level, "level",
+            at_most=0.0 if kind == "truncate_lower" else math.inf,
+            at_least=0.0 if kind == "truncate_upper" else -math.inf))
+        object.__setattr__(self, "K", number(
+            self.K, "K", above=0.0 if kind == "lv_clamp" else -math.inf))
         if kind == "lagrangian_affine":
             r = float_array(self.r, "r", (None, None))
             if len(r) != r.shape[1] or not np.allclose(r.T @ r, np.eye(len(r)),
@@ -94,7 +98,7 @@ class RMap:
             object.__setattr__(self, "r", r)
             if self.shift is not None:
                 object.__setattr__(self, "shift",
-                                   float_array(self.shift, "shift", len(r)))
+                                   float_array(self.shift, "shift", (len(r),)))
         elif self.r is not None or self.shift is not None:
             raise ConfigurationError(f"{kind} map takes no r or shift",
                                      "r" if self.r is not None else "shift")
@@ -295,10 +299,9 @@ def _worsen(report_conditions: dict, key: str, margin: float,
 # ---------------------------------------------------------------------------
 
 def _is_constant_table(tab) -> bool:
-    if tab is None:
-        return True
-    arr = np.asarray(tab, dtype=float)
-    return bool(np.all(arr == arr.flat[0]))
+    """Whether a stored coefficient, a float or a nodal array, is one
+    value everywhere."""
+    return bool(np.all(tab == tab[0])) if np.ndim(tab) else True
 
 
 def compatibility_issues(R: RMap, problem: WedProblem,

@@ -64,7 +64,7 @@ class RIProblem:
     _lap: Optional[sp.spmatrix] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        horizon(self.T, self.epsilon)
+        horizon(self)
         n = self.grid.n_nodes
         f = float_array(self.forcing, "forcing", (None, n))
         if len(f) < 2:

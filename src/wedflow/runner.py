@@ -28,8 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import (ConfigurationError, Trajectory, build_grid, float_array,
-                    rearrange, reflection_permutation, trajectory_to_csv)
+from .grids import (ConfigurationError, Trajectory, build_grid, count,
+                    float_array, number, rearrange, reflection_permutation,
+                    trajectory_to_csv)
 from .energies import (ConcaveSpec, DissipationSpec, EnergySpec,
                        ReactionSpec, _rowdot, energy1_value_grad)
 from ._newton import with_pins
@@ -65,8 +66,13 @@ class ScenarioError(ValueError):
 # ---------------------------------------------------------------------------
 #
 # A reader takes a field's JSON value and ctx, the top-level fields read
-# before it, and returns what the program uses. Readers check JSON types
-# and shapes only; the library constructors the values go to check ranges.
+# before it, and returns what the program uses. Readers check the JSON
+# structure only: objects, lists, strings, kind choices, required and
+# unknown keys. A value that goes to a library constructor passes as
+# given, and the constructor's intake (grids.number, count, float_array)
+# checks and converts it; the numbers the runner computes with itself (T,
+# steps, seed, d and the values of the state and forcing kinds) go
+# through the same intake here.
 
 _DEFAULTS = {"seed": 0, "steps": 64, "schedule": "auto", "rmaps": [],
              "compare_v0": None, "output_dir": None}
@@ -74,29 +80,28 @@ _DEFAULTS = {"seed": 0, "steps": 64, "schedule": "auto", "rmaps": [],
 _REQUIRED = object()  # the default of a field that must be given
 
 
-def _typed(test, what: str, convert=None):
-    """The reader of a JSON value that passes test, called what, and
-    converted by convert if given."""
+def _typed(test, what: str):
+    """The reader of a JSON value that passes test, called what."""
     def read(v, ctx=None):
         if not test(v):
             raise ConfigurationError(f"expected {what}, not {json.dumps(v)}")
-        return v if convert is None else convert(v)
+        return v
     return read
 
 
-def _finite(v) -> bool:
-    """Whether v is a JSON number (no bool, no string) whose float is
-    finite."""
-    return type(v) is float and math.isfinite(v) \
-        or type(v) is int and abs(v) < 1e308
+def _given(v, ctx=None):
+    """The reader of a value that a constructor checks: it passes as is."""
+    return v
 
 
-_number = _typed(_finite, "a number", float)
+def _number(v, ctx=None) -> float:
+    """The reader of a number that the runner computes with."""
+    return number(v, "value")
 
 
-def _integer(low=None):
-    return _typed(lambda v: type(v) is int and (low is None or v >= low),
-                  "an integer" + ("" if low is None else f" >= {low}"))
+def _count(low: int):
+    """The reader of an integer >= low that the runner computes with."""
+    return lambda v, ctx=None: count(v, "value", low)
 
 
 def _choice(options):
@@ -104,39 +109,7 @@ def _choice(options):
 
 
 _string = _typed(lambda v: isinstance(v, str), "a string")
-
-
-def _numbers(v, ctx=None, shape=None, item=_number) -> np.ndarray:
-    """A list of numbers (as item reads them), or nested lists of them, as
-    an array; shape, if given, is its length along each axis (None: any)."""
-    if not isinstance(v, list):
-        raise ConfigurationError(f"expected a list of numbers, not "
-                                 f"{json.dumps(v)}")
-    arr = np.array([_numbers(x, item=item) if isinstance(x, list)
-                    else item(x) for x in v])
-    if shape is not None and (arr.ndim != len(shape) or any(
-            n not in (None, m) for n, m in zip(shape, arr.shape))):
-        axes = ", ".join("n" if n is None else str(n) for n in shape)
-        raise ConfigurationError(f"expected numbers of shape ({axes}), "
-                                 f"not {json.dumps(v)}")
-    return arr
-
-
-_vector = partial(_numbers, shape=(None,))
-_matrix = partial(_numbers, shape=(None, None))
-_indices = partial(_numbers, shape=(None,), item=_integer())
-
-
-def _one_or_list(one, listed):
-    """The reader of a value one reads, or of a list that listed reads."""
-    return lambda v, ctx=None: listed(v, ctx) if isinstance(v, list) \
-        else one(v, ctx)
-
-
-def _sized(values: np.ndarray, n: int) -> np.ndarray:
-    if values.size != n:
-        raise ConfigurationError("wrong number of values")
-    return values
+_list = _typed(lambda v: isinstance(v, list), "a list")
 
 
 def _n_dof(ctx) -> int:
@@ -185,13 +158,12 @@ def _kind(v, kinds: dict, ctx, key="kind", default=None) -> tuple:
 
 _STATE_KINDS = {
     "constant": {"value": (_number, _REQUIRED)},
-    "values": {"values": (_numbers, _REQUIRED)},
+    "values": {"values": (_list, _REQUIRED)},
     "cosine": {"base": (_number, 0.0), "amplitude": (_number, 1.0),
                "mode": (_number, 1.0)},
     "sine_mode": {"amplitude": (_number, 1.0), "mode": (_number, 1.0)},
     # two states of one value per node, read by _state
-    "pair": {"u": (lambda v, ctx: v, _REQUIRED),
-             "v": (lambda v, ctx: v, _REQUIRED)},
+    "pair": {"u": (_given, _REQUIRED), "v": (_given, _REQUIRED)},
 }
 
 
@@ -201,19 +173,18 @@ def _state(v, ctx, n=None) -> np.ndarray:
     n = _n_dof(ctx) if n is None else n
     grid = ctx.get("grid")
     if not isinstance(v, dict):
-        values = _sized(_numbers(v).ravel(), n) if isinstance(v, list) \
-            else np.full(n, _number(v))
+        values = v if isinstance(v, list) else np.full(n, _number(v))
     else:
         kind, f = _kind(v, _STATE_KINDS, ctx)
         if kind == "constant":
             values = np.full(n, f["value"])
         elif kind == "values":
-            values = _sized(f["values"].ravel(), n)
+            values = f["values"]
         elif grid is None:
             raise ConfigurationError(f"kind {kind!r} needs a grid")
         elif kind == "pair":
-            values = _sized(np.concatenate(
-                [_state(f[m], ctx, grid.n_nodes) for m in "uv"]), n)
+            values = np.concatenate([_state(f[m], ctx, grid.n_nodes)
+                                     for m in "uv"])
         else:
             x = grid.coords()[:, 0]
             if kind == "cosine":
@@ -224,7 +195,7 @@ def _state(v, ctx, n=None) -> np.ndarray:
                 L = float(np.max(x)) + grid.spacing[0]
                 values = f["amplitude"] \
                     * np.sin(2.0 * np.pi * f["mode"] * x / L)
-    return float_array(values, "values")
+    return float_array(values, "values", n)
 
 
 def _compare(v, ctx) -> np.ndarray:
@@ -239,10 +210,9 @@ def _compare(v, ctx) -> np.ndarray:
 
 
 _FORCING_KINDS = {
-    "nodal": {"values": (_numbers, _REQUIRED)},
-    "piecewise_linear_time": {
-        "points": (partial(_numbers, shape=(None, 2)), _REQUIRED),
-        "profile": (_numbers, None)},
+    "nodal": {"values": (_list, _REQUIRED)},
+    "piecewise_linear_time": {"points": (_given, _REQUIRED),
+                              "profile": (_list, None)},
 }
 
 
@@ -251,7 +221,7 @@ def _forcing(v, ctx, every_knot=False) -> np.ndarray:
     of one row per time knot (always, if every_knot)."""
     n, knots = _n_dof(ctx), ctx["steps"] + 1
     if isinstance(v, list):
-        f = _numbers(v)
+        f = float_array(v, "values")
         if f.shape not in ((n,), (knots, n)):
             raise ConfigurationError(f"expected {n} values or {knots} rows "
                                      f"of them")
@@ -260,13 +230,13 @@ def _forcing(v, ctx, every_knot=False) -> np.ndarray:
     else:
         kind, spec = _kind(v, _FORCING_KINDS, ctx)
         if kind == "nodal":
-            f = _sized(spec["values"].ravel(), n)
+            f = float_array(spec["values"], "values", n)
         else:
-            pts = spec["points"]
+            pts = float_array(spec["points"], "points", (None, 2))
             f = np.interp(np.linspace(0.0, ctx["T"], knots), pts[:, 0],
                           pts[:, 1])[:, None] \
                 * (np.ones(n) if spec["profile"] is None
-                   else _sized(spec["profile"].ravel(), n))[None, :]
+                   else float_array(spec["profile"], "profile", n))[None, :]
     return np.tile(f, (knots, 1)) if every_knot and f.ndim == 1 else f
 
 
@@ -275,34 +245,22 @@ def _schedule(v, ctx) -> list:
         return default_eps_schedule(ctx["T"], ctx["steps"])
     if not isinstance(v, list):
         raise ConfigurationError("must be 'auto' or a list")
-    return check_schedule([_number(e) for e in v], ctx["T"])
+    return check_schedule(v, ctx["T"])
 
 
-_GRID = {"dim": (_integer(), 1),
-         "shape": (_one_or_list(_integer(), _indices), _REQUIRED),
-         "spacing": (_one_or_list(_number, _vector), 1.0),
-         "boundary": (_string, "neumann"),
-         "domain_kind": (_string, "interval"), "robin_b": (_number, 0.0)}
+_GRID = {"dim": (_given, 1), "shape": (_given, _REQUIRED),
+         "spacing": (_given, 1.0), "boundary": (_given, "neumann"),
+         "domain_kind": (_given, "interval"), "robin_b": (_given, 0.0)}
 
 
 def _grid(v, ctx):
     return build_grid(**_read(_GRID, v, ctx))
 
 
-# the reader of a dataclass field's JSON value, by the field's annotation;
-# an "object" coefficient is one number or one per degree of freedom
-_BY_ANNOTATION = {
-    "float": _number, "Optional[float]": _number, "str": _string,
-    "bool": _typed(lambda v: isinstance(v, bool), "true or false"),
-    "Optional[np.ndarray]": _numbers,
-    "object": _one_or_list(_number, lambda v, ctx: _sized(_vector(v),
-                                                          _n_dof(ctx)))}
-
-
 def _fields(cls, names=None) -> dict:
     """The field table of the named fields of the dataclass cls (all by
-    default), each read by its annotation, with the class's default."""
-    return {f.name: (_BY_ANNOTATION[f.type], f.default)
+    default), each passed as given, with the class's default."""
+    return {f.name: (_given, f.default)
             for f in dc_fields(cls) if names is None or f.name in names}
 
 
@@ -326,22 +284,22 @@ def _maps(v, ctx, table) -> tuple:
 # the map fields of each lane: an inertial map is a symmetry of the state
 # alone, so it takes no level, clamp, axis or order
 _WED_MAP = {"kind": (_choice(WED_KINDS), _REQUIRED),
-            "permutation": (_indices, None), "level": (_number, None),
-            "K": (_number, None), "axis": (_integer(), None),
-            "direction": (_integer(), None),
+            "permutation": (_given, None), "level": (_given, None),
+            "K": (_given, None), "axis": (_given, None),
+            "direction": (_given, None),
             "parts": (lambda v, ctx: _maps(v, ctx, _WED_MAP), None)}
 _INERTIAL_MAP = {"kind": (_choice(INERTIAL_KINDS), _REQUIRED),
-                 "permutation": (_indices, None), "r": (_matrix, None),
-                 "shift": (_vector, None)}
+                 "permutation": (_given, None), "r": (_given, None),
+                 "shift": (_given, None)}
 
-_POTENTIAL = {"kind": (_string, "quadratic"), "Q": (_matrix, None),
-              "coeffs": (_vector, [])}
+_POTENTIAL = {"kind": (_given, "quadratic"), "Q": (_given, None),
+              "coeffs": (_given, ())}
 
 
 def _potential(v, ctx) -> dict:
     """The LagrangianProblem arguments of a potential object."""
     p = _read(_POTENTIAL, v, ctx)
-    return {"u_kind": p["kind"], "Q": p["Q"], "u_coeffs": tuple(p["coeffs"])}
+    return {"u_kind": p["kind"], "Q": p["Q"], "u_coeffs": p["coeffs"]}
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +308,9 @@ def _potential(v, ctx) -> dict:
 
 _HEAD = {"name": (_string, _REQUIRED),
          "family": (_choice(FAMILIES), _REQUIRED),
-         "T": (_typed(lambda v: _finite(v) and v > 0, "a positive number",
-                      float), _REQUIRED),
-         "steps": (_integer(1), _DEFAULTS["steps"]),
-         "seed": (_integer(0), _DEFAULTS["seed"]),
+         "T": (lambda v, ctx: number(v, "T", above=0.0), _REQUIRED),
+         "steps": (_count(1), _DEFAULTS["steps"]),
+         "seed": (_count(0), _DEFAULTS["seed"]),
          "schedule": (_schedule, _DEFAULTS["schedule"]),
          "output_dir": (_string, None)}
 
@@ -389,8 +346,8 @@ _LV = {**_WED, "reaction": (_WED["reaction"][0], _REQUIRED)}
 
 _RI = {**_HEAD,
        "grid": (_grid, _REQUIRED),
-       "phi_coeffs": (_vector, [0.0, 0.0, 0.5]),
-       "a": (_number, 0.0),
+       "phi_coeffs": (_given, [0.0, 0.0, 0.5]),
+       "a": (_given, 0.0),
        "forcing": (partial(_forcing, every_knot=True), 0.0),
        "initial": (_state, _REQUIRED),
        "compare_v0": (_compare, None)}
@@ -398,21 +355,21 @@ _RI = {**_HEAD,
 # both inertial families' fields; steps >= 2, as two knots are pinned (the
 # key keeps its place in _HEAD, before schedule, which reads it)
 _INERTIAL = {
-    "steps": (_integer(2), _DEFAULTS["steps"]),
+    "steps": (_count(2), _DEFAULTS["steps"]),
     "initial": (_state, _REQUIRED),
     "velocity": (_state, 0.0),
     "rmaps": (partial(_maps, table=_INERTIAL_MAP), [])}
 
 _WAVE = {**_HEAD,
          "grid": (_grid, _REQUIRED),
-         "rho": (_number, 1.0), "nu": (_number, 0.0),
-         "f_coeffs": (_vector, [0.0]), "lam": (_number, 0.0),
-         "p_growth": (_number, 2.0),
+         "rho": (_given, 1.0), "nu": (_given, 0.0),
+         "f_coeffs": (_given, [0.0]), "lam": (_given, 0.0),
+         "p_growth": (_given, 2.0),
          **_INERTIAL}
 
 _LAGRANGIAN = {**_HEAD,
-               "d": (_integer(1), 1), "M": (_matrix, None),
-               "nu": (_number, 0.0), "potential": (_potential, {}),
+               "d": (_count(1), 1), "M": (_given, None),
+               "nu": (_given, 0.0), "potential": (_potential, {}),
                **_INERTIAL}
 
 
@@ -446,7 +403,8 @@ _FAMILY_TABLES = {
 
 # the scenario field behind each problem argument of another name
 _FIELD_OF = {"epsilon": "schedule", "u_kind": "potential", "Q": "potential",
-             "u_coeffs": "potential"}
+             "u_coeffs": "potential", "B": "energy", "C": "energy",
+             "concave_D": "energy2"}
 
 
 # ---------------------------------------------------------------------------

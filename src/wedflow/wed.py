@@ -79,12 +79,20 @@ class WedProblem:
     forcing: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        horizon(self.T, self.epsilon)
+        horizon(self)
         two = self.energy1.kind == "lv_quadratic"
         if self.reaction.kind == "lotka_volterra" and not two:
             raise ConfigurationError("a lotka_volterra reaction needs the "
                                      "lv_quadratic energy", "reaction")
         n = self.grid.n_nodes * (2 if two else 1)
+        # a nodal coefficient has one value per node (B, C) or per dof
+        for name, c, size in (("B", self.energy1.B, self.grid.n_nodes),
+                              ("C", self.energy1.C, self.grid.n_nodes),
+                              ("concave_D", self.energy2.concave_D, n)):
+            if np.shape(c) not in ((), (size,)):
+                raise ConfigurationError(f"{name} must be one value or "
+                                         f"{size} values, not shape "
+                                         f"{np.shape(c)}", name)
         object.__setattr__(self, "initial",
                            float_array(self.initial, "initial", n))
         if self.forcing is not None:

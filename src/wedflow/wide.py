@@ -60,13 +60,14 @@ class WideWaveProblem:
     _f_der: tuple = field(init=False, repr=False)  # polynomial(f_coeffs)[1]
 
     def __post_init__(self):
-        horizon(self.T, self.epsilon)
+        horizon(self)
         if self.grid.dim != 1:
             raise ConfigurationError("wave problems are 1D here", "grid")
-        number(self.rho, "rho", above=0.0)
-        number(self.nu, "nu", at_least=0.0)
-        number(self.p_growth, "p_growth", at_least=2.0)
-        number(self.lam, "lam")
+        object.__setattr__(self, "rho", number(self.rho, "rho", above=0.0))
+        object.__setattr__(self, "nu", number(self.nu, "nu", at_least=0.0))
+        object.__setattr__(self, "p_growth", number(self.p_growth, "p_growth",
+                                                    at_least=2.0))
+        object.__setattr__(self, "lam", number(self.lam, "lam"))
         c, der = polynomial(self.f_coeffs, "f_coeffs")
         object.__setattr__(self, "f_coeffs", c)
         object.__setattr__(self, "_f_der", der)
@@ -138,7 +139,7 @@ class LagrangianProblem:
                           default=None)  # polynomial(u_coeffs)[1]
 
     def __post_init__(self):
-        horizon(self.T, self.epsilon)
+        horizon(self)
         d = count(self.d, "d")
         object.__setattr__(self, "d", d)
         # the states first: a d they do not have builds no d x d matrix
@@ -152,7 +153,7 @@ class LagrangianProblem:
             raise ConfigurationError("mass matrix must be positive definite",
                                      "M")
         object.__setattr__(self, "M", M)
-        number(self.nu, "nu", at_least=0.0)
+        object.__setattr__(self, "nu", number(self.nu, "nu", at_least=0.0))
         if self.u_kind not in ("quadratic", "component_poly"):
             raise ConfigurationError(f"unknown potential kind {self.u_kind!r}",
                                      "u_kind")

@@ -21,8 +21,7 @@ from wedflow.energies import (A_eval, alpha_eval,
 
 from wedflow import WedProblem, _newton, energies, minimize_wed, wed
 from wedflow._newton import time_band
-from wedflow.energies import _coef, _edge_operator, _fractional_matrix, \
-    _robin_diag
+from wedflow.energies import _edge_operator, _fractional_matrix, _robin_diag
 from wedflow.grids import Grid
 from wedflow.wed import _weights
 
@@ -289,7 +288,12 @@ def test_energy_spec_rejects_negative_coefficients(name):
     with pytest.raises(ConfigurationError, match=name):
         spec(**{name: "abc"})
     spec(**{name: 0.0})
-    spec(**{name: np.array([1.0, 0.5, 0.0, 2.0])})
+    nodal = np.array([1.0, 0.5, 0.0, 2.0])
+    if name in ("B", "C", "concave_D"):
+        spec(**{name: nodal})
+    else:  # one number only
+        with pytest.raises(ConfigurationError, match=name):
+            spec(**{name: nodal})
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +678,8 @@ def _chain_energy1_hessian(spec, grid, x):
             [[spec.D1], [spec.D2]], (k, n)), 2.0)
         return (_chain_edge_hessian(grid, curv) + sp.diags(np.repeat(
             np.tile([spec.F1, spec.F2], k) * hd, n))).tocsr()
-    B = _coef(spec.B, grid.n_nodes)
-    C = _coef(spec.C, grid.n_nodes)
+    B = np.full(grid.n_nodes, spec.B)
+    C = np.full(grid.n_nodes, spec.C)
     curv = _chain_curvature(grid, X, B, spec.m)
     diag = hd * C * (spec.m - 1.0) * np.abs(X) ** (spec.m - 2.0) \
         + _robin_diag(grid)

@@ -260,12 +260,26 @@ _INTAKE = {
                         {"p": [1.0, 0.5], "table_s": [[1.0, -1.0], [0.0]],
                          "table_alpha": [[1.0, -1.0], [0.0, 1.0, 2.0]]}),
     "power": (_spec(DissipationSpec), {"table_s": [[0.0]]}),
+    # a one-number coefficient takes no array, not even a constant one
     "EnergySpec": (_spec(EnergySpec, kind="m_laplace", m=3.0, B=[1.0, 2.0]),
-                   {"m": [2.0 - 2 ** -52], "gamma": [-1.0], "B": [[1.0, -1.0]],
-                    "C": [-5e-324], "D1": [-1.0], "D2": [-1.0], "F1": [-1.0],
-                    "F2": [-1.0]}),
+                   {"m": [2.0 - 2 ** -52], "gamma": [-1.0, np.full(8, 2.0)],
+                    "B": [[1.0, -1.0], [0, True, 2]], "C": [-5e-324],
+                    "D1": [-1.0, [1.0, 2.0]], "D2": [-1.0, [1.0]],
+                    "F1": [-1.0, np.zeros(2)], "F2": [-1.0, [0.0]]}),
+    # exterior is a bool: a non-empty string would read as true
     "fractional": (_spec(EnergySpec, kind="fractional"),
-                   {"s": [0.0, 1.0], "m": []}),
+                   {"s": [0.0, 1.0], "m": [], "exterior": ["no", 1, None]}),
+    # nodal coefficients have one value per node of the problem's grid
+    # (B, C) or per degree of freedom (concave_D)
+    "nodal coefficients": (
+        lambda **args: replace(heat_problem(n=8), energy1=EnergySpec(
+            kind="m_laplace", m=3.0, **args)),
+        {"B": [np.arange(1.0, 10.0), np.ones(3), np.ones(5), np.ones((1, 8))],
+         "C": [np.ones(3), np.ones(9)]}),
+    "nodal concave_D": (
+        lambda **args: replace(heat_problem(n=8), energy2=ConcaveSpec(
+            concave_q=3.0, **args)),
+        {"concave_D": [np.ones(3), np.ones(9)]}),
     "ConcaveSpec": (_spec(ConcaveSpec, concave_q=3.0),
                     {"concave_q": [1.0], "concave_D": [-1.0, [1.0, -1.0]]}),
     "ReactionSpec": (_spec(ReactionSpec, kind="lotka_volterra"),

@@ -18,7 +18,7 @@ import pytest
 from wedflow import (ConcaveSpec, DissipationSpec, EnergySpec, ReactionSpec,
                      WedProblem, build_grid, wed)
 from wedflow._newton import _EXTENDED, time_divergence
-from wedflow.energies import (A_eval, _coef, _edge_operator, _robin_diag,
+from wedflow.energies import (A_eval, _edge_operator, _robin_diag,
                               _rowdot, _sequential_sum, alpha_eval)
 
 from conftest import heat_problem
@@ -71,7 +71,7 @@ def reference_energy1(spec, grid, x, value=True):
         return val, grad.reshape(x.shape)
     assert spec.kind == "m_laplace"
     n = grid.n_nodes
-    B, C, m = _coef(spec.B, n), _coef(spec.C, n), spec.m
+    B, C, m = np.full(n, spec.B), np.full(n, spec.C), spec.m
     val, grad = reference_edge_energy(grid, x, B, m, value)
     rob = _robin_diag(grid)
     if value:

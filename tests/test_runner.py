@@ -126,7 +126,7 @@ def test_initial_values_kinds():
 def test_initial_values_errors():
     with pytest.raises(ScenarioError, match="initial"):
         line_scenario(5, initial=None)
-    with pytest.raises(ScenarioError, match="wrong number"):
+    with pytest.raises(ScenarioError, match=r"field 'initial': .*shape"):
         line_scenario(5, initial=[1.0, 2.0])
     with pytest.raises(ScenarioError, match="unknown kind"):
         line_scenario(5, initial={"kind": "chirp"})
@@ -146,7 +146,7 @@ def test_forcing_values():
     scal = np.interp(t, [0.0, 0.5, 0.75, 1.0], [0.0, 1.5, 0.5, 0.5])
     assert got.shape == (9, 3)
     assert np.allclose(got, scal[:, None] * np.array([1.0, 2.0, 0.0]))
-    with pytest.raises(ScenarioError, match="wrong number"):
+    with pytest.raises(ScenarioError, match=r"field 'forcing': .*shape"):
         forcing({"kind": "nodal", "values": [1.0]})
     with pytest.raises(ScenarioError, match="unknown kind"):
         forcing({"kind": "bump"})
@@ -173,7 +173,7 @@ def test_schedule_resolution():
         schedule(schedule=[])
     for bad, match in [([0.05, 0.2], "decrease"), ([0.2, 0.2], "decrease"),
                        ([1.5, 0.1], r"\(0, T\)"), ([0.2, 0.0], r"\(0, T\)"),
-                       (["fast"], "expected a number"),
+                       (["fast"], "real numbers"),
                        (0.2, "'auto' or a list")]:
         with pytest.raises(ScenarioError, match=match) as info:
             schedule(schedule=bad)
@@ -988,6 +988,17 @@ def test_rate_independent_potential_overflow_names_its_field(
                                    "enforcement": "posthoc"}]),
     ("lv_patch", "rmaps", [{"kind": "lv_clamp", "K": 1.0,
                             "enforcement": "posthoc"}]),
+    # a bool among numbers, which np.asarray would read as 0 or 1
+    *[("heat_relaxation", "grid", dict(HEAT_GRID, **{key: value}))
+      for key, value in (("shape", [True]), ("shape", [16, True]),
+                         ("spacing", [True]), ("spacing", [0.0625, True]))],
+    ("heat_relaxation", "energy", {"kind": "m_laplace", "m": 2.0,
+                                   "B": [0, True, 2] + [1] * 13, "C": 0.0}),
+    ("heat_relaxation", "rmaps", [{"kind": "rigid", "permutation":
+                                   [0, True, 2] + list(range(3, 16))}]),
+    ("heat_relaxation", "rmaps", [{"kind": "rigid", "permutation":
+                                   list(range(15, 0, -1)) + [False]}]),
+    ("wide_oscillator", "M", [[1, True], [0, 2]]),
 ])
 def test_bad_field_is_named_before_any_solve(tmp_path, capsys, monkeypatch,
                                              name, field, value):
@@ -1117,6 +1128,36 @@ def test_every_one_field_mutation_parses_or_names_its_field(monkeypatch):
                         (name, path, value, message)
                 runs += 1
     assert runs == 1638
+
+
+def _integral_as_int(value):
+    """A JSON value with every float that is a whole number written as an
+    int: T 1.0 as 1, B 1.0 as 1, M [[1.0]] as [[1]]."""
+    if isinstance(value, dict):
+        return {k: _integral_as_int(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_integral_as_int(v) for v in value]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
+@pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+def test_whole_numbers_spelled_as_ints_give_the_same_artifacts(tmp_path,
+                                                                name):
+    # the constructors store the floats they checked, so a JSON 1 and 1.0
+    # give the same bits everywhere; only the echo of the input differs
+    raw = json.loads(bundled_scenarios()[name])
+    written = []
+    for k, doc in enumerate((raw, _integral_as_int(raw))):
+        out = tmp_path / f"out{k}"
+        path = tmp_path / f"{name}{k}.json"
+        path.write_text(json.dumps({**doc, "output_dir": str(out)}))
+        assert run(path) == 0
+        written.append({f.name: f.read_text() for f in out.iterdir()
+                        if f.name != "effective_config.json"})
+    assert json.dumps(_integral_as_int(raw)) != json.dumps(raw)
+    assert "reports.json" in written[0] and written[0] == written[1]
 
 
 @pytest.mark.parametrize("name", ["heat_relaxation", "ri_ramp"])
